@@ -203,7 +203,7 @@ mod tests {
     #[test]
     fn reprobe_recovers_full_lasthop_set_of_multi_lh_pop() {
         let mut s = build(ScenarioConfig::tiny(42));
-        let snapshot = zmap::scan_all(&mut s.network);
+        let snapshot = zmap::scan_all(&mut s.network, 1);
         // Pick a responsive multi-LH pop block with many actives so all
         // routers appear. The block must still answer at the probe-time
         // epoch — a block that went quiet since the snapshot reprobes to
@@ -248,7 +248,7 @@ mod tests {
     #[test]
     fn same_pop_blocks_validate_as_homogeneous() {
         let mut s = build(ScenarioConfig::tiny(42));
-        let snapshot = zmap::scan_all(&mut s.network);
+        let snapshot = zmap::scan_all(&mut s.network, 1);
         // Find two dense blocks of the same per-flow pop (identical sets).
         let mut by_pop: BTreeMap<u32, Vec<Block24>> = BTreeMap::new();
         let epoch = s.network.epoch();
@@ -293,7 +293,7 @@ mod tests {
     #[test]
     fn different_pop_blocks_fail_validation() {
         let mut s = build(ScenarioConfig::tiny(42));
-        let snapshot = zmap::scan_all(&mut s.network);
+        let snapshot = zmap::scan_all(&mut s.network, 1);
         let mut picks: Vec<Block24> = Vec::new();
         // Sorted-id set, same shape as the production interner index.
         let mut seen_pops: Vec<u32> = Vec::new();

@@ -128,7 +128,7 @@ mod tests {
     #[test]
     fn homogeneity_is_stable_across_epochs() {
         let mut s = build(ScenarioConfig::tiny(42));
-        let snapshot = zmap::scan_all(&mut s.network);
+        let snapshot = zmap::scan_all(&mut s.network, 1);
         let selected: Vec<_> = select_all(&snapshot).into_iter().take(60).collect();
         let table = ConfidenceTable::empty();
         let cfg = HobbitConfig::default();
@@ -154,7 +154,7 @@ mod tests {
     #[test]
     fn snapshots_record_epoch_and_cost() {
         let mut s = build(ScenarioConfig::tiny(7));
-        let snapshot = zmap::scan_all(&mut s.network);
+        let snapshot = zmap::scan_all(&mut s.network, 1);
         let selected: Vec<_> = select_all(&snapshot).into_iter().take(10).collect();
         let e = snapshot_epoch(
             &mut s.network,

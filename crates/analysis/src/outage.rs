@@ -166,7 +166,7 @@ mod tests {
         BTreeMap<Block24, Vec<Addr>>,
     ) {
         let mut s = netsim::build::build(netsim::build::ScenarioConfig::tiny(42));
-        let snapshot = probe::zmap::scan_all(&mut s.network);
+        let snapshot = probe::zmap::scan_all(&mut s.network, 1);
         let homog: Vec<HomogBlock> = s
             .truth
             .blocks

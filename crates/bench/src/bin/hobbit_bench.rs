@@ -22,6 +22,7 @@
 
 use aggregate::{aggregate_identical, similarity_edges, HomogBlock};
 use bench::{compare, BenchSnapshot};
+use experiments::pipeline::block_ident;
 use hobbit::{
     classify_block, early_verdict, select_all, BlockTable, Classification, ConfidenceTable,
     HobbitConfig,
@@ -346,7 +347,7 @@ fn main() -> ExitCode {
                 probe_cfg_world.churn = 0.0;
                 probe_cfg_world.quiet_prob = 0.0;
                 let mut scenario = build(probe_cfg_world);
-                let zmap_snapshot = zmap::scan_all(&mut scenario.network);
+                let zmap_snapshot = zmap::scan_all(&mut scenario.network, 1);
                 let selected = select_all(&zmap_snapshot);
                 assert!(!selected.is_empty(), "tiny world selects no blocks");
                 let probe_cfg = HobbitConfig {
@@ -357,9 +358,7 @@ fn main() -> ExitCode {
                 let mut probes = 0u64;
                 for j in 0..n {
                     let sel = &selected[j % selected.len()];
-                    let ident =
-                        0x4000 | (netsim::hash::mix2(sel.block.0 as u64, 0x1DE7) as u16 & 0x3FFF);
-                    let mut prober = Prober::shared(shared.clone(), ident);
+                    let mut prober = Prober::shared(shared.clone(), block_ident(sel.block));
                     let m = classify_block(&mut prober, sel, &conf, &probe_cfg);
                     probes += m.probes_used;
                 }
@@ -383,7 +382,7 @@ fn main() -> ExitCode {
             dyn_world_cfg.churn = 0.0;
             dyn_world_cfg.quiet_prob = 0.0;
             let mut scenario = build(dyn_world_cfg);
-            let zmap_snapshot = zmap::scan_all(&mut scenario.network);
+            let zmap_snapshot = zmap::scan_all(&mut scenario.network, 1);
             let selected = select_all(&zmap_snapshot);
             let schedule = derive_dynamics(&scenario, 0.5, 64);
             let events = schedule.events.len() as u64;
@@ -396,9 +395,7 @@ fn main() -> ExitCode {
             let mut probes = 0u64;
             for j in 0..n {
                 let sel = &selected[j % selected.len()];
-                let ident =
-                    0x4000 | (netsim::hash::mix2(sel.block.0 as u64, 0x1DE7) as u16 & 0x3FFF);
-                let mut prober = Prober::shared(shared.clone(), ident);
+                let mut prober = Prober::shared(shared.clone(), block_ident(sel.block));
                 let m = classify_block(&mut prober, sel, &conf, &probe_cfg);
                 probes += m.probes_used;
             }

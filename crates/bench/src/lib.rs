@@ -1,22 +1,7 @@
-//! # bench — Criterion benchmarks for the Hobbit reproduction
+//! # bench — the benchmark trajectory for the Hobbit reproduction
 //!
-//! Targets (run with `cargo bench -p bench`):
-//!
-//! * `substrate` — wire codecs, LPM trie lookups, probe forwarding,
-//!   scenario construction;
-//! * `probing` — Paris traceroute, MDA, and the Section 3.4 last-hop
-//!   shortcut vs a full traceroute walk (the paper's efficiency claim);
-//! * `hobbit_core` — the hierarchy test across group counts,
-//!   confidence-table construction, and classification with/without a
-//!   calibrated table (the termination ablation);
-//! * `aggregation` — identical-set aggregation, similarity-graph
-//!   construction, and MCL with/without connected-component splitting
-//!   (the Section 6.3 pre-processing ablation);
-//! * `experiments_bench` — regeneration time of every table and figure at
-//!   micro scale.
-//!
-//! Beyond the criterion targets, the crate ships the [`snapshot`] module
-//! (the versioned `hobbit-bench/v1` JSON format) and the `hobbit-bench`
+//! The crate ships the [`snapshot`] module (the versioned
+//! `hobbit-bench/v1` JSON format) and the `hobbit-bench`
 //! binary, which times the classify/aggregate/MCL kernels at 10k/100k/1M
 //! simulated /24s under either the flat dense-layout kernels
 //! (`--label flat`) or the preserved pre-flat ones from

@@ -276,6 +276,14 @@ pub fn early_verdict(
     }
 }
 
+/// The ICMP ident a block's classification prober uses. Derived from the
+/// block address — never from the worker or shard id — so the probe stream
+/// a block sees is independent of the thread count and of which worker
+/// happens to classify it.
+pub fn block_ident(block: Block24) -> u16 {
+    0x4000 | (netsim::hash::mix2(block.0 as u64, 0x1DE7) as u16 & 0x3FFF)
+}
+
 /// Classify one selected /24 by probing.
 pub fn classify_block(
     prober: &mut Prober<'_>,
@@ -514,7 +522,7 @@ mod tests {
     impl World {
         fn new(seed: u64) -> Self {
             let mut scenario = build(ScenarioConfig::tiny(seed));
-            let snapshot = zmap::scan_all(&mut scenario.network);
+            let snapshot = zmap::scan_all(&mut scenario.network, 1);
             World { scenario, snapshot }
         }
 

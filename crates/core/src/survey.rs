@@ -159,7 +159,7 @@ mod tests {
 
     fn surveyed(seed: u64, want_multi_lh: bool) -> Option<(netsim::Scenario, BlockSurvey)> {
         let mut scenario = build(ScenarioConfig::tiny(seed));
-        let snapshot = zmap::scan_all(&mut scenario.network);
+        let snapshot = zmap::scan_all(&mut scenario.network, 1);
         // Probe-time responsiveness matters too: a block can go quiet
         // between the snapshot epoch and the survey, and per-flow balanced
         // pops legitimately fan one address over every last-hop.

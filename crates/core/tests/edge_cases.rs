@@ -117,7 +117,7 @@ fn classify_single_address_selection_is_too_few_active() {
     // One live destination can resolve a last hop but never support a
     // verdict (min_active is 4).
     let mut scenario = build(ScenarioConfig::tiny(42));
-    let snapshot = zmap::scan_all(&mut scenario.network);
+    let snapshot = zmap::scan_all(&mut scenario.network, 1);
     let (block, actives) = snapshot
         .active
         .iter()
@@ -147,7 +147,7 @@ fn total_loss_exhausts_reprobe_rounds() {
     // (reprobe_order re-visits exactly the unresolved destinations), and
     // the block degrades to TooFewActive with consistent counters.
     let mut scenario = build(ScenarioConfig::tiny(42));
-    let snapshot = zmap::scan_all(&mut scenario.network);
+    let snapshot = zmap::scan_all(&mut scenario.network, 1);
     scenario.network.set_faults(FaultConfig {
         link_loss: 1.0,
         ..FaultConfig::none()
@@ -185,7 +185,7 @@ fn all_unresponsive_block_yields_unresponsive_lasthop() {
     // verdict is UnresponsiveLasthop — not TooFewActive (the hosts are
     // there) and certainly not a homogeneity claim.
     let mut scenario = build(ScenarioConfig::tiny(42));
-    let snapshot = zmap::scan_all(&mut scenario.network);
+    let snapshot = zmap::scan_all(&mut scenario.network, 1);
     let block = snapshot
         .blocks()
         .find(|b| {

@@ -103,7 +103,8 @@ pub const USAGE: &str =
 \u{20}                   [--dynamics R[,P]] [--storage-chaos SEED[,RATE]]\n\
 --seed N      scenario seed (default 42)\n\
 --scale F     scenario scale, 1.0 = paper-size (default 0.12)\n\
---threads N   probing worker threads (default: all cores)\n\
+--threads N   probing worker threads: snapshot scan and classification\n\
+\u{20}             (default: all cores)\n\
 --faults L,R  inject faults into classification probing: per-link loss\n\
 \u{20}             probability L and ICMP token-bucket refill rate R\n\
 \u{20}             (e.g. --faults 0.02,0.5; R may be `tb` for the default\n\

@@ -62,7 +62,7 @@ pub fn cluster_and_validate(
     // validate (the paper's Figure 9 non-matching population).
     let reprobe_epoch = p.scenario.network.epoch() + 1;
     p.scenario.network.set_epoch(reprobe_epoch);
-    let snapshot = p.snapshot.clone();
+    let snapshot = &p.snapshot;
     let mut outcomes = Vec::new();
     let _reprobe_span = obs.as_ref().map(|r| r.span("run/reprobe"));
     let mut prober = Prober::new(&mut p.scenario.network, 0xF9);
@@ -80,7 +80,7 @@ pub fn cluster_and_validate(
             &aggs,
             members,
             &cfg,
-            |b| select_block(&snapshot, b).ok(),
+            |b| select_block(snapshot, b).ok(),
             rec,
         );
         if validation.total_pairs == 0 {

@@ -14,7 +14,23 @@ use aggregate::{Aggregate, HobbitDataset};
 
 /// Build the final dataset (shared with tests).
 pub fn build_dataset(args: &ExpArgs) -> (HobbitDataset, Report) {
-    let mut p = pipeline::Pipeline::builder().args(args).run();
+    build_dataset_to(args, &mut std::io::stderr())
+}
+
+/// [`build_dataset`], writing the `--trace-spans` tree to `trace`.
+fn build_dataset_to(args: &ExpArgs, trace: &mut dyn std::io::Write) -> (HobbitDataset, Report) {
+    // The span tree prints once, after aggregation and reprobing have
+    // reported into the registry: the pipeline run itself only writes the
+    // metrics file, which is refreshed at the end.
+    let run_args = ExpArgs {
+        trace_spans: false,
+        ..args.clone()
+    };
+    let mut builder = pipeline::Pipeline::builder().args(&run_args);
+    if args.trace_spans {
+        builder = builder.observe();
+    }
+    let mut p = builder.run();
     let mut r = Report::new("hobbit_map", "The Hobbit homogeneous-blocks dataset");
     let seed = p.seed;
     let (aggs, _clustering, outcomes) = cluster_and_validate(&mut p, seed, 120, 40);
@@ -78,9 +94,9 @@ pub fn build_dataset(args: &ExpArgs) -> (HobbitDataset, Report) {
         r.worker_rollup(&p.worker_stats);
         r.phase_rollup(reg);
     }
-    // Refresh the metrics document now that aggregation and reprobing have
-    // reported into the registry too.
-    p.emit_observability(args);
+    // Print the span tree and refresh the metrics document now that
+    // aggregation and reprobing have reported into the registry too.
+    p.emit_observability_to(args, trace);
     (dataset, r)
 }
 
@@ -126,5 +142,32 @@ mod tests {
                 assert!(seen.insert(m), "{m} appears in two blocks");
             }
         }
+    }
+
+    #[test]
+    fn span_tree_prints_once_after_aggregation() {
+        let metrics =
+            std::env::temp_dir().join(format!("hobbit-map-metrics-{}.json", std::process::id()));
+        let args = ExpArgs {
+            scale: 0.012,
+            threads: 2,
+            trace_spans: true,
+            metrics: Some(metrics.to_string_lossy().into_owned()),
+            ..Default::default()
+        };
+        let mut trace = Vec::new();
+        let _ = build_dataset_to(&args, &mut trace);
+        let tree = String::from_utf8(trace).unwrap();
+        let roots = tree.lines().filter(|l| l.starts_with("run  x")).count();
+        assert_eq!(roots, 1, "one span tree expected:\n{tree}");
+        assert!(
+            tree.contains("  reprobe  x"),
+            "tree lacks reprobing:\n{tree}"
+        );
+        // The metrics document written after the pipeline was refreshed
+        // with the post-pipeline phases.
+        let doc = std::fs::read_to_string(&metrics).unwrap();
+        std::fs::remove_file(&metrics).unwrap();
+        assert!(doc.contains("run/reprobe"), "metrics lack reprobing");
     }
 }

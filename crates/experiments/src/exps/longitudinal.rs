@@ -3,7 +3,7 @@
 //! aggregates are under availability churn.
 
 use crate::args::ExpArgs;
-use crate::pipeline::scenario_config;
+use crate::pipeline::{effective_threads, scenario_config};
 use crate::report::Report;
 use aggregate::{aggregate_identical, HomogBlock};
 use analysis::longitudinal::{snapshot_epoch, stability, EpochSnapshot};
@@ -22,7 +22,10 @@ const SAMPLE_BLOCKS: usize = 400;
 pub fn run(args: &ExpArgs) -> Report {
     let cfg = scenario_config(args);
     let mut scenario = build(cfg);
-    let snapshot = zmap::scan_all(&mut scenario.network);
+    let snapshot = zmap::scan_all(
+        &mut scenario.network,
+        effective_threads(args.threads, usize::MAX),
+    );
     let selected: Vec<_> = {
         let all = select_all(&snapshot);
         let stride = (all.len() / SAMPLE_BLOCKS).max(1);

@@ -8,7 +8,7 @@
 //! last-hop-set completeness and identical-set aggregation?
 
 use crate::args::ExpArgs;
-use crate::pipeline::scenario_config;
+use crate::pipeline::{effective_threads, scenario_config};
 use crate::report::Report;
 use aggregate::{aggregate_identical, HomogBlock};
 use hobbit::select_all;
@@ -41,7 +41,10 @@ pub fn run(args: &ExpArgs) -> Report {
     let mut cfg = scenario_config(args);
     cfg.extra_vantages = 1;
     let mut scenario = build(cfg);
-    let snapshot = zmap::scan_all(&mut scenario.network);
+    let snapshot = zmap::scan_all(
+        &mut scenario.network,
+        effective_threads(args.threads, usize::MAX),
+    );
     let selected = select_all(&snapshot);
     let rule = StoppingRule::confidence95();
     let mut r = Report::new(

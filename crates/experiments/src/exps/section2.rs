@@ -7,7 +7,7 @@
 //! it load balancing, none of it heterogeneity.
 
 use crate::args::ExpArgs;
-use crate::pipeline::scenario_config;
+use crate::pipeline::{effective_threads, scenario_config};
 use crate::report::Report;
 use hobbit::select_all;
 use netsim::build::build;
@@ -25,7 +25,10 @@ fn share_exact(a: &[Path], b: &[Path]) -> bool {
 pub fn run(args: &ExpArgs) -> Report {
     let cfg = scenario_config(args);
     let mut scenario = build(cfg);
-    let snapshot = zmap::scan_all(&mut scenario.network);
+    let snapshot = zmap::scan_all(
+        &mut scenario.network,
+        effective_threads(args.threads, usize::MAX),
+    );
     let selected = select_all(&snapshot);
     let mut r = Report::new(
         "section2",

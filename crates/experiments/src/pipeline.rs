@@ -40,7 +40,6 @@ use hobbit::{
     BlockMeasurement, ClassifyObs, ConfidenceTable, HobbitConfig, SelectReject, SelectedBlock,
 };
 use netsim::build::{build, derive_dynamics, Scenario, ScenarioConfig};
-use netsim::hash::mix2;
 use netsim::{Addr, Block24, FaultConfig, NetworkStats, SharedNetwork};
 use obs::{NullRecorder, Recorder, Registry, SpanTimer};
 use probe::{zmap, MdaMode, ProbeObs, Prober, StoppingRule, ZmapSnapshot};
@@ -49,6 +48,8 @@ use std::collections::{HashMap, VecDeque};
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
+
+pub use hobbit::block_ident;
 
 /// The recorder unobserved runs report into (retains nothing).
 static NULL_RECORDER: NullRecorder = NullRecorder;
@@ -173,7 +174,8 @@ impl PipelineBuilder {
         self
     }
 
-    /// Classification worker threads; 0 = all cores (default 0).
+    /// Probing worker threads for the snapshot scan and classification;
+    /// 0 = all cores (default 0).
     pub fn threads(mut self, threads: usize) -> Self {
         self.args.threads = threads;
         self
@@ -507,7 +509,9 @@ impl PipelineBuilder {
         }
         let snapshot = {
             let _s = obs.as_ref().map(|r| r.span("run/snapshot"));
-            zmap::scan_all(&mut scenario.network)
+            let blocks = scenario.network.allocated_blocks();
+            let threads = effective_threads(args.threads, blocks.len());
+            zmap::scan(&mut scenario.network, &blocks, threads)
         };
 
         // Faults switch on only after the snapshot: selection inputs stay
@@ -802,14 +806,6 @@ pub struct WorkerStats {
     pub retries: u64,
     /// Simulated backoff wait accumulated before retries, microseconds.
     pub backoff_us: u64,
-}
-
-/// The ICMP ident a block's classification prober uses. Derived from the
-/// block address — never from the worker or shard id — so the probe stream
-/// a block sees is independent of the thread count and of which worker
-/// happens to classify it.
-pub(crate) fn block_ident(block: Block24) -> u16 {
-    0x4000 | (mix2(block.0 as u64, 0x1DE7) as u16 & 0x3FFF)
 }
 
 /// Work-stealing task queues: one deque per worker. A worker pops from the
@@ -1129,15 +1125,24 @@ impl Pipeline {
 
     /// Write the outputs selected by `args`: the span tree to stderr
     /// (`--trace-spans`) and the versioned metrics document (`--metrics`).
-    /// `run` calls this once; binaries that report post-pipeline metrics
-    /// (aggregation, reprobing) call it again to refresh the file. No-op
-    /// when the pipeline ran unobserved.
+    /// `run` calls this once. Binaries with post-pipeline phases
+    /// (aggregation, reprobing) run the pipeline with `trace_spans` off and
+    /// call this again after their last phase, so the tree prints once and
+    /// the metrics file is refreshed. No-op when the pipeline ran
+    /// unobserved.
     pub fn emit_observability(&self, args: &ExpArgs) {
+        self.emit_observability_to(args, &mut std::io::stderr());
+    }
+
+    /// [`Pipeline::emit_observability`], writing the span tree to `trace`.
+    pub(crate) fn emit_observability_to(&self, args: &ExpArgs, trace: &mut dyn std::io::Write) {
         let Some(reg) = self.obs.as_deref() else {
             return;
         };
         if args.trace_spans {
-            eprint!("{}", reg.render_span_tree());
+            if let Err(e) = trace.write_all(reg.render_span_tree().as_bytes()) {
+                eprintln!("warning: could not write the span tree: {e}");
+            }
         }
         if let Some(path) = &args.metrics {
             if let Err(e) = std::fs::write(path, reg.export_pretty()) {

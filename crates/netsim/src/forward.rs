@@ -12,13 +12,17 @@ use crate::host::HostKind;
 use crate::route::{FlowKey, NextHop, RouterId};
 use crate::topology::Network;
 use crate::wire::{
-    IcmpEcho, IcmpError, Ipv4Header, WireError, ICMP_DEST_UNREACH, ICMP_ECHO_REQUEST,
-    ICMP_TIME_EXCEEDED,
+    IcmpEcho, IcmpError, Ipv4Header, WireError, ICMP_DEST_UNREACH, ICMP_ECHO_HEADER_LEN,
+    ICMP_ECHO_REQUEST, ICMP_ERROR_LEN, ICMP_TIME_EXCEEDED, IPV4_HEADER_LEN,
 };
 use bytes::{Bytes, BytesMut};
 
 /// Timeout reported when no response arrives, in microseconds.
 pub const TIMEOUT_US: u64 = 2_000_000;
+
+/// Bytes of an echo request or reply: IPv4 header, echo header, the two
+/// payload bytes that carry the checksum tweak.
+const ECHO_PACKET_LEN: usize = IPV4_HEADER_LEN + ICMP_ECHO_HEADER_LEN + 2;
 
 /// Maximum number of routers a probe may traverse before the network
 /// declares a forwarding loop and drops it.
@@ -365,7 +369,7 @@ impl Network {
             protocol: 1,
             ident: (nonce & 0xffff) as u16,
         };
-        let mut buf = BytesMut::new();
+        let mut buf = BytesMut::with_capacity(IPV4_HEADER_LEN + ICMP_ERROR_LEN);
         outer.encode(&mut buf);
         err.encode(&mut buf);
         let rtt = self
@@ -425,7 +429,7 @@ impl Network {
             protocol: 1,
             ident: (nonce >> 16 & 0xffff) as u16,
         };
-        let mut buf = BytesMut::new();
+        let mut buf = BytesMut::with_capacity(ECHO_PACKET_LEN);
         outer.encode(&mut buf);
         probe_echo.encode_reply(&mut buf);
         Delivery {
@@ -496,7 +500,7 @@ pub fn encode_probe(
         ident: ip_ident,
     };
     let echo = IcmpEcho::with_checksum(ident, seq, flow_label);
-    let mut buf = BytesMut::new();
+    let mut buf = BytesMut::with_capacity(ECHO_PACKET_LEN);
     ip.encode(&mut buf);
     echo.encode_request(&mut buf);
     buf.freeze()

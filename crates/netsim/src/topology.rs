@@ -252,6 +252,12 @@ impl Network {
         self.epoch = epoch;
     }
 
+    /// Cellular addresses whose radios probes have woken since the last
+    /// epoch change.
+    pub fn warmed(&self) -> &WarmedSet {
+        &self.warmed
+    }
+
     /// The active fault-injection configuration.
     pub fn faults(&self) -> FaultConfig {
         self.faults

@@ -37,55 +37,57 @@ pub struct Ipv4Header {
 pub const IPV4_HEADER_LEN: usize = 20;
 /// Fixed size of an ICMP echo header.
 pub const ICMP_ECHO_HEADER_LEN: usize = 8;
+/// Fixed size of an ICMP error message: its own 8-byte header, the quoted
+/// IPv4 header and the quoted echo header.
+pub(crate) const ICMP_ERROR_LEN: usize = 8 + IPV4_HEADER_LEN + ICMP_ECHO_HEADER_LEN;
 
 impl Ipv4Header {
     /// Serialize into `buf` (standard layout, version/IHL fixed, no options).
     pub fn encode(&self, buf: &mut BytesMut) {
-        buf.put_u8(0x45); // version 4, IHL 5
-        buf.put_u8(0); // DSCP/ECN
-        buf.put_u16(0); // total length backfilled by caller if needed
-        buf.put_u16(self.ident);
-        buf.put_u16(0); // flags/fragment offset
-        buf.put_u8(self.ttl);
-        buf.put_u8(self.protocol);
-        buf.put_u16(0); // header checksum (recomputed below)
-        buf.put_u32(self.src.0);
-        buf.put_u32(self.dst.0);
-        // Backfill the header checksum over the 20 bytes just written.
-        let start = buf.len() - IPV4_HEADER_LEN;
-        let sum = internet_checksum(&buf[start..]);
-        buf[start + 10] = (sum >> 8) as u8;
-        buf[start + 11] = (sum & 0xff) as u8;
+        buf.put_slice(&self.wire());
+    }
+
+    /// The checksummed 20 wire bytes.
+    fn wire(&self) -> [u8; IPV4_HEADER_LEN] {
+        let mut h = [0u8; IPV4_HEADER_LEN];
+        h[0] = 0x45; // version 4, IHL 5
+                     // h[1] DSCP/ECN, h[2..4] total length: zero
+        h[4..6].copy_from_slice(&self.ident.to_be_bytes());
+        // h[6..8] flags/fragment offset: zero
+        h[8] = self.ttl;
+        h[9] = self.protocol;
+        h[12..16].copy_from_slice(&self.src.0.to_be_bytes());
+        h[16..20].copy_from_slice(&self.dst.0.to_be_bytes());
+        let sum = internet_checksum(&h);
+        h[10..12].copy_from_slice(&sum.to_be_bytes());
+        h
     }
 
     /// Parse a header from the front of `buf`, validating the checksum.
     pub fn decode(buf: &mut Bytes) -> Result<Self, WireError> {
-        if buf.remaining() < IPV4_HEADER_LEN {
+        let header = Ipv4Header::parse(buf.chunk())?;
+        buf.advance(IPV4_HEADER_LEN);
+        Ok(header)
+    }
+
+    /// Parse a header from the front of `bytes` without consuming it.
+    fn parse(bytes: &[u8]) -> Result<Self, WireError> {
+        let Some(h) = bytes.get(..IPV4_HEADER_LEN) else {
             return Err(WireError::Truncated);
-        }
-        let header = buf.slice(..IPV4_HEADER_LEN);
-        if internet_checksum(&header) != 0 {
+        };
+        if internet_checksum(h) != 0 {
             return Err(WireError::BadChecksum);
         }
-        let vihl = buf.get_u8();
-        if vihl != 0x45 {
-            return Err(WireError::BadVersion(vihl));
+        if h[0] != 0x45 {
+            return Err(WireError::BadVersion(h[0]));
         }
-        buf.advance(1); // DSCP/ECN
-        buf.advance(2); // total length
-        let ident = buf.get_u16();
-        buf.advance(2); // flags/frag
-        let ttl = buf.get_u8();
-        let protocol = buf.get_u8();
-        buf.advance(2); // checksum (validated above)
-        let src = Addr(buf.get_u32());
-        let dst = Addr(buf.get_u32());
+        let word = |i: usize| u32::from_be_bytes([h[i], h[i + 1], h[i + 2], h[i + 3]]);
         Ok(Ipv4Header {
-            src,
-            dst,
-            ttl,
-            protocol,
-            ident,
+            src: Addr(word(12)),
+            dst: Addr(word(16)),
+            ttl: h[8],
+            protocol: h[9],
+            ident: u16::from_be_bytes([h[4], h[5]]),
         })
     }
 }
@@ -111,10 +113,10 @@ impl IcmpEcho {
     /// The ICMP checksum this echo message will carry on the wire.
     ///
     /// This is the "flow identifier" a per-flow load balancer observes.
+    /// Computed over the header on the stack: every `Network::send` calls
+    /// this to build its flow key.
     pub fn wire_checksum(&self, icmp_type: u8) -> u16 {
-        let mut buf = BytesMut::with_capacity(ICMP_ECHO_HEADER_LEN + 2);
-        self.encode_with_type(icmp_type, &mut buf);
-        u16::from_be_bytes([buf[2], buf[3]])
+        internet_checksum(&self.header(icmp_type, 0))
     }
 
     /// Choose `tweak` so that the encoded checksum equals `target`.
@@ -144,45 +146,50 @@ impl IcmpEcho {
         echo
     }
 
-    fn encode_with_type(&self, icmp_type: u8, buf: &mut BytesMut) {
-        let start = buf.len();
-        buf.put_u8(icmp_type);
-        buf.put_u8(0); // code
-        buf.put_u16(0); // checksum, backfilled
-        buf.put_u16(self.ident);
-        buf.put_u16(self.seq);
-        buf.put_u16(self.tweak);
-        let sum = internet_checksum(&buf[start..]);
-        buf[start + 2] = (sum >> 8) as u8;
-        buf[start + 3] = (sum & 0xff) as u8;
+    /// The 10 header-plus-tweak bytes as they go on the wire, carrying
+    /// `checksum` in its field.
+    fn header(&self, icmp_type: u8, checksum: u16) -> [u8; ICMP_ECHO_HEADER_LEN + 2] {
+        let [c0, c1] = checksum.to_be_bytes();
+        let [i0, i1] = self.ident.to_be_bytes();
+        let [s0, s1] = self.seq.to_be_bytes();
+        let [t0, t1] = self.tweak.to_be_bytes();
+        [icmp_type, 0, c0, c1, i0, i1, s0, s1, t0, t1]
+    }
+
+    /// The checksummed wire bytes of this message with type `icmp_type`.
+    fn wire(&self, icmp_type: u8) -> [u8; ICMP_ECHO_HEADER_LEN + 2] {
+        self.header(icmp_type, self.wire_checksum(icmp_type))
     }
 
     /// Serialize as an echo request.
     pub fn encode_request(&self, buf: &mut BytesMut) {
-        self.encode_with_type(ICMP_ECHO_REQUEST, buf);
+        buf.put_slice(&self.wire(ICMP_ECHO_REQUEST));
     }
 
     /// Serialize as an echo reply.
     pub fn encode_reply(&self, buf: &mut BytesMut) {
-        self.encode_with_type(ICMP_ECHO_REPLY, buf);
+        buf.put_slice(&self.wire(ICMP_ECHO_REPLY));
     }
 
     /// Parse an echo message; returns `(icmp_type, echo)`.
     pub fn decode(buf: &mut Bytes) -> Result<(u8, IcmpEcho), WireError> {
-        if buf.remaining() < ICMP_ECHO_HEADER_LEN + 2 {
+        let Some(m) = buf.chunk().get(..ICMP_ECHO_HEADER_LEN + 2) else {
             return Err(WireError::Truncated);
-        }
-        let msg = buf.slice(..ICMP_ECHO_HEADER_LEN + 2);
-        if internet_checksum(&msg) != 0 {
+        };
+        if internet_checksum(m) != 0 {
             return Err(WireError::BadChecksum);
         }
-        let icmp_type = buf.get_u8();
-        buf.advance(1); // code
-        buf.advance(2); // checksum
-        let ident = buf.get_u16();
-        let seq = buf.get_u16();
-        let tweak = buf.get_u16();
-        Ok((icmp_type, IcmpEcho { ident, seq, tweak }))
+        let word = |i: usize| u16::from_be_bytes([m[i], m[i + 1]]);
+        let parsed = (
+            m[0],
+            IcmpEcho {
+                ident: word(4),
+                seq: word(6),
+                tweak: word(8),
+            },
+        );
+        buf.advance(ICMP_ECHO_HEADER_LEN + 2);
+        Ok(parsed)
     }
 }
 
@@ -205,52 +212,40 @@ pub struct IcmpError {
 impl IcmpError {
     /// Serialize: type/code/checksum/unused + quoted IP header + 8 bytes.
     pub fn encode(&self, buf: &mut BytesMut) {
-        let start = buf.len();
-        buf.put_u8(self.icmp_type);
-        buf.put_u8(0); // code
-        buf.put_u16(0); // checksum backfilled
-        buf.put_u32(0); // unused
-        self.quoted.encode(buf);
+        let mut m = [0u8; ICMP_ERROR_LEN];
+        m[0] = self.icmp_type;
+        // m[1] code, m[2..4] checksum, m[4..8] unused: zero
+        m[8..8 + IPV4_HEADER_LEN].copy_from_slice(&self.quoted.wire());
         // First 8 bytes of the quoted ICMP message (header only, minus tweak).
-        let mut inner = BytesMut::new();
-        self.quoted_echo
-            .encode_with_type(self.quoted_type, &mut inner);
-        buf.put_slice(&inner[..ICMP_ECHO_HEADER_LEN]);
-        let sum = internet_checksum(&buf[start..]);
-        buf[start + 2] = (sum >> 8) as u8;
-        buf[start + 3] = (sum & 0xff) as u8;
+        m[8 + IPV4_HEADER_LEN..]
+            .copy_from_slice(&self.quoted_echo.wire(self.quoted_type)[..ICMP_ECHO_HEADER_LEN]);
+        let sum = internet_checksum(&m);
+        m[2..4].copy_from_slice(&sum.to_be_bytes());
+        buf.put_slice(&m);
     }
 
     /// Parse an ICMP error message and its quoted probe.
     pub fn decode(buf: &mut Bytes) -> Result<IcmpError, WireError> {
-        let need = 8 + IPV4_HEADER_LEN + ICMP_ECHO_HEADER_LEN;
-        if buf.remaining() < need {
+        let Some(m) = buf.chunk().get(..ICMP_ERROR_LEN) else {
             return Err(WireError::Truncated);
-        }
-        if internet_checksum(&buf.slice(..need)) != 0 {
+        };
+        if internet_checksum(m) != 0 {
             return Err(WireError::BadChecksum);
         }
-        let icmp_type = buf.get_u8();
-        buf.advance(1); // code
-        buf.advance(2); // checksum
-        buf.advance(4); // unused
-        let mut quoted_buf = buf.clone();
-        let quoted = Ipv4Header::decode(&mut quoted_buf)?;
-        buf.advance(IPV4_HEADER_LEN);
-        let quoted_type = buf[0];
-        let ident = u16::from_be_bytes([buf[4], buf[5]]);
-        let seq = u16::from_be_bytes([buf[6], buf[7]]);
-        buf.advance(ICMP_ECHO_HEADER_LEN);
-        Ok(IcmpError {
-            icmp_type,
+        let quoted = Ipv4Header::parse(&m[8..])?;
+        let echo = &m[8 + IPV4_HEADER_LEN..];
+        let parsed = IcmpError {
+            icmp_type: m[0],
             quoted,
             quoted_echo: IcmpEcho {
-                ident,
-                seq,
+                ident: u16::from_be_bytes([echo[4], echo[5]]),
+                seq: u16::from_be_bytes([echo[6], echo[7]]),
                 tweak: 0,
             },
-            quoted_type,
-        })
+            quoted_type: echo[0],
+        };
+        buf.advance(ICMP_ERROR_LEN);
+        Ok(parsed)
     }
 }
 
@@ -391,6 +386,48 @@ mod tests {
         assert_eq!(parsed.quoted, err.quoted);
         assert_eq!(parsed.quoted_echo.ident, 3);
         assert_eq!(parsed.quoted_echo.seq, 9);
+    }
+
+    /// The echo message as the byte-at-a-time encoder laid it out: the
+    /// checksum field zeroed, every field appended in wire order.
+    fn reference_echo(e: &IcmpEcho, icmp_type: u8) -> Vec<u8> {
+        let mut buf = BytesMut::new();
+        buf.put_u8(icmp_type);
+        buf.put_u8(0);
+        buf.put_u16(0);
+        buf.put_u16(e.ident);
+        buf.put_u16(e.seq);
+        buf.put_u16(e.tweak);
+        let sum = internet_checksum(&buf);
+        buf[2..4].copy_from_slice(&sum.to_be_bytes());
+        buf.to_vec()
+    }
+
+    proptest::proptest! {
+        /// The flow label `Network::send` hashes is exactly the checksum
+        /// the encoder puts on the wire, for both echo types.
+        #[test]
+        fn wire_checksum_matches_encoded_bytes(
+            ident in proptest::any::<u16>(),
+            seq in proptest::any::<u16>(),
+            tweak in proptest::any::<u16>(),
+        ) {
+            let e = IcmpEcho { ident, seq, tweak };
+            for (icmp_type, encode) in [
+                (ICMP_ECHO_REQUEST, IcmpEcho::encode_request as fn(&IcmpEcho, &mut BytesMut)),
+                (ICMP_ECHO_REPLY, IcmpEcho::encode_reply),
+            ] {
+                let mut buf = BytesMut::new();
+                encode(&e, &mut buf);
+                let reference = reference_echo(&e, icmp_type);
+                proptest::prop_assert_eq!(&buf[..], &reference[..]);
+                proptest::prop_assert_eq!(
+                    e.wire_checksum(icmp_type).to_be_bytes(),
+                    [buf[2], buf[3]]
+                );
+                proptest::prop_assert_eq!(internet_checksum(&buf), 0);
+            }
+        }
     }
 
     #[test]

@@ -45,4 +45,4 @@ pub use prober::{
 pub use record::{ProbeLog, RecordedCall, RecordedReply};
 pub use traceroute::{paris_traceroute, Traceroute};
 pub use types::{route_sets_equal, route_sets_identical, Hop, Path};
-pub use zmap::{scan, scan_all, scan_with, ZmapSnapshot};
+pub use zmap::{scan, scan_all, ZmapSnapshot};

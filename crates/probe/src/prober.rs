@@ -360,6 +360,16 @@ impl<'n> Prober<'n> {
         self.obs = Some(obs);
     }
 
+    /// Position the per-probe sequence number and IP ident as if `sent`
+    /// probes had gone out since this prober was created: the next probe
+    /// carries exactly the wire bytes probe number `sent + 1` of a fresh
+    /// prober would. Workers that split one logical probe stream by index
+    /// use this to reproduce the stream's bytes. Accounting is untouched.
+    pub(crate) fn set_sequence(&mut self, sent: u64) {
+        self.seq = sent as u16;
+        self.ip_ident = sent as u16;
+    }
+
     /// Total probe packets sent (including retries).
     pub fn probes_sent(&self) -> u64 {
         self.probes_sent

@@ -5,14 +5,41 @@
 //! epoch and records which answered. Hobbit later probes at a *different*
 //! epoch, so some snapshot-active addresses will have gone quiet (paper
 //! footnote 2) — the scan result is a dataset, not an oracle.
+//!
+//! There is one scan engine, and it runs on the shared network. The blocks
+//! are cut into chunks of 64 /24s; scoped workers claim chunks through an
+//! atomic counter and probe them over one `&Network` (sending takes
+//! `&self`). One thread is the same code with a single worker. The
+//! snapshot, and every probe's wire bytes, do not depend on the thread
+//! count:
+//!
+//! * Each chunk's prober starts at the sequence number and IP ident a
+//!   single worker would have reached there (chunk start × 254, wrapping),
+//!   so every probe carries the same bytes at any thread count — and with
+//!   them the same nonce and per-packet load-balancer hash.
+//! * The scan runs at epoch 0, before faults and dynamics are armed, so no
+//!   probe's fate depends on another's (no token buckets, no virtual clock).
+//! * Each address is probed exactly once, so the cellular warm-up set ends
+//!   with the same members in any order, and the network's counters only
+//!   add.
 
 use crate::prober::{ProbeReply, Prober};
 use netsim::{Addr, Block24, Network};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicUsize, Ordering};
+
+/// Blocks a scan worker claims at a time.
+const SCAN_CHUNK: usize = 64;
+
+/// Probes the scan sends per /24: one per host address.
+const PROBES_PER_BLOCK: u64 = 254;
+
+/// ICMP ident of the scanning process.
+const SCAN_IDENT: u16 = 0x5CA0;
 
 /// The snapshot of responsive addresses, grouped by /24.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ZmapSnapshot {
     /// Per-block sorted lists of addresses that replied.
     pub active: BTreeMap<Block24, Vec<Addr>>,
@@ -39,68 +66,93 @@ impl ZmapSnapshot {
     }
 }
 
-/// Scan every address of the given blocks with an existing prober, at
-/// whatever epoch the prober's transport is currently in.
+/// Scan every address of the given blocks at the snapshot epoch (0) on
+/// `threads` workers (at least one), restoring the network's current epoch
+/// afterwards.
 ///
-/// This is the transport-generic core of the scan: the prober may sit on an
-/// exclusive network, a shared borrow, or a replay log. One probe per
-/// address (ZMap is one-shot), TTL 64; the prober's retry setting is
-/// forced to 0 for the duration and restored afterwards.
-pub fn scan_with(prober: &mut Prober<'_>, blocks: &[Block24]) -> ZmapSnapshot {
-    let saved_retries = prober.retries;
-    let probes_before = prober.probes_sent();
-    prober.retries = 0;
-    let mut snapshot = ZmapSnapshot::default();
-    for &block in blocks {
-        let mut hits = Vec::new();
-        for host in 1u8..=254 {
-            let dst = block.addr(host);
-            if let ProbeReply::Echo { from, .. } = prober.probe(dst, 64, 0).reply {
-                if from == dst {
-                    hits.push(dst);
-                }
-            }
-        }
-        if !hits.is_empty() {
-            snapshot.active.insert(block, hits);
-        }
-    }
-    snapshot.probes = prober.probes_sent() - probes_before;
-    prober.retries = saved_retries;
-    snapshot
-}
-
-/// Scan every address of the given blocks at the snapshot epoch (0),
-/// restoring the network's current epoch afterwards.
-///
-/// Uses a single probe per address (ZMap is one-shot), TTL 64.
-pub fn scan(net: &mut Network, blocks: &[Block24]) -> ZmapSnapshot {
+/// Uses a single probe per address (ZMap is one-shot), TTL 64. The result
+/// is the same at any thread count (see the module docs).
+pub fn scan(net: &mut Network, blocks: &[Block24], threads: usize) -> ZmapSnapshot {
     let saved_epoch = net.epoch();
     net.set_epoch(0);
-    let mut prober = Prober::new(net, 0x5CA0);
-    let mut snapshot = scan_with(&mut prober, blocks);
-    snapshot.epoch = 0;
-    drop(prober);
+    let shared: &Network = net;
+    let next_chunk = AtomicUsize::new(0);
+    let workers = threads.clamp(1, blocks.len().div_ceil(SCAN_CHUNK).max(1));
+    let parts = std::thread::scope(|s| {
+        let helpers: Vec<_> = (1..workers)
+            .map(|_| s.spawn(|| scan_chunks(shared, blocks, &next_chunk)))
+            .collect();
+        let mut parts = vec![scan_chunks(shared, blocks, &next_chunk)];
+        parts.extend(
+            helpers
+                .into_iter()
+                .map(|h| h.join().expect("scan worker panicked")),
+        );
+        parts
+    });
     net.set_epoch(saved_epoch);
+    let mut snapshot = ZmapSnapshot::default();
+    for (active, probes) in parts {
+        snapshot.active.extend(active);
+        snapshot.probes += probes;
+    }
     snapshot
 }
 
-/// Scan all allocated blocks of the network.
-pub fn scan_all(net: &mut Network) -> ZmapSnapshot {
+/// One worker: claim chunks until none are left. Returns the responsive
+/// blocks it found and the probes it sent.
+fn scan_chunks(
+    net: &Network,
+    blocks: &[Block24],
+    next_chunk: &AtomicUsize,
+) -> (Vec<(Block24, Vec<Addr>)>, u64) {
+    let mut prober = Prober::over(net, SCAN_IDENT);
+    prober.retries = 0;
+    let mut active = Vec::new();
+    loop {
+        // Relaxed: the counter only hands out chunk indices; the results
+        // travel back through the thread join.
+        let start = next_chunk.fetch_add(1, Ordering::Relaxed) * SCAN_CHUNK;
+        if start >= blocks.len() {
+            break;
+        }
+        let chunk = &blocks[start..blocks.len().min(start + SCAN_CHUNK)];
+        prober.set_sequence(start as u64 * PROBES_PER_BLOCK);
+        for &block in chunk {
+            let mut hits = Vec::new();
+            for host in 1u8..=254 {
+                let dst = block.addr(host);
+                if let ProbeReply::Echo { from, .. } = prober.probe(dst, 64, 0).reply {
+                    if from == dst {
+                        hits.push(dst);
+                    }
+                }
+            }
+            if !hits.is_empty() {
+                active.push((block, hits));
+            }
+        }
+    }
+    (active, prober.probes_sent())
+}
+
+/// Scan all allocated blocks of the network on `threads` workers.
+pub fn scan_all(net: &mut Network, threads: usize) -> ZmapSnapshot {
     let blocks = net.allocated_blocks();
-    scan(net, &blocks)
+    scan(net, &blocks, threads)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use netsim::build::{build, ScenarioConfig};
+    use netsim::{DynamicsConfig, NetemSpec};
 
     #[test]
     fn scan_matches_oracle_at_snapshot_epoch() {
         let mut s = build(ScenarioConfig::tiny(42));
         let blocks: Vec<Block24> = s.network.allocated_blocks().into_iter().take(10).collect();
-        let snap = scan(&mut s.network, &blocks);
+        let snap = scan(&mut s.network, &blocks, 1);
         for &b in &blocks {
             let profile = *s.network.block_profile(b).unwrap();
             let expect = s.network.oracle().active_in_block(b, &profile, 0);
@@ -114,7 +166,7 @@ mod tests {
         let mut s = build(ScenarioConfig::tiny(42));
         s.network.set_epoch(3);
         let blocks = vec![s.network.allocated_blocks()[0]];
-        let _ = scan(&mut s.network, &blocks);
+        let _ = scan(&mut s.network, &blocks, 2);
         assert_eq!(s.network.epoch(), 3);
     }
 
@@ -122,8 +174,66 @@ mod tests {
     fn total_active_sums_blocks() {
         let mut s = build(ScenarioConfig::tiny(42));
         let blocks: Vec<Block24> = s.network.allocated_blocks().into_iter().take(5).collect();
-        let snap = scan(&mut s.network, &blocks);
+        let snap = scan(&mut s.network, &blocks, 1);
         let sum: usize = blocks.iter().map(|b| snap.active_in(*b).len()).sum();
         assert_eq!(snap.total_active(), sum);
+    }
+
+    #[test]
+    fn scan_is_identical_at_any_thread_count() {
+        let mut world = build(ScenarioConfig::tiny(42));
+        // Netem draws hash each reply's probe nonce, and with it the probe's
+        // sequence number and IP ident: equal draw counts show that every
+        // probe carried the same bytes at every thread count.
+        world.network.set_dynamics(DynamicsConfig {
+            netem: Some(NetemSpec {
+                delay_us: 0,
+                jitter_us: 0,
+                reorder_prob: 0.5,
+                duplicate_prob: 0.5,
+            }),
+            ..DynamicsConfig::none()
+        });
+        let blocks = world.network.allocated_blocks();
+        assert!(
+            blocks.len() > 2 * SCAN_CHUNK && !blocks.len().is_multiple_of(SCAN_CHUNK),
+            "the world must end in a partial chunk ({} blocks)",
+            blocks.len()
+        );
+        // Run at epoch 0 so restoring the epoch keeps the warm-up set, which
+        // then shows that every responsive address was woken exactly as on
+        // one thread.
+        let run = |threads: usize| {
+            let mut net = world.network.clone();
+            net.set_epoch(0);
+            let snap = scan(&mut net, &blocks, threads);
+            (snap, net)
+        };
+        let (serial, serial_net) = run(1);
+        assert_eq!(serial.probes, blocks.len() as u64 * 254);
+        assert!(serial.total_active() > 0);
+        assert!(
+            !serial_net.warmed().is_empty(),
+            "the world has cellular hosts"
+        );
+        assert!(serial_net.net_stats().netem_reorders > 0);
+        for threads in [2, 3, 8] {
+            let (snap, net) = run(threads);
+            assert_eq!(snap, serial, "snapshot at {threads} threads");
+            assert_eq!(net.epoch(), 0);
+            assert_eq!(net.net_stats(), serial_net.net_stats());
+            assert_eq!(net.warmed().len(), serial_net.warmed().len());
+            for addr in serial.active.values().flatten() {
+                assert_eq!(
+                    net.warmed().contains(*addr),
+                    serial_net.warmed().contains(*addr)
+                );
+            }
+        }
+        // From a later epoch the scan restores it, at any thread count.
+        let mut net = world.network.clone();
+        net.set_epoch(5);
+        assert_eq!(scan(&mut net, &blocks, 3), serial);
+        assert_eq!(net.epoch(), 5);
     }
 }

@@ -190,7 +190,7 @@ pub(crate) fn classify_once(
     classify: ClassifyRef<'_>,
 ) -> Vec<BlockMeasurement> {
     let mut world = build_world(spec);
-    let snapshot = zmap::scan_all(&mut world.network);
+    let snapshot = zmap::scan_all(&mut world.network, 1);
     // Faults and the event schedule switch on after the snapshot, like the
     // production pipeline: selection inputs stay identical to a static,
     // fault-free run, and epoch 0 always means the frozen world.
@@ -334,7 +334,7 @@ pub fn run_spec(
 mod tests {
     use super::*;
     use crate::scenario::gen_spec;
-    use hobbit::classify_block;
+    use hobbit::{block_ident, classify_block};
     use probe::Prober;
 
     /// A plain sequential reference engine (the crate's own default; the
@@ -349,9 +349,7 @@ mod tests {
         let mut out: Vec<BlockMeasurement> = selected
             .iter()
             .map(|sel| {
-                let ident =
-                    0x4000 | (netsim::hash::mix2(sel.block.0 as u64, 0x1DE7) as u16 & 0x3FFF);
-                let mut prober = Prober::shared(net.clone(), ident);
+                let mut prober = Prober::shared(net.clone(), block_ident(sel.block));
                 classify_block(&mut prober, sel, table, cfg)
             })
             .collect();

@@ -21,7 +21,7 @@ fn main() {
     let mut cfg = ScenarioConfig::small(11);
     cfg.big_block_scale = 0.05;
     let mut scenario = build(cfg);
-    let snapshot = zmap::scan_all(&mut scenario.network);
+    let snapshot = zmap::scan_all(&mut scenario.network, 1);
 
     // Classify everything and aggregate the homogeneous blocks.
     let table = ConfidenceTable::empty();

@@ -32,7 +32,7 @@ fn block_alive(prober: &mut Prober<'_>, actives: &[Addr]) -> bool {
 
 fn main() {
     let mut scenario = build(ScenarioConfig::small(23));
-    let snapshot = zmap::scan_all(&mut scenario.network);
+    let snapshot = zmap::scan_all(&mut scenario.network, 1);
 
     // Build the monitoring universe: Hobbit blocks over a classified sample.
     let table = ConfidenceTable::empty();

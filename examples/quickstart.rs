@@ -44,7 +44,7 @@ fn main() {
     );
 
     // Step 1: the ZMap-style snapshot of responsive addresses.
-    let snapshot = zmap::scan_all(&mut scenario.network);
+    let snapshot = zmap::scan_all(&mut scenario.network, 1);
     println!(
         "zmap snapshot: {} active addresses in {} blocks ({} probes)",
         snapshot.total_active(),

@@ -18,7 +18,7 @@ use probe::{zmap, Prober, StoppingRule};
 
 fn main() {
     let mut scenario = build(ScenarioConfig::small(7));
-    let snapshot = zmap::scan_all(&mut scenario.network);
+    let snapshot = zmap::scan_all(&mut scenario.network, 1);
 
     // Identify homogeneous blocks on a sample and aggregate them.
     let table = ConfidenceTable::empty();

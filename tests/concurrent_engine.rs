@@ -29,6 +29,18 @@ fn pipeline_is_byte_identical_across_thread_counts() {
         .threads(8)
         .run();
 
+    // The snapshot scan runs on the same thread count as classification;
+    // its output, and with it everything downstream, must not depend on it.
+    assert_eq!(single.snapshot, eight.snapshot, "snapshot differs");
+    assert_eq!(
+        single.net_stats.probes_carried,
+        eight.net_stats.probes_carried
+    );
+    assert_eq!(
+        single.canonical_report(),
+        eight.canonical_report(),
+        "canonical report differs between threads=1 and threads=8"
+    );
     assert_eq!(single.selected.len(), eight.selected.len());
     // Byte-identical: the full Debug rendering of every measurement —
     // classification, last-hop set, probe counts, per-destination detail —

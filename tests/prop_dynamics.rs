@@ -66,7 +66,7 @@ fn classify_subset(
     threads: usize,
 ) -> Vec<BlockMeasurement> {
     let mut world = build_world(spec);
-    let _snapshot = zmap::scan_all(&mut world.network);
+    let _snapshot = zmap::scan_all(&mut world.network, 1);
     world.network.set_faults(spec.faults());
     if world.dynamics.is_active() {
         world.network.set_dynamics(world.dynamics.clone());
@@ -80,7 +80,7 @@ fn classify_subset(
 /// epoch-0 snapshot, before the schedule arms).
 fn selection_of(spec: &ScenarioSpec) -> Vec<SelectedBlock> {
     let mut world = build_world(spec);
-    let snapshot = zmap::scan_all(&mut world.network);
+    let snapshot = zmap::scan_all(&mut world.network, 1);
     select_all(&snapshot)
 }
 

@@ -43,7 +43,7 @@ fn paths_to_mda(paths: Vec<Path>) -> MdaPaths {
 fn classify_in_mode(seed: u64, mode: MdaMode) -> Vec<BlockMeasurement> {
     let spec = gen_spec(seed).with_faults(0.0, 0.0);
     let mut world = build_world(&spec);
-    let snapshot = zmap::scan_all(&mut world.network);
+    let snapshot = zmap::scan_all(&mut world.network, 1);
     let selected = select_all(&snapshot);
     let cfg = HobbitConfig {
         mda_mode: mode,

@@ -8,7 +8,7 @@ use probe::{zmap, Prober};
 #[test]
 fn classification_reproduces_from_a_probe_archive() {
     let mut scenario = build(ScenarioConfig::tiny(42));
-    let snapshot = zmap::scan_all(&mut scenario.network);
+    let snapshot = zmap::scan_all(&mut scenario.network, 1);
     let selected: Vec<_> = select_all(&snapshot).into_iter().take(25).collect();
     let table = ConfidenceTable::empty();
     let cfg = HobbitConfig::default();
@@ -53,7 +53,7 @@ fn classification_reproduces_from_a_probe_archive() {
 #[test]
 fn archive_survives_json_serialization() {
     let mut scenario = build(ScenarioConfig::tiny(7));
-    let snapshot = zmap::scan_all(&mut scenario.network);
+    let snapshot = zmap::scan_all(&mut scenario.network, 1);
     let selected: Vec<_> = select_all(&snapshot).into_iter().take(3).collect();
     let table = ConfidenceTable::empty();
     let cfg = HobbitConfig::default();
