@@ -6,7 +6,7 @@
 //! 1.0), while ~60% of non-matching clusters have ratio 0.
 
 use crate::args::ExpArgs;
-use crate::pipeline::{self, Pipeline};
+use crate::pipeline::Pipeline;
 use crate::report::Report;
 use aggregate::{
     pairwise_scores, rule_matches, sweep_inflation_observed, validate_cluster_observed, Aggregate,
@@ -97,9 +97,30 @@ pub fn cluster_and_validate(
     (aggs, clustering, outcomes)
 }
 
+/// Run the pipeline for an experiment that aggregates after it. The run
+/// observes but does not print its `--trace-spans` tree: the caller emits
+/// telemetry once, with [`Pipeline::emit_observability_to`], after
+/// aggregation and reprobing have reported into the registry too.
+pub(crate) fn run_pipeline_observed(args: &ExpArgs) -> Pipeline {
+    let run_args = ExpArgs {
+        trace_spans: false,
+        ..args.clone()
+    };
+    let mut builder = Pipeline::builder().args(&run_args);
+    if args.trace_spans {
+        builder = builder.observe();
+    }
+    builder.run()
+}
+
 /// Run the experiment.
 pub fn run(args: &ExpArgs) -> Report {
-    let mut p = pipeline::Pipeline::builder().args(args).run();
+    run_to(args, &mut std::io::stderr())
+}
+
+/// [`run`], writing the `--trace-spans` tree to `trace`.
+fn run_to(args: &ExpArgs, trace: &mut dyn std::io::Write) -> Report {
+    let mut p = run_pipeline_observed(args);
     let mut r = Report::new("figure9", "Identical-pair ratios: rule-matched vs rest");
     let seed = p.seed;
     let (_, clustering, outcomes) = cluster_and_validate(&mut p, seed, 60, 60);
@@ -150,6 +171,7 @@ pub fn run(args: &ExpArgs) -> Report {
         json!({"n": eu.len(), "p25": eu.quantile(0.25), "p50": eu.quantile(0.5), "p75": eu.quantile(0.75)}),
     );
     r.note("the paper's rule is unspecified; ours is RuleParams::default(), documented in aggregate::rule");
+    p.emit_observability_to(args, trace);
     r
 }
 
@@ -165,5 +187,32 @@ mod tests {
             ..Default::default()
         };
         run(&args).print(false);
+    }
+
+    #[test]
+    fn span_tree_prints_once_after_aggregation() {
+        let metrics =
+            std::env::temp_dir().join(format!("figure9-metrics-{}.json", std::process::id()));
+        let args = ExpArgs {
+            scale: 0.015,
+            threads: 2,
+            trace_spans: true,
+            metrics: Some(metrics.to_string_lossy().into_owned()),
+            ..Default::default()
+        };
+        let mut trace = Vec::new();
+        run_to(&args, &mut trace);
+        let tree = String::from_utf8(trace).unwrap();
+        let roots = tree.lines().filter(|l| l.starts_with("run  x")).count();
+        assert_eq!(roots, 1, "one span tree expected:\n{tree}");
+        for phase in ["cluster", "reprobe"] {
+            assert!(
+                tree.contains(&format!("  {phase}  x")),
+                "tree lacks {phase}:\n{tree}"
+            );
+        }
+        let doc = std::fs::read_to_string(&metrics).unwrap();
+        std::fs::remove_file(&metrics).unwrap();
+        assert!(doc.contains("run/reprobe"), "metrics lack reprobing");
     }
 }

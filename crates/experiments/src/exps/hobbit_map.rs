@@ -7,8 +7,7 @@
 //! in the line format of `aggregate::dataset`, plus a JSON twin.
 
 use crate::args::ExpArgs;
-use crate::exps::figure9::cluster_and_validate;
-use crate::pipeline;
+use crate::exps::figure9::{cluster_and_validate, run_pipeline_observed};
 use crate::report::Report;
 use aggregate::{Aggregate, HobbitDataset};
 
@@ -19,18 +18,7 @@ pub fn build_dataset(args: &ExpArgs) -> (HobbitDataset, Report) {
 
 /// [`build_dataset`], writing the `--trace-spans` tree to `trace`.
 fn build_dataset_to(args: &ExpArgs, trace: &mut dyn std::io::Write) -> (HobbitDataset, Report) {
-    // The span tree prints once, after aggregation and reprobing have
-    // reported into the registry: the pipeline run itself only writes the
-    // metrics file, which is refreshed at the end.
-    let run_args = ExpArgs {
-        trace_spans: false,
-        ..args.clone()
-    };
-    let mut builder = pipeline::Pipeline::builder().args(&run_args);
-    if args.trace_spans {
-        builder = builder.observe();
-    }
-    let mut p = builder.run();
+    let mut p = run_pipeline_observed(args);
     let mut r = Report::new("hobbit_map", "The Hobbit homogeneous-blocks dataset");
     let seed = p.seed;
     let (aggs, _clustering, outcomes) = cluster_and_validate(&mut p, seed, 120, 40);

@@ -10,6 +10,7 @@
 use crate::addr::{Addr, Prefix};
 use crate::hash::{mix2, mix3};
 use serde::{Deserialize, Serialize};
+use std::sync::OnceLock;
 
 /// Identifies a router in the simulated internet.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize, Deserialize)]
@@ -134,37 +135,98 @@ impl NextHopGroup {
 }
 
 /// A routing table: a set of (prefix → next-hop group) entries with
-/// longest-prefix-match lookup, stored in a binary trie.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+/// longest-prefix-match lookup through a sorted interval index.
+///
+/// Because every pair of CIDR prefixes is nested or disjoint, the longest
+/// match is constant between consecutive prefix boundaries (a first
+/// address, or one past a last address). The table therefore compiles to
+/// the sorted starts of those intervals plus the entry each one resolves
+/// to, and a lookup is one binary search over a few KB of `u32`s. The index
+/// is compiled on the first lookup after an [`insert`](RouteTable::insert),
+/// so building a world never pays for it and threads racing the first
+/// lookup on a shared table compile it exactly once.
+#[derive(Clone, Debug, Default)]
 pub struct RouteTable {
-    nodes: Vec<TrieNode>,
-    /// Parallel list of entries for iteration/inspection.
+    /// Installed entries, in insertion order (for iteration/inspection).
     entries: Vec<(Prefix, NextHopGroup)>,
+    /// Indices into `entries`, sorted by `(base, len)`: parents before
+    /// their descendants. Finds a duplicate prefix on insert and is the
+    /// sweep order of the index compile.
+    by_prefix: Vec<u32>,
+    /// The compiled interval index; reset by every insert.
+    index: OnceLock<IntervalIndex>,
 }
 
-#[derive(Clone, Debug, Serialize, Deserialize)]
-struct TrieNode {
-    children: [Option<u32>; 2],
-    /// Index into `entries` if a route terminates here.
-    entry: Option<u32>,
+/// `IntervalIndex::entry` value of an interval no route covers.
+const NO_ROUTE: u32 = u32::MAX;
+
+/// Sorted half-open address intervals, each resolving to one entry.
+#[derive(Clone, Debug)]
+struct IntervalIndex {
+    /// Interval starts, strictly increasing; the first is always 0.
+    starts: Vec<u32>,
+    /// Per interval: the index into `entries` of its longest match, or
+    /// [`NO_ROUTE`].
+    entry: Vec<u32>,
 }
 
-impl TrieNode {
-    fn new() -> Self {
-        TrieNode {
-            children: [None, None],
-            entry: None,
+impl IntervalIndex {
+    /// Sweep the prefixes in `(base, len)` order with a stack of the ones
+    /// still open: each prefix opens an interval at its first address, and
+    /// each one closed at `last + 1` resumes its enclosing prefix.
+    fn compile(entries: &[(Prefix, NextHopGroup)], by_prefix: &[u32]) -> Self {
+        let mut index = IntervalIndex {
+            starts: vec![0],
+            entry: vec![NO_ROUTE],
+        };
+        // (last address, entry index) of each open prefix, innermost on top.
+        let mut open: Vec<(u32, u32)> = Vec::new();
+        for &i in by_prefix {
+            let prefix = entries[i as usize].0;
+            index.close_before(&mut open, prefix.first().0);
+            open.push((prefix.last().0, i));
+            index.push(prefix.first().0, i);
         }
+        index.close_before(&mut open, u32::MAX);
+        index
+    }
+
+    /// Close every open prefix that ends before `addr`. A prefix ending at
+    /// `u32::MAX` is never closed, so `last + 1` cannot overflow.
+    fn close_before(&mut self, open: &mut Vec<(u32, u32)>, addr: u32) {
+        while let Some(&(last, _)) = open.last().filter(|(last, _)| *last < addr) {
+            open.pop();
+            self.push(last + 1, open.last().map_or(NO_ROUTE, |&(_, i)| i));
+        }
+    }
+
+    /// Start an interval resolving to `entry` at `at`, replacing an
+    /// interval that starts at the same address and merging into an equal
+    /// predecessor.
+    fn push(&mut self, at: u32, entry: u32) {
+        if self.starts.last() == Some(&at) {
+            self.starts.pop();
+            self.entry.pop();
+        }
+        if self.entry.last() != Some(&entry) {
+            self.starts.push(at);
+            self.entry.push(entry);
+        }
+    }
+
+    /// The entry index of the longest match for `dst`, if any.
+    fn lookup(&self, dst: Addr) -> Option<usize> {
+        // `starts[0] == 0`, so the partition point is at least 1.
+        let at = self.starts.partition_point(|&s| s <= dst.0) - 1;
+        let entry = self.entry[at];
+        (entry != NO_ROUTE).then_some(entry as usize)
     }
 }
 
 impl RouteTable {
     /// An empty table.
     pub fn new() -> Self {
-        RouteTable {
-            nodes: vec![TrieNode::new()],
-            entries: Vec::new(),
-        }
+        Self::default()
     }
 
     /// Number of installed entries.
@@ -178,25 +240,18 @@ impl RouteTable {
     }
 
     /// Install a route. A second insert for the same prefix replaces the
-    /// earlier group (like a route update).
+    /// earlier group in place (like a route update).
     pub fn insert(&mut self, prefix: Prefix, group: NextHopGroup) {
-        let mut node = 0usize;
-        for depth in 0..prefix.len() {
-            let bit = ((prefix.base().0 >> (31 - depth)) & 1) as usize;
-            node = match self.nodes[node].children[bit] {
-                Some(n) => n as usize,
-                None => {
-                    let n = self.nodes.len();
-                    self.nodes.push(TrieNode::new());
-                    self.nodes[node].children[bit] = Some(n as u32);
-                    n
-                }
-            };
-        }
-        match self.nodes[node].entry {
-            Some(i) => self.entries[i as usize] = (prefix, group),
-            None => {
-                self.nodes[node].entry = Some(self.entries.len() as u32);
+        self.index.take();
+        let key = |p: Prefix| (p.base().0, p.len());
+        let entries = &self.entries;
+        match self
+            .by_prefix
+            .binary_search_by_key(&key(prefix), |&i| key(entries[i as usize].0))
+        {
+            Ok(at) => self.entries[self.by_prefix[at] as usize] = (prefix, group),
+            Err(at) => {
+                self.by_prefix.insert(at, self.entries.len() as u32);
                 self.entries.push((prefix, group));
             }
         }
@@ -204,22 +259,11 @@ impl RouteTable {
 
     /// Longest-prefix-match lookup.
     pub fn lookup(&self, dst: Addr) -> Option<(Prefix, &NextHopGroup)> {
-        let mut node = 0usize;
-        let mut best = self.nodes[0].entry;
-        for depth in 0..32 {
-            let bit = ((dst.0 >> (31 - depth)) & 1) as usize;
-            match self.nodes[node].children[bit] {
-                Some(n) => {
-                    node = n as usize;
-                    if let Some(e) = self.nodes[node].entry {
-                        best = Some(e);
-                    }
-                }
-                None => break,
-            }
-        }
-        best.map(|i| {
-            let (p, ref g) = self.entries[i as usize];
+        let index = self
+            .index
+            .get_or_init(|| IntervalIndex::compile(&self.entries, &self.by_prefix));
+        index.lookup(dst).map(|i| {
+            let (p, ref g) = self.entries[i];
             (p, g)
         })
     }
@@ -229,8 +273,8 @@ impl RouteTable {
         self.entries.iter()
     }
 
-    /// Reference LPM by linear scan; used by property tests to cross-check
-    /// the trie.
+    /// Reference LPM by linear scan; used by tests to cross-check the
+    /// interval index.
     pub fn lookup_linear(&self, dst: Addr) -> Option<(Prefix, &NextHopGroup)> {
         self.entries
             .iter()
@@ -272,6 +316,84 @@ mod tests {
         t.insert(Prefix::ALL, NextHopGroup::single(hop(9)));
         assert!(t.lookup(Addr::MIN).is_some());
         assert!(t.lookup(Addr::MAX).is_some());
+    }
+
+    /// Every entry's first and last address and both outside neighbours:
+    /// the only places an interval boundary can be wrong.
+    fn entry_edges(t: &RouteTable) -> Vec<Addr> {
+        t.iter()
+            .flat_map(|(p, _)| {
+                let (first, last) = (p.first().0, p.last().0);
+                [first, last, first.wrapping_sub(1), last.wrapping_add(1)]
+            })
+            .map(Addr)
+            .collect()
+    }
+
+    fn assert_matches_linear(t: &RouteTable, addrs: &[Addr]) {
+        for &a in addrs {
+            assert_eq!(t.lookup(a), t.lookup_linear(a), "lookup of {a}");
+        }
+    }
+
+    #[test]
+    fn every_tiny_world_router_matches_linear_scan_at_entry_edges() {
+        let s = crate::build::build(crate::build::ScenarioConfig::tiny(3));
+        for i in 0..s.network.router_count() {
+            let t = &s.network.router(RouterId(i as u32)).table;
+            assert_matches_linear(t, &entry_edges(t));
+        }
+    }
+
+    #[test]
+    fn racing_first_lookups_agree_with_linear_scan() {
+        let s = crate::build::build(crate::build::ScenarioConfig::tiny(4));
+        let largest = (0..s.network.router_count())
+            .map(|i| &s.network.router(RouterId(i as u32)).table)
+            .max_by_key(|t| t.len())
+            .unwrap();
+        let mut fresh = RouteTable::new();
+        for (p, g) in largest.iter() {
+            fresh.insert(*p, g.clone());
+        }
+        assert!(fresh.index.get().is_none(), "no lookup has compiled it yet");
+        let edges = entry_edges(&fresh);
+        let workers = 4;
+        let barrier = std::sync::Barrier::new(workers);
+        std::thread::scope(|scope| {
+            for _ in 0..workers {
+                scope.spawn(|| {
+                    barrier.wait();
+                    assert_matches_linear(&fresh, &edges);
+                });
+            }
+        });
+    }
+
+    #[test]
+    fn clone_of_a_looked_up_network_forwards_identically() {
+        use crate::forward::encode_probe;
+        let s = crate::build::build(crate::build::ScenarioConfig::tiny(5));
+        let net = &s.network;
+        let probes: Vec<_> = net
+            .allocated_blocks()
+            .iter()
+            .flat_map(|b| [b.addr(1), b.addr(77), b.addr(254)])
+            .flat_map(|dst| (1..=12u8).map(move |ttl| (dst, ttl)))
+            .collect();
+        let send = |n: &crate::topology::Network, (dst, ttl): (Addr, u8)| {
+            let probe = encode_probe(n.vantage_addr(), dst, ttl, 7, ttl as u16, 0x2222, 0);
+            let d = n.send(probe).unwrap();
+            (d.response.map(|r| r.to_vec()), d.rtt_us)
+        };
+        // Compile every index the probes reach, then clone.
+        for &p in &probes {
+            send(net, p);
+        }
+        let copy = net.clone();
+        for &p in &probes {
+            assert_eq!(send(&copy, p), send(net, p), "probe {p:?}");
+        }
     }
 
     #[test]

@@ -14,11 +14,10 @@ use crate::host::{HostOracle, HostProfile};
 use crate::route::{NextHop, NextHopGroup, RouteTable, RouterId};
 use crate::rtt::RttModel;
 use obs::{Counter, Recorder};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// A router in the simulated internet.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Router {
     /// The router's identity.
     pub id: RouterId,
@@ -59,8 +58,8 @@ impl Router {
 ///
 /// Topology, oracles, and RTT models are immutable once a scenario is
 /// built; the only state that mutates per probe — the carried-probe
-/// counter and the cellular warm-up set — lives behind interior
-/// mutability, so [`Network::send`](crate::forward) takes `&self` and the
+/// counter, the cellular warm-up set and each route table's lazily
+/// compiled lookup index — lives behind interior mutability, so [`Network::send`](crate::forward) takes `&self` and the
 /// network is `Sync`: any number of worker threads may probe one shared
 /// instance (see [`crate::concurrent`]).
 #[derive(Debug)]

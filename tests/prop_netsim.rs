@@ -1,4 +1,4 @@
-//! Property tests for the simulator substrate: LPM trie correctness, wire
+//! Property tests for the simulator substrate: LPM correctness, wire
 //! roundtrips, and forwarding invariants.
 
 use netsim::addr::{Addr, Prefix};
@@ -12,27 +12,85 @@ fn arb_prefix() -> impl Strategy<Value = Prefix> {
     (any::<u32>(), 0u8..=32).prop_map(|(base, len)| Prefix::new(Addr(base), len))
 }
 
+/// A family of nested prefixes: a random parent, then members that each
+/// refine a random earlier member by up to 12 bits. Uniform random
+/// prefixes rarely nest; route tables are mostly nesting.
+fn arb_family() -> impl Strategy<Value = Vec<Prefix>> {
+    let refinement = (any::<u32>(), any::<u32>(), 0u8..=12);
+    (arb_prefix(), collection::vec(refinement, 0..10)).prop_map(|(parent, refinements)| {
+        let mut family = vec![parent];
+        for (pick, bits, extra) in refinements {
+            let outer = family[pick as usize % family.len()];
+            let host_bits = u32::MAX.checked_shr(outer.len().into()).unwrap_or(0);
+            let base = outer.base().0 | (bits & host_bits);
+            family.push(Prefix::new(Addr(base), (outer.len() + extra).min(32)));
+        }
+        family
+    })
+}
+
+fn route(i: usize) -> NextHopGroup {
+    NextHopGroup::single(NextHop::Router(RouterId(i as u32)))
+}
+
+/// Every entry's first and last address and both outside neighbours.
+fn entry_edges(table: &RouteTable) -> Vec<Addr> {
+    table
+        .iter()
+        .flat_map(|(p, _)| {
+            let (first, last) = (p.first().0, p.last().0);
+            [first, last, first.wrapping_sub(1), last.wrapping_add(1)]
+        })
+        .map(Addr)
+        .collect()
+}
+
 proptest! {
-    /// The binary trie agrees with a brute-force linear scan on random
-    /// tables: longest-prefix-match is exact.
+    /// The interval index agrees with a brute-force linear scan — on
+    /// random and nested prefixes, a default route and a /32, at random
+    /// addresses and at every entry's edges — and stays exact when routes
+    /// are inserted after it has been compiled.
     #[test]
-    fn trie_matches_linear_scan(
-        entries in proptest::collection::vec(arb_prefix(), 1..40),
-        lookups in proptest::collection::vec(any::<u32>(), 1..40),
+    fn lookup_matches_linear_scan(
+        loose in collection::vec(arb_prefix(), 0..20),
+        families in collection::vec(arb_family(), 1..4),
+        (with_default, host) in (any::<bool>(), any::<u32>()),
+        lookups in collection::vec(any::<u32>(), 1..40),
+        (late, dup) in (collection::vec(arb_prefix(), 1..6), any::<u32>()),
     ) {
+        let mut prefixes = loose;
+        prefixes.extend(families.into_iter().flatten());
+        prefixes.push(Prefix::new(Addr(host), 32));
+        if with_default {
+            prefixes.push(Prefix::ALL);
+        }
         let mut table = RouteTable::new();
-        for (i, p) in entries.iter().enumerate() {
-            table.insert(*p, NextHopGroup::single(NextHop::Router(RouterId(i as u32))));
+        for (i, p) in prefixes.iter().enumerate() {
+            table.insert(*p, route(i));
         }
-        for dst in lookups {
-            let a = Addr(dst);
-            let fast = table.lookup(a).map(|(p, g)| (p, g.hops()[0]));
-            let slow = table.lookup_linear(a).map(|(p, g)| (p, g.hops()[0]));
-            // Both must agree on the matched prefix *length* (two inserted
-            // prefixes with equal base/len replace each other).
-            prop_assert_eq!(fast.map(|(p, _)| p), slow.map(|(p, _)| p));
-            prop_assert_eq!(fast.map(|(_, h)| h), slow.map(|(_, h)| h));
+        let distinct: std::collections::HashSet<Prefix> = prefixes.iter().copied().collect();
+        prop_assert_eq!(table.len(), distinct.len());
+        let check = |table: &RouteTable| {
+            let addrs = lookups.iter().copied().map(Addr).chain(entry_edges(table));
+            for a in addrs {
+                prop_assert_eq!(table.lookup(a), table.lookup_linear(a), "lookup of {}", a);
+            }
+        };
+        check(&table);
+
+        // A duplicate prefix replaces the earlier entry in place.
+        let installed = |table: &RouteTable| table.iter().map(|(p, _)| *p).collect::<Vec<_>>();
+        let before = installed(&table);
+        let dup = prefixes[dup as usize % prefixes.len()];
+        let update = route(prefixes.len());
+        table.insert(dup, update.clone());
+        prop_assert_eq!(installed(&table), before);
+        let group = table.iter().find(|(p, _)| *p == dup).map(|(_, g)| g);
+        prop_assert_eq!(group, Some(&update));
+        for (i, p) in late.iter().enumerate() {
+            table.insert(*p, route(prefixes.len() + 1 + i));
         }
+        check(&table);
     }
 
     /// IPv4 header encode/decode is the identity.
