@@ -50,7 +50,7 @@ pub fn detects_homogeneous(per_addr: &[(Addr, Vec<Addr>)]) -> bool {
 }
 
 /// The `<cardinality, #probed> → confidence` table.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct ConfidenceTable {
     /// (cardinality, probed) → (successes, samples).
     cells: BTreeMap<(usize, usize), (u64, u64)>,
@@ -145,6 +145,28 @@ impl ConfidenceTable {
                 conf >= self.level && n >= 4
             })
             .map(|(&(_, n), _)| n)
+    }
+
+    /// Every cell as `((cardinality, probed), (successes, samples))`, in
+    /// key order, untrusted cells included: with [`ConfidenceTable::level`]
+    /// and [`ConfidenceTable::min_samples`], everything
+    /// [`ConfidenceTable::from_cells`] needs to rebuild the table.
+    pub fn cells(&self) -> impl Iterator<Item = ((usize, usize), (u64, u64))> + '_ {
+        self.cells.iter().map(|(&k, &v)| (k, v))
+    }
+
+    /// Rebuild a table from its [`ConfidenceTable::cells`] (a persisted
+    /// calibration).
+    pub fn from_cells(
+        cells: impl IntoIterator<Item = ((usize, usize), (u64, u64))>,
+        level: f64,
+        min_samples: u64,
+    ) -> Self {
+        ConfidenceTable {
+            cells: cells.into_iter().collect(),
+            level,
+            min_samples,
+        }
     }
 
     /// All populated cells as `(cardinality, probed, confidence)` rows —

@@ -7,7 +7,9 @@
 //!
 //! The shared [`pipeline`] performs the paper's measurement sequence once:
 //! ZMap scan → selection → confidence calibration → per-/24
-//! classification; the experiment modules post-process its outputs.
+//! classification; the experiment modules post-process its outputs. A run
+//! with a run dir persists the scan and calibration in [`prefix`], so a
+//! resumed run skips them.
 
 #![warn(missing_docs)]
 
@@ -16,6 +18,7 @@ pub mod coordinator;
 pub mod journal;
 pub mod lease;
 pub mod pipeline;
+pub mod prefix;
 pub mod report;
 pub mod supervise;
 pub mod vfs;

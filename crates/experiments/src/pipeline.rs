@@ -29,6 +29,7 @@
 use crate::args::ExpArgs;
 use crate::journal::{CrashPoint, Entry, JournalWriter, RunMeta, ShardInfo, JOURNAL_SCHEMA};
 use crate::lease::shard_of;
+use crate::prefix::{self, RunPrefix};
 use crate::supervise::{
     classify_blocks_supervised, FaultInjector, ShutdownSignal, SuperviseConfig, SuperviseHooks,
     SuperviseObs, SuperviseReport,
@@ -40,7 +41,7 @@ use hobbit::{
     BlockMeasurement, ClassifyObs, ConfidenceTable, HobbitConfig, SelectReject, SelectedBlock,
 };
 use netsim::build::{build, derive_dynamics, Scenario, ScenarioConfig};
-use netsim::{Addr, Block24, FaultConfig, NetworkStats, SharedNetwork};
+use netsim::{Addr, Block24, FaultConfig, Network, NetworkStats, SharedNetwork};
 use obs::{NullRecorder, Recorder, Registry, SpanTimer};
 use probe::{zmap, MdaMode, ProbeObs, Prober, StoppingRule, ZmapSnapshot};
 use serde::Serialize;
@@ -66,7 +67,7 @@ pub fn scenario_config(args: &ExpArgs) -> ScenarioConfig {
 pub struct Pipeline {
     /// The simulated internet and its ground truth.
     pub scenario: Scenario,
-    /// The ZMap snapshot (epoch 0).
+    /// The ZMap snapshot (epoch 0), scanned or loaded from the run dir.
     pub snapshot: ZmapSnapshot,
     /// Blocks passing the Section 3.3 selection.
     pub selected: Vec<SelectedBlock>,
@@ -83,7 +84,8 @@ pub struct Pipeline {
     pub measurements: Vec<BlockMeasurement>,
     /// Probe packets spent on classification (sum over workers).
     pub classify_probes: u64,
-    /// Probe packets spent on calibration surveys.
+    /// Probe packets spent on calibration surveys, by this process or (for
+    /// a loaded prefix) by the run's first incarnation.
     pub calibration_probes: u64,
     /// Per-worker accounting from the classification phase.
     pub worker_stats: Vec<WorkerStats>,
@@ -259,9 +261,11 @@ impl PipelineBuilder {
 
     /// Resume a crashed or shut-down run from its `--run-dir` journal
     /// (`--resume`). Seed, scale, and fault settings come from the
-    /// journal's meta record (overriding any builder values); blocks
-    /// already checkpointed are recovered instead of re-measured, and the
-    /// final report is byte-identical to an uninterrupted run.
+    /// journal's meta record (overriding any builder values); the snapshot
+    /// and calibration come from the run dir's [`crate::prefix`] file
+    /// (recomputed and rewritten when it is missing or does not match);
+    /// blocks already checkpointed are recovered instead of re-measured,
+    /// and the final report is byte-identical to an uninterrupted run.
     pub fn resume_from(mut self, dir: impl Into<PathBuf>) -> Self {
         self.run_dir = Some(dir.into());
         self.resume = true;
@@ -294,9 +298,11 @@ impl PipelineBuilder {
 
     /// Classify only the blocks shard `shard` of `shards` owns
     /// (round-robin over the deterministic selection order; see
-    /// [`crate::lease::shard_of`]). Selection and calibration still run in
-    /// full — they are cheap, deterministic, and give every worker the
-    /// identical confidence table — but non-owned blocks are never probed.
+    /// [`crate::lease::shard_of`]). Every worker derives the whole
+    /// deterministic prefix — snapshot, selection, calibration — so every
+    /// worker holds the identical confidence table (a respawned worker
+    /// loads its run dir's [`crate::prefix`] file instead of recomputing),
+    /// but non-owned blocks are never probed.
     /// Requires a run dir: a shard's only output is its journal, which the
     /// coordinator's merge folds into the run report.
     pub fn shard(mut self, shard: usize, shards: usize) -> Self {
@@ -407,6 +413,7 @@ impl PipelineBuilder {
         // Open the journal next: on resume its meta record dictates seed,
         // scale, and faults (the resumed world must be the crashed world).
         let mut journal: Option<Mutex<JournalWriter>> = None;
+        let mut run_meta: Option<RunMeta> = None;
         let mut replayed: Vec<BlockMeasurement> = Vec::new();
         let mut truncated_tail = false;
         let mut replayed_shard_info: Option<ShardInfo> = None;
@@ -478,15 +485,15 @@ impl PipelineBuilder {
                         info.shards
                     );
                 }
+                run_meta = Some(meta);
                 w
             } else {
-                JournalWriter::create_via(
-                    storage.clone(),
-                    dir,
-                    &RunMeta::new(args.seed, args.scale, args.faults)
-                        .with_mda_lite(args.mda_lite)
-                        .with_dynamics(args.dynamics),
-                )?
+                let meta = RunMeta::new(args.seed, args.scale, args.faults)
+                    .with_mda_lite(args.mda_lite)
+                    .with_dynamics(args.dynamics);
+                let w = JournalWriter::create_via(storage.clone(), dir, &meta)?;
+                run_meta = Some(meta);
+                w
             };
             journal = Some(Mutex::new(writer));
         }
@@ -507,11 +514,31 @@ impl PipelineBuilder {
         if let Some(reg) = obs.as_deref() {
             scenario.network.set_recorder(reg);
         }
-        let snapshot = {
+        // A resumed run loads the prefix its first incarnation persisted
+        // (when intact and bound to this journal and world) instead of
+        // scanning and calibrating again.
+        let blocks = scenario.network.allocated_blocks();
+        let world = prefix::world_fingerprint(&blocks);
+        let (snapshot, loaded_calibration) = {
             let _s = obs.as_ref().map(|r| r.span("run/snapshot"));
-            let blocks = scenario.network.allocated_blocks();
-            let threads = effective_threads(args.threads, blocks.len());
-            zmap::scan(&mut scenario.network, &blocks, threads)
+            let loaded = match (&run_dir, &run_meta) {
+                (Some(dir), Some(meta)) if resume => prefix::load(&storage, dir, meta, world),
+                _ => None,
+            };
+            match loaded {
+                Some(RunPrefix {
+                    snapshot,
+                    confidence,
+                    calibration_probes,
+                }) => {
+                    zmap::restore(&mut scenario.network, &snapshot);
+                    (snapshot, Some((confidence, calibration_probes)))
+                }
+                None => {
+                    let threads = effective_threads(args.threads, blocks.len());
+                    (zmap::scan(&mut scenario.network, &blocks, threads), None)
+                }
+            }
         };
 
         // Faults switch on only after the snapshot: selection inputs stay
@@ -552,40 +579,50 @@ impl PipelineBuilder {
                 .add(reject_uncovered as u64);
         }
 
-        // --- Calibration: survey a spread-out sample of selected blocks
-        // with full last-hop data; blocks whose full data shows homogeneity
-        // feed the confidence table (the paper's Section 3.2 procedure).
-        let calibration_probes;
-        let confidence = {
+        // --- Calibration, unless the table was loaded with the snapshot.
+        // `calibrate.probes` counts only this process's probes; the report
+        // quotes the run's total.
+        let prefix_loaded = loaded_calibration.is_some();
+        let (confidence, calibration_probes) = {
             let _s = obs.as_ref().map(|r| r.span("run/calibrate"));
-            let stride = (selected.len() / CALIBRATION_BLOCKS).max(1);
-            let sample: Vec<&SelectedBlock> = selected
-                .iter()
-                .step_by(stride)
-                .take(CALIBRATION_BLOCKS)
-                .collect();
-            let mut dataset: Vec<BlockLasthopData> = Vec::new();
-            let mut prober = Prober::new(&mut scenario.network, 0xCA11);
-            prober.observe(rec);
-            if args.faults.is_some() {
-                prober.retries = FAULTED_RETRIES;
-            }
-            for sel in sample {
-                let survey = survey_block(&mut prober, sel, StoppingRule::confidence95(), false);
-                if survey.per_addr_lasthops.len() >= 8
-                    && detects_homogeneous(&survey.per_addr_lasthops)
-                {
-                    dataset.push(survey.lasthop_data());
+            let (table, probes, sent, dataset_blocks) = match loaded_calibration {
+                Some((table, probes)) => (table, probes, 0, 0),
+                None => {
+                    let (table, probes, dataset_blocks) =
+                        calibrate(&mut scenario.network, &selected, &args, rec);
+                    (table, probes, probes, dataset_blocks)
                 }
-            }
-            calibration_probes = prober.probes_sent();
+            };
             if let Some(reg) = obs.as_deref() {
                 reg.counter("calibrate.dataset_blocks")
-                    .add(dataset.len() as u64);
-                reg.counter("calibrate.probes").add(calibration_probes);
+                    .add(dataset_blocks as u64);
+                reg.counter("calibrate.probes").add(sent);
             }
-            ConfidenceTable::build(&dataset, 50, 24, 0.95, 8, args.seed ^ 0xF16)
+            (table, probes)
         };
+
+        // Persist a computed prefix before the first block record, so any
+        // later incarnation of this run dir can load it.
+        let run_prefix = RunPrefix {
+            snapshot,
+            confidence,
+            calibration_probes,
+        };
+        if let (Some(dir), Some(meta)) = (&run_dir, &run_meta) {
+            if let Some(reg) = obs.as_deref() {
+                reg.counter("prefix.loaded").add(prefix_loaded as u64);
+                reg.counter("prefix.rebuilt")
+                    .add((resume && !prefix_loaded) as u64);
+            }
+            if !prefix_loaded {
+                prefix::store(&storage, dir, &run_prefix, meta, world)?;
+            }
+        }
+        let RunPrefix {
+            snapshot,
+            confidence,
+            calibration_probes,
+        } = run_prefix;
 
         // Sharded worker: persist the global phase totals right after the
         // meta record (before any block lands), so the coordinator's merge
@@ -769,6 +806,33 @@ impl PipelineBuilder {
         pipeline.emit_observability(&args);
         Ok(pipeline)
     }
+}
+
+/// Survey a spread-out sample of the selected blocks with full last-hop
+/// data; the blocks whose full data shows homogeneity feed the confidence
+/// table (the paper's Section 3.2 procedure). Returns the table, the probes
+/// sent and the number of blocks in the table's dataset.
+fn calibrate(
+    net: &mut Network,
+    selected: &[SelectedBlock],
+    args: &ExpArgs,
+    rec: &dyn Recorder,
+) -> (ConfidenceTable, u64, usize) {
+    let stride = (selected.len() / CALIBRATION_BLOCKS).max(1);
+    let mut dataset: Vec<BlockLasthopData> = Vec::new();
+    let mut prober = Prober::new(net, 0xCA11);
+    prober.observe(rec);
+    if args.faults.is_some() {
+        prober.retries = FAULTED_RETRIES;
+    }
+    for sel in selected.iter().step_by(stride).take(CALIBRATION_BLOCKS) {
+        let survey = survey_block(&mut prober, sel, StoppingRule::confidence95(), false);
+        if survey.per_addr_lasthops.len() >= 8 && detects_homogeneous(&survey.per_addr_lasthops) {
+            dataset.push(survey.lasthop_data());
+        }
+    }
+    let table = ConfidenceTable::build(&dataset, 50, 24, 0.95, 8, args.seed ^ 0xF16);
+    (table, prober.probes_sent(), dataset.len())
 }
 
 /// Per-probe retries used when fault injection is on. Three retries bound

@@ -22,9 +22,19 @@
 //! * Each address is probed exactly once, so the cellular warm-up set ends
 //!   with the same members in any order, and the network's counters only
 //!   add.
+//!
+//! A snapshot is also a stored dataset: a resumed run loads the one its
+//! first incarnation persisted instead of scanning again. [`restore`] then
+//! leaves the network in the state [`scan`] would have left it in,
+//! without sending a probe. The scan changes exactly two things a later
+//! probe can observe: it switches to the snapshot epoch and back, and it
+//! wakes the radio of every cellular host that answered, which is every
+//! snapshot-active address of a cellular block. `restore` makes the same
+//! epoch switches around the same warm-ups. Only the carried-probe counter
+//! differs, because nothing was carried.
 
 use crate::prober::{ProbeReply, Prober};
-use netsim::{Addr, Block24, Network};
+use netsim::{Addr, Block24, HostKind, Network};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -45,7 +55,8 @@ pub struct ZmapSnapshot {
     pub active: BTreeMap<Block24, Vec<Addr>>,
     /// Epoch the scan ran at.
     pub epoch: u32,
-    /// Probes spent on the scan.
+    /// Probes this process's scan sent: 0 for a snapshot loaded from a
+    /// run dir, whose probes a previous incarnation paid for.
     pub probes: u64,
 }
 
@@ -97,6 +108,27 @@ pub fn scan(net: &mut Network, blocks: &[Block24], threads: usize) -> ZmapSnapsh
         snapshot.probes += probes;
     }
     snapshot
+}
+
+/// Leave `net` as [`scan`] would have left it after producing `snapshot`,
+/// without probing: switch to the snapshot epoch, warm every
+/// snapshot-active address of a cellular block, and switch back (which
+/// clears the warm-ups again unless the network was already at the
+/// snapshot epoch, exactly as after a scan).
+pub fn restore(net: &mut Network, snapshot: &ZmapSnapshot) {
+    let saved_epoch = net.epoch();
+    net.set_epoch(snapshot.epoch);
+    for (&block, active) in &snapshot.active {
+        if net
+            .block_profile(block)
+            .is_some_and(|p| p.kind == HostKind::Cellular)
+        {
+            for &addr in active {
+                net.warmed().warm(addr);
+            }
+        }
+    }
+    net.set_epoch(saved_epoch);
 }
 
 /// One worker: claim chunks until none are left. Returns the responsive
@@ -235,5 +267,58 @@ mod tests {
         net.set_epoch(5);
         assert_eq!(scan(&mut net, &blocks, 3), serial);
         assert_eq!(net.epoch(), 5);
+    }
+
+    #[test]
+    fn restore_leaves_the_network_as_scan_does() {
+        // From the built world's own epoch (the pipeline's case: the
+        // warm-ups are cleared again) and from the snapshot epoch (they
+        // stay, and cold-versus-warm RTTs show it).
+        for start_epoch in [None, Some(0)] {
+            let fresh = || {
+                let mut net = build(ScenarioConfig::tiny(42)).network;
+                if let Some(e) = start_epoch {
+                    net.set_epoch(e);
+                }
+                net
+            };
+            let mut scanned = fresh();
+            let snap = scan_all(&mut scanned, 2);
+            let mut restored = fresh();
+            restore(&mut restored, &snap);
+            assert_eq!(restored.epoch(), scanned.epoch());
+            assert_eq!(restored.warmed().len(), scanned.warmed().len());
+            let active: Vec<Addr> = snap.active.values().flatten().copied().collect();
+            for &addr in &active {
+                assert_eq!(
+                    restored.warmed().contains(addr),
+                    scanned.warmed().contains(addr)
+                );
+            }
+            let cellular = active
+                .iter()
+                .filter(|a| restored.block_profile(a.block24()).unwrap().kind == HostKind::Cellular)
+                .count();
+            assert!(cellular > 0, "the world must have cellular hosts");
+            if start_epoch == Some(0) {
+                assert_eq!(scanned.warmed().len(), cellular);
+            }
+            for (i, &dst) in active.iter().enumerate() {
+                let probe = |net: &Network| {
+                    let bytes = netsim::encode_probe(
+                        net.vantage_addr(),
+                        dst,
+                        64,
+                        0x7E57,
+                        i as u16,
+                        0,
+                        i as u16,
+                    );
+                    let d = net.send(bytes).unwrap();
+                    (d.response, d.rtt_us)
+                };
+                assert_eq!(probe(&restored), probe(&scanned), "probe to {dst}");
+            }
+        }
     }
 }

@@ -6,9 +6,12 @@
 //! or recover exactly the targeted block and nothing else.
 
 use experiments::journal::{read_journal, CrashPoint, Entry, JournalWriter, RunMeta, JOURNAL_FILE};
+use experiments::pipeline::scenario_config;
+use experiments::prefix::{self, PREFIX_FILE};
 use experiments::supervise::{InjectedFault, SuperviseConfig, DEFAULT_ATTEMPT_BUDGET};
-use experiments::{Pipeline, PipelineBuilder, ShutdownSignal};
+use experiments::{ExpArgs, Pipeline, PipelineBuilder, ShutdownSignal};
 use hobbit::Classification;
+use netsim::build::build;
 use netsim::{Addr, Block24};
 use std::path::PathBuf;
 use std::sync::{Arc, OnceLock};
@@ -105,17 +108,33 @@ fn kill_resume_cycle(loss: f64, kp: u64, torn: bool, threads: usize) {
         crashed.supervision.interrupted,
         "{tag}: kill at {kp}/{total} never fired"
     );
-    let resumed = base(loss).threads(threads).resume_from(&dir).run();
+    let resumed = base(loss)
+        .threads(threads)
+        .resume_from(&dir)
+        .observe()
+        .run();
     assert!(!resumed.supervision.interrupted);
     assert_eq!(
         resumed.measurements.len(),
         resumed.selected.len(),
         "{tag}: resume left blocks unclassified"
     );
+    assert_eq!(
+        prefix_counts(&resumed),
+        (1, 0),
+        "{tag}: the resumed leg must load the persisted prefix"
+    );
     assert_identical(&bl.report, &resumed.canonical_report(), &tag);
     let issues = resumed.verify_conformance();
     assert!(issues.is_empty(), "{tag}: {issues:?}");
     std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// `(prefix.loaded, prefix.rebuilt)` of an observed run with a run dir.
+fn prefix_counts(p: &Pipeline) -> (u64, u64) {
+    let reg = p.obs.as_deref().expect("an observed run");
+    let count = |name| reg.counter_value(name).expect("registered on run-dir runs");
+    (count("prefix.loaded"), count("prefix.rebuilt"))
 }
 
 fn sweep(loss: f64) {
@@ -508,4 +527,74 @@ fn supervision_metrics_are_exported_and_outcome_independent() {
     assert_eq!(reg.counter_value("journal.truncated_tail"), Some(1));
     std::fs::remove_dir_all(&dir).unwrap();
     std::fs::remove_dir_all(&killed_dir).unwrap();
+}
+
+/// The `prefix.bin` a complete checkpointed run of `builder` leaves behind.
+fn prefix_bytes_of(builder: PipelineBuilder, tag: &str) -> Vec<u8> {
+    let dir = run_dir(tag);
+    let p = builder.threads(2).run_dir(&dir).observe().run();
+    assert_eq!(
+        prefix_counts(&p),
+        (0, 0),
+        "{tag}: a fresh run neither loads nor rebuilds"
+    );
+    let bytes = std::fs::read(dir.join(PREFIX_FILE)).unwrap();
+    std::fs::remove_dir_all(&dir).unwrap();
+    bytes
+}
+
+/// A prefix file that is missing, corrupt, or bound to another run or
+/// world is never trusted: the resumed run rebuilds it, lands on the
+/// uninterrupted bytes, and rewrites the file for the next incarnation.
+#[test]
+fn untrusted_prefix_is_rebuilt_and_resume_stays_byte_identical() {
+    let bl = baseline(0.0);
+    let total = bl.selected.len() as u64;
+    let other_seed = prefix_bytes_of(base(0.0).seed(SEED + 1), "prefix-other-seed");
+    // This run's seed and scale, so the same journal meta, but the world
+    // of another seed: only the world fingerprint tells the files apart.
+    let other_world = build(scenario_config(&ExpArgs {
+        seed: SEED + 1,
+        scale: SCALE,
+        ..Default::default()
+    }));
+    let other_world_fp = prefix::world_fingerprint(&other_world.network.allocated_blocks());
+    let foreign_world = prefix_bytes_of(base(0.0).scenario(other_world), "prefix-other-world");
+    let meta = RunMeta::new(SEED, SCALE, None);
+    assert!(prefix::decode(&foreign_world, &meta, other_world_fp).is_ok());
+
+    for tag in ["deleted", "flipped", "other-seed", "other-world"] {
+        let dir = run_dir(&format!("prefix-{tag}"));
+        let crashed = base(0.0)
+            .threads(2)
+            .run_dir(&dir)
+            .crash_point(CrashPoint {
+                after_block_appends: total / 3,
+                torn: false,
+            })
+            .run();
+        assert!(crashed.supervision.interrupted, "{tag}");
+        let path = dir.join(PREFIX_FILE);
+        let intact = std::fs::read(&path).unwrap();
+        match tag {
+            "deleted" => std::fs::remove_file(&path).unwrap(),
+            "flipped" => {
+                let mut bytes = intact.clone();
+                bytes[intact.len() / 2] ^= 0x10;
+                std::fs::write(&path, bytes).unwrap();
+            }
+            "other-seed" => std::fs::write(&path, &other_seed).unwrap(),
+            _ => std::fs::write(&path, &foreign_world).unwrap(),
+        }
+        let resumed = base(0.0).threads(2).resume_from(&dir).observe().run();
+        assert_eq!(prefix_counts(&resumed), (0, 1), "{tag}");
+        assert!(resumed.snapshot.probes > 0, "{tag}: the rebuild rescans");
+        assert_identical(&bl.report, &resumed.canonical_report(), tag);
+        assert_eq!(std::fs::read(&path).unwrap(), intact, "{tag}: rewritten");
+        let again = base(0.0).threads(1).resume_from(&dir).observe().run();
+        assert_eq!(prefix_counts(&again), (1, 0), "{tag}: the rewrite loads");
+        assert_eq!(again.snapshot.probes, 0, "{tag}");
+        assert_identical(&bl.report, &again.canonical_report(), tag);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
 }

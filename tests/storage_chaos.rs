@@ -187,14 +187,17 @@ fn chaos_sweep_reports_identical_bytes_or_fails_typed() {
 
 /// Transient-only chaos (EIO on a write and an fsync) is absorbed by the
 /// bounded retries: the run completes byte-identical and the `storage.*`
-/// counters account for every fault and retry.
+/// counters account for every fault and retry. Write 0 and sync 0 are the
+/// journal's meta record, write 1 and sync 1 the prefix file, so the
+/// faults land on the second and ninth block appends and the first block
+/// batch's fsync.
 #[test]
 fn transient_faults_are_retried_and_counted() {
     let dir = run_dir("transient");
     let vfs = ChaosVfs::scripted(vec![
-        (OpKind::Write, 2, FaultKind::Eio),
-        (OpKind::Write, 9, FaultKind::ShortWrite),
-        (OpKind::Sync, 1, FaultKind::Eio),
+        (OpKind::Write, 3, FaultKind::Eio),
+        (OpKind::Write, 10, FaultKind::ShortWrite),
+        (OpKind::Sync, 2, FaultKind::Eio),
     ]);
     let p = chaos_builder(2, &dir, vfs)
         .observe()
@@ -214,7 +217,8 @@ fn transient_faults_are_retried_and_counted() {
 #[test]
 fn disk_full_mid_run_fails_typed_and_resumes_byte_identical() {
     let dir = run_dir("enospc");
-    let vfs = ChaosVfs::from_plan(&StorageSabotage::DiskFull { at_write: 40 });
+    // Write 1 is the prefix file: the disk fills at the 40th block append.
+    let vfs = ChaosVfs::from_plan(&StorageSabotage::DiskFull { at_write: 41 });
     let e = chaos_builder(2, &dir, vfs)
         .observe()
         .try_run()
@@ -242,15 +246,16 @@ fn disk_full_mid_run_fails_typed_and_resumes_byte_identical() {
 #[test]
 fn fsync_lie_mid_run_is_detected_and_fails_typed() {
     let dir = run_dir("fsync-lie");
-    let vfs = ChaosVfs::from_plan(&StorageSabotage::FsyncLie { at_sync: 2 });
+    let vfs = ChaosVfs::from_plan(&StorageSabotage::FsyncLie { at_sync: 3 });
     let e = chaos_builder(1, &dir, vfs)
         .try_run()
         .err()
         .expect("a detected fsync lie must fail the run, not complete over a hole");
     assert_eq!(e.kind, StorageErrorKind::Corruption, "{e}");
-    // Sync 1 (the first post-meta batch) was honest, so exactly that
-    // batch survives; the resume re-measures everything the device
-    // dropped and lands on the clean-run bytes.
+    // Sync 0 is the meta record and sync 1 the prefix file; sync 2 (the
+    // first block batch) was honest, so exactly that batch survives; the
+    // resume re-measures everything the device dropped and lands on the
+    // clean-run bytes.
     let journaled = assert_valid_prefix(&dir, "fsync-lie");
     assert!(journaled > 0, "the honestly-synced batch must survive");
     let resumed = Pipeline::builder()
@@ -262,6 +267,61 @@ fn fsync_lie_mid_run_is_detected_and_fails_typed() {
     assert_eq!(resumed.supervision.resumed_blocks, journaled as u64);
     assert_identical(&resumed.canonical_report(), "post-fsync-lie resume");
     std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// Faults aimed at the prefix write (write 1, sync 1 and rename 0 of a
+/// fresh run dir): every run ends byte-identical or with a typed error,
+/// and a healthy-disk resume lands on the clean bytes — loading the
+/// prefix when the faulted write still left an intact file, rebuilding it
+/// otherwise (a lying fsync leaves an empty one behind a completed run).
+#[test]
+fn faults_on_the_prefix_write_end_identical_or_typed_then_resume() {
+    let plans: [(&str, FaultKind, OpKind, u64, bool); 6] = [
+        // (tag, fault, op class, index, whether a whole prefix lands)
+        ("eio-write", FaultKind::Eio, OpKind::Write, 1, true),
+        ("short-write", FaultKind::ShortWrite, OpKind::Write, 1, true),
+        ("eio-sync", FaultKind::Eio, OpKind::Sync, 1, true),
+        ("fsync-lie", FaultKind::FsyncLie, OpKind::Sync, 1, false),
+        (
+            "torn-rename",
+            FaultKind::TornRename,
+            OpKind::Rename,
+            0,
+            true,
+        ),
+        ("enospc", FaultKind::Enospc, OpKind::Write, 1, false),
+    ];
+    for (tag, fault, op, at, intact) in plans {
+        let dir = run_dir(&format!("prefix-{tag}"));
+        let vfs = ChaosVfs::scripted(vec![(op, at, fault)]);
+        let handle = vfs.clone();
+        match chaos_builder(2, &dir, vfs).try_run() {
+            Ok(p) => assert_identical(&p.canonical_report(), tag),
+            Err(e) => {
+                assert_eq!(fault, FaultKind::Enospc, "{tag}: {e}");
+                assert_eq!(e.kind, StorageErrorKind::Persistent, "{tag}: {e}");
+            }
+        }
+        assert_eq!(handle.faults_injected(), 1, "{tag}: the fault never fired");
+        assert_valid_prefix(&dir, tag);
+        let resumed = Pipeline::builder()
+            .seed(SEED)
+            .scale(SCALE)
+            .threads(2)
+            .resume_from(&dir)
+            .observe()
+            .run();
+        let reg = resumed.obs.as_deref().unwrap();
+        let loaded = reg.counter_value("prefix.loaded");
+        assert_eq!(loaded, Some(intact as u64), "{tag}");
+        assert_eq!(
+            reg.counter_value("prefix.rebuilt"),
+            Some(!intact as u64),
+            "{tag}"
+        );
+        assert_identical(&resumed.canonical_report(), &format!("{tag}: resume"));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
 }
 
 /// The worker executable cargo built alongside this test.
