@@ -4,9 +4,9 @@
 //! profiles, RTT and host oracles are pure functions of the scenario seed.
 //! Only two pieces of state mutate per probe — the carried-probe counter
 //! and the cellular radio warm-up set — so those live behind interior
-//! mutability ([`std::sync::atomic::AtomicU64`] and the sharded
-//! [`WarmedSet`]), which makes [`Network::send`] take `&self` and the whole
-//! network `Sync`.
+//! mutability (a striped [`obs::Counter`], whose threads each write their
+//! own cache line, and the sharded [`WarmedSet`]), which makes
+//! [`Network::exchange`] take `&self` and the whole network `Sync`.
 //!
 //! Two ways to share one network across worker threads:
 //!
@@ -37,10 +37,10 @@
 
 use crate::addr::Addr;
 use crate::forward::{Delivery, SendError};
+use crate::hash::MixSet;
 use crate::topology::Network;
 use bytes::Bytes;
 use parking_lot::RwLock;
-use std::collections::HashSet;
 use std::sync::Arc;
 
 /// Number of lock shards in a [`WarmedSet`]. A power of two so the shard
@@ -52,18 +52,20 @@ const SHARDS: usize = 64;
 /// probe, sharded across [`SHARDS`] `parking_lot` locks keyed by address
 /// hash so parallel workers probing different /24s never contend.
 pub struct WarmedSet {
-    shards: Vec<RwLock<HashSet<Addr>>>,
+    shards: Vec<RwLock<MixSet<Addr>>>,
 }
 
 impl WarmedSet {
     /// An empty set.
     pub fn new() -> Self {
         WarmedSet {
-            shards: (0..SHARDS).map(|_| RwLock::new(HashSet::new())).collect(),
+            shards: (0..SHARDS)
+                .map(|_| RwLock::new(MixSet::default()))
+                .collect(),
         }
     }
 
-    fn shard(&self, addr: Addr) -> &RwLock<HashSet<Addr>> {
+    fn shard(&self, addr: Addr) -> &RwLock<MixSet<Addr>> {
         // Mix the bits so consecutive addresses of one /24 spread over
         // shards (a worker hammering one block still uses several locks).
         let h = crate::hash::mix2(addr.0 as u64, 0x57A8);
@@ -75,16 +77,11 @@ impl WarmedSet {
         self.shard(addr).read().contains(&addr)
     }
 
-    /// Mark `addr` warmed. Returns whether it was cold before.
-    pub fn insert(&self, addr: Addr) -> bool {
-        self.shard(addr).write().insert(addr)
-    }
-
     /// Warm `addr` and report whether it was cold, as one atomic step (the
     /// first probe of a cellular address sees the wake-up delay exactly
     /// once even under concurrent probing).
     pub fn warm(&self, addr: Addr) -> bool {
-        self.insert(addr)
+        self.shard(addr).write().insert(addr)
     }
 
     /// Forget all warmed addresses (epoch change: radios cool down).

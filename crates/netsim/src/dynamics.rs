@@ -51,11 +51,10 @@
 //! packets, so the observable effect is a late or repeated-cost reply).
 
 use crate::addr::Addr;
-use crate::hash::mix2;
+use crate::hash::{mix2, MixMap};
 use crate::route::RouterId;
 use obs::{Counter, Recorder};
 use parking_lot::RwLock;
-use std::collections::HashMap;
 
 /// Netem-style link perturbation applied to delivered replies.
 #[derive(Clone, Copy, Debug, Default, PartialEq, serde::Serialize, serde::Deserialize)]
@@ -213,17 +212,19 @@ type ClockKey = (u16, u32);
 /// Sharded per-stream virtual clocks. A stream's tick count advances by one
 /// per probe the network carries for it, independent of every other stream.
 pub(crate) struct VirtualClock {
-    shards: Vec<RwLock<HashMap<ClockKey, u64>>>,
+    shards: Vec<RwLock<MixMap<ClockKey, u64>>>,
 }
 
 impl VirtualClock {
     pub(crate) fn new() -> Self {
         VirtualClock {
-            shards: (0..SHARDS).map(|_| RwLock::new(HashMap::new())).collect(),
+            shards: (0..SHARDS)
+                .map(|_| RwLock::new(MixMap::default()))
+                .collect(),
         }
     }
 
-    fn shard(&self, key: &ClockKey) -> &RwLock<HashMap<ClockKey, u64>> {
+    fn shard(&self, key: &ClockKey) -> &RwLock<MixMap<ClockKey, u64>> {
         let h = mix2(key.1 as u64, 0xC10C ^ key.0 as u64);
         &self.shards[(h as usize) & (SHARDS - 1)]
     }

@@ -25,11 +25,10 @@
 //! retries *provably* recovers from rate limiting (the loss-resilience the
 //! probe crate's backoff layer builds on).
 
-use crate::hash::mix2;
+use crate::hash::{mix2, MixMap};
 use obs::{Counter, Recorder};
 use parking_lot::RwLock;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 
 /// Default token-bucket capacity (burst size), in ICMP replies.
 pub const DEFAULT_ICMP_BURST: f32 = 4.0;
@@ -95,17 +94,19 @@ type StreamKey = (u32, u16, u32);
 /// Sharded per-stream token buckets (see the module docs for why admission
 /// is per stream, not per router).
 pub(crate) struct TokenBuckets {
-    shards: Vec<RwLock<HashMap<StreamKey, f32>>>,
+    shards: Vec<RwLock<MixMap<StreamKey, f32>>>,
 }
 
 impl TokenBuckets {
     pub(crate) fn new() -> Self {
         TokenBuckets {
-            shards: (0..SHARDS).map(|_| RwLock::new(HashMap::new())).collect(),
+            shards: (0..SHARDS)
+                .map(|_| RwLock::new(MixMap::default()))
+                .collect(),
         }
     }
 
-    fn shard(&self, key: &StreamKey) -> &RwLock<HashMap<StreamKey, f32>> {
+    fn shard(&self, key: &StreamKey) -> &RwLock<MixMap<StreamKey, f32>> {
         let h = mix2(((key.0 as u64) << 32) | key.2 as u64, 0xB0C4 ^ key.1 as u64);
         &self.shards[(h as usize) & (SHARDS - 1)]
     }

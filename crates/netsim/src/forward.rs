@@ -1,9 +1,17 @@
 //! The forwarding engine: what happens to a probe injected at the vantage.
 //!
-//! The only interface measurement tools get is [`Network::send`]: bytes in,
-//! optional bytes out, plus a measured RTT — exactly the information a real
-//! prober gets from a raw socket. Everything Hobbit infers must come through
-//! this bottleneck.
+//! The only interface measurement tools get is [`Network::exchange`]: probe
+//! bytes in, optional reply bytes out, plus a measured RTT — exactly the
+//! information a real prober gets from a raw socket. Everything Hobbit
+//! infers must come through this bottleneck.
+//!
+//! The exchange is allocation-free: it parses the probe from a slice and
+//! builds the reply in place as a [`Packet`], a stack array. The prober
+//! encodes into a stack array too ([`probe_packet`]), so a probe costs no
+//! heap traffic on either side, yet every probe is still encoded,
+//! checksummed and decoded by both. [`Network::send`] and [`encode_probe`]
+//! are thin `Bytes` wrappers over that core for callers that hold `bytes`
+//! buffers.
 
 use crate::addr::Addr;
 use crate::dynamics::{DynamicsEvent, NetemSpec};
@@ -12,23 +20,69 @@ use crate::host::HostKind;
 use crate::route::{FlowKey, NextHop, RouterId};
 use crate::topology::Network;
 use crate::wire::{
-    IcmpEcho, IcmpError, Ipv4Header, WireError, ICMP_DEST_UNREACH, ICMP_ECHO_HEADER_LEN,
+    IcmpEcho, IcmpError, Ipv4Header, WireError, ICMP_DEST_UNREACH, ICMP_ECHO_LEN, ICMP_ECHO_REPLY,
     ICMP_ECHO_REQUEST, ICMP_ERROR_LEN, ICMP_TIME_EXCEEDED, IPV4_HEADER_LEN,
 };
-use bytes::{Bytes, BytesMut};
+use bytes::Bytes;
 
 /// Timeout reported when no response arrives, in microseconds.
 pub const TIMEOUT_US: u64 = 2_000_000;
 
 /// Bytes of an echo request or reply: IPv4 header, echo header, the two
 /// payload bytes that carry the checksum tweak.
-const ECHO_PACKET_LEN: usize = IPV4_HEADER_LEN + ICMP_ECHO_HEADER_LEN + 2;
+pub(crate) const PROBE_LEN: usize = IPV4_HEADER_LEN + ICMP_ECHO_LEN;
+
+/// Bytes of the largest packet the network sends back: an ICMP error.
+pub(crate) const MAX_PACKET_LEN: usize = IPV4_HEADER_LEN + ICMP_ERROR_LEN;
+
+/// A reply packet held on the stack: an IPv4 header and one ICMP message,
+/// at most 56 bytes (the size of an ICMP error quoting the probe).
+#[derive(Clone, Copy, PartialEq, Eq)]
+pub struct Packet {
+    buf: [u8; MAX_PACKET_LEN],
+    len: u8,
+}
+
+impl Packet {
+    /// `header` followed by `message`.
+    fn new(header: &Ipv4Header, message: &[u8]) -> Packet {
+        let mut buf = [0u8; MAX_PACKET_LEN];
+        let len = IPV4_HEADER_LEN + message.len();
+        buf[..IPV4_HEADER_LEN].copy_from_slice(&header.to_wire());
+        buf[IPV4_HEADER_LEN..len].copy_from_slice(message);
+        Packet {
+            buf,
+            len: len as u8,
+        }
+    }
+
+    /// The packet's wire bytes.
+    pub fn as_bytes(&self) -> &[u8] {
+        &self.buf[..self.len as usize]
+    }
+}
+
+impl std::fmt::Debug for Packet {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_tuple("Packet").field(&self.as_bytes()).finish()
+    }
+}
+
+/// The observable outcome of one [`Network::exchange`].
+#[derive(Debug, Clone, Copy)]
+pub struct Reply {
+    /// The response packet, if any (echo reply or ICMP error).
+    pub response: Option<Packet>,
+    /// Measured round-trip (or the timeout value when `response` is None).
+    pub rtt_us: u64,
+}
 
 /// Maximum number of routers a probe may traverse before the network
 /// declares a forwarding loop and drops it.
 pub const MAX_HOPS: u32 = 64;
 
-/// The observable outcome of one probe.
+/// The observable outcome of one [`Network::send`]: a [`Reply`] with the
+/// response copied into `Bytes`.
 #[derive(Debug, Clone)]
 pub struct Delivery {
     /// The response packet, if any (echo reply or ICMP error).
@@ -83,16 +137,29 @@ impl Network {
     /// which can mean an unresponsive destination, an anonymous or
     /// rate-limited router, a forwarding loop, or an unrouted destination.
     ///
+    /// A `Bytes` wrapper over [`Network::exchange`]: the response is
+    /// copied out of its stack [`Packet`] into a fresh buffer.
+    pub fn send(&self, probe: Bytes) -> Result<Delivery, SendError> {
+        let reply = self.exchange(&probe)?;
+        Ok(Delivery {
+            response: reply.response.map(|p| Bytes::from(p.as_bytes().to_vec())),
+            rtt_us: reply.rtt_us,
+        })
+    }
+
+    /// Inject the ICMP echo request in `probe` at the vantage point, as
+    /// [`Network::send`] does, without touching the heap: the probe is
+    /// parsed from the slice and the reply built in a stack [`Packet`].
+    ///
     /// Takes `&self`: the per-probe state (probe accounting, cellular
     /// warm-up) lives behind interior mutability, so any number of threads
     /// may probe one shared network (see [`crate::concurrent`]).
-    pub fn send(&self, probe: Bytes) -> Result<Delivery, SendError> {
-        let mut buf = probe;
-        let ip = Ipv4Header::decode(&mut buf)?;
+    pub fn exchange(&self, probe: &[u8]) -> Result<Reply, SendError> {
+        let ip = Ipv4Header::parse(probe)?;
         let Some(entry_router) = self.vantage_router_for(ip.src) else {
             return Err(SendError::NotFromVantage(ip.src));
         };
-        let (icmp_type, echo) = IcmpEcho::decode(&mut buf)?;
+        let (icmp_type, echo) = IcmpEcho::parse(&probe[IPV4_HEADER_LEN..])?;
         if icmp_type != ICMP_ECHO_REQUEST {
             return Err(SendError::NotEchoRequest(icmp_type));
         }
@@ -126,7 +193,7 @@ impl Network {
         };
 
         let outcome = self.walk(&key, ip.ttl, entry_router, nonce, epoch);
-        let mut delivery = match outcome {
+        let mut reply = match outcome {
             Outcome::Expired { at, hops } => {
                 self.router_error(at, hops, ICMP_TIME_EXCEEDED, &ip, &echo, nonce, epoch)
             }
@@ -137,9 +204,9 @@ impl Network {
             Outcome::Delivered { hops, .. } => self.host_reply(&ip, &echo, hops, nonce),
         };
         if let Some(netem) = self.dynamics.netem {
-            self.apply_netem(&mut delivery, ip.dst, nonce, netem);
+            self.apply_netem(&mut reply, ip.dst, nonce, netem);
         }
-        Ok(delivery)
+        Ok(reply)
     }
 
     /// Walk the forwarding path for a flow, decrementing TTL at each router.
@@ -189,7 +256,7 @@ impl Network {
             // Dynamics: the event schedule perturbs selection at this
             // router, never the route table (tables stay immutable — all
             // evolution is a pure function of (schedule, epoch, flow)).
-            let mut salt = self.salt(cur);
+            let mut salt = router.salt;
             let mut width = usize::MAX;
             if !self.dyn_events.is_empty() {
                 if let Some(evs) = self.dyn_events.get(&cur.0) {
@@ -275,7 +342,7 @@ impl Network {
         probe_echo: &IcmpEcho,
         nonce: u64,
         epoch: u32,
-    ) -> Delivery {
+    ) -> Reply {
         let router = self.router(at);
         if !router.responsive {
             return timeout();
@@ -369,14 +436,11 @@ impl Network {
             protocol: 1,
             ident: (nonce & 0xffff) as u16,
         };
-        let mut buf = BytesMut::with_capacity(IPV4_HEADER_LEN + ICMP_ERROR_LEN);
-        outer.encode(&mut buf);
-        err.encode(&mut buf);
         let rtt = self
             .rtt
             .rtt_us(router.addr, hops, 0, HostKind::Server, false, nonce);
-        Delivery {
-            response: Some(buf.freeze()),
+        Reply {
+            response: Some(Packet::new(&outer, &err.to_wire())),
             rtt_us: rtt,
         }
     }
@@ -389,7 +453,7 @@ impl Network {
         probe_echo: &IcmpEcho,
         hops: u32,
         nonce: u64,
-    ) -> Delivery {
+    ) -> Reply {
         let dst = probe_ip.dst;
         let Some(profile) = self.blocks.get(&dst.block24()).copied() else {
             return timeout();
@@ -414,10 +478,9 @@ impl Network {
         let reverse_hops = hops + asym;
         let remaining = default_ttl.saturating_sub(reverse_hops as u8).max(1);
 
-        let cold = profile.kind == HostKind::Cellular && !self.warmed.contains(dst);
-        if profile.kind == HostKind::Cellular {
-            self.warmed.warm(dst);
-        }
+        // One atomic check-and-warm: of any number of concurrent first
+        // probes to a cold radio, exactly one pays the wake-up delay.
+        let cold = profile.kind == HostKind::Cellular && self.warmed.warm(dst);
         let rtt = self
             .rtt
             .rtt_us(dst, hops, profile.base_rtt_us, profile.kind, cold, nonce);
@@ -429,11 +492,8 @@ impl Network {
             protocol: 1,
             ident: (nonce >> 16 & 0xffff) as u16,
         };
-        let mut buf = BytesMut::with_capacity(ECHO_PACKET_LEN);
-        outer.encode(&mut buf);
-        probe_echo.encode_reply(&mut buf);
-        Delivery {
-            response: Some(buf.freeze()),
+        Reply {
+            response: Some(Packet::new(&outer, &probe_echo.to_wire(ICMP_ECHO_REPLY))),
             rtt_us: rtt,
         }
     }
@@ -445,7 +505,7 @@ impl Network {
     /// (a prober's request/response matching discards the copy anyway).
     /// All draws are pure functions of the probe nonce, so perturbation is
     /// byte-identical at any thread count.
-    fn apply_netem(&self, d: &mut Delivery, dst: Addr, nonce: u64, n: NetemSpec) {
+    fn apply_netem(&self, d: &mut Reply, dst: Addr, nonce: u64, n: NetemSpec) {
         if d.response.is_none() {
             return;
         }
@@ -472,17 +532,41 @@ impl Network {
     }
 }
 
-fn timeout() -> Delivery {
-    Delivery {
+fn timeout() -> Reply {
+    Reply {
         response: None,
         rtt_us: TIMEOUT_US,
     }
 }
 
-/// Convenience: encode an echo-request probe as wire bytes.
+/// Encode an echo-request probe as wire bytes in a stack array.
 ///
 /// `flow_label` is the ICMP checksum the probe will carry (the Paris flow
 /// identifier); the payload tweak is solved to hit it exactly.
+pub fn probe_packet(
+    src: Addr,
+    dst: Addr,
+    ttl: u8,
+    ident: u16,
+    seq: u16,
+    flow_label: u16,
+    ip_ident: u16,
+) -> [u8; PROBE_LEN] {
+    let ip = Ipv4Header {
+        src,
+        dst,
+        ttl,
+        protocol: 1,
+        ident: ip_ident,
+    };
+    let echo = IcmpEcho::with_checksum(ident, seq, flow_label);
+    let mut buf = [0u8; PROBE_LEN];
+    buf[..IPV4_HEADER_LEN].copy_from_slice(&ip.to_wire());
+    buf[IPV4_HEADER_LEN..].copy_from_slice(&echo.to_wire(ICMP_ECHO_REQUEST));
+    buf
+}
+
+/// [`probe_packet`] copied into `Bytes`, for [`Network::send`].
 pub fn encode_probe(
     src: Addr,
     dst: Addr,
@@ -492,18 +576,7 @@ pub fn encode_probe(
     flow_label: u16,
     ip_ident: u16,
 ) -> Bytes {
-    let ip = Ipv4Header {
-        src,
-        dst,
-        ttl,
-        protocol: 1,
-        ident: ip_ident,
-    };
-    let echo = IcmpEcho::with_checksum(ident, seq, flow_label);
-    let mut buf = BytesMut::with_capacity(ECHO_PACKET_LEN);
-    ip.encode(&mut buf);
-    echo.encode_request(&mut buf);
-    buf.freeze()
+    Bytes::from(probe_packet(src, dst, ttl, ident, seq, flow_label, ip_ident).to_vec())
 }
 
 #[cfg(test)]
@@ -630,6 +703,56 @@ mod tests {
         );
         let d = net.send(probe(&net, Addr::new(10, 0, 0, 5), 64)).unwrap();
         assert!(d.response.is_none());
+    }
+
+    #[test]
+    fn concurrent_first_probes_wake_a_cellular_radio_once() {
+        let mut net = chain();
+        net.set_block_profile(
+            Addr::new(10, 0, 0, 0).block24(),
+            HostProfile {
+                density: 1.0,
+                churn: 0.0,
+                kind: HostKind::Cellular,
+                ..HostProfile::default()
+            },
+        );
+        const THREADS: u16 = 8;
+        let wake_min = net.rtt.cell_wake_min_us as u64;
+        let dests: Vec<Addr> = (1..=254u8).map(|h| Addr::new(10, 0, 0, h)).collect();
+        let probe = |t: u16, dst: Addr| encode_probe(net.vantage_addr(), dst, 64, 7, t, 0xAAAA, t);
+        // Every thread sweeps the same cold addresses in the same order, so
+        // first probes to one address keep colliding across threads. Each
+        // round cools every radio first.
+        for _round in 0..16 {
+            net.warmed().clear();
+            let barrier = std::sync::Barrier::new(THREADS as usize);
+            let first: Vec<Vec<u64>> = std::thread::scope(|s| {
+                let handles: Vec<_> = (0..THREADS)
+                    .map(|t| {
+                        let (net, barrier, dests, probe) = (&net, &barrier, &dests, &probe);
+                        s.spawn(move || {
+                            barrier.wait();
+                            dests
+                                .iter()
+                                .map(|&dst| net.exchange(&probe(t, dst)).unwrap().rtt_us)
+                                .collect()
+                        })
+                    })
+                    .collect();
+                handles.into_iter().map(|h| h.join().unwrap()).collect()
+            });
+            for (i, &dst) in dests.iter().enumerate() {
+                // The same bytes again, now that the radio is awake.
+                let woken = (0..THREADS)
+                    .filter(|&t| {
+                        let warm = net.exchange(&probe(t, dst)).unwrap().rtt_us;
+                        first[t as usize][i] >= warm + wake_min
+                    })
+                    .count();
+                assert_eq!(woken, 1, "{dst}: exactly one first probe pays the wake-up");
+            }
+        }
     }
 
     #[test]

@@ -6,6 +6,9 @@
 //! reproducible bit-for-bit regardless of probing order, which the
 //! experiment harness relies on.
 
+use std::collections::{HashMap, HashSet};
+use std::hash::{BuildHasherDefault, Hasher};
+
 /// A 64-bit mixing function (SplitMix64 finalizer). Good avalanche, cheap.
 #[inline]
 pub fn mix64(mut x: u64) -> u64 {
@@ -44,6 +47,61 @@ pub fn pick(h: u64, n: usize) -> usize {
     (((h as u128) * (n as u128)) >> 64) as usize
 }
 
+/// A fast deterministic [`Hasher`] for the simulator's per-probe maps:
+/// each written word is folded in with one multiply, and [`mix64`]
+/// finalizes. Keys are small fixed-width integers (addresses, router ids,
+/// stream tuples), so SipHash's flooding resistance buys nothing here.
+/// Nothing observable depends on these maps' iteration order.
+#[derive(Clone, Copy, Debug, Default)]
+pub(crate) struct MixHasher(u64);
+
+impl Hasher for MixHasher {
+    #[inline]
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.write_u64(u64::from_le_bytes(word));
+        }
+    }
+
+    #[inline]
+    fn write_u8(&mut self, x: u8) {
+        self.write_u64(x as u64);
+    }
+
+    #[inline]
+    fn write_u16(&mut self, x: u16) {
+        self.write_u64(x as u64);
+    }
+
+    #[inline]
+    fn write_u32(&mut self, x: u32) {
+        self.write_u64(x as u64);
+    }
+
+    #[inline]
+    fn write_u64(&mut self, x: u64) {
+        self.0 = (self.0.rotate_left(23) ^ x).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+
+    #[inline]
+    fn write_usize(&mut self, x: usize) {
+        self.write_u64(x as u64);
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        mix64(self.0)
+    }
+}
+
+/// A `HashMap` keyed with [`MixHasher`].
+pub(crate) type MixMap<K, V> = HashMap<K, V, BuildHasherDefault<MixHasher>>;
+
+/// A `HashSet` keyed with [`MixHasher`].
+pub(crate) type MixSet<K> = HashSet<K, BuildHasherDefault<MixHasher>>;
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -73,6 +131,17 @@ mod tests {
             // Each bucket should get about 10k draws.
             assert!((8_500..11_500).contains(&c), "bucket count {c}");
         }
+    }
+
+    #[test]
+    fn mix_hasher_is_deterministic_and_spreads_small_keys() {
+        use std::hash::BuildHasher;
+        let hash = |k: (u32, u16, u32)| BuildHasherDefault::<MixHasher>::default().hash_one(k);
+        assert_eq!(hash((1, 2, 3)), hash((1, 2, 3)));
+        assert_ne!(hash((1, 2, 3)), hash((3, 2, 1)));
+        // Consecutive keys land in distinct low-bit buckets.
+        let buckets: HashSet<u64> = (0..256u32).map(|i| hash((i, 7, 0)) & 1023).collect();
+        assert!(buckets.len() > 200, "{} buckets", buckets.len());
     }
 
     #[test]

@@ -15,9 +15,10 @@
 //! * host populations with density, availability churn, and latency
 //!   personalities (including cellular radio wake-up delays).
 //!
-//! The only interface measurement code gets is [`topology::Network::send`]:
-//! ICMP bytes in, optional ICMP bytes out, plus an RTT — the same
-//! information a raw socket would give a real prober. Scenario builders in
+//! The only interface measurement code gets is [`topology::Network::exchange`]
+//! (or its `Bytes` wrapper [`topology::Network::send`]): ICMP bytes in,
+//! optional ICMP bytes out, plus an RTT — the same information a raw socket
+//! would give a real prober. Scenario builders in
 //! [`build`] additionally return ground truth so tests can score inferences.
 //!
 //! ```
@@ -54,7 +55,7 @@ pub use build::{build, GroundTruth, Scenario, ScenarioConfig};
 pub use concurrent::{SharedNetwork, WarmedSet};
 pub use dynamics::{DynamicsConfig, DynamicsEvent, NetemSpec};
 pub use fault::{FaultConfig, NetworkStats};
-pub use forward::{encode_probe, Delivery, SendError, TIMEOUT_US};
+pub use forward::{encode_probe, probe_packet, Delivery, Packet, Reply, SendError, TIMEOUT_US};
 pub use host::{HostKind, HostProfile};
 pub use route::{LbPolicy, RouterId};
 pub use topology::Network;

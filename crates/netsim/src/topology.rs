@@ -1,20 +1,19 @@
 //! Routers and the `Network` container.
 //!
 //! A `Network` is a set of routers (each with a route table and an ECMP
-//! salt), a vantage point, and the per-/24 host profiles. The forwarding
-//! logic lives in [`crate::forward`]; scenario construction in
-//! [`crate::build`].
+//! salt fixed when the router is added), a vantage point, and the per-/24
+//! host profiles. The forwarding logic lives in [`crate::forward`];
+//! scenario construction in [`crate::build`].
 
 use crate::addr::{Addr, Block24};
 use crate::concurrent::WarmedSet;
 use crate::dynamics::{DynamicsConfig, DynamicsCounters, DynamicsEvent, VirtualClock};
 use crate::fault::{FaultConfig, FaultCounters, NetworkStats, TokenBuckets};
-use crate::hash::mix2;
+use crate::hash::{mix2, MixMap};
 use crate::host::{HostOracle, HostProfile};
 use crate::route::{NextHop, NextHopGroup, RouteTable, RouterId};
 use crate::rtt::RttModel;
 use obs::{Counter, Recorder};
-use std::collections::HashMap;
 
 /// A router in the simulated internet.
 #[derive(Clone, Debug)]
@@ -38,6 +37,9 @@ pub struct Router {
     pub alt_addr: Option<Addr>,
     /// The router's forwarding table.
     pub table: RouteTable,
+    /// ECMP selection salt, `mix2(seed, id)`: fixed when
+    /// [`Network::add_router`] adds the router.
+    pub(crate) salt: u64,
 }
 
 impl Router {
@@ -50,6 +52,7 @@ impl Router {
             icmp_loss: 0.0,
             alt_addr: None,
             table: RouteTable::new(),
+            salt: 0,
         }
     }
 }
@@ -71,7 +74,7 @@ pub struct Network {
     /// Reprobing from another vantage reveals paths chosen by balancers
     /// that hash the source address (paper Section 6.1).
     pub(crate) extra_vantages: Vec<(Addr, RouterId)>,
-    pub(crate) blocks: HashMap<Block24, HostProfile>,
+    pub(crate) blocks: MixMap<Block24, HostProfile>,
     pub(crate) oracle: HostOracle,
     pub(crate) rtt: RttModel,
     pub(crate) seed: u64,
@@ -90,7 +93,7 @@ pub struct Network {
     /// Time-evolving dynamics: event schedule + netem (inactive by default).
     pub(crate) dynamics: DynamicsConfig,
     /// `dynamics.events` indexed by router id for O(1) per-hop lookup.
-    pub(crate) dyn_events: HashMap<u32, Vec<DynamicsEvent>>,
+    pub(crate) dyn_events: MixMap<u32, Vec<DynamicsEvent>>,
     /// Per-stream virtual probe-count clocks driving the event schedule.
     pub(crate) vclock: VirtualClock,
     /// Applied-dynamics accounting.
@@ -131,7 +134,7 @@ impl Network {
             vantage_addr,
             vantage_router: RouterId(0),
             extra_vantages: Vec::new(),
-            blocks: HashMap::new(),
+            blocks: MixMap::default(),
             oracle: HostOracle::new(seed),
             rtt: RttModel::new(seed),
             seed,
@@ -142,7 +145,7 @@ impl Network {
             buckets: TokenBuckets::new(),
             fault_counters: FaultCounters::default(),
             dynamics: DynamicsConfig::none(),
-            dyn_events: HashMap::new(),
+            dyn_events: MixMap::default(),
             vclock: VirtualClock::new(),
             dyn_counters: DynamicsCounters::default(),
         }
@@ -151,7 +154,10 @@ impl Network {
     /// Add a router and return its id. Ids are assigned densely in order.
     pub fn add_router(&mut self, addr: Addr) -> RouterId {
         let id = RouterId(self.routers.len() as u32);
-        self.routers.push(Router::new(id, addr));
+        self.routers.push(Router {
+            salt: mix2(self.seed, id.0 as u64),
+            ..Router::new(id, addr)
+        });
         id
     }
 
@@ -334,11 +340,6 @@ impl Network {
     /// Record one carried probe (thread-safe; called from `send`).
     pub(crate) fn record_carried_probe(&self) {
         self.probes_carried.inc();
-    }
-
-    /// Per-router ECMP salt.
-    pub(crate) fn salt(&self, id: RouterId) -> u64 {
-        mix2(self.seed, id.0 as u64)
     }
 
     /// Resolve which routers would be the *last-hop routers* of `dst` by

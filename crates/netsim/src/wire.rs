@@ -5,6 +5,13 @@
 //! honest: the prober only learns what a real prober could parse out of the
 //! bytes on the wire (response TTLs, quoted headers in Time Exceeded
 //! messages, checksum-carried flow identifiers — the Paris trick).
+//!
+//! The core is slice-based and allocation-free: `to_wire` builds a
+//! message's checksummed bytes as a stack array and `parse` validates and
+//! reads one from the front of a `&[u8]`. The per-probe path
+//! ([`Network::exchange`](crate::Network::exchange) and the prober) uses
+//! only these. The `BytesMut` `encode` and `&mut Bytes` `decode` methods are
+//! thin wrappers over them for callers that hold `bytes` buffers.
 
 use crate::addr::Addr;
 use bytes::{Buf, BufMut, Bytes, BytesMut};
@@ -37,6 +44,9 @@ pub struct Ipv4Header {
 pub const IPV4_HEADER_LEN: usize = 20;
 /// Fixed size of an ICMP echo header.
 pub const ICMP_ECHO_HEADER_LEN: usize = 8;
+/// Fixed size of an echo message as the simulator sends it: the header and
+/// the two payload bytes that carry the checksum tweak.
+pub(crate) const ICMP_ECHO_LEN: usize = ICMP_ECHO_HEADER_LEN + 2;
 /// Fixed size of an ICMP error message: its own 8-byte header, the quoted
 /// IPv4 header and the quoted echo header.
 pub(crate) const ICMP_ERROR_LEN: usize = 8 + IPV4_HEADER_LEN + ICMP_ECHO_HEADER_LEN;
@@ -44,11 +54,11 @@ pub(crate) const ICMP_ERROR_LEN: usize = 8 + IPV4_HEADER_LEN + ICMP_ECHO_HEADER_
 impl Ipv4Header {
     /// Serialize into `buf` (standard layout, version/IHL fixed, no options).
     pub fn encode(&self, buf: &mut BytesMut) {
-        buf.put_slice(&self.wire());
+        buf.put_slice(&self.to_wire());
     }
 
     /// The checksummed 20 wire bytes.
-    fn wire(&self) -> [u8; IPV4_HEADER_LEN] {
+    pub(crate) fn to_wire(self) -> [u8; IPV4_HEADER_LEN] {
         let mut h = [0u8; IPV4_HEADER_LEN];
         h[0] = 0x45; // version 4, IHL 5
                      // h[1] DSCP/ECN, h[2..4] total length: zero
@@ -70,8 +80,8 @@ impl Ipv4Header {
         Ok(header)
     }
 
-    /// Parse a header from the front of `bytes` without consuming it.
-    fn parse(bytes: &[u8]) -> Result<Self, WireError> {
+    /// Parse a header from the front of `bytes`, validating the checksum.
+    pub fn parse(bytes: &[u8]) -> Result<Self, WireError> {
         let Some(h) = bytes.get(..IPV4_HEADER_LEN) else {
             return Err(WireError::Truncated);
         };
@@ -148,7 +158,7 @@ impl IcmpEcho {
 
     /// The 10 header-plus-tweak bytes as they go on the wire, carrying
     /// `checksum` in its field.
-    fn header(&self, icmp_type: u8, checksum: u16) -> [u8; ICMP_ECHO_HEADER_LEN + 2] {
+    fn header(&self, icmp_type: u8, checksum: u16) -> [u8; ICMP_ECHO_LEN] {
         let [c0, c1] = checksum.to_be_bytes();
         let [i0, i1] = self.ident.to_be_bytes();
         let [s0, s1] = self.seq.to_be_bytes();
@@ -157,39 +167,45 @@ impl IcmpEcho {
     }
 
     /// The checksummed wire bytes of this message with type `icmp_type`.
-    fn wire(&self, icmp_type: u8) -> [u8; ICMP_ECHO_HEADER_LEN + 2] {
+    pub(crate) fn to_wire(self, icmp_type: u8) -> [u8; ICMP_ECHO_LEN] {
         self.header(icmp_type, self.wire_checksum(icmp_type))
     }
 
     /// Serialize as an echo request.
     pub fn encode_request(&self, buf: &mut BytesMut) {
-        buf.put_slice(&self.wire(ICMP_ECHO_REQUEST));
+        buf.put_slice(&self.to_wire(ICMP_ECHO_REQUEST));
     }
 
     /// Serialize as an echo reply.
     pub fn encode_reply(&self, buf: &mut BytesMut) {
-        buf.put_slice(&self.wire(ICMP_ECHO_REPLY));
+        buf.put_slice(&self.to_wire(ICMP_ECHO_REPLY));
     }
 
     /// Parse an echo message; returns `(icmp_type, echo)`.
     pub fn decode(buf: &mut Bytes) -> Result<(u8, IcmpEcho), WireError> {
-        let Some(m) = buf.chunk().get(..ICMP_ECHO_HEADER_LEN + 2) else {
+        let parsed = IcmpEcho::parse(buf.chunk())?;
+        buf.advance(ICMP_ECHO_LEN);
+        Ok(parsed)
+    }
+
+    /// Parse an echo message from the front of `bytes`, validating the
+    /// checksum; returns `(icmp_type, echo)`.
+    pub fn parse(bytes: &[u8]) -> Result<(u8, IcmpEcho), WireError> {
+        let Some(m) = bytes.get(..ICMP_ECHO_LEN) else {
             return Err(WireError::Truncated);
         };
         if internet_checksum(m) != 0 {
             return Err(WireError::BadChecksum);
         }
         let word = |i: usize| u16::from_be_bytes([m[i], m[i + 1]]);
-        let parsed = (
+        Ok((
             m[0],
             IcmpEcho {
                 ident: word(4),
                 seq: word(6),
                 tweak: word(8),
             },
-        );
-        buf.advance(ICMP_ECHO_HEADER_LEN + 2);
-        Ok(parsed)
+        ))
     }
 }
 
@@ -212,21 +228,34 @@ pub struct IcmpError {
 impl IcmpError {
     /// Serialize: type/code/checksum/unused + quoted IP header + 8 bytes.
     pub fn encode(&self, buf: &mut BytesMut) {
+        buf.put_slice(&self.to_wire());
+    }
+
+    /// The checksummed wire bytes of this message.
+    pub(crate) fn to_wire(&self) -> [u8; ICMP_ERROR_LEN] {
         let mut m = [0u8; ICMP_ERROR_LEN];
         m[0] = self.icmp_type;
         // m[1] code, m[2..4] checksum, m[4..8] unused: zero
-        m[8..8 + IPV4_HEADER_LEN].copy_from_slice(&self.quoted.wire());
+        m[8..8 + IPV4_HEADER_LEN].copy_from_slice(&self.quoted.to_wire());
         // First 8 bytes of the quoted ICMP message (header only, minus tweak).
         m[8 + IPV4_HEADER_LEN..]
-            .copy_from_slice(&self.quoted_echo.wire(self.quoted_type)[..ICMP_ECHO_HEADER_LEN]);
+            .copy_from_slice(&self.quoted_echo.to_wire(self.quoted_type)[..ICMP_ECHO_HEADER_LEN]);
         let sum = internet_checksum(&m);
         m[2..4].copy_from_slice(&sum.to_be_bytes());
-        buf.put_slice(&m);
+        m
     }
 
     /// Parse an ICMP error message and its quoted probe.
     pub fn decode(buf: &mut Bytes) -> Result<IcmpError, WireError> {
-        let Some(m) = buf.chunk().get(..ICMP_ERROR_LEN) else {
+        let parsed = IcmpError::parse(buf.chunk())?;
+        buf.advance(ICMP_ERROR_LEN);
+        Ok(parsed)
+    }
+
+    /// Parse an ICMP error message and its quoted probe from the front of
+    /// `bytes`, validating both checksums.
+    pub fn parse(bytes: &[u8]) -> Result<IcmpError, WireError> {
+        let Some(m) = bytes.get(..ICMP_ERROR_LEN) else {
             return Err(WireError::Truncated);
         };
         if internet_checksum(m) != 0 {
@@ -234,7 +263,7 @@ impl IcmpError {
         }
         let quoted = Ipv4Header::parse(&m[8..])?;
         let echo = &m[8 + IPV4_HEADER_LEN..];
-        let parsed = IcmpError {
+        Ok(IcmpError {
             icmp_type: m[0],
             quoted,
             quoted_echo: IcmpEcho {
@@ -243,9 +272,7 @@ impl IcmpError {
                 tweak: 0,
             },
             quoted_type: echo[0],
-        };
-        buf.advance(ICMP_ERROR_LEN);
-        Ok(parsed)
+        })
     }
 }
 

@@ -5,15 +5,18 @@
 //! [`Prober::probe`]. The prober talks to the wire only through a
 //! [`ProbeTransport`] — bytes in, bytes out — so the same tools run over an
 //! exclusively borrowed network, a shared `&Network` inside scoped worker
-//! threads, or an owned [`SharedNetwork`] handle.
+//! threads, or an owned [`SharedNetwork`] handle. Each probe is encoded
+//! into a stack array and its reply parsed from the network's stack
+//! [`Packet`], so the probe path does no heap allocation.
 
 use crate::cancel::CancelToken;
 use crate::error::ProbeError;
 use crate::record::{ProbeLog, RecordedCall, RecordedReply};
-use bytes::Bytes;
-use netsim::forward::encode_probe;
-use netsim::wire::{IcmpEcho, IcmpError, Ipv4Header, ICMP_ECHO_REPLY, ICMP_TIME_EXCEEDED};
-use netsim::{Addr, Delivery, Network, SendError, SharedNetwork};
+use netsim::forward::probe_packet;
+use netsim::wire::{
+    IcmpEcho, IcmpError, Ipv4Header, ICMP_ECHO_REPLY, ICMP_TIME_EXCEEDED, IPV4_HEADER_LEN,
+};
+use netsim::{Addr, Network, Packet, Reply, SendError, SharedNetwork};
 use obs::{Counter, Histogram, Recorder};
 
 /// Anything that can carry a probe packet and return the response.
@@ -26,8 +29,8 @@ use obs::{Counter, Histogram, Recorder};
 /// classification pipeline hands one to each worker), [`SharedNetwork`]
 /// (owned handle for `'static` contexts), and owned [`Network`].
 pub trait ProbeTransport {
-    /// Carry one probe packet; see [`netsim::Network::send`].
-    fn transmit(&mut self, probe: Bytes) -> Result<Delivery, SendError>;
+    /// Carry one probe packet; see [`netsim::Network::exchange`].
+    fn exchange(&mut self, probe: &[u8]) -> Result<Reply, SendError>;
 
     /// The primary vantage address probes should be sourced from.
     fn vantage_addr(&self) -> Addr;
@@ -46,8 +49,8 @@ pub trait ProbeTransport {
 }
 
 impl ProbeTransport for &mut Network {
-    fn transmit(&mut self, probe: Bytes) -> Result<Delivery, SendError> {
-        self.send(probe)
+    fn exchange(&mut self, probe: &[u8]) -> Result<Reply, SendError> {
+        Network::exchange(self, probe)
     }
     fn vantage_addr(&self) -> Addr {
         Network::vantage_addr(self)
@@ -61,8 +64,8 @@ impl ProbeTransport for &mut Network {
 }
 
 impl ProbeTransport for &Network {
-    fn transmit(&mut self, probe: Bytes) -> Result<Delivery, SendError> {
-        self.send(probe)
+    fn exchange(&mut self, probe: &[u8]) -> Result<Reply, SendError> {
+        Network::exchange(self, probe)
     }
     fn vantage_addr(&self) -> Addr {
         Network::vantage_addr(self)
@@ -73,8 +76,8 @@ impl ProbeTransport for &Network {
 }
 
 impl ProbeTransport for Network {
-    fn transmit(&mut self, probe: Bytes) -> Result<Delivery, SendError> {
-        self.send(probe)
+    fn exchange(&mut self, probe: &[u8]) -> Result<Reply, SendError> {
+        Network::exchange(self, probe)
     }
     fn vantage_addr(&self) -> Addr {
         Network::vantage_addr(self)
@@ -88,8 +91,8 @@ impl ProbeTransport for Network {
 }
 
 impl ProbeTransport for SharedNetwork {
-    fn transmit(&mut self, probe: Bytes) -> Result<Delivery, SendError> {
-        SharedNetwork::send(self, probe)
+    fn exchange(&mut self, probe: &[u8]) -> Result<Reply, SendError> {
+        self.network().exchange(probe)
     }
     fn vantage_addr(&self) -> Addr {
         self.network().vantage_addr()
@@ -139,12 +142,12 @@ pub struct ProbeResult {
     pub rtt_us: u64,
 }
 
-/// Pre-interned observability handles for a prober — one atomic bump per
-/// event, no registry lookups in the probe path. Several probers (e.g.
-/// all classification workers) may share one set of handles: the counters
-/// then aggregate across them, which is exactly what the metrics document
-/// wants, while each prober's own `probes_sent()`-style accessors stay
-/// per-prober.
+/// Pre-interned observability handles for a prober — one bump of the
+/// calling thread's stripe per event, no registry lookups in the probe
+/// path. Several probers (e.g. all classification workers) may share one
+/// set of handles: the counters then aggregate across them, which is
+/// exactly what the metrics document wants, while each prober's own
+/// `probes_sent()`-style accessors stay per-prober.
 #[derive(Clone, Debug)]
 pub struct ProbeObs {
     /// `probe.sent` — probe packets sent (including retries).
@@ -494,7 +497,7 @@ impl<'n> Prober<'n> {
             let Backend::Live(transport) = &mut self.backend else {
                 unreachable!("live_probe is only called on live backends");
             };
-            let wire = encode_probe(
+            let wire = probe_packet(
                 self.source,
                 dst,
                 ttl,
@@ -503,12 +506,12 @@ impl<'n> Prober<'n> {
                 flow_label,
                 self.ip_ident,
             );
-            let delivery = transport
-                .transmit(wire)
+            let reply = transport
+                .exchange(&wire)
                 .expect("prober always emits well-formed probes");
             let result = ProbeResult {
-                reply: parse_reply(delivery.response.as_ref(), self.icmp_ident),
-                rtt_us: delivery.rtt_us,
+                reply: parse_reply(reply.response.as_ref(), self.icmp_ident),
+                rtt_us: reply.rtt_us,
             };
             self.rtt_sum_us += result.rtt_us;
             if let Some(o) = &self.obs {
@@ -611,17 +614,17 @@ impl<'n> Prober<'n> {
 }
 
 /// Parse a response packet into a [`ProbeReply`].
-fn parse_reply(response: Option<&Bytes>, expect_ident: u16) -> ProbeReply {
-    let Some(bytes) = response else {
+fn parse_reply(response: Option<&Packet>, expect_ident: u16) -> ProbeReply {
+    let Some(packet) = response else {
         return ProbeReply::Timeout;
     };
-    let mut buf = bytes.clone();
-    let Ok(outer) = Ipv4Header::decode(&mut buf) else {
+    let bytes = packet.as_bytes();
+    let Ok(outer) = Ipv4Header::parse(bytes) else {
         return ProbeReply::Timeout;
     };
+    let message = &bytes[IPV4_HEADER_LEN..];
     // Try echo reply first.
-    let mut echo_buf = buf.clone();
-    if let Ok((t, echo)) = IcmpEcho::decode(&mut echo_buf) {
+    if let Ok((t, echo)) = IcmpEcho::parse(message) {
         if t == ICMP_ECHO_REPLY {
             if echo.ident != expect_ident {
                 return ProbeReply::Timeout; // someone else's reply
@@ -632,7 +635,7 @@ fn parse_reply(response: Option<&Bytes>, expect_ident: u16) -> ProbeReply {
             };
         }
     }
-    if let Ok(err) = IcmpError::decode(&mut buf) {
+    if let Ok(err) = IcmpError::parse(message) {
         if err.quoted_echo.ident != expect_ident {
             return ProbeReply::Timeout;
         }
@@ -649,6 +652,7 @@ fn parse_reply(response: Option<&Bytes>, expect_ident: u16) -> ProbeReply {
 mod tests {
     use super::*;
     use netsim::build::{build, ScenarioConfig};
+    use netsim::forward::encode_probe;
 
     fn scenario() -> netsim::Scenario {
         build(ScenarioConfig::tiny(42))
@@ -867,6 +871,113 @@ mod tests {
         assert_eq!(q.network_mut().unwrap_err(), ProbeError::SharedTransport);
         drop(q);
         let _ = shared.try_unwrap();
+    }
+
+    /// FNV-1a, folded over every byte a sweep observes.
+    struct Digest(u64);
+
+    impl Digest {
+        fn feed(&mut self, bytes: &[u8]) {
+            for &b in bytes {
+                self.0 = (self.0 ^ b as u64).wrapping_mul(0x0100_0000_01B3);
+            }
+        }
+
+        fn feed_u64(&mut self, v: u64) {
+            self.feed(&v.to_be_bytes());
+        }
+    }
+
+    /// One fixed probe sweep over `net`: every allocated block × 3 hosts ×
+    /// TTL {1, 2, 3, 4, 64} × 2 flow labels, plus one unrouted address,
+    /// first through a [`Prober`] and then as raw packets through
+    /// [`Network::send`]. Returns the sweep's digest and which reply kinds
+    /// it saw (echo, time exceeded, unreachable, timeout).
+    fn wire_sweep(net: &Network) -> (u64, [bool; 4]) {
+        let mut d = Digest(0xCBF2_9CE4_8422_2325);
+        let mut seen = [false; 4];
+        let mut dests: Vec<Addr> = net
+            .allocated_blocks()
+            .iter()
+            .flat_map(|b| [b.addr(0), b.addr(10), b.addr(77)])
+            .collect();
+        dests.push(Addr::new(225, 1, 2, 3));
+        let sweep = || {
+            dests.iter().flat_map(|&dst| {
+                [1u8, 2, 3, 4, 64]
+                    .into_iter()
+                    .flat_map(move |ttl| [0x1111u16, 0xBEEF].map(|label| (dst, ttl, label)))
+            })
+        };
+        let mut p = Prober::over(net, 0x6D61);
+        for (dst, ttl, label) in sweep() {
+            let r = p.probe(dst, ttl, label);
+            let (kind, from, reply_ttl) = match r.reply {
+                ProbeReply::Echo { from, ttl } => (0, from, ttl),
+                ProbeReply::TimeExceeded { from } => (1, from, 0),
+                ProbeReply::Unreachable { from } => (2, from, 0),
+                ProbeReply::Timeout => (3, Addr(0), 0),
+            };
+            seen[kind] = true;
+            d.feed(&[kind as u8, reply_ttl]);
+            d.feed_u64(from.0 as u64);
+            d.feed_u64(r.rtt_us);
+        }
+        d.feed_u64(p.probes_sent());
+        let vantage = net.vantage_addr();
+        for (i, (dst, ttl, label)) in sweep().enumerate() {
+            let probe = encode_probe(vantage, dst, ttl, 0x6D62, i as u16, label, i as u16);
+            d.feed(&probe);
+            let delivery = net.send(probe).expect("well-formed probe");
+            match &delivery.response {
+                Some(bytes) => d.feed(bytes),
+                None => d.feed(b"timeout"),
+            }
+            d.feed_u64(delivery.rtt_us);
+        }
+        d.feed(format!("{:?}", net.net_stats()).as_bytes());
+        (d.0, seen)
+    }
+
+    /// The wire contract, pinned: request bytes, response bytes, RTTs and
+    /// the network's final accounting over a fixed sweep of a pristine, a
+    /// lossy and an evolving world. Any change to encoding, forwarding,
+    /// reply construction or counting moves a digest.
+    #[test]
+    fn wire_digest_is_pinned() {
+        let pristine = scenario();
+        let mut lossy = scenario();
+        lossy
+            .network
+            .set_faults(netsim::FaultConfig::lossy(0.05, 0.5));
+        let mut evolving = scenario();
+        let mut dynamics = netsim::build::derive_dynamics(&evolving, 0.5, 16);
+        dynamics.netem = Some(netsim::NetemSpec {
+            delay_us: 300,
+            jitter_us: 200,
+            reorder_prob: 0.1,
+            duplicate_prob: 0.1,
+        });
+        evolving.network.set_dynamics(dynamics);
+        let digests: Vec<u64> = [&pristine, &lossy, &evolving]
+            .iter()
+            .map(|s| {
+                let (digest, seen) = wire_sweep(&s.network);
+                assert_eq!(seen, [true; 4], "the sweep covers every reply kind");
+                digest
+            })
+            .collect();
+        assert!(lossy.network.net_stats().total_drops() > 0);
+        assert!(evolving.network.net_stats().total_dynamics() > 0);
+        assert!(evolving.network.net_stats().netem_delays > 0);
+        assert_eq!(
+            digests,
+            vec![
+                6_708_048_112_384_551_008,
+                12_913_659_742_138_281_199,
+                3_807_989_354_213_183_045
+            ]
+        );
     }
 
     #[test]

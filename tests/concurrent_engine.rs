@@ -12,7 +12,8 @@
 
 use netsim::build::{build, ScenarioConfig};
 use netsim::{Block24, SharedNetwork};
-use probe::{ProbeReply, Prober};
+use obs::{Recorder, Registry};
+use probe::{ProbeObs, ProbeReply, Prober};
 
 /// `threads(1)` and `threads(8)` runs of the same seed must agree on every
 /// byte of output: selection, measurements, probe totals, aggregates.
@@ -130,16 +131,24 @@ fn shared_engine_is_consistent_under_contention() {
     assert_eq!(baseline_net.probes_carried(), probes_per_run);
 
     // Concurrent: every thread probes the full target list through its own
-    // prober over a clone of the one shared handle.
-    let shared = SharedNetwork::new(scenario.network);
-    let sent: u64 = std::thread::scope(|s| {
+    // prober over a clone of the one shared handle. All probers report into
+    // one shared set of metric handles, and the network into the same
+    // registry, so every worker bumps the same counters.
+    let reg = Registry::new();
+    let obs = ProbeObs::bind(&reg);
+    let mut network = scenario.network;
+    network.set_recorder(&reg);
+    let shared = SharedNetwork::new(network);
+    let (sent, rtt_total) = std::thread::scope(|s| {
         let handles: Vec<_> = (0..THREADS)
             .map(|t| {
                 let net = shared.clone();
                 let dsts = &dsts;
                 let expected = &expected;
+                let obs = obs.clone();
                 s.spawn(move || {
                     let mut prober = Prober::shared(net, 0x7100 + t as u16);
+                    prober.set_obs(obs);
                     for (&dst, want) in dsts.iter().zip(expected) {
                         let got = prober.probe(dst, 64, 0).reply;
                         assert_eq!(
@@ -148,11 +157,14 @@ fn shared_engine_is_consistent_under_contention() {
                              the sequential baseline"
                         );
                     }
-                    prober.probes_sent()
+                    (prober.probes_sent(), prober.rtt_total_us())
                 })
             })
             .collect();
-        handles.into_iter().map(|h| h.join().unwrap()).sum()
+        handles
+            .into_iter()
+            .map(|h| h.join().unwrap())
+            .fold((0, 0), |(n, us), (dn, dus)| (n + dn, us + dus))
     });
 
     assert_eq!(sent, probes_per_run * THREADS as u64);
@@ -163,5 +175,15 @@ fn shared_engine_is_consistent_under_contention() {
         net.probes_carried(),
         sent,
         "engine accounting lost or double-counted probes under contention"
+    );
+    // The shared handles' totals are exact sums of the per-prober ones.
+    assert_eq!(reg.counter_value("probe.sent"), Some(sent));
+    assert_eq!(reg.counter_value("net.probes_carried"), Some(sent));
+    let rtt = reg.histogram("probe.rtt_us");
+    assert_eq!(rtt.count(), sent);
+    assert_eq!(rtt.sum(), rtt_total);
+    assert_eq!(
+        rtt.bucket_counts().iter().map(|&(_, n)| n).sum::<u64>(),
+        sent
     );
 }
