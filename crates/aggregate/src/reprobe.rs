@@ -7,17 +7,41 @@
 //! the probe budget needed to enumerate *all* interfaces at 95% confidence.
 //! A cluster is declared homogeneous when every sampled pair of /24s ends
 //! up with identical last-hop sets.
+//!
+//! [`validate_clusters`] is the one engine, in three steps:
+//!
+//! 1. **Plan** (serial): sample every cluster's /24 pairs with a ChaCha8
+//!    shuffle seeded by [`ReprobeConfig::seed`].
+//! 2. **Reprobe** (parallel): every distinct /24 of a sampled pair is one
+//!    task. Scoped workers claim tasks through an atomic counter and probe
+//!    over one shared `&Network`, each /24 with a fresh prober of ident
+//!    [`REPROBE_IDENT`].
+//! 3. **Judge** (serial): compare each cluster's pairs, in cluster order.
+//!
+//! The outcome does not depend on the thread count. The network keys every
+//! piece of per-stream state (ICMP token buckets, the dynamics virtual
+//! clock) by `(ident, destination /24)`, and every other draw is a pure
+//! function of the probe bytes. A /24 is probed by exactly one prober, and
+//! its probes start at sequence 0, so each stream sees the same probes in
+//! the same order at any thread count.
 
 use crate::identical::Aggregate;
 use hobbit::select::SelectedBlock;
-use hobbit::RouterInterner;
-use netsim::Block24;
+use hobbit::HobbitConfig;
+use netsim::{Addr, Block24, Network};
 use obs::Recorder;
-use probe::{probe_lasthop, LasthopOutcome, Prober, StoppingRule};
+use probe::{
+    probe_lasthop_in_mode, LasthopOutcome, MdaLiteState, MdaMode, ProbeObs, Prober, StoppingRule,
+};
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
+use std::sync::atomic::{AtomicUsize, Ordering};
+
+/// ICMP ident of the reprobing process. Every /24 gets its own prober with
+/// this ident; the network tells the streams apart by destination /24.
+pub const REPROBE_IDENT: u16 = 0xF9;
 
 /// Reprobing parameters.
 #[derive(Clone, Copy, Debug)]
@@ -42,13 +66,13 @@ impl Default for ReprobeConfig {
 }
 
 /// Validation result for one cluster.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ClusterValidation {
     /// Pairs whose reprobed last-hop sets were identical.
     pub identical_pairs: usize,
     /// Pairs examined.
     pub total_pairs: usize,
-    /// Probes spent.
+    /// Probes spent reprobing the cluster's sampled /24s.
     pub probes_used: u64,
 }
 
@@ -68,48 +92,184 @@ impl ClusterValidation {
 }
 
 /// Reprobe one /24 with the modified strategy: every snapshot-active
-/// address, full interface enumeration, no early stop. Every observed
-/// last-hop router is interned into `routers`, and the block's set comes
-/// back as sorted, deduplicated ids — interning is a bijection, so id-set
-/// equality is address-set equality, which is all validation compares.
+/// address, full interface enumeration, no early stop. Returns the block's
+/// last-hop set, sorted and deduplicated.
+///
+/// The loop has classification's shape: once a destination reveals its hop
+/// distance, later destinations start from it, and in
+/// [`MdaMode::Lite`] one [`MdaLiteState`] spans the block, its accounting
+/// reported through [`Prober::note_mda_lite`].
 pub fn reprobe_block(
     prober: &mut Prober<'_>,
     sel: &SelectedBlock,
     rule: StoppingRule,
-    routers: &mut RouterInterner,
-) -> Vec<u32> {
-    let mut set: Vec<u32> = Vec::new();
+    mode: MdaMode,
+) -> Vec<Addr> {
+    let mut set: Vec<Addr> = Vec::new();
+    let mut dist_hint: Option<u8> = None;
+    let mut lite_state = match mode {
+        MdaMode::Lite => Some(MdaLiteState::new()),
+        MdaMode::Classic => None,
+    };
     for dst in sel.actives() {
-        if let LasthopOutcome::Found { lasthops, .. } = probe_lasthop(prober, dst, rule).outcome {
-            set.extend(lasthops.iter().map(|&lh| routers.intern(lh)));
+        match probe_lasthop_in_mode(prober, dst, rule, dist_hint, lite_state.as_mut()).outcome {
+            LasthopOutcome::Found {
+                lasthops,
+                dst_distance,
+            } => {
+                dist_hint = Some(dst_distance.saturating_sub(1).max(1));
+                set.extend(lasthops);
+            }
+            LasthopOutcome::AnonymousLasthop { dst_distance } => {
+                dist_hint = Some(dst_distance.saturating_sub(1).max(1));
+            }
+            LasthopOutcome::Unresponsive => {}
         }
+    }
+    if let Some(state) = &lite_state {
+        prober.note_mda_lite(
+            state.probes_saved,
+            state.diamonds_detected,
+            state.escalations,
+        );
     }
     set.sort_unstable();
     set.dedup();
     set
 }
 
-/// Validate one cluster of aggregates: sample up to `max_pairs_per_cluster`
-/// /24 pairs, reprobe each involved block once, and compare sets.
+/// Validate clusters of aggregates: for each cluster (a list of aggregate
+/// indices), sample up to [`ReprobeConfig::max_pairs_per_cluster`] /24
+/// pairs, reprobe every involved /24 once on `threads` workers (at least
+/// one) over `net`, and compare sets. Returns one validation per cluster,
+/// in order.
 ///
 /// `selector` maps a block to its selected (probe-able) form; blocks the
-/// selector rejects are skipped.
-pub fn validate_cluster<F>(
-    prober: &mut Prober<'_>,
+/// selector rejects are not probed, and their pairs are skipped. `probing`
+/// supplies the run's MDA mode and per-block retry budget. Each cluster
+/// reports through `rec`: `aggregate.validated_clusters`,
+/// `aggregate.reprobe_pairs`, `aggregate.reprobe_identical_pairs`,
+/// `aggregate.reprobe_probes` counters and an `aggregate.pairs_per_cluster`
+/// histogram; probes report through the standard `probe.*` metrics.
+#[allow(clippy::too_many_arguments)] // the plan's inputs plus the probing run's
+pub fn validate_clusters<F>(
+    net: &Network,
     aggs: &[Aggregate],
-    members: &[u32],
+    clusters: &[&[u32]],
     cfg: &ReprobeConfig,
+    probing: &HobbitConfig,
     mut selector: F,
-) -> ClusterValidation
+    threads: usize,
+    rec: &dyn Recorder,
+) -> Vec<ClusterValidation>
 where
     F: FnMut(Block24) -> Option<SelectedBlock>,
 {
-    let before = prober.probes_sent();
+    // Plan: every cluster's pairs, and the distinct /24s they touch.
+    let plans: Vec<Vec<(Block24, Block24)>> = clusters
+        .iter()
+        .map(|members| sample_pairs(aggs, members, cfg))
+        .collect();
+    let mut blocks: Vec<Block24> = plans.iter().flatten().flat_map(|&(a, b)| [a, b]).collect();
+    blocks.sort_unstable();
+    blocks.dedup();
+
+    // Reprobe: each selectable /24 is one task (in block order).
+    let tasks: Vec<SelectedBlock> = blocks.into_iter().filter_map(&mut selector).collect();
+    let next = AtomicUsize::new(0);
+    let probe_obs = ProbeObs::bind(rec);
+    let work = || {
+        let mut done = Vec::new();
+        loop {
+            // Relaxed: the counter only hands out task indices; the results
+            // travel back through the thread join.
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            let Some(sel) = tasks.get(i) else { break };
+            let mut prober = Prober::over(net, REPROBE_IDENT);
+            prober.retry_budget = probing.retry_budget;
+            prober.set_obs(probe_obs.clone());
+            let set = reprobe_block(&mut prober, sel, cfg.rule, probing.mda_mode);
+            done.push((i, set, prober.probes_sent()));
+        }
+        done
+    };
+    let workers = threads.clamp(1, tasks.len().max(1));
+    let mut reprobed: Vec<(Vec<Addr>, u64)> = vec![(Vec::new(), 0); tasks.len()];
+    std::thread::scope(|s| {
+        let helpers: Vec<_> = (1..workers).map(|_| s.spawn(work)).collect();
+        let mut results = work();
+        for h in helpers {
+            results.extend(h.join().expect("reprobe worker panicked"));
+        }
+        for (i, set, probes) in results {
+            reprobed[i] = (set, probes);
+        }
+    });
+
+    // Judge, in cluster order. A rejected block has no reprobe.
+    let reprobe_of = |blk: Block24| {
+        tasks
+            .binary_search_by_key(&blk, |t| t.block)
+            .ok()
+            .map(|i| &reprobed[i])
+    };
+    plans
+        .iter()
+        .map(|pairs| {
+            let mut touched: Vec<Block24> = pairs.iter().flat_map(|&(a, b)| [a, b]).collect();
+            touched.sort_unstable();
+            touched.dedup();
+            let probes_used = touched
+                .into_iter()
+                .filter_map(reprobe_of)
+                .map(|&(_, probes)| probes)
+                .sum();
+            let mut identical = 0usize;
+            let mut total = 0usize;
+            for &(a, b) in pairs {
+                // Pairs with an unobservable side (a rejected block, or one
+                // that went quiet since the snapshot) cannot be compared
+                // and are skipped, as a real reprobing campaign would.
+                let (Some((sa, _)), Some((sb, _))) = (reprobe_of(a), reprobe_of(b)) else {
+                    continue;
+                };
+                if sa.is_empty() || sb.is_empty() {
+                    continue;
+                }
+                total += 1;
+                if sa == sb {
+                    identical += 1;
+                }
+            }
+            let v = ClusterValidation {
+                identical_pairs: identical,
+                total_pairs: total,
+                probes_used,
+            };
+            rec.counter("aggregate.validated_clusters").inc();
+            rec.counter("aggregate.reprobe_pairs")
+                .add(v.total_pairs as u64);
+            rec.counter("aggregate.reprobe_identical_pairs")
+                .add(v.identical_pairs as u64);
+            rec.counter("aggregate.reprobe_probes").add(v.probes_used);
+            rec.histogram("aggregate.pairs_per_cluster")
+                .record(v.total_pairs as u64);
+            v
+        })
+        .collect()
+}
+
+/// A cluster's /24 pairs: every pair of its members' blocks, shuffled and
+/// truncated to the cap when there are more.
+fn sample_pairs(
+    aggs: &[Aggregate],
+    members: &[u32],
+    cfg: &ReprobeConfig,
+) -> Vec<(Block24, Block24)> {
     let blocks: Vec<Block24> = members
         .iter()
         .flat_map(|&m| aggs[m as usize].blocks.iter().copied())
         .collect();
-    // Enumerate pairs, sample if needed.
     let mut pairs: Vec<(Block24, Block24)> = Vec::new();
     for i in 0..blocks.len() {
         for j in 0..i {
@@ -121,83 +281,17 @@ where
         pairs.shuffle(&mut rng);
         pairs.truncate(cfg.max_pairs_per_cluster);
     }
-    // Reprobe each distinct block once, sharing one per-validation router
-    // id space: per-block sets live in a sorted Vec (binary-searched, no
-    // tree nodes) and pair comparison is dense id-vector equality.
-    let mut routers = RouterInterner::new();
-    let mut sets: Vec<(Block24, Option<Vec<u32>>)> = Vec::new();
-    for &(a, b) in &pairs {
-        for blk in [a, b] {
-            if let Err(pos) = sets.binary_search_by_key(&blk, |&(b, _)| b) {
-                let ids =
-                    selector(blk).map(|sel| reprobe_block(prober, &sel, cfg.rule, &mut routers));
-                sets.insert(pos, (blk, ids));
-            }
-        }
-    }
-    let set_of = |blk: Block24| -> &Option<Vec<u32>> {
-        let pos = sets
-            .binary_search_by_key(&blk, |&(b, _)| b)
-            .expect("every paired block was reprobed");
-        &sets[pos].1
-    };
-    let mut identical = 0usize;
-    let mut total = 0usize;
-    for &(a, b) in &pairs {
-        let (Some(sa), Some(sb)) = (set_of(a), set_of(b)) else {
-            continue;
-        };
-        // Pairs with an unobservable side (the block went quiet since the
-        // snapshot) cannot be compared and are skipped, as a real
-        // reprobing campaign would.
-        if sa.is_empty() || sb.is_empty() {
-            continue;
-        }
-        total += 1;
-        if sa == sb {
-            identical += 1;
-        }
-    }
-    ClusterValidation {
-        identical_pairs: identical,
-        total_pairs: total,
-        probes_used: prober.probes_sent() - before,
-    }
-}
-
-/// [`validate_cluster`], reporting the outcome through `rec`:
-/// `aggregate.validated_clusters`, `aggregate.reprobe_pairs`,
-/// `aggregate.reprobe_identical_pairs`, `aggregate.reprobe_probes`
-/// counters and an `aggregate.pairs_per_cluster` histogram.
-pub fn validate_cluster_observed<F>(
-    prober: &mut Prober<'_>,
-    aggs: &[Aggregate],
-    members: &[u32],
-    cfg: &ReprobeConfig,
-    selector: F,
-    rec: &dyn Recorder,
-) -> ClusterValidation
-where
-    F: FnMut(Block24) -> Option<SelectedBlock>,
-{
-    let v = validate_cluster(prober, aggs, members, cfg, selector);
-    rec.counter("aggregate.validated_clusters").inc();
-    rec.counter("aggregate.reprobe_pairs")
-        .add(v.total_pairs as u64);
-    rec.counter("aggregate.reprobe_identical_pairs")
-        .add(v.identical_pairs as u64);
-    rec.counter("aggregate.reprobe_probes").add(v.probes_used);
-    rec.histogram("aggregate.pairs_per_cluster")
-        .record(v.total_pairs as u64);
-    v
+    pairs
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use hobbit::select::select_block;
-    use netsim::build::{build, ScenarioConfig};
-    use probe::zmap;
+    use netsim::build::{build, derive_dynamics, Scenario, ScenarioConfig};
+    use netsim::{FaultConfig, NetworkStats};
+    use obs::{NullRecorder, Registry};
+    use probe::{zmap, ZmapSnapshot};
     use std::collections::BTreeMap;
 
     #[test]
@@ -232,17 +326,37 @@ mod tests {
             v
         };
         let mut prober = Prober::new(&mut s.network, 0xAA);
-        let mut routers = RouterInterner::new();
         let set = reprobe_block(
             &mut prober,
             &sel,
             StoppingRule::confidence95(),
-            &mut routers,
+            MdaMode::Classic,
         );
         assert!(!set.is_empty());
-        for &id in &set {
-            assert!(pop_lhs.contains(&routers.addr(id)));
+        for lh in &set {
+            assert!(pop_lhs.contains(lh));
         }
+    }
+
+    /// Validate `aggs` as clusters of aggregate indices on `threads`
+    /// workers, classic MDA, no metrics.
+    fn validate(
+        s: &Scenario,
+        snapshot: &ZmapSnapshot,
+        aggs: &[Aggregate],
+        clusters: &[&[u32]],
+        cfg: &ReprobeConfig,
+    ) -> Vec<ClusterValidation> {
+        validate_clusters(
+            &s.network,
+            aggs,
+            clusters,
+            cfg,
+            &HobbitConfig::default(),
+            |b| select_block(snapshot, b).ok(),
+            1,
+            &NullRecorder,
+        )
     }
 
     #[test]
@@ -280,11 +394,7 @@ mod tests {
             seed: 1,
             ..Default::default()
         };
-        let snapshot2 = snapshot.clone();
-        let mut prober = Prober::new(&mut s.network, 0xAB);
-        let v = validate_cluster(&mut prober, &aggs, &[0], &cfg, |b| {
-            select_block(&snapshot2, b).ok()
-        });
+        let v = validate(&s, &snapshot, &aggs, &[&[0]], &cfg).remove(0);
         assert_eq!(v.total_pairs, 1);
         assert!(v.homogeneous(), "same-pop single-LH pair must match");
         assert!(v.probes_used > 0);
@@ -295,7 +405,7 @@ mod tests {
         let mut s = build(ScenarioConfig::tiny(42));
         let snapshot = zmap::scan_all(&mut s.network, 1);
         let mut picks: Vec<Block24> = Vec::new();
-        // Sorted-id set, same shape as the production interner index.
+        // The PoPs seen so far, sorted.
         let mut seen_pops: Vec<u32> = Vec::new();
         let mut first_of_pop = |pop: u32| match seen_pops.binary_search(&pop) {
             Ok(_) => false,
@@ -331,12 +441,140 @@ mod tests {
             seed: 1,
             ..Default::default()
         };
-        let snapshot2 = snapshot.clone();
-        let mut prober = Prober::new(&mut s.network, 0xAC);
-        let v = validate_cluster(&mut prober, &aggs, &[0], &cfg, |b| {
-            select_block(&snapshot2, b).ok()
-        });
+        let v = validate(&s, &snapshot, &aggs, &[&[0]], &cfg).remove(0);
         assert_eq!(v.total_pairs, 1);
         assert!(!v.homogeneous(), "cross-pop pair must differ");
+    }
+
+    /// A fresh, scanned tiny(42) world moved on one epoch (reprobing is a
+    /// later campaign), with one single-/24 aggregate per selectable block
+    /// and one cluster per responsive PoP that serves several. `lossy` arms link loss,
+    /// ICMP rate limits and world dynamics after the scan, as a run does.
+    /// Reprobing leaves per-stream state behind in the network, so every
+    /// comparison below starts from its own fresh world.
+    fn clustered_world(lossy: bool) -> (Scenario, ZmapSnapshot, Vec<Aggregate>, Vec<Vec<u32>>) {
+        let mut s = build(ScenarioConfig::tiny(42));
+        let snapshot = zmap::scan_all(&mut s.network, 1);
+        if lossy {
+            s.network.set_faults(FaultConfig::lossy(0.05, 0.5));
+            let dynamics = derive_dynamics(&s, 0.5, 64);
+            s.network.set_dynamics(dynamics);
+        }
+        let epoch = s.network.epoch() + 1;
+        s.network.set_epoch(epoch);
+        let mut aggs = Vec::new();
+        let mut by_pop: BTreeMap<u32, Vec<u32>> = BTreeMap::new();
+        for b in snapshot.blocks() {
+            let pop = s.truth.blocks[&b].pop;
+            if s.truth.pops[pop as usize].responsive && select_block(&snapshot, b).is_ok() {
+                by_pop.entry(pop).or_default().push(aggs.len() as u32);
+                aggs.push(Aggregate {
+                    lasthops: vec![],
+                    blocks: vec![b],
+                });
+            }
+        }
+        let clusters = by_pop.into_values().filter(|c| c.len() > 1).collect();
+        (s, snapshot, aggs, clusters)
+    }
+
+    fn probing(lossy: bool) -> HobbitConfig {
+        HobbitConfig {
+            mda_mode: if lossy {
+                MdaMode::Lite
+            } else {
+                MdaMode::Classic
+            },
+            ..Default::default()
+        }
+    }
+
+    /// Validate every cluster of a fresh world on `threads` workers;
+    /// returns the validations and the network's final counters.
+    fn validate_world(lossy: bool, threads: usize) -> (Vec<ClusterValidation>, NetworkStats) {
+        let (s, snapshot, aggs, clusters) = clustered_world(lossy);
+        let clusters: Vec<&[u32]> = clusters.iter().map(Vec::as_slice).collect();
+        let v = validate_clusters(
+            &s.network,
+            &aggs,
+            &clusters,
+            &ReprobeConfig::default(),
+            &probing(lossy),
+            |b| select_block(&snapshot, b).ok(),
+            threads,
+            &NullRecorder,
+        );
+        (v, s.network.net_stats())
+    }
+
+    #[test]
+    fn validations_do_not_depend_on_the_thread_count() {
+        for lossy in [false, true] {
+            let one = validate_world(lossy, 1);
+            assert!(
+                one.0.iter().filter(|v| v.total_pairs > 0).count() >= 3,
+                "the world has clusters to judge: {:?}",
+                one.0
+            );
+            if lossy {
+                assert!(one.1.total_drops() > 0, "{:?}", one.1);
+                assert!(one.1.total_dynamics() > 0, "{:?}", one.1);
+            }
+            for threads in [2, 4] {
+                assert_eq!(
+                    validate_world(lossy, threads),
+                    one,
+                    "lossy={lossy}: validations or network counters moved at {threads} threads"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn a_cluster_validates_alike_alone_and_late_in_a_batch() {
+        // Regression: one prober used to serve every cluster, and its
+        // lifetime retry budget ran dry partway through a lossy batch, so
+        // later clusters got single attempts. A budget far below what the
+        // batch retries makes any sharing across /24s show.
+        let budget = 16;
+        let probing = HobbitConfig {
+            retry_budget: budget,
+            prober_retries: 3,
+            ..probing(true)
+        };
+        // Validate every cluster of a fresh lossy world, or only cluster
+        // `only`.
+        let run = |only: Option<usize>| {
+            let (s, snapshot, aggs, clusters) = clustered_world(true);
+            let clusters: Vec<&[u32]> = match only {
+                Some(i) => vec![&clusters[i]],
+                None => clusters.iter().map(Vec::as_slice).collect(),
+            };
+            let reg = Registry::new();
+            let v = validate_clusters(
+                &s.network,
+                &aggs,
+                &clusters,
+                &ReprobeConfig::default(),
+                &probing,
+                |b| select_block(&snapshot, b).ok(),
+                2,
+                &reg,
+            );
+            (v, reg.counter_value("probe.retries").unwrap_or(0))
+        };
+        let (batch, batch_retries) = run(None);
+        assert!(
+            batch_retries > budget,
+            "the batch retries {batch_retries} times, more than one budget"
+        );
+        // The latest cluster with pairs to judge.
+        let late = (0..batch.len())
+            .rev()
+            .find(|&i| batch[i].total_pairs > 0)
+            .expect("some cluster has pairs");
+        assert!(late > 0, "{batch:?}");
+        let (alone, _) = run(Some(late));
+        assert_eq!(alone, [batch[late].clone()]);
     }
 }

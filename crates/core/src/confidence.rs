@@ -42,7 +42,13 @@ impl BlockLasthopData {
 /// Would Hobbit, given exactly these observations, recognize the block as
 /// homogeneous? (Common last-hop or a non-hierarchical grouping.)
 pub fn detects_homogeneous(per_addr: &[(Addr, Vec<Addr>)]) -> bool {
-    let table = BlockTable::from_observations(per_addr.iter().map(|(a, l)| (*a, l.as_slice())));
+    detects(&BlockTable::from_observations(
+        per_addr.iter().map(|(a, l)| (*a, l.as_slice())),
+    ))
+}
+
+/// [`detects_homogeneous`] over an already grouped table.
+fn detects(table: &BlockTable) -> bool {
     matches!(
         table.relationship(),
         Relationship::SingleGroup | Relationship::NonHierarchical
@@ -104,13 +110,15 @@ impl ConfidenceTable {
             for n in 4..=n_addrs.min(max_probed) {
                 for _ in 0..samples_per_combo {
                     indices.shuffle(&mut rng);
-                    let subset: Vec<(Addr, Vec<Addr>)> = indices[..n]
-                        .iter()
-                        .map(|&i| block.per_addr[i].clone())
-                        .collect();
+                    // The subset's table borrows the block's observations:
+                    // no per-sample copy of any last-hop list.
+                    let table = BlockTable::from_observations(indices[..n].iter().map(|&i| {
+                        let (dst, lasthops) = &block.per_addr[i];
+                        (*dst, lasthops.as_slice())
+                    }));
                     let cell = cells.entry((c, n)).or_insert((0, 0));
                     cell.1 += 1;
-                    if detects_homogeneous(&subset) {
+                    if detects(&table) {
                         cell.0 += 1;
                     }
                 }

@@ -160,10 +160,7 @@ impl HostSet {
 /// address order — the mapping is *monotone*, so a sorted vector of ids
 /// corresponds position-for-position to the sorted vector of addresses it
 /// came from, and every ordering/equality computed over ids equals the one
-/// computed over addresses. Ids appended later through
-/// [`RouterInterner::intern`] (routers first seen at reprobe time) extend
-/// the space without that guarantee; id-set *equality* still mirrors
-/// address-set equality, which is all the reprobe path compares.
+/// computed over addresses.
 #[derive(Clone, Debug, Default)]
 pub struct RouterInterner {
     /// id → address, in id order.
@@ -173,11 +170,6 @@ pub struct RouterInterner {
 }
 
 impl RouterInterner {
-    /// An empty interner (grow it with [`RouterInterner::intern`]).
-    pub fn new() -> Self {
-        RouterInterner::default()
-    }
-
     /// Intern every address the iterator yields, assigning ids in
     /// ascending address order (the monotone construction).
     pub fn build(addrs: impl IntoIterator<Item = Addr>) -> Self {
@@ -186,19 +178,6 @@ impl RouterInterner {
         v.dedup();
         let index = v.iter().enumerate().map(|(i, &a)| (a, i as u32)).collect();
         RouterInterner { addrs: v, index }
-    }
-
-    /// The id of an address, interning it if new.
-    pub fn intern(&mut self, addr: Addr) -> u32 {
-        match self.index.binary_search_by_key(&addr, |&(a, _)| a) {
-            Ok(pos) => self.index[pos].1,
-            Err(pos) => {
-                let id = self.addrs.len() as u32;
-                self.addrs.push(addr);
-                self.index.insert(pos, (addr, id));
-                id
-            }
-        }
     }
 
     /// The id of an already-interned address.
@@ -494,19 +473,6 @@ mod tests {
         assert_eq!(it.addr(1), a(7));
         assert_eq!(it.id(a(4)), None);
         assert_eq!(it.ids(&[a(3), a(9)]), vec![0, 2]);
-    }
-
-    #[test]
-    fn interner_extends_incrementally() {
-        let a = |n: u32| Addr(0x0A00_0000 + n);
-        let mut it = RouterInterner::new();
-        assert!(it.is_empty());
-        let x = it.intern(a(5));
-        let y = it.intern(a(2));
-        assert_eq!(it.intern(a(5)), x);
-        assert_ne!(x, y);
-        assert_eq!(it.len(), 2);
-        assert_eq!(it.addr(y), a(2));
     }
 
     #[test]

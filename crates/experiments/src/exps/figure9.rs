@@ -9,13 +9,12 @@ use crate::args::ExpArgs;
 use crate::pipeline::Pipeline;
 use crate::report::Report;
 use aggregate::{
-    pairwise_scores, rule_matches, sweep_inflation_observed, validate_cluster_observed, Aggregate,
+    pairwise_scores, rule_matches, sweep_inflation_observed, validate_clusters, Aggregate,
     AggregateClustering, ClusterValidation, ReprobeConfig, RuleParams,
 };
 use analysis::Ecdf;
 use hobbit::select_block;
 use obs::{NullRecorder, Recorder};
-use probe::Prober;
 use serde_json::json;
 
 /// Per-cluster outcome shared by Figures 9 and 10.
@@ -62,38 +61,41 @@ pub fn cluster_and_validate(
     // validate (the paper's Figure 9 non-matching population).
     let reprobe_epoch = p.scenario.network.epoch() + 1;
     p.scenario.network.set_epoch(reprobe_epoch);
-    let snapshot = &p.snapshot;
-    let mut outcomes = Vec::new();
-    let _reprobe_span = obs.as_ref().map(|r| r.span("run/reprobe"));
-    let mut prober = Prober::new(&mut p.scenario.network, 0xF9);
-    prober.observe(rec);
-    let rule_params = RuleParams::default();
-    for (idx, members) in clustering
+    let candidates: Vec<(usize, &[u32])> = clustering
         .clusters
         .iter()
         .enumerate()
         .filter(|(_, c)| c.len() > 1)
         .take(max_clusters)
-    {
-        let validation = validate_cluster_observed(
-            &mut prober,
+        .map(|(idx, c)| (idx, c.as_slice()))
+        .collect();
+    let to_validate: Vec<&[u32]> = candidates.iter().map(|&(_, c)| c).collect();
+    let validations = {
+        let _s = obs.as_ref().map(|r| r.span("run/reprobe"));
+        let snapshot = &p.snapshot;
+        validate_clusters(
+            &p.scenario.network,
             &aggs,
-            members,
+            &to_validate,
             &cfg,
+            &p.hobbit_cfg,
             |b| select_block(snapshot, b).ok(),
+            p.threads,
             rec,
-        );
-        if validation.total_pairs == 0 {
-            continue;
-        }
-        let scores = pairwise_scores(&aggs, members);
-        outcomes.push(ClusterOutcome {
+        )
+    };
+    let rule_params = RuleParams::default();
+    let outcomes = candidates
+        .into_iter()
+        .zip(validations)
+        .filter(|(_, v)| v.total_pairs > 0)
+        .map(|((idx, members), validation)| ClusterOutcome {
             cluster_idx: idx,
-            members: members.clone(),
+            members: members.to_vec(),
             validation,
-            rule_match: rule_matches(&scores, &rule_params),
-        });
-    }
+            rule_match: rule_matches(&pairwise_scores(&aggs, members), &rule_params),
+        })
+        .collect();
     (aggs, clustering, outcomes)
 }
 

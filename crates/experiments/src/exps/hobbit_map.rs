@@ -133,6 +133,24 @@ mod tests {
     }
 
     #[test]
+    fn dataset_does_not_depend_on_the_thread_count() {
+        let at = |threads| {
+            let args = ExpArgs {
+                scale: 0.012,
+                threads,
+                ..Default::default()
+            };
+            build_dataset(&args).0
+        };
+        let one = at(1);
+        assert!(
+            one.blocks.iter().any(|b| b.validated),
+            "reprobing validates some merge"
+        );
+        assert_eq!(at(2), one);
+    }
+
+    #[test]
     fn span_tree_prints_once_after_aggregation() {
         let metrics =
             std::env::temp_dir().join(format!("hobbit-map-metrics-{}.json", std::process::id()));

@@ -114,6 +114,10 @@ pub struct Pipeline {
     /// Events in the derived dynamics schedule (0 for a static world, or
     /// when the draw at the configured rate scheduled nothing).
     pub dynamics_events: u64,
+    /// The effective classification worker count: `--threads` resolved
+    /// (0 = all cores) and capped at the selected-block count. Reprobing
+    /// runs on as many workers.
+    pub threads: usize,
 }
 
 /// Number of blocks surveyed to calibrate the confidence table.
@@ -783,6 +787,7 @@ impl PipelineBuilder {
         };
 
         drop(run_span);
+        let threads = effective_threads(args.threads, selected.len());
         let pipeline = Pipeline {
             scenario,
             snapshot,
@@ -802,6 +807,7 @@ impl PipelineBuilder {
             scale: args.scale,
             dynamics: args.dynamics,
             dynamics_events,
+            threads,
         };
         pipeline.emit_observability(&args);
         Ok(pipeline)
@@ -1386,6 +1392,26 @@ mod tests {
         let a = tiny().scenario(scenario).run();
         let b = tiny().run();
         assert_eq!(a.measurements.len(), b.measurements.len());
+    }
+
+    #[test]
+    fn calibration_table_is_pinned() {
+        // A digest of every cell of the tiny(42) calibration table. Any
+        // change to the calibration probes, the sampling draw order or the
+        // detection replay moves it.
+        let p = Pipeline::builder()
+            .seed(42)
+            .threads(1)
+            .scenario(build(ScenarioConfig::tiny(42)))
+            .run();
+        let mut cells = 0usize;
+        let digest = p.confidence.cells().fold(0u64, |h, ((c, n), (s, t))| {
+            cells += 1;
+            [c as u64, n as u64, s, t]
+                .into_iter()
+                .fold(h, netsim::hash::mix2)
+        });
+        assert_eq!((cells, digest), (188, 8_122_460_662_490_539_500));
     }
 
     #[test]

@@ -4,10 +4,10 @@
 //! knows the answers, so these tests hold the whole pipeline to
 //! quantitative accuracy bounds.
 
-use aggregate::{sweep_inflation, validate_cluster, ReprobeConfig};
+use aggregate::{sweep_inflation, validate_clusters, ReprobeConfig};
 use hobbit::{select_block, Classification};
 use netsim::Block24;
-use probe::Prober;
+use obs::NullRecorder;
 use std::collections::BTreeMap;
 
 fn pipeline() -> experiments::Pipeline {
@@ -99,7 +99,7 @@ fn aggregates_are_pure_and_recall_pops() {
 
 #[test]
 fn mcl_clusters_respect_pops_and_reprobing_confirms() {
-    let mut p = pipeline();
+    let p = pipeline();
     let aggs = p.aggregates();
     let (clustering, _) = sweep_inflation(&aggs, &[1.4, 2.0]);
     // Clusters of aggregates must not mix PoPs either (similarity edges
@@ -122,20 +122,29 @@ fn mcl_clusters_respect_pops_and_reprobing_confirms() {
     assert!(mixed <= checked / 4, "{mixed}/{checked} clusters mix PoPs");
 
     // Reprobing a same-PoP cluster confirms homogeneity (mostly).
-    let snapshot = p.snapshot.clone();
     let cfg = ReprobeConfig {
         max_pairs_per_cluster: 20,
         seed: 5,
         ..Default::default()
     };
-    let clusters: Vec<Vec<u32>> = clustering.non_trivial().take(10).cloned().collect();
-    let mut prober = Prober::new(&mut p.scenario.network, 0xE2E);
+    let clusters: Vec<&[u32]> = clustering
+        .non_trivial()
+        .take(10)
+        .map(Vec::as_slice)
+        .collect();
+    let validations = validate_clusters(
+        &p.scenario.network,
+        &aggs,
+        &clusters,
+        &cfg,
+        &p.hobbit_cfg,
+        |b: Block24| select_block(&p.snapshot, b).ok(),
+        p.threads,
+        &NullRecorder,
+    );
     let mut confirmed = 0usize;
     let mut validated = 0usize;
-    for members in &clusters {
-        let v = validate_cluster(&mut prober, &aggs, members, &cfg, |b: Block24| {
-            select_block(&snapshot, b).ok()
-        });
+    for v in &validations {
         if v.total_pairs == 0 {
             continue;
         }
