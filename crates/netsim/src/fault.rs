@@ -176,6 +176,15 @@ pub(crate) struct FaultCounters {
     pub(crate) rate_limited_drops: Counter,
     /// ICMP errors suppressed by legacy Bernoulli `icmp_loss`.
     pub(crate) icmp_loss_drops: Counter,
+    /// Probes that reached an anonymous router with no TTL left, or no
+    /// route: it answers nothing.
+    pub(crate) silent_anonymous: Counter,
+    /// Probes delivered to an address with no host, or whose host is down
+    /// at this epoch.
+    pub(crate) silent_host: Counter,
+    /// Probes that ran out of hops in a forwarding loop, or were sent with
+    /// TTL 0.
+    pub(crate) silent_hop_limit: Counter,
 }
 
 impl FaultCounters {
@@ -186,6 +195,9 @@ impl FaultCounters {
             ("net.link_drops", &mut self.link_drops),
             ("net.rate_limited_drops", &mut self.rate_limited_drops),
             ("net.icmp_loss_drops", &mut self.icmp_loss_drops),
+            ("net.silent.anonymous_router", &mut self.silent_anonymous),
+            ("net.silent.no_host", &mut self.silent_host),
+            ("net.silent.hop_limit", &mut self.silent_hop_limit),
         ] {
             let interned = rec.counter(name);
             interned.add(c.get());
@@ -200,6 +212,9 @@ impl Clone for FaultCounters {
             link_drops: self.link_drops.fork(),
             rate_limited_drops: self.rate_limited_drops.fork(),
             icmp_loss_drops: self.icmp_loss_drops.fork(),
+            silent_anonymous: self.silent_anonymous.fork(),
+            silent_host: self.silent_host.fork(),
+            silent_hop_limit: self.silent_hop_limit.fork(),
         }
     }
 }
@@ -239,6 +254,22 @@ pub struct NetworkStats {
     /// Replies duplicated on the wire.
     #[serde(default)]
     pub netem_duplicates: u64,
+}
+
+/// Why probes got no answer, beyond the fault drops in [`NetworkStats`]:
+/// the silences the simulated internet produces by construction. A retry
+/// of any of these meets the same silence.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct SilenceStats {
+    /// Probes whose Time Exceeded or Unreachable was due from an anonymous
+    /// router.
+    pub anonymous_router: u64,
+    /// Probes delivered where no host answers: an unallocated address, or
+    /// a host that is absent or down at this epoch.
+    pub no_host: u64,
+    /// Probes dropped at the hop limit (a forwarding loop) or sent with
+    /// TTL 0.
+    pub hop_limit: u64,
 }
 
 impl NetworkStats {

@@ -12,12 +12,26 @@
 //! checksummed and decoded by both. [`Network::send`] and [`encode_probe`]
 //! are thin `Bytes` wrappers over that core for callers that hold `bytes`
 //! buffers.
+//!
+//! The walk searches no route table. It follows the destination /24's
+//! route program in the network's compiled forwarding plane (the `plane`
+//! module): at each hop it indexes the next node, picks among the node's
+//! next hops with the shared ECMP hash ([`LbPolicy`](crate::LbPolicy)), and
+//! keys link loss, dynamics events, rate limits and replies on the node's
+//! router id exactly as a table walk would. The tables stay the source of
+//! truth; a test-only per-hop table walk checks the compiled one reply for
+//! reply.
+//!
+//! Silence is decided here, so it is counted here, by reason, beside the
+//! fault-drop counters: an anonymous router, no host answering, or the hop
+//! limit (see [`Network::silence_stats`]).
 
 use crate::addr::Addr;
 use crate::dynamics::{DynamicsEvent, NetemSpec};
 use crate::hash::{mix3, unit_f64};
 use crate::host::HostKind;
-use crate::route::{FlowKey, NextHop, RouterId};
+use crate::plane::{Plane, DELIVER};
+use crate::route::{FlowKey, RouterId};
 use crate::topology::Network;
 use crate::wire::{
     IcmpEcho, IcmpError, Ipv4Header, WireError, ICMP_DEST_UNREACH, ICMP_ECHO_LEN, ICMP_ECHO_REPLY,
@@ -122,11 +136,39 @@ impl From<WireError> for SendError {
 }
 
 /// Internal result of walking the forwarding path.
-enum Outcome {
+pub(crate) enum Outcome {
+    /// The TTL ran out at router `at`, hop number `hops`.
     Expired { at: RouterId, hops: u32 },
+    /// The last-hop router delivered the probe after `hops` hops.
     Delivered { hops: u32 },
+    /// Router `at` had no route for the destination.
     NoRoute { at: RouterId, hops: u32 },
-    Dropped,
+    /// Injected link loss dropped the probe.
+    Lost,
+    /// The probe ran out of hops in a loop, or was sent with TTL 0.
+    HopLimit,
+}
+
+/// What one probe brings to the forwarding walk.
+pub(crate) struct Flow {
+    /// The fields load balancers hash.
+    pub(crate) key: FlowKey,
+    /// The probe's IP TTL.
+    pub(crate) ttl: u8,
+    /// The number of the vantage it was sent from (0 is the primary).
+    pub(crate) vantage: usize,
+    /// The per-probe draw every seeded decision keys on.
+    pub(crate) nonce: u64,
+    /// The dynamics epoch the probe lands in.
+    pub(crate) epoch: u32,
+}
+
+/// What the dynamics schedule makes one router do with a probe.
+pub(crate) enum Steer {
+    /// A transient loop: send the probe back to the previous hop.
+    Back,
+    /// Select a next hop with this salt among at most `width` hops.
+    Select { salt: u64, width: usize },
 }
 
 impl Network {
@@ -155,8 +197,18 @@ impl Network {
     /// warm-up) lives behind interior mutability, so any number of threads
     /// may probe one shared network (see [`crate::concurrent`]).
     pub fn exchange(&self, probe: &[u8]) -> Result<Reply, SendError> {
+        self.exchange_with(probe, Network::walk)
+    }
+
+    /// [`Network::exchange`] with the forwarding walk passed in, so a test
+    /// can swap in a reference walk and compare the replies byte for byte.
+    pub(crate) fn exchange_with(
+        &self,
+        probe: &[u8],
+        walk: impl FnOnce(&Network, &Flow) -> Outcome,
+    ) -> Result<Reply, SendError> {
         let ip = Ipv4Header::parse(probe)?;
-        let Some(entry_router) = self.vantage_router_for(ip.src) else {
+        let Some(vantage) = self.vantage_index(ip.src) else {
             return Err(SendError::NotFromVantage(ip.src));
         };
         let (icmp_type, echo) = IcmpEcho::parse(&probe[IPV4_HEADER_LEN..])?;
@@ -192,16 +244,31 @@ impl Network {
             0
         };
 
-        let outcome = self.walk(&key, ip.ttl, entry_router, nonce, epoch);
-        let mut reply = match outcome {
+        let flow = Flow {
+            key,
+            ttl: ip.ttl,
+            vantage,
+            nonce,
+            epoch,
+        };
+        let mut reply = match walk(self, &flow) {
             Outcome::Expired { at, hops } => {
                 self.router_error(at, hops, ICMP_TIME_EXCEEDED, &ip, &echo, nonce, epoch)
             }
             Outcome::NoRoute { at, hops } => {
                 self.router_error(at, hops, ICMP_DEST_UNREACH, &ip, &echo, nonce, epoch)
             }
-            Outcome::Dropped => timeout(),
-            Outcome::Delivered { hops, .. } => self.host_reply(&ip, &echo, hops, nonce),
+            Outcome::Lost => {
+                // Lost on the wire: no Time Exceeded, no delivery — the
+                // prober just sees silence.
+                self.fault_counters.link_drops.inc();
+                timeout()
+            }
+            Outcome::HopLimit => {
+                self.fault_counters.silent_hop_limit.inc();
+                timeout()
+            }
+            Outcome::Delivered { hops } => self.host_reply(&ip, &echo, hops, nonce),
         };
         if let Some(netem) = self.dynamics.netem {
             self.apply_netem(&mut reply, ip.dst, nonce, netem);
@@ -209,125 +276,171 @@ impl Network {
         Ok(reply)
     }
 
-    /// Walk the forwarding path for a flow, decrementing TTL at each router.
+    /// Walk the forwarding path for a flow over the destination /24's
+    /// route program, decrementing TTL at each router. A destination
+    /// whose /24 has no program (unallocated space) walks a program
+    /// compiled on the spot.
+    fn walk(&self, flow: &Flow) -> Outcome {
+        let plane = self.plane();
+        let block = flow.key.dst.block24();
+        match plane.program(block) {
+            Some(program) => self.walk_program(plane, plane.entry(program, flow.vantage), flow),
+            None => {
+                let spot = Plane::compile_one(self, block);
+                self.walk_program(&spot, spot.entry(0, flow.vantage), flow)
+            }
+        }
+    }
+
+    /// The walk itself, from node `entry` of `plane`: no route-table
+    /// search per hop, only node indexing.
     ///
     /// When fault injection is on, each hop transition is a seeded
-    /// per-link loss draw: keyed by the link (current router, hop index)
-    /// and the probe nonce, so a given probe's fate is a pure function of
-    /// its wire bytes — identical at any thread count — while retries
-    /// (fresh seq/ident, fresh nonce) are independent draws.
-    fn walk(&self, key: &FlowKey, ttl: u8, entry: RouterId, nonce: u64, epoch: u32) -> Outcome {
-        let mut ttl = ttl as u32;
+    /// per-link loss draw (see [`Network::lost_on_link`]); the dynamics
+    /// schedule perturbs the choice at each router (see [`Network::steer`]).
+    fn walk_program(&self, plane: &Plane, entry: u32, flow: &Flow) -> Outcome {
+        let octet = flow.key.dst.0 as u8;
+        let mut ttl = flow.ttl as u32;
         let mut cur = entry;
-        let mut prev: Option<RouterId> = None;
+        let mut prev: Option<u32> = None;
         let mut hops = 0u32;
         let mut loop_counted = false;
-        let link_loss = self.faults.link_loss;
         loop {
             hops += 1;
-            if hops > MAX_HOPS {
-                return Outcome::Dropped;
+            // Over the hop limit, or never had budget to reach the first
+            // router.
+            if hops > MAX_HOPS || ttl == 0 {
+                return Outcome::HopLimit;
             }
-            if ttl == 0 {
-                // The probe never had budget to reach the first router.
-                return Outcome::Dropped;
-            }
-            if link_loss > 0.0 {
-                let draw = mix3(
-                    self.seed ^ 0x11AC,
-                    ((hops as u64) << 32) | cur.0 as u64,
-                    nonce,
-                );
-                if unit_f64(draw) < link_loss as f64 {
-                    // Lost on the wire into `cur`: no Time Exceeded, no
-                    // delivery — the prober just sees silence.
-                    self.fault_counters.link_drops.inc();
-                    return Outcome::Dropped;
-                }
+            let node = plane.node(cur);
+            if self.lost_on_link(hops, node.router, flow.nonce) {
+                return Outcome::Lost;
             }
             ttl -= 1;
             if ttl == 0 {
-                return Outcome::Expired { at: cur, hops };
+                return Outcome::Expired {
+                    at: node.router,
+                    hops,
+                };
             }
-            let router = self.router(cur);
-            let Some((_, group)) = router.table.lookup(key.dst) else {
-                return Outcome::NoRoute { at: cur, hops };
-            };
-            // Dynamics: the event schedule perturbs selection at this
-            // router, never the route table (tables stay immutable — all
-            // evolution is a pure function of (schedule, epoch, flow)).
-            let mut salt = router.salt;
-            let mut width = usize::MAX;
-            if !self.dyn_events.is_empty() {
-                if let Some(evs) = self.dyn_events.get(&cur.0) {
-                    // Transient loop: *during* its epoch only, the router
-                    // forwards back toward the previous hop. The probe
-                    // bounces between the pair, burning TTL, and expires
-                    // inside the loop — the alternating-address ladder
-                    // traceroute folklore knows. The loop heals itself
-                    // when the epoch rolls over.
-                    if let Some(back) = prev {
-                        let looping = evs.iter().any(|e| {
-                            matches!(e, DynamicsEvent::TransientLoop { at_epoch, .. }
-                                     if *at_epoch == epoch)
-                        });
-                        if looping {
-                            if !loop_counted {
-                                self.dyn_counters.loops.inc();
-                                loop_counted = true;
-                            }
-                            prev = Some(cur);
-                            cur = back;
-                            continue;
-                        }
-                    }
-                    // Route churn: the latest applicable rewrite re-salts
-                    // ECMP selection, remapping flows over existing links.
-                    let rewrite = evs
-                        .iter()
-                        .filter_map(|e| match e {
-                            DynamicsEvent::NextHopRewrite { at_epoch, .. }
-                                if *at_epoch <= epoch =>
-                            {
-                                Some(*at_epoch)
-                            }
-                            _ => None,
-                        })
-                        .max();
-                    if let Some(at) = rewrite {
-                        salt = mix3(salt, 0xD1CE, at as u64);
-                        self.dyn_counters.rewrites.inc();
-                    }
-                    // Load-balancer resize: the latest applicable width
-                    // clamps selection to the group's first `width` hops.
-                    let resize = evs
-                        .iter()
-                        .filter_map(|e| match e {
-                            DynamicsEvent::LbResize {
-                                at_epoch, width, ..
-                            } if *at_epoch <= epoch => Some((*at_epoch, *width)),
-                            _ => None,
-                        })
-                        .max_by_key(|&(at, _)| at);
-                    if let Some((_, w)) = resize {
-                        width = w as usize;
-                        self.dyn_counters.resizes.inc();
-                    }
-                }
+            let arm = plane.arm(node, octet);
+            if arm.len == 0 {
+                return Outcome::NoRoute {
+                    at: node.router,
+                    hops,
+                };
             }
-            let hop = if width == usize::MAX {
-                group.select(key, salt)
+            let (salt, width) = if self.dyn_events.is_empty() {
+                (node.salt, usize::MAX)
             } else {
-                group.select_among(key, salt, width)
+                match self.steer(
+                    node.router,
+                    node.salt,
+                    flow.epoch,
+                    prev.is_some(),
+                    &mut loop_counted,
+                ) {
+                    Steer::Back => {
+                        let back = prev.replace(cur).expect("a loop needs a previous hop");
+                        cur = back;
+                        continue;
+                    }
+                    Steer::Select { salt, width } => (salt, width),
+                }
             };
-            match hop {
-                NextHop::Deliver => return Outcome::Delivered { hops },
-                NextHop::Router(next) => {
+            let n = (arm.len as usize).min(width).max(1);
+            match plane.hop(arm, arm.policy.pick(&flow.key, salt, n)) {
+                DELIVER => return Outcome::Delivered { hops },
+                next => {
                     prev = Some(cur);
                     cur = next;
                 }
             }
         }
+    }
+
+    /// Whether injected link loss drops the probe on the wire into router
+    /// `at`, its hop number `hops`: a draw keyed by the link and the probe
+    /// nonce, so a given probe's fate is a pure function of its wire bytes
+    /// — identical at any thread count — while retries (fresh seq/ident,
+    /// fresh nonce) are independent draws.
+    #[inline]
+    pub(crate) fn lost_on_link(&self, hops: u32, at: RouterId, nonce: u64) -> bool {
+        let link_loss = self.faults.link_loss;
+        link_loss > 0.0
+            && unit_f64(mix3(
+                self.seed ^ 0x11AC,
+                ((hops as u64) << 32) | at.0 as u64,
+                nonce,
+            )) < link_loss as f64
+    }
+
+    /// What the dynamics schedule makes router `at` (ECMP salt `salt`) do
+    /// with a probe at `epoch`. It perturbs selection, never the route
+    /// table: all evolution is a pure function of (schedule, epoch, flow).
+    /// `can_loop` says whether the probe has a previous hop to bounce back
+    /// to; `loop_counted` makes one probe count one loop at most.
+    pub(crate) fn steer(
+        &self,
+        at: RouterId,
+        salt: u64,
+        epoch: u32,
+        can_loop: bool,
+        loop_counted: &mut bool,
+    ) -> Steer {
+        let Some(evs) = self.dyn_events.get(&at.0) else {
+            return Steer::Select {
+                salt,
+                width: usize::MAX,
+            };
+        };
+        // Transient loop: *during* its epoch only, the router forwards back
+        // toward the previous hop. The probe bounces between the pair,
+        // burning TTL, and expires inside the loop — the alternating-address
+        // ladder traceroute folklore knows. The loop heals itself when the
+        // epoch rolls over.
+        let looping = evs.iter().any(
+            |e| matches!(e, DynamicsEvent::TransientLoop { at_epoch, .. } if *at_epoch == epoch),
+        );
+        if can_loop && looping {
+            if !std::mem::replace(loop_counted, true) {
+                self.dyn_counters.loops.inc();
+            }
+            return Steer::Back;
+        }
+        // Route churn: the latest applicable rewrite re-salts ECMP
+        // selection, remapping flows over existing links.
+        let rewrite = evs
+            .iter()
+            .filter_map(|e| match e {
+                DynamicsEvent::NextHopRewrite { at_epoch, .. } if *at_epoch <= epoch => {
+                    Some(*at_epoch)
+                }
+                _ => None,
+            })
+            .max();
+        let mut salt = salt;
+        if let Some(at) = rewrite {
+            salt = mix3(salt, 0xD1CE, at as u64);
+            self.dyn_counters.rewrites.inc();
+        }
+        // Load-balancer resize: the latest applicable width clamps
+        // selection to the group's first `width` hops.
+        let resize = evs
+            .iter()
+            .filter_map(|e| match e {
+                DynamicsEvent::LbResize {
+                    at_epoch, width, ..
+                } if *at_epoch <= epoch => Some((*at_epoch, *width)),
+                _ => None,
+            })
+            .max_by_key(|&(at, _)| at);
+        let mut width = usize::MAX;
+        if let Some((_, w)) = resize {
+            width = w as usize;
+            self.dyn_counters.resizes.inc();
+        }
+        Steer::Select { salt, width }
     }
 
     /// Build a router-sourced ICMP error, subject to responsiveness and
@@ -345,6 +458,7 @@ impl Network {
     ) -> Reply {
         let router = self.router(at);
         if !router.responsive {
+            self.fault_counters.silent_anonymous.inc();
             return timeout();
         }
         match self.faults.icmp_rate {
@@ -455,12 +569,15 @@ impl Network {
         nonce: u64,
     ) -> Reply {
         let dst = probe_ip.dst;
-        let Some(profile) = self.blocks.get(&dst.block24()).copied() else {
+        let Some(profile) = self
+            .blocks
+            .get(&dst.block24())
+            .copied()
+            .filter(|profile| self.oracle.responsive(dst, profile, self.epoch))
+        else {
+            self.fault_counters.silent_host.inc();
             return timeout();
         };
-        if !self.oracle.responsive(dst, &profile, self.epoch) {
-            return timeout();
-        }
         // Note: churn can bring up hosts absent from the snapshot population
         // (paper footnote 2), so derive properties directly rather than
         // requiring snapshot existence.
@@ -584,7 +701,7 @@ mod tests {
     use super::*;
     use crate::addr::Prefix;
     use crate::host::HostProfile;
-    use crate::route::{LbPolicy, NextHopGroup};
+    use crate::route::{LbPolicy, NextHop, NextHopGroup};
     use crate::wire::ICMP_ECHO_REPLY;
 
     /// vantage -> r0 -> r1 -> r2(deliver 10.0.0.0/24)

@@ -43,6 +43,7 @@ pub mod fault;
 pub mod forward;
 pub mod hash;
 pub mod host;
+mod plane;
 pub mod roster;
 pub mod route;
 pub mod rtt;
@@ -54,7 +55,7 @@ pub use addr::{Addr, Block24, Prefix};
 pub use build::{build, GroundTruth, Scenario, ScenarioConfig};
 pub use concurrent::{SharedNetwork, WarmedSet};
 pub use dynamics::{DynamicsConfig, DynamicsEvent, NetemSpec};
-pub use fault::{FaultConfig, NetworkStats};
+pub use fault::{FaultConfig, NetworkStats, SilenceStats};
 pub use forward::{encode_probe, probe_packet, Delivery, Packet, Reply, SendError, TIMEOUT_US};
 pub use host::{HostKind, HostProfile};
 pub use route::{LbPolicy, RouterId};

@@ -49,6 +49,34 @@ pub enum LbPolicy {
     PerPacket,
 }
 
+impl LbPolicy {
+    /// Which of `n` next hops (`n >= 1`) a probe with `key` takes at a
+    /// router salted `salt`: the one ECMP choice both
+    /// [`NextHopGroup::select_among`] and the compiled forwarding plane
+    /// make.
+    #[inline]
+    pub(crate) fn pick(self, key: &FlowKey, salt: u64, n: usize) -> usize {
+        if n == 1 {
+            return 0;
+        }
+        let h = match self {
+            LbPolicy::PerFlow => mix3(
+                salt,
+                ((key.src.0 as u64) << 32) | key.dst.0 as u64,
+                ((key.protocol as u64) << 16) | key.flow_label as u64,
+            ),
+            LbPolicy::PerDestination => mix2(salt, key.dst.0 as u64),
+            LbPolicy::PerSrcDest => mix2(salt, ((key.src.0 as u64) << 32) | key.dst.0 as u64),
+            LbPolicy::PerPacket => mix3(
+                salt,
+                ((key.src.0 as u64) << 32) | key.dst.0 as u64,
+                key.ip_ident as u64,
+            ),
+        };
+        crate::hash::pick(h, n)
+    }
+}
+
 /// The fields of a probe that load balancers may hash.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct FlowKey {
@@ -113,24 +141,7 @@ impl NextHopGroup {
     /// a route table (tables stay immutable once probing starts).
     pub fn select_among(&self, key: &FlowKey, salt: u64, width: usize) -> NextHop {
         let n = width.clamp(1, self.hops.len());
-        if n == 1 {
-            return self.hops[0];
-        }
-        let h = match self.policy {
-            LbPolicy::PerFlow => mix3(
-                salt,
-                ((key.src.0 as u64) << 32) | key.dst.0 as u64,
-                ((key.protocol as u64) << 16) | key.flow_label as u64,
-            ),
-            LbPolicy::PerDestination => mix2(salt, key.dst.0 as u64),
-            LbPolicy::PerSrcDest => mix2(salt, ((key.src.0 as u64) << 32) | key.dst.0 as u64),
-            LbPolicy::PerPacket => mix3(
-                salt,
-                ((key.src.0 as u64) << 32) | key.dst.0 as u64,
-                key.ip_ident as u64,
-            ),
-        };
-        self.hops[crate::hash::pick(h, n)]
+        self.hops[self.policy.pick(key, salt, n)]
     }
 }
 
@@ -214,11 +225,15 @@ impl IntervalIndex {
         }
     }
 
+    /// The index of the interval holding `addr`.
+    fn interval_of(&self, addr: u32) -> usize {
+        // `starts[0] == 0`, so the partition point is at least 1.
+        self.starts.partition_point(|&s| s <= addr) - 1
+    }
+
     /// The entry index of the longest match for `dst`, if any.
     fn lookup(&self, dst: Addr) -> Option<usize> {
-        // `starts[0] == 0`, so the partition point is at least 1.
-        let at = self.starts.partition_point(|&s| s <= dst.0) - 1;
-        let entry = self.entry[at];
+        let entry = self.entry[self.interval_of(dst.0)];
         (entry != NO_ROUTE).then_some(entry as usize)
     }
 }
@@ -257,14 +272,37 @@ impl RouteTable {
         }
     }
 
+    /// The compiled interval index, compiled now if no lookup has yet.
+    fn index(&self) -> &IntervalIndex {
+        self.index
+            .get_or_init(|| IntervalIndex::compile(&self.entries, &self.by_prefix))
+    }
+
     /// Longest-prefix-match lookup.
     pub fn lookup(&self, dst: Addr) -> Option<(Prefix, &NextHopGroup)> {
-        let index = self
-            .index
-            .get_or_init(|| IntervalIndex::compile(&self.entries, &self.by_prefix));
-        index.lookup(dst).map(|i| {
+        self.index().lookup(dst).map(|i| {
             let (p, ref g) = self.entries[i];
             (p, g)
+        })
+    }
+
+    /// The longest matches across `first..=last`, in address order: the
+    /// first address of each run of addresses that resolve alike (clipped
+    /// to `first`) and the group they resolve to. This is how the compiled
+    /// forwarding plane reads a table once per destination /24 instead of
+    /// once per probe.
+    pub(crate) fn resolve_range(
+        &self,
+        first: Addr,
+        last: Addr,
+    ) -> impl Iterator<Item = (Addr, Option<&NextHopGroup>)> + '_ {
+        let index = self.index();
+        let from = index.interval_of(first.0);
+        let to = index.interval_of(last.0);
+        (from..=to).map(move |i| {
+            let group =
+                (index.entry[i] != NO_ROUTE).then(|| &self.entries[index.entry[i] as usize].1);
+            (Addr(index.starts[i].max(first.0)), group)
         })
     }
 

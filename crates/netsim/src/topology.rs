@@ -4,16 +4,27 @@
 //! salt fixed when the router is added), a vantage point, and the per-/24
 //! host profiles. The forwarding logic lives in [`crate::forward`];
 //! scenario construction in [`crate::build`].
+//!
+//! The route tables are the source of truth for forwarding. Probes walk a
+//! cache of them, the compiled forwarding plane (the `plane` module): one
+//! route program per allocated /24, compiled on the first exchange. Every
+//! `&mut` method that can change forwarding resets it — [`Network::add_router`],
+//! [`Network::router_mut`] (and so [`Network::install_route`]),
+//! [`Network::add_vantage`] and [`Network::set_block_profile`] — so the
+//! next exchange recompiles it from the tables. Nothing else reads it:
+//! [`Network::true_lasthop_set`] walks the tables themselves.
 
 use crate::addr::{Addr, Block24};
 use crate::concurrent::WarmedSet;
 use crate::dynamics::{DynamicsConfig, DynamicsCounters, DynamicsEvent, VirtualClock};
-use crate::fault::{FaultConfig, FaultCounters, NetworkStats, TokenBuckets};
+use crate::fault::{FaultConfig, FaultCounters, NetworkStats, SilenceStats, TokenBuckets};
 use crate::hash::{mix2, MixMap};
 use crate::host::{HostOracle, HostProfile};
+use crate::plane::Plane;
 use crate::route::{NextHop, NextHopGroup, RouteTable, RouterId};
 use crate::rtt::RttModel;
 use obs::{Counter, Recorder};
+use std::sync::OnceLock;
 
 /// A router in the simulated internet.
 #[derive(Clone, Debug)]
@@ -61,10 +72,11 @@ impl Router {
 ///
 /// Topology, oracles, and RTT models are immutable once a scenario is
 /// built; the only state that mutates per probe — the carried-probe
-/// counter, the cellular warm-up set and each route table's lazily
-/// compiled lookup index — lives behind interior mutability, so [`Network::send`](crate::forward) takes `&self` and the
-/// network is `Sync`: any number of worker threads may probe one shared
-/// instance (see [`crate::concurrent`]).
+/// counter, the cellular warm-up set and the lazily compiled forwarding
+/// plane — lives behind interior mutability, so
+/// [`Network::send`](crate::forward) takes `&self` and the network is
+/// `Sync`: any number of worker threads may probe one shared instance
+/// (see [`crate::concurrent`]).
 #[derive(Debug)]
 pub struct Network {
     pub(crate) routers: Vec<Router>,
@@ -98,6 +110,9 @@ pub struct Network {
     pub(crate) vclock: VirtualClock,
     /// Applied-dynamics accounting.
     pub(crate) dyn_counters: DynamicsCounters,
+    /// The compiled forwarding plane: compiled by the first exchange,
+    /// reset by every mutator that can change forwarding.
+    pub(crate) plane: OnceLock<Plane>,
 }
 
 impl Clone for Network {
@@ -121,6 +136,7 @@ impl Clone for Network {
             dyn_events: self.dyn_events.clone(),
             vclock: self.vclock.clone(),
             dyn_counters: self.dyn_counters.clone(),
+            plane: self.plane.clone(),
         }
     }
 }
@@ -148,11 +164,13 @@ impl Network {
             dyn_events: MixMap::default(),
             vclock: VirtualClock::new(),
             dyn_counters: DynamicsCounters::default(),
+            plane: OnceLock::new(),
         }
     }
 
     /// Add a router and return its id. Ids are assigned densely in order.
     pub fn add_router(&mut self, addr: Addr) -> RouterId {
+        self.plane.take();
         let id = RouterId(self.routers.len() as u32);
         self.routers.push(Router {
             salt: mix2(self.seed, id.0 as u64),
@@ -163,6 +181,7 @@ impl Network {
 
     /// Mutable access to a router (to install routes or toggle flags).
     pub fn router_mut(&mut self, id: RouterId) -> &mut Router {
+        self.plane.take();
         &mut self.routers[id.0 as usize]
     }
 
@@ -188,6 +207,7 @@ impl Network {
 
     /// Declare the host population of a /24 block.
     pub fn set_block_profile(&mut self, block: Block24, profile: HostProfile) {
+        self.plane.take();
         self.blocks.insert(block, profile);
     }
 
@@ -216,6 +236,7 @@ impl Network {
             (first_hop.0 as usize) < self.routers.len(),
             "first-hop router must exist"
         );
+        self.plane.take();
         self.extra_vantages.push((addr, first_hop));
         addr
     }
@@ -227,16 +248,23 @@ impl Network {
         v
     }
 
-    /// The first-hop router for a probe sourced at `src`, if `src` is a
-    /// registered vantage.
-    pub(crate) fn vantage_router_for(&self, src: Addr) -> Option<RouterId> {
+    /// The number of the vantage sourcing `src` (0 is the primary, then
+    /// extras in registration order), if `src` is a registered vantage.
+    pub(crate) fn vantage_index(&self, src: Addr) -> Option<usize> {
         if src == self.vantage_addr {
-            return Some(self.vantage_router);
+            return Some(0);
         }
         self.extra_vantages
             .iter()
-            .find(|&&(a, _)| a == src)
-            .map(|&(_, r)| r)
+            .position(|&(a, _)| a == src)
+            .map(|i| i + 1)
+    }
+
+    /// The compiled forwarding plane, compiled now if this is the first
+    /// exchange since the network last changed. Threads racing the first
+    /// exchange compile it once.
+    pub(crate) fn plane(&self) -> &Plane {
+        self.plane.get_or_init(|| Plane::compile(self))
     }
 
     /// The current measurement epoch. Epoch 0 is the ZMap snapshot epoch;
@@ -310,6 +338,16 @@ impl Network {
             netem_delays: self.dyn_counters.netem_delays.get(),
             netem_reorders: self.dyn_counters.netem_reorders.get(),
             netem_duplicates: self.dyn_counters.netem_duplicates.get(),
+        }
+    }
+
+    /// Snapshot the count of probes that met silence, by reason. Link
+    /// loss and rate limiting are counted in [`Network::net_stats`].
+    pub fn silence_stats(&self) -> SilenceStats {
+        SilenceStats {
+            anonymous_router: self.fault_counters.silent_anonymous.get(),
+            no_host: self.fault_counters.silent_host.get(),
+            hop_limit: self.fault_counters.silent_hop_limit.get(),
         }
     }
 

@@ -156,6 +156,10 @@ pub struct ProbeObs {
     pub drops: Counter,
     /// `probe.retries` — retries spent.
     pub retries: Counter,
+    /// `probe.retry_recovered` — retries that got an answer.
+    pub retry_recovered: Counter,
+    /// `probe.retry_wasted` — retries that timed out too.
+    pub retry_wasted: Counter,
     /// `probe.backoff_us` — simulated backoff wait, microseconds.
     pub backoff_us: Counter,
     /// `probe.rtt_us` — per-probe round-trip time, microseconds.
@@ -177,6 +181,8 @@ impl ProbeObs {
             probes_sent: rec.counter("probe.sent"),
             drops: rec.counter("probe.drops"),
             retries: rec.counter("probe.retries"),
+            retry_recovered: rec.counter("probe.retry_recovered"),
+            retry_wasted: rec.counter("probe.retry_wasted"),
             backoff_us: rec.counter("probe.backoff_us"),
             rtt_us: rec.histogram("probe.rtt_us"),
             mda_lite_saved: rec.counter("probe.mda_lite.probes_saved"),
@@ -214,6 +220,8 @@ pub struct Prober<'n> {
     drops: u64,
     /// Retries actually spent.
     retries_used: u64,
+    /// Retries that got an answer; the rest of `retries_used` timed out.
+    retries_recovered: u64,
     /// Total simulated backoff wait, microseconds.
     backoff_us: u64,
     /// When recording, every probe call lands here.
@@ -276,6 +284,7 @@ impl<'n> Prober<'n> {
             backoff_cap_us: DEFAULT_BACKOFF_CAP_US,
             drops: 0,
             retries_used: 0,
+            retries_recovered: 0,
             backoff_us: 0,
             recording: None,
             obs: None,
@@ -307,6 +316,7 @@ impl<'n> Prober<'n> {
             backoff_cap_us: DEFAULT_BACKOFF_CAP_US,
             drops: 0,
             retries_used: 0,
+            retries_recovered: 0,
             backoff_us: 0,
             recording: None,
             obs: None,
@@ -394,6 +404,16 @@ impl<'n> Prober<'n> {
     /// Retries actually spent (attempts beyond the first per probe call).
     pub fn retries_used(&self) -> u64 {
         self.retries_used
+    }
+
+    /// Retries that got an answer: the loss they recovered from was real.
+    pub fn retries_recovered(&self) -> u64 {
+        self.retries_recovered
+    }
+
+    /// Retries that timed out too: spent on a silence that did not lift.
+    pub fn retries_wasted(&self) -> u64 {
+        self.retries_used - self.retries_recovered
     }
 
     /// Total simulated backoff wait accumulated before retries,
@@ -521,6 +541,9 @@ impl<'n> Prober<'n> {
             if record {
                 attempts.push((result.reply.into(), result.rtt_us));
             }
+            if attempt > 0 {
+                self.note_retry_outcome(result.reply.responded());
+            }
             if result.reply.responded() {
                 break result;
             }
@@ -589,6 +612,9 @@ impl<'n> Prober<'n> {
                 reply: reply.into(),
                 rtt_us,
             };
+            if i > 0 {
+                self.note_retry_outcome(last.reply.responded());
+            }
             if !last.reply.responded() {
                 self.drops += 1;
                 if let Some(o) = &self.obs {
@@ -600,6 +626,21 @@ impl<'n> Prober<'n> {
             log.push_call(dst, ttl, flow_label, attempts);
         }
         last
+    }
+
+    /// Count a retry's outcome: recovered if it got an answer, wasted if
+    /// it timed out.
+    fn note_retry_outcome(&mut self, answered: bool) {
+        if answered {
+            self.retries_recovered += 1;
+        }
+        if let Some(o) = &self.obs {
+            if answered {
+                o.retry_recovered.inc();
+            } else {
+                o.retry_wasted.inc();
+            }
+        }
     }
 
     /// Send one probe *without* retries (for RTT series where each probe's
@@ -791,6 +832,54 @@ mod tests {
         let before = p.backoff_total_us();
         let _ = p.probe(blk.addr(0), 64, 1);
         assert_eq!(p.backoff_total_us() - before, 100 + 150 + 150);
+    }
+
+    #[test]
+    fn retries_split_into_recovered_and_wasted() {
+        use obs::Recorder;
+        let mut s = scenario();
+        let blk = dense_block(&s);
+        // Refill 0.25 denies up to 3 errors in a row once the burst is
+        // spent, so some retries of a ttl-2 probe recover and some do not.
+        s.network.set_faults(netsim::FaultConfig::lossy(0.0, 0.25));
+        let reg = obs::Registry::new();
+        let mut p = Prober::new(&mut s.network, 77);
+        p.retries = 1;
+        p.observe(&reg);
+        p.start_recording();
+        for label in 0..40 {
+            let _ = p.probe(blk.addr(10), 2, label);
+        }
+        // `.0` never answers: both of its retries are wasted.
+        p.retries = 2;
+        let _ = p.probe(blk.addr(0), 64, 0);
+        assert!(
+            p.retries_recovered() > 0,
+            "a retry recovered from rate limiting"
+        );
+        assert!(
+            p.retries_wasted() >= 2,
+            "the silent host wasted its retries"
+        );
+        assert_eq!(p.retries_recovered() + p.retries_wasted(), p.retries_used());
+        assert_eq!(
+            reg.counter("probe.retry_recovered").get(),
+            p.retries_recovered()
+        );
+        assert_eq!(reg.counter("probe.retry_wasted").get(), p.retries_wasted());
+
+        // Replaying the log counts the same retries the same way.
+        let (recovered, wasted) = (p.retries_recovered(), p.retries_wasted());
+        let log = p.take_log().unwrap();
+        let mut r = Prober::replayer(log, 77, Addr::new(0, 0, 0, 0));
+        for label in 0..40 {
+            let _ = r.probe(blk.addr(10), 2, label);
+        }
+        let _ = r.probe(blk.addr(0), 64, 0);
+        assert_eq!(
+            (r.retries_recovered(), r.retries_wasted()),
+            (recovered, wasted)
+        );
     }
 
     #[test]
