@@ -29,7 +29,7 @@ use hobbit::{
 };
 use mcl::{mcl_by_components, MclParams};
 use netsim::build::{build, derive_dynamics, ScenarioConfig};
-use netsim::{Addr, Block24, SharedNetwork};
+use netsim::{Addr, Block24};
 use obs::{Recorder, Registry};
 use probe::{zmap, MdaMode, Prober};
 use rand::seq::SliceRandom;
@@ -354,11 +354,10 @@ fn main() -> ExitCode {
                     mda_mode: mode,
                     ..HobbitConfig::default()
                 };
-                let shared = SharedNetwork::new(scenario.network);
                 let mut probes = 0u64;
                 for j in 0..n {
                     let sel = &selected[j % selected.len()];
-                    let mut prober = Prober::shared(shared.clone(), block_ident(sel.block));
+                    let mut prober = Prober::over(&scenario.network, block_ident(sel.block));
                     let m = classify_block(&mut prober, sel, &conf, &probe_cfg);
                     probes += m.probes_used;
                 }
@@ -391,11 +390,10 @@ fn main() -> ExitCode {
                 dynamics_period: if events > 0 { 64 } else { 0 },
                 ..HobbitConfig::default()
             };
-            let shared = SharedNetwork::new(scenario.network);
             let mut probes = 0u64;
             for j in 0..n {
                 let sel = &selected[j % selected.len()];
-                let mut prober = Prober::shared(shared.clone(), block_ident(sel.block));
+                let mut prober = Prober::over(&scenario.network, block_ident(sel.block));
                 let m = classify_block(&mut prober, sel, &conf, &probe_cfg);
                 probes += m.probes_used;
             }

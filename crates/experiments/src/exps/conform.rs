@@ -6,8 +6,6 @@
 use crate::args::ParseOutcome;
 use crate::pipeline::classify_blocks;
 use crate::report::Report;
-use hobbit::{BlockMeasurement, ConfidenceTable, HobbitConfig, SelectedBlock};
-use netsim::SharedNetwork;
 use obs::Registry;
 use std::path::PathBuf;
 use testkit::corpus::{golden_specs, load_dir, CorpusEntry};
@@ -140,17 +138,6 @@ fn expect<T: std::str::FromStr>(
         .map_err(|_| ParseOutcome::Error(format!("invalid value {v:?} for {flag}")))
 }
 
-/// The production engine in the shape the differential runner injects.
-fn production(
-    net: &SharedNetwork,
-    selected: &[SelectedBlock],
-    confidence: &ConfidenceTable,
-    cfg: &HobbitConfig,
-    threads: usize,
-) -> Vec<BlockMeasurement> {
-    classify_blocks(net, selected, confidence, cfg, threads).0
-}
-
 /// Fault variant of fresh case `i`: most run clean, a quarter with link
 /// loss, a quarter with loss plus ICMP rate limiting — the sweep's
 /// `faults {0, 0.02}` axis.
@@ -178,7 +165,7 @@ pub fn run(args: &ConformArgs) -> (Report, usize) {
         std::fs::create_dir_all(&args.corpus).expect("create corpus dir");
         let mut pinned = 0usize;
         for (name, spec) in golden_specs() {
-            let r = run_spec(&spec, &args.threads, &production, Some(&obs));
+            let r = run_spec(&spec, &args.threads, &classify_blocks, Some(&obs));
             if !r.clean() {
                 // Never pin a report the oracle disagrees with.
                 failing.push((
@@ -200,7 +187,7 @@ pub fn run(args: &ConformArgs) -> (Report, usize) {
             Ok(entries) => {
                 let mut checked = 0usize;
                 for entry in &entries {
-                    let r = run_spec(&entry.spec, &args.threads, &production, Some(&obs));
+                    let r = run_spec(&entry.spec, &args.threads, &classify_blocks, Some(&obs));
                     let mut issues: Vec<String> =
                         r.mismatches.iter().map(|m| format!("{m:?}")).collect();
                     issues.extend(entry.check(&r));
@@ -227,7 +214,7 @@ pub fn run(args: &ConformArgs) -> (Report, usize) {
     // --- Fresh fuzzed sweep.
     for i in 0..args.cases {
         let spec = fault_variant(gen_spec(args.seed + i as u64), i);
-        let r = run_spec(&spec, &args.threads, &production, Some(&obs));
+        let r = run_spec(&spec, &args.threads, &classify_blocks, Some(&obs));
         if !r.clean() {
             failing.push((
                 format!("fresh/seed-{}", spec.seed),
@@ -243,7 +230,7 @@ pub fn run(args: &ConformArgs) -> (Report, usize) {
     }
     for (name, spec, issues) in &failing {
         let minimal = shrink(spec, &|s| {
-            !run_spec(s, &args.threads, &production, None).clean()
+            !run_spec(s, &args.threads, &classify_blocks, None).clean()
         });
         let stem = name.replace('/', "-");
         let path = args.out_dir.join(format!("{stem}.json"));

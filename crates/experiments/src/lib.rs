@@ -32,9 +32,7 @@ pub use coordinator::{
 };
 pub use journal::{CrashPoint, JournalWriter, RunMeta, ShardInfo, JOURNAL_SCHEMA};
 pub use lease::{Lease, LeaseSabotage, LeaseState, LEASE_SCHEMA};
-pub use pipeline::{
-    classify_blocks, classify_blocks_observed, Pipeline, PipelineBuilder, WorkerStats,
-};
+pub use pipeline::{classify_blocks, Pipeline, PipelineBuilder, WorkerStats};
 pub use report::Report;
 pub use supervise::{
     FaultInjector, InjectedFault, QuarantineReason, QuarantinedBlock, ShutdownSignal,

@@ -4,14 +4,14 @@
 //!
 //! # Concurrency
 //!
-//! Classification runs over **one** shared network: the selected blocks go
-//! into a work-stealing scheduler, worker threads pull blocks and probe
-//! them through a [`SharedNetwork`] handle — no per-worker
-//! `Network::clone()`. Every block gets a *fresh* prober whose ICMP ident
-//! is derived from the block address (not the worker id), so the probe
-//! stream a block sees — and therefore every classification — is
-//! byte-identical no matter how many threads run or which worker steals
-//! which block.
+//! Classification runs over **one** borrowed `&Network`: the selected
+//! blocks go into the supervised work-stealing engine
+//! ([`classify_blocks_supervised`]), whose scoped worker threads pull
+//! blocks and probe them — no per-worker `Network::clone()`. Every block
+//! gets a *fresh* prober whose ICMP ident is derived from the block
+//! address (not the worker id), so the probe stream a block sees — and
+//! therefore every classification — is byte-identical no matter how many
+//! threads run or which worker steals which block.
 //!
 //! # Entry points
 //!
@@ -24,7 +24,7 @@
 //! ```
 //!
 //! The classification engine is also available standalone via
-//! [`classify_blocks`], which takes the shared-network handle directly.
+//! [`classify_blocks`], which takes a `&Network` directly.
 
 use crate::args::ExpArgs;
 use crate::journal::{CrashPoint, Entry, JournalWriter, RunMeta, ShardInfo, JOURNAL_SCHEMA};
@@ -32,18 +32,18 @@ use crate::lease::shard_of;
 use crate::prefix::{self, RunPrefix};
 use crate::supervise::{
     classify_blocks_supervised, FaultInjector, ShutdownSignal, SuperviseConfig, SuperviseHooks,
-    SuperviseObs, SuperviseReport,
+    SuperviseObs, SuperviseReport, SupervisedOutcome,
 };
 use crate::vfs::{Storage, StorageError};
 use aggregate::{aggregate_identical, Aggregate, HomogBlock};
 use hobbit::{
-    classify_block_observed, detects_homogeneous, select_block, survey_block, BlockLasthopData,
-    BlockMeasurement, ClassifyObs, ConfidenceTable, HobbitConfig, SelectReject, SelectedBlock,
+    detects_homogeneous, select_block, survey_block, BlockLasthopData, BlockMeasurement,
+    ConfidenceTable, HobbitConfig, SelectReject, SelectedBlock,
 };
 use netsim::build::{build, derive_dynamics, Scenario, ScenarioConfig};
-use netsim::{Addr, Block24, FaultConfig, Network, NetworkStats, SharedNetwork};
-use obs::{NullRecorder, Recorder, Registry, SpanTimer};
-use probe::{zmap, MdaMode, ProbeObs, Prober, StoppingRule, ZmapSnapshot};
+use netsim::{Addr, Block24, FaultConfig, Network, NetworkStats};
+use obs::{NullRecorder, Recorder, Registry};
+use probe::{zmap, MdaMode, Prober, StoppingRule, ZmapSnapshot};
 use serde::Serialize;
 use std::collections::{HashMap, VecDeque};
 use std::path::PathBuf;
@@ -248,8 +248,7 @@ impl PipelineBuilder {
     }
 
     /// Run over a prebuilt scenario instead of building one from the seed
-    /// and scale (reusing one world across pipeline runs; the scenario's
-    /// network ends up wrapped in a [`SharedNetwork`] for classification).
+    /// and scale (reusing one world across pipeline runs).
     pub fn scenario(mut self, scenario: Scenario) -> Self {
         self.scenario = Some(scenario);
         self
@@ -431,10 +430,17 @@ impl PipelineBuilder {
                         "journal has no meta record (nothing was checkpointed)",
                     )
                 })?;
-                assert_eq!(
-                    meta.schema, JOURNAL_SCHEMA,
-                    "resume: journal written by an incompatible version"
-                );
+                if meta.schema != JOURNAL_SCHEMA {
+                    return Err(StorageError::corruption(
+                        "resume",
+                        &dir.join(crate::journal::JOURNAL_FILE),
+                        format!(
+                            "journal schema {:?} is not {JOURNAL_SCHEMA:?} \
+                             (written by an incompatible version)",
+                            meta.schema
+                        ),
+                    ));
+                }
                 // Seed, scale, and faults are *adopted* from the journal —
                 // the resumed world must be the crashed world. The probe
                 // mode is different: adopting it silently would make
@@ -680,13 +686,6 @@ impl PipelineBuilder {
             },
             ..Default::default()
         };
-        let Scenario {
-            network,
-            truth,
-            config,
-            pop_routers,
-        } = scenario;
-        let shared = SharedNetwork::new(network);
 
         // Blocks recovered from the journal are skipped, not re-measured;
         // every block's probe stream depends only on (block, seed), so the
@@ -732,7 +731,7 @@ impl PipelineBuilder {
         let outcome = {
             let _s = obs.as_ref().map(|r| r.span("run/classify"));
             classify_blocks_supervised(
-                &shared,
+                &scenario.network,
                 &selected,
                 &confidence,
                 &hobbit_cfg,
@@ -775,16 +774,7 @@ impl PipelineBuilder {
         // is the same whether a block was measured now or recovered from
         // the journal.
         let classify_probes = measurements.iter().map(|m| m.probes_used).sum();
-        let network = shared
-            .try_unwrap()
-            .expect("all worker handles are dropped when the scope ends");
-        let net_stats = network.net_stats();
-        let scenario = Scenario {
-            network,
-            truth,
-            config,
-            pop_routers,
-        };
+        let net_stats = scenario.network.net_stats();
 
         drop(run_span);
         let threads = effective_threads(args.threads, selected.len());
@@ -887,14 +877,8 @@ pub(crate) struct StealQueues {
 }
 
 impl StealQueues {
-    /// Split `tasks` task ids into `workers` contiguous chunks.
-    fn new(tasks: usize, workers: usize) -> Self {
-        let ids: Vec<usize> = (0..tasks).collect();
-        StealQueues::from_tasks(&ids, workers)
-    }
-
-    /// Split an explicit task-id list into `workers` contiguous chunks
-    /// (the supervised engine passes only the not-yet-done tasks).
+    /// Split a task-id list into `workers` contiguous chunks (the engine
+    /// passes only the tasks not already recovered from a journal).
     pub(crate) fn from_tasks(tasks: &[usize], workers: usize) -> Self {
         let mut queues: Vec<VecDeque<usize>> = (0..workers).map(|_| VecDeque::new()).collect();
         let chunk = tasks.len().div_ceil(workers.max(1));
@@ -931,105 +915,46 @@ impl StealQueues {
     }
 }
 
-/// Classify `selected` blocks over one shared network with `threads`
-/// work-stealing workers.
+/// Classify `selected` blocks over one network with `threads` workers:
+/// the supervised engine with no recorder, default supervision and no
+/// hooks. Returns the measurements in block order.
 ///
-/// Each block is classified by a fresh [`Prober`] whose ident derives from
-/// the block address (see [`block_ident`][self]), so results are
-/// deterministic and identical for any thread count. Returns the
-/// measurements in block order plus per-worker accounting.
+/// # Panics
+///
+/// If supervision quarantined a block: every selected block must come
+/// back measured, or a caller comparing the result would silently lose it.
 pub fn classify_blocks(
-    net: &SharedNetwork,
+    net: &Network,
     selected: &[SelectedBlock],
     confidence: &ConfidenceTable,
     cfg: &HobbitConfig,
     threads: usize,
-) -> (Vec<BlockMeasurement>, Vec<WorkerStats>) {
-    classify_blocks_observed(net, selected, confidence, cfg, threads, &NULL_RECORDER)
+) -> Vec<BlockMeasurement> {
+    every_block_measured(classify_blocks_supervised(
+        net,
+        selected,
+        confidence,
+        cfg,
+        threads,
+        &NULL_RECORDER,
+        &SuperviseConfig::default(),
+        &SuperviseHooks::default(),
+    ))
 }
 
-/// [`classify_blocks`], reporting through `rec`: every worker's prober
-/// shares one set of pre-interned `probe.*` handles and every verdict bumps
-/// the `classify.*` metrics (all deterministic across thread counts), each
-/// block's classification is timed as a `run/classify/block` span, and the
-/// scheduling-dependent shape of the run — thread count, steals, per-worker
-/// shares — goes under the metrics document's `timing` key.
-pub fn classify_blocks_observed(
-    net: &SharedNetwork,
-    selected: &[SelectedBlock],
-    confidence: &ConfidenceTable,
-    cfg: &HobbitConfig,
-    threads: usize,
-    rec: &dyn Recorder,
-) -> (Vec<BlockMeasurement>, Vec<WorkerStats>) {
-    let threads = effective_threads(threads, selected.len());
-    if selected.is_empty() {
-        return (Vec::new(), vec![WorkerStats::default(); threads]);
+/// The measurements of an outcome that quarantined nothing; panics naming
+/// the first quarantined block and its reason otherwise.
+fn every_block_measured(outcome: SupervisedOutcome) -> Vec<BlockMeasurement> {
+    if let Some(q) = outcome.report.quarantined.first() {
+        panic!(
+            "block {} quarantined after {} attempts ({}: {})",
+            q.block,
+            q.attempts,
+            q.reason.label(),
+            q.detail
+        );
     }
-    let probe_obs = ProbeObs::bind(rec);
-    let classify_obs = ClassifyObs::bind(rec);
-    let queues = StealQueues::new(selected.len(), threads);
-    let mut slots: Vec<Option<BlockMeasurement>> = (0..selected.len()).map(|_| None).collect();
-    let mut worker_stats = Vec::with_capacity(threads);
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|w| {
-                let queues = &queues;
-                let handle = net.clone();
-                let probe_obs = probe_obs.clone();
-                let classify_obs = classify_obs.clone();
-                scope.spawn(move || {
-                    let mut out = Vec::new();
-                    let mut stats = WorkerStats::default();
-                    while let Some((idx, stolen)) = queues.next(w) {
-                        let _block_span = SpanTimer::start(rec, "run/classify/block");
-                        let sel = &selected[idx];
-                        let mut prober = Prober::shared(handle.clone(), block_ident(sel.block));
-                        prober.set_obs(probe_obs.clone());
-                        let m = classify_block_observed(
-                            &mut prober,
-                            sel,
-                            confidence,
-                            cfg,
-                            &classify_obs,
-                        );
-                        stats.blocks += 1;
-                        stats.probes += prober.probes_sent();
-                        stats.rtt_us += prober.rtt_total_us();
-                        stats.steals += stolen as u64;
-                        stats.drops += prober.drops();
-                        stats.retries += prober.retries_used();
-                        stats.backoff_us += prober.backoff_total_us();
-                        out.push((idx, m));
-                    }
-                    (out, stats)
-                })
-            })
-            .collect();
-        for h in handles {
-            let (results, stats) = h.join().expect("classification worker panicked");
-            for (idx, m) in results {
-                slots[idx] = Some(m);
-            }
-            worker_stats.push(stats);
-        }
-    });
-    rec.timing_value("scheduling/threads", threads as u64);
-    rec.timing_value(
-        "scheduling/steals",
-        worker_stats.iter().map(|s| s.steals).sum(),
-    );
-    for (i, s) in worker_stats.iter().enumerate() {
-        rec.timing_value(&format!("scheduling/worker{i:02}/blocks"), s.blocks as u64);
-        rec.timing_value(&format!("scheduling/worker{i:02}/probes"), s.probes);
-        rec.timing_value(&format!("scheduling/worker{i:02}/steals"), s.steals);
-    }
-    let mut measurements: Vec<BlockMeasurement> = slots
-        .into_iter()
-        .map(|s| s.expect("every selected block is classified exactly once"))
-        .collect();
-    measurements.sort_by_key(|m| m.block);
-    (measurements, worker_stats)
+    outcome.measurements
 }
 
 /// The deterministic outcome of a run, serialized by
@@ -1464,7 +1389,7 @@ mod tests {
 
     #[test]
     fn steal_queues_drain_exactly_once() {
-        let q = StealQueues::new(10, 3);
+        let q = StealQueues::from_tasks(&(0..10).collect::<Vec<_>>(), 3);
         let mut seen = vec![0u32; 10];
         // Worker 2's own queue drains first; it then steals.
         for w in [2, 2, 2, 2, 0, 0, 0, 1, 1, 1, 2, 0, 1] {
@@ -1474,6 +1399,25 @@ mod tests {
         }
         assert!(seen.iter().all(|&n| n == 1), "{seen:?}");
         assert!(q.next(0).is_none());
+    }
+
+    #[test]
+    #[should_panic(expected = "block 10.1.2.0/24 quarantined after 3 attempts (panic: boom)")]
+    fn classify_blocks_refuses_to_drop_a_quarantined_block() {
+        every_block_measured(SupervisedOutcome {
+            measurements: Vec::new(),
+            worker_stats: Vec::new(),
+            report: SuperviseReport {
+                quarantined: vec![crate::supervise::QuarantinedBlock {
+                    index: 0,
+                    block: Addr::new(10, 1, 2, 0).block24(),
+                    attempts: 3,
+                    reason: crate::supervise::QuarantineReason::Panic,
+                    detail: "boom".into(),
+                }],
+                ..Default::default()
+            },
+        });
     }
 
     #[test]

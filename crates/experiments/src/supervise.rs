@@ -1,6 +1,7 @@
-//! Worker supervision for the classification phase: panic isolation,
-//! stall detection, bounded requeueing, quarantine, graceful shutdown,
-//! and journal checkpointing.
+//! The classification engine: work-stealing workers over one borrowed
+//! `&Network`, under supervision — panic isolation, stall detection,
+//! bounded requeueing, quarantine, graceful shutdown, and journal
+//! checkpointing.
 //!
 //! # Supervision state machine
 //!
@@ -37,7 +38,7 @@ use hobbit::{
     classify_block_observed, BlockMeasurement, ClassifyObs, ConfidenceTable, HobbitConfig,
     SelectedBlock,
 };
-use netsim::{Block24, SharedNetwork};
+use netsim::{Block24, Network};
 use obs::{Counter, Recorder, SpanTimer};
 use probe::{CancelToken, ProbeObs, Prober};
 use serde::{Deserialize, Serialize};
@@ -250,14 +251,22 @@ enum AttemptOutcome {
     Stalled,
 }
 
-/// [`crate::pipeline::classify_blocks_observed`] with supervision: panic
-/// isolation, a stall watchdog, bounded requeue, quarantine, shutdown
-/// draining, and journal checkpointing. With all hooks off it measures
-/// exactly what the plain engine measures, block for block — supervision
-/// only adds containment, never probes.
-#[allow(clippy::too_many_arguments)] // mirrors classify_blocks_observed + the supervision pair
+/// Classify `selected` blocks over one shared network with `threads`
+/// work-stealing workers, under supervision: panic isolation, a stall
+/// watchdog, bounded requeue, quarantine, shutdown draining, and journal
+/// checkpointing. Supervision only adds containment, never probes.
+///
+/// Each block is classified by a fresh [`Prober`] whose ident derives from
+/// the block address ([`block_ident`]), so every measurement is identical
+/// for any thread count. Every worker's prober shares one set of
+/// pre-interned `probe.*` handles and every verdict bumps the
+/// `classify.*` metrics in `rec` (all deterministic across thread counts);
+/// each block is timed as a `run/classify/block` span, and the
+/// scheduling-dependent shape of the run — thread count, steals,
+/// per-worker shares — goes under the metrics document's `timing` key.
+#[allow(clippy::too_many_arguments)] // the classify inputs + recorder + the supervision pair
 pub fn classify_blocks_supervised(
-    net: &SharedNetwork,
+    net: &Network,
     selected: &[SelectedBlock],
     confidence: &ConfidenceTable,
     cfg: &HobbitConfig,
@@ -320,7 +329,6 @@ pub fn classify_blocks_supervised(
         let handles: Vec<_> = (0..threads)
             .map(|w| {
                 let queues = &queues;
-                let handle = net.clone();
                 let probe_obs = probe_obs.clone();
                 let classify_obs = classify_obs.clone();
                 let obs = obs.clone();
@@ -370,8 +378,7 @@ pub fn classify_blocks_supervised(
                                     AttemptOutcome::Stalled
                                 }
                                 None => {
-                                    let mut prober =
-                                        Prober::shared(handle.clone(), block_ident(sel.block));
+                                    let mut prober = Prober::over(net, block_ident(sel.block));
                                     prober.set_obs(probe_obs.clone());
                                     prober.set_cancel_token(cancel.clone());
                                     let m = classify_block_observed(

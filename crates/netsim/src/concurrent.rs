@@ -1,4 +1,4 @@
-//! Shared concurrent access to a [`Network`].
+//! Shared concurrent access to a [`Network`](crate::Network).
 //!
 //! The forwarding engine is almost entirely read-only: route tables, host
 //! profiles, RTT and host oracles are pure functions of the scenario seed.
@@ -6,42 +6,29 @@
 //! and the cellular radio warm-up set — so those live behind interior
 //! mutability (a striped [`obs::Counter`], whose threads each write their
 //! own cache line, and the sharded [`WarmedSet`]), which makes
-//! [`Network::exchange`] take `&self` and the whole network `Sync`.
+//! [`Network::exchange`](crate::Network::exchange) take `&self` and the whole network `Sync`.
 //!
-//! Two ways to share one network across worker threads:
-//!
-//! * **Borrowed:** pass `&Network` into scoped threads (e.g.
-//!   [`std::thread::scope`]). Zero setup cost; the classification
-//!   pipeline uses this.
-//! * **Owned:** wrap the network in a [`SharedNetwork`] — a cheaply
-//!   clonable `Send + Sync` handle (an [`Arc`] under the hood) for
-//!   `'static` contexts such as spawned threads or long-lived services.
+//! Share one network across worker threads by passing `&Network` into
+//! scoped threads ([`std::thread::scope`]): zero setup cost, and the
+//! borrow ends with the scope, so `&mut` control-plane operations (epoch
+//! changes, topology edits) resume right after. The snapshot scan,
+//! classification and reprobe validation all run this way.
 //!
 //! ```
 //! use netsim::build::{build, ScenarioConfig};
-//! use netsim::SharedNetwork;
 //!
 //! let scenario = build(ScenarioConfig::tiny(42));
-//! let shared = SharedNetwork::new(scenario.network);
-//! let handles: Vec<_> = (0..4)
-//!     .map(|_| {
-//!         let net = shared.clone();
-//!         std::thread::spawn(move || net.network().vantage_addr())
-//!     })
-//!     .collect();
-//! for h in handles {
-//!     h.join().unwrap();
-//! }
-//! let _network = shared.try_unwrap().expect("all handles dropped");
+//! let net = &scenario.network;
+//! std::thread::scope(|s| {
+//!     for _ in 0..4 {
+//!         s.spawn(|| net.vantage_addr());
+//!     }
+//! });
 //! ```
 
 use crate::addr::Addr;
-use crate::forward::{Delivery, SendError};
 use crate::hash::MixSet;
-use crate::topology::Network;
-use bytes::Bytes;
 use parking_lot::RwLock;
-use std::sync::Arc;
 
 /// Number of lock shards in a [`WarmedSet`]. A power of two so the shard
 /// index is a mask; 64 shards keep contention negligible at any realistic
@@ -128,73 +115,18 @@ impl std::fmt::Debug for WarmedSet {
     }
 }
 
-/// A cheaply clonable, `Send + Sync` handle to one shared [`Network`].
-///
-/// All probing goes through [`SharedNetwork::send`], which takes `&self`:
-/// any number of worker threads can drive probes through the same handle
-/// (or clones of it) with no per-thread network copy. Control-plane
-/// operations that genuinely need exclusivity (epoch changes, topology
-/// edits) are deliberately *not* exposed — reclaim the network with
-/// [`SharedNetwork::try_unwrap`] first.
-#[derive(Clone, Debug)]
-pub struct SharedNetwork {
-    inner: Arc<Network>,
-}
-
-impl SharedNetwork {
-    /// Take ownership of a network and share it.
-    pub fn new(network: Network) -> Self {
-        SharedNetwork {
-            inner: Arc::new(network),
-        }
-    }
-
-    /// Shared view of the underlying network (probing, read accessors).
-    pub fn network(&self) -> &Network {
-        &self.inner
-    }
-
-    /// Inject a probe; see [`Network::send`]. Safe from any thread.
-    pub fn send(&self, probe: Bytes) -> Result<Delivery, SendError> {
-        self.inner.send(probe)
-    }
-
-    /// Reclaim exclusive ownership once every other handle is dropped;
-    /// returns `Err(self)` while clones are still alive.
-    pub fn try_unwrap(self) -> Result<Network, SharedNetwork> {
-        Arc::try_unwrap(self.inner).map_err(|inner| SharedNetwork { inner })
-    }
-
-    /// Number of live handles to this network (including this one).
-    pub fn handle_count(&self) -> usize {
-        Arc::strong_count(&self.inner)
-    }
-}
-
-impl From<Network> for SharedNetwork {
-    fn from(network: Network) -> Self {
-        SharedNetwork::new(network)
-    }
-}
-
-impl AsRef<Network> for SharedNetwork {
-    fn as_ref(&self) -> &Network {
-        &self.inner
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::build::{build, ScenarioConfig};
     use crate::forward::encode_probe;
+    use crate::topology::Network;
 
     fn assert_send_sync<T: Send + Sync>() {}
 
     #[test]
     fn network_and_handle_are_send_sync() {
         assert_send_sync::<Network>();
-        assert_send_sync::<SharedNetwork>();
         assert_send_sync::<WarmedSet>();
     }
 
@@ -220,40 +152,6 @@ mod tests {
         copy.warm(Addr::new(10, 0, 0, 2));
         assert_eq!(set.len(), 1, "clone must not alias the original");
         assert_eq!(copy.len(), 2);
-    }
-
-    #[test]
-    fn shared_sends_match_exclusive_sends() {
-        // The same probe sequence through a shared handle produces byte
-        // identical responses to the exclusive-ownership path.
-        let scenario = build(ScenarioConfig::tiny(42));
-        let exclusive = scenario.network.clone();
-        let shared = SharedNetwork::new(scenario.network);
-        let vantage = shared.network().vantage_addr();
-        for (i, &block) in shared
-            .network()
-            .allocated_blocks()
-            .iter()
-            .take(20)
-            .enumerate()
-        {
-            let probe = encode_probe(vantage, block.addr(10), 64, 7, i as u16, 0xBEEF, i as u16);
-            let a = shared.send(probe.clone()).unwrap();
-            let b = exclusive.send(probe).unwrap();
-            assert_eq!(a.response, b.response);
-            assert_eq!(a.rtt_us, b.rtt_us);
-        }
-    }
-
-    #[test]
-    fn try_unwrap_respects_live_handles() {
-        let scenario = build(ScenarioConfig::tiny(1));
-        let shared = SharedNetwork::new(scenario.network);
-        let extra = shared.clone();
-        assert_eq!(shared.handle_count(), 2);
-        let shared = shared.try_unwrap().expect_err("clone still alive");
-        drop(extra);
-        assert!(shared.try_unwrap().is_ok());
     }
 
     #[test]

@@ -53,7 +53,7 @@ pub mod wire;
 
 pub use addr::{Addr, Block24, Prefix};
 pub use build::{build, GroundTruth, Scenario, ScenarioConfig};
-pub use concurrent::{SharedNetwork, WarmedSet};
+pub use concurrent::WarmedSet;
 pub use dynamics::{DynamicsConfig, DynamicsEvent, NetemSpec};
 pub use fault::{FaultConfig, NetworkStats, SilenceStats};
 pub use forward::{encode_probe, probe_packet, Delivery, Packet, Reply, SendError, TIMEOUT_US};

@@ -4,10 +4,10 @@
 //! All higher-level tools (ZMap scan, ping, traceroute, MDA) are built on
 //! [`Prober::probe`]. The prober talks to the wire only through a
 //! [`ProbeTransport`] — bytes in, bytes out — so the same tools run over an
-//! exclusively borrowed network, a shared `&Network` inside scoped worker
-//! threads, or an owned [`SharedNetwork`] handle. Each probe is encoded
-//! into a stack array and its reply parsed from the network's stack
-//! [`Packet`], so the probe path does no heap allocation.
+//! exclusively borrowed network or a shared `&Network` inside scoped worker
+//! threads. Each probe is encoded into a stack array and its reply parsed
+//! from the network's stack [`Packet`], so the probe path does no heap
+//! allocation.
 
 use crate::cancel::CancelToken;
 use crate::error::ProbeError;
@@ -16,7 +16,7 @@ use netsim::forward::probe_packet;
 use netsim::wire::{
     IcmpEcho, IcmpError, Ipv4Header, ICMP_ECHO_REPLY, ICMP_TIME_EXCEEDED, IPV4_HEADER_LEN,
 };
-use netsim::{Addr, Network, Packet, Reply, SendError, SharedNetwork};
+use netsim::{Addr, Network, Packet, Reply, SendError};
 use obs::{Counter, Histogram, Recorder};
 
 /// Anything that can carry a probe packet and return the response.
@@ -25,9 +25,8 @@ use obs::{Counter, Histogram, Recorder};
 /// is bytes-in/bytes-out, exactly a raw socket's contract. [`Prober`] works
 /// over any transport, so higher-level tools (ping, traceroute, MDA, ZMap)
 /// never name a concrete network type. Implementations exist for
-/// `&mut Network` (exclusive), `&Network` (shared borrow — the concurrent
-/// classification pipeline hands one to each worker), [`SharedNetwork`]
-/// (owned handle for `'static` contexts), and owned [`Network`].
+/// `&mut Network` (exclusive) and `&Network` (shared borrow — the scan,
+/// classification and reprobe workers each hold one).
 pub trait ProbeTransport {
     /// Carry one probe packet; see [`netsim::Network::exchange`].
     fn exchange(&mut self, probe: &[u8]) -> Result<Reply, SendError>;
@@ -72,33 +71,6 @@ impl ProbeTransport for &Network {
     }
     fn as_network(&self) -> Option<&Network> {
         Some(self)
-    }
-}
-
-impl ProbeTransport for Network {
-    fn exchange(&mut self, probe: &[u8]) -> Result<Reply, SendError> {
-        Network::exchange(self, probe)
-    }
-    fn vantage_addr(&self) -> Addr {
-        Network::vantage_addr(self)
-    }
-    fn as_network(&self) -> Option<&Network> {
-        Some(self)
-    }
-    fn as_network_mut(&mut self) -> Option<&mut Network> {
-        Some(self)
-    }
-}
-
-impl ProbeTransport for SharedNetwork {
-    fn exchange(&mut self, probe: &[u8]) -> Result<Reply, SendError> {
-        self.network().exchange(probe)
-    }
-    fn vantage_addr(&self) -> Addr {
-        self.network().vantage_addr()
-    }
-    fn as_network(&self) -> Option<&Network> {
-        Some(self.network())
     }
 }
 
@@ -252,7 +224,7 @@ pub fn backoff_delay(base_us: u64, cap_us: u64, retry_index: u32) -> u64 {
 
 /// Where a prober's answers come from.
 enum Backend<'n> {
-    /// A live transport (exclusive, shared-borrow, or owned network).
+    /// A live transport (an exclusive or a shared borrow of a network).
     Live(Box<dyn ProbeTransport + Send + 'n>),
     /// A previously recorded probe archive; `misses` counts lookups the
     /// archive could not answer (returned as timeouts).
@@ -266,8 +238,8 @@ impl<'n> Prober<'n> {
         Prober::over(net, icmp_ident)
     }
 
-    /// Create a prober over any [`ProbeTransport`] — a `&Network` shared
-    /// with other workers, a [`SharedNetwork`] handle, an owned network.
+    /// Create a prober over any [`ProbeTransport`] — e.g. a `&Network`
+    /// shared with other workers.
     pub fn over<T: ProbeTransport + Send + 'n>(transport: T, icmp_ident: u16) -> Self {
         let source = transport.vantage_addr();
         Prober {
@@ -290,12 +262,6 @@ impl<'n> Prober<'n> {
             obs: None,
             cancel: CancelToken::default(),
         }
-    }
-
-    /// Create a `'static` prober over an owned [`SharedNetwork`] handle
-    /// (for spawned threads and other `'static` contexts).
-    pub fn shared(net: SharedNetwork, icmp_ident: u16) -> Prober<'static> {
-        Prober::over(net, icmp_ident)
     }
 
     /// Create a prober that answers from a recorded archive instead of a
@@ -954,12 +920,9 @@ mod tests {
         assert_eq!(r.network_mut().unwrap_err(), ProbeError::ReplayHasNoNetwork);
 
         // Shared transport: shared view works, exclusive access does not.
-        let shared = netsim::SharedNetwork::new(s.network);
-        let mut q = Prober::shared(shared.clone(), 77);
+        let mut q = Prober::over(&s.network, 77);
         assert!(q.network().is_ok());
         assert_eq!(q.network_mut().unwrap_err(), ProbeError::SharedTransport);
-        drop(q);
-        let _ = shared.try_unwrap();
     }
 
     /// FNV-1a, folded over every byte a sweep observes.
@@ -1024,7 +987,25 @@ mod tests {
             }
             d.feed_u64(delivery.rtt_us);
         }
-        d.feed(format!("{:?}", net.net_stats()).as_bytes());
+        // The stats fields the digest was pinned with, rendered by name
+        // (in the derived `Debug` form), so new counters leave it alone.
+        let s = net.net_stats();
+        let fields = [
+            ("probes_carried", s.probes_carried),
+            ("link_drops", s.link_drops),
+            ("rate_limited_drops", s.rate_limited_drops),
+            ("icmp_loss_drops", s.icmp_loss_drops),
+            ("dyn_rewrites", s.dyn_rewrites),
+            ("dyn_resizes", s.dyn_resizes),
+            ("dyn_loops", s.dyn_loops),
+            ("dyn_addr_reuses", s.dyn_addr_reuses),
+            ("dyn_false_diamonds", s.dyn_false_diamonds),
+            ("netem_delays", s.netem_delays),
+            ("netem_reorders", s.netem_reorders),
+            ("netem_duplicates", s.netem_duplicates),
+        ];
+        let body: Vec<String> = fields.iter().map(|(k, v)| format!("{k}: {v}")).collect();
+        d.feed(format!("NetworkStats {{ {} }}", body.join(", ")).as_bytes());
         (d.0, seen)
     }
 

@@ -3,7 +3,8 @@
 //!
 //! The production engine (`experiments::classify_blocks`) cannot be a
 //! dependency of this crate — `experiments` depends on `testkit` for the
-//! `hobbit-conform` binary — so the caller injects it as a closure. Each
+//! `hobbit-conform` binary — so the caller injects it: pass
+//! `&experiments::classify_blocks` as the [`ClassifyRef`]. Each
 //! run rebuilds the world from the spec (probing mutates warm-up and
 //! token-bucket state, so reuse would let one thread count's run leak into
 //! the next), takes the ZMap snapshot, switches faults on, classifies, and
@@ -14,16 +15,15 @@ use crate::scenario::{build_world, ScenarioSpec, TruthLabel};
 use hobbit::{
     select_all, BlockMeasurement, Classification, ConfidenceTable, HobbitConfig, SelectedBlock,
 };
-use netsim::{Addr, Block24, SharedNetwork};
+use netsim::{Addr, Block24, Network};
 use obs::{Counter, Recorder};
 use probe::zmap;
 
-/// The injected production classification engine: shared network, selected
+/// The injected production classification engine: network, selected
 /// blocks, confidence table, config, thread count → measurements in block
-/// order. Wrap `experiments::classify_blocks` as
-/// `&|n, s, c, f, t| experiments::classify_blocks(n, s, c, f, t).0`.
+/// order. `&experiments::classify_blocks` has exactly this shape.
 pub type ClassifyRef<'a> = &'a dyn Fn(
-    &SharedNetwork,
+    &Network,
     &[SelectedBlock],
     &ConfidenceTable,
     &HobbitConfig,
@@ -199,9 +199,8 @@ pub(crate) fn classify_once(
         world.network.set_dynamics(world.dynamics.clone());
     }
     let selected = select_all(&snapshot);
-    let cfg = conform_config(spec);
-    let shared = SharedNetwork::new(world.network);
-    classify(&shared, &selected, &ConfidenceTable::empty(), &cfg, threads)
+    let (table, cfg) = (ConfidenceTable::empty(), conform_config(spec));
+    classify(&world.network, &selected, &table, &cfg, threads)
 }
 
 /// Run production classification and the oracle over one spec, comparing
@@ -340,7 +339,7 @@ mod tests {
     /// A plain sequential reference engine (the crate's own default; the
     /// real conformance suite injects the production work-stealing one).
     pub fn sequential_classify(
-        net: &SharedNetwork,
+        net: &Network,
         selected: &[SelectedBlock],
         table: &ConfidenceTable,
         cfg: &HobbitConfig,
@@ -349,7 +348,7 @@ mod tests {
         let mut out: Vec<BlockMeasurement> = selected
             .iter()
             .map(|sel| {
-                let mut prober = Prober::shared(net.clone(), block_ident(sel.block));
+                let mut prober = Prober::over(net, block_ident(sel.block));
                 classify_block(&mut prober, sel, table, cfg)
             })
             .collect();
@@ -370,7 +369,7 @@ mod tests {
     #[test]
     fn injected_verdict_flip_is_caught() {
         let spec = gen_spec(1);
-        let broken = |net: &SharedNetwork,
+        let broken = |net: &Network,
                       sel: &[SelectedBlock],
                       table: &ConfidenceTable,
                       cfg: &HobbitConfig,

@@ -10,12 +10,11 @@
 //! 1. the one-liner [`experiments::Pipeline::builder()`], which runs the
 //!    paper's whole measurement sequence (scan → selection → calibration →
 //!    concurrent classification), and
-//! 2. the manual walkthrough over a [`netsim::SharedNetwork`] handle, the
-//!    same thread-safe engine the pipeline's workers probe concurrently.
+//! 2. the manual walkthrough over a borrowed `&Network`, the same
+//!    thread-safe engine the pipeline's workers probe concurrently.
 
 use hobbit::{classify_block, select_block, ConfidenceTable, HobbitConfig};
 use netsim::build::{build, ScenarioConfig};
-use netsim::SharedNetwork;
 use probe::{zmap, Prober};
 
 fn main() {
@@ -53,10 +52,9 @@ fn main() {
     );
 
     // Step 2: classify the first blocks that pass the selection criteria.
-    // The prober talks to the network through a shared handle — hand out
-    // clones of `net` to as many threads as you like.
-    let net = SharedNetwork::new(scenario.network);
-    let mut prober = Prober::shared(net.clone(), 0x42);
+    // The prober borrows the network shared (`&Network` is `Send`), so
+    // scoped threads can each probe through their own prober at once.
+    let mut prober = Prober::over(&scenario.network, 0x42);
     let table = ConfidenceTable::empty(); // no calibration: probe all actives
     let cfg = HobbitConfig::default();
     let mut shown = 0;

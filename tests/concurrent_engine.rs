@@ -7,11 +7,11 @@
 //!    from the block address, never from which worker or shard ran it, so
 //!    `threads(1)` and `threads(8)` must produce byte-identical results.
 //! 2. **Engine safety under contention** — many workers hammering one
-//!    [`netsim::SharedNetwork`] observe exactly the replies a sequential
-//!    prober would, and the engine's probe accounting stays exact.
+//!    borrowed `&Network` observe exactly the replies a sequential prober
+//!    would, and the engine's probe accounting stays exact.
 
 use netsim::build::{build, ScenarioConfig};
-use netsim::{Block24, SharedNetwork};
+use netsim::Block24;
 use obs::{Recorder, Registry};
 use probe::{ProbeObs, ProbeReply, Prober};
 
@@ -131,23 +131,22 @@ fn shared_engine_is_consistent_under_contention() {
     assert_eq!(baseline_net.probes_carried(), probes_per_run);
 
     // Concurrent: every thread probes the full target list through its own
-    // prober over a clone of the one shared handle. All probers report into
+    // prober over the one borrowed network. All probers report into
     // one shared set of metric handles, and the network into the same
     // registry, so every worker bumps the same counters.
     let reg = Registry::new();
     let obs = ProbeObs::bind(&reg);
     let mut network = scenario.network;
     network.set_recorder(&reg);
-    let shared = SharedNetwork::new(network);
+    let net = &network;
     let (sent, rtt_total) = std::thread::scope(|s| {
         let handles: Vec<_> = (0..THREADS)
             .map(|t| {
-                let net = shared.clone();
                 let dsts = &dsts;
                 let expected = &expected;
                 let obs = obs.clone();
                 s.spawn(move || {
-                    let mut prober = Prober::shared(net, 0x7100 + t as u16);
+                    let mut prober = Prober::over(net, 0x7100 + t as u16);
                     prober.set_obs(obs);
                     for (&dst, want) in dsts.iter().zip(expected) {
                         let got = prober.probe(dst, 64, 0).reply;
@@ -168,11 +167,8 @@ fn shared_engine_is_consistent_under_contention() {
     });
 
     assert_eq!(sent, probes_per_run * THREADS as u64);
-    let net = shared
-        .try_unwrap()
-        .expect("all worker handles were dropped");
     assert_eq!(
-        net.probes_carried(),
+        network.probes_carried(),
         sent,
         "engine accounting lost or double-counted probes under contention"
     );

@@ -5,8 +5,8 @@
 //! injected divergence must shrink to a minimal persisted seed file.
 
 use experiments::classify_blocks;
-use hobbit::{BlockMeasurement, Classification, ConfidenceTable, HobbitConfig, SelectedBlock};
-use netsim::SharedNetwork;
+use hobbit::{Classification, ConfidenceTable, HobbitConfig, SelectedBlock};
+use netsim::Network;
 use std::path::Path;
 use testkit::corpus::load_dir;
 use testkit::diff::{run_spec, ConformObs};
@@ -18,17 +18,6 @@ const THREADS: &[usize] = &[1, 8];
 
 /// The loss axis of the sweep.
 const FAULT_LOSSES: &[f32] = &[0.0, 0.02];
-
-/// The production engine in the shape the differential runner injects.
-fn production(
-    net: &SharedNetwork,
-    selected: &[SelectedBlock],
-    confidence: &ConfidenceTable,
-    cfg: &HobbitConfig,
-    threads: usize,
-) -> Vec<BlockMeasurement> {
-    classify_blocks(net, selected, confidence, cfg, threads).0
-}
 
 /// Fresh-scenario count: `HOBBIT_CONFORM_CASES` or 200.
 fn cases() -> usize {
@@ -50,7 +39,7 @@ fn golden_corpus_is_conformant_across_threads_and_faults() {
     for entry in &entries {
         // The entry's own fault knobs (checked against the pins), plus the
         // sweep's loss axis.
-        let r = run_spec(&entry.spec, THREADS, &production, None);
+        let r = run_spec(&entry.spec, THREADS, &classify_blocks, None);
         assert!(r.clean(), "{}: {:?}", entry.name, r.mismatches);
         let issues = entry.check(&r);
         assert!(issues.is_empty(), "{issues:?}");
@@ -59,7 +48,7 @@ fn golden_corpus_is_conformant_across_threads_and_faults() {
             if spec == entry.spec {
                 continue;
             }
-            let r = run_spec(&spec, THREADS, &production, None);
+            let r = run_spec(&spec, THREADS, &classify_blocks, None);
             assert!(
                 r.clean(),
                 "{} at loss {loss}: {:?}",
@@ -81,7 +70,7 @@ fn fresh_scenarios_are_conformant() {
         if i % 2 == 1 {
             spec = spec.with_faults(FAULT_LOSSES[1], 0.0);
         }
-        let r = run_spec(&spec, THREADS, &production, Some(&conform_obs));
+        let r = run_spec(&spec, THREADS, &classify_blocks, Some(&conform_obs));
         assert!(r.clean(), "seed {}: {:?}", spec.seed, r.mismatches);
     }
     assert_eq!(reg.counter_value("conform.scenarios"), Some(n as u64));
@@ -92,12 +81,12 @@ fn fresh_scenarios_are_conformant() {
 #[test]
 fn injected_mismatch_shrinks_to_minimal_seed_file() {
     // A broken engine that misreports single-last-hop blocks.
-    let broken = |net: &SharedNetwork,
+    let broken = |net: &Network,
                   sel: &[SelectedBlock],
                   table: &ConfidenceTable,
                   cfg: &HobbitConfig,
                   t: usize| {
-        let mut ms = production(net, sel, table, cfg, t);
+        let mut ms = classify_blocks(net, sel, table, cfg, t);
         for m in &mut ms {
             if m.classification == Classification::SameLasthop {
                 m.classification = Classification::Hierarchical;

@@ -6,8 +6,6 @@
 //! to a minimal reproducer that keeps exactly the offending event.
 
 use experiments::classify_blocks;
-use hobbit::{BlockMeasurement, ConfidenceTable, HobbitConfig, SelectedBlock};
-use netsim::SharedNetwork;
 use obs::Registry;
 use std::path::{Path, PathBuf};
 use testkit::corpus::load_dir;
@@ -21,17 +19,6 @@ const THREADS: &[usize] = &[1, 8];
 
 /// Virtual-clock period of the planted sweeps, probes per epoch.
 const PERIOD: u64 = 16;
-
-/// The production engine in the shape the differential runner injects.
-fn production(
-    net: &SharedNetwork,
-    selected: &[SelectedBlock],
-    confidence: &ConfidenceTable,
-    cfg: &HobbitConfig,
-    threads: usize,
-) -> Vec<BlockMeasurement> {
-    classify_blocks(net, selected, confidence, cfg, threads).0
-}
 
 /// Fuzzed-scenario count: `HOBBIT_DYN_CASES` or 25.
 fn cases() -> usize {
@@ -152,7 +139,7 @@ fn dynamic_corpus_entries_are_conformant_across_threads() {
         dynamic.len()
     );
     for entry in dynamic {
-        let r = run_spec(&entry.spec, THREADS, &production, None);
+        let r = run_spec(&entry.spec, THREADS, &classify_blocks, None);
         assert!(r.clean(), "{}: {:?}", entry.name, r.mismatches);
         let issues = entry.check(&r);
         assert!(issues.is_empty(), "{issues:?}");
@@ -171,9 +158,9 @@ fn fuzzed_dynamic_scenarios_are_conformant() {
     for i in 0..n {
         let spec = with_churn(11_000 + i as u64, Churn::High);
         let name = format!("fuzzed-dynamic-{}", spec.seed);
-        let r = run_spec(&spec, THREADS, &production, None);
+        let r = run_spec(&spec, THREADS, &classify_blocks, None);
         if !r.clean() {
-            let fails = |s: &ScenarioSpec| !run_spec(s, &[1], &production, None).clean();
+            let fails = |s: &ScenarioSpec| !run_spec(s, &[1], &classify_blocks, None).clean();
             let at = dump_shrunk(&name, &spec, &fails);
             panic!(
                 "{name}: {:?} — shrunk reproducer at {}",
@@ -189,12 +176,12 @@ fn empty_schedule_is_byte_identical_to_a_static_world() {
     for seed in [3001u64, 3002, 3003] {
         let mut spec = gen_spec(seed);
         spec.dynamics = DynamicsSpec::default();
-        let frozen = run_spec(&spec, &[1], &production, None);
+        let frozen = run_spec(&spec, &[1], &classify_blocks, None);
         // A period with no events (and inactive netem) must never tick the
         // clock, tag an epoch, or perturb a single byte of evidence.
         let mut armed = spec.clone();
         armed.dynamics.period = PERIOD;
-        let idle = run_spec(&armed, &[1], &production, None);
+        let idle = run_spec(&armed, &[1], &classify_blocks, None);
         assert_eq!(
             serde_json::to_string(&frozen.measurements).unwrap(),
             serde_json::to_string(&idle.measurements).unwrap(),
@@ -208,7 +195,7 @@ fn accuracy_cell(seed: u64, level: Churn, obs: Option<&AccuracyObs>) -> Accuracy
     let spec = with_churn(seed, level);
     let mut per_thread: Vec<AccuracyReport> = THREADS
         .iter()
-        .map(|&t| dynamics_accuracy(&spec, t, &production, obs))
+        .map(|&t| dynamics_accuracy(&spec, t, &classify_blocks, obs))
         .collect();
     let first = per_thread.remove(0);
     for (t, r) in THREADS[1..].iter().zip(per_thread) {
@@ -265,7 +252,7 @@ fn dynamics_dependent_failure_shrinks_to_one_event() {
     // The predicate holds iff a live schedule epoch-tagged some evidence —
     // a stand-in for any dynamics-triggered regression.
     let fails = |s: &ScenarioSpec| {
-        run_spec(s, &[1], &production, None)
+        run_spec(s, &[1], &classify_blocks, None)
             .measurements
             .iter()
             .any(|m| !m.dest_epochs.is_empty())

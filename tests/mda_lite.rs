@@ -6,12 +6,11 @@
 //! regression names the block and both verdicts, not just a rate.
 
 use experiments::classify_blocks;
-use hobbit::{BlockMeasurement, ConfidenceTable, HobbitConfig, SelectedBlock};
-use netsim::SharedNetwork;
+use hobbit::BlockMeasurement;
 use probe::MdaMode;
 use std::path::{Path, PathBuf};
 use testkit::corpus::load_dir;
-use testkit::diff::{run_spec, Mismatch};
+use testkit::diff::{run_spec, DiffReport, Mismatch};
 use testkit::scenario::{gen_spec, DynamicsSpec, ScenarioSpec};
 use testkit::shrink::shrink;
 
@@ -33,17 +32,6 @@ const DRIFT_CEILING: f64 = 0.01;
 /// regressions fail while topology drift does not.
 const SAVINGS_FLOOR: f64 = 2.0;
 
-/// The production engine in the shape the differential runner injects.
-fn production(
-    net: &SharedNetwork,
-    selected: &[SelectedBlock],
-    confidence: &ConfidenceTable,
-    cfg: &HobbitConfig,
-    threads: usize,
-) -> Vec<BlockMeasurement> {
-    classify_blocks(net, selected, confidence, cfg, threads).0
-}
-
 /// Fuzzed-scenario count: `HOBBIT_MDA_CASES` or 40.
 fn cases() -> usize {
     std::env::var("HOBBIT_MDA_CASES")
@@ -52,12 +40,14 @@ fn cases() -> usize {
         .unwrap_or(40)
 }
 
-/// The same world probed in one forced mode.
-fn in_mode(spec: &ScenarioSpec, mode: MdaMode) -> ScenarioSpec {
-    ScenarioSpec {
+/// The same world probed in one forced mode, through the production
+/// engine, checked against the oracle.
+fn run_in_mode(spec: &ScenarioSpec, mode: MdaMode, threads: &[usize]) -> DiffReport {
+    let spec = ScenarioSpec {
         mda_mode: mode,
         ..spec.clone()
-    }
+    };
+    run_spec(&spec, threads, &classify_blocks, None)
 }
 
 /// Running totals of one classic-vs-lite sweep.
@@ -114,8 +104,8 @@ fn dump_shrunk(name: &str, spec: &ScenarioSpec, fails: &dyn Fn(&ScenarioSpec) ->
 /// Whether the two modes disagree anywhere on (verdict, last-hop set) —
 /// the shrink predicate for a drifting spec.
 fn modes_drift(spec: &ScenarioSpec) -> bool {
-    let c = run_spec(&in_mode(spec, MdaMode::Classic), &[1], &production, None);
-    let l = run_spec(&in_mode(spec, MdaMode::Lite), &[1], &production, None);
+    let c = run_in_mode(spec, MdaMode::Classic, &[1]);
+    let l = run_in_mode(spec, MdaMode::Lite, &[1]);
     c.measurements.len() != l.measurements.len()
         || c.measurements
             .iter()
@@ -126,8 +116,8 @@ fn modes_drift(spec: &ScenarioSpec) -> bool {
 /// Whether some block spends more probes under lite than under classic —
 /// the shrink predicate for a probe-monotonicity violation.
 fn lite_overspends(spec: &ScenarioSpec) -> bool {
-    let c = run_spec(&in_mode(spec, MdaMode::Classic), &[1], &production, None);
-    let l = run_spec(&in_mode(spec, MdaMode::Lite), &[1], &production, None);
+    let c = run_in_mode(spec, MdaMode::Classic, &[1]);
+    let l = run_in_mode(spec, MdaMode::Lite, &[1]);
     c.measurements.len() == l.measurements.len()
         && c.measurements
             .iter()
@@ -140,8 +130,8 @@ fn lite_overspends(spec: &ScenarioSpec) -> bool {
 /// probe monotonicity when fault-free, byte-identical projections when the
 /// spec shows zero drift).
 fn sweep_spec(name: &str, spec: &ScenarioSpec, drift: &mut Drift) {
-    let classic = run_spec(&in_mode(spec, MdaMode::Classic), THREADS, &production, None);
-    let lite = run_spec(&in_mode(spec, MdaMode::Lite), THREADS, &production, None);
+    let classic = run_in_mode(spec, MdaMode::Classic, THREADS);
+    let lite = run_in_mode(spec, MdaMode::Lite, THREADS);
     // Both modes must pass the full oracle (replay verdicts, last-hop
     // recomputation, counter identities, aggregation) on their own.
     assert!(classic.clean(), "{name} classic: {:?}", classic.mismatches);

@@ -9,22 +9,10 @@ use experiments::classify_blocks;
 use experiments::lease::shard_of;
 use hobbit::{select_all, BlockMeasurement, ConfidenceTable, SelectedBlock};
 use netsim::build::{build, derive_dynamics, ScenarioConfig};
-use netsim::SharedNetwork;
 use probe::{zmap, MdaMode};
 use proptest::prelude::*;
 use testkit::diff::{conform_config, run_spec};
 use testkit::scenario::{build_world, gen_spec, DynamicsSpec, EventSpec, NetemKnobs, ScenarioSpec};
-
-/// The production engine in the shape the differential runner injects.
-fn production(
-    net: &SharedNetwork,
-    selected: &[SelectedBlock],
-    confidence: &ConfidenceTable,
-    cfg: &hobbit::HobbitConfig,
-    threads: usize,
-) -> Vec<BlockMeasurement> {
-    classify_blocks(net, selected, confidence, cfg, threads).0
-}
 
 /// A generated spec with a live schedule planted on it: one route churn at
 /// epoch 1, one address-reuse at epoch 2, and (on odd seeds) mild netem
@@ -71,9 +59,8 @@ fn classify_subset(
     if world.dynamics.is_active() {
         world.network.set_dynamics(world.dynamics.clone());
     }
-    let cfg = conform_config(spec);
-    let shared = SharedNetwork::new(world.network);
-    classify_blocks(&shared, subset, &ConfidenceTable::empty(), &cfg, threads).0
+    let (table, cfg) = (ConfidenceTable::empty(), conform_config(spec));
+    classify_blocks(&world.network, subset, &table, &cfg, threads)
 }
 
 /// The selection a full run and every shard agree on (selection reads the
@@ -135,7 +122,7 @@ proptest! {
         for mode in [MdaMode::Classic, MdaMode::Lite] {
             let mut spec = dynamic_spec(seed);
             spec.mda_mode = mode;
-            let r = run_spec(&spec, &[1, 8], &production, None);
+            let r = run_spec(&spec, &[1, 8], &classify_blocks, None);
             prop_assert!(
                 r.clean(),
                 "seed {} {:?}: {:?}",
@@ -204,10 +191,10 @@ proptest! {
     ) {
         let mut spec = gen_spec(seed);
         spec.dynamics = DynamicsSpec::default();
-        let frozen = run_spec(&spec, &[1], &production, None);
+        let frozen = run_spec(&spec, &[1], &classify_blocks, None);
         let mut armed = spec.clone();
         armed.dynamics.period = 1u64 << pexp;
-        let idle = run_spec(&armed, &[1], &production, None);
+        let idle = run_spec(&armed, &[1], &classify_blocks, None);
         prop_assert_eq!(
             serde_json::to_string(&frozen.measurements).unwrap(),
             serde_json::to_string(&idle.measurements).unwrap(),

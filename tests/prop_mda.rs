@@ -6,7 +6,7 @@
 
 use experiments::classify_blocks;
 use hobbit::{select_all, BlockMeasurement, ConfidenceTable, HobbitConfig};
-use netsim::{Addr, SharedNetwork};
+use netsim::Addr;
 use probe::{detect_diamonds, zmap, MdaMode, MdaPaths, Path, StoppingRule};
 use proptest::prelude::*;
 use testkit::scenario::{build_world, gen_spec};
@@ -49,8 +49,8 @@ fn classify_in_mode(seed: u64, mode: MdaMode) -> Vec<BlockMeasurement> {
         mda_mode: mode,
         ..HobbitConfig::default()
     };
-    let shared = SharedNetwork::new(world.network);
-    classify_blocks(&shared, &selected, &ConfidenceTable::empty(), &cfg, 1).0
+    let table = ConfidenceTable::empty();
+    classify_blocks(&world.network, &selected, &table, &cfg, 1)
 }
 
 /// Fixed anchor from the paper: at 95% confidence the rule sends 6 probes

@@ -9,7 +9,7 @@ use experiments::journal::{read_journal, CrashPoint, Entry, JournalWriter, RunMe
 use experiments::pipeline::scenario_config;
 use experiments::prefix::{self, PREFIX_FILE};
 use experiments::supervise::{InjectedFault, SuperviseConfig, DEFAULT_ATTEMPT_BUDGET};
-use experiments::{ExpArgs, Pipeline, PipelineBuilder, ShutdownSignal};
+use experiments::{ExpArgs, Pipeline, PipelineBuilder, ShutdownSignal, StorageErrorKind};
 use hobbit::Classification;
 use netsim::build::build;
 use netsim::{Addr, Block24};
@@ -257,6 +257,24 @@ fn uninterrupted_checkpointed_run_matches_plain_run() {
         &resumed.canonical_report(),
         "complete-journal resume",
     );
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A journal written under a foreign schema version is refused with a
+/// typed corruption error naming the journal — never a panic.
+#[test]
+fn foreign_schema_journal_is_refused_with_a_typed_error() {
+    let dir = run_dir("foreign-schema");
+    let mut meta = RunMeta::new(SEED, SCALE, None);
+    meta.schema = "hobbit-journal/v0".to_string();
+    JournalWriter::create(&dir, &meta).unwrap();
+    let Err(err) = Pipeline::builder().resume_from(&dir).try_run() else {
+        panic!("resuming a foreign-schema journal must be refused");
+    };
+    assert_eq!(err.kind, StorageErrorKind::Corruption);
+    assert_eq!(err.op, "resume");
+    assert_eq!(err.path, dir.join(JOURNAL_FILE));
+    assert!(err.detail.contains("hobbit-journal/v0"), "{err}");
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
