@@ -185,7 +185,7 @@ where
             // travel back through the thread join.
             let i = next.fetch_add(1, Ordering::Relaxed);
             let Some(sel) = tasks.get(i) else { break };
-            let mut prober = Prober::over(net, REPROBE_IDENT);
+            let mut prober = Prober::new(net, REPROBE_IDENT);
             prober.retry_budget = probing.retry_budget;
             prober.set_obs(probe_obs.clone());
             let set = reprobe_block(&mut prober, sel, cfg.rule, probing.mda_mode);
@@ -325,7 +325,7 @@ mod tests {
             v.sort();
             v
         };
-        let mut prober = Prober::new(&mut s.network, 0xAA);
+        let mut prober = Prober::new(&s.network, 0xAA);
         let set = reprobe_block(
             &mut prober,
             &sel,

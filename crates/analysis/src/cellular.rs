@@ -106,7 +106,7 @@ mod tests {
     fn cellular_big_site_detected_and_datacenter_not() {
         let mut cfg = ScenarioConfig::small(42);
         cfg.big_block_scale = 0.02; // keep sites small but present
-        let mut s = build(cfg);
+        let s = build(cfg);
         let epoch = s.network.epoch();
         // Collect blocks of one cellular big site and one hosting site.
         let mut cell_blocks = Vec::new();
@@ -139,7 +139,7 @@ mod tests {
                 .map(|p| oracle.active_in_block(b, p, epoch))
                 .unwrap_or_default()
         };
-        let mut prober = Prober::new(&mut s.network, 0xCE);
+        let mut prober = Prober::new(&s.network, 0xCE);
         let cell = block_ping_deltas(&mut prober, &cell_blocks, &actives, 4, 5, 10, 7);
         let dc = block_ping_deltas(&mut prober, &dc_blocks, &actives, 4, 5, 10, 7);
         drop(prober);

@@ -188,7 +188,7 @@ mod tests {
     fn scan_reports_up_for_live_blocks_and_events_on_change() {
         let (mut s, dataset, actives) = world();
         let mut monitor = OutageMonitor::new(dataset, actives);
-        let mut prober = Prober::new(&mut s.network, 0x0E);
+        let mut prober = Prober::new(&s.network, 0x0E);
         let (scans, events) = monitor.scan(&mut prober);
         assert!(!scans.is_empty());
         assert!(events.is_empty(), "first scan has no previous state");
@@ -200,10 +200,9 @@ mod tests {
         );
         // A later epoch flips some blocks quiet; events must appear and be
         // consistent with the recorded states.
-        prober
-            .network_mut()
-            .expect("test prober owns its network exclusively")
-            .set_epoch(7);
+        drop(prober);
+        s.network.set_epoch(7);
+        let mut prober = Prober::new(&s.network, 0x0E);
         let (scans2, events2) = monitor.scan(&mut prober);
         for e in &events2 {
             let now = scans2.iter().find(|s| s.block_id == e.block_id).unwrap();
@@ -214,11 +213,11 @@ mod tests {
 
     #[test]
     fn monitoring_cost_scales_with_blocks_not_24s() {
-        let (mut s, dataset, actives) = world();
+        let (s, dataset, actives) = world();
         let total_24s = dataset.total_24s() as u64;
         let n_blocks = dataset.blocks.len() as u64;
         let mut monitor = OutageMonitor::new(dataset, actives);
-        let mut prober = Prober::new(&mut s.network, 0x0F);
+        let mut prober = Prober::new(&s.network, 0x0F);
         let (scans, _) = monitor.scan(&mut prober);
         let cost: u64 = scans.iter().map(|b| b.probes).sum();
         // Up blocks usually cost ~1 probe; even with retries and down
@@ -232,9 +231,9 @@ mod tests {
 
     #[test]
     fn unknown_when_no_targets() {
-        let (mut s, dataset, _) = world();
+        let (s, dataset, _) = world();
         let mut monitor = OutageMonitor::new(dataset, BTreeMap::new());
-        let mut prober = Prober::new(&mut s.network, 0x10);
+        let mut prober = Prober::new(&s.network, 0x10);
         let (scans, _) = monitor.scan(&mut prober);
         assert!(scans.iter().all(|b| b.state == BlockState::Unknown));
     }

@@ -357,7 +357,7 @@ fn main() -> ExitCode {
                 let mut probes = 0u64;
                 for j in 0..n {
                     let sel = &selected[j % selected.len()];
-                    let mut prober = Prober::over(&scenario.network, block_ident(sel.block));
+                    let mut prober = Prober::new(&scenario.network, block_ident(sel.block));
                     let m = classify_block(&mut prober, sel, &conf, &probe_cfg);
                     probes += m.probes_used;
                 }
@@ -393,7 +393,7 @@ fn main() -> ExitCode {
             let mut probes = 0u64;
             for j in 0..n {
                 let sel = &selected[j % selected.len()];
-                let mut prober = Prober::over(&scenario.network, block_ident(sel.block));
+                let mut prober = Prober::new(&scenario.network, block_ident(sel.block));
                 let m = classify_block(&mut prober, sel, &conf, &probe_cfg);
                 probes += m.probes_used;
             }

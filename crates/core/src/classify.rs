@@ -528,7 +528,7 @@ mod tests {
 
         fn classify(&mut self, block: Block24) -> Option<BlockMeasurement> {
             let sel = select_block(&self.snapshot, block).ok()?;
-            let mut prober = Prober::new(&mut self.scenario.network, 0x0B17);
+            let mut prober = Prober::new(&self.scenario.network, 0x0B17);
             Some(classify_block(
                 &mut prober,
                 &sel,
@@ -668,7 +668,7 @@ mod tests {
 
     /// Classify every snapshot block fault-free under the given MDA mode.
     fn classify_with_mode(seed: u64, mode: MdaMode) -> Vec<BlockMeasurement> {
-        let mut w = World::new(seed);
+        let w = World::new(seed);
         let cfg = HobbitConfig {
             mda_mode: mode,
             ..HobbitConfig::default()
@@ -679,7 +679,7 @@ mod tests {
             let Ok(sel) = select_block(&w.snapshot, b) else {
                 continue;
             };
-            let mut prober = Prober::new(&mut w.scenario.network, 0x0B17);
+            let mut prober = Prober::new(&w.scenario.network, 0x0B17);
             out.push(classify_block(
                 &mut prober,
                 &sel,
@@ -734,7 +734,7 @@ mod tests {
             let Ok(sel) = select_block(&w.snapshot, b) else {
                 continue;
             };
-            let mut prober = Prober::new(&mut w.scenario.network, 0x0B17);
+            let mut prober = Prober::new(&w.scenario.network, 0x0B17);
             out.push(classify_block(
                 &mut prober,
                 &sel,

@@ -181,7 +181,7 @@ mod tests {
                     >= 8
         })?;
         let sel = select_block(&snapshot, block).ok()?;
-        let mut prober = Prober::new(&mut scenario.network, 0x50);
+        let mut prober = Prober::new(&scenario.network, 0x50);
         let survey = survey_block(&mut prober, &sel, StoppingRule::confidence95(), true);
         drop(prober);
         Some((scenario, survey))

@@ -93,12 +93,12 @@ fn reprobe_order_empty_and_duplicate_inputs() {
 fn classify_empty_selection_is_too_few_active() {
     // A degenerate selection (all quarters empty) must classify without
     // probing anything, not hang or panic.
-    let mut scenario = build(ScenarioConfig::tiny(42));
+    let scenario = build(ScenarioConfig::tiny(42));
     let sel = SelectedBlock {
         block: B,
         quarters: [vec![], vec![], vec![], vec![]],
     };
-    let mut prober = Prober::new(&mut scenario.network, 0x0B17);
+    let mut prober = Prober::new(&scenario.network, 0x0B17);
     let m = classify_block(
         &mut prober,
         &sel,
@@ -128,7 +128,7 @@ fn classify_single_address_selection_is_too_few_active() {
     let mut quarters: [Vec<Addr>; 4] = Default::default();
     quarters[one.quarter26() as usize].push(one);
     let sel = SelectedBlock { block, quarters };
-    let mut prober = Prober::new(&mut scenario.network, 0x0B17);
+    let mut prober = Prober::new(&scenario.network, 0x0B17);
     let m = classify_block(
         &mut prober,
         &sel,
@@ -162,7 +162,7 @@ fn total_loss_exhausts_reprobe_rounds() {
         reprobe_rounds: 3,
         ..HobbitConfig::default()
     };
-    let mut prober = Prober::new(&mut scenario.network, 0x0B17);
+    let mut prober = Prober::new(&scenario.network, 0x0B17);
     let m = classify_block(&mut prober, &sel, &ConfidenceTable::empty(), &cfg);
     let n = sel.active_count();
     assert_eq!(m.classification, Classification::TooFewActive);
@@ -196,7 +196,7 @@ fn all_unresponsive_block_yields_unresponsive_lasthop() {
         })
         .expect("tiny scenario plants an unresponsive pop");
     let sel = select_block(&snapshot, block).unwrap();
-    let mut prober = Prober::new(&mut scenario.network, 0x0B17);
+    let mut prober = Prober::new(&scenario.network, 0x0B17);
     let m = classify_block(
         &mut prober,
         &sel,

@@ -19,7 +19,7 @@ const SAMPLE_BLOCKS: usize = 48;
 
 /// Run the experiment.
 pub fn run(args: &ExpArgs) -> Report {
-    let mut p = pipeline::Pipeline::builder().args(args).run();
+    let p = pipeline::Pipeline::builder().args(args).run();
     let mut r = Report::new("figure11", "Discovered-link ratio: Hobbit blocks vs /24s");
 
     // Build the trace dataset with the size skew that drives the paper's
@@ -54,7 +54,7 @@ pub fn run(args: &ExpArgs) -> Report {
     let mut groups_hobbit: BTreeMap<usize, Vec<Block24>> = BTreeMap::new();
     {
         let snapshot = p.snapshot.clone();
-        let mut prober = Prober::new(&mut p.scenario.network, 0xF11);
+        let mut prober = Prober::new(&p.scenario.network, 0xF11);
         for &(ai, block) in &chosen {
             let Ok(sel) = select_block(&snapshot, block) else {
                 continue;

@@ -28,7 +28,7 @@ fn quartiles(e: &Ecdf) -> serde_json::Value {
 
 /// Run the experiment.
 pub fn run(args: &ExpArgs) -> Report {
-    let mut p = pipeline::Pipeline::builder().args(args).run();
+    let p = pipeline::Pipeline::builder().args(args).run();
     let mut r = Report::new("figure3", "Cardinality and probed-address CDFs");
 
     // Ground-truth homogeneous blocks among the analyzable measurements,
@@ -65,7 +65,7 @@ pub fn run(args: &ExpArgs) -> Report {
     let mut card_undetected = Vec::new();
     let (mut lasthop_c, mut subpath_c, mut path_c) = (Vec::new(), Vec::new(), Vec::new());
     {
-        let mut prober = Prober::new(&mut p.scenario.network, 0xF16);
+        let mut prober = Prober::new(&p.scenario.network, 0xF16);
         let half = SAMPLE_BLOCKS / 2;
         let sample = detected
             .iter()

@@ -55,7 +55,7 @@ pub fn run(args: &ExpArgs) -> Report {
             series.push(json!({"org": org, "status": "no aggregate at this scale"}));
             continue;
         };
-        let mut prober = Prober::new(&mut p.scenario.network, 0xF6);
+        let mut prober = Prober::new(&p.scenario.network, 0xF6);
         let deltas = block_ping_deltas(
             &mut prober,
             &agg.blocks,

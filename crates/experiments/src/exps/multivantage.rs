@@ -70,7 +70,7 @@ pub fn run(args: &ExpArgs) -> Report {
     let mut probes = (0u64, 0u64);
     for sel in sample {
         let set_a = {
-            let mut p = Prober::new(&mut scenario.network, 0xA0);
+            let mut p = Prober::new(&scenario.network, 0xA0);
             let before = p.probes_sent();
             let s = block_set(&mut p, sel, rule);
             probes.0 += p.probes_sent() - before;
@@ -80,7 +80,7 @@ pub fn run(args: &ExpArgs) -> Report {
             continue;
         }
         let set_b = {
-            let mut p = Prober::from_vantage(&mut scenario.network, 0xA1, vantages[1]);
+            let mut p = Prober::from_vantage(&scenario.network, 0xA1, vantages[1]);
             let before = p.probes_sent();
             let s = block_set(&mut p, sel, rule);
             probes.1 += p.probes_sent() - before;

@@ -37,7 +37,7 @@ pub fn run(args: &ExpArgs) -> Report {
 
     let rule = StoppingRule::confidence95();
     let stride = (selected.len() / SAMPLE_BLOCKS).max(1);
-    let mut prober = Prober::new(&mut scenario.network, 0x5EC2);
+    let mut prober = Prober::new(&scenario.network, 0x5EC2);
 
     // --- Straw man: one address per /26, compare MDA route sets.
     let (mut hetero_strict, mut hetero_wild, mut compared) = (0usize, 0usize, 0usize);

@@ -53,7 +53,7 @@ pub fn detects_by_paths(per_addr: &[(Addr, Vec<Path>)]) -> bool {
 
 /// Run the experiment.
 pub fn run(args: &ExpArgs) -> Report {
-    let mut p = pipeline::Pipeline::builder().args(args).run();
+    let p = pipeline::Pipeline::builder().args(args).run();
     let mut r = Report::new(
         "section31",
         "Hierarchy testing: last-hop routers vs entire traceroutes",
@@ -74,7 +74,7 @@ pub fn run(args: &ExpArgs) -> Report {
     let (mut by_lasthop, mut by_path, mut surveyed) = (0usize, 0usize, 0usize);
     let mut lasthop_cards = Vec::new();
     let mut path_cards = Vec::new();
-    let mut prober = Prober::new(&mut p.scenario.network, 0x531);
+    let mut prober = Prober::new(&p.scenario.network, 0x531);
     for &block in candidates.iter().step_by(stride).take(SAMPLE_BLOCKS) {
         let Ok(sel) = select_block(&p.snapshot, block) else {
             continue;

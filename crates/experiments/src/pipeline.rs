@@ -202,17 +202,11 @@ impl PipelineBuilder {
         self
     }
 
-    /// Probe in MDA-Lite mode (`--mda-lite`): diamond-aware stopping rules
-    /// replace the full MDA ladder at hops whose diamond is already
-    /// resolved, with escalation back to classic MDA when flow-label
-    /// evidence is inconsistent. The mode is recorded in the run's journal
-    /// meta, and `--resume` refuses a mode mismatch.
-    pub fn mda_mode(mut self, mode: MdaMode) -> Self {
-        self.args.mda_lite = mode == MdaMode::Lite;
-        self
-    }
-
-    /// Shorthand for [`PipelineBuilder::mda_mode`] from a boolean flag.
+    /// Probe in MDA-Lite mode (`--mda-lite`) when `on`: diamond-aware
+    /// stopping rules replace the full MDA ladder at hops whose diamond is
+    /// already resolved, with escalation back to classic MDA when
+    /// flow-label evidence is inconsistent. The mode is recorded in the
+    /// run's journal meta, and `--resume` refuses a mode mismatch.
     pub fn mda_lite(mut self, on: bool) -> Self {
         self.args.mda_lite = on;
         self
@@ -599,7 +593,7 @@ impl PipelineBuilder {
                 Some((table, probes)) => (table, probes, 0, 0),
                 None => {
                     let (table, probes, dataset_blocks) =
-                        calibrate(&mut scenario.network, &selected, &args, rec);
+                        calibrate(&scenario.network, &selected, &args, rec);
                     (table, probes, probes, dataset_blocks)
                 }
             };
@@ -809,7 +803,7 @@ impl PipelineBuilder {
 /// table (the paper's Section 3.2 procedure). Returns the table, the probes
 /// sent and the number of blocks in the table's dataset.
 fn calibrate(
-    net: &mut Network,
+    net: &Network,
     selected: &[SelectedBlock],
     args: &ExpArgs,
     rec: &dyn Recorder,
@@ -1067,14 +1061,6 @@ impl Pipeline {
     /// Start configuring a pipeline run.
     pub fn builder() -> PipelineBuilder {
         PipelineBuilder::default()
-    }
-
-    /// Resume a checkpointed run from its run directory: replays the
-    /// journal, skips every block already classified, re-measures the
-    /// rest, and returns a pipeline whose [`Pipeline::canonical_report`]
-    /// is byte-identical to an uninterrupted run's.
-    pub fn resume(run_dir: impl Into<PathBuf>) -> Pipeline {
-        Pipeline::builder().resume_from(run_dir).run()
     }
 
     /// Render the run's deterministic outcome as one JSON document. For a

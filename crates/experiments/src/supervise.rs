@@ -378,7 +378,7 @@ pub fn classify_blocks_supervised(
                                     AttemptOutcome::Stalled
                                 }
                                 None => {
-                                    let mut prober = Prober::over(net, block_ident(sel.block));
+                                    let mut prober = Prober::new(net, block_ident(sel.block));
                                     prober.set_obs(probe_obs.clone());
                                     prober.set_cancel_token(cancel.clone());
                                     let m = classify_block_observed(

@@ -20,8 +20,8 @@
 //! [`StorageErrorKind::Persistent`] (retry cannot help; the caller enters
 //! its degraded mode: a journal seals itself, a worker self-quarantines
 //! its shard, a coordinator revokes and reassigns), or
-//! [`StorageErrorKind::Corruption`] (bytes came back wrong; the valid
-//! journal prefix is still resumable). The hard invariant, enforced by
+//! [`StorageErrorKind::Corruption`] (bytes are wrong or unusable by this
+//! version; retrying cannot help). The hard invariant, enforced by
 //! `tests/storage_chaos.rs`: a run either produces a byte-identical
 //! `hobbit-report/v1` or fails with one of these typed errors — never a
 //! silently corrupted journal, lease, or report.
@@ -570,8 +570,11 @@ pub enum StorageErrorKind {
     /// Retry cannot help (ENOSPC, missing file, exhausted retries escalate
     /// here semantically): the caller enters its degraded mode.
     Persistent,
-    /// Bytes came back wrong (failed decode, missing meta record): the
-    /// valid journal prefix is still resumable, the tail is not.
+    /// Bytes came back wrong or cannot be used by this version (failed
+    /// encode or decode, a lying fsync, a missing meta record, a foreign
+    /// schema): retrying cannot help. Whether a later resume can depends
+    /// on the producer: a journal sealed after a dropped batch resumes
+    /// from its valid prefix, a foreign-schema journal never does.
     Corruption,
 }
 
@@ -651,9 +654,7 @@ impl fmt::Display for StorageError {
                 "persistent; free the disk or move the run dir, then resume \
                  — the journal re-measures only the lost tail"
             }
-            StorageErrorKind::Corruption => {
-                "corruption; the valid journal prefix is still resumable"
-            }
+            StorageErrorKind::Corruption => "corruption; retrying cannot help",
         };
         write!(
             f,

@@ -11,8 +11,10 @@
 //! Share one network across worker threads by passing `&Network` into
 //! scoped threads ([`std::thread::scope`]): zero setup cost, and the
 //! borrow ends with the scope, so `&mut` control-plane operations (epoch
-//! changes, topology edits) resume right after. The snapshot scan,
-//! classification and reprobe validation all run this way.
+//! changes, topology edits) resume right after. A `probe::Prober` holds
+//! exactly such a borrow, so the snapshot scan, classification and reprobe
+//! validation each build one prober per worker (or per block) over the
+//! one network.
 //!
 //! ```
 //! use netsim::build::{build, ScenarioConfig};

@@ -1,9 +1,8 @@
 //! Typed probe-layer errors.
 //!
-//! The prober's accessors and the measurement helpers used to `panic!` on
-//! recoverable conditions (asking a replay prober for its network, finding
-//! no active destination in a scenario). Supervision needs to distinguish
-//! *bugs* — which should abort a block and be quarantined — from *misuse*
+//! The measurement helpers used to `panic!` on recoverable conditions
+//! (finding no active destination in a scenario). Supervision needs to
+//! distinguish *bugs* — which should abort a block and be quarantined — from *misuse*
 //! or absent data, which callers can handle. These variants are the
 //! recoverable half; genuine invariant violations still panic.
 
@@ -12,15 +11,6 @@ use std::fmt;
 /// Why a probe-layer operation could not proceed.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum ProbeError {
-    /// The prober answers from a recorded archive; there is no live
-    /// network behind it to expose.
-    ReplayHasNoNetwork,
-    /// The transport shares the network with other workers and cannot
-    /// grant exclusive (`&mut`) access.
-    SharedTransport,
-    /// The transport has no network behind it at all (e.g. a future
-    /// pcap-replay transport).
-    NoNetwork,
     /// A scenario scan found no destination matching the requested
     /// liveness/topology constraints.
     NoActiveDestination,
@@ -32,13 +22,6 @@ pub enum ProbeError {
 impl fmt::Display for ProbeError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            ProbeError::ReplayHasNoNetwork => {
-                write!(f, "replay prober has no network behind it")
-            }
-            ProbeError::SharedTransport => {
-                write!(f, "transport does not hold the network exclusively")
-            }
-            ProbeError::NoNetwork => write!(f, "transport exposes no network"),
             ProbeError::NoActiveDestination => {
                 write!(f, "no active destination matches the constraints")
             }
@@ -56,8 +39,8 @@ mod tests {
     #[test]
     fn display_is_stable() {
         assert_eq!(
-            ProbeError::ReplayHasNoNetwork.to_string(),
-            "replay prober has no network behind it"
+            ProbeError::Cancelled.to_string(),
+            "operation cancelled by supervisor"
         );
         assert_eq!(
             ProbeError::NoActiveDestination.to_string(),

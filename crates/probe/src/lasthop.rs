@@ -68,28 +68,20 @@ const MAX_STEPS: usize = 48;
 
 /// Measure the last-hop router set of `dst`.
 pub fn probe_lasthop(prober: &mut Prober<'_>, dst: Addr, rule: StoppingRule) -> LasthopProbe {
-    probe_lasthop_with_hint(prober, dst, rule, None)
+    probe_lasthop_in_mode(prober, dst, rule, None, None)
 }
 
-/// Like [`probe_lasthop`], but start from a caller-supplied last-hop-TTL
-/// estimate instead of the per-destination echo inference.
+/// Like [`probe_lasthop`], with an optional last-hop-TTL `hint` and an
+/// optional per-block MDA-Lite state.
 ///
-/// Addresses of one /24 sit at the same hop distance, so after the first
-/// destination resolves, its distance seeds the rest of the block — the
-/// adjustment loop corrects a stale hint, so correctness is unaffected and
-/// the per-destination echo round-trip is saved.
-pub fn probe_lasthop_with_hint(
-    prober: &mut Prober<'_>,
-    dst: Addr,
-    rule: StoppingRule,
-    hint: Option<u8>,
-) -> LasthopProbe {
-    probe_lasthop_in_mode(prober, dst, rule, hint, None)
-}
-
-/// Like [`probe_lasthop_with_hint`], with an optional per-block MDA-Lite
-/// state: when `lite` is `Some`, the node-level enumeration at the
-/// confirmed last-hop TTL runs under the MDA-Lite stopping discipline
+/// A `hint` replaces the per-destination echo inference: addresses of one
+/// /24 sit at the same hop distance, so after the first destination
+/// resolves, its distance seeds the rest of the block — the adjustment loop
+/// corrects a stale hint, so correctness is unaffected and the
+/// per-destination echo round-trip is saved.
+///
+/// When `lite` is `Some`, the node-level enumeration at the confirmed
+/// last-hop TTL runs under the MDA-Lite stopping discipline
 /// ([`enumerate_hop_lite`]) against the block's diamond; `None` is the
 /// classic ladder. The TTL adjustment walk is identical in both modes —
 /// only the interface enumeration changes.
@@ -325,13 +317,13 @@ mod tests {
 
     #[test]
     fn finds_true_lasthop() {
-        let mut f = Fixture::new();
+        let f = Fixture::new();
         let blk = f.responsive_block();
         let dst = f.actives(blk)[0];
         let truth = &f.scenario.truth;
         let pop = &truth.pops[truth.blocks[&blk].pop as usize];
         let expected = pop.lasthop_addrs.clone();
-        let mut p = Prober::new(&mut f.scenario.network, 11);
+        let mut p = Prober::new(&f.scenario.network, 11);
         let r = probe_lasthop(&mut p, dst, StoppingRule::confidence95());
         match r.outcome {
             LasthopOutcome::Found {
@@ -352,20 +344,20 @@ mod tests {
 
     #[test]
     fn distance_hint_saves_probes_without_changing_the_outcome() {
-        let mut f = Fixture::new();
+        let f = Fixture::new();
         let blk = f.responsive_block();
         let actives = f.actives(blk);
         assert!(actives.len() >= 2);
         let rule = StoppingRule::confidence95();
         // Resolve the first destination cold, then its neighbor with and
         // without the distance hint.
-        let mut p = Prober::new(&mut f.scenario.network, 0x21);
+        let mut p = Prober::new(&f.scenario.network, 0x21);
         let first = probe_lasthop(&mut p, actives[0], rule);
         let LasthopOutcome::Found { dst_distance, .. } = first.outcome else {
             panic!("first destination should resolve");
         };
         let cold = probe_lasthop(&mut p, actives[1], rule);
-        let hinted = probe_lasthop_with_hint(&mut p, actives[1], rule, Some(dst_distance - 1));
+        let hinted = probe_lasthop_in_mode(&mut p, actives[1], rule, Some(dst_distance - 1), None);
         assert_eq!(cold.outcome, hinted.outcome, "hint must not change results");
         assert!(
             hinted.probes_used < cold.probes_used,
@@ -420,21 +412,27 @@ mod tests {
 
     #[test]
     fn hinted_probe_detects_unresponsive_destination_cheaply() {
-        let mut f = Fixture::new();
+        let f = Fixture::new();
         let blk = f.responsive_block();
-        let mut p = Prober::new(&mut f.scenario.network, 0x22);
+        let mut p = Prober::new(&f.scenario.network, 0x22);
         // .0 hosts nobody; a stale hint must not trigger a full TTL walk.
-        let r = probe_lasthop_with_hint(&mut p, blk.addr(0), StoppingRule::confidence95(), Some(8));
+        let r = probe_lasthop_in_mode(
+            &mut p,
+            blk.addr(0),
+            StoppingRule::confidence95(),
+            Some(8),
+            None,
+        );
         assert_eq!(r.outcome, LasthopOutcome::Unresponsive);
         assert!(r.probes_used <= 8, "used {} probes", r.probes_used);
     }
 
     #[test]
     fn lasthop_probing_is_cheaper_than_full_traceroute() {
-        let mut f = Fixture::new();
+        let f = Fixture::new();
         let blk = f.responsive_block();
         let dst = f.actives(blk)[0];
-        let mut p = Prober::new(&mut f.scenario.network, 11);
+        let mut p = Prober::new(&f.scenario.network, 11);
         let r = probe_lasthop(&mut p, dst, StoppingRule::confidence95());
         assert!(matches!(r.outcome, LasthopOutcome::Found { .. }));
         // Full path is 9 hops; node MDA over every hop would need ≥ 9×6
@@ -448,13 +446,13 @@ mod tests {
 
     #[test]
     fn anonymous_pop_reports_anonymous_lasthop() {
-        let mut f = Fixture::new();
+        let f = Fixture::new();
         let Some(blk) = f.unresponsive_block() else {
             // Tiny scenarios may not draw an unresponsive PoP; skip.
             return;
         };
         let dst = f.actives(blk)[0];
-        let mut p = Prober::new(&mut f.scenario.network, 11);
+        let mut p = Prober::new(&f.scenario.network, 11);
         let r = probe_lasthop(&mut p, dst, StoppingRule::confidence95());
         assert!(
             matches!(r.outcome, LasthopOutcome::AnonymousLasthop { .. }),
@@ -465,9 +463,9 @@ mod tests {
 
     #[test]
     fn dead_address_is_unresponsive() {
-        let mut f = Fixture::new();
+        let f = Fixture::new();
         let blk = f.responsive_block();
-        let mut p = Prober::new(&mut f.scenario.network, 11);
+        let mut p = Prober::new(&f.scenario.network, 11);
         let r = probe_lasthop(&mut p, blk.addr(0), StoppingRule::confidence95());
         assert_eq!(r.outcome, LasthopOutcome::Unresponsive);
     }
@@ -476,7 +474,7 @@ mod tests {
     fn handles_custom_default_ttls() {
         // Probe many addresses across blocks with MixedWithCustom TTLs;
         // every responsive destination must still resolve.
-        let mut s = build(ScenarioConfig::tiny(7));
+        let s = build(ScenarioConfig::tiny(7));
         let blocks: Vec<Block24> = s
             .network
             .allocated_blocks()
@@ -499,7 +497,7 @@ mod tests {
                     .take(3),
             );
         }
-        let mut p = Prober::new(&mut s.network, 11);
+        let mut p = Prober::new(&s.network, 11);
         for dst in targets {
             let r = probe_lasthop(&mut p, dst, StoppingRule::confidence95());
             assert!(

@@ -30,17 +30,15 @@ pub mod zmap;
 
 pub use cancel::CancelToken;
 pub use error::ProbeError;
-pub use lasthop::{
-    probe_lasthop, probe_lasthop_in_mode, probe_lasthop_with_hint, LasthopOutcome, LasthopProbe,
-};
+pub use lasthop::{probe_lasthop, probe_lasthop_in_mode, LasthopOutcome, LasthopProbe};
 pub use mda::{
-    detect_diamonds, enumerate_hop, enumerate_hop_lite, enumerate_paths, enumerate_paths_in_mode,
-    Diamond, MdaLiteState, MdaMode, MdaPaths, StoppingRule,
+    detect_diamonds, enumerate_hop, enumerate_hop_lite, enumerate_paths, Diamond, MdaLiteState,
+    MdaMode, MdaPaths, StoppingRule,
 };
 pub use ping::{ping_series, PingSeries};
 pub use prober::{
-    backoff_delay, ProbeObs, ProbeReply, ProbeResult, ProbeTransport, Prober,
-    DEFAULT_BACKOFF_BASE_US, DEFAULT_BACKOFF_CAP_US,
+    backoff_delay, ProbeObs, ProbeReply, ProbeResult, Prober, DEFAULT_BACKOFF_BASE_US,
+    DEFAULT_BACKOFF_CAP_US,
 };
 pub use record::{ProbeLog, RecordedCall, RecordedReply};
 pub use traceroute::{paris_traceroute, Traceroute};

@@ -258,7 +258,7 @@ pub fn enumerate_paths(
     while i < max_flows {
         let label = flow_label(i);
         i += 1;
-        let tr = paris_traceroute(prober, dst, label, 1);
+        let tr = paris_traceroute(prober, dst, label);
         if tr.reached {
             reached = true;
             dst_distance = Some(match dst_distance {
@@ -577,106 +577,6 @@ pub fn detect_diamonds(mda: &MdaPaths) -> Vec<Diamond> {
     out
 }
 
-/// [`enumerate_paths`] in a given [`MdaMode`].
-///
-/// In `Lite` mode the first two flows are traced in full; once they agree
-/// on a common prefix, later flows start at the divergence TTL
-/// ([`paris_traceroute`]'s `first_ttl`) and the known prefix is spliced
-/// back in — the per-flow ECMP fan cannot start before the first
-/// divergence, so the skipped hops carry no path information. A spliced
-/// flow that fails to reach the destination while the full flows did is
-/// inconsistent flow evidence: it escalates to a full classic re-trace and
-/// the prefix is re-derived.
-pub fn enumerate_paths_in_mode(
-    prober: &mut Prober<'_>,
-    dst: Addr,
-    rule: StoppingRule,
-    max_flows: usize,
-    mode: MdaMode,
-) -> MdaPaths {
-    if mode == MdaMode::Classic {
-        return enumerate_paths(prober, dst, rule, max_flows);
-    }
-    let mut distinct: Vec<Path> = Vec::new();
-    let mut traces = Vec::new();
-    let mut reached = false;
-    let mut dst_distance: Option<u8> = None;
-    let mut flows_since_discovery = 0usize;
-    let mut prefix: Vec<crate::types::Hop> = Vec::new();
-    let mut full_flows = 0usize;
-    let mut i = 0usize;
-    while i < max_flows {
-        let label = flow_label(i);
-        i += 1;
-        let spliced = if full_flows >= 2 && !prefix.is_empty() {
-            let part = paris_traceroute(prober, dst, label, prefix.len() as u8 + 1);
-            if !part.reached && reached {
-                // The spliced flow failed where full flows succeeded:
-                // inconsistent evidence, escalate to a full re-trace.
-                None
-            } else {
-                let mut hops = prefix.clone();
-                hops.extend(part.path.hops.iter().copied());
-                Some(Traceroute {
-                    path: Path { hops },
-                    ..part
-                })
-            }
-        } else {
-            None
-        };
-        let tr = match spliced {
-            Some(t) => t,
-            None => {
-                let t = paris_traceroute(prober, dst, label, 1);
-                prefix = if full_flows == 0 {
-                    t.path.hops.clone()
-                } else {
-                    common_prefix(&prefix, &t.path.hops)
-                };
-                full_flows += 1;
-                t
-            }
-        };
-        if tr.reached {
-            reached = true;
-            dst_distance = Some(match dst_distance {
-                Some(d) => d.min(tr.dst_distance.unwrap()),
-                None => tr.dst_distance.unwrap(),
-            });
-        }
-        let is_new = !distinct.iter().any(|q| q.matches(&tr.path));
-        if is_new {
-            distinct.push(tr.path.clone());
-            flows_since_discovery = 0;
-        } else {
-            flows_since_discovery += 1;
-        }
-        traces.push(tr);
-        let k = distinct.len().max(1);
-        if flows_since_discovery + 1 >= rule.probes_needed(k) {
-            break;
-        }
-    }
-    MdaPaths {
-        dst,
-        paths: distinct,
-        reached,
-        dst_distance,
-        traces,
-    }
-}
-
-/// Longest shared prefix of two hop sequences (strict equality; a wildcard
-/// ends the prefix — an anonymous hop must not anchor a splice).
-fn common_prefix(a: &[crate::types::Hop], b: &[crate::types::Hop]) -> Vec<crate::types::Hop> {
-    a.iter()
-        .zip(b)
-        .take_while(|(x, y)| x == y && x.is_some())
-        .map(|(x, _)| *x)
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -744,9 +644,9 @@ mod tests {
 
     #[test]
     fn enumerate_paths_finds_per_flow_diversity() {
-        let mut s = build(ScenarioConfig::tiny(42));
+        let s = build(ScenarioConfig::tiny(42));
         let dst = active_dst(&s);
-        let mut p = Prober::new(&mut s.network, 3);
+        let mut p = Prober::new(&s.network, 3);
         let mda = enumerate_paths(&mut p, dst, StoppingRule::confidence95(), 64);
         assert!(mda.reached);
         // Topology has 3-way per-flow ECMP at the gateway and 2-way in the
@@ -764,10 +664,10 @@ mod tests {
 
     #[test]
     fn enumerate_paths_is_superset_of_single_trace() {
-        let mut s = build(ScenarioConfig::tiny(42));
+        let s = build(ScenarioConfig::tiny(42));
         let dst = active_dst(&s);
-        let mut p = Prober::new(&mut s.network, 3);
-        let single = paris_traceroute(&mut p, dst, flow_label(0), 1);
+        let mut p = Prober::new(&s.network, 3);
+        let single = paris_traceroute(&mut p, dst, flow_label(0));
         let mda = enumerate_paths(&mut p, dst, StoppingRule::confidence95(), 64);
         assert!(
             mda.paths.iter().any(|q| q.matches(&single.path)),
@@ -780,9 +680,9 @@ mod tests {
         // TTL 3 is the plane gateway (per-destination: one interface per
         // destination); TTL 4 is the plane's transit layer (3-way per-flow
         // ECMP, so flow variation reveals all three).
-        let mut s = build(ScenarioConfig::tiny(42));
+        let s = build(ScenarioConfig::tiny(42));
         let dst = active_dst(&s);
-        let mut p = Prober::new(&mut s.network, 3);
+        let mut p = Prober::new(&s.network, 3);
         let plane = enumerate_hop(&mut p, dst, 3, StoppingRule::confidence95(), 64);
         assert_eq!(
             plane.interfaces.len(),
@@ -796,9 +696,9 @@ mod tests {
 
     #[test]
     fn enumerate_hop_detects_overshoot() {
-        let mut s = build(ScenarioConfig::tiny(42));
+        let s = build(ScenarioConfig::tiny(42));
         let dst = active_dst(&s);
-        let mut p = Prober::new(&mut s.network, 3);
+        let mut p = Prober::new(&s.network, 3);
         let hop = enumerate_hop(&mut p, dst, 30, StoppingRule::confidence95(), 32);
         assert!(hop.echoed, "TTL 30 overshoots an 9-hop destination");
         assert!(hop.interfaces.is_empty());
@@ -808,9 +708,9 @@ mod tests {
     fn enumerate_hop_single_interface_uses_six_probes() {
         // The campus router (TTL 1) is a single interface: the rule should
         // stop after exactly n(1) = 6 probes.
-        let mut s = build(ScenarioConfig::tiny(42));
+        let s = build(ScenarioConfig::tiny(42));
         let dst = active_dst(&s);
-        let mut p = Prober::new(&mut s.network, 3);
+        let mut p = Prober::new(&s.network, 3);
         let hop = enumerate_hop(&mut p, dst, 1, StoppingRule::confidence95(), 64);
         assert_eq!(hop.interfaces.len(), 1);
         assert_eq!(hop.probes, 6);
@@ -833,10 +733,10 @@ mod tests {
         // TTL 1 is the single campus router. The first lite call pays the
         // full classic ladder to confirm the diamond; the second call on a
         // sibling destination stops after one confirming reply.
-        let mut s = build(ScenarioConfig::tiny(42));
+        let s = build(ScenarioConfig::tiny(42));
         let dst = active_dst(&s);
         let rule = StoppingRule::confidence95();
-        let mut p = Prober::new(&mut s.network, 3);
+        let mut p = Prober::new(&s.network, 3);
         let mut state = MdaLiteState::new();
         let first = enumerate_hop_lite(&mut p, dst, 1, rule, 64, &mut state);
         assert_eq!(first.probes, 6, "first destination pays the full ladder");
@@ -854,10 +754,10 @@ mod tests {
         // TTL 4 is the 3-way per-flow transit fan. Once a full ladder has
         // confirmed all three members, a later destination re-identifies
         // the diamond from two distinct members and reports the whole fan.
-        let mut s = build(ScenarioConfig::tiny(42));
+        let s = build(ScenarioConfig::tiny(42));
         let dst = active_dst(&s);
         let rule = StoppingRule::confidence95();
-        let mut p = Prober::new(&mut s.network, 3);
+        let mut p = Prober::new(&s.network, 3);
         let mut state = MdaLiteState::new();
         let first = enumerate_hop_lite(&mut p, dst, 4, rule, 64, &mut state);
         assert_eq!(first.interfaces.len(), 3);
@@ -878,16 +778,16 @@ mod tests {
         // with the same state: every reply is outside the diamond, so the
         // call must escalate, run the classic ladder, and extend the
         // diamond — never report a stale membership.
-        let mut s = build(ScenarioConfig::tiny(42));
+        let s = build(ScenarioConfig::tiny(42));
         let dst = active_dst(&s);
         let rule = StoppingRule::confidence95();
-        let mut p = Prober::new(&mut s.network, 3);
+        let mut p = Prober::new(&s.network, 3);
         let mut state = MdaLiteState::new();
         let campus = enumerate_hop_lite(&mut p, dst, 1, rule, 64, &mut state);
         assert_eq!(campus.interfaces.len(), 1);
         let lite = enumerate_hop_lite(&mut p, dst, 4, rule, 64, &mut state);
         drop(p);
-        let mut q = Prober::new(&mut s.network, 4);
+        let mut q = Prober::new(&s.network, 4);
         let classic = enumerate_hop(&mut q, dst, 4, rule, 64);
         assert_eq!(lite.interfaces, classic.interfaces, "escalation = classic");
         assert_eq!(state.escalations, 1);
@@ -900,16 +800,16 @@ mod tests {
     fn lite_hop_never_probes_more_than_classic() {
         // Escalation only removes the early exit, so per hop call lite is
         // structurally ≤ classic. Check it empirically across TTLs.
-        let mut s = build(ScenarioConfig::tiny(42));
+        let s = build(ScenarioConfig::tiny(42));
         let dst = active_dst(&s);
         let rule = StoppingRule::confidence95();
         for ttl in 1..=8u8 {
             let mut state = MdaLiteState::new();
-            let mut p = Prober::new(&mut s.network, 3);
+            let mut p = Prober::new(&s.network, 3);
             let _confirm = enumerate_hop_lite(&mut p, dst, ttl, rule, 64, &mut state);
             let lite = enumerate_hop_lite(&mut p, dst, ttl, rule, 64, &mut state);
             drop(p);
-            let mut q = Prober::new(&mut s.network, 3);
+            let mut q = Prober::new(&s.network, 3);
             let _warm = enumerate_hop(&mut q, dst, ttl, rule, 64);
             let classic = enumerate_hop(&mut q, dst, ttl, rule, 64);
             assert!(
@@ -923,9 +823,9 @@ mod tests {
 
     #[test]
     fn detect_diamonds_finds_the_transit_fan() {
-        let mut s = build(ScenarioConfig::tiny(42));
+        let s = build(ScenarioConfig::tiny(42));
         let dst = active_dst(&s);
-        let mut p = Prober::new(&mut s.network, 3);
+        let mut p = Prober::new(&s.network, 3);
         let mda = enumerate_paths(&mut p, dst, StoppingRule::confidence95(), 64);
         let diamonds = detect_diamonds(&mda);
         assert!(!diamonds.is_empty(), "per-flow ECMP must form a diamond");
@@ -944,9 +844,9 @@ mod tests {
 
     #[test]
     fn detect_diamonds_is_invariant_under_path_permutation() {
-        let mut s = build(ScenarioConfig::tiny(42));
+        let s = build(ScenarioConfig::tiny(42));
         let dst = active_dst(&s);
-        let mut p = Prober::new(&mut s.network, 3);
+        let mut p = Prober::new(&s.network, 3);
         let mut mda = enumerate_paths(&mut p, dst, StoppingRule::confidence95(), 64);
         let base = detect_diamonds(&mda);
         mda.paths.reverse();
@@ -957,26 +857,5 @@ mod tests {
             mda.paths.push(head);
             assert_eq!(detect_diamonds(&mda), base);
         }
-    }
-
-    #[test]
-    fn lite_path_enumeration_is_cheaper_and_agrees_on_lasthops() {
-        let mut s = build(ScenarioConfig::tiny(42));
-        let dst = active_dst(&s);
-        let rule = StoppingRule::confidence95();
-        let mut pc = Prober::new(&mut s.network, 3);
-        let classic = enumerate_paths_in_mode(&mut pc, dst, rule, 64, MdaMode::Classic);
-        let classic_probes = pc.probes_sent();
-        drop(pc);
-        let mut pl = Prober::new(&mut s.network, 3);
-        let lite = enumerate_paths_in_mode(&mut pl, dst, rule, 64, MdaMode::Lite);
-        let lite_probes = pl.probes_sent();
-        assert!(lite.reached);
-        assert_eq!(lite.dst_distance, classic.dst_distance);
-        assert_eq!(lite.lasthops(), classic.lasthops());
-        assert!(
-            lite_probes <= classic_probes,
-            "lite paths sent more probes: {lite_probes} vs {classic_probes}"
-        );
     }
 }

@@ -69,7 +69,7 @@ mod tests {
 
     #[test]
     fn cellular_first_ping_is_slow() {
-        let mut s = build(ScenarioConfig::small(42));
+        let s = build(ScenarioConfig::small(42));
         let blk = block_of_kind(&s, HostKind::Cellular, 0.2);
         let profile = *s.network.block_profile(blk).unwrap();
         let active = s
@@ -77,7 +77,7 @@ mod tests {
             .oracle()
             .active_in_block(blk, &profile, s.network.epoch());
         let dst = active[0];
-        let mut p = Prober::new(&mut s.network, 7);
+        let mut p = Prober::new(&s.network, 7);
         let series = ping_series(&mut p, dst, 20);
         let delta = series.first_minus_max_rest_secs().expect("responsive host");
         assert!(delta > 0.1, "cellular wake-up delta {delta}s");
@@ -85,7 +85,7 @@ mod tests {
 
     #[test]
     fn server_first_ping_is_not_slow() {
-        let mut s = build(ScenarioConfig::small(42));
+        let s = build(ScenarioConfig::small(42));
         let blk = block_of_kind(&s, HostKind::Server, 0.2);
         let profile = *s.network.block_profile(blk).unwrap();
         let active = s
@@ -93,7 +93,7 @@ mod tests {
             .oracle()
             .active_in_block(blk, &profile, s.network.epoch());
         let dst = active[0];
-        let mut p = Prober::new(&mut s.network, 7);
+        let mut p = Prober::new(&s.network, 7);
         let series = ping_series(&mut p, dst, 20);
         let delta = series.first_minus_max_rest_secs().expect("responsive host");
         assert!(delta.abs() < 0.05, "server delta {delta}s should be ~0");
@@ -101,9 +101,9 @@ mod tests {
 
     #[test]
     fn unresponsive_address_loses_everything() {
-        let mut s = build(ScenarioConfig::tiny(42));
+        let s = build(ScenarioConfig::tiny(42));
         let blk = s.network.allocated_blocks()[0];
-        let mut p = Prober::new(&mut s.network, 7);
+        let mut p = Prober::new(&s.network, 7);
         let series = ping_series(&mut p, blk.addr(0), 5); // .0 hosts nobody
         assert_eq!(series.loss_free_fraction(), 0.0);
         assert!(series.first_minus_max_rest_secs().is_none());

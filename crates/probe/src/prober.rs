@@ -2,77 +2,21 @@
 //! parses responses, with retry handling.
 //!
 //! All higher-level tools (ZMap scan, ping, traceroute, MDA) are built on
-//! [`Prober::probe`]. The prober talks to the wire only through a
-//! [`ProbeTransport`] — bytes in, bytes out — so the same tools run over an
-//! exclusively borrowed network or a shared `&Network` inside scoped worker
-//! threads. Each probe is encoded into a stack array and its reply parsed
-//! from the network's stack [`Packet`], so the probe path does no heap
-//! allocation.
+//! [`Prober::probe`]. A live prober borrows the network shared (`&Network`;
+//! [`Network::exchange`] takes `&self`), so the scan, classification and
+//! reprobe workers each hold one inside their scoped threads; a replay
+//! prober answers from a recorded [`ProbeLog`] instead. Each probe is
+//! encoded into a stack array and its reply parsed from the network's stack
+//! [`Packet`], so the probe path does no heap allocation.
 
 use crate::cancel::CancelToken;
-use crate::error::ProbeError;
 use crate::record::{ProbeLog, RecordedCall, RecordedReply};
 use netsim::forward::probe_packet;
 use netsim::wire::{
     IcmpEcho, IcmpError, Ipv4Header, ICMP_ECHO_REPLY, ICMP_TIME_EXCEEDED, IPV4_HEADER_LEN,
 };
-use netsim::{Addr, Network, Packet, Reply, SendError};
+use netsim::{Addr, Network, Packet};
 use obs::{Counter, Histogram, Recorder};
-
-/// Anything that can carry a probe packet and return the response.
-///
-/// This is the seam between measurement tools and the network: a transport
-/// is bytes-in/bytes-out, exactly a raw socket's contract. [`Prober`] works
-/// over any transport, so higher-level tools (ping, traceroute, MDA, ZMap)
-/// never name a concrete network type. Implementations exist for
-/// `&mut Network` (exclusive) and `&Network` (shared borrow — the scan,
-/// classification and reprobe workers each hold one).
-pub trait ProbeTransport {
-    /// Carry one probe packet; see [`netsim::Network::exchange`].
-    fn exchange(&mut self, probe: &[u8]) -> Result<Reply, SendError>;
-
-    /// The primary vantage address probes should be sourced from.
-    fn vantage_addr(&self) -> Addr;
-
-    /// The underlying network, when the transport can expose one (live
-    /// transports do; a future pcap-replay transport would not).
-    fn as_network(&self) -> Option<&Network> {
-        None
-    }
-
-    /// Exclusive access to the underlying network, when the transport holds
-    /// it exclusively (epoch changes in experiments need this).
-    fn as_network_mut(&mut self) -> Option<&mut Network> {
-        None
-    }
-}
-
-impl ProbeTransport for &mut Network {
-    fn exchange(&mut self, probe: &[u8]) -> Result<Reply, SendError> {
-        Network::exchange(self, probe)
-    }
-    fn vantage_addr(&self) -> Addr {
-        Network::vantage_addr(self)
-    }
-    fn as_network(&self) -> Option<&Network> {
-        Some(self)
-    }
-    fn as_network_mut(&mut self) -> Option<&mut Network> {
-        Some(self)
-    }
-}
-
-impl ProbeTransport for &Network {
-    fn exchange(&mut self, probe: &[u8]) -> Result<Reply, SendError> {
-        Network::exchange(self, probe)
-    }
-    fn vantage_addr(&self) -> Addr {
-        Network::vantage_addr(self)
-    }
-    fn as_network(&self) -> Option<&Network> {
-        Some(self)
-    }
-}
 
 /// Parsed outcome of one probe.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -224,52 +168,39 @@ pub fn backoff_delay(base_us: u64, cap_us: u64, retry_index: u32) -> u64 {
 
 /// Where a prober's answers come from.
 enum Backend<'n> {
-    /// A live transport (an exclusive or a shared borrow of a network).
-    Live(Box<dyn ProbeTransport + Send + 'n>),
+    /// A live network, borrowed shared with any other workers.
+    Live(&'n Network),
     /// A previously recorded probe archive; `misses` counts lookups the
     /// archive could not answer (returned as timeouts).
     Replay { log: ProbeLog, misses: u64 },
 }
 
 impl<'n> Prober<'n> {
-    /// Create a prober with exclusive access to a network. `icmp_ident`
-    /// distinguishes concurrent measurement processes.
-    pub fn new(net: &'n mut Network, icmp_ident: u16) -> Self {
-        Prober::over(net, icmp_ident)
+    /// Create a prober over a network, sourcing probes from its primary
+    /// vantage. `icmp_ident` distinguishes concurrent measurement
+    /// processes.
+    pub fn new(net: &'n Network, icmp_ident: u16) -> Self {
+        Prober::from_vantage(net, icmp_ident, net.vantage_addr())
     }
 
-    /// Create a prober over any [`ProbeTransport`] — e.g. a `&Network`
-    /// shared with other workers.
-    pub fn over<T: ProbeTransport + Send + 'n>(transport: T, icmp_ident: u16) -> Self {
-        let source = transport.vantage_addr();
-        Prober {
-            backend: Backend::Live(Box::new(transport)),
-            icmp_ident,
-            seq: 0,
-            ip_ident: 0,
-            probes_sent: 0,
-            rtt_sum_us: 0,
-            source,
-            retries: 1,
-            retry_budget: DEFAULT_RETRY_BUDGET,
-            backoff_base_us: DEFAULT_BACKOFF_BASE_US,
-            backoff_cap_us: DEFAULT_BACKOFF_CAP_US,
-            drops: 0,
-            retries_used: 0,
-            retries_recovered: 0,
-            backoff_us: 0,
-            recording: None,
-            obs: None,
-            cancel: CancelToken::default(),
-        }
+    /// Create a prober bound to a non-primary vantage point (which must be
+    /// registered on the network, see [`Network::add_vantage`]).
+    ///
+    /// [`Network::add_vantage`]: netsim::Network::add_vantage
+    pub fn from_vantage(net: &'n Network, icmp_ident: u16, source: Addr) -> Self {
+        Prober::with_backend(Backend::Live(net), icmp_ident, source)
     }
 
     /// Create a prober that answers from a recorded archive instead of a
     /// network — the measurement-dataset workflow: analyses re-run from the
     /// log reproduce the live run exactly (same keys in the same order).
     pub fn replayer(log: ProbeLog, icmp_ident: u16, source: Addr) -> Prober<'static> {
+        Prober::with_backend(Backend::Replay { log, misses: 0 }, icmp_ident, source)
+    }
+
+    fn with_backend(backend: Backend<'n>, icmp_ident: u16, source: Addr) -> Self {
         Prober {
-            backend: Backend::Replay { log, misses: 0 },
+            backend,
             icmp_ident,
             seq: 0,
             ip_ident: 0,
@@ -309,16 +240,6 @@ impl<'n> Prober<'n> {
             Backend::Live(_) => 0,
             Backend::Replay { misses, .. } => *misses,
         }
-    }
-
-    /// Create a prober bound to a non-primary vantage point (which must be
-    /// registered on the network, see [`Network::add_vantage`]).
-    ///
-    /// [`Network::add_vantage`]: netsim::Network::add_vantage
-    pub fn from_vantage(net: &'n mut Network, icmp_ident: u16, source: Addr) -> Self {
-        let mut p = Prober::new(net, icmp_ident);
-        p.source = source;
-        p
     }
 
     /// The source address this prober stamps on probes.
@@ -400,29 +321,6 @@ impl<'n> Prober<'n> {
         }
     }
 
-    /// The underlying network (e.g. for epoch changes in experiments), or
-    /// a typed error when this prober cannot grant exclusive access:
-    /// [`ProbeError::ReplayHasNoNetwork`] for replay probers and
-    /// [`ProbeError::SharedTransport`] for shared transports. Callers that
-    /// *know* they hold an exclusive live network can `expect` the result;
-    /// supervision code matches on the variant instead of catching a panic.
-    pub fn network_mut(&mut self) -> Result<&mut Network, ProbeError> {
-        match &mut self.backend {
-            Backend::Live(t) => t.as_network_mut().ok_or(ProbeError::SharedTransport),
-            Backend::Replay { .. } => Err(ProbeError::ReplayHasNoNetwork),
-        }
-    }
-
-    /// Shared view of the network: [`ProbeError::ReplayHasNoNetwork`] for
-    /// replay probers, [`ProbeError::NoNetwork`] for transports with no
-    /// network behind them.
-    pub fn network(&self) -> Result<&Network, ProbeError> {
-        match &self.backend {
-            Backend::Live(t) => t.as_network().ok_or(ProbeError::NoNetwork),
-            Backend::Replay { .. } => Err(ProbeError::ReplayHasNoNetwork),
-        }
-    }
-
     /// Attach a cancellation token. Once the token is raised, in-flight
     /// retries stop (no further backoff is simulated) and subsequent probe
     /// calls return [`ProbeReply::Timeout`] without touching the wire —
@@ -456,14 +354,14 @@ impl<'n> Prober<'n> {
         } else {
             flow_label
         };
-        match &self.backend {
-            Backend::Live(_) => self.live_probe(dst, ttl, flow_label),
+        match self.backend {
+            Backend::Live(net) => self.live_probe(net, dst, ttl, flow_label),
             Backend::Replay { .. } => self.replay_probe(dst, ttl, flow_label),
         }
     }
 
     /// Live path: attempt, back off, retry while the budget allows.
-    fn live_probe(&mut self, dst: Addr, ttl: u8, flow_label: u16) -> ProbeResult {
+    fn live_probe(&mut self, net: &Network, dst: Addr, ttl: u8, flow_label: u16) -> ProbeResult {
         if self.cancel.is_cancelled() {
             // Cooperative cancellation: answer instantly without touching
             // the wire or the accounting, so the enclosing measurement
@@ -480,9 +378,6 @@ impl<'n> Prober<'n> {
             self.seq = self.seq.wrapping_add(1);
             self.ip_ident = self.ip_ident.wrapping_add(1);
             self.probes_sent += 1;
-            let Backend::Live(transport) = &mut self.backend else {
-                unreachable!("live_probe is only called on live backends");
-            };
             let wire = probe_packet(
                 self.source,
                 dst,
@@ -492,7 +387,7 @@ impl<'n> Prober<'n> {
                 flow_label,
                 self.ip_ident,
             );
-            let reply = transport
+            let reply = net
                 .exchange(&wire)
                 .expect("prober always emits well-formed probes");
             let result = ProbeResult {
@@ -688,7 +583,7 @@ mod tests {
 
     #[test]
     fn echo_probe_gets_reply_from_active_host() {
-        let mut s = scenario();
+        let s = scenario();
         let blk = dense_block(&s);
         let profile = *s.network.block_profile(blk).unwrap();
         let active = s
@@ -696,7 +591,7 @@ mod tests {
             .oracle()
             .active_in_block(blk, &profile, s.network.epoch());
         assert!(!active.is_empty());
-        let mut p = Prober::new(&mut s.network, 77);
+        let mut p = Prober::new(&s.network, 77);
         let r = p.probe(active[0], 64, 0x1000);
         match r.reply {
             ProbeReply::Echo { from, ttl } => {
@@ -710,17 +605,17 @@ mod tests {
 
     #[test]
     fn low_ttl_gets_time_exceeded() {
-        let mut s = scenario();
+        let s = scenario();
         let blk = dense_block(&s);
-        let mut p = Prober::new(&mut s.network, 77);
+        let mut p = Prober::new(&s.network, 77);
         let r = p.probe(blk.addr(10), 1, 0x1000);
         assert!(matches!(r.reply, ProbeReply::TimeExceeded { .. }));
     }
 
     #[test]
     fn unrouted_space_is_unreachable() {
-        let mut s = scenario();
-        let mut p = Prober::new(&mut s.network, 77);
+        let s = scenario();
+        let mut p = Prober::new(&s.network, 77);
         // 224.0.0.0 region is never allocated by the slab allocator.
         let r = p.probe(Addr::new(225, 1, 2, 3), 64, 0);
         assert!(matches!(r.reply, ProbeReply::Unreachable { .. }));
@@ -728,11 +623,11 @@ mod tests {
 
     #[test]
     fn retries_count_in_probes_sent() {
-        let mut s = scenario();
+        let s = scenario();
         // Never-responsive address: host probability is per-address, so use
         // an address in a routed block and check bookkeeping only.
         let blk = dense_block(&s);
-        let mut p = Prober::new(&mut s.network, 77);
+        let mut p = Prober::new(&s.network, 77);
         p.retries = 3;
         let _ = p.probe(blk.addr(0), 64, 0); // .0 never hosts anyone
         assert_eq!(p.probes_sent(), 4, "1 try + 3 retries");
@@ -742,10 +637,10 @@ mod tests {
     fn flow_label_0xffff_remaps_to_0xfffe_not_0() {
         // Regression: 0xffff used to fold onto 0, silently merging two
         // distinct Paris flows. The recorded call's key shows the wire label.
-        let mut s = scenario();
+        let s = scenario();
         let blk = dense_block(&s);
         let dst = blk.addr(10);
-        let mut p = Prober::new(&mut s.network, 77);
+        let mut p = Prober::new(&s.network, 77);
         p.start_recording();
         let _ = p.probe(dst, 64, 0xffff);
         let _ = p.probe(dst, 64, 0);
@@ -765,10 +660,10 @@ mod tests {
         // and the replay backend apply the 0xffff → 0xfffe remap, so a run
         // recorded under the overflow label replays under it too, and the
         // overflow label is just an alias for the 0xfffe flow.
-        let mut s = scenario();
+        let s = scenario();
         let blk = dense_block(&s);
         let dst = blk.addr(10);
-        let mut p = Prober::new(&mut s.network, 77);
+        let mut p = Prober::new(&s.network, 77);
         p.start_recording();
         let live = p.probe(dst, 64, 0xffff);
         let log = p.take_log().unwrap();
@@ -782,9 +677,9 @@ mod tests {
 
     #[test]
     fn backoff_accumulates_exponentially_with_cap() {
-        let mut s = scenario();
+        let s = scenario();
         let blk = dense_block(&s);
-        let mut p = Prober::new(&mut s.network, 77);
+        let mut p = Prober::new(&s.network, 77);
         p.retries = 3;
         p.backoff_base_us = 100;
         p.backoff_cap_us = 1_000;
@@ -809,7 +704,7 @@ mod tests {
         // spent, so some retries of a ttl-2 probe recover and some do not.
         s.network.set_faults(netsim::FaultConfig::lossy(0.0, 0.25));
         let reg = obs::Registry::new();
-        let mut p = Prober::new(&mut s.network, 77);
+        let mut p = Prober::new(&s.network, 77);
         p.retries = 1;
         p.observe(&reg);
         p.start_recording();
@@ -850,9 +745,9 @@ mod tests {
 
     #[test]
     fn retry_budget_caps_lifetime_retries() {
-        let mut s = scenario();
+        let s = scenario();
         let blk = dense_block(&s);
-        let mut p = Prober::new(&mut s.network, 77);
+        let mut p = Prober::new(&s.network, 77);
         p.retries = 3;
         p.retry_budget = 1;
         let _ = p.probe(blk.addr(0), 64, 0);
@@ -865,9 +760,9 @@ mod tests {
 
     #[test]
     fn cancelled_prober_short_circuits_without_accounting() {
-        let mut s = scenario();
+        let s = scenario();
         let blk = dense_block(&s);
-        let mut p = Prober::new(&mut s.network, 77);
+        let mut p = Prober::new(&s.network, 77);
         p.retries = 3;
         let token = CancelToken::new();
         p.set_cancel_token(token.clone());
@@ -886,15 +781,15 @@ mod tests {
         // The token is raised before the call; an uncancelled prober with
         // the same settings spends retries on the silent .0 address, so the
         // cancelled one must send strictly fewer packets.
-        let mut s = scenario();
+        let s = scenario();
         let blk = dense_block(&s);
-        let mut clean = Prober::new(&mut s.network, 77);
+        let mut clean = Prober::new(&s.network, 77);
         clean.retries = 3;
         let _ = clean.probe(blk.addr(0), 64, 0);
         assert_eq!(clean.probes_sent(), 4);
         drop(clean);
 
-        let mut p = Prober::new(&mut s.network, 78);
+        let mut p = Prober::new(&s.network, 78);
         p.retries = 3;
         let token = CancelToken::new();
         p.set_cancel_token(token.clone());
@@ -902,27 +797,6 @@ mod tests {
         let _ = p.probe(blk.addr(0), 64, 0);
         assert_eq!(p.probes_sent(), 0);
         assert_eq!(p.backoff_total_us(), 0, "no backoff is simulated");
-    }
-
-    #[test]
-    fn network_accessors_return_typed_errors() {
-        let mut s = scenario();
-        // Exclusive transport: both accessors succeed.
-        let mut p = Prober::new(&mut s.network, 77);
-        assert!(p.network().is_ok());
-        assert!(p.network_mut().is_ok());
-        let source = p.source();
-        drop(p);
-
-        // Replay prober: no network at all.
-        let mut r = Prober::replayer(ProbeLog::new(), 77, source);
-        assert_eq!(r.network().unwrap_err(), ProbeError::ReplayHasNoNetwork);
-        assert_eq!(r.network_mut().unwrap_err(), ProbeError::ReplayHasNoNetwork);
-
-        // Shared transport: shared view works, exclusive access does not.
-        let mut q = Prober::over(&s.network, 77);
-        assert!(q.network().is_ok());
-        assert_eq!(q.network_mut().unwrap_err(), ProbeError::SharedTransport);
     }
 
     /// FNV-1a, folded over every byte a sweep observes.
@@ -961,7 +835,7 @@ mod tests {
                     .flat_map(move |ttl| [0x1111u16, 0xBEEF].map(|label| (dst, ttl, label)))
             })
         };
-        let mut p = Prober::over(net, 0x6D61);
+        let mut p = Prober::new(net, 0x6D61);
         for (dst, ttl, label) in sweep() {
             let r = p.probe(dst, ttl, label);
             let (kind, from, reply_ttl) = match r.reply {
@@ -1052,9 +926,9 @@ mod tests {
 
     #[test]
     fn probe_once_leaves_loss_counters_consistent() {
-        let mut s = scenario();
+        let s = scenario();
         let blk = dense_block(&s);
-        let mut p = Prober::new(&mut s.network, 77);
+        let mut p = Prober::new(&s.network, 77);
         let _ = p.probe_once(blk.addr(0), 64, 0);
         assert_eq!(p.probes_sent(), 1);
         assert_eq!(p.drops(), 1);

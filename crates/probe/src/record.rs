@@ -230,7 +230,7 @@ mod tests {
 
     #[test]
     fn record_then_replay_reproduces_a_measurement() {
-        let mut s = build(ScenarioConfig::tiny(42));
+        let s = build(ScenarioConfig::tiny(42));
         let dst = s
             .truth
             .blocks
@@ -240,7 +240,7 @@ mod tests {
             .unwrap();
         // Live run, recording.
         let live = {
-            let mut p = Prober::new(&mut s.network, 5);
+            let mut p = Prober::new(&s.network, 5);
             p.start_recording();
             let r = probe_lasthop(&mut p, dst, StoppingRule::confidence95());
             (r, p.take_log().expect("recording was on"))

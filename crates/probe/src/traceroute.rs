@@ -35,17 +35,11 @@ pub const MAX_TTL: u8 = 40;
 pub const MAX_SILENT_RUN: usize = 6;
 
 /// Trace the route to `dst` holding `flow_label` constant (Paris-style),
-/// sweeping TTL from `first_ttl` upward.
-pub fn paris_traceroute(
-    prober: &mut Prober<'_>,
-    dst: Addr,
-    flow_label: u16,
-    first_ttl: u8,
-) -> Traceroute {
+/// sweeping TTL from 1 upward.
+pub fn paris_traceroute(prober: &mut Prober<'_>, dst: Addr, flow_label: u16) -> Traceroute {
     let mut hops = Vec::new();
     let mut silent_run = 0usize;
-    let first_ttl = first_ttl.max(1);
-    for ttl in first_ttl..=MAX_TTL {
+    for ttl in 1..=MAX_TTL {
         let r = prober.probe(dst, ttl, flow_label);
         match r.reply {
             ProbeReply::Echo { from, .. } if from == dst => {
@@ -116,10 +110,10 @@ mod tests {
 
     #[test]
     fn trace_reaches_active_destination() {
-        let mut s = build(ScenarioConfig::tiny(42));
+        let s = build(ScenarioConfig::tiny(42));
         let dst = active_dst(&s);
-        let mut p = Prober::new(&mut s.network, 9);
-        let tr = paris_traceroute(&mut p, dst, 0x1234, 1);
+        let mut p = Prober::new(&s.network, 9);
+        let tr = paris_traceroute(&mut p, dst, 0x1234);
         assert!(tr.reached, "hops: {:?}", tr.path.hops);
         let d = tr.dst_distance.unwrap();
         assert_eq!(tr.path.hops.len() as u8, d - 1);
@@ -129,22 +123,22 @@ mod tests {
 
     #[test]
     fn same_flow_label_gives_same_path() {
-        let mut s = build(ScenarioConfig::tiny(42));
+        let s = build(ScenarioConfig::tiny(42));
         let dst = active_dst(&s);
-        let mut p = Prober::new(&mut s.network, 9);
-        let t1 = paris_traceroute(&mut p, dst, 0x1234, 1);
-        let t2 = paris_traceroute(&mut p, dst, 0x1234, 1);
+        let mut p = Prober::new(&s.network, 9);
+        let t1 = paris_traceroute(&mut p, dst, 0x1234);
+        let t2 = paris_traceroute(&mut p, dst, 0x1234);
         assert!(t1.path.matches(&t2.path), "Paris invariant violated");
     }
 
     #[test]
     fn different_flow_labels_can_diverge() {
-        let mut s = build(ScenarioConfig::tiny(42));
+        let s = build(ScenarioConfig::tiny(42));
         let dst = active_dst(&s);
-        let mut p = Prober::new(&mut s.network, 9);
+        let mut p = Prober::new(&s.network, 9);
         let mut distinct = std::collections::HashSet::new();
         for label in 0..16u16 {
-            let t = paris_traceroute(&mut p, dst, label, 1);
+            let t = paris_traceroute(&mut p, dst, label);
             distinct.insert(t.path.hops.clone());
         }
         assert!(
@@ -154,25 +148,10 @@ mod tests {
     }
 
     #[test]
-    fn first_ttl_skips_early_hops() {
-        let mut s = build(ScenarioConfig::tiny(42));
-        let dst = active_dst(&s);
-        let mut p = Prober::new(&mut s.network, 9);
-        let full = paris_traceroute(&mut p, dst, 7, 1);
-        let partial = paris_traceroute(&mut p, dst, 7, 5);
-        assert!(partial.reached);
-        assert_eq!(
-            partial.path.hops.len(),
-            full.path.hops.len() - 4,
-            "first_ttl=5 should skip 4 hops"
-        );
-    }
-
-    #[test]
     fn unreachable_destination_stops_early() {
-        let mut s = build(ScenarioConfig::tiny(42));
-        let mut p = Prober::new(&mut s.network, 9);
-        let tr = paris_traceroute(&mut p, Addr::new(225, 0, 0, 1), 7, 1);
+        let s = build(ScenarioConfig::tiny(42));
+        let mut p = Prober::new(&s.network, 9);
+        let tr = paris_traceroute(&mut p, Addr::new(225, 0, 0, 1), 7);
         assert!(!tr.reached);
         assert!(tr.path.hops.len() < MAX_TTL as usize);
     }

@@ -138,7 +138,7 @@ fn scan_chunks(
     blocks: &[Block24],
     next_chunk: &AtomicUsize,
 ) -> (Vec<(Block24, Vec<Addr>)>, u64) {
-    let mut prober = Prober::over(net, SCAN_IDENT);
+    let mut prober = Prober::new(net, SCAN_IDENT);
     prober.retries = 0;
     let mut active = Vec::new();
     loop {

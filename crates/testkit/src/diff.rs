@@ -348,7 +348,7 @@ mod tests {
         let mut out: Vec<BlockMeasurement> = selected
             .iter()
             .map(|sel| {
-                let mut prober = Prober::over(net, block_ident(sel.block));
+                let mut prober = Prober::new(net, block_ident(sel.block));
                 classify_block(&mut prober, sel, table, cfg)
             })
             .collect();

@@ -1204,9 +1204,9 @@ mod tests {
         use probe::{enumerate_paths, Prober, StoppingRule};
         let mut spec = single_pop_spec();
         spec.pops[0].diamond = DiamondSpec::Wide { width: 3 };
-        let mut world = build_world(&spec);
+        let world = build_world(&spec);
         let dst = ScenarioSpec::block24(0).addr(77);
-        let mut prober = Prober::new(&mut world.network, 0xD1A);
+        let mut prober = Prober::new(&world.network, 0xD1A);
         let paths = enumerate_paths(&mut prober, dst, StoppingRule::confidence95(), 64);
         // The per-flow fan shows up as >1 distinct interface at the
         // diamond's TTL on some hop.

@@ -28,7 +28,7 @@ fn main() {
     let hcfg = HobbitConfig::default();
     let mut homog = Vec::new();
     {
-        let mut prober = Prober::new(&mut scenario.network, 1);
+        let mut prober = Prober::new(&scenario.network, 1);
         for block in snapshot.blocks() {
             let Ok(sel) = select_block(&snapshot, block) else {
                 continue;
@@ -57,7 +57,7 @@ fn main() {
             .lookup_block(agg.blocks[0])
             .map(|g| g.org.clone())
             .unwrap_or_else(|| "?".into());
-        let mut prober = Prober::new(&mut scenario.network, 2);
+        let mut prober = Prober::new(&scenario.network, 2);
         let deltas = block_ping_deltas(&mut prober, &agg.blocks, &actives, 8, 5, 12, 11);
         let cellular = looks_cellular(&deltas);
 

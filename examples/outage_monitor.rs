@@ -39,7 +39,7 @@ fn main() {
     let cfg = HobbitConfig::default();
     let mut homog = Vec::new();
     {
-        let mut prober = Prober::new(&mut scenario.network, 1);
+        let mut prober = Prober::new(&scenario.network, 1);
         for block in snapshot.blocks().take(500) {
             let Ok(sel) = select_block(&snapshot, block) else {
                 continue;
@@ -68,7 +68,7 @@ fn main() {
         let mut down: Vec<(Block24, usize)> = Vec::new();
         let probes_spent;
         {
-            let mut prober = Prober::new(&mut scenario.network, epoch as u16);
+            let mut prober = Prober::new(&scenario.network, epoch as u16);
             for agg in &monitored {
                 let rep = agg.blocks[0];
                 let alive = block_alive(&mut prober, snapshot.active_in(rep));

@@ -54,7 +54,7 @@ fn main() {
     // Step 2: classify the first blocks that pass the selection criteria.
     // The prober borrows the network shared (`&Network` is `Send`), so
     // scoped threads can each probe through their own prober at once.
-    let mut prober = Prober::over(&scenario.network, 0x42);
+    let mut prober = Prober::new(&scenario.network, 0x42);
     let table = ConfidenceTable::empty(); // no calibration: probe all actives
     let cfg = HobbitConfig::default();
     let mut shown = 0;

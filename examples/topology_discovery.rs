@@ -25,7 +25,7 @@ fn main() {
     let cfg = HobbitConfig::default();
     let mut homog: Vec<HomogBlock> = Vec::new();
     {
-        let mut prober = Prober::new(&mut scenario.network, 1);
+        let mut prober = Prober::new(&scenario.network, 1);
         for block in snapshot.blocks().take(400) {
             let Ok(sel) = select_block(&snapshot, block) else {
                 continue;
@@ -53,7 +53,7 @@ fn main() {
     let mut dataset = TraceDataset::default();
     let mut hobbit_groups: Vec<Vec<Block24>> = Vec::new();
     {
-        let mut prober = Prober::new(&mut scenario.network, 2);
+        let mut prober = Prober::new(&scenario.network, 2);
         for agg in aggs.iter().filter(|a| a.size() >= 1).take(12) {
             let mut group = Vec::new();
             for &block in agg.blocks.iter().take(6) {

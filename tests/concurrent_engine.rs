@@ -9,6 +9,9 @@
 //! 2. **Engine safety under contention** — many workers hammering one
 //!    borrowed `&Network` observe exactly the replies a sequential prober
 //!    would, and the engine's probe accounting stays exact.
+//! 3. **Whole-run probe conservation** — every probe the network carried
+//!    in a pipeline run was sent by the scan, calibration or
+//!    classification, at any thread count, with faults or dynamics on.
 
 use netsim::build::{build, ScenarioConfig};
 use netsim::Block24;
@@ -120,8 +123,8 @@ fn shared_engine_is_consistent_under_contention() {
         .collect();
 
     // Sequential baseline on a pristine clone.
-    let mut baseline_net = scenario.network.clone();
-    let mut baseline = Prober::new(&mut baseline_net, 0x7000);
+    let baseline_net = scenario.network.clone();
+    let mut baseline = Prober::new(&baseline_net, 0x7000);
     let expected: Vec<ProbeReply> = dsts
         .iter()
         .map(|&dst| baseline.probe(dst, 64, 0).reply)
@@ -146,7 +149,7 @@ fn shared_engine_is_consistent_under_contention() {
                 let expected = &expected;
                 let obs = obs.clone();
                 s.spawn(move || {
-                    let mut prober = Prober::over(net, 0x7100 + t as u16);
+                    let mut prober = Prober::new(net, 0x7100 + t as u16);
                     prober.set_obs(obs);
                     for (&dst, want) in dsts.iter().zip(expected) {
                         let got = prober.probe(dst, 64, 0).reply;
@@ -182,4 +185,45 @@ fn shared_engine_is_consistent_under_contention() {
         rtt.bucket_counts().iter().map(|&(_, n)| n).sum::<u64>(),
         sent
     );
+}
+
+/// Every probe a fresh run puts on the wire is accounted for by exactly
+/// one phase: the network's carried count is the scan's probes plus the
+/// calibration and classification probes, and the observed `probe.sent`
+/// counter (the scan's prober is not observed) is the latter two.
+/// `exchange` counts each parsed probe before any drop, and a cancelled
+/// probe touches neither counter, so the identity holds pristine, lossy
+/// and evolving, at any thread count.
+#[test]
+fn whole_run_probe_conservation() {
+    type Mode = fn(experiments::PipelineBuilder) -> experiments::PipelineBuilder;
+    let modes: [(&str, Mode); 3] = [
+        ("pristine", |b| b),
+        ("faults", |b| b.faults(0.02, 0.5)),
+        ("dynamics", |b| b.dynamics(0.5, 64)),
+    ];
+    for (name, mode) in modes {
+        for threads in [1, 4] {
+            let builder = experiments::Pipeline::builder()
+                .seed(7)
+                .scale(0.01)
+                .threads(threads)
+                .observe();
+            let p = mode(builder).run();
+            let sent = p.calibration_probes + p.classify_probes;
+            assert_eq!(
+                p.net_stats.probes_carried,
+                p.snapshot.probes + sent,
+                "{name} at {threads} threads: carried probes are not \
+                 scan + calibration + classification"
+            );
+            let obs = p.obs.as_ref().expect("observed run keeps its registry");
+            assert_eq!(
+                obs.counter_value("probe.sent"),
+                Some(sent),
+                "{name} at {threads} threads: probe.sent is not \
+                 calibration + classification"
+            );
+        }
+    }
 }

@@ -16,7 +16,7 @@ fn classification_reproduces_from_a_probe_archive() {
 
     // Live run with recording on.
     let (live_results, log) = {
-        let mut prober = Prober::new(&mut scenario.network, 0xA2);
+        let mut prober = Prober::new(&scenario.network, 0xA2);
         prober.start_recording();
         let results: Vec<_> = selected
             .iter()
@@ -60,7 +60,7 @@ fn archive_survives_json_serialization() {
     let vantage = scenario.network.vantage_addr();
 
     let (live, log) = {
-        let mut prober = Prober::new(&mut scenario.network, 0xA3);
+        let mut prober = Prober::new(&scenario.network, 0xA3);
         prober.start_recording();
         let results: Vec<_> = selected
             .iter()

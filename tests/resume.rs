@@ -275,6 +275,10 @@ fn foreign_schema_journal_is_refused_with_a_typed_error() {
     assert_eq!(err.op, "resume");
     assert_eq!(err.path, dir.join(JOURNAL_FILE));
     assert!(err.detail.contains("hobbit-journal/v0"), "{err}");
+    // No resume of this journal can succeed, so its message must not
+    // promise one.
+    let rendered = err.to_string();
+    assert!(!rendered.contains("resumable"), "{rendered}");
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
