@@ -13,6 +13,14 @@
 //! are thin `Bytes` wrappers over that core for callers that hold `bytes`
 //! buffers.
 //!
+//! There is one exchange engine, and it takes a batch:
+//! [`Network::exchange_block`] carries a slice of probes, and
+//! [`Network::exchange`] is a batch of one. A run of probes from one
+//! vantage to one /24 — a scan of the /24 — resolves the vantage, the /24's
+//! program, delivery depth and host profile once, and adds to the
+//! carried-probe and silent-host counters once; each probe is still parsed
+//! and checksum-verified on its own.
+//!
 //! The walk searches no route table. It follows the destination /24's
 //! route program in the network's compiled forwarding plane (the `plane`
 //! module): at each hop it indexes the next node, picks among the node's
@@ -25,11 +33,26 @@
 //! Silence is decided here, so it is counted here, by reason, beside the
 //! fault-drop counters: an anonymous router, no host answering, or the hop
 //! limit (see [`Network::silence_stats`]).
+//!
+//! Most probes of a scan go to addresses with no host, and the walk is
+//! skipped for them when that changes nothing. A probe skips it, straight
+//! to the timeout and the `no_host` count its delivery would give, when
+//! all of these hold:
+//!
+//! * link loss is 0 and no dynamics events are armed, so the walk draws
+//!   nothing and counts nothing on the way (netem only touches replies);
+//! * the destination /24 has a program, and the probe's TTL exceeds the
+//!   delivery depth of the node its vantage enters at, so every path
+//!   delivers it (see the `plane` module);
+//! * the host oracle says the destination is silent at the current epoch.
+//!
+//! These are properties of the network, checked per exchange, so every
+//! caller in a static world gets the skip; no option turns it on or off.
 
-use crate::addr::Addr;
+use crate::addr::{Addr, Block24};
 use crate::dynamics::{DynamicsEvent, NetemSpec};
 use crate::hash::{mix3, unit_f64};
-use crate::host::HostKind;
+use crate::host::{HostKind, HostProfile};
 use crate::plane::{Plane, DELIVER};
 use crate::route::{FlowKey, RouterId};
 use crate::topology::Network;
@@ -38,13 +61,14 @@ use crate::wire::{
     ICMP_ECHO_REQUEST, ICMP_ERROR_LEN, ICMP_TIME_EXCEEDED, IPV4_HEADER_LEN,
 };
 use bytes::Bytes;
+use std::cell::OnceCell;
 
 /// Timeout reported when no response arrives, in microseconds.
 pub const TIMEOUT_US: u64 = 2_000_000;
 
 /// Bytes of an echo request or reply: IPv4 header, echo header, the two
 /// payload bytes that carry the checksum tweak.
-pub(crate) const PROBE_LEN: usize = IPV4_HEADER_LEN + ICMP_ECHO_LEN;
+pub const PROBE_LEN: usize = IPV4_HEADER_LEN + ICMP_ECHO_LEN;
 
 /// Bytes of the largest packet the network sends back: an ICMP error.
 pub(crate) const MAX_PACKET_LEN: usize = IPV4_HEADER_LEN + ICMP_ERROR_LEN;
@@ -155,8 +179,6 @@ pub(crate) struct Flow {
     pub(crate) key: FlowKey,
     /// The probe's IP TTL.
     pub(crate) ttl: u8,
-    /// The number of the vantage it was sent from (0 is the primary).
-    pub(crate) vantage: usize,
     /// The per-probe draw every seeded decision keys on.
     pub(crate) nonce: u64,
     /// The dynamics epoch the probe lands in.
@@ -169,6 +191,51 @@ pub(crate) enum Steer {
     Back,
     /// Select a next hop with this salt among at most `width` hops.
     Select { salt: u64, width: usize },
+}
+
+/// What a run of probes from one vantage to one /24 resolves once: where
+/// the vantage enters the /24's program and how deep, and the /24's host
+/// profile. A batch resolves it again only when the source or the /24
+/// changes.
+pub(crate) struct Target<'p> {
+    src: Addr,
+    block: Block24,
+    /// The /24's host profile (`None` if it is unallocated), looked up on
+    /// first use: a probe that is never delivered does not need it.
+    profile: OnceCell<Option<HostProfile>>,
+    /// The network's plane, which holds the /24's program.
+    plane: &'p Plane,
+    /// A plane holding only the /24's program, compiled on the spot when
+    /// the network's has none (the /24 is unallocated).
+    spot: Option<Box<Plane>>,
+    /// The node the vantage enters the program at.
+    entry: u32,
+    /// Set when a probe whose TTL exceeds this depth is delivered on every
+    /// path, so a silent host's probe may skip the walk: the world is
+    /// static and the /24 has a program whose entry has a known depth.
+    skip_depth: Option<u32>,
+}
+
+impl Target<'_> {
+    /// Whether a probe with this TTL may skip the walk when its host is
+    /// silent: it is delivered on every path.
+    #[inline]
+    pub(crate) fn always_delivers(&self, ttl: u8) -> bool {
+        self.skip_depth.is_some_and(|depth| depth < ttl as u32)
+    }
+}
+
+/// A forwarding walk a test passes in to replace the compiled one: it
+/// never skips a silent host's walk.
+pub(crate) type ReferenceWalk = fn(&Network, &Flow) -> Outcome;
+
+/// Counter adds a batch makes once, at its end.
+#[derive(Default)]
+struct Tally {
+    /// Probes carried.
+    carried: u64,
+    /// Probes delivered to no answering host.
+    silent: u64,
 }
 
 impl Network {
@@ -192,30 +259,167 @@ impl Network {
     /// Inject the ICMP echo request in `probe` at the vantage point, as
     /// [`Network::send`] does, without touching the heap: the probe is
     /// parsed from the slice and the reply built in a stack [`Packet`].
+    /// It is a batch of one through [`Network::exchange_block`]'s engine.
     ///
     /// Takes `&self`: the per-probe state (probe accounting, cellular
     /// warm-up) lives behind interior mutability, so any number of threads
     /// may probe one shared network (see [`crate::concurrent`]).
     pub fn exchange(&self, probe: &[u8]) -> Result<Reply, SendError> {
-        self.exchange_with(probe, Network::walk)
+        self.exchange_with(probe, None)
     }
 
-    /// [`Network::exchange`] with the forwarding walk passed in, so a test
-    /// can swap in a reference walk and compare the replies byte for byte.
+    /// Inject each probe of `probes` in order, pushing one reply per probe
+    /// onto `replies`: exactly the replies, RTTs and counters that many
+    /// [`Network::exchange`] calls give. Every probe is still parsed and
+    /// checksum-verified, but a run of probes from one vantage to one /24
+    /// (a scan of the /24) resolves the vantage, the /24's program, depth
+    /// and profile once, and the batch adds to the carried-probe and
+    /// silent-host counters once.
+    ///
+    /// On a malformed probe, returns its error after pushing the replies of
+    /// the probes before it.
+    pub fn exchange_block(
+        &self,
+        probes: &[[u8; PROBE_LEN]],
+        replies: &mut Vec<Reply>,
+    ) -> Result<(), SendError> {
+        replies.reserve(probes.len());
+        self.exchange_each(probes, None, |r| replies.push(r))
+    }
+
+    /// [`Network::exchange`], over `reference` in place of the compiled
+    /// walk if given, so a test can compare the replies byte for byte.
     pub(crate) fn exchange_with(
         &self,
         probe: &[u8],
-        walk: impl FnOnce(&Network, &Flow) -> Outcome,
+        reference: Option<ReferenceWalk>,
     ) -> Result<Reply, SendError> {
-        let ip = Ipv4Header::parse(probe)?;
-        let Some(vantage) = self.vantage_index(ip.src) else {
-            return Err(SendError::NotFromVantage(ip.src));
-        };
-        let (icmp_type, echo) = IcmpEcho::parse(&probe[IPV4_HEADER_LEN..])?;
-        if icmp_type != ICMP_ECHO_REQUEST {
-            return Err(SendError::NotEchoRequest(icmp_type));
+        let mut reply = None;
+        self.exchange_each(&[probe], reference, |r| reply = Some(r))?;
+        Ok(reply.expect("one probe, one reply"))
+    }
+
+    /// The one exchange engine: carry every probe, hand its reply to
+    /// `sink`, then make the batch's counter adds (also on an error).
+    fn exchange_each<P: AsRef<[u8]>>(
+        &self,
+        probes: &[P],
+        reference: Option<ReferenceWalk>,
+        sink: impl FnMut(Reply),
+    ) -> Result<(), SendError> {
+        let mut tally = Tally::default();
+        let result = self.carry_each(probes, reference, &mut tally, sink);
+        self.probes_carried.add(tally.carried);
+        if tally.silent > 0 {
+            self.fault_counters.silent_host.add(tally.silent);
         }
-        self.record_carried_probe();
+        result
+    }
+
+    // `carry_each`, `target` and `carry` are inlined into each exchange:
+    // left as calls, a batch of one (every `exchange`) paid about 40 ns
+    // more per probe than one inlined body.
+    #[inline(always)]
+    fn carry_each<P: AsRef<[u8]>>(
+        &self,
+        probes: &[P],
+        reference: Option<ReferenceWalk>,
+        tally: &mut Tally,
+        mut sink: impl FnMut(Reply),
+    ) -> Result<(), SendError> {
+        // Link loss and dynamics events are the only per-probe draws of
+        // the walk; without them a probe's path is fixed by the tables.
+        let static_world = self.faults.link_loss == 0.0 && self.dyn_events.is_empty();
+        let skip = static_world && reference.is_none();
+        let mut target: Option<Target> = None;
+        for probe in probes {
+            let probe = probe.as_ref();
+            let ip = Ipv4Header::parse(probe)?;
+            let block = ip.dst.block24();
+            let target = match &mut target {
+                Some(t) if t.src == ip.src && t.block == block => t,
+                slot => slot.insert(self.target(ip.src, block, skip)?),
+            };
+            let (icmp_type, echo) = IcmpEcho::parse(&probe[IPV4_HEADER_LEN..])?;
+            if icmp_type != ICMP_ECHO_REQUEST {
+                return Err(SendError::NotEchoRequest(icmp_type));
+            }
+            tally.carried += 1;
+            sink(self.carry(&ip, &echo, target, reference, tally));
+        }
+        Ok(())
+    }
+
+    /// Resolve the [`Target`] of probes from `src` to `block`; `skip` says
+    /// whether the world is static and the walk compiled.
+    #[inline(always)]
+    pub(crate) fn target(
+        &self,
+        src: Addr,
+        block: Block24,
+        skip: bool,
+    ) -> Result<Target<'_>, SendError> {
+        let Some(vantage) = self.vantage_index(src) else {
+            return Err(SendError::NotFromVantage(src));
+        };
+        let plane = self.plane();
+        let (spot, entry, skip_depth) = match plane.program(block) {
+            Some(program) => {
+                let entry = plane.entry(program, vantage);
+                let depth = plane.node(entry).delivery_depth();
+                (None, entry, depth.filter(|_| skip))
+            }
+            None => {
+                let spot = Plane::compile_one(self, block);
+                let entry = spot.entry(0, vantage);
+                (Some(Box::new(spot)), entry, None)
+            }
+        };
+        Ok(Target {
+            src,
+            block,
+            profile: OnceCell::new(),
+            plane,
+            spot,
+            entry,
+            skip_depth,
+        })
+    }
+
+    /// The profile of `dst`'s /24 if a host answers at `dst` now.
+    pub(crate) fn answering(&self, dst: Addr, target: &Target) -> Option<HostProfile> {
+        let profile = target
+            .profile
+            .get_or_init(|| self.blocks.get(&target.block).copied());
+        profile.filter(|profile| self.oracle.responsive(dst, profile, self.epoch))
+    }
+
+    /// Carry one parsed probe to its reply.
+    ///
+    /// In a static world, a probe that is delivered on every path (its TTL
+    /// exceeds the entry's delivery depth) to a host the oracle says is
+    /// silent skips the walk: the walk could only end in that delivery,
+    /// and delivery to a silent host is the timeout and the `no_host`
+    /// count returned here, with nothing drawn or counted on the way.
+    #[inline(always)]
+    fn carry(
+        &self,
+        ip: &Ipv4Header,
+        echo: &IcmpEcho,
+        target: &Target,
+        reference: Option<ReferenceWalk>,
+        tally: &mut Tally,
+    ) -> Reply {
+        let answering = || self.answering(ip.dst, target);
+        let mut host = None;
+        if target.always_delivers(ip.ttl) {
+            let answers = answering();
+            if answers.is_none() {
+                tally.silent += 1;
+                return timeout();
+            }
+            host = Some(answers);
+        }
 
         let key = FlowKey {
             src: ip.src,
@@ -238,7 +442,7 @@ impl Network {
         // interleaving, resume, and shard layout. With no live event
         // schedule the clock never ticks and the epoch is always 0.
         let epoch = if self.dynamics.events_active() {
-            let tick = self.vclock.tick((echo.ident, ip.dst.block24().0));
+            let tick = self.vclock.tick((echo.ident, target.block.0));
             self.dynamics.epoch_of(tick)
         } else {
             0
@@ -247,16 +451,22 @@ impl Network {
         let flow = Flow {
             key,
             ttl: ip.ttl,
-            vantage,
             nonce,
             epoch,
         };
-        let mut reply = match walk(self, &flow) {
+        let outcome = match reference {
+            None => {
+                let plane = target.spot.as_deref().unwrap_or(target.plane);
+                self.walk_program(plane, target.entry, &flow)
+            }
+            Some(walk) => walk(self, &flow),
+        };
+        let mut reply = match outcome {
             Outcome::Expired { at, hops } => {
-                self.router_error(at, hops, ICMP_TIME_EXCEEDED, &ip, &echo, nonce, epoch)
+                self.router_error(at, hops, ICMP_TIME_EXCEEDED, ip, echo, nonce, epoch)
             }
             Outcome::NoRoute { at, hops } => {
-                self.router_error(at, hops, ICMP_DEST_UNREACH, &ip, &echo, nonce, epoch)
+                self.router_error(at, hops, ICMP_DEST_UNREACH, ip, echo, nonce, epoch)
             }
             Outcome::Lost => {
                 // Lost on the wire: no Time Exceeded, no delivery — the
@@ -268,28 +478,18 @@ impl Network {
                 self.fault_counters.silent_hop_limit.inc();
                 timeout()
             }
-            Outcome::Delivered { hops } => self.host_reply(&ip, &echo, hops, nonce),
+            Outcome::Delivered { hops } => match host.unwrap_or_else(answering) {
+                Some(profile) => self.host_reply(ip, echo, hops, nonce, &profile),
+                None => {
+                    tally.silent += 1;
+                    timeout()
+                }
+            },
         };
         if let Some(netem) = self.dynamics.netem {
             self.apply_netem(&mut reply, ip.dst, nonce, netem);
         }
-        Ok(reply)
-    }
-
-    /// Walk the forwarding path for a flow over the destination /24's
-    /// route program, decrementing TTL at each router. A destination
-    /// whose /24 has no program (unallocated space) walks a program
-    /// compiled on the spot.
-    fn walk(&self, flow: &Flow) -> Outcome {
-        let plane = self.plane();
-        let block = flow.key.dst.block24();
-        match plane.program(block) {
-            Some(program) => self.walk_program(plane, plane.entry(program, flow.vantage), flow),
-            None => {
-                let spot = Plane::compile_one(self, block);
-                self.walk_program(&spot, spot.entry(0, flow.vantage), flow)
-            }
-        }
+        reply
     }
 
     /// The walk itself, from node `entry` of `plane`: no route-table
@@ -559,29 +759,21 @@ impl Network {
         }
     }
 
-    /// Build the destination host's echo reply, if the host exists and
-    /// responds at the current epoch.
+    /// Build the echo reply of the destination host, which answers at the
+    /// current epoch and has block profile `profile`.
     fn host_reply(
         &self,
         probe_ip: &Ipv4Header,
         probe_echo: &IcmpEcho,
         hops: u32,
         nonce: u64,
+        profile: &HostProfile,
     ) -> Reply {
         let dst = probe_ip.dst;
-        let Some(profile) = self
-            .blocks
-            .get(&dst.block24())
-            .copied()
-            .filter(|profile| self.oracle.responsive(dst, profile, self.epoch))
-        else {
-            self.fault_counters.silent_host.inc();
-            return timeout();
-        };
         // Note: churn can bring up hosts absent from the snapshot population
         // (paper footnote 2), so derive properties directly rather than
         // requiring snapshot existence.
-        let default_ttl = self.oracle.default_ttl(dst, &profile);
+        let default_ttl = self.oracle.default_ttl(dst, profile);
         // Reverse-path hop count: forward hops plus a small per-block
         // asymmetry, so TTL-based hop inference is realistic, not exact.
         let asym_draw = unit_f64(mix3(self.seed ^ 0x51, dst.block24().0 as u64, 0));

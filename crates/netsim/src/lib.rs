@@ -56,7 +56,9 @@ pub use build::{build, GroundTruth, Scenario, ScenarioConfig};
 pub use concurrent::WarmedSet;
 pub use dynamics::{DynamicsConfig, DynamicsEvent, NetemSpec};
 pub use fault::{FaultConfig, NetworkStats, SilenceStats};
-pub use forward::{encode_probe, probe_packet, Delivery, Packet, Reply, SendError, TIMEOUT_US};
+pub use forward::{
+    encode_probe, probe_packet, Delivery, Packet, Reply, SendError, PROBE_LEN, TIMEOUT_US,
+};
 pub use host::{HostKind, HostProfile};
 pub use route::{LbPolicy, RouterId};
 pub use topology::Network;

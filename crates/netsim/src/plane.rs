@@ -23,8 +23,16 @@
 //!   events, rate limits) stays keyed by router id in the walk, so the
 //!   plane is a pure function of the tables, the vantages and the set of
 //!   allocated /24s.
+//! * Each node carries its **delivery depth**: the most hops a probe
+//!   entering there can take before some router delivers it, over every
+//!   arm and every next hop. It is unknown when a router with no route is
+//!   reachable, when the program has a cycle, or when the depth would pass
+//!   [`MAX_HOPS`]. A probe whose TTL exceeds its entry node's depth is
+//!   delivered on every path a static world can take, which is what lets
+//!   the walk skip silent hosts (see [`crate::forward`]).
 
 use crate::addr::Block24;
+use crate::forward::MAX_HOPS;
 use crate::hash::{mix2, MixMap};
 use crate::route::{LbPolicy, NextHop, NextHopGroup, RouterId};
 use crate::topology::Network;
@@ -34,6 +42,9 @@ pub(crate) const DELIVER: u32 = u32::MAX;
 
 /// Placeholder for "no node / no program yet".
 const NONE: u32 = u32::MAX;
+
+/// A node's delivery depth when it is unknown.
+const UNKNOWN_DEPTH: u8 = 0;
 
 /// The group one router resolves for a run of low octets of the /24.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -68,8 +79,20 @@ pub(crate) struct Node {
     pub(crate) router: RouterId,
     /// Number of arms. With one, `arm` is it; with more, `arm.at` indexes
     /// the first of them in [`Plane::arms`].
-    arms: u32,
+    arms: u16,
+    /// The delivery depth, or [`UNKNOWN_DEPTH`].
+    depth: u8,
     arm: Arm,
+}
+
+impl Node {
+    /// The most hops, counting this node as hop 1, a probe entering here
+    /// takes before it is delivered, on any path; `None` if a path may end
+    /// without delivery or exceed [`MAX_HOPS`].
+    #[inline]
+    pub(crate) fn delivery_depth(&self) -> Option<u32> {
+        (self.depth != UNKNOWN_DEPTH).then_some(self.depth as u32)
+    }
 }
 
 /// Deduplicated route programs for every allocated /24, in one arena.
@@ -171,6 +194,23 @@ impl Plane {
         &self.hops[arm.at as usize..][..arm.len as usize]
     }
 
+    /// `node`'s delivery depth if every next hop of its arms delivers or
+    /// has a known depth, and the result stays within [`MAX_HOPS`].
+    fn settled_depth(&self, node: &Node) -> Option<u8> {
+        let mut deepest = 0;
+        for arm in self.arms_of(node) {
+            if arm.len == 0 {
+                return None;
+            }
+            for &hop in self.hops_of(arm) {
+                if hop != DELIVER {
+                    deepest = deepest.max(self.node(hop).delivery_depth()?);
+                }
+            }
+        }
+        (deepest < MAX_HOPS).then_some(deepest as u8 + 1)
+    }
+
     /// Heap bytes the plane holds (its arena and its /24 index).
     #[cfg(test)]
     pub(crate) fn heap_bytes(&self) -> usize {
@@ -246,8 +286,32 @@ impl<'n> Compiler<'n> {
         self.chain
             .push(self.by_hash.insert(hash, program).unwrap_or(NONE));
         self.first_node.push(plane.nodes.len() as u32);
+        self.settle_depths();
         self.append(plane);
         program
+    }
+
+    /// Give every node of the program in `scratch` its delivery depth. A
+    /// node settles once every next hop of every arm delivers or is a
+    /// settled node, at one more hop than the deepest of them. Each pass
+    /// settles at least the next level up, so the passes stop after the
+    /// longest path; nodes on a cycle or above a no-route arm never settle.
+    fn settle_depths(&mut self) {
+        let s = &mut self.scratch;
+        loop {
+            let mut progress = false;
+            for i in 0..s.nodes.len() {
+                if s.nodes[i].depth == UNKNOWN_DEPTH {
+                    if let Some(depth) = s.settled_depth(&s.nodes[i]) {
+                        s.nodes[i].depth = depth;
+                        progress = true;
+                    }
+                }
+            }
+            if !progress {
+                return;
+            }
+        }
     }
 
     /// The node of `router` in the program being compiled, queueing the
@@ -294,7 +358,8 @@ impl<'n> Compiler<'n> {
             s.nodes.push(Node {
                 salt: router.salt,
                 router: router.id,
-                arms: arms as u32,
+                arms: u16::try_from(arms).expect("at most 256 arms per /24"),
+                depth: UNKNOWN_DEPTH,
                 arm,
             });
             next += 1;
@@ -445,7 +510,10 @@ mod tests {
     /// hop, no plane.
     fn reference_walk(net: &Network, flow: &Flow) -> Outcome {
         let mut ttl = flow.ttl as u32;
-        let mut cur = match flow.vantage {
+        let mut cur = match net
+            .vantage_index(flow.key.src)
+            .expect("sent from a vantage")
+        {
             0 => net.vantage_router,
             v => net.extra_vantages[v - 1].1,
         };
@@ -637,6 +705,44 @@ mod tests {
         net
     }
 
+    /// [`random_world`], static (no faults, no dynamics) when `pristine`:
+    /// the world where the walk may skip silent hosts.
+    fn world(seed: u64, pristine: bool) -> Network {
+        let mut net = random_world(seed);
+        if pristine {
+            net.set_faults(FaultConfig::none());
+            net.set_dynamics(DynamicsConfig::none());
+        }
+        net
+    }
+
+    /// Probes from every vantage into every allocated /24 with an entry of
+    /// known delivery depth `d`, at TTL `d - 1`, `d` and `d + 1` (both sides
+    /// of the depth), to a few random hosts, silent or answering.
+    fn depth_probes(net: &Network, seed: u64) -> Vec<[u8; crate::forward::PROBE_LEN]> {
+        let mut rng = ChaCha8Rng::seed_from_u64(seed ^ 0xDE97);
+        let plane = net.plane();
+        let mut probes = Vec::new();
+        for (v, src) in net.vantages().into_iter().enumerate() {
+            for b in 0..BLOCKS {
+                let Some(program) = plane.program(block(b)) else {
+                    continue;
+                };
+                let Some(depth) = plane.node(plane.entry(program, v)).delivery_depth() else {
+                    continue;
+                };
+                for ttl in depth - 1..=depth + 1 {
+                    for _ in 0..4 {
+                        let dst = block(b).addr(rng.gen());
+                        let seq = probes.len() as u16;
+                        probes.push(probe_packet(src, dst, ttl as u8, 5, seq, rng.gen(), seq));
+                    }
+                }
+            }
+        }
+        probes
+    }
+
     /// Random probes: from every vantage, to allocated, routed-but-
     /// unallocated and unrouted space, at every TTL from 0 up.
     fn random_probes(seed: u64, count: usize) -> Vec<[u8; crate::forward::PROBE_LEN]> {
@@ -677,34 +783,61 @@ mod tests {
         crate::SilenceStats,
     );
 
-    fn run(net: &Network, probes: &[[u8; crate::forward::PROBE_LEN]], reference: bool) -> Observed {
-        let replies = probes
-            .iter()
-            .map(|p| {
-                let reply = if reference {
-                    net.exchange_with(p, reference_walk)
-                } else {
-                    net.exchange(p)
-                }
-                .unwrap();
-                (reply.response.map(|r| r.as_bytes().to_vec()), reply.rtt_us)
-            })
+    /// How [`run`] sends its probes.
+    #[derive(Clone, Copy)]
+    enum Send {
+        /// One [`Network::exchange`] per probe.
+        Each,
+        /// All of them as one [`Network::exchange_block`].
+        Block,
+        /// One exchange per probe over the per-hop table walk.
+        Reference,
+    }
+
+    fn run(net: &Network, probes: &[[u8; crate::forward::PROBE_LEN]], send: Send) -> Observed {
+        let replies: Vec<crate::Reply> = match send {
+            Send::Each => probes.iter().map(|p| net.exchange(p).unwrap()).collect(),
+            Send::Block => {
+                let mut replies = Vec::new();
+                net.exchange_block(probes, &mut replies).unwrap();
+                replies
+            }
+            Send::Reference => probes
+                .iter()
+                .map(|p| net.exchange_with(p, Some(reference_walk)).unwrap())
+                .collect(),
+        };
+        let replies = replies
+            .into_iter()
+            .map(|reply| (reply.response.map(|r| r.as_bytes().to_vec()), reply.rtt_us))
             .collect();
         (replies, net.net_stats(), net.silence_stats())
+    }
+
+    /// [`random_probes`] plus [`depth_probes`] for `world(seed, pristine)`.
+    fn probes_for(seed: u64, pristine: bool) -> Vec<[u8; crate::forward::PROBE_LEN]> {
+        let mut probes = random_probes(seed, 400);
+        probes.extend(depth_probes(&world(seed, pristine), seed));
+        probes
     }
 
     proptest! {
         /// Random probes over random worlds get the same reply bytes, RTTs
         /// and final counters from the compiled walk as from the per-hop
-        /// table walk.
+        /// table walk, probe by probe and as one batch. A static world lets
+        /// the compiled walk skip silent hosts; the table walk never does.
         #[test]
-        fn compiled_walk_matches_the_table_walk(seed in any::<u64>()) {
-            let probes = random_probes(seed, 400);
-            let compiled = run(&random_world(seed), &probes, false);
-            let reference = run(&random_world(seed), &probes, true);
-            prop_assert_eq!(&compiled.0, &reference.0, "seed {}", seed);
-            prop_assert_eq!(compiled.1, reference.1, "seed {}", seed);
-            prop_assert_eq!(compiled.2, reference.2, "seed {}", seed);
+        fn compiled_walk_matches_the_table_walk(seed in any::<u64>(), pristine in any::<bool>()) {
+            let probes = probes_for(seed, pristine);
+            let reference = run(&world(seed, pristine), &probes, Send::Reference);
+            // One batch re-resolves its target whenever the vantage or the
+            // /24 changes from one probe to the next, as random probes do.
+            for send in [Send::Each, Send::Block] {
+                let compiled = run(&world(seed, pristine), &probes, send);
+                prop_assert_eq!(&compiled.0, &reference.0, "seed {}", seed);
+                prop_assert_eq!(compiled.1, reference.1, "seed {}", seed);
+                prop_assert_eq!(compiled.2, reference.2, "seed {}", seed);
+            }
         }
     }
 
@@ -715,7 +848,7 @@ mod tests {
         let mut kinds = std::collections::HashSet::new();
         for seed in 0..16 {
             let net = random_world(seed);
-            let (replies, stats, silent) = run(&net, &random_probes(seed, 400), false);
+            let (replies, stats, silent) = run(&net, &random_probes(seed, 400), Send::Each);
             split |= !net.plane().arms.is_empty();
             kinds.extend(replies.iter().map(|(r, _)| r.as_ref().map(|b| b[20])));
             totals.link_drops += stats.link_drops;
@@ -735,6 +868,146 @@ mod tests {
         assert!(totals.icmp_loss_drops > 0);
         assert!(totals.dyn_loops > 0 && totals.dyn_resizes > 0 && totals.dyn_rewrites > 0);
         assert!(silence.anonymous_router > 0 && silence.no_host > 0 && silence.hop_limit > 0);
+    }
+
+    /// Why the compiled walk skipped a probe's walk, or why it did not.
+    #[derive(Debug, PartialEq, Eq, Hash, Clone, Copy)]
+    enum Skip {
+        /// Delivered on every path to a silent host: skipped.
+        Fired,
+        /// Delivered on every path, but the host answers.
+        HostAnswers,
+        /// The TTL does not exceed the entry's delivery depth.
+        TtlWithinDepth,
+        /// The entry's depth is unknown: a no-route arm or a loop.
+        DepthUnknown,
+        /// The world has link loss or dynamics events, or no program.
+        NotStatic,
+    }
+
+    /// How the compiled walk treats `probe` on `net`, by the predicate the
+    /// exchange itself uses.
+    fn skip_of(net: &Network, probe: &[u8]) -> Skip {
+        let ip = crate::wire::Ipv4Header::parse(probe).unwrap();
+        let is_static = net.faults.link_loss == 0.0 && net.dyn_events.is_empty();
+        let target = net.target(ip.src, ip.dst.block24(), is_static).unwrap();
+        let plane = net.plane();
+        let program = plane.program(ip.dst.block24());
+        if target.always_delivers(ip.ttl) {
+            match net.answering(ip.dst, &target) {
+                None => Skip::Fired,
+                Some(_) => Skip::HostAnswers,
+            }
+        } else if !is_static || program.is_none() {
+            Skip::NotStatic
+        } else {
+            let vantage = net.vantage_index(ip.src).unwrap();
+            match plane
+                .node(plane.entry(program.unwrap(), vantage))
+                .delivery_depth()
+            {
+                None => Skip::DepthUnknown,
+                Some(_) => Skip::TtlWithinDepth,
+            }
+        }
+    }
+
+    /// Whether a walk from `entry` can reach an arm with no route.
+    fn reaches_no_route(plane: &Plane, entry: u32) -> bool {
+        let mut seen = vec![entry];
+        let mut next = 0;
+        while next < seen.len() {
+            for arm in plane.arms_of(plane.node(seen[next])) {
+                if arm.len == 0 {
+                    return true;
+                }
+                for &hop in plane.hops_of(arm) {
+                    if hop != DELIVER && !seen.contains(&hop) {
+                        seen.push(hop);
+                    }
+                }
+            }
+            next += 1;
+        }
+        false
+    }
+
+    #[test]
+    fn static_worlds_skip_silent_hosts_and_decline_the_rest() {
+        let mut skips = std::collections::HashMap::new();
+        let (mut no_route_split, mut looping) = (false, false);
+        for seed in 0..16 {
+            for pristine in [false, true] {
+                let net = world(seed, pristine);
+                for probe in probes_for(seed, pristine) {
+                    let skip = skip_of(&net, &probe);
+                    assert!(pristine || skip == Skip::NotStatic, "seed {seed}: {skip:?}");
+                    *skips.entry(skip).or_insert(0) += 1;
+                }
+                let plane = net.plane();
+                for node in &plane.nodes {
+                    let arms = plane.arms_of(node);
+                    no_route_split |= arms.len() > 1 && arms.iter().any(|a| a.len == 0);
+                }
+                for entry in plane.entries.iter().copied() {
+                    looping |= plane.node(entry).delivery_depth().is_none()
+                        && !reaches_no_route(plane, entry);
+                }
+            }
+        }
+        for skip in [
+            Skip::Fired,
+            Skip::HostAnswers,
+            Skip::TtlWithinDepth,
+            Skip::DepthUnknown,
+            Skip::NotStatic,
+        ] {
+            assert!(
+                skips.get(&skip).copied().unwrap_or(0) > 0,
+                "{skip:?}: {skips:?}"
+            );
+        }
+        assert!(
+            no_route_split,
+            "some router splits a /24 with a no-route arm"
+        );
+        assert!(looping, "some program has a cycle");
+    }
+
+    #[test]
+    fn delivery_depth_is_the_longest_path_to_delivery() {
+        // vantage -> r0 -(ecmp)-> {r1 -> r2, r2} -> deliver: the longest
+        // path delivers at r2 on hop 3.
+        let mut net = Network::new(1, Addr::new(192, 0, 2, 1));
+        let r: Vec<RouterId> = (1..=4)
+            .map(|i| net.add_router(Addr::new(10, 255, 0, i)))
+            .collect();
+        let to = |hop| NextHopGroup::single(hop);
+        let fan = NextHopGroup::ecmp(
+            vec![NextHop::Router(r[1]), NextHop::Router(r[2])],
+            LbPolicy::PerFlow,
+        );
+        let (deep, split, looped) = (block(0), block(1), block(2));
+        net.install_route(r[0], "10.0.0.0/16".parse().unwrap(), fan);
+        net.install_route(r[1], deep.prefix(), to(NextHop::Router(r[2])));
+        net.install_route(r[2], deep.prefix(), to(NextHop::Deliver));
+        // `split`: r1 delivers the /24, r2 only its lower /25.
+        net.install_route(r[1], split.prefix(), to(NextHop::Deliver));
+        net.install_route(r[2], Prefix::new(split.addr(0), 25), to(NextHop::Deliver));
+        // `looped`: r1 and r2 send it to each other.
+        net.install_route(r[1], looped.prefix(), to(NextHop::Router(r[2])));
+        net.install_route(r[2], looped.prefix(), to(NextHop::Router(r[1])));
+        for b in [deep, split, looped] {
+            net.set_block_profile(b, HostProfile::default());
+        }
+        let plane = Plane::compile(&net);
+        let depth = |b: Block24| {
+            let entry = plane.entry(plane.program(b).unwrap(), 0);
+            plane.node(entry).delivery_depth()
+        };
+        assert_eq!(depth(deep), Some(3));
+        assert_eq!(depth(split), None, "a reachable no-route arm");
+        assert_eq!(depth(looped), None, "a cycle");
     }
 
     /// A static world (no faults, no dynamics, no cellular radios): its

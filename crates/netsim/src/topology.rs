@@ -375,11 +375,6 @@ impl Network {
         self.probes_carried.get()
     }
 
-    /// Record one carried probe (thread-safe; called from `send`).
-    pub(crate) fn record_carried_probe(&self) {
-        self.probes_carried.inc();
-    }
-
     /// Resolve which routers would be the *last-hop routers* of `dst` by
     /// walking route tables without any load-balancer choice: the set of all
     /// routers holding a `Deliver` entry reachable for this destination.

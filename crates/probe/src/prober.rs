@@ -15,7 +15,7 @@ use netsim::forward::probe_packet;
 use netsim::wire::{
     IcmpEcho, IcmpError, Ipv4Header, ICMP_ECHO_REPLY, ICMP_TIME_EXCEEDED, IPV4_HEADER_LEN,
 };
-use netsim::{Addr, Network, Packet};
+use netsim::{Addr, Block24, Network, Packet, Reply, PROBE_LEN};
 use obs::{Counter, Histogram, Recorder};
 
 /// Parsed outcome of one probe.
@@ -349,15 +349,90 @@ impl<'n> Prober<'n> {
     /// (accumulated in [`Prober::backoff_total_us`]); retries also draw on
     /// the lifetime [`Prober::retry_budget`].
     pub fn probe(&mut self, dst: Addr, ttl: u8, flow_label: u16) -> ProbeResult {
-        let flow_label = if flow_label == 0xffff {
-            0xfffe
-        } else {
-            flow_label
-        };
+        let flow_label = wire_label(flow_label);
         match self.backend {
             Backend::Live(net) => self.live_probe(net, dst, ttl, flow_label),
             Backend::Replay { .. } => self.replay_probe(dst, ttl, flow_label),
         }
+    }
+
+    /// Probe every host address of `block` (`.1` to `.254`, in order) once,
+    /// without retries, and put the results in `results` (cleared first),
+    /// one per address: exactly what one [`Prober::probe`] per address with
+    /// [`Prober::retries`] at 0 gives, on the wire, in the network's
+    /// counters and in this prober's accounting, metrics and recording.
+    ///
+    /// A live prober sends the 254 probes to the network as one batch (see
+    /// [`Network::exchange_block`]); a replay prober answers each address
+    /// from its own recorded call. A cancelled live prober answers every
+    /// address with an instant timeout, as [`Prober::probe`] does.
+    pub fn probe_block_once(
+        &mut self,
+        block: Block24,
+        ttl: u8,
+        flow_label: u16,
+        results: &mut Vec<ProbeResult>,
+    ) {
+        let flow_label = wire_label(flow_label);
+        results.clear();
+        let hosts = (1..=254u8).map(|host| block.addr(host));
+        let net = match self.backend {
+            Backend::Live(net) if !self.cancel.is_cancelled() => net,
+            Backend::Live(_) => {
+                results.extend(hosts.map(|_| CANCELLED));
+                return;
+            }
+            Backend::Replay { .. } => {
+                results.extend(hosts.map(|dst| self.replay_probe(dst, ttl, flow_label)));
+                return;
+            }
+        };
+        let mut wire = [[0u8; PROBE_LEN]; 254];
+        for (probe, dst) in wire.iter_mut().zip(hosts.clone()) {
+            *probe = self.next_probe(dst, ttl, flow_label);
+        }
+        let mut replies = Vec::with_capacity(wire.len());
+        net.exchange_block(&wire, &mut replies)
+            .expect("prober always emits well-formed probes");
+        for (dst, reply) in hosts.zip(&replies) {
+            let result = self.account(parse(reply, self.icmp_ident));
+            if let Some(log) = &mut self.recording {
+                log.push(dst, ttl, flow_label, result.reply.into(), result.rtt_us);
+            }
+            results.push(result);
+        }
+    }
+
+    /// The wire bytes of the next attempt: a fresh sequence number and IP
+    /// ident, so retries are distinguishable on the wire.
+    fn next_probe(&mut self, dst: Addr, ttl: u8, flow_label: u16) -> [u8; PROBE_LEN] {
+        self.seq = self.seq.wrapping_add(1);
+        self.ip_ident = self.ip_ident.wrapping_add(1);
+        probe_packet(
+            self.source,
+            dst,
+            ttl,
+            self.icmp_ident,
+            self.seq,
+            flow_label,
+            self.ip_ident,
+        )
+    }
+
+    /// Count one attempt's result: sent, RTT and, if it timed out, a drop.
+    fn account(&mut self, result: ProbeResult) -> ProbeResult {
+        self.probes_sent += 1;
+        self.rtt_sum_us += result.rtt_us;
+        let dropped = !result.reply.responded();
+        self.drops += dropped as u64;
+        if let Some(o) = &self.obs {
+            o.probes_sent.inc();
+            o.rtt_us.record(result.rtt_us);
+            if dropped {
+                o.drops.inc();
+            }
+        }
+        result
     }
 
     /// Live path: attempt, back off, retry while the budget allows.
@@ -366,53 +441,28 @@ impl<'n> Prober<'n> {
             // Cooperative cancellation: answer instantly without touching
             // the wire or the accounting, so the enclosing measurement
             // drains in microseconds and its result can be discarded.
-            return ProbeResult {
-                reply: ProbeReply::Timeout,
-                rtt_us: 0,
-            };
+            return CANCELLED;
         }
         let record = self.recording.is_some();
         let mut attempts: RecordedCall = Vec::new();
         let mut attempt: u32 = 0;
         let last = loop {
-            self.seq = self.seq.wrapping_add(1);
-            self.ip_ident = self.ip_ident.wrapping_add(1);
-            self.probes_sent += 1;
-            let wire = probe_packet(
-                self.source,
-                dst,
-                ttl,
-                self.icmp_ident,
-                self.seq,
-                flow_label,
-                self.ip_ident,
-            );
+            let wire = self.next_probe(dst, ttl, flow_label);
             let reply = net
                 .exchange(&wire)
                 .expect("prober always emits well-formed probes");
-            let result = ProbeResult {
-                reply: parse_reply(reply.response.as_ref(), self.icmp_ident),
-                rtt_us: reply.rtt_us,
-            };
-            self.rtt_sum_us += result.rtt_us;
-            if let Some(o) = &self.obs {
-                o.probes_sent.inc();
-                o.rtt_us.record(result.rtt_us);
-            }
+            let result = self.account(parse(&reply, self.icmp_ident));
             if record {
                 attempts.push((result.reply.into(), result.rtt_us));
             }
             if attempt > 0 {
                 self.note_retry_outcome(result.reply.responded());
             }
-            if result.reply.responded() {
-                break result;
-            }
-            self.drops += 1;
-            if let Some(o) = &self.obs {
-                o.drops.inc();
-            }
-            if attempt >= self.retries || self.retry_budget == 0 || self.cancel.is_cancelled() {
+            if result.reply.responded()
+                || attempt >= self.retries
+                || self.retry_budget == 0
+                || self.cancel.is_cancelled()
+            {
                 break result;
             }
             attempt += 1;
@@ -463,24 +513,12 @@ impl<'n> Prober<'n> {
             }
             self.seq = self.seq.wrapping_add(1);
             self.ip_ident = self.ip_ident.wrapping_add(1);
-            self.probes_sent += 1;
-            self.rtt_sum_us += rtt_us;
-            if let Some(o) = &self.obs {
-                o.probes_sent.inc();
-                o.rtt_us.record(rtt_us);
-            }
-            last = ProbeResult {
+            last = self.account(ProbeResult {
                 reply: reply.into(),
                 rtt_us,
-            };
+            });
             if i > 0 {
                 self.note_retry_outcome(last.reply.responded());
-            }
-            if !last.reply.responded() {
-                self.drops += 1;
-                if let Some(o) = &self.obs {
-                    o.drops.inc();
-                }
             }
         }
         if let Some(log) = &mut self.recording {
@@ -512,6 +550,30 @@ impl<'n> Prober<'n> {
         let r = self.probe(dst, ttl, flow_label);
         self.retries = saved;
         r
+    }
+}
+
+/// What a cancelled live prober answers, without touching the wire.
+const CANCELLED: ProbeResult = ProbeResult {
+    reply: ProbeReply::Timeout,
+    rtt_us: 0,
+};
+
+/// The flow label a probe carries on the wire: `0xffff` is not a
+/// representable checksum, so it is remapped to `0xfffe`.
+fn wire_label(flow_label: u16) -> u16 {
+    if flow_label == 0xffff {
+        0xfffe
+    } else {
+        flow_label
+    }
+}
+
+/// The result of one attempt, from the network's reply.
+fn parse(reply: &Reply, expect_ident: u16) -> ProbeResult {
+    ProbeResult {
+        reply: parse_reply(reply.response.as_ref(), expect_ident),
+        rtt_us: reply.rtt_us,
     }
 }
 
@@ -774,6 +836,13 @@ mod tests {
         assert_eq!(p.drops(), 0);
         assert_eq!(p.retries_used(), 0);
         assert!(p.is_cancelled());
+        let mut results = Vec::new();
+        p.probe_block_once(blk, 64, 0, &mut results);
+        assert_eq!(results.len(), 254);
+        assert!(results
+            .iter()
+            .all(|r| r.reply == ProbeReply::Timeout && r.rtt_us == 0));
+        assert_eq!(p.probes_sent(), 0, "a cancelled batch never hits the wire");
     }
 
     #[test]

@@ -9,9 +9,15 @@
 //! There is one scan engine, and it runs on the shared network. The blocks
 //! are cut into chunks of 64 /24s; scoped workers claim chunks through an
 //! atomic counter and probe them over one `&Network` (sending takes
-//! `&self`). One thread is the same code with a single worker. The
-//! snapshot, and every probe's wire bytes, do not depend on the thread
-//! count:
+//! `&self`). One thread is the same code with a single worker. A worker
+//! probes one /24 at a time with [`Prober::probe_block_once`], which sends
+//! the /24's 254 probes to the network as one batch
+//! ([`Network::exchange_block`]): the same wire bytes, replies and
+//! accounting as one probe per address, with the per-/24 lookups made once.
+//! The scan runs in a static world, so the network skips the forwarding
+//! walk of every probe to an address with no host (see
+//! [`netsim::forward`]). The snapshot, and every probe's wire bytes, do not
+//! depend on the thread count:
 //!
 //! * Each chunk's prober starts at the sequence number and IP ident a
 //!   single worker would have reached there (chunk start × 254, wrapping),
@@ -30,10 +36,12 @@
 //! probe can observe: it switches to the snapshot epoch and back, and it
 //! wakes the radio of every cellular host that answered, which is every
 //! snapshot-active address of a cellular block. `restore` makes the same
-//! epoch switches around the same warm-ups. Only the carried-probe counter
-//! differs, because nothing was carried.
+//! epoch switches around the same warm-ups. Only the network's accounting
+//! differs, because nothing was sent: the scan adds every probe to the
+//! carried-probe counter and every unanswered one to `net.silent.no_host`,
+//! and `restore` adds to no counter at all.
 
-use crate::prober::{ProbeReply, Prober};
+use crate::prober::{ProbeReply, ProbeResult, Prober};
 use netsim::{Addr, Block24, HostKind, Network};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -139,7 +147,7 @@ fn scan_chunks(
     next_chunk: &AtomicUsize,
 ) -> (Vec<(Block24, Vec<Addr>)>, u64) {
     let mut prober = Prober::new(net, SCAN_IDENT);
-    prober.retries = 0;
+    let mut results = Vec::new();
     let mut active = Vec::new();
     loop {
         // Relaxed: the counter only hands out chunk indices; the results
@@ -151,21 +159,26 @@ fn scan_chunks(
         let chunk = &blocks[start..blocks.len().min(start + SCAN_CHUNK)];
         prober.set_sequence(start as u64 * PROBES_PER_BLOCK);
         for &block in chunk {
-            let mut hits = Vec::new();
-            for host in 1u8..=254 {
-                let dst = block.addr(host);
-                if let ProbeReply::Echo { from, .. } = prober.probe(dst, 64, 0).reply {
-                    if from == dst {
-                        hits.push(dst);
-                    }
-                }
-            }
+            let hits = scan_block(&mut prober, block, &mut results);
             if !hits.is_empty() {
                 active.push((block, hits));
             }
         }
     }
     (active, prober.probes_sent())
+}
+
+/// Probe every host address of `block` once (TTL 64) and return those
+/// that answered with an echo from themselves. `results` is scratch space.
+fn scan_block(prober: &mut Prober, block: Block24, results: &mut Vec<ProbeResult>) -> Vec<Addr> {
+    prober.probe_block_once(block, 64, 0, results);
+    (1u8..=254)
+        .zip(results.iter())
+        .filter_map(|(host, result)| match result.reply {
+            ProbeReply::Echo { from, .. } if from == block.addr(host) => Some(from),
+            _ => None,
+        })
+        .collect()
 }
 
 /// Scan all allocated blocks of the network on `threads` workers.
@@ -178,7 +191,8 @@ pub fn scan_all(net: &mut Network, threads: usize) -> ZmapSnapshot {
 mod tests {
     use super::*;
     use netsim::build::{build, ScenarioConfig};
-    use netsim::{DynamicsConfig, NetemSpec};
+    use netsim::{DynamicsConfig, NetemSpec, NetworkStats, SilenceStats};
+    use obs::Recorder;
 
     #[test]
     fn scan_matches_oracle_at_snapshot_epoch() {
@@ -211,6 +225,67 @@ mod tests {
         assert_eq!(snap.total_active(), sum);
     }
 
+    /// What one serial scan leaves behind on its prober: the snapshot, the
+    /// prober's accounting (sent, RTT sum, drops), its recording and its
+    /// `probe.sent`, `probe.drops` and `probe.rtt_us` metrics.
+    #[derive(Debug, PartialEq)]
+    struct SerialScan {
+        snapshot: ZmapSnapshot,
+        accounting: (u64, u64, u64),
+        log: String,
+        metrics: (u64, u64, u64, u64, Vec<(usize, u64)>),
+    }
+
+    /// A one-thread scan at epoch 0 through an observed, recording prober:
+    /// one [`Prober::probe`] per address (with retries off) when
+    /// `per_probe`, the per-/24 batch the scan workers make otherwise. The
+    /// per-probe scan is the reference the batched scan must match.
+    fn serial_scan(net: &mut Network, blocks: &[Block24], per_probe: bool) -> SerialScan {
+        let saved_epoch = net.epoch();
+        net.set_epoch(0);
+        let reg = obs::Registry::new();
+        let mut prober = Prober::new(net, SCAN_IDENT);
+        prober.retries = 0;
+        prober.observe(&reg);
+        prober.start_recording();
+        let mut snapshot = ZmapSnapshot::default();
+        let mut results = Vec::new();
+        for &block in blocks {
+            let hits: Vec<Addr> = if per_probe {
+                (1u8..=254)
+                    .map(|host| block.addr(host))
+                    .filter(|&dst| {
+                        matches!(prober.probe(dst, 64, 0).reply,
+                            ProbeReply::Echo { from, .. } if from == dst)
+                    })
+                    .collect()
+            } else {
+                scan_block(&mut prober, block, &mut results)
+            };
+            if !hits.is_empty() {
+                snapshot.active.insert(block, hits);
+            }
+        }
+        snapshot.probes = prober.probes_sent();
+        let accounting = (prober.probes_sent(), prober.rtt_total_us(), prober.drops());
+        let log = serde_json::to_string(&prober.take_log().unwrap()).unwrap();
+        drop(prober);
+        net.set_epoch(saved_epoch);
+        let rtt = reg.histogram("probe.rtt_us");
+        SerialScan {
+            snapshot,
+            accounting,
+            log,
+            metrics: (
+                reg.counter("probe.sent").get(),
+                reg.counter("probe.drops").get(),
+                rtt.count(),
+                rtt.sum(),
+                rtt.bucket_counts(),
+            ),
+        }
+    }
+
     #[test]
     fn scan_is_identical_at_any_thread_count() {
         let mut world = build(ScenarioConfig::tiny(42));
@@ -233,40 +308,77 @@ mod tests {
             blocks.len()
         );
         // Run at epoch 0 so restoring the epoch keeps the warm-up set, which
-        // then shows that every responsive address was woken exactly as on
-        // one thread.
-        let run = |threads: usize| {
+        // then shows that every responsive address was woken exactly as by
+        // the per-probe reference.
+        let reference = |epoch: u32| {
+            let mut net = world.network.clone();
+            net.set_epoch(epoch);
+            let scan = serial_scan(&mut net, &blocks, true);
+            (scan, net)
+        };
+        let (per_probe, per_probe_net) = reference(0);
+        assert_eq!(per_probe.snapshot.probes, blocks.len() as u64 * 254);
+        assert!(per_probe.snapshot.total_active() > 0);
+        assert!(
+            !per_probe_net.warmed().is_empty(),
+            "the world has cellular hosts"
+        );
+        assert!(per_probe_net.net_stats().netem_reorders > 0);
+        assert!(per_probe_net.silence_stats().no_host > 0);
+        // The batched per-/24 call matches the per-probe calls on the
+        // prober too: accounting, recording and metrics.
+        let mut net = world.network.clone();
+        net.set_epoch(0);
+        assert_eq!(serial_scan(&mut net, &blocks, false), per_probe);
+        let same_network = |net: &Network, reference: &Network, what: &str| {
+            assert_eq!(net.epoch(), reference.epoch(), "{what}");
+            assert_eq!(net.net_stats(), reference.net_stats(), "{what}");
+            assert_eq!(net.silence_stats(), reference.silence_stats(), "{what}");
+            assert_eq!(net.warmed().len(), reference.warmed().len(), "{what}");
+            for addr in per_probe.snapshot.active.values().flatten() {
+                assert_eq!(
+                    net.warmed().contains(*addr),
+                    reference.warmed().contains(*addr),
+                    "{what}: {addr}"
+                );
+            }
+        };
+        same_network(&net, &per_probe_net, "batched serial scan");
+        for threads in [1, 2, 3, 8] {
             let mut net = world.network.clone();
             net.set_epoch(0);
             let snap = scan(&mut net, &blocks, threads);
-            (snap, net)
-        };
-        let (serial, serial_net) = run(1);
-        assert_eq!(serial.probes, blocks.len() as u64 * 254);
-        assert!(serial.total_active() > 0);
-        assert!(
-            !serial_net.warmed().is_empty(),
-            "the world has cellular hosts"
-        );
-        assert!(serial_net.net_stats().netem_reorders > 0);
-        for threads in [2, 3, 8] {
-            let (snap, net) = run(threads);
-            assert_eq!(snap, serial, "snapshot at {threads} threads");
-            assert_eq!(net.epoch(), 0);
-            assert_eq!(net.net_stats(), serial_net.net_stats());
-            assert_eq!(net.warmed().len(), serial_net.warmed().len());
-            for addr in serial.active.values().flatten() {
-                assert_eq!(
-                    net.warmed().contains(*addr),
-                    serial_net.warmed().contains(*addr)
-                );
-            }
+            assert_eq!(snap, per_probe.snapshot, "snapshot at {threads} threads");
+            same_network(&net, &per_probe_net, &format!("{threads} threads"));
         }
         // From a later epoch the scan restores it, at any thread count.
+        let (later, later_net) = reference(5);
+        assert_eq!(later.snapshot, per_probe.snapshot);
         let mut net = world.network.clone();
         net.set_epoch(5);
-        assert_eq!(scan(&mut net, &blocks, 3), serial);
-        assert_eq!(net.epoch(), 5);
+        assert_eq!(scan(&mut net, &blocks, 3), per_probe.snapshot);
+        same_network(&net, &later_net, "from epoch 5");
+    }
+
+    #[test]
+    fn replayed_scan_consumes_one_call_per_address() {
+        let s = build(ScenarioConfig::tiny(42));
+        let blocks: Vec<Block24> = s.network.allocated_blocks().into_iter().take(3).collect();
+        let mut live = Prober::new(&s.network, SCAN_IDENT);
+        live.start_recording();
+        let mut results = Vec::new();
+        let hits: Vec<Vec<Addr>> = blocks
+            .iter()
+            .map(|&b| scan_block(&mut live, b, &mut results))
+            .collect();
+        let mut replay = Prober::replayer(live.take_log().unwrap(), SCAN_IDENT, live.source());
+        for (&b, hits) in blocks.iter().zip(&hits) {
+            assert_eq!(&scan_block(&mut replay, b, &mut results), hits);
+        }
+        assert_eq!(replay.replay_misses(), 0);
+        assert_eq!(replay.probes_sent(), live.probes_sent());
+        assert_eq!(replay.drops(), live.drops());
+        assert_eq!(replay.rtt_total_us(), live.rtt_total_us());
     }
 
     #[test]
@@ -286,6 +398,27 @@ mod tests {
             let snap = scan_all(&mut scanned, 2);
             let mut restored = fresh();
             restore(&mut restored, &snap);
+            // Restoring sends nothing, so it counts nothing: the scan's
+            // carried probes and its silences (every address with no
+            // answering host) are the only accounting that differs.
+            assert_eq!(restored.net_stats(), NetworkStats::default());
+            assert_eq!(restored.silence_stats(), SilenceStats::default());
+            assert_eq!(
+                scanned.net_stats(),
+                NetworkStats {
+                    probes_carried: snap.probes,
+                    ..NetworkStats::default()
+                }
+            );
+            let silences = scanned.silence_stats();
+            assert_eq!(silences.no_host, snap.probes - snap.total_active() as u64);
+            assert_eq!(
+                silences,
+                SilenceStats {
+                    no_host: silences.no_host,
+                    ..SilenceStats::default()
+                }
+            );
             assert_eq!(restored.epoch(), scanned.epoch());
             assert_eq!(restored.warmed().len(), scanned.warmed().len());
             let active: Vec<Addr> = snap.active.values().flatten().copied().collect();
