@@ -1,5 +1,7 @@
 //! Minimal CLI argument handling shared by all experiment binaries.
 
+use std::path::PathBuf;
+
 /// Common experiment options.
 #[derive(Clone, Debug)]
 pub struct ExpArgs {
@@ -23,22 +25,13 @@ pub struct ExpArgs {
     pub trace_spans: bool,
     /// Checkpoint the run into a journal under this directory; a killed
     /// run can later be picked up with `--resume`.
-    pub run_dir: Option<String>,
+    pub run_dir: Option<PathBuf>,
     /// Resume from the `--run-dir` journal instead of starting fresh
     /// (seed/scale/faults come from the journal's meta record).
     pub resume: bool,
     /// Per-block watchdog deadline in seconds; a block past its budget is
     /// cancelled cooperatively, requeued, and eventually quarantined.
     pub deadline: Option<f64>,
-    /// Run as a sharded-run coordinator: partition the selected blocks
-    /// into this many shard leases under `--run-dir` and spawn one worker
-    /// process per shard. Conflicts with `--resume` (re-running the
-    /// coordinator on the same run dir *is* the resume path) and with
-    /// `--shard`.
-    pub shards: Option<usize>,
-    /// Run as shard worker with this index (spawned by the coordinator;
-    /// the lease file under `--run-dir` carries every other knob).
-    pub shard: Option<usize>,
     /// Probe with the MDA-Lite stopping discipline instead of the full
     /// classic ladder: a block's last-hop diamond is confirmed once, later
     /// destinations stop early, and inconsistent flow-label evidence
@@ -77,8 +70,6 @@ impl Default for ExpArgs {
             run_dir: None,
             resume: false,
             deadline: None,
-            shards: None,
-            shard: None,
             mda_lite: false,
             dynamics: None,
             storage_chaos: None,
@@ -99,8 +90,8 @@ pub enum ParseOutcome {
 pub const USAGE: &str =
     "usage: <experiment> [--seed N] [--scale F] [--threads N] [--faults L,R] [--json]\n\
 \u{20}                   [--metrics OUT.json] [--trace-spans] [--run-dir DIR] [--resume]\n\
-\u{20}                   [--deadline SECS] [--shards N] [--shard I] [--mda-lite]\n\
-\u{20}                   [--dynamics R[,P]] [--storage-chaos SEED[,RATE]]\n\
+\u{20}                   [--deadline SECS] [--mda-lite] [--dynamics R[,P]]\n\
+\u{20}                   [--storage-chaos SEED[,RATE]]\n\
 --seed N      scenario seed (default 42)\n\
 --scale F     scenario scale, 1.0 = paper-size (default 0.12)\n\
 --threads N   probing worker threads: snapshot scan and classification\n\
@@ -117,13 +108,6 @@ pub const USAGE: &str =
 \u{20}             blocks; seed/scale/faults come from the journal\n\
 --deadline S  per-block watchdog deadline in seconds (default 30);\n\
 \u{20}             blocks past it are cancelled, requeued, then quarantined\n\
---shards N    coordinate a multi-process sharded run: write N shard\n\
-\u{20}             leases under --run-dir and spawn one worker per shard;\n\
-\u{20}             re-run the same command to resume (conflicts with\n\
-\u{20}             --resume and --shard)\n\
---shard I     run as shard worker I of a sharded run (spawned by the\n\
-\u{20}             coordinator; requires --run-dir, whose lease file\n\
-\u{20}             carries every other knob)\n\
 --mda-lite    probe with the MDA-Lite stopping discipline: resolve each\n\
 \u{20}             block's last-hop diamond once, stop early on later\n\
 \u{20}             destinations, escalate to classic MDA on inconsistent\n\
@@ -147,17 +131,7 @@ pub const USAGE: &str =
 impl ExpArgs {
     /// Parse from `std::env::args`. Unknown flags abort with usage help.
     pub fn parse() -> Self {
-        match Self::parse_from(std::env::args().skip(1)) {
-            Ok(args) => args,
-            Err(ParseOutcome::Help) => {
-                eprintln!("{USAGE}");
-                std::process::exit(0);
-            }
-            Err(ParseOutcome::Error(msg)) => {
-                eprintln!("{msg}; try --help");
-                std::process::exit(2);
-            }
-        }
+        or_exit(Self::parse_from(std::env::args().skip(1)), USAGE)
     }
 
     /// Parse from an explicit token stream (testable core of [`parse`]).
@@ -183,8 +157,6 @@ impl ExpArgs {
                 "--run-dir" => args.run_dir = Some(expect_value(&mut it, "--run-dir")?),
                 "--resume" => args.resume = true,
                 "--deadline" => args.deadline = Some(expect_value(&mut it, "--deadline")?),
-                "--shards" => args.shards = Some(expect_value(&mut it, "--shards")?),
-                "--shard" => args.shard = Some(expect_value(&mut it, "--shard")?),
                 "--mda-lite" => args.mda_lite = true,
                 "--dynamics" => {
                     let v: String = expect_value(&mut it, "--dynamics")?;
@@ -208,40 +180,6 @@ impl ExpArgs {
         if args.deadline.is_some_and(|d| d <= 0.0) {
             return Err(ParseOutcome::Error("--deadline must be positive".into()));
         }
-        // Sharded-run flag conflicts. Each of these used to be able to
-        // leave a half-sharded run dir behind; now they fail up front.
-        if args.shards.is_some() && args.shard.is_some() {
-            return Err(ParseOutcome::Error(
-                "--shards (coordinator) and --shard (worker) are mutually exclusive".into(),
-            ));
-        }
-        if args.shards.is_some_and(|n| n == 0) {
-            return Err(ParseOutcome::Error("--shards must be at least 1".into()));
-        }
-        if args.shards.is_some() && args.run_dir.is_none() {
-            return Err(ParseOutcome::Error(
-                "--shards requires --run-dir (leases and shard journals live there)".into(),
-            ));
-        }
-        if args.shards.is_some() && args.resume {
-            return Err(ParseOutcome::Error(
-                "--resume conflicts with --shards: re-run the coordinator on the same \
-                 --run-dir to resume a sharded run"
-                    .into(),
-            ));
-        }
-        if args.shard.is_some() && args.run_dir.is_none() {
-            return Err(ParseOutcome::Error(
-                "--shard requires --run-dir (the shard lease file lives there)".into(),
-            ));
-        }
-        if args.shard.is_some() && args.resume {
-            return Err(ParseOutcome::Error(
-                "--resume conflicts with --shard: a worker resumes its own shard journal \
-                 automatically"
-                    .into(),
-            ));
-        }
         if args.storage_chaos.is_some() && args.run_dir.is_none() {
             return Err(ParseOutcome::Error(
                 "--storage-chaos requires --run-dir (the faults target the run dir's \
@@ -250,6 +188,22 @@ impl ExpArgs {
             ));
         }
         Ok(args)
+    }
+}
+
+/// A parse result's value, or the process exit it calls for: `--help`
+/// prints `usage` and exits 0, a bad flag names itself and exits 2.
+pub fn or_exit<T>(parsed: Result<T, ParseOutcome>, usage: &str) -> T {
+    match parsed {
+        Ok(v) => v,
+        Err(ParseOutcome::Help) => {
+            eprintln!("{usage}");
+            std::process::exit(0);
+        }
+        Err(ParseOutcome::Error(msg)) => {
+            eprintln!("{msg}; try --help");
+            std::process::exit(2);
+        }
     }
 }
 
@@ -343,7 +297,8 @@ fn parse_storage_chaos(v: &str) -> Result<(u64, f64), ParseOutcome> {
     Ok((seed, rate))
 }
 
-fn expect_value<T: std::str::FromStr>(
+/// The value token after `flag`, parsed as `T`.
+pub fn expect_value<T: std::str::FromStr>(
     it: &mut impl Iterator<Item = String>,
     flag: &str,
 ) -> Result<T, ParseOutcome> {
@@ -428,7 +383,7 @@ mod tests {
     #[test]
     fn run_dir_resume_and_deadline_parse() {
         let a = parse(&["--run-dir", "runs/x", "--resume", "--deadline", "2.5"]).unwrap();
-        assert_eq!(a.run_dir.as_deref(), Some("runs/x"));
+        assert_eq!(a.run_dir.as_deref(), Some(std::path::Path::new("runs/x")));
         assert!(a.resume);
         assert_eq!(a.deadline, Some(2.5));
         let d = parse(&[]).unwrap();
@@ -447,63 +402,13 @@ mod tests {
     }
 
     #[test]
-    fn shard_flags_parse_with_run_dir() {
-        let a = parse(&["--shards", "4", "--run-dir", "runs/x"]).unwrap();
-        assert_eq!(a.shards, Some(4));
-        assert_eq!(a.shard, None);
-        let b = parse(&["--shard", "2", "--run-dir", "runs/x"]).unwrap();
-        assert_eq!(b.shard, Some(2));
-        assert_eq!(b.shards, None);
-        let d = parse(&[]).unwrap();
-        assert_eq!(d.shards, None);
-        assert_eq!(d.shard, None);
-    }
-
-    #[test]
-    fn shard_flag_conflicts_fail_before_any_run_dir_is_touched() {
-        // --resume + --shards: the coordinator resumes by re-running.
-        let e = parse(&["--shards", "2", "--run-dir", "x", "--resume"]);
-        match e {
-            Err(ParseOutcome::Error(msg)) => assert!(msg.contains("--resume"), "{msg}"),
-            other => panic!("expected conflict error, got {other:?}"),
-        }
-        // --shard without a run dir: the lease file is unreachable.
-        let e = parse(&["--shard", "0"]);
-        match e {
-            Err(ParseOutcome::Error(msg)) => assert!(msg.contains("--run-dir"), "{msg}"),
-            other => panic!("expected missing run-dir error, got {other:?}"),
-        }
-        // Coordinator and worker roles are exclusive.
-        assert!(matches!(
-            parse(&["--shards", "2", "--shard", "0", "--run-dir", "x"]),
-            Err(ParseOutcome::Error(_))
-        ));
-        // --shards without a run dir would have nowhere to put leases.
-        assert!(matches!(
-            parse(&["--shards", "2"]),
-            Err(ParseOutcome::Error(_))
-        ));
-        // A worker resumes its own journal; --resume on a worker is a bug.
-        assert!(matches!(
-            parse(&["--shard", "0", "--run-dir", "x", "--resume"]),
-            Err(ParseOutcome::Error(_))
-        ));
-        // Zero shards is meaningless.
-        assert!(matches!(
-            parse(&["--shards", "0", "--run-dir", "x"]),
-            Err(ParseOutcome::Error(_))
-        ));
-    }
-
-    #[test]
     fn mda_lite_flag_parses() {
         let a = parse(&["--mda-lite"]).unwrap();
         assert!(a.mda_lite);
         assert!(!parse(&[]).unwrap().mda_lite, "classic is the default");
-        // Composes with the journal/shard flags it is recorded through.
-        let b = parse(&["--mda-lite", "--shards", "2", "--run-dir", "x"]).unwrap();
+        // Composes with the journal flags it is recorded through.
+        let b = parse(&["--mda-lite", "--run-dir", "x"]).unwrap();
         assert!(b.mda_lite);
-        assert_eq!(b.shards, Some(2));
     }
 
     #[test]
@@ -545,10 +450,6 @@ mod tests {
         let b = parse(&["--storage-chaos", "7, 0.1", "--run-dir", "x"]).unwrap();
         assert_eq!(b.storage_chaos, Some((7, 0.1)));
         assert_eq!(parse(&[]).unwrap().storage_chaos, None);
-        // Composes with a sharded run (the coordinator plants per-shard
-        // chaos leases).
-        let c = parse(&["--storage-chaos", "7", "--shards", "2", "--run-dir", "x"]).unwrap();
-        assert_eq!(c.storage_chaos, Some((7, DEFAULT_CHAOS_RATE)));
     }
 
     #[test]
@@ -579,6 +480,19 @@ mod tests {
     #[test]
     fn unknown_flag_rejected() {
         assert!(matches!(parse(&["--bogus"]), Err(ParseOutcome::Error(_))));
+    }
+
+    #[test]
+    fn shard_flags_are_unknown_to_an_experiment() {
+        // Only `hobbit_shard` coordinates or works a sharded run.
+        for flag in ["--shards", "--shard"] {
+            match parse(&[flag, "2", "--run-dir", "x"]) {
+                Err(ParseOutcome::Error(msg)) => {
+                    assert_eq!(msg, format!("unknown flag {flag:?}"))
+                }
+                other => panic!("{flag}: expected an unknown-flag error, got {other:?}"),
+            }
+        }
     }
 
     #[test]

@@ -60,6 +60,7 @@
 
 #![deny(clippy::unwrap_used)]
 
+use crate::args::ExpArgs;
 use crate::journal::{read_journal_via, CrashPoint, RunMeta, ShardInfo, JOURNAL_FILE};
 use crate::lease::{
     heartbeat_age_via, heartbeat_epoch_via, is_done, mark_done_via, shard_dir, write_heartbeat_via,
@@ -186,12 +187,10 @@ impl CoordinatorConfig {
         }
     }
 
-    /// Build a config from parsed CLI arguments (`--shards`).
-    pub fn from_args(args: &crate::args::ExpArgs) -> Self {
-        let mut cfg = CoordinatorConfig::new(
-            args.run_dir.clone().expect("--shards requires --run-dir"),
-            args.shards.expect("--shards is set"),
-        );
+    /// A config for `shards` shards under `run_dir`, with every other run
+    /// setting from parsed CLI arguments.
+    pub fn from_args(run_dir: PathBuf, shards: usize, args: &ExpArgs) -> Self {
+        let mut cfg = CoordinatorConfig::new(run_dir, shards);
         cfg.seed = args.seed;
         cfg.scale = args.scale;
         cfg.faults = args.faults;

@@ -1,6 +1,12 @@
-//! The shared measurement pipeline every experiment builds on:
-//! scenario → ZMap scan → selection → confidence calibration →
-//! classification of every selected /24.
+//! The shared measurement pipeline every experiment builds on.
+//!
+//! # Phases
+//!
+//! [`PipelineBuilder::try_run`] runs one private function per step over
+//! one run state: open or resume the journal, build the world, take the
+//! snapshot (or load the persisted prefix), install faults and dynamics,
+//! select, calibrate, persist the prefix and shard totals, classify, and
+//! seal the journal. Each opens its own `run/<phase>` span inside `run`.
 //!
 //! # Concurrency
 //!
@@ -26,8 +32,13 @@
 //! The classification engine is also available standalone via
 //! [`classify_blocks`], which takes a `&Network` directly.
 
+#![deny(clippy::unwrap_used)]
+
 use crate::args::ExpArgs;
-use crate::journal::{CrashPoint, Entry, JournalWriter, RunMeta, ShardInfo, JOURNAL_SCHEMA};
+use crate::journal::{
+    CrashPoint, Entry, JournalReplay, JournalWriter, RunMeta, ShardInfo, JOURNAL_FILE,
+    JOURNAL_SCHEMA,
+};
 use crate::lease::shard_of;
 use crate::prefix::{self, RunPrefix};
 use crate::supervise::{
@@ -41,19 +52,35 @@ use hobbit::{
     ConfidenceTable, HobbitConfig, SelectReject, SelectedBlock,
 };
 use netsim::build::{build, derive_dynamics, Scenario, ScenarioConfig};
-use netsim::{Addr, Block24, FaultConfig, Network, NetworkStats};
-use obs::{NullRecorder, Recorder, Registry};
+use netsim::{Block24, FaultConfig, Network, NetworkStats};
+use obs::{NullRecorder, Recorder, Registry, SpanTimer};
+use parking_lot::Mutex;
 use probe::{zmap, MdaMode, Prober, StoppingRule, ZmapSnapshot};
 use serde::Serialize;
 use std::collections::{HashMap, VecDeque};
-use std::path::PathBuf;
-use std::sync::{Arc, Mutex};
+use std::path::{Path, PathBuf};
+use std::sync::Arc;
 use std::time::Duration;
 
 pub use hobbit::block_ident;
 
 /// The recorder unobserved runs report into (retains nothing).
 static NULL_RECORDER: NullRecorder = NullRecorder;
+
+/// The run's registry as a recorder, or the null recorder when the run is
+/// unobserved.
+fn recorder(obs: Option<&Registry>) -> &dyn Recorder {
+    obs.map_or(&NULL_RECORDER, |r| r as &dyn Recorder)
+}
+
+/// The probe mode `--mda-lite` selects.
+fn mda_mode(lite: bool) -> MdaMode {
+    if lite {
+        MdaMode::Lite
+    } else {
+        MdaMode::Classic
+    }
+}
 
 /// Derive the scenario configuration from the common arguments.
 pub fn scenario_config(args: &ExpArgs) -> ScenarioConfig {
@@ -132,17 +159,16 @@ pub const CALIBRATION_BLOCKS: usize = 120;
 /// ```
 #[derive(Clone, Default)]
 pub struct PipelineBuilder {
+    /// Every run setting the command line can give.
     args: ExpArgs,
     scenario: Option<Scenario>,
     observe: bool,
-    run_dir: Option<PathBuf>,
-    resume: bool,
-    supervise: Option<SuperviseConfig>,
+    supervise: SuperviseConfig,
     injector: Option<FaultInjector>,
     crash: Option<CrashPoint>,
     shutdown: Option<ShutdownSignal>,
     shard: Option<(usize, usize)>,
-    storage: Option<Storage>,
+    storage: Storage,
     /// Set by [`PipelineBuilder::args`]: this run belongs to a CLI
     /// process, so a storage failure should exit with a named error
     /// rather than unwind with a library panic.
@@ -155,8 +181,6 @@ impl std::fmt::Debug for PipelineBuilder {
             .field("args", &self.args)
             .field("scenario", &self.scenario.is_some())
             .field("observe", &self.observe)
-            .field("run_dir", &self.run_dir)
-            .field("resume", &self.resume)
             .field("supervise", &self.supervise)
             .field("injector", &self.injector.is_some())
             .field("crash", &self.crash)
@@ -223,11 +247,18 @@ impl PipelineBuilder {
         self
     }
 
-    /// Take every knob from parsed CLI arguments at once. Also marks the
-    /// run as CLI-owned: a storage failure in [`PipelineBuilder::run`]
-    /// prints the typed error and exits [`crate::EXIT_STORAGE`] instead
-    /// of panicking with a backtrace.
+    /// Take every run setting from parsed CLI arguments, replacing any set
+    /// before; `--deadline` and `--storage-chaos` set the supervision
+    /// deadline and the storage handle here, once. Also marks the run as
+    /// CLI-owned: a storage failure in [`PipelineBuilder::run`] prints the
+    /// typed error and exits [`crate::EXIT_STORAGE`] instead of panicking.
     pub fn args(mut self, args: &ExpArgs) -> Self {
+        if let Some(secs) = args.deadline {
+            self.supervise.deadline = Duration::from_secs_f64(secs);
+        }
+        if let Some((seed, rate)) = args.storage_chaos {
+            self.storage = Storage::chaos(seed, rate);
+        }
         self.args = args.clone();
         self.cli = true;
         self
@@ -252,7 +283,7 @@ impl PipelineBuilder {
     /// finished block classification is appended as it completes, so a
     /// killed run can be picked up with [`PipelineBuilder::resume_from`].
     pub fn run_dir(mut self, dir: impl Into<PathBuf>) -> Self {
-        self.run_dir = Some(dir.into());
+        self.args.run_dir = Some(dir.into());
         self
     }
 
@@ -264,15 +295,15 @@ impl PipelineBuilder {
     /// blocks already checkpointed are recovered instead of re-measured,
     /// and the final report is byte-identical to an uninterrupted run.
     pub fn resume_from(mut self, dir: impl Into<PathBuf>) -> Self {
-        self.run_dir = Some(dir.into());
-        self.resume = true;
+        self.args.run_dir = Some(dir.into());
+        self.args.resume = true;
         self
     }
 
     /// Override the supervision knobs (per-block deadline, attempt budget,
     /// watchdog poll interval). Supervision itself is always on.
     pub fn supervise(mut self, cfg: SuperviseConfig) -> Self {
-        self.supervise = Some(cfg);
+        self.supervise = cfg;
         self
     }
 
@@ -325,7 +356,7 @@ impl PipelineBuilder {
     /// [`crate::vfs::ChaosVfs`]-backed one injects disk faults, the
     /// default is faithful. `--storage-chaos` builds one from the CLI.
     pub fn storage(mut self, storage: Storage) -> Self {
-        self.storage = Some(storage);
+        self.storage = storage;
         self
     }
 
@@ -349,328 +380,232 @@ impl PipelineBuilder {
     /// run-dir filesystem failure survives the bounded retries: the
     /// journal on disk is then still a valid (resumable) prefix, but no
     /// report may be published over it.
-    pub fn try_run(self) -> Result<Pipeline, StorageError> {
-        let PipelineBuilder {
-            mut args,
+    pub fn try_run(mut self) -> Result<Pipeline, StorageError> {
+        let prebuilt = self.scenario.take();
+        let (run, replayed) = Run::open(self)?;
+        let run_span = run.span("run");
+        let mut scenario = run.build_world(prebuilt);
+        let blocks = scenario.network.allocated_blocks();
+        let world = prefix::world_fingerprint(&blocks);
+        let (snapshot, loaded) = run.snapshot(&mut scenario.network, &blocks, world);
+        let dynamics_events = run.install(&mut scenario);
+        let sel = run.select(&snapshot);
+        let hobbit_cfg = run.hobbit_config(dynamics_events);
+        let prefix_loaded = loaded.is_some();
+        let (confidence, calibration_probes) =
+            run.calibrate(&scenario.network, &sel, &hobbit_cfg, loaded);
+        let prefix = RunPrefix {
+            snapshot,
+            confidence,
+            calibration_probes,
+        };
+        run.persist(&prefix, prefix_loaded, world, &sel, dynamics_events)?;
+        let outcome = run.classify(
+            &scenario.network,
+            &sel,
+            &prefix.confidence,
+            &hobbit_cfg,
+            replayed,
+        );
+        let mut supervision = outcome.report;
+        run.seal(&mut supervision)?;
+
+        // Probe spend is summed over measurements (each block's fresh
+        // prober makes `probes_used` exactly its probes sent), so the total
+        // is the same whether a block was measured now or recovered from
+        // the journal.
+        let classify_probes = outcome.measurements.iter().map(|m| m.probes_used).sum();
+        let net_stats = scenario.network.net_stats();
+        drop(run_span);
+        let (args, obs) = (run.cfg.args, run.obs);
+        let pipeline = Pipeline {
             scenario,
-            observe,
-            run_dir,
-            resume,
-            supervise,
-            injector,
-            crash,
-            shutdown,
-            shard,
-            storage,
-            cli: _,
-        } = self;
+            snapshot: prefix.snapshot,
+            threads: effective_threads(args.threads, sel.selected.len()),
+            selected: sel.selected,
+            reject_too_few: sel.reject_too_few,
+            reject_uncovered: sel.reject_uncovered,
+            confidence: prefix.confidence,
+            hobbit_cfg,
+            measurements: outcome.measurements,
+            classify_probes,
+            calibration_probes,
+            worker_stats: outcome.worker_stats,
+            net_stats,
+            obs,
+            supervision,
+            seed: args.seed,
+            scale: args.scale,
+            dynamics: args.dynamics,
+            dynamics_events,
+        };
+        pipeline.emit_observability(&args);
+        Ok(pipeline)
+    }
+}
+
+/// One run's state, passed from phase to phase of [`PipelineBuilder::try_run`]:
+/// the builder (with the journal's seed, scale and faults on resume), the
+/// registry and the journal.
+struct Run {
+    cfg: PipelineBuilder,
+    obs: Option<Arc<Registry>>,
+    journal: Option<Journal>,
+}
+
+/// An open run-dir journal.
+struct Journal {
+    dir: PathBuf,
+    meta: RunMeta,
+    /// Shared with the classification workers. The lock cannot be
+    /// poisoned: a worker that panics holding it takes the whole run down
+    /// (the engine re-raises on join) before any later phase locks it.
+    writer: Mutex<JournalWriter>,
+    /// What resuming found, less the blocks (those go to `classify`).
+    replay: JournalReplay,
+}
+
+/// The §3.3 selection: the passing blocks and the rejection counts.
+#[derive(Default)]
+struct Selection {
+    selected: Vec<SelectedBlock>,
+    reject_too_few: usize,
+    reject_uncovered: usize,
+}
+
+impl Run {
+    /// Bind the registry and the storage handle (before the journal's
+    /// first byte), then create or resume the journal. Returns the block
+    /// measurements a resumed journal holds.
+    fn open(mut cfg: PipelineBuilder) -> Result<(Run, Vec<BlockMeasurement>), StorageError> {
         assert!(
-            args.shards.is_none(),
-            "--shards starts a coordinator: route through \
-             experiments::coordinator::run_sharded, not Pipeline::run"
-        );
-        assert!(
-            args.shard.is_none(),
-            "--shard re-enters a worker process: route through \
-             experiments::coordinator::worker_main, which configures the \
-             pipeline from the shard's lease"
-        );
-        let run_dir = run_dir.or_else(|| args.run_dir.as_ref().map(PathBuf::from));
-        let resume = resume || args.resume;
-        assert!(
-            shard.is_none() || run_dir.is_some(),
+            cfg.shard.is_none() || cfg.args.run_dir.is_some(),
             "a sharded worker must journal into a run dir: its journal is \
              the only output the coordinator's merge can read"
         );
-        let mut sup_cfg = supervise.unwrap_or_default();
-        if let Some(secs) = args.deadline {
-            sup_cfg.deadline = Duration::from_secs_f64(secs);
-        }
-
-        // The registry comes first so the storage handle can bind its
-        // `storage.*` counters before the journal's first byte is written.
-        let observing = observe || args.metrics.is_some() || args.trace_spans;
-        let obs: Option<Arc<Registry>> = observing.then(|| Arc::new(Registry::new()));
-        let rec: &dyn Recorder = obs
-            .as_deref()
-            .map(|r| r as &dyn Recorder)
-            .unwrap_or(&NULL_RECORDER);
-
-        // Every run-dir operation goes through one Storage handle: an
-        // explicit builder handle wins, then `--storage-chaos`, then the
-        // faithful default.
-        let mut storage = storage
-            .or_else(|| {
-                args.storage_chaos
-                    .map(|(seed, rate)| Storage::chaos(seed, rate))
-            })
-            .unwrap_or_else(Storage::real);
-        storage.observe(rec);
-
-        // Open the journal next: on resume its meta record dictates seed,
-        // scale, and faults (the resumed world must be the crashed world).
-        let mut journal: Option<Mutex<JournalWriter>> = None;
-        let mut run_meta: Option<RunMeta> = None;
-        let mut replayed: Vec<BlockMeasurement> = Vec::new();
-        let mut truncated_tail = false;
-        let mut replayed_shard_info: Option<ShardInfo> = None;
-        if let Some(dir) = &run_dir {
-            let writer = if resume {
-                let (w, replay) = JournalWriter::resume_via(storage.clone(), dir)?;
-                let meta = replay.meta.ok_or_else(|| {
-                    StorageError::corruption(
-                        "resume",
-                        &dir.join(crate::journal::JOURNAL_FILE),
-                        "journal has no meta record (nothing was checkpointed)",
-                    )
-                })?;
-                if meta.schema != JOURNAL_SCHEMA {
-                    return Err(StorageError::corruption(
-                        "resume",
-                        &dir.join(crate::journal::JOURNAL_FILE),
-                        format!(
-                            "journal schema {:?} is not {JOURNAL_SCHEMA:?} \
-                             (written by an incompatible version)",
-                            meta.schema
-                        ),
-                    ));
-                }
-                // Seed, scale, and faults are *adopted* from the journal —
-                // the resumed world must be the crashed world. The probe
-                // mode is different: adopting it silently would make
-                // `--mda-lite` a no-op on resume, and switching it would
-                // change the probe stream of every remaining block, so a
-                // mismatch is refused outright.
-                assert_eq!(
-                    meta.mda_lite,
-                    args.mda_lite,
-                    "resume: journal was recorded in {} mode but this run \
-                     asked for {} — the probe mode changes every remaining \
-                     block's probe stream, so start a fresh run dir instead",
-                    if meta.mda_lite {
-                        MdaMode::Lite
-                    } else {
-                        MdaMode::Classic
-                    }
-                    .slug(),
-                    if args.mda_lite {
-                        MdaMode::Lite
-                    } else {
-                        MdaMode::Classic
-                    }
-                    .slug(),
-                );
-                // Dynamics are refused on mismatch for the same reason:
-                // the schedule shapes every remaining block's probe
-                // stream (and its epoch tags), so silently adopting or
-                // dropping it would desynchronize the resumed run.
-                assert_eq!(
-                    meta.dynamics(),
-                    args.dynamics,
-                    "resume: journal dynamics {:?} but this run asked for \
-                     {:?} — the schedule changes every remaining block's \
-                     probe stream, so start a fresh run dir instead",
-                    meta.dynamics(),
-                    args.dynamics,
-                );
-                args.seed = meta.seed;
-                args.scale = meta.scale;
-                args.faults = meta.faults();
-                replayed = replay.blocks;
-                truncated_tail = replay.truncated;
-                replayed_shard_info = replay.shard_info;
-                if let (Some((s, n)), Some(info)) = (shard, &replayed_shard_info) {
-                    assert_eq!(
-                        (info.shard, info.shards),
-                        (s as u64, n as u64),
-                        "resume: journal belongs to shard {}/{} but the worker \
-                         was granted shard {s}/{n}",
-                        info.shard,
-                        info.shards
-                    );
-                }
-                run_meta = Some(meta);
-                w
-            } else {
-                let meta = RunMeta::new(args.seed, args.scale, args.faults)
-                    .with_mda_lite(args.mda_lite)
-                    .with_dynamics(args.dynamics);
-                let w = JournalWriter::create_via(storage.clone(), dir, &meta)?;
-                run_meta = Some(meta);
-                w
-            };
-            journal = Some(Mutex::new(writer));
-        }
-        if let Some(cp) = crash {
-            let j = journal
-                .as_ref()
-                .expect("a crash point needs a run dir to crash");
-            j.lock().unwrap().set_crash_point(cp);
-        }
-
-        let run_span = obs.as_ref().map(|r| r.span("run"));
-        let mut scenario = {
-            let _s = obs.as_ref().map(|r| r.span("run/build"));
-            scenario.unwrap_or_else(|| build(scenario_config(&args)))
+        assert!(
+            cfg.crash.is_none() || cfg.args.run_dir.is_some(),
+            "a crash point needs a run dir to crash"
+        );
+        let observing = cfg.observe || cfg.args.metrics.is_some() || cfg.args.trace_spans;
+        let obs = observing.then(|| Arc::new(Registry::new()));
+        cfg.storage.observe(recorder(obs.as_deref()));
+        let journal = None;
+        let Some(dir) = cfg.args.run_dir.clone() else {
+            return Ok((Run { cfg, obs, journal }, Vec::new()));
         };
-        // Attach the recorder before the first probe so the network-side
-        // counters carry the whole run regardless of thread count.
-        if let Some(reg) = obs.as_deref() {
+        let (mut writer, meta, mut replay) = if cfg.args.resume {
+            let (writer, mut replay) = JournalWriter::resume_via(cfg.storage.clone(), &dir)?;
+            let meta = adopt_meta(&mut cfg.args, &dir, cfg.shard, &mut replay)?;
+            (writer, meta, replay)
+        } else {
+            let a = &cfg.args;
+            let meta = RunMeta::new(a.seed, a.scale, a.faults)
+                .with_mda_lite(a.mda_lite)
+                .with_dynamics(a.dynamics);
+            let writer = JournalWriter::create_via(cfg.storage.clone(), &dir, &meta)?;
+            (writer, meta, JournalReplay::default())
+        };
+        if let Some(cp) = cfg.crash {
+            writer.set_crash_point(cp);
+        }
+        let replayed = std::mem::take(&mut replay.blocks);
+        let journal = Some(Journal {
+            dir,
+            meta,
+            writer: Mutex::new(writer),
+            replay,
+        });
+        Ok((Run { cfg, obs, journal }, replayed))
+    }
+
+    fn rec(&self) -> &dyn Recorder {
+        recorder(self.obs.as_deref())
+    }
+
+    fn span(&self, path: &str) -> Option<SpanTimer<'_>> {
+        self.obs.as_ref().map(|r| r.span(path))
+    }
+
+    /// Build the world (or take the prebuilt one), and attach the recorder
+    /// before the first probe so the network counters carry the whole run.
+    fn build_world(&self, prebuilt: Option<Scenario>) -> Scenario {
+        let mut scenario = {
+            let _s = self.span("run/build");
+            prebuilt.unwrap_or_else(|| build(scenario_config(&self.cfg.args)))
+        };
+        if let Some(reg) = self.obs.as_deref() {
             scenario.network.set_recorder(reg);
         }
-        // A resumed run loads the prefix its first incarnation persisted
-        // (when intact and bound to this journal and world) instead of
-        // scanning and calibrating again.
-        let blocks = scenario.network.allocated_blocks();
-        let world = prefix::world_fingerprint(&blocks);
-        let (snapshot, loaded_calibration) = {
-            let _s = obs.as_ref().map(|r| r.span("run/snapshot"));
-            let loaded = match (&run_dir, &run_meta) {
-                (Some(dir), Some(meta)) if resume => prefix::load(&storage, dir, meta, world),
-                _ => None,
-            };
-            match loaded {
-                Some(RunPrefix {
-                    snapshot,
-                    confidence,
-                    calibration_probes,
-                }) => {
-                    zmap::restore(&mut scenario.network, &snapshot);
-                    (snapshot, Some((confidence, calibration_probes)))
-                }
-                None => {
-                    let threads = effective_threads(args.threads, blocks.len());
-                    (zmap::scan(&mut scenario.network, &blocks, threads), None)
-                }
+        scenario
+    }
+
+    /// Take the ZMap snapshot, or on resume load the persisted prefix
+    /// (when intact and bound to this journal and world), calibration
+    /// included.
+    fn snapshot(&self, net: &mut Network, blocks: &[Block24], world: u64) -> Snapshot {
+        let _s = self.span("run/snapshot");
+        let loaded = match &self.journal {
+            Some(j) if self.cfg.args.resume => {
+                prefix::load(&self.cfg.storage, &j.dir, &j.meta, world)
             }
+            _ => None,
         };
-
-        // Faults switch on only after the snapshot: selection inputs stay
-        // identical to a loss-free run, so verdicts compare block-for-block.
-        if let Some((loss, rate)) = args.faults {
-            scenario
-                .network
-                .set_faults(FaultConfig::lossy(loss as f32, rate as f32));
+        if let Some(p) = loaded {
+            zmap::restore(net, &p.snapshot);
+            return (p.snapshot, Some((p.confidence, p.calibration_probes)));
         }
+        let threads = effective_threads(self.cfg.args.threads, blocks.len());
+        (zmap::scan(net, blocks, threads), None)
+    }
 
-        // Dynamics install after the snapshot for the same reason: epoch 0
-        // *is* the frozen world selection saw, and the virtual clock only
-        // starts ticking once classification probes flow.
-        let mut dynamics_events = 0u64;
-        if let Some((rate, period)) = args.dynamics {
-            let schedule = derive_dynamics(&scenario, rate, period);
-            dynamics_events = schedule.events.len() as u64;
-            scenario.network.set_dynamics(schedule);
+    /// Switch on faults and dynamics after the snapshot, so selection sees
+    /// the loss-free frozen world (epoch 0). Returns the schedule's events.
+    fn install(&self, scenario: &mut Scenario) -> u64 {
+        if let Some((loss, rate)) = self.cfg.args.faults {
+            let faults = FaultConfig::lossy(loss as f32, rate as f32);
+            scenario.network.set_faults(faults);
         }
-
-        let mut selected = Vec::new();
-        let (mut reject_too_few, mut reject_uncovered) = (0usize, 0usize);
-        {
-            let _s = obs.as_ref().map(|r| r.span("run/select"));
-            for block in snapshot.blocks() {
-                match select_block(&snapshot, block) {
-                    Ok(sel) => selected.push(sel),
-                    Err(SelectReject::TooFewActive) => reject_too_few += 1,
-                    Err(SelectReject::UncoveredQuarter) => reject_uncovered += 1,
-                }
-            }
-        }
-        if let Some(reg) = obs.as_deref() {
-            reg.counter("select.selected").add(selected.len() as u64);
-            reg.counter("select.reject_too_few")
-                .add(reject_too_few as u64);
-            reg.counter("select.reject_uncovered")
-                .add(reject_uncovered as u64);
-        }
-
-        // --- Calibration, unless the table was loaded with the snapshot.
-        // `calibrate.probes` counts only this process's probes; the report
-        // quotes the run's total.
-        let prefix_loaded = loaded_calibration.is_some();
-        let (confidence, calibration_probes) = {
-            let _s = obs.as_ref().map(|r| r.span("run/calibrate"));
-            let (table, probes, sent, dataset_blocks) = match loaded_calibration {
-                Some((table, probes)) => (table, probes, 0, 0),
-                None => {
-                    let (table, probes, dataset_blocks) =
-                        calibrate(&scenario.network, &selected, &args, rec);
-                    (table, probes, probes, dataset_blocks)
-                }
-            };
-            if let Some(reg) = obs.as_deref() {
-                reg.counter("calibrate.dataset_blocks")
-                    .add(dataset_blocks as u64);
-                reg.counter("calibrate.probes").add(sent);
-            }
-            (table, probes)
+        let Some((rate, period)) = self.cfg.args.dynamics else {
+            return 0;
         };
+        let schedule = derive_dynamics(scenario, rate, period);
+        let events = schedule.events.len() as u64;
+        scenario.network.set_dynamics(schedule);
+        events
+    }
 
-        // Persist a computed prefix before the first block record, so any
-        // later incarnation of this run dir can load it.
-        let run_prefix = RunPrefix {
-            snapshot,
-            confidence,
-            calibration_probes,
-        };
-        if let (Some(dir), Some(meta)) = (&run_dir, &run_meta) {
-            if let Some(reg) = obs.as_deref() {
-                reg.counter("prefix.loaded").add(prefix_loaded as u64);
-                reg.counter("prefix.rebuilt")
-                    .add((resume && !prefix_loaded) as u64);
-            }
-            if !prefix_loaded {
-                prefix::store(&storage, dir, &run_prefix, meta, world)?;
+    fn select(&self, snapshot: &ZmapSnapshot) -> Selection {
+        let _s = self.span("run/select");
+        let mut sel = Selection::default();
+        for block in snapshot.blocks() {
+            match select_block(snapshot, block) {
+                Ok(s) => sel.selected.push(s),
+                Err(SelectReject::TooFewActive) => sel.reject_too_few += 1,
+                Err(SelectReject::UncoveredQuarter) => sel.reject_uncovered += 1,
             }
         }
-        let RunPrefix {
-            snapshot,
-            confidence,
-            calibration_probes,
-        } = run_prefix;
+        let rec = self.rec();
+        rec.counter("select.selected")
+            .add(sel.selected.len() as u64);
+        rec.counter("select.reject_too_few")
+            .add(sel.reject_too_few as u64);
+        rec.counter("select.reject_uncovered")
+            .add(sel.reject_uncovered as u64);
+        sel
+    }
 
-        // Sharded worker: persist the global phase totals right after the
-        // meta record (before any block lands), so the coordinator's merge
-        // can rebuild the single-process report from journals alone. On
-        // resume the totals must re-derive identically — anything else
-        // means the journal belongs to a different world.
-        if let Some((s, n)) = shard {
-            let info = ShardInfo {
-                shard: s as u64,
-                shards: n as u64,
-                selected: selected.len() as u64,
-                reject_too_few: reject_too_few as u64,
-                reject_uncovered: reject_uncovered as u64,
-                calibration_probes,
-                dynamics_events,
-            };
-            match &replayed_shard_info {
-                Some(prev) => assert_eq!(
-                    *prev, info,
-                    "resume: re-derived shard totals diverge from the journal"
-                ),
-                None => {
-                    let j = journal.as_ref().expect("sharding requires a run dir");
-                    let mut j = j.lock().unwrap();
-                    j.append(&Entry::ShardInfo(info))?;
-                    j.flush()?;
-                }
-            }
-        }
-
-        // --- Classification over ONE shared network, work-stealing workers
-        // under supervision (panic isolation, stall watchdog, checkpoints).
-        let hobbit_cfg = HobbitConfig {
+    /// The classifier configuration; calibration uses its retries too.
+    fn hobbit_config(&self, dynamics_events: u64) -> HobbitConfig {
+        let args = &self.cfg.args;
+        HobbitConfig {
             seed: args.seed ^ 0x0B17,
             prober_retries: if args.faults.is_some() {
                 FAULTED_RETRIES
             } else {
                 HobbitConfig::default().prober_retries
             },
-            mda_mode: if args.mda_lite {
-                MdaMode::Lite
-            } else {
-                MdaMode::Classic
-            },
+            mda_mode: mda_mode(args.mda_lite),
             // Epoch-tag evidence only when a live schedule exists: an
             // empty schedule never ticks the clock, and tagging would
             // change the measurement bytes of a world that never moves.
@@ -679,150 +614,247 @@ impl PipelineBuilder {
                 _ => 0,
             },
             ..Default::default()
-        };
+        }
+    }
 
-        // Blocks recovered from the journal are skipped, not re-measured;
-        // every block's probe stream depends only on (block, seed), so the
-        // remaining blocks measure exactly what they would have anyway.
-        let sup_obs = SuperviseObs::bind(rec);
-        let mut skip = vec![false; selected.len()];
-        // Non-owned blocks of a sharded worker are skipped outright (and
-        // never prefilled): they belong to another shard's journal.
-        if let Some((s, n)) = shard {
-            for (i, flag) in skip.iter_mut().enumerate() {
-                *flag = shard_of(i, n) != s;
+    /// Calibrate the confidence table (§3.2) unless it was loaded: survey a
+    /// spread-out sample of the selected blocks with full last-hop data and
+    /// build the table from the homogeneous ones. Returns the table and the
+    /// run's calibration probes (`calibrate.probes` counts this process's).
+    fn calibrate(
+        &self,
+        net: &Network,
+        sel: &Selection,
+        cfg: &HobbitConfig,
+        loaded: Calibration,
+    ) -> (ConfidenceTable, u64) {
+        let _s = self.span("run/calibrate");
+        let rec = self.rec();
+        let dataset_blocks = rec.counter("calibrate.dataset_blocks");
+        let probes = rec.counter("calibrate.probes");
+        if let Some(loaded) = loaded {
+            return loaded;
+        }
+        let stride = (sel.selected.len() / CALIBRATION_BLOCKS).max(1);
+        let mut dataset: Vec<BlockLasthopData> = Vec::new();
+        let mut prober = Prober::new(net, 0xCA11);
+        prober.observe(rec);
+        prober.retries = cfg.prober_retries;
+        for s in sel.selected.iter().step_by(stride).take(CALIBRATION_BLOCKS) {
+            let survey = survey_block(&mut prober, s, StoppingRule::confidence95(), false);
+            let lasthops = &survey.per_addr_lasthops;
+            if lasthops.len() >= 8 && detects_homogeneous(lasthops) {
+                dataset.push(survey.lasthop_data());
             }
         }
+        dataset_blocks.add(dataset.len() as u64);
+        probes.add(prober.probes_sent());
+        let table = ConfidenceTable::build(&dataset, 50, 24, 0.95, 8, self.cfg.args.seed ^ 0xF16);
+        (table, prober.probes_sent())
+    }
+
+    /// Persist a computed prefix before the first block record, so a later
+    /// incarnation of the run dir can load it; then a shard worker's global
+    /// totals, from which the coordinator's merge rebuilds the report. On
+    /// resume the totals must re-derive identically.
+    fn persist(
+        &self,
+        prefix: &RunPrefix,
+        loaded: bool,
+        world: u64,
+        sel: &Selection,
+        dynamics_events: u64,
+    ) -> Result<(), StorageError> {
+        let Some(j) = &self.journal else {
+            return Ok(());
+        };
+        let rec = self.rec();
+        rec.counter("prefix.loaded").add(loaded as u64);
+        rec.counter("prefix.rebuilt")
+            .add((self.cfg.args.resume && !loaded) as u64);
+        if !loaded {
+            prefix::store(&self.cfg.storage, &j.dir, prefix, &j.meta, world)?;
+        }
+        let Some((shard, shards)) = self.cfg.shard else {
+            return Ok(());
+        };
+        let info = ShardInfo {
+            shard: shard as u64,
+            shards: shards as u64,
+            selected: sel.selected.len() as u64,
+            reject_too_few: sel.reject_too_few as u64,
+            reject_uncovered: sel.reject_uncovered as u64,
+            calibration_probes: prefix.calibration_probes,
+            dynamics_events,
+        };
+        if let Some(prev) = &j.replay.shard_info {
+            assert_eq!(
+                *prev, info,
+                "resume: re-derived shard totals diverge from the journal"
+            );
+            return Ok(());
+        }
+        let mut w = j.writer.lock();
+        w.append(&Entry::ShardInfo(info))?;
+        w.flush()
+    }
+
+    /// Classify the owned blocks over ONE shared network under supervision.
+    /// Blocks the journal holds are prefilled, not re-measured: a block's
+    /// probe stream depends only on (block, seed), so the rest measure
+    /// what they would have anyway. Measurements come back in block order.
+    fn classify(
+        &self,
+        net: &Network,
+        sel: &Selection,
+        table: &ConfidenceTable,
+        cfg: &HobbitConfig,
+        replayed: Vec<BlockMeasurement>,
+    ) -> SupervisedOutcome {
+        let _s = self.span("run/classify");
+        let sup_obs = SuperviseObs::bind(self.rec());
+        // A shard worker skips (and never prefills) other shards' blocks.
+        let mut skip: Vec<bool> = (0..sel.selected.len())
+            .map(|i| self.cfg.shard.is_some_and(|(s, n)| shard_of(i, n) != s))
+            .collect();
+        let index_of: HashMap<Block24, usize> = sel
+            .selected
+            .iter()
+            .enumerate()
+            .map(|(i, s)| (s.block, i))
+            .collect();
         let mut prefilled: Vec<BlockMeasurement> = Vec::new();
-        if !replayed.is_empty() {
-            let index_of: HashMap<Block24, usize> = selected
-                .iter()
-                .enumerate()
-                .map(|(i, s)| (s.block, i))
-                .collect();
-            for m in replayed {
-                match index_of.get(&m.block) {
-                    Some(&i) if !skip[i] => {
-                        skip[i] = true;
-                        prefilled.push(m);
-                    }
-                    _ => {} // duplicate record or stale selection — remeasure
+        for m in replayed {
+            match index_of.get(&m.block) {
+                Some(&i) if !skip[i] => {
+                    skip[i] = true;
+                    prefilled.push(m);
                 }
+                _ => {} // duplicate record or stale selection — remeasure
             }
         }
         let resumed_blocks = prefilled.len() as u64;
         sup_obs.resumed.add(resumed_blocks);
-        if truncated_tail {
+        if self.journal.as_ref().is_some_and(|j| j.replay.truncated) {
             sup_obs.journal_truncated.inc();
         }
-
         let hooks = SuperviseHooks {
-            injector,
-            shutdown,
-            journal: journal.as_ref(),
+            injector: self.cfg.injector.clone(),
+            shutdown: self.cfg.shutdown.clone(),
+            journal: self.journal.as_ref().map(|j| &j.writer),
             skip: Some(&skip),
         };
-        let outcome = {
-            let _s = obs.as_ref().map(|r| r.span("run/classify"));
-            classify_blocks_supervised(
-                &scenario.network,
-                &selected,
-                &confidence,
-                &hobbit_cfg,
-                args.threads,
-                rec,
-                &sup_cfg,
-                &hooks,
-            )
-        };
-        let mut measurements = outcome.measurements;
-        measurements.extend(prefilled);
-        measurements.sort_by_key(|m| m.block);
-        let worker_stats = outcome.worker_stats;
-        let mut supervision = outcome.report;
-        supervision.resumed_blocks = resumed_blocks;
+        let mut outcome = classify_blocks_supervised(
+            net,
+            &sel.selected,
+            table,
+            cfg,
+            self.cfg.args.threads,
+            self.rec(),
+            &self.cfg.supervise,
+            &hooks,
+        );
+        outcome.measurements.extend(prefilled);
+        outcome.measurements.sort_by_key(|m| m.block);
+        outcome.report.resumed_blocks = resumed_blocks;
+        outcome
+    }
 
-        // Journal epilogue: a crashed journal means the "process" died —
-        // nothing more may be written. A sealed journal (storage fault
-        // past the retries) propagates its typed error: the on-disk
-        // prefix is valid and resumable, but the run must not publish a
-        // report — or write a done marker — over an incomplete journal.
-        if let Some(j) = &journal {
-            let mut j = j.lock().unwrap();
-            if j.crashed() {
-                supervision.interrupted = true;
-            } else if let Some(e) = supervision.storage_error.take() {
-                return Err(e);
-            } else {
-                if supervision.shutdown {
-                    j.append(&Entry::Shutdown)?;
-                }
-                j.flush()?;
+    /// Seal the journal. A crashed journal means the "process" died, so
+    /// nothing more is written. A sealed one (a storage fault past the
+    /// retries) returns its typed error: the on-disk prefix stays
+    /// resumable, but no report may be published over it.
+    fn seal(&self, supervision: &mut SuperviseReport) -> Result<(), StorageError> {
+        let Some(j) = &self.journal else {
+            return Ok(());
+        };
+        let mut w = j.writer.lock();
+        if w.crashed() {
+            supervision.interrupted = true;
+        } else if let Some(e) = supervision.storage_error.take() {
+            return Err(e);
+        } else {
+            if supervision.shutdown {
+                w.append(&Entry::Shutdown)?;
             }
-            sup_obs.journal_appends.add(j.appends());
-            sup_obs.journal_fsyncs.add(j.fsyncs());
+            w.flush()?;
         }
-
-        // Probe spend is summed over measurements (each block's fresh
-        // prober makes `probes_used` exactly its probes sent), so the total
-        // is the same whether a block was measured now or recovered from
-        // the journal.
-        let classify_probes = measurements.iter().map(|m| m.probes_used).sum();
-        let net_stats = scenario.network.net_stats();
-
-        drop(run_span);
-        let threads = effective_threads(args.threads, selected.len());
-        let pipeline = Pipeline {
-            scenario,
-            snapshot,
-            selected,
-            reject_too_few,
-            reject_uncovered,
-            confidence,
-            hobbit_cfg,
-            measurements,
-            classify_probes,
-            calibration_probes,
-            worker_stats,
-            net_stats,
-            obs,
-            supervision,
-            seed: args.seed,
-            scale: args.scale,
-            dynamics: args.dynamics,
-            dynamics_events,
-            threads,
-        };
-        pipeline.emit_observability(&args);
-        Ok(pipeline)
+        let sup_obs = SuperviseObs::bind(self.rec());
+        sup_obs.journal_appends.add(w.appends());
+        sup_obs.journal_fsyncs.add(w.fsyncs());
+        Ok(())
     }
 }
 
-/// Survey a spread-out sample of the selected blocks with full last-hop
-/// data; the blocks whose full data shows homogeneity feed the confidence
-/// table (the paper's Section 3.2 procedure). Returns the table, the probes
-/// sent and the number of blocks in the table's dataset.
-fn calibrate(
-    net: &Network,
-    selected: &[SelectedBlock],
-    args: &ExpArgs,
-    rec: &dyn Recorder,
-) -> (ConfidenceTable, u64, usize) {
-    let stride = (selected.len() / CALIBRATION_BLOCKS).max(1);
-    let mut dataset: Vec<BlockLasthopData> = Vec::new();
-    let mut prober = Prober::new(net, 0xCA11);
-    prober.observe(rec);
-    if args.faults.is_some() {
-        prober.retries = FAULTED_RETRIES;
+/// A snapshot, with the calibration a loaded prefix brought along.
+type Snapshot = (ZmapSnapshot, Calibration);
+
+/// A loaded confidence table and its run's calibration probes.
+type Calibration = Option<(ConfidenceTable, u64)>;
+
+/// Adopt a resumed journal's meta record: seed, scale and faults come from
+/// it (the resumed world must be the crashed world); a different probe
+/// mode, dynamics schedule or shard is refused.
+fn adopt_meta(
+    args: &mut ExpArgs,
+    dir: &Path,
+    shard: Option<(usize, usize)>,
+    replay: &mut JournalReplay,
+) -> Result<RunMeta, StorageError> {
+    let path = dir.join(JOURNAL_FILE);
+    let no_meta = "journal has no meta record (nothing was checkpointed)";
+    let meta = replay
+        .meta
+        .take()
+        .ok_or_else(|| StorageError::corruption("resume", &path, no_meta))?;
+    if meta.schema != JOURNAL_SCHEMA {
+        return Err(StorageError::corruption(
+            "resume",
+            &path,
+            format!(
+                "journal schema {:?} is not {JOURNAL_SCHEMA:?} \
+                 (written by an incompatible version)",
+                meta.schema
+            ),
+        ));
     }
-    for sel in selected.iter().step_by(stride).take(CALIBRATION_BLOCKS) {
-        let survey = survey_block(&mut prober, sel, StoppingRule::confidence95(), false);
-        if survey.per_addr_lasthops.len() >= 8 && detects_homogeneous(&survey.per_addr_lasthops) {
-            dataset.push(survey.lasthop_data());
-        }
+    // The probe mode is not adopted: adopting it silently would make
+    // `--mda-lite` a no-op on resume, and switching it would change the
+    // probe stream of every remaining block, so a mismatch is refused.
+    assert_eq!(
+        meta.mda_lite,
+        args.mda_lite,
+        "resume: journal was recorded in {} mode but this run \
+         asked for {} — the probe mode changes every remaining \
+         block's probe stream, so start a fresh run dir instead",
+        mda_mode(meta.mda_lite).slug(),
+        mda_mode(args.mda_lite).slug(),
+    );
+    // Dynamics likewise: the schedule shapes every remaining block's probe
+    // stream (and its epoch tags).
+    assert_eq!(
+        meta.dynamics(),
+        args.dynamics,
+        "resume: journal dynamics {:?} but this run asked for \
+         {:?} — the schedule changes every remaining block's \
+         probe stream, so start a fresh run dir instead",
+        meta.dynamics(),
+        args.dynamics,
+    );
+    args.seed = meta.seed;
+    args.scale = meta.scale;
+    args.faults = meta.faults();
+    if let (Some((s, n)), Some(info)) = (shard, &replay.shard_info) {
+        assert_eq!(
+            (info.shard, info.shards),
+            (s as u64, n as u64),
+            "resume: journal belongs to shard {}/{} but the worker \
+             was granted shard {s}/{n}",
+            info.shard,
+            info.shards
+        );
     }
-    let table = ConfidenceTable::build(&dataset, 50, 24, 0.95, 8, args.seed ^ 0xF16);
-    (table, prober.probes_sent(), dataset.len())
+    Ok(meta)
 }
 
 /// Per-probe retries used when fault injection is on. Three retries bound
@@ -865,7 +897,7 @@ pub struct WorkerStats {
 /// Work-stealing task queues: one deque per worker. A worker pops from the
 /// front of its own queue and, when empty, steals from the *back* of the
 /// fullest other queue — classic locality-preserving stealing, small
-/// enough to not need a lock-free library.
+/// enough to not need a lock-free library. The locks cannot be poisoned.
 pub(crate) struct StealQueues {
     queues: Vec<Mutex<VecDeque<usize>>>,
 }
@@ -888,24 +920,20 @@ impl StealQueues {
     /// supervision). Goes to the back, so fresh work runs first and a
     /// repeatedly failing task cannot starve its queue.
     pub(crate) fn requeue(&self, worker: usize, task: usize) {
-        self.queues[worker].lock().unwrap().push_back(task);
+        self.queues[worker].lock().push_back(task);
     }
 
     /// Next task for `worker`: own queue first, then steal. Returns the
     /// task id and whether it was stolen; `None` when all queues are dry.
     pub(crate) fn next(&self, worker: usize) -> Option<(usize, bool)> {
-        if let Some(t) = self.queues[worker].lock().unwrap().pop_front() {
+        if let Some(t) = self.queues[worker].lock().pop_front() {
             return Some((t, false));
         }
         // Steal from the victim with the most remaining work.
         let victim = (0..self.queues.len())
             .filter(|&v| v != worker)
-            .max_by_key(|&v| self.queues[v].lock().unwrap().len())?;
-        self.queues[victim]
-            .lock()
-            .unwrap()
-            .pop_back()
-            .map(|t| (t, true))
+            .max_by_key(|&v| self.queues[v].lock().len())?;
+        self.queues[victim].lock().pop_back().map(|t| (t, true))
     }
 }
 
@@ -1098,10 +1126,7 @@ impl Pipeline {
     /// The recorder post-pipeline phases should report through: the run's
     /// registry when observability is on, a [`NullRecorder`] otherwise.
     pub fn recorder(&self) -> &dyn Recorder {
-        self.obs
-            .as_deref()
-            .map(|r| r as &dyn Recorder)
-            .unwrap_or(&NULL_RECORDER)
+        recorder(self.obs.as_deref())
     }
 
     /// Write the outputs selected by `args`: the span tree to stderr
@@ -1204,11 +1229,6 @@ impl Pipeline {
         self.worker_stats.iter().map(|w| w.backoff_us).sum()
     }
 
-    /// Snapshot-active addresses of a block.
-    pub fn snapshot_actives(&self, block: Block24) -> Vec<Addr> {
-        self.snapshot.active_in(block).to_vec()
-    }
-
     /// Count measurements per classification.
     pub fn classification_counts(&self) -> Vec<(hobbit::Classification, usize)> {
         classification_counts_of(&self.measurements)
@@ -1216,8 +1236,10 @@ impl Pipeline {
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
+    use netsim::Addr;
 
     fn tiny() -> PipelineBuilder {
         // ~328 ordinary blocks at scale 0.01.
@@ -1520,6 +1542,84 @@ mod tests {
         if let Err(e) = result {
             std::panic::resume_unwind(e);
         }
+    }
+
+    #[test]
+    fn args_and_builder_methods_configure_the_same_run() {
+        // One run configured two ways: through the CLI arguments, and
+        // through the builder methods that set the same settings. A
+        // killed leg and its resumed leg must leave byte-identical reports
+        // and run dirs either way.
+        let base =
+            std::env::temp_dir().join(format!("hobbit-pipeline-two-ways-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&base);
+        let deadline = 20.0;
+        let crash = CrashPoint {
+            after_block_appends: 40,
+            torn: true,
+        };
+        let via_args = |dir: PathBuf, resume: bool| {
+            let b = Pipeline::builder().args(&ExpArgs {
+                seed: 42,
+                scale: 0.01,
+                threads: 1,
+                run_dir: Some(dir),
+                resume,
+                deadline: Some(deadline),
+                ..Default::default()
+            });
+            if resume {
+                b
+            } else {
+                b.crash_point(crash)
+            }
+        };
+        let via_methods = |dir: PathBuf, resume: bool| {
+            let b = tiny().threads(1).supervise(SuperviseConfig {
+                deadline: Duration::from_secs_f64(deadline),
+                ..Default::default()
+            });
+            if resume {
+                b.resume_from(dir)
+            } else {
+                b.run_dir(dir).crash_point(crash)
+            }
+        };
+        let run_dir_bytes = |dir: &Path| {
+            let mut files: Vec<(PathBuf, Vec<u8>)> = std::fs::read_dir(dir)
+                .unwrap()
+                .map(|e| {
+                    let path = e.unwrap().path();
+                    let bytes = std::fs::read(&path).unwrap();
+                    (path.strip_prefix(dir).unwrap().to_path_buf(), bytes)
+                })
+                .collect();
+            files.sort();
+            files
+        };
+        let (args_dir, methods_dir) = (base.join("args"), base.join("methods"));
+        for resume in [false, true] {
+            let (a, m) = (
+                via_args(args_dir.clone(), resume),
+                via_methods(methods_dir.clone(), resume),
+            );
+            assert_eq!(a.supervise.deadline, m.supervise.deadline);
+            let (a, m) = (a.run(), m.run());
+            assert_eq!(a.supervision.interrupted, !resume, "the kill fired");
+            assert_eq!(m.supervision.interrupted, !resume);
+            // The resumed leg really resumed, both ways.
+            assert_eq!(a.supervision.resumed_blocks > 0, resume);
+            assert_eq!(a.supervision.resumed_blocks, m.supervision.resumed_blocks);
+            assert_eq!(
+                a.canonical_report(),
+                m.canonical_report(),
+                "resume={resume}"
+            );
+            let files = run_dir_bytes(&args_dir);
+            assert!(files.iter().any(|(f, _)| f == Path::new(JOURNAL_FILE)));
+            assert_eq!(files, run_dir_bytes(&methods_dir), "resume={resume}");
+        }
+        let _ = std::fs::remove_dir_all(&base);
     }
 
     #[test]

@@ -222,7 +222,7 @@ pub struct SuperviseHooks<'a> {
     /// Graceful-shutdown signal.
     pub shutdown: Option<ShutdownSignal>,
     /// Checkpoint journal; completed blocks are appended as they finish.
-    pub journal: Option<&'a Mutex<JournalWriter>>,
+    pub journal: Option<&'a parking_lot::Mutex<JournalWriter>>,
     /// `skip[i]` ⇒ task `i` was recovered from the journal — don't re-run.
     pub skip: Option<&'a [bool]>,
 }
@@ -305,7 +305,7 @@ pub fn classify_blocks_supervised(
     let storage_err: Mutex<Option<StorageError>> = Mutex::new(None);
     let journal_dead = || {
         hooks.journal.is_some_and(|j| {
-            let j = j.lock().unwrap();
+            let j = j.lock();
             j.crashed() || j.sealed().is_some()
         }) || storage_err.lock().unwrap().is_some()
     };
@@ -411,7 +411,7 @@ pub fn classify_blocks_supervised(
                                 stats.retries += d.retries;
                                 stats.backoff_us += d.backoff_us;
                                 if let Some(j) = hooks.journal {
-                                    let mut j = j.lock().unwrap();
+                                    let mut j = j.lock();
                                     if let Err(e) = j.append(&Entry::Block {
                                         index: idx as u64,
                                         measurement: m.clone(),
@@ -456,7 +456,7 @@ pub fn classify_blocks_supervised(
                                     detail,
                                 };
                                 if let Some(j) = hooks.journal {
-                                    if let Err(e) = j.lock().unwrap().append(&Entry::Quarantine {
+                                    if let Err(e) = j.lock().append(&Entry::Quarantine {
                                         index: idx as u64,
                                         block: q.block,
                                         attempts: q.attempts,

@@ -374,11 +374,6 @@ impl ChaosVfs {
     pub fn faults_injected(&self) -> u64 {
         self.core.injected.load(Ordering::Relaxed)
     }
-
-    /// Whether the simulated disk has filled (sticky ENOSPC fired).
-    pub fn disk_full(&self) -> bool {
-        self.core.full.load(Ordering::Acquire)
-    }
 }
 
 #[derive(Debug)]
@@ -638,11 +633,6 @@ impl StorageError {
     /// replay treat that as "fresh run", not an error).
     pub fn is_not_found(&self) -> bool {
         self.io_kind == io::ErrorKind::NotFound
-    }
-
-    /// Whether retrying could have helped (it was tried and exhausted).
-    pub fn is_transient(&self) -> bool {
-        self.kind == StorageErrorKind::Transient
     }
 }
 

@@ -352,15 +352,6 @@ impl Block24 {
             (x.leading_zeros() as u8).saturating_sub(8)
         }
     }
-
-    /// Iterate the four /26 sub-blocks as prefixes.
-    pub fn quarters26(self) -> [Prefix; 4] {
-        let base = self.0 << 8;
-        [0u32, 64, 128, 192].map(|off| Prefix {
-            base: base | off,
-            len: 26,
-        })
-    }
 }
 
 impl fmt::Display for Block24 {

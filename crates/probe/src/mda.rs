@@ -147,12 +147,6 @@ impl MdaLiteState {
         self.confirmed
     }
 
-    /// Whether a full ladder confirmed the block's last hop anonymous
-    /// (pure silence — no interface, no destination echo).
-    pub fn is_anonymous(&self) -> bool {
-        self.anonymous
-    }
-
     /// Record one confirmed hop observation: the destination's distance
     /// and whether the destination itself echoed during the enumeration
     /// (per-flow path-length jitter). Drives [`Self::can_skip_confirm`].

@@ -5,8 +5,9 @@
 #
 # Counts lines added and removed in `.rs` files outside any `tests/`
 # directory and outside `vendor/`, with each file cut at its first
-# `#[cfg(test)]` line (so in-file unit tests do not count). HEAD defaults
-# to `HEAD`. Prints one line per changed file, then the totals:
+# `#[cfg(test)]` in column 0 (so the in-file test module does not count,
+# but an indented item-level `#[cfg(test)]` accessor inside non-test code
+# does not hide the code below it). HEAD defaults to `HEAD`. Prints one line per changed file, then the totals:
 #
 #   added N removed M net K
 set -euo pipefail
@@ -34,7 +35,7 @@ trap 'rm -rf "$tmp"' EXIT
 non_test() {
     # awk stops reading at the cut, so git may die of SIGPIPE: ignore it.
     { git show "$1:$2" 2>/dev/null || true; } |
-        awk '/^[[:space:]]*#\[cfg\(test\)\]/ { exit } { print }'
+        awk '/^#\[cfg\(test\)\]/ { exit } { print }'
 }
 
 added=0
