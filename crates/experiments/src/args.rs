@@ -1,4 +1,5 @@
-//! Minimal CLI argument handling shared by all experiment binaries.
+//! Minimal CLI argument handling shared by the `hobbit` and `hobbit_shard`
+//! binaries.
 
 use std::path::PathBuf;
 
@@ -129,14 +130,8 @@ pub const USAGE: &str =
 --json        machine-readable output";
 
 impl ExpArgs {
-    /// Parse from `std::env::args`. Unknown flags abort with usage help.
-    pub fn parse() -> Self {
-        or_exit(Self::parse_from(std::env::args().skip(1)), USAGE)
-    }
-
-    /// Parse from an explicit token stream (testable core of [`parse`]).
-    ///
-    /// [`parse`]: ExpArgs::parse
+    /// Parse the flags that follow the experiment name. Unknown flags are
+    /// an error; `--help` stops parsing.
     pub fn parse_from<I>(tokens: I) -> Result<Self, ParseOutcome>
     where
         I: IntoIterator<Item = String>,
@@ -191,20 +186,27 @@ impl ExpArgs {
     }
 }
 
-/// A parse result's value, or the process exit it calls for: `--help`
-/// prints `usage` and exits 0, a bad flag names itself and exits 2.
+/// A parse result's value, or the exit code it calls for: `--help`
+/// writes `usage` to `err` for exit 0, a bad flag names itself for exit 2.
+pub fn usage_outcome<T>(
+    parsed: Result<T, ParseOutcome>,
+    usage: &str,
+    err: &mut dyn std::io::Write,
+) -> Result<T, u8> {
+    let (text, code) = match parsed {
+        Ok(v) => return Ok(v),
+        Err(ParseOutcome::Help) => (usage.to_string(), 0),
+        Err(ParseOutcome::Error(msg)) => (format!("{msg}; try --help"), 2),
+    };
+    let _ = writeln!(err, "{text}");
+    Err(code)
+}
+
+/// [`usage_outcome`] on stderr, exiting the process unless parsing
+/// succeeded.
 pub fn or_exit<T>(parsed: Result<T, ParseOutcome>, usage: &str) -> T {
-    match parsed {
-        Ok(v) => v,
-        Err(ParseOutcome::Help) => {
-            eprintln!("{usage}");
-            std::process::exit(0);
-        }
-        Err(ParseOutcome::Error(msg)) => {
-            eprintln!("{msg}; try --help");
-            std::process::exit(2);
-        }
-    }
+    usage_outcome(parsed, usage, &mut std::io::stderr())
+        .unwrap_or_else(|code| std::process::exit(code.into()))
 }
 
 /// Default ICMP token-bucket refill rate selected by `--faults L,tb`.

@@ -1,0 +1,5 @@
+//! `hobbit <experiment> [flags]`: regenerate one table or figure of the
+//! paper (`hobbit --help` lists them; see DESIGN.md's experiment index).
+fn main() -> std::process::ExitCode {
+    experiments::exps::dispatch(std::env::args().skip(1), &mut std::io::stderr()).into()
+}

@@ -585,11 +585,6 @@ pub fn run_sharded(cfg: &CoordinatorConfig, rec: &dyn Recorder) -> Result<String
 /// Fold the per-shard journals of a finished sharded run into the
 /// canonical report, cross-checking that every journal describes the same
 /// world. Pure read: no probing, no journal writes.
-pub fn merge_run(run_dir: &Path, shards: usize) -> Result<String, CoordError> {
-    merge_run_via(&Storage::real(), run_dir, shards)
-}
-
-/// [`merge_run`] through an explicit [`Storage`] handle.
 pub fn merge_run_via(
     storage: &Storage,
     run_dir: &Path,
@@ -706,7 +701,7 @@ pub fn merge_run_via(
 /// Spawned via `--run-dir <dir> --shard <i>`; everything else comes from
 /// the lease.
 pub fn worker_main(run_dir: &Path, shard: usize) -> i32 {
-    let lease = match Lease::load(run_dir, shard) {
+    let lease = match Lease::load_via(&Storage::real(), run_dir, shard) {
         Ok(lease) => lease,
         Err(e) => {
             eprintln!("shard {shard}: cannot load lease: {e}");
@@ -816,7 +811,6 @@ pub fn worker_main(run_dir: &Path, shard: usize) -> i32 {
 mod tests {
     use super::*;
     use crate::journal::{Entry, JournalWriter};
-    use crate::lease::mark_done;
     use obs::NullRecorder;
 
     fn tmpdir(tag: &str) -> PathBuf {
@@ -862,7 +856,7 @@ mod tests {
         let meta = RunMeta::new(42, 0.01, None);
         let mut lease = Lease::grant(0, 2, &meta, 1, 100);
         lease.state = LeaseState::Revoked;
-        lease.store(&dir).unwrap();
+        lease.store_via(&Storage::real(), &dir).unwrap();
         assert_eq!(worker_main(&dir, 0), EXIT_REFUSED);
         std::fs::remove_dir_all(&dir).unwrap();
     }
@@ -873,7 +867,7 @@ mod tests {
         // Shard 0 finished, shard 1 has no done marker.
         let meta = RunMeta::new(42, 0.01, None);
         let sd0 = shard_dir(&dir, 0);
-        let mut w = JournalWriter::create(&sd0, &meta).unwrap();
+        let mut w = JournalWriter::create_via(Storage::real(), &sd0, &meta).unwrap();
         w.append(&Entry::ShardInfo(ShardInfo {
             shard: 0,
             shards: 2,
@@ -885,15 +879,15 @@ mod tests {
         }))
         .unwrap();
         w.flush().unwrap();
-        mark_done(&sd0).unwrap();
-        match merge_run(&dir, 2) {
+        mark_done_via(&Storage::real(), &sd0).unwrap();
+        match merge_run_via(&Storage::real(), &dir, 2) {
             Err(CoordError::Merge(msg)) => assert!(msg.contains("done marker"), "{msg}"),
             other => panic!("expected Merge error, got {other:?}"),
         }
         // Shard 1 finished but under a different seed: refused.
         let sd1 = shard_dir(&dir, 1);
         let other_meta = RunMeta::new(43, 0.01, None);
-        let mut w = JournalWriter::create(&sd1, &other_meta).unwrap();
+        let mut w = JournalWriter::create_via(Storage::real(), &sd1, &other_meta).unwrap();
         w.append(&Entry::ShardInfo(ShardInfo {
             shard: 1,
             shards: 2,
@@ -905,8 +899,8 @@ mod tests {
         }))
         .unwrap();
         w.flush().unwrap();
-        mark_done(&sd1).unwrap();
-        match merge_run(&dir, 2) {
+        mark_done_via(&Storage::real(), &sd1).unwrap();
+        match merge_run_via(&Storage::real(), &dir, 2) {
             Err(CoordError::Merge(msg)) => assert!(msg.contains("different world"), "{msg}"),
             other => panic!("expected Merge error, got {other:?}"),
         }
@@ -943,9 +937,9 @@ mod tests {
         cfg.sabotage = vec![(1, LeaseSabotage::Stall)];
         cfg.crash = Some(CoordCrash::BeforeSpawn);
         let _ = run_sharded(&cfg, &NullRecorder);
-        let l0 = Lease::load(&dir, 0).unwrap();
-        let l1 = Lease::load(&dir, 1).unwrap();
-        let l2 = Lease::load(&dir, 2).unwrap();
+        let l0 = Lease::load_via(&Storage::real(), &dir, 0).unwrap();
+        let l1 = Lease::load_via(&Storage::real(), &dir, 1).unwrap();
+        let l2 = Lease::load_via(&Storage::real(), &dir, 2).unwrap();
         let (
             Some(LeaseSabotage::Chaos { seed: s0, rate }),
             Some(LeaseSabotage::Chaos { seed: s2, .. }),

@@ -1,9 +1,9 @@
-//! The `hobbit-conform` campaign: run the production classification engine
+//! The `hobbit conform` campaign: run the production classification engine
 //! and the `testkit` reference oracle over the golden corpus plus a fresh
 //! fuzzed sweep, shrink any divergence to a minimal scenario, and persist
 //! the shrunk seed files for offline debugging.
 
-use crate::args::ParseOutcome;
+use crate::args::{expect_value, ParseOutcome};
 use crate::pipeline::classify_blocks;
 use crate::report::Report;
 use obs::Registry;
@@ -20,8 +20,8 @@ pub const CASES_ENV: &str = "HOBBIT_CONFORM_CASES";
 /// Fresh-scenario count when neither `--cases` nor [`CASES_ENV`] is set.
 pub const DEFAULT_CASES: usize = 200;
 
-/// Options of the `hobbit-conform` binary (its axes differ from the
-/// experiment binaries', so it does not reuse `ExpArgs`).
+/// Options of `hobbit conform` (its axes differ from the experiments',
+/// so it does not reuse `ExpArgs`).
 #[derive(Clone, Debug)]
 pub struct ConformArgs {
     /// Number of fresh generated scenarios to sweep.
@@ -58,8 +58,8 @@ impl Default for ConformArgs {
     }
 }
 
-/// Usage text of `hobbit-conform`.
-pub const USAGE: &str = "usage: hobbit-conform [--cases N] [--seed N] [--threads A,B,..]\n\
+/// Usage text of `hobbit conform`.
+pub const USAGE: &str = "usage: hobbit conform [--cases N] [--seed N] [--threads A,B,..]\n\
 \u{20}                     [--corpus DIR] [--out-dir DIR] [--regen] [--json]\n\
 --cases N       fresh generated scenarios to sweep (default: $HOBBIT_CONFORM_CASES or 200)\n\
 --seed N        base seed of the fresh sweep (default 1000)\n\
@@ -70,24 +70,8 @@ pub const USAGE: &str = "usage: hobbit-conform [--cases N] [--seed N] [--threads
 --json          machine-readable output";
 
 impl ConformArgs {
-    /// Parse from `std::env::args`. Unknown flags abort with usage help.
-    pub fn parse() -> Self {
-        match Self::parse_from(std::env::args().skip(1)) {
-            Ok(args) => args,
-            Err(ParseOutcome::Help) => {
-                eprintln!("{USAGE}");
-                std::process::exit(0);
-            }
-            Err(ParseOutcome::Error(msg)) => {
-                eprintln!("{msg}; try --help");
-                std::process::exit(2);
-            }
-        }
-    }
-
-    /// Parse from an explicit token stream (testable core of [`parse`]).
-    ///
-    /// [`parse`]: ConformArgs::parse
+    /// Parse the flags that follow `hobbit conform`. Unknown flags are an
+    /// error; `--help` stops parsing.
     pub fn parse_from<I>(tokens: I) -> Result<Self, ParseOutcome>
     where
         I: IntoIterator<Item = String>,
@@ -96,10 +80,10 @@ impl ConformArgs {
         let mut it = tokens.into_iter();
         while let Some(flag) = it.next() {
             match flag.as_str() {
-                "--cases" => args.cases = expect(&mut it, "--cases")?,
-                "--seed" => args.seed = expect(&mut it, "--seed")?,
+                "--cases" => args.cases = expect_value(&mut it, "--cases")?,
+                "--seed" => args.seed = expect_value(&mut it, "--seed")?,
                 "--threads" => {
-                    let v: String = expect(&mut it, "--threads")?;
+                    let v: String = expect_value(&mut it, "--threads")?;
                     args.threads = v
                         .split(',')
                         .map(|t| t.trim().parse::<usize>())
@@ -108,9 +92,11 @@ impl ConformArgs {
                             ParseOutcome::Error(format!("invalid value {v:?} for --threads"))
                         })?;
                 }
-                "--corpus" => args.corpus = PathBuf::from(expect::<String>(&mut it, "--corpus")?),
+                "--corpus" => {
+                    args.corpus = PathBuf::from(expect_value::<String>(&mut it, "--corpus")?)
+                }
                 "--out-dir" => {
-                    args.out_dir = PathBuf::from(expect::<String>(&mut it, "--out-dir")?)
+                    args.out_dir = PathBuf::from(expect_value::<String>(&mut it, "--out-dir")?)
                 }
                 "--regen" => args.regen = true,
                 "--json" => args.json = true,
@@ -125,17 +111,6 @@ impl ConformArgs {
         }
         Ok(args)
     }
-}
-
-fn expect<T: std::str::FromStr>(
-    it: &mut impl Iterator<Item = String>,
-    flag: &str,
-) -> Result<T, ParseOutcome> {
-    let Some(v) = it.next() else {
-        return Err(ParseOutcome::Error(format!("{flag} requires a value")));
-    };
-    v.parse()
-        .map_err(|_| ParseOutcome::Error(format!("invalid value {v:?} for {flag}")))
 }
 
 /// Fault variant of fresh case `i`: most run clean, a quarter with link
@@ -204,7 +179,7 @@ pub fn run(args: &ConformArgs) -> (Report, usize) {
             }
             Err(e) => {
                 report.note(format!(
-                    "golden corpus unreadable at {:?} ({e}) — run hobbit-conform --regen",
+                    "golden corpus unreadable at {:?} ({e}) — run hobbit conform --regen",
                     args.corpus
                 ));
             }

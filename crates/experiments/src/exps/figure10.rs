@@ -7,7 +7,7 @@
 //! Amazon Dublin block).
 
 use crate::args::ExpArgs;
-use crate::exps::figure9::{cluster_and_validate, run_pipeline_observed};
+use crate::exps::figure9::{cluster_and_validate, merge_confirmed, run_pipeline_observed};
 use crate::report::Report;
 use aggregate::{size_histogram, Aggregate};
 use serde_json::json;
@@ -17,38 +17,15 @@ pub fn run(args: &ExpArgs) -> Report {
     let mut p = run_pipeline_observed(args);
     let mut r = Report::new("figure10", "Cluster-size distribution change from MCL");
     let seed = p.seed;
-    let (aggs, _clustering, outcomes) = cluster_and_validate(&mut p, seed, 80, 40);
+    let (before, _clustering, outcomes) = cluster_and_validate(&mut p, seed, 80, 40);
 
-    let before = aggs.clone();
-    // Merge aggregates of clusters confirmed homogeneous by reprobing.
-    let mut merged_away: std::collections::HashSet<u32> = Default::default();
-    let mut merged: Vec<Aggregate> = Vec::new();
-    let mut confirmed = 0usize;
-    let mut merged_members = 0usize;
-    for o in &outcomes {
-        if !o.validation.homogeneous() || o.members.len() < 2 {
-            continue;
-        }
-        confirmed += 1;
-        merged_members += o.members.len();
-        let mut blocks = Vec::new();
-        let mut lasthops = Vec::new();
-        for &m in &o.members {
-            merged_away.insert(m);
-            blocks.extend(aggs[m as usize].blocks.iter().copied());
-            lasthops.extend(aggs[m as usize].lasthops.iter().copied());
-        }
-        blocks.sort();
-        lasthops.sort();
-        lasthops.dedup();
-        merged.push(Aggregate { lasthops, blocks });
-    }
-    let mut after: Vec<Aggregate> = aggs
+    let (merged, mut after) = merge_confirmed(&before, &outcomes);
+    let confirmed = merged.len();
+    let merged_members: usize = outcomes
         .iter()
-        .enumerate()
-        .filter(|(i, _)| !merged_away.contains(&(*i as u32)))
-        .map(|(_, a)| a.clone())
-        .collect();
+        .filter(|o| o.confirmed())
+        .map(|o| o.members.len())
+        .sum();
     after.extend(merged);
 
     r.info("aggregates before clustering", before.len());

@@ -29,6 +29,46 @@ pub struct ClusterOutcome {
     pub rule_match: bool,
 }
 
+impl ClusterOutcome {
+    /// Whether reprobing confirmed a cluster of several aggregates
+    /// homogeneous, so they merge into one block.
+    pub fn confirmed(&self) -> bool {
+        self.validation.homogeneous() && self.members.len() >= 2
+    }
+}
+
+/// Merge the aggregates of every confirmed cluster: union their blocks
+/// and their last hops, each sorted (last hops deduplicated). Returns the
+/// merged aggregates in outcome order and the aggregates no confirmed
+/// cluster took, in index order.
+pub fn merge_confirmed(
+    aggs: &[Aggregate],
+    outcomes: &[ClusterOutcome],
+) -> (Vec<Aggregate>, Vec<Aggregate>) {
+    let mut merged_away = vec![false; aggs.len()];
+    let mut merged = Vec::new();
+    for o in outcomes.iter().filter(|o| o.confirmed()) {
+        let mut blocks = Vec::new();
+        let mut lasthops = Vec::new();
+        for &m in &o.members {
+            merged_away[m as usize] = true;
+            blocks.extend(aggs[m as usize].blocks.iter().copied());
+            lasthops.extend(aggs[m as usize].lasthops.iter().copied());
+        }
+        blocks.sort();
+        lasthops.sort();
+        lasthops.dedup();
+        merged.push(Aggregate { lasthops, blocks });
+    }
+    let rest = aggs
+        .iter()
+        .zip(merged_away)
+        .filter(|&(_, away)| !away)
+        .map(|(a, _)| a.clone())
+        .collect();
+    (merged, rest)
+}
+
 /// Inflation candidates for the Section 6.4 sweep.
 pub const INFLATIONS: [f64; 4] = [1.4, 2.0, 2.8, 4.0];
 

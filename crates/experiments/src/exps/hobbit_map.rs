@@ -7,9 +7,11 @@
 //! in the line format of `aggregate::dataset`, plus a JSON twin.
 
 use crate::args::ExpArgs;
-use crate::exps::figure9::{cluster_and_validate, run_pipeline_observed};
+use crate::exps::figure9::{cluster_and_validate, merge_confirmed, run_pipeline_observed};
 use crate::report::Report;
 use aggregate::{Aggregate, HobbitDataset};
+use netsim::Block24;
+use std::collections::HashSet;
 
 /// Build the final dataset (shared with tests).
 pub fn build_dataset(args: &ExpArgs) -> (HobbitDataset, Report) {
@@ -24,43 +26,14 @@ fn build_dataset_to(args: &ExpArgs, trace: &mut dyn std::io::Write) -> (HobbitDa
     let (aggs, _clustering, outcomes) = cluster_and_validate(&mut p, seed, 120, 40);
 
     // Merge aggregates of clusters confirmed homogeneous by reprobing.
-    let mut merged_away: std::collections::HashSet<u32> = Default::default();
-    let mut finals: Vec<Aggregate> = Vec::new();
-    let mut validated_flags: Vec<bool> = Vec::new();
-    for o in &outcomes {
-        if !o.validation.homogeneous() || o.members.len() < 2 {
-            continue;
-        }
-        let mut blocks = Vec::new();
-        let mut lasthops = Vec::new();
-        for &m in &o.members {
-            merged_away.insert(m);
-            blocks.extend(aggs[m as usize].blocks.iter().copied());
-            lasthops.extend(aggs[m as usize].lasthops.iter().copied());
-        }
-        blocks.sort();
-        lasthops.sort();
-        lasthops.dedup();
-        finals.push(Aggregate { lasthops, blocks });
-        validated_flags.push(true);
-    }
-    for (i, a) in aggs.iter().enumerate() {
-        if !merged_away.contains(&(i as u32)) {
-            finals.push(a.clone());
-            validated_flags.push(false);
-        }
-    }
-    let dataset = HobbitDataset::from_aggregates(p.seed, &finals, &|_| false);
-    // `from_aggregates` reorders by size; recompute flags by membership.
-    let validated_sets: std::collections::HashSet<Vec<netsim::Block24>> = finals
-        .iter()
-        .zip(&validated_flags)
-        .filter(|(_, &v)| v)
-        .map(|(a, _)| a.blocks.clone())
-        .collect();
-    let mut dataset = dataset;
+    let (merged, rest) = merge_confirmed(&aggs, &outcomes);
+    // `from_aggregates` reorders by size; flag the merged blocks by
+    // membership.
+    let validated_sets: HashSet<Vec<Block24>> = merged.iter().map(|a| a.blocks.clone()).collect();
+    let finals: Vec<Aggregate> = merged.into_iter().chain(rest).collect();
+    let mut dataset = HobbitDataset::from_aggregates(p.seed, &finals, &|_| false);
     for b in &mut dataset.blocks {
-        let members: Vec<netsim::Block24> = b.members().collect();
+        let members: Vec<Block24> = b.members().collect();
         if validated_sets.contains(&members) {
             b.validated = true;
         }

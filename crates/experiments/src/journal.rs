@@ -30,7 +30,7 @@
 //! any incomplete or CRC-failing record as the end of the valid prefix
 //! (everything after the first bad frame is suspect by WAL convention),
 //! reports it via [`JournalReplay::truncated`], and
-//! [`JournalWriter::resume`] physically truncates the file back to the
+//! [`JournalWriter::resume_via`] physically truncates the file back to the
 //! valid prefix before appending again.
 //!
 //! # Disk-failure tolerance (DESIGN.md §17)
@@ -277,13 +277,8 @@ fn read_u32(bytes: &[u8], pos: usize) -> u32 {
 
 /// Replay a journal file. Missing file ⇒ an empty replay (fresh run).
 /// A trailing partial or CRC-failing record is dropped, not an error.
-pub fn read_journal(path: &Path) -> std::io::Result<JournalReplay> {
-    read_journal_via(&Storage::real(), path).map_err(std::io::Error::other)
-}
-
-/// [`read_journal`] through an explicit [`Storage`] handle: transient
-/// read faults retry under its policy; only persistent failures (other
-/// than a missing file) surface as errors.
+/// Transient read faults retry under the storage's policy; only
+/// persistent failures (other than a missing file) surface as errors.
 pub fn read_journal_via(storage: &Storage, path: &Path) -> Result<JournalReplay, StorageError> {
     let mut replay = JournalReplay::default();
     let bytes = match storage.read(path) {
@@ -366,11 +361,6 @@ pub struct JournalWriter {
 impl JournalWriter {
     /// Start a fresh journal in `run_dir` (created if missing), writing
     /// the meta record immediately.
-    pub fn create(run_dir: &Path, meta: &RunMeta) -> Result<Self, StorageError> {
-        Self::create_via(Storage::real(), run_dir, meta)
-    }
-
-    /// [`JournalWriter::create`] through an explicit [`Storage`] handle.
     pub fn create_via(
         storage: Storage,
         run_dir: &Path,
@@ -400,18 +390,23 @@ impl JournalWriter {
 
     /// Reopen an existing journal for appending: replay it, drop any torn
     /// tail (physically truncating the file to the valid prefix), and
-    /// return the writer positioned after the last valid record.
-    pub fn resume(run_dir: &Path) -> Result<(Self, JournalReplay), StorageError> {
-        Self::resume_via(Storage::real(), run_dir)
-    }
-
-    /// [`JournalWriter::resume`] through an explicit [`Storage`] handle.
+    /// return the writer positioned after the last valid record, with the
+    /// run's meta record taken out of the replay. A journal that is
+    /// missing or holds no meta record is refused as corruption: nothing
+    /// was checkpointed, so there is nothing to resume.
     pub fn resume_via(
         storage: Storage,
         run_dir: &Path,
-    ) -> Result<(Self, JournalReplay), StorageError> {
+    ) -> Result<(Self, RunMeta, JournalReplay), StorageError> {
         let path = run_dir.join(JOURNAL_FILE);
-        let replay = read_journal_via(&storage, &path)?;
+        let mut replay = read_journal_via(&storage, &path)?;
+        let Some(meta) = replay.meta.take() else {
+            let why = format!(
+                "nothing was checkpointed in {}; start the run without --resume",
+                run_dir.display()
+            );
+            return Err(StorageError::corruption("resume", &path, why));
+        };
         let mut file = storage.open_write(&path, false)?;
         let truncate_err =
             |e: &std::io::Error| StorageError::classify("journal.resume", &path, e, 0);
@@ -432,7 +427,7 @@ impl JournalWriter {
             crashed: false,
             sealed: None,
         };
-        Ok((w, replay))
+        Ok((w, meta, replay))
     }
 
     /// Arm a simulated crash (testkit harness).
@@ -678,7 +673,7 @@ mod tests {
     fn journal_roundtrips_blocks_and_meta() {
         let dir = tmpdir("roundtrip");
         let meta = RunMeta::new(42, 0.01, Some((0.02, 0.5)));
-        let mut w = JournalWriter::create(&dir, &meta).unwrap();
+        let mut w = JournalWriter::create_via(Storage::real(), &dir, &meta).unwrap();
         for i in 0..5u64 {
             w.append(&Entry::Block {
                 index: i,
@@ -695,7 +690,7 @@ mod tests {
         .unwrap();
         w.flush().unwrap();
 
-        let r = read_journal(&dir.join(JOURNAL_FILE)).unwrap();
+        let r = read_journal_via(&Storage::real(), &dir.join(JOURNAL_FILE)).unwrap();
         assert_eq!(r.meta.as_ref(), Some(&meta));
         assert_eq!(r.meta.unwrap().faults(), Some((0.02, 0.5)));
         assert_eq!(r.blocks.len(), 5);
@@ -740,7 +735,7 @@ mod tests {
             calibration_probes: 9000,
             dynamics_events: 2,
         };
-        let mut w = JournalWriter::create(&dir, &meta).unwrap();
+        let mut w = JournalWriter::create_via(Storage::real(), &dir, &meta).unwrap();
         w.append(&Entry::ShardInfo(info)).unwrap();
         w.append(&Entry::Block {
             index: 0,
@@ -748,16 +743,16 @@ mod tests {
         })
         .unwrap();
         w.flush().unwrap();
-        let r = read_journal(&dir.join(JOURNAL_FILE)).unwrap();
+        let r = read_journal_via(&Storage::real(), &dir.join(JOURNAL_FILE)).unwrap();
         assert_eq!(r.shard_info, Some(info));
         assert_eq!(r.blocks.len(), 1);
         std::fs::remove_dir_all(&dir).unwrap();
 
         // A journal without the record replays to `None` (single-process).
         let dir = tmpdir("shardinfo-none");
-        let w = JournalWriter::create(&dir, &meta).unwrap();
+        let w = JournalWriter::create_via(Storage::real(), &dir, &meta).unwrap();
         drop(w);
-        let r = read_journal(&dir.join(JOURNAL_FILE)).unwrap();
+        let r = read_journal_via(&Storage::real(), &dir.join(JOURNAL_FILE)).unwrap();
         assert_eq!(r.shard_info, None);
         std::fs::remove_dir_all(&dir).unwrap();
     }
@@ -766,7 +761,7 @@ mod tests {
     fn kill_preserves_only_fsynced_records() {
         let dir = tmpdir("kill");
         let meta = RunMeta::new(7, 0.01, None);
-        let mut w = JournalWriter::create(&dir, &meta).unwrap();
+        let mut w = JournalWriter::create_via(Storage::real(), &dir, &meta).unwrap();
         w.fsync_batch = 2;
         w.set_crash_point(CrashPoint {
             after_block_appends: 5,
@@ -783,7 +778,7 @@ mod tests {
         // The post-crash flush must be a dead no-op.
         w.flush().unwrap();
 
-        let r = read_journal(&dir.join(JOURNAL_FILE)).unwrap();
+        let r = read_journal_via(&Storage::real(), &dir.join(JOURNAL_FILE)).unwrap();
         // 5 blocks appended before the kill; the meta+first-block batch
         // synced at 2 appends, then blocks 2-3 synced. Block 4 sat in the
         // unsynced tail and died with the process.
@@ -796,7 +791,7 @@ mod tests {
     fn torn_write_is_truncated_on_replay_and_resume() {
         let dir = tmpdir("torn");
         let meta = RunMeta::new(7, 0.01, None);
-        let mut w = JournalWriter::create(&dir, &meta).unwrap();
+        let mut w = JournalWriter::create_via(Storage::real(), &dir, &meta).unwrap();
         w.fsync_batch = 1;
         w.set_crash_point(CrashPoint {
             after_block_appends: 3,
@@ -812,12 +807,12 @@ mod tests {
         assert!(w.crashed());
 
         let path = dir.join(JOURNAL_FILE);
-        let r = read_journal(&path).unwrap();
+        let r = read_journal_via(&Storage::real(), &path).unwrap();
         assert_eq!(r.blocks.len(), 3, "every synced block survives");
         assert!(r.truncated, "the torn frame is detected and dropped");
 
         // Resume truncates the tail physically and appends cleanly.
-        let (mut w2, replay) = JournalWriter::resume(&dir).unwrap();
+        let (mut w2, _, replay) = JournalWriter::resume_via(Storage::real(), &dir).unwrap();
         assert_eq!(replay.blocks.len(), 3);
         assert_eq!(
             std::fs::metadata(&path).unwrap().len(),
@@ -831,7 +826,7 @@ mod tests {
         .unwrap();
         w2.append(&Entry::Shutdown).unwrap();
         w2.flush().unwrap();
-        let r2 = read_journal(&path).unwrap();
+        let r2 = read_journal_via(&Storage::real(), &path).unwrap();
         assert_eq!(r2.blocks.len(), 4);
         assert!(r2.shutdown);
         assert!(!r2.truncated);
@@ -842,7 +837,7 @@ mod tests {
     fn corrupt_middle_record_drops_the_suffix() {
         let dir = tmpdir("corrupt");
         let meta = RunMeta::new(7, 0.01, None);
-        let mut w = JournalWriter::create(&dir, &meta).unwrap();
+        let mut w = JournalWriter::create_via(Storage::real(), &dir, &meta).unwrap();
         w.fsync_batch = 1;
         for i in 0..3u64 {
             w.append(&Entry::Block {
@@ -859,7 +854,7 @@ mod tests {
         let mid = bytes.len() / 2;
         bytes[mid] ^= 0x40;
         std::fs::write(&path, &bytes).unwrap();
-        let r = read_journal(&path).unwrap();
+        let r = read_journal_via(&Storage::real(), &path).unwrap();
         assert!(r.truncated);
         assert!(r.blocks.len() < 3);
         std::fs::remove_dir_all(&dir).unwrap();
@@ -867,7 +862,7 @@ mod tests {
 
     #[test]
     fn missing_journal_is_an_empty_replay() {
-        let r = read_journal(Path::new("/nonexistent/journal.wal")).unwrap();
+        let r = read_journal_via(&Storage::real(), Path::new("/nonexistent/journal.wal")).unwrap();
         assert!(r.meta.is_none());
         assert_eq!(r.entries, 0);
         assert!(!r.truncated);
@@ -893,7 +888,7 @@ mod tests {
         .unwrap();
         w.flush().unwrap();
         assert!(w.sealed().is_none());
-        let r = read_journal(&dir.join(JOURNAL_FILE)).unwrap();
+        let r = read_journal_via(&Storage::real(), &dir.join(JOURNAL_FILE)).unwrap();
         assert_eq!(r.blocks.len(), 1);
         assert!(!r.truncated, "retry truncated the short-written prefix");
         std::fs::remove_dir_all(&dir).unwrap();
@@ -929,7 +924,7 @@ mod tests {
             .is_err());
         assert!(w.flush().is_err());
         // The journal on disk is still a valid prefix.
-        let r = read_journal(&dir.join(JOURNAL_FILE)).unwrap();
+        let r = read_journal_via(&Storage::real(), &dir.join(JOURNAL_FILE)).unwrap();
         assert_eq!(r.blocks.len(), 1);
         assert!(!r.truncated);
         std::fs::remove_dir_all(&dir).unwrap();
@@ -981,10 +976,10 @@ mod tests {
             // The surviving prefix is valid (the lie rolled the file back
             // to the last honest sync: just the meta record) and resume
             // on a healthy disk re-appends cleanly.
-            let r = read_journal(&dir.join(JOURNAL_FILE)).unwrap();
+            let r = read_journal_via(&Storage::real(), &dir.join(JOURNAL_FILE)).unwrap();
             assert!(!r.truncated, "batch={fsync_batch}");
             assert_eq!(r.blocks.len(), 0, "batch={fsync_batch}");
-            let (mut w2, replay) = JournalWriter::resume(&dir).unwrap();
+            let (mut w2, _, replay) = JournalWriter::resume_via(Storage::real(), &dir).unwrap();
             assert_eq!(
                 replay.valid_len,
                 std::fs::metadata(w2.path()).unwrap().len()

@@ -9,7 +9,7 @@
 //!
 //! # Atomicity and fencing
 //!
-//! Lease files are only ever *replaced whole*: [`Lease::store`] writes a
+//! Lease files are only ever *replaced whole*: [`Lease::store_via`] writes a
 //! temp file in the same directory, fsyncs it, and `rename(2)`s it into
 //! place, so a reader sees either the old lease or the new one, never a
 //! torn mix. Every revocation bumps the lease `epoch`; workers stamp their
@@ -198,12 +198,7 @@ impl Lease {
 
     /// Atomically publish the lease: write a temp file beside the target,
     /// fsync it, and rename it into place. A concurrent reader sees the
-    /// previous lease or this one, never a prefix.
-    pub fn store(&self, run_dir: &Path) -> Result<(), StorageError> {
-        self.store_via(&Storage::real(), run_dir)
-    }
-
-    /// [`Lease::store`] through an explicit [`Storage`] handle. The whole
+    /// previous lease or this one, never a prefix. The whole
     /// temp-write-fsync-rename sequence retries as a unit on transient
     /// faults, so even a torn rename leaves the target either old or new.
     pub fn store_via(&self, storage: &Storage, run_dir: &Path) -> Result<(), StorageError> {
@@ -221,11 +216,6 @@ impl Lease {
     }
 
     /// Load and validate a shard's lease file.
-    pub fn load(run_dir: &Path, shard: usize) -> Result<Lease, StorageError> {
-        Lease::load_via(&Storage::real(), run_dir, shard)
-    }
-
-    /// [`Lease::load`] through an explicit [`Storage`] handle.
     pub fn load_via(
         storage: &Storage,
         run_dir: &Path,
@@ -278,11 +268,6 @@ pub fn shard_dir(run_dir: &Path, shard: usize) -> PathBuf {
 /// Atomically rewrite the shard's heartbeat file. The rename refreshes the
 /// mtime (the liveness signal the coordinator polls) and the content
 /// carries the fencing epoch and pid of the writer.
-pub fn write_heartbeat(shard_dir: &Path, epoch: u32) -> Result<(), StorageError> {
-    write_heartbeat_via(&Storage::real(), shard_dir, epoch)
-}
-
-/// [`write_heartbeat`] through an explicit [`Storage`] handle.
 pub fn write_heartbeat_via(
     storage: &Storage,
     shard_dir: &Path,
@@ -299,11 +284,6 @@ pub fn write_heartbeat_via(
 
 /// Age of the shard's last heartbeat, `None` when no heartbeat exists (a
 /// worker that never got as far as its first beat).
-pub fn heartbeat_age(shard_dir: &Path) -> Option<Duration> {
-    heartbeat_age_via(&Storage::real(), shard_dir)
-}
-
-/// [`heartbeat_age`] through an explicit [`Storage`] handle.
 pub fn heartbeat_age_via(storage: &Storage, shard_dir: &Path) -> Option<Duration> {
     let mtime = storage.mtime(&shard_dir.join(HEARTBEAT_FILE)).ok()?;
     match SystemTime::now().duration_since(mtime) {
@@ -319,11 +299,6 @@ pub fn heartbeat_age_via(storage: &Storage, shard_dir: &Path) -> Option<Duration
 }
 
 /// The fencing epoch of the shard's last heartbeat.
-pub fn heartbeat_epoch(shard_dir: &Path) -> Option<u32> {
-    heartbeat_epoch_via(&Storage::real(), shard_dir)
-}
-
-/// [`heartbeat_epoch`] through an explicit [`Storage`] handle.
 pub fn heartbeat_epoch_via(storage: &Storage, shard_dir: &Path) -> Option<u32> {
     let text = storage
         .read_to_string(&shard_dir.join(HEARTBEAT_FILE))
@@ -333,11 +308,6 @@ pub fn heartbeat_epoch_via(storage: &Storage, shard_dir: &Path) -> Option<u32> {
 
 /// Write the shard's completion marker (atomic rename, like heartbeats).
 /// Only a worker that sealed its journal calls this.
-pub fn mark_done(shard_dir: &Path) -> Result<(), StorageError> {
-    mark_done_via(&Storage::real(), shard_dir)
-}
-
-/// [`mark_done`] through an explicit [`Storage`] handle.
 pub fn mark_done_via(storage: &Storage, shard_dir: &Path) -> Result<(), StorageError> {
     storage.create_dir_all(shard_dir)?;
     let tmp = shard_dir.join(format!(".{DONE_FILE}.tmp.{}", std::process::id()));
@@ -392,8 +362,8 @@ mod tests {
             appends: 5,
             torn: true,
         });
-        lease.store(&dir).unwrap();
-        let back = Lease::load(&dir, 2).unwrap();
+        lease.store_via(&Storage::real(), &dir).unwrap();
+        let back = Lease::load_via(&Storage::real(), &dir, 2).unwrap();
         assert_eq!(back, lease);
         assert_eq!(back.faults(), Some((0.02, 0.5)));
         // No temp file left behind.
@@ -404,7 +374,7 @@ mod tests {
             .collect();
         assert!(leftovers.is_empty(), "{leftovers:?}");
         // Loading the wrong shard index is refused.
-        assert!(Lease::load(&dir, 3).is_err());
+        assert!(Lease::load_via(&Storage::real(), &dir, 3).is_err());
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -415,8 +385,8 @@ mod tests {
         let lease = Lease::grant(0, 2, &m, 1, 250);
         assert!(lease.mda_lite);
         assert!(lease.regrant().mda_lite, "regrant must keep the probe mode");
-        lease.store(&dir).unwrap();
-        assert!(Lease::load(&dir, 0).unwrap().mda_lite);
+        lease.store_via(&Storage::real(), &dir).unwrap();
+        assert!(Lease::load_via(&Storage::real(), &dir, 0).unwrap().mda_lite);
         // A lease written before the mode existed deserializes as classic.
         let path = Lease::path(&dir, 0);
         let stripped = std::fs::read_to_string(&path)
@@ -424,7 +394,7 @@ mod tests {
             .replace(",\"mda_lite\":true", "");
         assert!(!stripped.contains("mda_lite"));
         std::fs::write(&path, stripped).unwrap();
-        assert!(!Lease::load(&dir, 0).unwrap().mda_lite);
+        assert!(!Lease::load_via(&Storage::real(), &dir, 0).unwrap().mda_lite);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -433,8 +403,8 @@ mod tests {
         let dir = tmpdir("schema");
         let mut lease = Lease::grant(0, 2, &meta(), 1, 250);
         lease.schema = "hobbit-lease/v0".into();
-        lease.store(&dir).unwrap();
-        let err = Lease::load(&dir, 0).unwrap_err();
+        lease.store_via(&Storage::real(), &dir).unwrap();
+        let err = Lease::load_via(&Storage::real(), &dir, 0).unwrap_err();
         assert!(err.to_string().contains("incompatible"), "{err}");
         std::fs::remove_dir_all(&dir).unwrap();
     }
@@ -471,13 +441,16 @@ mod tests {
     fn store_replaces_atomically_under_a_reader() {
         // Replacing a lease many times never exposes a torn read.
         let dir = tmpdir("atomic");
-        Lease::grant(0, 2, &meta(), 1, 250).store(&dir).unwrap();
+        Lease::grant(0, 2, &meta(), 1, 250)
+            .store_via(&Storage::real(), &dir)
+            .unwrap();
         let stop = std::sync::atomic::AtomicBool::new(false);
         std::thread::scope(|s| {
             let reader = s.spawn(|| {
                 let mut reads = 0u32;
                 while !stop.load(std::sync::atomic::Ordering::Acquire) {
-                    let lease = Lease::load(&dir, 0).expect("reader saw a torn lease");
+                    let lease = Lease::load_via(&Storage::real(), &dir, 0)
+                        .expect("reader saw a torn lease");
                     assert_eq!(lease.shard, 0);
                     reads += 1;
                 }
@@ -486,7 +459,7 @@ mod tests {
             for epoch in 0..200u32 {
                 let mut l = Lease::grant(0, 2, &meta(), 1, 250);
                 l.epoch = epoch;
-                l.store(&dir).unwrap();
+                l.store_via(&Storage::real(), &dir).unwrap();
             }
             stop.store(true, std::sync::atomic::Ordering::Release);
             assert!(reader.join().unwrap() > 0);
@@ -514,7 +487,7 @@ mod tests {
             let mut next = lease.regrant();
             next.holder_pid = 77;
             next.store_via(&storage, &dir).unwrap();
-            let back = Lease::load(&dir, 0).unwrap();
+            let back = Lease::load_via(&Storage::real(), &dir, 0).unwrap();
             assert_eq!(back, next, "reader sees the healed replacement");
             std::fs::remove_dir_all(&dir).unwrap();
         }
@@ -524,20 +497,20 @@ mod tests {
     fn heartbeat_age_epoch_and_done_marker() {
         let dir = tmpdir("heartbeat");
         let sd = shard_dir(&dir, 1);
-        assert_eq!(heartbeat_age(&sd), None);
-        assert_eq!(heartbeat_epoch(&sd), None);
+        assert_eq!(heartbeat_age_via(&Storage::real(), &sd), None);
+        assert_eq!(heartbeat_epoch_via(&Storage::real(), &sd), None);
         assert!(!is_done(&sd));
-        write_heartbeat(&sd, 3).unwrap();
-        assert_eq!(heartbeat_epoch(&sd), Some(3));
-        let age = heartbeat_age(&sd).unwrap();
+        write_heartbeat_via(&Storage::real(), &sd, 3).unwrap();
+        assert_eq!(heartbeat_epoch_via(&Storage::real(), &sd), Some(3));
+        let age = heartbeat_age_via(&Storage::real(), &sd).unwrap();
         assert!(age < Duration::from_secs(5), "{age:?}");
         // A fresh beat with a newer epoch replaces the old one.
-        write_heartbeat(&sd, 4).unwrap();
-        assert_eq!(heartbeat_epoch(&sd), Some(4));
+        write_heartbeat_via(&Storage::real(), &sd, 4).unwrap();
+        assert_eq!(heartbeat_epoch_via(&Storage::real(), &sd), Some(4));
         // Staleness grows monotonically once the worker stops beating.
         std::thread::sleep(Duration::from_millis(30));
-        assert!(heartbeat_age(&sd).unwrap() >= Duration::from_millis(25));
-        mark_done(&sd).unwrap();
+        assert!(heartbeat_age_via(&Storage::real(), &sd).unwrap() >= Duration::from_millis(25));
+        mark_done_via(&Storage::real(), &sd).unwrap();
         assert!(is_done(&sd));
         std::fs::remove_dir_all(&dir).unwrap();
     }
@@ -550,13 +523,13 @@ mod tests {
         // it only by spawn grace. The skew must count as age instead.
         let dir = tmpdir("skew");
         let sd = shard_dir(&dir, 0);
-        write_heartbeat(&sd, 1).unwrap();
+        write_heartbeat_via(&Storage::real(), &sd, 1).unwrap();
         let hb = sd.join(HEARTBEAT_FILE);
         let f = std::fs::OpenOptions::new().write(true).open(&hb).unwrap();
         f.set_modified(SystemTime::now() + Duration::from_secs(3600))
             .unwrap();
         drop(f);
-        let age = heartbeat_age(&sd).expect("a skewed beat still has an age");
+        let age = heartbeat_age_via(&Storage::real(), &sd).expect("a skewed beat still has an age");
         assert!(
             age >= Duration::from_secs(3590),
             "an hour of skew reads as ~an hour of staleness, got {age:?}"
@@ -568,7 +541,7 @@ mod tests {
             Storage::with_chaos(ChaosVfs::from_plan(&testkit::StorageSabotage::ClockSkew {
                 skew_secs: 3600,
             }));
-        write_heartbeat(&sd, 2).unwrap();
+        write_heartbeat_via(&Storage::real(), &sd, 2).unwrap();
         let age = heartbeat_age_via(&storage, &sd).expect("skewed mtime still ages");
         assert!(age >= Duration::from_secs(3590), "{age:?}");
         std::fs::remove_dir_all(&dir).unwrap();

@@ -1,9 +1,11 @@
 //! # experiments — regenerating every table and figure of the paper
 //!
 //! Each table/figure has a module with a `run(&ExpArgs) -> Report`
-//! function and a thin binary wrapper (`cargo run -p experiments --release
-//! --bin table1`, etc.). All binaries accept `--seed`, `--scale` (1.0 =
-//! paper-size scenario) and `--json`.
+//! function, listed in [`exps::EXPERIMENTS`]. The one `hobbit` binary
+//! runs any of them by name (`cargo run -p experiments --release --
+//! table1`). Every experiment accepts `--seed`, `--scale` (1.0 =
+//! paper-size scenario) and `--json`; one given a flag it does not act on
+//! exits 2.
 //!
 //! The shared [`pipeline`] performs the paper's measurement sequence once:
 //! ZMap scan → selection → confidence calibration → per-/24
@@ -27,8 +29,8 @@ pub mod exps;
 
 pub use args::ExpArgs;
 pub use coordinator::{
-    merge_run, run_sharded, worker_main, CoordCrash, CoordError, CoordObs, CoordinatorConfig,
-    EXIT_KILLED, EXIT_REFUSED, EXIT_STORAGE,
+    run_sharded, worker_main, CoordCrash, CoordError, CoordObs, CoordinatorConfig, EXIT_KILLED,
+    EXIT_REFUSED, EXIT_STORAGE,
 };
 pub use journal::{CrashPoint, JournalWriter, RunMeta, ShardInfo, JOURNAL_SCHEMA};
 pub use lease::{Lease, LeaseSabotage, LeaseState, LEASE_SCHEMA};

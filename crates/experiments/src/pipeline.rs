@@ -495,8 +495,8 @@ impl Run {
             return Ok((Run { cfg, obs, journal }, Vec::new()));
         };
         let (mut writer, meta, mut replay) = if cfg.args.resume {
-            let (writer, mut replay) = JournalWriter::resume_via(cfg.storage.clone(), &dir)?;
-            let meta = adopt_meta(&mut cfg.args, &dir, cfg.shard, &mut replay)?;
+            let (writer, meta, replay) = JournalWriter::resume_via(cfg.storage.clone(), &dir)?;
+            adopt_meta(&mut cfg.args, &dir, cfg.shard, &meta, &replay)?;
             (writer, meta, replay)
         } else {
             let a = &cfg.args;
@@ -799,18 +799,13 @@ fn adopt_meta(
     args: &mut ExpArgs,
     dir: &Path,
     shard: Option<(usize, usize)>,
-    replay: &mut JournalReplay,
-) -> Result<RunMeta, StorageError> {
-    let path = dir.join(JOURNAL_FILE);
-    let no_meta = "journal has no meta record (nothing was checkpointed)";
-    let meta = replay
-        .meta
-        .take()
-        .ok_or_else(|| StorageError::corruption("resume", &path, no_meta))?;
+    meta: &RunMeta,
+    replay: &JournalReplay,
+) -> Result<(), StorageError> {
     if meta.schema != JOURNAL_SCHEMA {
         return Err(StorageError::corruption(
             "resume",
-            &path,
+            &dir.join(JOURNAL_FILE),
             format!(
                 "journal schema {:?} is not {JOURNAL_SCHEMA:?} \
                  (written by an incompatible version)",
@@ -854,7 +849,7 @@ fn adopt_meta(
             info.shards
         );
     }
-    Ok(meta)
+    Ok(())
 }
 
 /// Per-probe retries used when fault injection is on. Three retries bound

@@ -924,7 +924,7 @@ impl Storage {
 }
 
 /// Corpus regeneration through this storage handle, so `ChaosVfs`
-/// schedules cover `hobbit-conform --regen`'s atomic saves too.
+/// schedules cover `hobbit conform --regen`'s atomic saves too.
 impl testkit::CorpusStore for Storage {
     fn write(&self, path: &Path, bytes: &[u8]) -> io::Result<()> {
         Storage::write(self, path, bytes).map_err(io::Error::other)

@@ -3,7 +3,7 @@
 //!
 //! Each corpus entry is one JSON file in `tests/corpus/` holding a
 //! [`ScenarioSpec`] plus the classification report it must keep producing
-//! (verdict and last-hop set per planted /24). `hobbit-conform --regen`
+//! (verdict and last-hop set per planted /24). `hobbit conform --regen`
 //! rewrites the expectations after an intentional behaviour change — the
 //! regeneration itself refuses to pin a report the oracle disagrees with.
 

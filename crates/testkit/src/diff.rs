@@ -3,7 +3,7 @@
 //!
 //! The production engine (`experiments::classify_blocks`) cannot be a
 //! dependency of this crate — `experiments` depends on `testkit` for the
-//! `hobbit-conform` binary — so the caller injects it: pass
+//! `hobbit conform` command — so the caller injects it: pass
 //! `&experiments::classify_blocks` as the [`ClassifyRef`]. Each
 //! run rebuilds the world from the spec (probing mutates warm-up and
 //! token-bucket state, so reuse would let one thread count's run leak into

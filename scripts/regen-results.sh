@@ -10,16 +10,16 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 cargo build --release --offline --quiet -p experiments
-bin=target/release
+hobbit=target/release/hobbit
 
 for exp in table1 table2 table3 table4 table5 \
            figure3 figure4 figure5 figure6 figure7 figure8 \
            figure9 figure10 figure11 figure12 section2 section31 \
            hobbit_map multivantage longitudinal summary scenario_info; do
-    "$bin/$exp" --scale 0.1 --seed 42 > "docs/results/$exp.txt"
+    "$hobbit" "$exp" --scale 0.1 --seed 42 > "docs/results/$exp.txt"
 done
 
 if [[ "${1:-}" == "--full" ]]; then
-    "$bin/table5" --scale 1.0 > docs/results/table5_full.txt
-    "$bin/figure5" --scale 1.0 > docs/results/figure5_full.txt
+    "$hobbit" table5 --scale 1.0 > docs/results/table5_full.txt
+    "$hobbit" figure5 --scale 1.0 > docs/results/figure5_full.txt
 fi

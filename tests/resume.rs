@@ -5,11 +5,13 @@
 //! the reference oracle. Worker sabotage (panics, stalls) must quarantine
 //! or recover exactly the targeted block and nothing else.
 
-use experiments::journal::{read_journal, CrashPoint, Entry, JournalWriter, RunMeta, JOURNAL_FILE};
+use experiments::journal::{
+    read_journal_via, CrashPoint, Entry, JournalWriter, RunMeta, JOURNAL_FILE,
+};
 use experiments::pipeline::scenario_config;
 use experiments::prefix::{self, PREFIX_FILE};
 use experiments::supervise::{InjectedFault, SuperviseConfig, DEFAULT_ATTEMPT_BUDGET};
-use experiments::{ExpArgs, Pipeline, PipelineBuilder, ShutdownSignal, StorageErrorKind};
+use experiments::{ExpArgs, Pipeline, PipelineBuilder, ShutdownSignal, Storage, StorageErrorKind};
 use hobbit::Classification;
 use netsim::build::build;
 use netsim::{Addr, Block24};
@@ -243,7 +245,7 @@ fn uninterrupted_checkpointed_run_matches_plain_run() {
         "checkpointing a run must not change its outcome",
     );
     // The sealed journal replays to the full measurement set.
-    let replay = read_journal(&dir.join(JOURNAL_FILE)).unwrap();
+    let replay = read_journal_via(&Storage::real(), &dir.join(JOURNAL_FILE)).unwrap();
     assert_eq!(replay.blocks.len(), journaled.measurements.len());
     assert!(!replay.truncated);
     // Resuming a *complete* journal re-measures nothing.
@@ -267,7 +269,7 @@ fn foreign_schema_journal_is_refused_with_a_typed_error() {
     let dir = run_dir("foreign-schema");
     let mut meta = RunMeta::new(SEED, SCALE, None);
     meta.schema = "hobbit-journal/v0".to_string();
-    JournalWriter::create(&dir, &meta).unwrap();
+    JournalWriter::create_via(Storage::real(), &dir, &meta).unwrap();
     let Err(err) = Pipeline::builder().resume_from(&dir).try_run() else {
         panic!("resuming a foreign-schema journal must be refused");
     };
@@ -280,6 +282,32 @@ fn foreign_schema_journal_is_refused_with_a_typed_error() {
     let rendered = err.to_string();
     assert!(!rendered.contains("resumable"), "{rendered}");
     std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// `--resume` on a run dir that holds no journal is refused as "nothing
+/// was checkpointed", not with the full-disk advice of a storage fault,
+/// and leaves the run dir as it found it.
+#[test]
+fn resume_without_a_journal_is_refused_as_nothing_checkpointed() {
+    for (tag, make) in [("no-journal", false), ("empty-journal", true)] {
+        let dir = run_dir(tag);
+        std::fs::create_dir_all(&dir).unwrap();
+        if make {
+            std::fs::write(dir.join(JOURNAL_FILE), b"").unwrap();
+        }
+        let Err(err) = Pipeline::builder().resume_from(&dir).try_run() else {
+            panic!("{tag}: resuming with nothing checkpointed must be refused");
+        };
+        assert_eq!(err.kind, StorageErrorKind::Corruption, "{tag}: {err}");
+        assert_eq!(err.op, "resume");
+        assert_eq!(err.path, dir.join(JOURNAL_FILE));
+        assert!(err.detail.contains("nothing was checkpointed"), "{err}");
+        assert!(err.detail.contains("without --resume"), "{err}");
+        let rendered = err.to_string();
+        assert!(!rendered.contains("free the disk"), "{tag}: {rendered}");
+        assert_eq!(dir.join(JOURNAL_FILE).exists(), make, "{tag}");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
 }
 
 /// A minimal but real measurement for journal-format tests (the sweep
@@ -314,7 +342,7 @@ fn torn_tail_truncation_sweep_over_every_offset_of_the_final_record() {
     let meta = RunMeta::new(7, 0.01, None);
     let blocks = 3u64;
     {
-        let mut w = JournalWriter::create(&dir, &meta).unwrap();
+        let mut w = JournalWriter::create_via(Storage::real(), &dir, &meta).unwrap();
         for i in 0..blocks {
             w.append(&Entry::Block {
                 index: i,
@@ -326,7 +354,7 @@ fn torn_tail_truncation_sweep_over_every_offset_of_the_final_record() {
     }
     let path = dir.join(JOURNAL_FILE);
     let whole = std::fs::read(&path).unwrap();
-    let intact = read_journal(&path).unwrap();
+    let intact = read_journal_via(&Storage::real(), &path).unwrap();
     assert_eq!(intact.blocks.len(), blocks as usize);
     assert!(!intact.truncated);
 
@@ -348,7 +376,7 @@ fn torn_tail_truncation_sweep_over_every_offset_of_the_final_record() {
 
     for cut in last_frame..whole.len() {
         std::fs::write(&path, &whole[..cut]).unwrap();
-        let r = read_journal(&path).unwrap();
+        let r = read_journal_via(&Storage::real(), &path).unwrap();
         assert_eq!(
             r.blocks.len(),
             blocks as usize - 1,
@@ -364,7 +392,7 @@ fn torn_tail_truncation_sweep_over_every_offset_of_the_final_record() {
         assert_eq!(r.valid_len, last_frame as u64, "cut at byte {cut}");
 
         // Resume drops the partial bytes from disk and appends cleanly.
-        let (mut w, replay) = JournalWriter::resume(&dir).unwrap();
+        let (mut w, _, replay) = JournalWriter::resume_via(Storage::real(), &dir).unwrap();
         assert_eq!(replay.blocks.len(), blocks as usize - 1);
         assert_eq!(
             std::fs::metadata(&path).unwrap().len(),
@@ -377,7 +405,7 @@ fn torn_tail_truncation_sweep_over_every_offset_of_the_final_record() {
         })
         .unwrap();
         w.flush().unwrap();
-        let healed = read_journal(&path).unwrap();
+        let healed = read_journal_via(&Storage::real(), &path).unwrap();
         assert_eq!(healed.blocks.len(), blocks as usize, "cut at byte {cut}");
         assert!(!healed.truncated, "cut at byte {cut}");
     }
@@ -496,7 +524,7 @@ fn graceful_shutdown_drains_seals_and_resumes() {
     );
     // The journal is sealed: a shutdown marker, no torn tail, and every
     // in-flight block drained into a checkpoint.
-    let replay = read_journal(&dir.join(JOURNAL_FILE)).unwrap();
+    let replay = read_journal_via(&Storage::real(), &dir.join(JOURNAL_FILE)).unwrap();
     assert!(replay.shutdown, "journal missing the shutdown marker");
     assert!(!replay.truncated);
     assert_eq!(replay.blocks.len(), p.measurements.len());

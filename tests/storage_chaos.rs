@@ -8,7 +8,7 @@
 //! must land on the same report bytes.
 
 use experiments::coordinator::{run_sharded, CoordinatorConfig, REPORT_FILE};
-use experiments::journal::{read_journal, JOURNAL_FILE};
+use experiments::journal::{read_journal_via, JOURNAL_FILE};
 use experiments::lease::{is_done, shard_dir};
 use experiments::vfs::{ChaosVfs, FaultKind, OpKind, Storage, StorageErrorKind};
 use experiments::Pipeline;
@@ -93,7 +93,7 @@ fn assert_valid_prefix(dir: &Path, tag: &str) -> usize {
     if !path.exists() {
         return 0; // the fault fired before the journal was even created
     }
-    let replay = read_journal(&path)
+    let replay = read_journal_via(&Storage::real(), &path)
         .unwrap_or_else(|e| panic!("{tag}: journal unreadable after the run: {e}"));
     let bl = baseline();
     for m in &replay.blocks {
@@ -155,7 +155,7 @@ fn chaos_sweep_reports_identical_bytes_or_fails_typed() {
                     // The healthy-disk resume completes the interrupted
                     // run into the exact clean-run bytes.
                     if dir.join(JOURNAL_FILE).exists()
-                        && read_journal(&dir.join(JOURNAL_FILE))
+                        && read_journal_via(&Storage::real(), &dir.join(JOURNAL_FILE))
                             .unwrap()
                             .meta
                             .is_some()
@@ -361,7 +361,7 @@ fn sharded_chaos_self_quarantines_respawns_and_merges_identical() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
-/// `hobbit-conform --regen` corpus writes stay atomic under chaos: a torn
+/// `hobbit conform --regen` corpus writes stay atomic under chaos: a torn
 /// rename heals through the retry, and a full disk leaves the previously
 /// pinned entry byte-for-byte untouched — never a half-written file.
 #[test]
