@@ -9,7 +9,7 @@
 //! ```text
 //! run_dir/
 //!   coordinator.lock        pid of the live coordinator (stale ⇒ takeover)
-//!   leases/shard-<i>.lease  hobbit-lease/v1, atomically replaced whole
+//!   leases/shard-<i>.lease  hobbit-lease/v2, atomically replaced whole
 //!   shards/shard-<i>/
 //!     journal.wal           the shard's hobbit-journal/v1 WAL (PR 5 code,
 //!                           unchanged — supervision, fsync batching, torn
@@ -44,6 +44,10 @@
 //! A killed *coordinator* is recovered by re-running it on the same run
 //! dir: finished shards are recognized by their `done` markers and never
 //! respawned; unfinished shards are re-granted (epoch bump) and resumed.
+//! A re-run follows the rule of `--resume` ([`RunMeta::adopt`]): it adopts
+//! the recorded seed, scale and faults, and refuses another probe mode,
+//! dynamics schedule or shard count with [`CoordError::Refused`] before
+//! it writes anything.
 //!
 //! # Merge determinism
 //!
@@ -61,10 +65,10 @@
 #![deny(clippy::unwrap_used)]
 
 use crate::args::ExpArgs;
-use crate::journal::{read_journal_via, CrashPoint, RunMeta, ShardInfo, JOURNAL_FILE};
+use crate::journal::{read_journal_via, CrashPoint, Mismatch, RunMeta, ShardInfo, JOURNAL_FILE};
 use crate::lease::{
     heartbeat_age_via, heartbeat_epoch_via, is_done, mark_done_via, shard_dir, write_heartbeat_via,
-    Lease, LeaseSabotage, LeaseState,
+    Lease, LeaseSabotage, LeaseState, HEARTBEAT_INTERVAL,
 };
 use crate::pipeline::{render_canonical_report, Pipeline};
 use crate::vfs::{ChaosVfs, Storage, StorageError};
@@ -100,6 +104,16 @@ pub const EXIT_REFUSED: i32 = 3;
 /// chaos, so the respawn resumes the journal on a clean disk.
 pub const EXIT_STORAGE: i32 = 5;
 
+/// Extra allowance before a worker's *first* heartbeat (process spawn plus
+/// scenario build).
+pub const SPAWN_GRACE: Duration = Duration::from_secs(30);
+
+/// Coordinator poll interval.
+pub const POLL_INTERVAL: Duration = Duration::from_millis(50);
+
+/// Respawns a shard may consume before it is quarantined.
+pub const RESPAWN_BUDGET: u32 = 3;
+
 /// A simulated coordinator kill (testkit harness). Only quiescent points
 /// are modeled — with workers in flight a dead coordinator leaves them
 /// running, which re-running the coordinator also handles (done markers),
@@ -120,85 +134,37 @@ pub struct CoordinatorConfig {
     pub run_dir: PathBuf,
     /// Number of worker processes / shards.
     pub shards: usize,
-    /// Scenario seed.
-    pub seed: u64,
-    /// Scenario scale.
-    pub scale: f64,
-    /// Fault injection, as `PipelineBuilder::faults`.
-    pub faults: Option<(f64, f64)>,
-    /// Probe in MDA-Lite mode (as `PipelineBuilder::mda_lite`); recorded
-    /// in the run meta and copied into every shard lease.
-    pub mda_lite: bool,
-    /// Time-evolving world knobs `(rate, period)`, as
-    /// `PipelineBuilder::dynamics`; recorded in the run meta and copied
-    /// into every shard lease so each worker derives the same schedule.
-    pub dynamics: Option<(f64, u64)>,
-    /// Classification threads per worker (0 = all cores).
-    pub threads: usize,
+    /// Every other run setting, as the command line gives it: seed, scale,
+    /// faults, MDA mode and dynamics become the run's [`RunMeta`] in every
+    /// lease, `threads` the classification threads per worker (0 = all
+    /// cores), and `storage_chaos` plants a [`LeaseSabotage::Chaos`]
+    /// schedule (seed decorrelated per shard) in every first-incarnation
+    /// lease that `sabotage` doesn't already claim.
+    pub args: ExpArgs,
     /// Worker executable; `None` re-enters the current executable.
     pub worker_exe: Option<PathBuf>,
-    /// Interval between worker heartbeats.
-    pub heartbeat_interval: Duration,
     /// Heartbeat age past which a live-looking worker is declared dead.
     pub heartbeat_timeout: Duration,
-    /// Extra allowance before a worker's *first* heartbeat (process spawn
-    /// plus scenario build).
-    pub spawn_grace: Duration,
-    /// Coordinator poll interval.
-    pub poll_interval: Duration,
-    /// Respawns a shard may consume before it is quarantined.
-    pub respawn_budget: u32,
     /// Testkit sabotage, planted into the named shard's first-incarnation
     /// lease (revocation clears it).
     pub sabotage: Vec<(usize, LeaseSabotage)>,
     /// Simulated coordinator kill (testkit harness).
     pub crash: Option<CoordCrash>,
-    /// Storage the *coordinator's own* filesystem operations go through
-    /// (lock, leases, heartbeat reads, merge, report).
-    pub storage: Storage,
-    /// `--storage-chaos SEED[,RATE]`: plant a [`LeaseSabotage::Chaos`]
-    /// schedule (seed decorrelated per shard) in every first-incarnation
-    /// lease that `sabotage` doesn't already claim.
-    pub storage_chaos: Option<(u64, f64)>,
 }
 
 impl CoordinatorConfig {
-    /// A config with test-friendly supervision timing defaults.
+    /// A config for `shards` shards under `run_dir`, with default run
+    /// settings and a test-friendly heartbeat timeout.
     pub fn new(run_dir: impl Into<PathBuf>, shards: usize) -> Self {
         CoordinatorConfig {
             run_dir: run_dir.into(),
             shards,
-            seed: 42,
-            scale: 0.12,
-            faults: None,
-            mda_lite: false,
-            dynamics: None,
-            threads: 0,
+            args: ExpArgs::default(),
             worker_exe: None,
-            heartbeat_interval: Duration::from_millis(100),
             heartbeat_timeout: Duration::from_millis(2000),
-            spawn_grace: Duration::from_secs(30),
-            poll_interval: Duration::from_millis(50),
-            respawn_budget: 3,
             sabotage: Vec::new(),
             crash: None,
-            storage: Storage::real(),
-            storage_chaos: None,
         }
-    }
-
-    /// A config for `shards` shards under `run_dir`, with every other run
-    /// setting from parsed CLI arguments.
-    pub fn from_args(run_dir: PathBuf, shards: usize, args: &ExpArgs) -> Self {
-        let mut cfg = CoordinatorConfig::new(run_dir, shards);
-        cfg.seed = args.seed;
-        cfg.scale = args.scale;
-        cfg.faults = args.faults;
-        cfg.mda_lite = args.mda_lite;
-        cfg.dynamics = args.dynamics;
-        cfg.threads = args.threads;
-        cfg.storage_chaos = args.storage_chaos;
-        cfg
     }
 }
 
@@ -248,6 +214,9 @@ pub enum CoordError {
     /// A typed storage failure in the run dir (lock, lease, journal,
     /// report) that survived the bounded-retry policy.
     Storage(StorageError),
+    /// The run dir records another probe mode, dynamics schedule or shard
+    /// count than this run asks for; nothing was written.
+    Refused(Mismatch),
     /// Another coordinator holds the run dir.
     Locked {
         /// pid recorded in the lock file.
@@ -278,6 +247,7 @@ impl std::fmt::Display for CoordError {
         match self {
             CoordError::Io(e) => write!(f, "run-dir I/O: {e}"),
             CoordError::Storage(e) => write!(f, "{e}"),
+            CoordError::Refused(m) => write!(f, "{m}"),
             CoordError::Locked { pid } => {
                 write!(f, "run dir is held by live coordinator pid {pid}")
             }
@@ -296,6 +266,25 @@ impl std::fmt::Display for CoordError {
 }
 
 impl std::error::Error for CoordError {}
+
+impl CoordError {
+    /// The coordinator's process exit code: [`EXIT_REFUSED`] when the run
+    /// dir or a worker refused the run, [`EXIT_STORAGE`] for a storage
+    /// failure, 1 otherwise.
+    pub fn exit_code(&self) -> i32 {
+        match self {
+            CoordError::Refused(_) | CoordError::WorkerRefused { .. } => EXIT_REFUSED,
+            CoordError::Storage(_) => EXIT_STORAGE,
+            _ => 1,
+        }
+    }
+}
+
+impl From<Mismatch> for CoordError {
+    fn from(m: Mismatch) -> Self {
+        CoordError::Refused(m)
+    }
+}
 
 impl From<std::io::Error> for CoordError {
     fn from(e: std::io::Error) -> Self {
@@ -378,22 +367,53 @@ impl Drop for ReapGuard {
     }
 }
 
+/// Spawn a worker incarnation for `lease` and publish the lease with the
+/// worker's pid.
 fn spawn_worker(
     exe: &Path,
+    storage: &Storage,
     run_dir: &Path,
-    shard: usize,
+    mut lease: Lease,
+    respawns: u32,
     obs: &CoordObs,
-) -> Result<Child, CoordError> {
+) -> Result<WorkerSlot, CoordError> {
     obs.spawns.inc();
-    Command::new(exe)
+    let child = Command::new(exe)
         .arg("--run-dir")
         .arg(run_dir)
         .arg("--shard")
-        .arg(shard.to_string())
+        .arg(lease.shard.to_string())
         .stdout(Stdio::null())
         .stderr(Stdio::inherit())
-        .spawn()
-        .map_err(CoordError::Io)
+        .spawn()?;
+    lease.holder_pid = child.id();
+    lease.store_via(storage, run_dir)?;
+    Ok(WorkerSlot {
+        child,
+        lease,
+        spawned_at: Instant::now(),
+        respawns,
+    })
+}
+
+/// The settings and shard count a run dir already records: those of the
+/// first shard with a readable lease, or else a shard journal that names
+/// its shard count. `None` for a fresh run dir.
+fn recorded(
+    storage: &Storage,
+    run_dir: &Path,
+    shards: usize,
+) -> Result<Option<(RunMeta, u64)>, StorageError> {
+    for shard in 0..shards {
+        if let Ok(lease) = Lease::load_via(storage, run_dir, shard) {
+            return Ok(Some((lease.meta, lease.shards)));
+        }
+        let replay = read_journal_via(storage, &shard_dir(run_dir, shard).join(JOURNAL_FILE))?;
+        if let (Some(meta), Some(info)) = (replay.meta, replay.shard_info) {
+            return Ok(Some((meta, info.shards)));
+        }
+    }
+    Ok(None)
 }
 
 /// Run a sharded measurement: partition, lease, spawn, supervise, merge.
@@ -403,48 +423,46 @@ fn spawn_worker(
 ///
 /// Re-running on the same run dir resumes: finished shards (done markers)
 /// are skipped, unfinished ones are re-granted and resumed from their
-/// journals.
+/// journals. The settings the run dir records win as on `--resume`
+/// ([`RunMeta::adopt`]); another shard count is refused too.
 pub fn run_sharded(cfg: &CoordinatorConfig, rec: &dyn Recorder) -> Result<String, CoordError> {
     assert!(cfg.shards >= 1, "a sharded run needs at least one shard");
     let obs = CoordObs::bind(rec);
-    let mut storage = cfg.storage.clone();
+    let mut storage = Storage::real();
     storage.observe(rec);
     let lock = acquire_lock(&storage, &cfg.run_dir)?;
+    let mut args = cfg.args.clone();
+    if let Some((meta, shards)) = recorded(&storage, &cfg.run_dir, cfg.shards)? {
+        Mismatch::check("shards", shards, cfg.shards as u64, u64::to_string)?;
+        meta.adopt(&mut args)?;
+    }
     obs.shards.add(cfg.shards as u64);
-    let meta = RunMeta::new(cfg.seed, cfg.scale, cfg.faults)
-        .with_mda_lite(cfg.mda_lite)
-        .with_dynamics(cfg.dynamics);
+    let meta = RunMeta::of(&args);
     let exe = match &cfg.worker_exe {
         Some(p) => p.clone(),
         None => std::env::current_exe()?,
     };
 
-    // Grant (or re-grant) a lease per unfinished shard. Existing leases
-    // are bumped to a fresh epoch so any worker of a previous coordinator
-    // incarnation is fenced out; cfg sabotage is planted fresh each run.
-    let mut pending: Vec<usize> = Vec::new();
-    let mut leases: Vec<Option<Lease>> = vec![None; cfg.shards];
-    for (shard, slot) in leases.iter_mut().enumerate() {
+    // Grant a lease per unfinished shard. An existing lease's epoch is
+    // bumped so any worker of a previous coordinator incarnation is fenced
+    // out; cfg sabotage is planted fresh each run.
+    let mut pending: Vec<Lease> = Vec::new();
+    for shard in 0..cfg.shards {
         if is_done(&shard_dir(&cfg.run_dir, shard)) {
             obs.shards_done.inc();
             continue;
         }
-        let mut lease = match Lease::load_via(&storage, &cfg.run_dir, shard) {
+        let mut lease = Lease::grant(shard, cfg.shards, &meta, args.threads);
+        match Lease::load_via(&storage, &cfg.run_dir, shard) {
             Ok(prev) if prev.state == LeaseState::Quarantined => {
                 return Err(CoordError::ShardQuarantined {
                     shard,
                     respawns: prev.epoch,
                 });
             }
-            Ok(prev) => prev.regrant(),
-            Err(_) => Lease::grant(
-                shard,
-                cfg.shards,
-                &meta,
-                cfg.threads,
-                cfg.heartbeat_interval.as_millis() as u64,
-            ),
-        };
+            Ok(prev) => lease.epoch = prev.epoch + 1,
+            Err(_) => {}
+        }
         lease.sabotage = cfg
             .sabotage
             .iter()
@@ -453,14 +471,13 @@ pub fn run_sharded(cfg: &CoordinatorConfig, rec: &dyn Recorder) -> Result<String
             .or_else(|| {
                 // `--storage-chaos`: every shard's first incarnation runs
                 // on a seeded fault schedule, decorrelated per shard.
-                cfg.storage_chaos.map(|(seed, rate)| LeaseSabotage::Chaos {
+                args.storage_chaos.map(|(seed, rate)| LeaseSabotage::Chaos {
                     seed: seed ^ (0x9E37_79B9 * (shard as u64 + 1)),
                     rate,
                 })
             });
         lease.store_via(&storage, &cfg.run_dir)?;
-        *slot = Some(lease);
-        pending.push(shard);
+        pending.push(lease);
     }
 
     if cfg.crash == Some(CoordCrash::BeforeSpawn) {
@@ -472,22 +489,15 @@ pub fn run_sharded(cfg: &CoordinatorConfig, rec: &dyn Recorder) -> Result<String
     let mut reap = ReapGuard {
         slots: (0..cfg.shards).map(|_| None).collect(),
     };
-    for &shard in &pending {
-        let mut lease = leases[shard].take().expect("pending shard has a lease");
-        let child = spawn_worker(&exe, &cfg.run_dir, shard, &obs)?;
-        lease.holder_pid = child.id();
-        lease.store_via(&storage, &cfg.run_dir)?;
-        reap.slots[shard] = Some(WorkerSlot {
-            child,
-            lease,
-            spawned_at: Instant::now(),
-            respawns: 0,
-        });
+    let mut remaining: usize = pending.len();
+    for lease in pending {
+        let shard = lease.shard as usize;
+        let slot = spawn_worker(&exe, &storage, &cfg.run_dir, lease, 0, &obs)?;
+        reap.slots[shard] = Some(slot);
     }
 
-    let mut remaining: usize = pending.len();
     while remaining > 0 {
-        std::thread::sleep(cfg.poll_interval);
+        std::thread::sleep(POLL_INTERVAL);
         for shard in 0..cfg.shards {
             let Some(slot) = reap.slots[shard].as_mut() else {
                 continue;
@@ -526,7 +536,7 @@ pub fn run_sharded(cfg: &CoordinatorConfig, rec: &dyn Recorder) -> Result<String
                     };
                     let stale = match age {
                         Some(age) => age > cfg.heartbeat_timeout,
-                        None => slot.spawned_at.elapsed() > cfg.spawn_grace,
+                        None => slot.spawned_at.elapsed() > SPAWN_GRACE,
                     };
                     if stale {
                         obs.stale_heartbeats.inc();
@@ -541,7 +551,7 @@ pub fn run_sharded(cfg: &CoordinatorConfig, rec: &dyn Recorder) -> Result<String
             }
             // Revoke → re-grant → respawn, inside the shard's budget.
             obs.revocations.inc();
-            if slot.respawns >= cfg.respawn_budget {
+            if slot.respawns >= RESPAWN_BUDGET {
                 let mut q = slot.lease.clone();
                 q.state = LeaseState::Quarantined;
                 q.store_via(&storage, &cfg.run_dir)?;
@@ -550,19 +560,12 @@ pub fn run_sharded(cfg: &CoordinatorConfig, rec: &dyn Recorder) -> Result<String
                     respawns: slot.respawns,
                 });
             }
-            let mut lease = slot.lease.regrant();
+            let lease = slot.lease.regrant();
             lease.store_via(&storage, &cfg.run_dir)?;
             obs.respawns.inc();
-            let child = spawn_worker(&exe, &cfg.run_dir, shard, &obs)?;
-            lease.holder_pid = child.id();
-            lease.store_via(&storage, &cfg.run_dir)?;
             let respawns = slot.respawns + 1;
-            reap.slots[shard] = Some(WorkerSlot {
-                child,
-                lease,
-                spawned_at: Instant::now(),
-                respawns,
-            });
+            let slot = spawn_worker(&exe, &storage, &cfg.run_dir, lease, respawns, &obs)?;
+            reap.slots[shard] = Some(slot);
         }
     }
 
@@ -625,37 +628,16 @@ pub fn merge_run_via(
                 si.shard, si.shards
             )));
         }
+        // Every shard derives the same globals; only the index differs.
+        let globals = ShardInfo { shard: 0, ..si };
         match &info {
-            None => {
-                info = Some(ShardInfo {
-                    shard: 0,
-                    shards: shards as u64,
-                    ..si
-                })
+            None => info = Some(globals),
+            Some(prev) if *prev != globals => {
+                return Err(CoordError::Merge(format!(
+                    "shard {shard} derived different globals: {globals:?} vs {prev:?}"
+                )));
             }
-            Some(prev) => {
-                let (a, b) = (
-                    (
-                        prev.selected,
-                        prev.reject_too_few,
-                        prev.reject_uncovered,
-                        prev.calibration_probes,
-                        prev.dynamics_events,
-                    ),
-                    (
-                        si.selected,
-                        si.reject_too_few,
-                        si.reject_uncovered,
-                        si.calibration_probes,
-                        si.dynamics_events,
-                    ),
-                );
-                if a != b {
-                    return Err(CoordError::Merge(format!(
-                        "shard {shard} derived different globals: {b:?} vs {a:?}"
-                    )));
-                }
-            }
+            Some(_) => {}
         }
         for m in replay.blocks {
             by_block.entry(m.block).or_insert(m);
@@ -744,33 +726,28 @@ pub fn worker_main(run_dir: &Path, shard: usize) -> i32 {
         let storage = storage.clone();
         let sd = sd.clone();
         let epoch = lease.epoch;
-        let interval = Duration::from_millis(lease.heartbeat_ms.max(10));
         std::thread::spawn(move || {
             while !stop.load(Ordering::Acquire) {
                 let _ = write_heartbeat_via(&storage, &sd, epoch);
-                std::thread::sleep(interval);
+                std::thread::sleep(HEARTBEAT_INTERVAL);
             }
         })
     };
 
+    // The lease's meta is the run's settings. A journal an earlier
+    // incarnation left behind is resumed, so the pipeline checks it
+    // against them by the resume rule.
+    let mut args = ExpArgs {
+        threads: lease.threads as usize,
+        run_dir: Some(sd.clone()),
+        resume: sd.join(JOURNAL_FILE).exists(),
+        ..Default::default()
+    };
+    lease.meta.apply(&mut args);
     let mut builder = Pipeline::builder()
-        .seed(lease.seed)
-        .scale(lease.scale)
-        .threads(lease.threads as usize)
-        .mda_lite(lease.mda_lite)
+        .args(&args)
         .shard(shard, lease.shards as usize)
         .storage(storage.clone());
-    if let Some((loss, rate)) = lease.faults() {
-        builder = builder.faults(loss, rate);
-    }
-    if let Some((rate, period)) = lease.dynamics() {
-        builder = builder.dynamics(rate, period);
-    }
-    builder = if sd.join(JOURNAL_FILE).exists() {
-        builder.resume_from(&sd)
-    } else {
-        builder.run_dir(&sd)
-    };
     if let Some(LeaseSabotage::CrashAfter { appends, torn }) = lease.sabotage {
         builder = builder.crash_point(CrashPoint {
             after_block_appends: appends,
@@ -782,12 +759,18 @@ pub fn worker_main(run_dir: &Path, shard: usize) -> i32 {
         Err(e) => {
             stop.store(true, Ordering::Release);
             let _ = beat.join();
-            // The journal sealed (or could not even open): the shard's
-            // disk state is a valid prefix, nothing was acknowledged that
-            // isn't journaled. Self-quarantine by exiting without a done
-            // marker; the coordinator revokes and respawns.
-            eprintln!("shard {shard}: storage failure, self-quarantining: {e}");
-            return EXIT_STORAGE;
+            // A refusal cannot be respawned away. After a storage failure
+            // the shard's journal is a valid prefix and nothing unjournaled
+            // was acknowledged: self-quarantine by exiting without a done
+            // marker, and the coordinator revokes and respawns.
+            let code = e.exit_code();
+            let verdict = if code == EXIT_STORAGE {
+                "storage failure, self-quarantining"
+            } else {
+                "refusing to run"
+            };
+            eprintln!("shard {shard}: {verdict}: {e}");
+            return code;
         }
     };
 
@@ -812,6 +795,14 @@ mod tests {
     use super::*;
     use crate::journal::{Entry, JournalWriter};
     use obs::NullRecorder;
+
+    fn meta(seed: u64) -> RunMeta {
+        RunMeta::of(&ExpArgs {
+            seed,
+            scale: 0.01,
+            ..Default::default()
+        })
+    }
 
     fn tmpdir(tag: &str) -> PathBuf {
         let d = std::env::temp_dir().join(format!(
@@ -853,8 +844,7 @@ mod tests {
         // No lease at all.
         assert_eq!(worker_main(&dir, 0), EXIT_REFUSED);
         // A revoked lease.
-        let meta = RunMeta::new(42, 0.01, None);
-        let mut lease = Lease::grant(0, 2, &meta, 1, 100);
+        let mut lease = Lease::grant(0, 2, &meta(42), 1);
         lease.state = LeaseState::Revoked;
         lease.store_via(&Storage::real(), &dir).unwrap();
         assert_eq!(worker_main(&dir, 0), EXIT_REFUSED);
@@ -862,12 +852,28 @@ mod tests {
     }
 
     #[test]
+    fn worker_exits_refused_when_its_journal_records_another_mode() {
+        let dir = tmpdir("refused-journal");
+        let lite = RunMeta {
+            mda_lite: true,
+            ..meta(42)
+        };
+        let storage = Storage::real();
+        Lease::grant(0, 2, &lite, 1)
+            .store_via(&storage, &dir)
+            .unwrap();
+        JournalWriter::create_via(storage, &shard_dir(&dir, 0), &meta(42)).unwrap();
+        assert_eq!(worker_main(&dir, 0), EXIT_REFUSED);
+        assert!(!is_done(&shard_dir(&dir, 0)));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
     fn merge_requires_done_markers_and_consistent_worlds() {
         let dir = tmpdir("merge");
         // Shard 0 finished, shard 1 has no done marker.
-        let meta = RunMeta::new(42, 0.01, None);
         let sd0 = shard_dir(&dir, 0);
-        let mut w = JournalWriter::create_via(Storage::real(), &sd0, &meta).unwrap();
+        let mut w = JournalWriter::create_via(Storage::real(), &sd0, &meta(42)).unwrap();
         w.append(&Entry::ShardInfo(ShardInfo {
             shard: 0,
             shards: 2,
@@ -886,8 +892,7 @@ mod tests {
         }
         // Shard 1 finished but under a different seed: refused.
         let sd1 = shard_dir(&dir, 1);
-        let other_meta = RunMeta::new(43, 0.01, None);
-        let mut w = JournalWriter::create_via(Storage::real(), &sd1, &other_meta).unwrap();
+        let mut w = JournalWriter::create_via(Storage::real(), &sd1, &meta(43)).unwrap();
         w.append(&Entry::ShardInfo(ShardInfo {
             shard: 1,
             shards: 2,
@@ -911,8 +916,7 @@ mod tests {
     fn run_sharded_propagates_the_simulated_before_spawn_crash() {
         let dir = tmpdir("crash-before-spawn");
         let mut cfg = CoordinatorConfig::new(&dir, 2);
-        cfg.seed = 42;
-        cfg.scale = 0.01;
+        cfg.args.scale = 0.01;
         cfg.crash = Some(CoordCrash::BeforeSpawn);
         match run_sharded(&cfg, &NullRecorder) {
             Err(CoordError::SimulatedCrash(CoordCrash::BeforeSpawn)) => {}
@@ -927,12 +931,47 @@ mod tests {
     }
 
     #[test]
+    fn rerun_adopts_the_recorded_settings_and_refuses_another_shard_count() {
+        let dir = tmpdir("rerun");
+        let mut cfg = CoordinatorConfig::new(&dir, 2);
+        cfg.args.scale = 0.01;
+        cfg.crash = Some(CoordCrash::BeforeSpawn);
+        let _ = run_sharded(&cfg, &NullRecorder);
+        let lease0 = || std::fs::read(Lease::path(&dir, 0)).unwrap();
+        let before = lease0();
+        let three = CoordinatorConfig {
+            shards: 3,
+            ..cfg.clone()
+        };
+        match run_sharded(&three, &NullRecorder) {
+            Err(e @ CoordError::Refused(_)) => {
+                assert_eq!(e.exit_code(), EXIT_REFUSED);
+                let CoordError::Refused(m) = e else {
+                    unreachable!()
+                };
+                assert_eq!((m.field, &*m.recorded, &*m.requested), ("shards", "2", "3"));
+            }
+            other => panic!("expected the shard-count refusal, got {other:?}"),
+        }
+        assert_eq!(lease0(), before, "a refused re-run writes nothing");
+        assert!(!dir.join(LOCK_FILE).exists());
+        // Another seed and scale are adopted, as on --resume.
+        let mut other = cfg.clone();
+        other.args.seed = 7;
+        other.args.scale = 0.5;
+        let _ = run_sharded(&other, &NullRecorder);
+        let lease = Lease::load_via(&Storage::real(), &dir, 0).unwrap();
+        assert_eq!(lease.meta, RunMeta::of(&cfg.args));
+        assert_eq!(lease.epoch, 1, "the re-grant fences the old epoch");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
     fn storage_chaos_config_plants_decorrelated_chaos_leases() {
         let dir = tmpdir("chaos-plant");
         let mut cfg = CoordinatorConfig::new(&dir, 3);
-        cfg.seed = 42;
-        cfg.scale = 0.01;
-        cfg.storage_chaos = Some((0x57A6, 0.02));
+        cfg.args.scale = 0.01;
+        cfg.args.storage_chaos = Some((0x57A6, 0.02));
         // Explicit per-shard sabotage wins over the blanket chaos plan.
         cfg.sabotage = vec![(1, LeaseSabotage::Stall)];
         cfg.crash = Some(CoordCrash::BeforeSpawn);

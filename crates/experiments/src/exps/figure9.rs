@@ -140,16 +140,18 @@ pub fn cluster_and_validate(
 }
 
 /// Run the pipeline for an experiment that aggregates after it. The run
-/// observes but does not print its `--trace-spans` tree: the caller emits
-/// telemetry once, with [`Pipeline::emit_observability_to`], after
-/// aggregation and reprobing have reported into the registry too.
+/// observes but neither prints its `--trace-spans` tree nor writes its
+/// `--metrics` document: the caller emits both once, with
+/// [`Pipeline::emit_observability_to`], after aggregation and reprobing
+/// have reported into the registry too.
 pub(crate) fn run_pipeline_observed(args: &ExpArgs) -> Pipeline {
     let run_args = ExpArgs {
         trace_spans: false,
+        metrics: None,
         ..args.clone()
     };
     let mut builder = Pipeline::builder().args(&run_args);
-    if args.trace_spans {
+    if args.trace_spans || args.metrics.is_some() {
         builder = builder.observe();
     }
     builder.run()

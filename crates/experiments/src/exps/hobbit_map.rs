@@ -55,7 +55,7 @@ fn build_dataset_to(args: &ExpArgs, trace: &mut dyn std::io::Write) -> (HobbitDa
         r.worker_rollup(&p.worker_stats);
         r.phase_rollup(reg);
     }
-    // Print the span tree and refresh the metrics document now that
+    // Print the span tree and write the metrics document now that
     // aggregation and reprobing have reported into the registry too.
     p.emit_observability_to(args, trace);
     (dataset, r)
@@ -134,6 +134,11 @@ mod tests {
             metrics: Some(metrics.to_string_lossy().into_owned()),
             ..Default::default()
         };
+        let _ = std::fs::remove_file(&metrics);
+        let p = run_pipeline_observed(&args);
+        assert!(p.obs.is_some(), "the pipeline observes for --metrics");
+        assert!(!metrics.exists(), "the pipeline wrote --metrics early");
+        drop(p);
         let mut trace = Vec::new();
         let _ = build_dataset_to(&args, &mut trace);
         let tree = String::from_utf8(trace).unwrap();
@@ -143,8 +148,7 @@ mod tests {
             tree.contains("  reprobe  x"),
             "tree lacks reprobing:\n{tree}"
         );
-        // The metrics document written after the pipeline was refreshed
-        // with the post-pipeline phases.
+        // The one metrics document holds the post-pipeline phases.
         let doc = std::fs::read_to_string(&metrics).unwrap();
         std::fs::remove_file(&metrics).unwrap();
         assert!(doc.contains("run/reprobe"), "metrics lack reprobing");

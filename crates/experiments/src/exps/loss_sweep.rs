@@ -80,10 +80,6 @@ pub fn run(args: &ExpArgs) -> Report {
         "ICMP token-bucket refill rate {ICMP_RATE} on every responsive router; \
          retries raised to 3 for faulted runs; snapshot always loss-free"
     ));
-    if let Some(reg) = base.obs.as_deref() {
-        r.worker_rollup(&base.worker_stats);
-        r.phase_rollup(reg);
-    }
     r
 }
 

@@ -63,14 +63,9 @@ const PIPELINE: &[&str] = &[
 const OWN_WORLD: &[&str] = &["--threads"];
 
 /// `loss_sweep` sets its own faults per run and runs five pipelines, which
-/// would share one journal and overwrite one metrics file.
-const LOSS_SWEEP: &[&str] = &[
-    "--threads",
-    "--trace-spans",
-    "--deadline",
-    "--mda-lite",
-    "--dynamics",
-];
+/// would share one journal, overwrite one metrics file and print five
+/// unlabelled span trees.
+const LOSS_SWEEP: &[&str] = &["--threads", "--deadline", "--mda-lite", "--dynamics"];
 
 const fn exp(
     name: &'static str,
@@ -292,6 +287,7 @@ mod tests {
             (&["loss_sweep", "--run-dir", "d"], "--run-dir"),
             (&["loss_sweep", "--run-dir", "d", "--resume"], "--run-dir"),
             (&["loss_sweep", "--metrics", "m.json"], "--metrics"),
+            (&["loss_sweep", "--trace-spans"], "--trace-spans"),
         ] {
             let (code, err) = hobbit(tokens);
             assert_eq!(code, 2, "{tokens:?}");
@@ -341,7 +337,6 @@ mod tests {
         let sweep = [
             "--threads",
             "2",
-            "--trace-spans",
             "--deadline",
             "5",
             "--mda-lite",

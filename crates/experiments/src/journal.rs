@@ -18,8 +18,8 @@
 //! ```
 //!
 //! where `crc32` is the IEEE CRC-32 of the payload bytes. The first record
-//! is always an [`Entry::Meta`] naming the schema, seed, scale, and fault
-//! configuration; replaying under different settings is refused. Appends
+//! is always an [`Entry::Meta`] naming the schema and the run's settings;
+//! a resume adopts or refuses them by [`RunMeta::adopt`]. Appends
 //! are batched: the file is `fsync`ed every [`JournalWriter::fsync_batch`]
 //! appends and on [`JournalWriter::flush`], so a crash loses at most one
 //! batch of *acknowledged* work — which resume simply re-measures.
@@ -52,6 +52,7 @@
 
 #![deny(clippy::unwrap_used)]
 
+use crate::args::ExpArgs;
 use crate::vfs::{Storage, StorageError, StorageErrorKind, VfsFile};
 use hobbit::BlockMeasurement;
 use netsim::Block24;
@@ -82,9 +83,10 @@ pub fn crc32(data: &[u8]) -> u32 {
     !crc
 }
 
-/// The run configuration a journal was written under. Replay refuses to
-/// resume into a run with different settings — the journal's measurements
-/// would not match what the resumed pipeline re-derives.
+/// The settings that bind a run: a resumed or sharded run is the same
+/// measurement only under the same ones. A journal's first record, a
+/// shard lease and the persisted prefix all carry this one record, and
+/// [`RunMeta::adopt`] is the one rule that checks a run against it.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct RunMeta {
     /// Journal schema version ([`JOURNAL_SCHEMA`]).
@@ -100,18 +102,12 @@ pub struct RunMeta {
     /// Injected ICMP token-bucket refill rate (0 when `faulted` is false).
     pub fault_rate: f64,
     /// Whether the run probed under the MDA-Lite stopping discipline.
-    /// Unlike seed/scale/faults — which resume simply adopts — a resume
-    /// under the *other* mode is refused outright: the journaled
-    /// measurements carry mode-dependent probe budgets, and silently
-    /// adopting the journal's mode would contradict the explicit CLI flag.
     /// Defaults to `false` so pre-mode journals stay readable.
     #[serde(default)]
     pub mda_lite: bool,
     /// Per-PoP perturbation probability of the derived dynamics schedule
-    /// (0 for a static world). Like the MDA mode, dynamics shape every
-    /// journaled measurement's probe stream, so a resume under different
-    /// knobs is refused rather than silently adopted. Defaults keep
-    /// pre-dynamics journals readable as static runs.
+    /// (0 for a static world). Defaults keep pre-dynamics journals
+    /// readable as static runs.
     #[serde(default)]
     pub dyn_rate: f64,
     /// Virtual-clock period (probes per epoch) of the schedule; 0 for a
@@ -121,34 +117,49 @@ pub struct RunMeta {
 }
 
 impl RunMeta {
-    /// Meta record for a run with the given knobs (classic MDA mode; use
-    /// [`RunMeta::with_mda_lite`] to record a lite run).
-    pub fn new(seed: u64, scale: f64, faults: Option<(f64, f64)>) -> Self {
+    /// The settings `args` asks for, as a fresh run records them.
+    pub fn of(args: &ExpArgs) -> Self {
+        let (fault_loss, fault_rate) = args.faults.unwrap_or((0.0, 0.0));
+        let (dyn_rate, dyn_period) = args.dynamics.unwrap_or((0.0, 0));
         RunMeta {
             schema: JOURNAL_SCHEMA.to_string(),
-            seed,
-            scale,
-            faulted: faults.is_some(),
-            fault_loss: faults.map(|(l, _)| l).unwrap_or(0.0),
-            fault_rate: faults.map(|(_, r)| r).unwrap_or(0.0),
-            mda_lite: false,
-            dyn_rate: 0.0,
-            dyn_period: 0,
+            seed: args.seed,
+            scale: args.scale,
+            faulted: args.faults.is_some(),
+            fault_loss,
+            fault_rate,
+            mda_lite: args.mda_lite,
+            dyn_rate,
+            dyn_period,
         }
     }
 
-    /// Record the run's MDA mode in the meta.
-    pub fn with_mda_lite(mut self, mda_lite: bool) -> Self {
-        self.mda_lite = mda_lite;
-        self
+    /// The resume rule: a run over recorded settings adopts their seed,
+    /// scale and faults (the resumed world must be the recorded world),
+    /// and refuses a different probe mode or dynamics schedule. Adopting
+    /// those silently would turn `--mda-lite` or `--dynamics` into a
+    /// no-op, and switching them would change every remaining block's
+    /// probe stream.
+    pub fn adopt(&self, args: &mut ExpArgs) -> Result<(), Mismatch> {
+        let mode = |lite: &bool| if *lite { "lite" } else { "classic" }.to_string();
+        Mismatch::check("mda mode", self.mda_lite, args.mda_lite, mode)?;
+        let dynamics = |d: &Option<(f64, u64)>| match d {
+            Some((rate, period)) => format!("{rate},{period}"),
+            None => "static".to_string(),
+        };
+        Mismatch::check("dynamics", self.dynamics(), args.dynamics, dynamics)?;
+        self.apply(args);
+        Ok(())
     }
 
-    /// Record the run's dynamics knobs in the meta (`None` ⇒ static).
-    pub fn with_dynamics(mut self, dynamics: Option<(f64, u64)>) -> Self {
-        let (rate, period) = dynamics.unwrap_or((0.0, 0));
-        self.dyn_rate = rate;
-        self.dyn_period = period;
-        self
+    /// Set every recorded setting in `args`, as a shard worker takes them
+    /// from its lease.
+    pub fn apply(&self, args: &mut ExpArgs) {
+        args.seed = self.seed;
+        args.scale = self.scale;
+        args.faults = self.faults();
+        args.mda_lite = self.mda_lite;
+        args.dynamics = self.dynamics();
     }
 
     /// The dynamics knobs as the pipeline consumes them (`None` ⇒ static).
@@ -161,6 +172,52 @@ impl RunMeta {
         self.faulted.then_some((self.fault_loss, self.fault_rate))
     }
 }
+
+/// A run refused because its run dir recorded a different setting, shard
+/// or set of shard totals: starting it anyway would mix two measurements.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct Mismatch {
+    /// The setting that differs (`"mda mode"`, `"dynamics"`, `"shard"`,
+    /// `"shards"`, `"shard totals"`).
+    pub field: &'static str,
+    /// Its value in the run dir.
+    pub recorded: String,
+    /// Its value in this run.
+    pub requested: String,
+}
+
+impl Mismatch {
+    /// `Ok` when the recorded and requested values agree, else the
+    /// refusal naming both, rendered by `show`.
+    pub fn check<T: PartialEq>(
+        field: &'static str,
+        recorded: T,
+        requested: T,
+        show: impl Fn(&T) -> String,
+    ) -> Result<(), Mismatch> {
+        if recorded == requested {
+            return Ok(());
+        }
+        Err(Mismatch {
+            field,
+            recorded: show(&recorded),
+            requested: show(&requested),
+        })
+    }
+}
+
+impl std::fmt::Display for Mismatch {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "refused: the run dir records {} {} but this run has {}; \
+             start a fresh run dir instead",
+            self.field, self.recorded, self.requested
+        )
+    }
+}
+
+impl std::error::Error for Mismatch {}
 
 /// The global phase totals a shard worker derives before classification.
 /// Selection and calibration run identically in every worker (they depend
@@ -392,8 +449,10 @@ impl JournalWriter {
     /// tail (physically truncating the file to the valid prefix), and
     /// return the writer positioned after the last valid record, with the
     /// run's meta record taken out of the replay. A journal that is
-    /// missing or holds no meta record is refused as corruption: nothing
-    /// was checkpointed, so there is nothing to resume.
+    /// missing or holds no meta record is refused as corruption (nothing
+    /// was checkpointed, so there is nothing to resume), and so is one
+    /// written under another schema; either refusal leaves the file as it
+    /// was.
     pub fn resume_via(
         storage: Storage,
         run_dir: &Path,
@@ -407,6 +466,14 @@ impl JournalWriter {
             );
             return Err(StorageError::corruption("resume", &path, why));
         };
+        if meta.schema != JOURNAL_SCHEMA {
+            let why = format!(
+                "journal schema {:?} is not {JOURNAL_SCHEMA:?} \
+                 (written by an incompatible version)",
+                meta.schema
+            );
+            return Err(StorageError::corruption("resume", &path, why));
+        }
         let mut file = storage.open_write(&path, false)?;
         let truncate_err =
             |e: &std::io::Error| StorageError::classify("journal.resume", &path, e, 0);
@@ -651,6 +718,16 @@ mod tests {
         }
     }
 
+    /// The meta of a static classic run at scale 0.01.
+    fn meta(seed: u64, faults: Option<(f64, f64)>) -> RunMeta {
+        RunMeta::of(&ExpArgs {
+            seed,
+            scale: 0.01,
+            faults,
+            ..Default::default()
+        })
+    }
+
     fn tmpdir(tag: &str) -> PathBuf {
         let d = std::env::temp_dir().join(format!(
             "hobbit-journal-{tag}-{}-{:?}",
@@ -672,7 +749,7 @@ mod tests {
     #[test]
     fn journal_roundtrips_blocks_and_meta() {
         let dir = tmpdir("roundtrip");
-        let meta = RunMeta::new(42, 0.01, Some((0.02, 0.5)));
+        let meta = meta(42, Some((0.02, 0.5)));
         let mut w = JournalWriter::create_via(Storage::real(), &dir, &meta).unwrap();
         for i in 0..5u64 {
             w.append(&Entry::Block {
@@ -704,7 +781,10 @@ mod tests {
 
     #[test]
     fn meta_records_dynamics_and_pre_dynamics_journals_replay_as_static() {
-        let m = RunMeta::new(1, 0.01, None).with_dynamics(Some((0.3, 64)));
+        let m = RunMeta::of(&ExpArgs {
+            dynamics: Some((0.3, 64)),
+            ..Default::default()
+        });
         assert_eq!(m.dynamics(), Some((0.3, 64)));
         let json = serde_json::to_string(&m).unwrap();
         let back: RunMeta = serde_json::from_str(&json).unwrap();
@@ -723,9 +803,24 @@ mod tests {
     }
 
     #[test]
+    fn resume_adopts_seed_scale_and_faults_and_a_refusal_adopts_nothing() {
+        let recorded = meta(7, Some((0.02, 0.5)));
+        let mut args = ExpArgs::default();
+        recorded.adopt(&mut args).unwrap();
+        assert_eq!(RunMeta::of(&args), recorded);
+        let mut lite = ExpArgs {
+            mda_lite: true,
+            ..Default::default()
+        };
+        let err = recorded.adopt(&mut lite).unwrap_err();
+        assert_eq!(err.field, "mda mode");
+        assert_eq!((lite.seed, lite.faults), (42, None));
+    }
+
+    #[test]
     fn shard_info_roundtrips_and_single_process_journals_lack_it() {
         let dir = tmpdir("shardinfo");
-        let meta = RunMeta::new(42, 0.01, None);
+        let meta = meta(42, None);
         let info = ShardInfo {
             shard: 1,
             shards: 4,
@@ -760,7 +855,7 @@ mod tests {
     #[test]
     fn kill_preserves_only_fsynced_records() {
         let dir = tmpdir("kill");
-        let meta = RunMeta::new(7, 0.01, None);
+        let meta = meta(7, None);
         let mut w = JournalWriter::create_via(Storage::real(), &dir, &meta).unwrap();
         w.fsync_batch = 2;
         w.set_crash_point(CrashPoint {
@@ -790,7 +885,7 @@ mod tests {
     #[test]
     fn torn_write_is_truncated_on_replay_and_resume() {
         let dir = tmpdir("torn");
-        let meta = RunMeta::new(7, 0.01, None);
+        let meta = meta(7, None);
         let mut w = JournalWriter::create_via(Storage::real(), &dir, &meta).unwrap();
         w.fsync_batch = 1;
         w.set_crash_point(CrashPoint {
@@ -836,7 +931,7 @@ mod tests {
     #[test]
     fn corrupt_middle_record_drops_the_suffix() {
         let dir = tmpdir("corrupt");
-        let meta = RunMeta::new(7, 0.01, None);
+        let meta = meta(7, None);
         let mut w = JournalWriter::create_via(Storage::real(), &dir, &meta).unwrap();
         w.fsync_batch = 1;
         for i in 0..3u64 {
@@ -872,7 +967,7 @@ mod tests {
     fn short_write_retries_without_leaving_a_torn_frame() {
         let dir = tmpdir("chaos-short");
         std::fs::create_dir_all(&dir).unwrap();
-        let meta = RunMeta::new(7, 0.01, None);
+        let meta = meta(7, None);
         // The meta append is write #0; block 0 short-writes at #1 and
         // plain-fails at #2, succeeding on the third attempt.
         let vfs = ChaosVfs::scripted(vec![
@@ -898,7 +993,7 @@ mod tests {
     fn enospc_seals_the_journal_with_a_persistent_error() {
         let dir = tmpdir("chaos-full");
         std::fs::create_dir_all(&dir).unwrap();
-        let meta = RunMeta::new(7, 0.01, None);
+        let meta = meta(7, None);
         let vfs = ChaosVfs::scripted(vec![(OpKind::Write, 2, FaultKind::Enospc)]);
         let mut w = JournalWriter::create_via(Storage::with_chaos(vfs), &dir, &meta).unwrap();
         w.fsync_batch = 1;
@@ -935,7 +1030,7 @@ mod tests {
         for fsync_batch in [1u64, 8] {
             let dir = tmpdir(&format!("chaos-lie-{fsync_batch}"));
             std::fs::create_dir_all(&dir).unwrap();
-            let meta = RunMeta::new(7, 0.01, None);
+            let meta = meta(7, None);
             // Sync #1 is the first post-create batch sync; it lies. The
             // writer must notice the durable length going backwards and
             // seal rather than acknowledge the vanished batch.

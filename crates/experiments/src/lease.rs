@@ -4,8 +4,8 @@
 //! over `shards` worker processes ([`shard_of`]). The coordinator owns one
 //! lease file per shard under `<run_dir>/leases/`; a lease is the single
 //! source of truth a spawned worker reads its entire configuration from
-//! (seed, scale, faults, threads — the worker command line carries only
-//! `--run-dir` and `--shard`).
+//! (the run's [`RunMeta`] and its thread count — the worker command line
+//! carries only `--run-dir` and `--shard`).
 //!
 //! # Atomicity and fencing
 //!
@@ -43,7 +43,7 @@ use std::path::{Path, PathBuf};
 use std::time::{Duration, SystemTime};
 
 /// Version tag carried by every lease file.
-pub const LEASE_SCHEMA: &str = "hobbit-lease/v1";
+pub const LEASE_SCHEMA: &str = "hobbit-lease/v2";
 
 /// Directory of lease files inside a run dir.
 pub const LEASES_DIR: &str = "leases";
@@ -56,6 +56,9 @@ pub const HEARTBEAT_FILE: &str = "heartbeat";
 
 /// Completion marker file name inside a shard dir.
 pub const DONE_FILE: &str = "done";
+
+/// Interval between worker heartbeats.
+pub const HEARTBEAT_INTERVAL: Duration = Duration::from_millis(100);
 
 /// Which shard owns selection-order index `index`: round-robin, so every
 /// shard gets an equal slice of the deterministic block order regardless
@@ -120,44 +123,17 @@ pub struct Lease {
     pub state: LeaseState,
     /// pid of the holding worker process (0 = not spawned yet).
     pub holder_pid: u32,
-    /// Scenario seed.
-    pub seed: u64,
-    /// Scenario scale.
-    pub scale: f64,
-    /// Whether fault injection is on.
-    pub faulted: bool,
-    /// Injected per-link loss probability (0 when `faulted` is false).
-    pub fault_loss: f64,
-    /// Injected ICMP token-bucket refill rate (0 when `faulted` is false).
-    pub fault_rate: f64,
-    /// Whether the worker probes in MDA-Lite mode. Defaults to `false` so
-    /// leases written before the mode existed stay readable.
-    #[serde(default)]
-    pub mda_lite: bool,
-    /// Per-PoP perturbation probability of the run's dynamics schedule
-    /// (0 for a static world). Defaults keep pre-dynamics leases readable.
-    #[serde(default)]
-    pub dyn_rate: f64,
-    /// Virtual-clock period of the schedule (0 for a static world).
-    #[serde(default)]
-    pub dyn_period: u64,
+    /// The settings of the run, exactly as its shard journals record them.
+    pub meta: RunMeta,
     /// Classification worker threads inside the worker process.
     pub threads: u64,
-    /// Interval between worker heartbeats, milliseconds.
-    pub heartbeat_ms: u64,
     /// Testkit sabotage for this incarnation.
     pub sabotage: Option<LeaseSabotage>,
 }
 
 impl Lease {
     /// A fresh granted lease for `shard` of `shards` with the run knobs.
-    pub fn grant(
-        shard: usize,
-        shards: usize,
-        meta: &RunMeta,
-        threads: usize,
-        heartbeat_ms: u64,
-    ) -> Self {
+    pub fn grant(shard: usize, shards: usize, meta: &RunMeta, threads: usize) -> Self {
         Lease {
             schema: LEASE_SCHEMA.to_string(),
             shard: shard as u64,
@@ -165,28 +141,10 @@ impl Lease {
             epoch: 0,
             state: LeaseState::Granted,
             holder_pid: 0,
-            seed: meta.seed,
-            scale: meta.scale,
-            faulted: meta.faulted,
-            fault_loss: meta.fault_loss,
-            fault_rate: meta.fault_rate,
-            mda_lite: meta.mda_lite,
-            dyn_rate: meta.dyn_rate,
-            dyn_period: meta.dyn_period,
+            meta: meta.clone(),
             threads: threads as u64,
-            heartbeat_ms,
             sabotage: None,
         }
-    }
-
-    /// The fault knobs as the pipeline consumes them.
-    pub fn faults(&self) -> Option<(f64, f64)> {
-        self.faulted.then_some((self.fault_loss, self.fault_rate))
-    }
-
-    /// The dynamics knobs as the pipeline consumes them (`None` ⇒ static).
-    pub fn dynamics(&self) -> Option<(f64, u64)> {
-        (self.dyn_period > 0).then_some((self.dyn_rate, self.dyn_period))
     }
 
     /// Path of this shard's lease file inside `run_dir`.
@@ -336,7 +294,12 @@ mod tests {
     }
 
     fn meta() -> RunMeta {
-        RunMeta::new(42, 0.01, Some((0.02, 0.5)))
+        RunMeta::of(&crate::args::ExpArgs {
+            seed: 42,
+            scale: 0.01,
+            faults: Some((0.02, 0.5)),
+            ..Default::default()
+        })
     }
 
     #[test]
@@ -357,7 +320,7 @@ mod tests {
     #[test]
     fn lease_store_load_roundtrip_and_validation() {
         let dir = tmpdir("roundtrip");
-        let mut lease = Lease::grant(2, 4, &meta(), 8, 250);
+        let mut lease = Lease::grant(2, 4, &meta(), 8);
         lease.sabotage = Some(LeaseSabotage::CrashAfter {
             appends: 5,
             torn: true,
@@ -365,7 +328,7 @@ mod tests {
         lease.store_via(&Storage::real(), &dir).unwrap();
         let back = Lease::load_via(&Storage::real(), &dir, 2).unwrap();
         assert_eq!(back, lease);
-        assert_eq!(back.faults(), Some((0.02, 0.5)));
+        assert_eq!(back.meta.faults(), Some((0.02, 0.5)));
         // No temp file left behind.
         let leftovers: Vec<_> = std::fs::read_dir(dir.join(LEASES_DIR))
             .unwrap()
@@ -381,12 +344,23 @@ mod tests {
     #[test]
     fn lease_carries_mda_mode_and_defaults_old_files_to_classic() {
         let dir = tmpdir("mda-mode");
-        let m = meta().with_mda_lite(true);
-        let lease = Lease::grant(0, 2, &m, 1, 250);
-        assert!(lease.mda_lite);
-        assert!(lease.regrant().mda_lite, "regrant must keep the probe mode");
+        let m = RunMeta {
+            mda_lite: true,
+            ..meta()
+        };
+        let lease = Lease::grant(0, 2, &m, 1);
+        assert!(lease.meta.mda_lite);
+        assert!(
+            lease.regrant().meta.mda_lite,
+            "regrant must keep the probe mode"
+        );
         lease.store_via(&Storage::real(), &dir).unwrap();
-        assert!(Lease::load_via(&Storage::real(), &dir, 0).unwrap().mda_lite);
+        assert!(
+            Lease::load_via(&Storage::real(), &dir, 0)
+                .unwrap()
+                .meta
+                .mda_lite
+        );
         // A lease written before the mode existed deserializes as classic.
         let path = Lease::path(&dir, 0);
         let stripped = std::fs::read_to_string(&path)
@@ -394,24 +368,37 @@ mod tests {
             .replace(",\"mda_lite\":true", "");
         assert!(!stripped.contains("mda_lite"));
         std::fs::write(&path, stripped).unwrap();
-        assert!(!Lease::load_via(&Storage::real(), &dir, 0).unwrap().mda_lite);
+        assert!(
+            !Lease::load_via(&Storage::real(), &dir, 0)
+                .unwrap()
+                .meta
+                .mda_lite
+        );
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn lease_schema_mismatch_is_refused() {
         let dir = tmpdir("schema");
-        let mut lease = Lease::grant(0, 2, &meta(), 1, 250);
+        let mut lease = Lease::grant(0, 2, &meta(), 1);
         lease.schema = "hobbit-lease/v0".into();
         lease.store_via(&Storage::real(), &dir).unwrap();
         let err = Lease::load_via(&Storage::real(), &dir, 0).unwrap_err();
         assert!(err.to_string().contains("incompatible"), "{err}");
+        // A v1 lease, with flat copies of the settings, is unreadable: the
+        // coordinator grants such a shard afresh.
+        let v1 = r#"{"schema":"hobbit-lease/v1","shard":0,"shards":2,"epoch":0,
+            "state":"Granted","holder_pid":0,"seed":42,"scale":0.01,"faulted":false,
+            "fault_loss":0.0,"fault_rate":0.0,"threads":1,"heartbeat_ms":100,
+            "sabotage":null}"#;
+        std::fs::write(Lease::path(&dir, 0), v1).unwrap();
+        assert!(Lease::load_via(&Storage::real(), &dir, 0).is_err());
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn regrant_bumps_epoch_and_clears_sabotage() {
-        let mut lease = Lease::grant(1, 2, &meta(), 4, 250);
+        let mut lease = Lease::grant(1, 2, &meta(), 4);
         lease.sabotage = Some(LeaseSabotage::Stall);
         lease.holder_pid = 4242;
         lease.state = LeaseState::Revoked;
@@ -420,13 +407,13 @@ mod tests {
         assert_eq!(next.state, LeaseState::Granted);
         assert_eq!(next.holder_pid, 0);
         assert_eq!(next.sabotage, None);
-        assert_eq!(next.seed, lease.seed);
+        assert_eq!(next.meta, lease.meta);
         assert_eq!(next.shard, lease.shard);
     }
 
     #[test]
     fn regrant_clears_chaos_sabotage_so_the_respawn_runs_clean() {
-        let mut lease = Lease::grant(0, 2, &meta(), 1, 250);
+        let mut lease = Lease::grant(0, 2, &meta(), 1);
         lease.sabotage = Some(LeaseSabotage::Chaos {
             seed: 0x57A6,
             rate: 0.05,
@@ -441,7 +428,7 @@ mod tests {
     fn store_replaces_atomically_under_a_reader() {
         // Replacing a lease many times never exposes a torn read.
         let dir = tmpdir("atomic");
-        Lease::grant(0, 2, &meta(), 1, 250)
+        Lease::grant(0, 2, &meta(), 1)
             .store_via(&Storage::real(), &dir)
             .unwrap();
         let stop = std::sync::atomic::AtomicBool::new(false);
@@ -457,7 +444,7 @@ mod tests {
                 reads
             });
             for epoch in 0..200u32 {
-                let mut l = Lease::grant(0, 2, &meta(), 1, 250);
+                let mut l = Lease::grant(0, 2, &meta(), 1);
                 l.epoch = epoch;
                 l.store_via(&Storage::real(), &dir).unwrap();
             }
@@ -479,7 +466,7 @@ mod tests {
                 at,
                 FaultKind::TornRename,
             )]));
-            let lease = Lease::grant(0, 2, &meta(), 1, 250);
+            let lease = Lease::grant(0, 2, &meta(), 1);
             // Warm up one clean store for the odd-index case.
             if at == 1 {
                 lease.store_via(&storage, &dir).unwrap();

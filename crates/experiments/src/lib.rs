@@ -32,9 +32,9 @@ pub use coordinator::{
     run_sharded, worker_main, CoordCrash, CoordError, CoordObs, CoordinatorConfig, EXIT_KILLED,
     EXIT_REFUSED, EXIT_STORAGE,
 };
-pub use journal::{CrashPoint, JournalWriter, RunMeta, ShardInfo, JOURNAL_SCHEMA};
+pub use journal::{CrashPoint, JournalWriter, Mismatch, RunMeta, ShardInfo, JOURNAL_SCHEMA};
 pub use lease::{Lease, LeaseSabotage, LeaseState, LEASE_SCHEMA};
-pub use pipeline::{classify_blocks, Pipeline, PipelineBuilder, WorkerStats};
+pub use pipeline::{classify_blocks, Pipeline, PipelineBuilder, RunError, WorkerStats};
 pub use report::Report;
 pub use supervise::{
     FaultInjector, InjectedFault, QuarantineReason, QuarantinedBlock, ShutdownSignal,

@@ -35,9 +35,9 @@
 #![deny(clippy::unwrap_used)]
 
 use crate::args::ExpArgs;
+use crate::coordinator::{EXIT_REFUSED, EXIT_STORAGE};
 use crate::journal::{
-    CrashPoint, Entry, JournalReplay, JournalWriter, RunMeta, ShardInfo, JOURNAL_FILE,
-    JOURNAL_SCHEMA,
+    CrashPoint, Entry, JournalReplay, JournalWriter, Mismatch, RunMeta, ShardInfo,
 };
 use crate::lease::shard_of;
 use crate::prefix::{self, RunPrefix};
@@ -58,7 +58,7 @@ use parking_lot::Mutex;
 use probe::{zmap, MdaMode, Prober, StoppingRule, ZmapSnapshot};
 use serde::Serialize;
 use std::collections::{HashMap, VecDeque};
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -71,15 +71,6 @@ static NULL_RECORDER: NullRecorder = NullRecorder;
 /// unobserved.
 fn recorder(obs: Option<&Registry>) -> &dyn Recorder {
     obs.map_or(&NULL_RECORDER, |r| r as &dyn Recorder)
-}
-
-/// The probe mode `--mda-lite` selects.
-fn mda_mode(lite: bool) -> MdaMode {
-    if lite {
-        MdaMode::Lite
-    } else {
-        MdaMode::Classic
-    }
 }
 
 /// Derive the scenario configuration from the common arguments.
@@ -250,8 +241,9 @@ impl PipelineBuilder {
     /// Take every run setting from parsed CLI arguments, replacing any set
     /// before; `--deadline` and `--storage-chaos` set the supervision
     /// deadline and the storage handle here, once. Also marks the run as
-    /// CLI-owned: a storage failure in [`PipelineBuilder::run`] prints the
-    /// typed error and exits [`crate::EXIT_STORAGE`] instead of panicking.
+    /// CLI-owned: a failure in [`PipelineBuilder::run`] prints the typed
+    /// error on one line and exits with [`RunError::exit_code`] instead of
+    /// panicking.
     pub fn args(mut self, args: &ExpArgs) -> Self {
         if let Some(secs) = args.deadline {
             self.supervise.deadline = Duration::from_secs_f64(secs);
@@ -289,7 +281,9 @@ impl PipelineBuilder {
 
     /// Resume a crashed or shut-down run from its `--run-dir` journal
     /// (`--resume`). Seed, scale, and fault settings come from the
-    /// journal's meta record (overriding any builder values); the snapshot
+    /// journal's meta record (overriding any builder values), and a
+    /// different probe mode or dynamics schedule is refused
+    /// ([`RunMeta::adopt`]); the snapshot
     /// and calibration come from the run dir's [`crate::prefix`] file
     /// (recomputed and rewritten when it is missing or does not match);
     /// blocks already checkpointed are recovered instead of re-measured,
@@ -360,9 +354,10 @@ impl PipelineBuilder {
         self
     }
 
-    /// Execute the pipeline, panicking on storage failure. Fine for the
-    /// common faithful-disk case (a run that cannot open or flush its own
-    /// journal has no useful continuation); anything running under
+    /// Execute the pipeline, panicking on a [`RunError`] unless the run is
+    /// CLI-owned ([`PipelineBuilder::args`]). Fine for the common
+    /// faithful-disk case (a run that cannot open or flush its own journal
+    /// has no useful continuation); anything running under
     /// `--storage-chaos` — or wanting a typed error to drive degraded
     /// modes — uses [`PipelineBuilder::try_run`].
     pub fn run(self) -> Pipeline {
@@ -370,17 +365,17 @@ impl PipelineBuilder {
         self.try_run().unwrap_or_else(|e| {
             if cli {
                 eprintln!("error: {e}");
-                std::process::exit(crate::coordinator::EXIT_STORAGE);
+                std::process::exit(e.exit_code());
             }
-            panic!("pipeline storage failure: {e}")
+            panic!("pipeline run failed: {e}")
         })
     }
 
-    /// Execute the pipeline, returning a typed [`StorageError`] when a
-    /// run-dir filesystem failure survives the bounded retries: the
-    /// journal on disk is then still a valid (resumable) prefix, but no
-    /// report may be published over it.
-    pub fn try_run(mut self) -> Result<Pipeline, StorageError> {
+    /// Execute the pipeline, returning a typed [`RunError`] when a run-dir
+    /// filesystem failure survives the bounded retries or the run dir
+    /// refuses this run's settings. No report may be published then; the
+    /// journal on disk stays a valid prefix.
+    pub fn try_run(mut self) -> Result<Pipeline, RunError> {
         let prebuilt = self.scenario.take();
         let (run, replayed) = Run::open(self)?;
         let run_span = run.span("run");
@@ -444,6 +439,50 @@ impl PipelineBuilder {
     }
 }
 
+/// Why [`PipelineBuilder::try_run`] published no report.
+#[derive(Debug)]
+pub enum RunError {
+    /// A run-dir filesystem failure survived the bounded retries.
+    Storage(StorageError),
+    /// The run dir records another probe mode, dynamics schedule, shard or
+    /// set of shard totals than this run; the journal gets no new record.
+    Refused(Mismatch),
+}
+
+impl RunError {
+    /// The process exit code a CLI run or a shard worker ends with:
+    /// [`EXIT_REFUSED`] for a refusal, [`EXIT_STORAGE`] for storage.
+    pub fn exit_code(&self) -> i32 {
+        match self {
+            RunError::Storage(_) => EXIT_STORAGE,
+            RunError::Refused(_) => EXIT_REFUSED,
+        }
+    }
+}
+
+impl std::fmt::Display for RunError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            RunError::Storage(e) => write!(f, "{e}"),
+            RunError::Refused(m) => write!(f, "{m}"),
+        }
+    }
+}
+
+impl std::error::Error for RunError {}
+
+impl From<StorageError> for RunError {
+    fn from(e: StorageError) -> Self {
+        RunError::Storage(e)
+    }
+}
+
+impl From<Mismatch> for RunError {
+    fn from(m: Mismatch) -> Self {
+        RunError::Refused(m)
+    }
+}
+
 /// One run's state, passed from phase to phase of [`PipelineBuilder::try_run`]:
 /// the builder (with the journal's seed, scale and faults on resume), the
 /// registry and the journal.
@@ -475,9 +514,10 @@ struct Selection {
 
 impl Run {
     /// Bind the registry and the storage handle (before the journal's
-    /// first byte), then create or resume the journal. Returns the block
-    /// measurements a resumed journal holds.
-    fn open(mut cfg: PipelineBuilder) -> Result<(Run, Vec<BlockMeasurement>), StorageError> {
+    /// first byte), then create or resume the journal: a resume goes by
+    /// [`RunMeta::adopt`], and a shard worker also refuses another shard's
+    /// journal. Returns the block measurements a resumed journal holds.
+    fn open(mut cfg: PipelineBuilder) -> Result<(Run, Vec<BlockMeasurement>), RunError> {
         assert!(
             cfg.shard.is_none() || cfg.args.run_dir.is_some(),
             "a sharded worker must journal into a run dir: its journal is \
@@ -496,13 +536,15 @@ impl Run {
         };
         let (mut writer, meta, mut replay) = if cfg.args.resume {
             let (writer, meta, replay) = JournalWriter::resume_via(cfg.storage.clone(), &dir)?;
-            adopt_meta(&mut cfg.args, &dir, cfg.shard, &meta, &replay)?;
+            meta.adopt(&mut cfg.args)?;
+            if let (Some((s, n)), Some(info)) = (cfg.shard, &replay.shard_info) {
+                let shard = (s as u64, n as u64);
+                let show = |(s, n): &(u64, u64)| format!("{s}/{n}");
+                Mismatch::check("shard", (info.shard, info.shards), shard, show)?;
+            }
             (writer, meta, replay)
         } else {
-            let a = &cfg.args;
-            let meta = RunMeta::new(a.seed, a.scale, a.faults)
-                .with_mda_lite(a.mda_lite)
-                .with_dynamics(a.dynamics);
+            let meta = RunMeta::of(&cfg.args);
             let writer = JournalWriter::create_via(cfg.storage.clone(), &dir, &meta)?;
             (writer, meta, JournalReplay::default())
         };
@@ -605,7 +647,11 @@ impl Run {
             } else {
                 HobbitConfig::default().prober_retries
             },
-            mda_mode: mda_mode(args.mda_lite),
+            mda_mode: if args.mda_lite {
+                MdaMode::Lite
+            } else {
+                MdaMode::Classic
+            },
             // Epoch-tag evidence only when a live schedule exists: an
             // empty schedule never ticks the clock, and tagging would
             // change the measurement bytes of a world that never moves.
@@ -664,7 +710,7 @@ impl Run {
         world: u64,
         sel: &Selection,
         dynamics_events: u64,
-    ) -> Result<(), StorageError> {
+    ) -> Result<(), RunError> {
         let Some(j) = &self.journal else {
             return Ok(());
         };
@@ -687,16 +733,13 @@ impl Run {
             calibration_probes: prefix.calibration_probes,
             dynamics_events,
         };
-        if let Some(prev) = &j.replay.shard_info {
-            assert_eq!(
-                *prev, info,
-                "resume: re-derived shard totals diverge from the journal"
-            );
-            return Ok(());
+        if let Some(prev) = j.replay.shard_info {
+            let show = |i: &ShardInfo| format!("{i:?}");
+            return Ok(Mismatch::check("shard totals", prev, info, show)?);
         }
         let mut w = j.writer.lock();
         w.append(&Entry::ShardInfo(info))?;
-        w.flush()
+        Ok(w.flush()?)
     }
 
     /// Classify the owned blocks over ONE shared network under supervision.
@@ -791,66 +834,6 @@ type Snapshot = (ZmapSnapshot, Calibration);
 
 /// A loaded confidence table and its run's calibration probes.
 type Calibration = Option<(ConfidenceTable, u64)>;
-
-/// Adopt a resumed journal's meta record: seed, scale and faults come from
-/// it (the resumed world must be the crashed world); a different probe
-/// mode, dynamics schedule or shard is refused.
-fn adopt_meta(
-    args: &mut ExpArgs,
-    dir: &Path,
-    shard: Option<(usize, usize)>,
-    meta: &RunMeta,
-    replay: &JournalReplay,
-) -> Result<(), StorageError> {
-    if meta.schema != JOURNAL_SCHEMA {
-        return Err(StorageError::corruption(
-            "resume",
-            &dir.join(JOURNAL_FILE),
-            format!(
-                "journal schema {:?} is not {JOURNAL_SCHEMA:?} \
-                 (written by an incompatible version)",
-                meta.schema
-            ),
-        ));
-    }
-    // The probe mode is not adopted: adopting it silently would make
-    // `--mda-lite` a no-op on resume, and switching it would change the
-    // probe stream of every remaining block, so a mismatch is refused.
-    assert_eq!(
-        meta.mda_lite,
-        args.mda_lite,
-        "resume: journal was recorded in {} mode but this run \
-         asked for {} — the probe mode changes every remaining \
-         block's probe stream, so start a fresh run dir instead",
-        mda_mode(meta.mda_lite).slug(),
-        mda_mode(args.mda_lite).slug(),
-    );
-    // Dynamics likewise: the schedule shapes every remaining block's probe
-    // stream (and its epoch tags).
-    assert_eq!(
-        meta.dynamics(),
-        args.dynamics,
-        "resume: journal dynamics {:?} but this run asked for \
-         {:?} — the schedule changes every remaining block's \
-         probe stream, so start a fresh run dir instead",
-        meta.dynamics(),
-        args.dynamics,
-    );
-    args.seed = meta.seed;
-    args.scale = meta.scale;
-    args.faults = meta.faults();
-    if let (Some((s, n)), Some(info)) = (shard, &replay.shard_info) {
-        assert_eq!(
-            (info.shard, info.shards),
-            (s as u64, n as u64),
-            "resume: journal belongs to shard {}/{} but the worker \
-             was granted shard {s}/{n}",
-            info.shard,
-            info.shards
-        );
-    }
-    Ok(())
-}
 
 /// Per-probe retries used when fault injection is on. Three retries bound
 /// the residual per-call loss well below a percent at the sweep's loss
@@ -1126,11 +1109,10 @@ impl Pipeline {
 
     /// Write the outputs selected by `args`: the span tree to stderr
     /// (`--trace-spans`) and the versioned metrics document (`--metrics`).
-    /// `run` calls this once. Binaries with post-pipeline phases
-    /// (aggregation, reprobing) run the pipeline with `trace_spans` off and
-    /// call this again after their last phase, so the tree prints once and
-    /// the metrics file is refreshed. No-op when the pipeline ran
-    /// unobserved.
+    /// `run` calls this once. Experiments with post-pipeline phases
+    /// (aggregation, reprobing) run the pipeline with `trace_spans` and
+    /// `metrics` off and call this after their last phase, so each output
+    /// is written once. No-op when the pipeline ran unobserved.
     pub fn emit_observability(&self, args: &ExpArgs) {
         self.emit_observability_to(args, &mut std::io::stderr());
     }
@@ -1234,7 +1216,9 @@ impl Pipeline {
 #[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
+    use crate::journal::JOURNAL_FILE;
     use netsim::Addr;
+    use std::path::Path;
 
     fn tiny() -> PipelineBuilder {
         // ~328 ordinary blocks at scale 0.01.
@@ -1492,51 +1476,96 @@ mod tests {
         assert!(!rs.contains("\"dest_epochs\""));
     }
 
-    #[test]
-    #[should_panic(expected = "resume: journal dynamics")]
-    fn resume_refuses_dynamics_mismatch() {
-        let dir = std::env::temp_dir().join(format!(
-            "hobbit-pipeline-dyn-mismatch-{}",
-            std::process::id()
-        ));
+    /// A run dir holding only the journal meta of a run under `args`, plus
+    /// a shard worker's totals when given.
+    fn recorded_run_dir(tag: &str, args: &ExpArgs, info: Option<ShardInfo>) -> PathBuf {
+        let dir =
+            std::env::temp_dir().join(format!("hobbit-pipeline-{tag}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        tiny().threads(1).dynamics(0.5, 64).run_dir(&dir).run();
-        let result = std::panic::catch_unwind(|| {
-            Pipeline::builder()
-                .seed(42)
-                .scale(0.01)
-                .threads(1)
-                .resume_from(&dir)
-                .run()
-        });
-        let _ = std::fs::remove_dir_all(&dir);
-        if let Err(e) = result {
-            std::panic::resume_unwind(e);
+        let meta = RunMeta::of(args);
+        let mut w = JournalWriter::create_via(Storage::real(), &dir, &meta).unwrap();
+        if let Some(info) = info {
+            w.append(&Entry::ShardInfo(info)).unwrap();
+            w.flush().unwrap();
+        }
+        dir
+    }
+
+    /// Resuming `dir` with `builder` is refused with `want`, and the
+    /// journal keeps its bytes.
+    fn assert_refused(builder: PipelineBuilder, dir: &Path, want: Mismatch) {
+        let journal = dir.join(JOURNAL_FILE);
+        let before = std::fs::read(&journal).unwrap();
+        match builder.resume_from(dir).try_run() {
+            Err(RunError::Refused(m)) => assert_eq!(m, want),
+            Err(e) => panic!("expected the refusal {want}, got {e}"),
+            Ok(_) => panic!("expected the refusal {want}, got a report"),
+        }
+        assert_eq!(std::fs::read(&journal).unwrap(), before);
+        std::fs::remove_dir_all(dir).unwrap();
+    }
+
+    fn tiny_args() -> ExpArgs {
+        ExpArgs {
+            seed: 42,
+            scale: 0.01,
+            ..Default::default()
+        }
+    }
+
+    fn mismatch(field: &'static str, recorded: &str, requested: &str) -> Mismatch {
+        Mismatch {
+            field,
+            recorded: recorded.into(),
+            requested: requested.into(),
         }
     }
 
     #[test]
-    #[should_panic(expected = "resume: journal was recorded in classic mode")]
+    fn resume_refuses_dynamics_mismatch() {
+        let evolving = ExpArgs {
+            dynamics: Some((0.5, 64)),
+            ..tiny_args()
+        };
+        let dir = recorded_run_dir("dyn-mismatch", &evolving, None);
+        let want = mismatch("dynamics", "0.5,64", "static");
+        assert_refused(tiny().threads(1), &dir, want);
+    }
+
+    #[test]
     fn resume_refuses_mda_mode_mismatch() {
-        let dir = std::env::temp_dir().join(format!(
-            "hobbit-pipeline-mode-mismatch-{}",
-            std::process::id()
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-        tiny().threads(1).run_dir(&dir).run();
-        let result = std::panic::catch_unwind(|| {
-            Pipeline::builder()
-                .seed(42)
-                .scale(0.01)
-                .threads(1)
-                .mda_lite(true)
-                .resume_from(&dir)
-                .run()
-        });
-        let _ = std::fs::remove_dir_all(&dir);
-        if let Err(e) = result {
-            std::panic::resume_unwind(e);
+        let dir = recorded_run_dir("mode-mismatch", &tiny_args(), None);
+        let want = mismatch("mda mode", "classic", "lite");
+        assert_refused(tiny().threads(1).mda_lite(true), &dir, want);
+    }
+
+    #[test]
+    fn resume_refuses_another_shards_journal_and_diverged_totals() {
+        let info = ShardInfo {
+            shard: 1,
+            shards: 2,
+            selected: 1,
+            reject_too_few: 0,
+            reject_uncovered: 0,
+            calibration_probes: 1,
+            dynamics_events: 0,
+        };
+        let dir = recorded_run_dir("other-shard", &tiny_args(), Some(info));
+        let want = mismatch("shard", "1/2", "0/2");
+        assert_refused(tiny().threads(1).shard(0, 2), &dir, want.clone());
+        // The right shard, but totals this run does not re-derive.
+        let dir = recorded_run_dir("other-totals", &tiny_args(), Some(info));
+        match tiny().threads(1).shard(1, 2).resume_from(&dir).try_run() {
+            Err(RunError::Refused(m)) => {
+                assert_eq!(m.field, "shard totals");
+                assert_eq!(m.recorded, format!("{info:?}"));
+                assert!(m.requested.contains("shard: 1, shards: 2"), "{m}");
+            }
+            Err(e) => panic!("expected the shard-totals refusal, got {e}"),
+            Ok(_) => panic!("expected the shard-totals refusal, got a report"),
         }
+        assert_eq!(RunError::Refused(want).exit_code(), EXIT_REFUSED);
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

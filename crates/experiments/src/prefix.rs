@@ -292,13 +292,23 @@ pub fn store(
 #[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
+    use crate::args::ExpArgs;
     use proptest::prelude::*;
     use std::collections::BTreeMap;
 
+    fn args() -> ExpArgs {
+        ExpArgs {
+            seed: 42,
+            scale: 0.25,
+            faults: Some((0.02, 0.5)),
+            mda_lite: true,
+            dynamics: Some((0.1, 64)),
+            ..Default::default()
+        }
+    }
+
     fn meta() -> RunMeta {
-        RunMeta::new(42, 0.25, Some((0.02, 0.5)))
-            .with_mda_lite(true)
-            .with_dynamics(Some((0.1, 64)))
+        RunMeta::of(&args())
     }
 
     fn table() -> ConfidenceTable {
@@ -372,11 +382,21 @@ mod tests {
     fn another_meta_or_world_is_rejected() {
         let bytes = encode(&edge_prefix(), &meta(), 1);
         assert!(decode(&bytes, &meta(), 2).is_err(), "world");
+        let a = args();
         for other in [
-            RunMeta::new(43, 0.25, Some((0.02, 0.5))),
-            meta().with_mda_lite(false),
-            meta().with_dynamics(None),
-            RunMeta::new(42, 0.26, Some((0.02, 0.5))),
+            RunMeta::of(&ExpArgs {
+                seed: 43,
+                ..a.clone()
+            }),
+            RunMeta::of(&ExpArgs {
+                mda_lite: false,
+                ..a.clone()
+            }),
+            RunMeta::of(&ExpArgs {
+                dynamics: None,
+                ..a.clone()
+            }),
+            RunMeta::of(&ExpArgs { scale: 0.26, ..a }),
         ] {
             assert!(decode(&bytes, &other, 1).is_err(), "{other:?}");
         }

@@ -31,6 +31,8 @@
 //! sends anything, so a failed attempt leaves the shared network untouched
 //! and the retry measures exactly what an uninjected run would.
 
+#![deny(clippy::unwrap_used)]
+
 use crate::journal::{Entry, JournalWriter};
 use crate::pipeline::{block_ident, StealQueues, WorkerStats};
 use crate::vfs::StorageError;
@@ -40,11 +42,12 @@ use hobbit::{
 };
 use netsim::{Block24, Network};
 use obs::{Counter, Recorder, SpanTimer};
+use parking_lot::Mutex;
 use probe::{CancelToken, ProbeObs, Prober};
 use serde::{Deserialize, Serialize};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Default per-block wall-clock budget. Generous: a simulated block
@@ -222,7 +225,7 @@ pub struct SuperviseHooks<'a> {
     /// Graceful-shutdown signal.
     pub shutdown: Option<ShutdownSignal>,
     /// Checkpoint journal; completed blocks are appended as they finish.
-    pub journal: Option<&'a parking_lot::Mutex<JournalWriter>>,
+    pub journal: Option<&'a Mutex<JournalWriter>>,
     /// `skip[i]` ⇒ task `i` was recovered from the journal — don't re-run.
     pub skip: Option<&'a [bool]>,
 }
@@ -307,7 +310,7 @@ pub fn classify_blocks_supervised(
         hooks.journal.is_some_and(|j| {
             let j = j.lock();
             j.crashed() || j.sealed().is_some()
-        }) || storage_err.lock().unwrap().is_some()
+        }) || storage_err.lock().is_some()
     };
 
     std::thread::scope(|scope| {
@@ -315,7 +318,7 @@ pub fn classify_blocks_supervised(
             while engine_live.load(Ordering::Acquire) {
                 std::thread::sleep(sup.watchdog_poll);
                 for slot in &inflight {
-                    let guard = slot.lock().unwrap();
+                    let guard = slot.lock();
                     if let Some(inf) = &*guard {
                         if inf.started.elapsed() >= sup.deadline && !inf.cancel.is_cancelled() {
                             inf.cancel.cancel();
@@ -352,7 +355,7 @@ pub fn classify_blocks_supervised(
                         let attempt = attempts[idx].fetch_add(1, Ordering::Relaxed);
                         let sel = &selected[idx];
                         let cancel = CancelToken::new();
-                        *inflight[w].lock().unwrap() = Some(InFlight {
+                        *inflight[w].lock() = Some(InFlight {
                             started: Instant::now(),
                             cancel: cancel.clone(),
                         });
@@ -400,7 +403,7 @@ pub fn classify_blocks_supervised(
                                 }
                             }
                         }));
-                        *inflight[w].lock().unwrap() = None;
+                        *inflight[w].lock() = None;
                         let failure = match result {
                             Ok(AttemptOutcome::Done(m, d)) if !cancel.is_cancelled() => {
                                 stats.blocks += 1;
@@ -421,7 +424,7 @@ pub fn classify_blocks_supervised(
                                         // acknowledged, so it is discarded —
                                         // a resume re-measures it — and the
                                         // phase stops with the typed error.
-                                        storage_err.lock().unwrap().get_or_insert(e);
+                                        storage_err.lock().get_or_insert(e);
                                         break;
                                     }
                                     if j.crashed() {
@@ -462,11 +465,11 @@ pub fn classify_blocks_supervised(
                                         attempts: q.attempts,
                                         reason: format!("{}: {}", reason.label(), q.detail),
                                     }) {
-                                        storage_err.lock().unwrap().get_or_insert(e);
+                                        storage_err.lock().get_or_insert(e);
                                         break;
                                     }
                                 }
-                                quarantined.lock().unwrap().push(q);
+                                quarantined.lock().push(q);
                                 obs.quarantined.inc();
                             }
                         }
@@ -488,7 +491,7 @@ pub fn classify_blocks_supervised(
         watchdog.join().expect("watchdog panicked");
     });
 
-    let mut quarantined = quarantined.into_inner().unwrap();
+    let mut quarantined = quarantined.into_inner();
     quarantined.sort_by_key(|q| q.block);
     let mut measurements: Vec<BlockMeasurement> = slots.into_iter().flatten().collect();
     measurements.sort_by_key(|m| m.block);
@@ -513,7 +516,7 @@ pub fn classify_blocks_supervised(
             resumed_blocks: 0,
             interrupted: false,
             shutdown: hooks.shutdown.as_ref().is_some_and(|s| s.is_requested()),
-            storage_error: storage_err.into_inner().unwrap(),
+            storage_error: storage_err.into_inner(),
         },
     }
 }

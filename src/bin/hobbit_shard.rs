@@ -7,7 +7,10 @@
 //! journals into `DIR/report.json` — byte-identical to a single-process
 //! run with the same seed/scale/faults. Re-running the identical command
 //! resumes a killed coordinator: finished shards are skipped, unfinished
-//! ones resume from their journals.
+//! ones resume from their journals. A re-run follows the rule of
+//! `--resume`: the recorded seed, scale and faults win, and another probe
+//! mode, dynamics schedule or shard count exits 3 and touches nothing.
+//! A storage failure exits 5, any other failure 1.
 //!
 //! Worker mode (`--shard I --run-dir DIR`): spawned by the coordinator;
 //! every knob comes from the shard's lease file, not the command line.
@@ -75,10 +78,13 @@ fn main() {
         Role::Worker { shard, run_dir } => std::process::exit(worker_main(&run_dir, shard)),
         Role::Coordinator { shards, run_dir } => (shards, run_dir),
     };
-    let cfg = CoordinatorConfig::from_args(run_dir, shards, &args);
+    let cfg = CoordinatorConfig {
+        args,
+        ..CoordinatorConfig::new(run_dir, shards)
+    };
     match run_sharded(&cfg, &NullRecorder) {
         Ok(report) => {
-            if args.json {
+            if cfg.args.json {
                 println!("{report}");
             } else {
                 println!(
@@ -90,7 +96,7 @@ fn main() {
         }
         Err(e) => {
             eprintln!("hobbit-shard: {e}");
-            std::process::exit(1);
+            std::process::exit(e.exit_code());
         }
     }
 }

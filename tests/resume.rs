@@ -11,7 +11,9 @@ use experiments::journal::{
 use experiments::pipeline::scenario_config;
 use experiments::prefix::{self, PREFIX_FILE};
 use experiments::supervise::{InjectedFault, SuperviseConfig, DEFAULT_ATTEMPT_BUDGET};
-use experiments::{ExpArgs, Pipeline, PipelineBuilder, ShutdownSignal, Storage, StorageErrorKind};
+use experiments::{
+    ExpArgs, Pipeline, PipelineBuilder, RunError, ShutdownSignal, Storage, StorageErrorKind,
+};
 use hobbit::Classification;
 use netsim::build::build;
 use netsim::{Addr, Block24};
@@ -267,10 +269,14 @@ fn uninterrupted_checkpointed_run_matches_plain_run() {
 #[test]
 fn foreign_schema_journal_is_refused_with_a_typed_error() {
     let dir = run_dir("foreign-schema");
-    let mut meta = RunMeta::new(SEED, SCALE, None);
+    let mut meta = RunMeta::of(&ExpArgs {
+        seed: SEED,
+        scale: SCALE,
+        ..Default::default()
+    });
     meta.schema = "hobbit-journal/v0".to_string();
     JournalWriter::create_via(Storage::real(), &dir, &meta).unwrap();
-    let Err(err) = Pipeline::builder().resume_from(&dir).try_run() else {
+    let Err(RunError::Storage(err)) = Pipeline::builder().resume_from(&dir).try_run() else {
         panic!("resuming a foreign-schema journal must be refused");
     };
     assert_eq!(err.kind, StorageErrorKind::Corruption);
@@ -295,7 +301,7 @@ fn resume_without_a_journal_is_refused_as_nothing_checkpointed() {
         if make {
             std::fs::write(dir.join(JOURNAL_FILE), b"").unwrap();
         }
-        let Err(err) = Pipeline::builder().resume_from(&dir).try_run() else {
+        let Err(RunError::Storage(err)) = Pipeline::builder().resume_from(&dir).try_run() else {
             panic!("{tag}: resuming with nothing checkpointed must be refused");
         };
         assert_eq!(err.kind, StorageErrorKind::Corruption, "{tag}: {err}");
@@ -339,7 +345,11 @@ fn tiny_measurement(block: u32) -> hobbit::BlockMeasurement {
 #[test]
 fn torn_tail_truncation_sweep_over_every_offset_of_the_final_record() {
     let dir = run_dir("truncation-sweep");
-    let meta = RunMeta::new(7, 0.01, None);
+    let meta = RunMeta::of(&ExpArgs {
+        seed: 7,
+        scale: 0.01,
+        ..Default::default()
+    });
     let blocks = 3u64;
     {
         let mut w = JournalWriter::create_via(Storage::real(), &dir, &meta).unwrap();
@@ -610,7 +620,11 @@ fn untrusted_prefix_is_rebuilt_and_resume_stays_byte_identical() {
     }));
     let other_world_fp = prefix::world_fingerprint(&other_world.network.allocated_blocks());
     let foreign_world = prefix_bytes_of(base(0.0).scenario(other_world), "prefix-other-world");
-    let meta = RunMeta::new(SEED, SCALE, None);
+    let meta = RunMeta::of(&ExpArgs {
+        seed: SEED,
+        scale: SCALE,
+        ..Default::default()
+    });
     assert!(prefix::decode(&foreign_world, &meta, other_world_fp).is_ok());
 
     for tag in ["deleted", "flipped", "other-seed", "other-world"] {

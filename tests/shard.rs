@@ -9,9 +9,10 @@ use experiments::coordinator::{
     run_sharded, CoordCrash, CoordError, CoordinatorConfig, LOCK_FILE, REPORT_FILE,
 };
 use experiments::lease::{shard_dir, LeaseSabotage};
-use experiments::Pipeline;
+use experiments::{ExpArgs, Pipeline};
 use obs::{NullRecorder, Registry};
-use std::path::PathBuf;
+use std::collections::BTreeMap;
+use std::path::{Path, PathBuf};
 use std::process::Command;
 use std::sync::OnceLock;
 use std::time::Duration;
@@ -59,9 +60,12 @@ fn run_dir(tag: &str) -> PathBuf {
 
 fn config(dir: &PathBuf, shards: usize, threads: usize) -> CoordinatorConfig {
     let mut cfg = CoordinatorConfig::new(dir, shards);
-    cfg.seed = SEED;
-    cfg.scale = SCALE;
-    cfg.threads = threads;
+    cfg.args = ExpArgs {
+        seed: SEED,
+        scale: SCALE,
+        threads,
+        ..Default::default()
+    };
     cfg.worker_exe = Some(worker_exe());
     cfg
 }
@@ -236,6 +240,74 @@ fn killed_coordinator_resumes_to_an_identical_report() {
     }
 }
 
+/// Every file under `dir`, by path, with its bytes.
+fn tree_bytes(dir: &Path) -> BTreeMap<PathBuf, Vec<u8>> {
+    let mut files = BTreeMap::new();
+    let mut stack = vec![dir.to_path_buf()];
+    while let Some(d) = stack.pop() {
+        for entry in std::fs::read_dir(&d).unwrap() {
+            let path = entry.unwrap().path();
+            if path.is_dir() {
+                stack.push(path);
+            } else {
+                files.insert(path.clone(), std::fs::read(&path).unwrap());
+            }
+        }
+    }
+    files
+}
+
+/// A re-run of a finished run dir goes by the rule of `--resume`: another
+/// probe mode or dynamics schedule is refused with a typed error that
+/// names the setting, and leaves every byte of the run dir as it was;
+/// another seed or scale is adopted, so the re-run reports the recorded
+/// run.
+#[test]
+fn rerun_of_a_finished_run_dir_follows_the_resume_rule() {
+    let dir = run_dir("rerun");
+    let cfg = config(&dir, 2, 2);
+    run_sharded(&cfg, &NullRecorder).unwrap();
+    let before = tree_bytes(&dir);
+    assert!(before.contains_key(&dir.join(REPORT_FILE)));
+    let rerun = |args: ExpArgs| CoordinatorConfig {
+        args,
+        ..cfg.clone()
+    };
+    let refusals = [
+        (
+            ExpArgs {
+                mda_lite: true,
+                ..cfg.args.clone()
+            },
+            ("mda mode", "classic", "lite"),
+        ),
+        (
+            ExpArgs {
+                dynamics: Some((0.5, 64)),
+                ..cfg.args.clone()
+            },
+            ("dynamics", "static", "0.5,64"),
+        ),
+    ];
+    for (args, want) in refusals {
+        match run_sharded(&rerun(args), &NullRecorder) {
+            Err(CoordError::Refused(m)) => {
+                assert_eq!((m.field, &*m.recorded, &*m.requested), want);
+            }
+            other => panic!("{want:?}: expected a refusal, got {other:?}"),
+        }
+        assert!(tree_bytes(&dir) == before, "{want:?}: the run dir changed");
+    }
+    let adopted = ExpArgs {
+        seed: 7,
+        scale: 0.5,
+        ..cfg.args.clone()
+    };
+    let report = run_sharded(&rerun(adopted), &NullRecorder).unwrap();
+    assert_identical(&report, "re-run under another seed and scale");
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
 /// A coordinator kill *combined* with a worker kill in the completed half:
 /// the resumed coordinator must leave the finished shard alone and only
 /// re-drive the unfinished one.
@@ -312,6 +384,25 @@ fn shard_cli_conflicts_fail_clearly_and_touch_nothing() {
             "{args:?}: a rejected command created the run dir"
         );
     }
+
+    // A re-run under another probe mode is refused (exit 3) on one line
+    // naming the setting, and leaves the leases as they were.
+    let leased = run_dir("cli-rerun");
+    let mut cfg = config(&leased, 2, 1);
+    cfg.crash = Some(CoordCrash::BeforeSpawn);
+    assert!(run_sharded(&cfg, &NullRecorder).is_err());
+    let before = tree_bytes(&leased);
+    let out = Command::new(worker_exe())
+        .args(["--shards", "2", "--mda-lite", "--run-dir"])
+        .arg(&leased)
+        .output()
+        .unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(3), "stderr: {stderr}");
+    assert_eq!(stderr.lines().count(), 1, "{stderr}");
+    assert!(stderr.contains("mda mode classic"), "{stderr}");
+    assert!(tree_bytes(&leased) == before, "the refused re-run wrote");
+    std::fs::remove_dir_all(&leased).unwrap();
 
     // A worker spawned against a dir with no lease refuses (exit 3), it
     // does not limp into a fresh single-process run.

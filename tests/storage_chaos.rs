@@ -11,7 +11,7 @@ use experiments::coordinator::{run_sharded, CoordinatorConfig, REPORT_FILE};
 use experiments::journal::{read_journal_via, JOURNAL_FILE};
 use experiments::lease::{is_done, shard_dir};
 use experiments::vfs::{ChaosVfs, FaultKind, OpKind, Storage, StorageErrorKind};
-use experiments::Pipeline;
+use experiments::{ExpArgs, Pipeline, RunError};
 use hobbit::BlockMeasurement;
 use obs::Registry;
 use std::collections::HashMap;
@@ -137,7 +137,8 @@ fn chaos_sweep_reports_identical_bytes_or_fails_typed() {
                     assert_eq!(journaled, p.measurements.len(), "{tag}");
                     assert_identical(&p.canonical_report(), &tag);
                 }
-                Err(e) => {
+                Err(RunError::Refused(m)) => panic!("{tag}: a fresh run was refused: {m}"),
+                Err(RunError::Storage(e)) => {
                     failed += 1;
                     // Typed and actionable: a classified kind, the failing
                     // operation, and the path all survive into the message.
@@ -219,11 +220,9 @@ fn disk_full_mid_run_fails_typed_and_resumes_byte_identical() {
     let dir = run_dir("enospc");
     // Write 1 is the prefix file: the disk fills at the 40th block append.
     let vfs = ChaosVfs::from_plan(&StorageSabotage::DiskFull { at_write: 41 });
-    let e = chaos_builder(2, &dir, vfs)
-        .observe()
-        .try_run()
-        .err()
-        .expect("a full disk must fail the run, not truncate it silently");
+    let Err(RunError::Storage(e)) = chaos_builder(2, &dir, vfs).observe().try_run() else {
+        panic!("a full disk must fail the run typed, not truncate it silently");
+    };
     assert_eq!(e.kind, StorageErrorKind::Persistent, "{e}");
     let journaled = assert_valid_prefix(&dir, "enospc");
     assert!(journaled > 0, "the prefix before the fault must survive");
@@ -247,10 +246,9 @@ fn disk_full_mid_run_fails_typed_and_resumes_byte_identical() {
 fn fsync_lie_mid_run_is_detected_and_fails_typed() {
     let dir = run_dir("fsync-lie");
     let vfs = ChaosVfs::from_plan(&StorageSabotage::FsyncLie { at_sync: 3 });
-    let e = chaos_builder(1, &dir, vfs)
-        .try_run()
-        .err()
-        .expect("a detected fsync lie must fail the run, not complete over a hole");
+    let Err(RunError::Storage(e)) = chaos_builder(1, &dir, vfs).try_run() else {
+        panic!("a detected fsync lie must fail the run typed, not complete over a hole");
+    };
     assert_eq!(e.kind, StorageErrorKind::Corruption, "{e}");
     // Sync 0 is the meta record and sync 1 the prefix file; sync 2 (the
     // first block batch) was honest, so exactly that batch survives; the
@@ -297,10 +295,11 @@ fn faults_on_the_prefix_write_end_identical_or_typed_then_resume() {
         let handle = vfs.clone();
         match chaos_builder(2, &dir, vfs).try_run() {
             Ok(p) => assert_identical(&p.canonical_report(), tag),
-            Err(e) => {
+            Err(RunError::Storage(e)) => {
                 assert_eq!(fault, FaultKind::Enospc, "{tag}: {e}");
                 assert_eq!(e.kind, StorageErrorKind::Persistent, "{tag}: {e}");
             }
+            Err(e) => panic!("{tag}: {e}"),
         }
         assert_eq!(handle.faults_injected(), 1, "{tag}: the fault never fired");
         assert_valid_prefix(&dir, tag);
@@ -339,11 +338,14 @@ fn sharded_chaos_self_quarantines_respawns_and_merges_identical() {
     let shards = 4;
     let dir = run_dir("sharded");
     let mut cfg = CoordinatorConfig::new(&dir, shards);
-    cfg.seed = SEED;
-    cfg.scale = SCALE;
-    cfg.threads = 2;
+    cfg.args = ExpArgs {
+        seed: SEED,
+        scale: SCALE,
+        threads: 2,
+        storage_chaos: Some((0x57A6_E105, 0.02)),
+        ..Default::default()
+    };
     cfg.worker_exe = Some(worker_exe());
-    cfg.storage_chaos = Some((0x57A6_E105, 0.02));
     let reg = Registry::new();
     let report = run_sharded(&cfg, &reg).expect("chaos shards must respawn clean and finish");
     assert_identical(&report, "sharded chaos merge");
