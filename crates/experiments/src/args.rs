@@ -2,6 +2,7 @@
 //! binaries.
 
 use std::path::PathBuf;
+use std::time::Duration;
 
 /// Common experiment options.
 #[derive(Clone, Debug)]
@@ -166,14 +167,21 @@ impl ExpArgs {
                 other => return Err(ParseOutcome::Error(format!("unknown flag {other:?}"))),
             }
         }
-        if args.scale <= 0.0 {
-            return Err(ParseOutcome::Error("--scale must be positive".into()));
+        if !(args.scale.is_finite() && args.scale > 0.0) {
+            return Err(ParseOutcome::Error(
+                "--scale must be positive and finite".into(),
+            ));
         }
         if args.resume && args.run_dir.is_none() {
             return Err(ParseOutcome::Error("--resume requires --run-dir".into()));
         }
-        if args.deadline.is_some_and(|d| d <= 0.0) {
-            return Err(ParseOutcome::Error("--deadline must be positive".into()));
+        // A deadline becomes a `Duration`: NaN, infinity and values past its
+        // range cannot.
+        let bad_deadline = |d: f64| d <= 0.0 || Duration::try_from_secs_f64(d).is_err();
+        if args.deadline.is_some_and(bad_deadline) {
+            return Err(ParseOutcome::Error(
+                "--deadline must be a positive, representable number of seconds".into(),
+            ));
         }
         if args.storage_chaos.is_some() && args.run_dir.is_none() {
             return Err(ParseOutcome::Error(
@@ -397,10 +405,15 @@ mod tests {
     #[test]
     fn resume_without_run_dir_rejected() {
         assert!(matches!(parse(&["--resume"]), Err(ParseOutcome::Error(_))));
-        assert!(matches!(
-            parse(&["--run-dir", "x", "--deadline", "0"]),
-            Err(ParseOutcome::Error(_))
-        ));
+        for deadline in ["0", "-1", "nan", "inf", "1e300"] {
+            assert!(
+                matches!(
+                    parse(&["--run-dir", "x", "--deadline", deadline]),
+                    Err(ParseOutcome::Error(_))
+                ),
+                "--deadline {deadline}"
+            );
+        }
     }
 
     #[test]
@@ -504,9 +517,11 @@ mod tests {
             parse(&["--scale", "x"]),
             Err(ParseOutcome::Error(_))
         ));
-        assert!(matches!(
-            parse(&["--scale", "-1"]),
-            Err(ParseOutcome::Error(_))
-        ));
+        for scale in ["-1", "0", "nan", "inf", "-inf"] {
+            assert!(
+                matches!(parse(&["--scale", scale]), Err(ParseOutcome::Error(_))),
+                "--scale {scale}"
+            );
+        }
     }
 }

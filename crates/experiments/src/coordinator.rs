@@ -70,7 +70,7 @@ use crate::lease::{
     heartbeat_age_via, heartbeat_epoch_via, is_done, mark_done_via, shard_dir, write_heartbeat_via,
     Lease, LeaseSabotage, LeaseState, HEARTBEAT_INTERVAL,
 };
-use crate::pipeline::{render_canonical_report, Pipeline};
+use crate::pipeline::{render_canonical_report, Pipeline, RunError};
 use crate::vfs::{ChaosVfs, Storage, StorageError};
 use hobbit::BlockMeasurement;
 use netsim::Block24;
@@ -759,11 +759,15 @@ pub fn worker_main(run_dir: &Path, shard: usize) -> i32 {
         Err(e) => {
             stop.store(true, Ordering::Release);
             let _ = beat.join();
-            // A refusal cannot be respawned away. After a storage failure
+            // A refusal cannot be respawned away, and neither can a lease
+            // whose shard settings make no run. After a storage failure
             // the shard's journal is a valid prefix and nothing unjournaled
             // was acknowledged: self-quarantine by exiting without a done
             // marker, and the coordinator revokes and respawns.
-            let code = e.exit_code();
+            let code = match e {
+                RunError::Config(_) => EXIT_REFUSED,
+                _ => e.exit_code(),
+            };
             let verdict = if code == EXIT_STORAGE {
                 "storage failure, self-quarantining"
             } else {
@@ -848,6 +852,13 @@ mod tests {
         lease.state = LeaseState::Revoked;
         lease.store_via(&Storage::real(), &dir).unwrap();
         assert_eq!(worker_main(&dir, 0), EXIT_REFUSED);
+        // A granted lease whose shard count makes no run: a typed refusal
+        // before the journal, not a panic the coordinator would respawn.
+        Lease::grant(0, 0, &meta(42), 1)
+            .store_via(&Storage::real(), &dir)
+            .unwrap();
+        assert_eq!(worker_main(&dir, 0), EXIT_REFUSED);
+        assert!(!shard_dir(&dir, 0).join(JOURNAL_FILE).exists());
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

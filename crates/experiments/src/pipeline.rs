@@ -55,7 +55,7 @@ use netsim::build::{build, derive_dynamics, Scenario, ScenarioConfig};
 use netsim::{Block24, FaultConfig, Network, NetworkStats};
 use obs::{NullRecorder, Recorder, Registry, SpanTimer};
 use parking_lot::Mutex;
-use probe::{zmap, MdaMode, Prober, StoppingRule, ZmapSnapshot};
+use probe::{zmap, MdaMode, ProbeObs, Prober, StoppingRule, ZmapSnapshot};
 use serde::Serialize;
 use std::collections::{HashMap, VecDeque};
 use std::path::PathBuf;
@@ -326,13 +326,9 @@ impl PipelineBuilder {
     /// loads its run dir's [`crate::prefix`] file instead of recomputing),
     /// but non-owned blocks are never probed.
     /// Requires a run dir: a shard's only output is its journal, which the
-    /// coordinator's merge folds into the run report.
+    /// coordinator's merge folds into the run report. The run checks the
+    /// pair when it starts ([`RunError::Config`]).
     pub fn shard(mut self, shard: usize, shards: usize) -> Self {
-        assert!(shards >= 1, "a sharded run needs at least one shard");
-        assert!(
-            shard < shards,
-            "shard index {shard} out of range for {shards} shards"
-        );
         self.shard = Some((shard, shards));
         self
     }
@@ -447,15 +443,20 @@ pub enum RunError {
     /// The run dir records another probe mode, dynamics schedule, shard or
     /// set of shard totals than this run; the journal gets no new record.
     Refused(Mismatch),
+    /// The builder's settings cannot make a run: a shard out of range, or
+    /// a shard or crash point without a run dir. Nothing is written.
+    Config(String),
 }
 
 impl RunError {
     /// The process exit code a CLI run or a shard worker ends with:
-    /// [`EXIT_REFUSED`] for a refusal, [`EXIT_STORAGE`] for storage.
+    /// [`EXIT_REFUSED`] for a refusal, [`EXIT_STORAGE`] for storage, and
+    /// 2, the CLI's usage-error code, for a configuration error.
     pub fn exit_code(&self) -> i32 {
         match self {
             RunError::Storage(_) => EXIT_STORAGE,
             RunError::Refused(_) => EXIT_REFUSED,
+            RunError::Config(_) => 2,
         }
     }
 }
@@ -465,6 +466,7 @@ impl std::fmt::Display for RunError {
         match self {
             RunError::Storage(e) => write!(f, "{e}"),
             RunError::Refused(m) => write!(f, "{m}"),
+            RunError::Config(msg) => f.write_str(msg),
         }
     }
 }
@@ -517,16 +519,28 @@ impl Run {
     /// first byte), then create or resume the journal: a resume goes by
     /// [`RunMeta::adopt`], and a shard worker also refuses another shard's
     /// journal. Returns the block measurements a resumed journal holds.
+    /// Settings no run can honour are refused first, before anything is
+    /// written.
     fn open(mut cfg: PipelineBuilder) -> Result<(Run, Vec<BlockMeasurement>), RunError> {
-        assert!(
-            cfg.shard.is_none() || cfg.args.run_dir.is_some(),
-            "a sharded worker must journal into a run dir: its journal is \
-             the only output the coordinator's merge can read"
-        );
-        assert!(
-            cfg.crash.is_none() || cfg.args.run_dir.is_some(),
-            "a crash point needs a run dir to crash"
-        );
+        let no_dir = cfg.args.run_dir.is_none();
+        let misuse = match cfg.shard {
+            Some((_, 0)) => Some("a sharded run needs at least one shard".into()),
+            Some((shard, shards)) if shard >= shards => Some(format!(
+                "shard index {shard} out of range for {shards} shards"
+            )),
+            Some(_) if no_dir => Some(
+                "a sharded worker must journal into a run dir: its journal is \
+                 the only output the coordinator's merge can read"
+                    .into(),
+            ),
+            _ if cfg.crash.is_some() && no_dir => {
+                Some("a crash point needs a run dir to crash".into())
+            }
+            _ => None,
+        };
+        if let Some(msg) = misuse {
+            return Err(RunError::Config(msg));
+        }
         let observing = cfg.observe || cfg.args.metrics.is_some() || cfg.args.trace_spans;
         let obs = observing.then(|| Arc::new(Registry::new()));
         cfg.storage.observe(recorder(obs.as_deref()));
@@ -684,7 +698,7 @@ impl Run {
         let stride = (sel.selected.len() / CALIBRATION_BLOCKS).max(1);
         let mut dataset: Vec<BlockLasthopData> = Vec::new();
         let mut prober = Prober::new(net, 0xCA11);
-        prober.observe(rec);
+        prober.set_obs(ProbeObs::bind(rec));
         prober.retries = cfg.prober_retries;
         for s in sel.selected.iter().step_by(stride).take(CALIBRATION_BLOCKS) {
             let survey = survey_block(&mut prober, s, StoppingRule::confidence95(), false);

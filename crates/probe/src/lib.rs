@@ -11,9 +11,7 @@
 //! * [`mda`] — the Multipath Detection Algorithm with its hypothesis-test
 //!   stopping rule (`n(1) = 6` probes for 95% single-interface confidence);
 //! * [`lasthop`] — the Section 3.4 efficient last-hop prober using reply-TTL
-//!   hop-count inference with the halving fallback;
-//! * [`record`] — probe recording and replay (the warts-style
-//!   "collect once, analyze many" archive workflow).
+//!   hop-count inference with the halving fallback.
 
 #![warn(missing_docs)]
 
@@ -23,7 +21,6 @@ pub mod lasthop;
 pub mod mda;
 pub mod ping;
 pub mod prober;
-pub mod record;
 pub mod traceroute;
 pub mod types;
 pub mod zmap;
@@ -40,7 +37,6 @@ pub use prober::{
     backoff_delay, ProbeObs, ProbeReply, ProbeResult, Prober, DEFAULT_BACKOFF_BASE_US,
     DEFAULT_BACKOFF_CAP_US,
 };
-pub use record::{ProbeLog, RecordedCall, RecordedReply};
 pub use traceroute::{paris_traceroute, Traceroute};
-pub use types::{route_sets_equal, route_sets_identical, Hop, Path};
+pub use types::{route_sets_identical, Hop, Path};
 pub use zmap::{scan, scan_all, ZmapSnapshot};

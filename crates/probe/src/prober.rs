@@ -2,15 +2,13 @@
 //! parses responses, with retry handling.
 //!
 //! All higher-level tools (ZMap scan, ping, traceroute, MDA) are built on
-//! [`Prober::probe`]. A live prober borrows the network shared (`&Network`;
+//! [`Prober::probe`]. A prober borrows the network shared (`&Network`;
 //! [`Network::exchange`] takes `&self`), so the scan, classification and
-//! reprobe workers each hold one inside their scoped threads; a replay
-//! prober answers from a recorded [`ProbeLog`] instead. Each probe is
+//! reprobe workers each hold one inside their scoped threads. Each probe is
 //! encoded into a stack array and its reply parsed from the network's stack
 //! [`Packet`], so the probe path does no heap allocation.
 
 use crate::cancel::CancelToken;
-use crate::record::{ProbeLog, RecordedCall, RecordedReply};
 use netsim::forward::probe_packet;
 use netsim::wire::{
     IcmpEcho, IcmpError, Ipv4Header, ICMP_ECHO_REPLY, ICMP_TIME_EXCEEDED, IPV4_HEADER_LEN,
@@ -114,7 +112,7 @@ impl ProbeObs {
 /// 11 is a probing-cost comparison) and allocates sequence numbers and
 /// IP idents so retries are distinguishable on the wire.
 pub struct Prober<'n> {
-    backend: Backend<'n>,
+    net: &'n Network,
     icmp_ident: u16,
     seq: u16,
     ip_ident: u16,
@@ -140,8 +138,6 @@ pub struct Prober<'n> {
     retries_recovered: u64,
     /// Total simulated backoff wait, microseconds.
     backoff_us: u64,
-    /// When recording, every probe call lands here.
-    recording: Option<ProbeLog>,
     /// Shared metric handles mirroring the per-prober accounting.
     obs: Option<ProbeObs>,
     /// Cooperative cancellation: once raised, retries stop immediately and
@@ -166,15 +162,6 @@ pub fn backoff_delay(base_us: u64, cap_us: u64, retry_index: u32) -> u64 {
     base_us.saturating_mul(1u64 << shift).min(cap_us)
 }
 
-/// Where a prober's answers come from.
-enum Backend<'n> {
-    /// A live network, borrowed shared with any other workers.
-    Live(&'n Network),
-    /// A previously recorded probe archive; `misses` counts lookups the
-    /// archive could not answer (returned as timeouts).
-    Replay { log: ProbeLog, misses: u64 },
-}
-
 impl<'n> Prober<'n> {
     /// Create a prober over a network, sourcing probes from its primary
     /// vantage. `icmp_ident` distinguishes concurrent measurement
@@ -188,19 +175,8 @@ impl<'n> Prober<'n> {
     ///
     /// [`Network::add_vantage`]: netsim::Network::add_vantage
     pub fn from_vantage(net: &'n Network, icmp_ident: u16, source: Addr) -> Self {
-        Prober::with_backend(Backend::Live(net), icmp_ident, source)
-    }
-
-    /// Create a prober that answers from a recorded archive instead of a
-    /// network — the measurement-dataset workflow: analyses re-run from the
-    /// log reproduce the live run exactly (same keys in the same order).
-    pub fn replayer(log: ProbeLog, icmp_ident: u16, source: Addr) -> Prober<'static> {
-        Prober::with_backend(Backend::Replay { log, misses: 0 }, icmp_ident, source)
-    }
-
-    fn with_backend(backend: Backend<'n>, icmp_ident: u16, source: Addr) -> Self {
         Prober {
-            backend,
+            net,
             icmp_ident,
             seq: 0,
             ip_ident: 0,
@@ -215,30 +191,8 @@ impl<'n> Prober<'n> {
             retries_used: 0,
             retries_recovered: 0,
             backoff_us: 0,
-            recording: None,
             obs: None,
             cancel: CancelToken::default(),
-        }
-    }
-
-    /// Start capturing every probe attempt into a [`ProbeLog`].
-    pub fn start_recording(&mut self) {
-        if self.recording.is_none() {
-            self.recording = Some(ProbeLog::new());
-        }
-    }
-
-    /// Stop recording and take the captured log, if recording was on.
-    pub fn take_log(&mut self) -> Option<ProbeLog> {
-        self.recording.take()
-    }
-
-    /// How many replay lookups missed the archive (0 for live probers and
-    /// faithful replays).
-    pub fn replay_misses(&self) -> u64 {
-        match &self.backend {
-            Backend::Live(_) => 0,
-            Backend::Replay { misses, .. } => *misses,
         }
     }
 
@@ -247,15 +201,11 @@ impl<'n> Prober<'n> {
         self.source
     }
 
-    /// Mirror this prober's accounting into `rec` from now on (interns the
-    /// standard `probe.*` metrics). The per-prober accessors
-    /// ([`Prober::probes_sent`] etc.) keep their own totals either way.
-    pub fn observe(&mut self, rec: &dyn Recorder) {
-        self.obs = Some(ProbeObs::bind(rec));
-    }
-
-    /// Attach pre-interned metric handles. Workers share one [`ProbeObs`]
-    /// so their counters aggregate without registry lookups per probe.
+    /// Mirror this prober's accounting into pre-interned metric handles
+    /// from now on. Workers share one [`ProbeObs`] so their counters
+    /// aggregate without registry lookups per probe; the per-prober
+    /// accessors ([`Prober::probes_sent`] etc.) keep their own totals
+    /// either way.
     pub fn set_obs(&mut self, obs: ProbeObs) {
         self.obs = Some(obs);
     }
@@ -347,12 +297,42 @@ impl<'n> Prober<'n> {
     /// On timeout the prober retries up to [`Prober::retries`] times,
     /// waiting a capped exponentially growing backoff before each retry
     /// (accumulated in [`Prober::backoff_total_us`]); retries also draw on
-    /// the lifetime [`Prober::retry_budget`].
+    /// the lifetime [`Prober::retry_budget`]. A cancelled prober answers
+    /// at once with a timeout, without touching the wire or the accounting.
     pub fn probe(&mut self, dst: Addr, ttl: u8, flow_label: u16) -> ProbeResult {
+        if self.cancel.is_cancelled() {
+            // Cooperative cancellation: the enclosing measurement drains in
+            // microseconds and its result can be discarded.
+            return CANCELLED;
+        }
         let flow_label = wire_label(flow_label);
-        match self.backend {
-            Backend::Live(net) => self.live_probe(net, dst, ttl, flow_label),
-            Backend::Replay { .. } => self.replay_probe(dst, ttl, flow_label),
+        let mut attempt: u32 = 0;
+        loop {
+            let wire = self.next_probe(dst, ttl, flow_label);
+            let reply = self
+                .net
+                .exchange(&wire)
+                .expect("prober always emits well-formed probes");
+            let result = self.account(parse(&reply, self.icmp_ident));
+            if attempt > 0 {
+                self.note_retry_outcome(result.reply.responded());
+            }
+            if result.reply.responded()
+                || attempt >= self.retries
+                || self.retry_budget == 0
+                || self.cancel.is_cancelled()
+            {
+                return result;
+            }
+            attempt += 1;
+            self.retry_budget -= 1;
+            self.retries_used += 1;
+            let wait = backoff_delay(self.backoff_base_us, self.backoff_cap_us, attempt);
+            self.backoff_us += wait;
+            if let Some(o) = &self.obs {
+                o.retries.inc();
+                o.backoff_us.add(wait);
+            }
         }
     }
 
@@ -360,11 +340,10 @@ impl<'n> Prober<'n> {
     /// without retries, and put the results in `results` (cleared first),
     /// one per address: exactly what one [`Prober::probe`] per address with
     /// [`Prober::retries`] at 0 gives, on the wire, in the network's
-    /// counters and in this prober's accounting, metrics and recording.
+    /// counters and in this prober's accounting and metrics.
     ///
-    /// A live prober sends the 254 probes to the network as one batch (see
-    /// [`Network::exchange_block`]); a replay prober answers each address
-    /// from its own recorded call. A cancelled live prober answers every
+    /// The 254 probes go to the network as one batch (see
+    /// [`Network::exchange_block`]). A cancelled prober answers every
     /// address with an instant timeout, as [`Prober::probe`] does.
     pub fn probe_block_once(
         &mut self,
@@ -373,33 +352,22 @@ impl<'n> Prober<'n> {
         flow_label: u16,
         results: &mut Vec<ProbeResult>,
     ) {
-        let flow_label = wire_label(flow_label);
         results.clear();
-        let hosts = (1..=254u8).map(|host| block.addr(host));
-        let net = match self.backend {
-            Backend::Live(net) if !self.cancel.is_cancelled() => net,
-            Backend::Live(_) => {
-                results.extend(hosts.map(|_| CANCELLED));
-                return;
-            }
-            Backend::Replay { .. } => {
-                results.extend(hosts.map(|dst| self.replay_probe(dst, ttl, flow_label)));
-                return;
-            }
-        };
+        if self.cancel.is_cancelled() {
+            results.resize(254, CANCELLED);
+            return;
+        }
+        let flow_label = wire_label(flow_label);
         let mut wire = [[0u8; PROBE_LEN]; 254];
-        for (probe, dst) in wire.iter_mut().zip(hosts.clone()) {
-            *probe = self.next_probe(dst, ttl, flow_label);
+        for (probe, host) in wire.iter_mut().zip(1..=254u8) {
+            *probe = self.next_probe(block.addr(host), ttl, flow_label);
         }
         let mut replies = Vec::with_capacity(wire.len());
-        net.exchange_block(&wire, &mut replies)
+        self.net
+            .exchange_block(&wire, &mut replies)
             .expect("prober always emits well-formed probes");
-        for (dst, reply) in hosts.zip(&replies) {
-            let result = self.account(parse(reply, self.icmp_ident));
-            if let Some(log) = &mut self.recording {
-                log.push(dst, ttl, flow_label, result.reply.into(), result.rtt_us);
-            }
-            results.push(result);
+        for reply in &replies {
+            results.push(self.account(parse(reply, self.icmp_ident)));
         }
     }
 
@@ -435,98 +403,6 @@ impl<'n> Prober<'n> {
         result
     }
 
-    /// Live path: attempt, back off, retry while the budget allows.
-    fn live_probe(&mut self, net: &Network, dst: Addr, ttl: u8, flow_label: u16) -> ProbeResult {
-        if self.cancel.is_cancelled() {
-            // Cooperative cancellation: answer instantly without touching
-            // the wire or the accounting, so the enclosing measurement
-            // drains in microseconds and its result can be discarded.
-            return CANCELLED;
-        }
-        let record = self.recording.is_some();
-        let mut attempts: RecordedCall = Vec::new();
-        let mut attempt: u32 = 0;
-        let last = loop {
-            let wire = self.next_probe(dst, ttl, flow_label);
-            let reply = net
-                .exchange(&wire)
-                .expect("prober always emits well-formed probes");
-            let result = self.account(parse(&reply, self.icmp_ident));
-            if record {
-                attempts.push((result.reply.into(), result.rtt_us));
-            }
-            if attempt > 0 {
-                self.note_retry_outcome(result.reply.responded());
-            }
-            if result.reply.responded()
-                || attempt >= self.retries
-                || self.retry_budget == 0
-                || self.cancel.is_cancelled()
-            {
-                break result;
-            }
-            attempt += 1;
-            self.retry_budget -= 1;
-            self.retries_used += 1;
-            let wait = backoff_delay(self.backoff_base_us, self.backoff_cap_us, attempt);
-            self.backoff_us += wait;
-            if let Some(o) = &self.obs {
-                o.retries.inc();
-                o.backoff_us.add(wait);
-            }
-        };
-        if let Some(log) = &mut self.recording {
-            log.push_call(dst, ttl, flow_label, attempts);
-        }
-        last
-    }
-
-    /// Replay path: consume exactly one recorded call — the whole attempt
-    /// sequence the live run made — so the FIFO stays aligned even when the
-    /// replaying prober's retry settings differ from the recording run's.
-    fn replay_probe(&mut self, dst: Addr, ttl: u8, flow_label: u16) -> ProbeResult {
-        let popped = {
-            let Backend::Replay { log, misses } = &mut self.backend else {
-                unreachable!("replay_probe is only called on replay backends");
-            };
-            let call = log.pop_call(dst, ttl, flow_label);
-            if call.is_none() {
-                *misses += 1;
-            }
-            call
-        };
-        let attempts = popped.unwrap_or_else(|| vec![(RecordedReply::Timeout, netsim::TIMEOUT_US)]);
-        let mut last = ProbeResult {
-            reply: ProbeReply::Timeout,
-            rtt_us: netsim::TIMEOUT_US,
-        };
-        for (i, &(reply, rtt_us)) in attempts.iter().enumerate() {
-            if i > 0 {
-                self.retry_budget = self.retry_budget.saturating_sub(1);
-                self.retries_used += 1;
-                let wait = backoff_delay(self.backoff_base_us, self.backoff_cap_us, i as u32);
-                self.backoff_us += wait;
-                if let Some(o) = &self.obs {
-                    o.retries.inc();
-                    o.backoff_us.add(wait);
-                }
-            }
-            self.seq = self.seq.wrapping_add(1);
-            self.ip_ident = self.ip_ident.wrapping_add(1);
-            last = self.account(ProbeResult {
-                reply: reply.into(),
-                rtt_us,
-            });
-            if i > 0 {
-                self.note_retry_outcome(last.reply.responded());
-            }
-        }
-        if let Some(log) = &mut self.recording {
-            log.push_call(dst, ttl, flow_label, attempts);
-        }
-        last
-    }
-
     /// Count a retry's outcome: recovered if it got an answer, wasted if
     /// it timed out.
     fn note_retry_outcome(&mut self, answered: bool) {
@@ -553,7 +429,7 @@ impl<'n> Prober<'n> {
     }
 }
 
-/// What a cancelled live prober answers, without touching the wire.
+/// What a cancelled prober answers, without touching the wire.
 const CANCELLED: ProbeResult = ProbeResult {
     reply: ProbeReply::Timeout,
     rtt_us: 0,
@@ -698,43 +574,26 @@ mod tests {
     #[test]
     fn flow_label_0xffff_remaps_to_0xfffe_not_0() {
         // Regression: 0xffff used to fold onto 0, silently merging two
-        // distinct Paris flows. The recorded call's key shows the wire label.
+        // distinct Paris flows. A probe's ICMP checksum is its wire label.
         let s = scenario();
-        let blk = dense_block(&s);
-        let dst = blk.addr(10);
+        let dst = dense_block(&s).addr(10);
         let mut p = Prober::new(&s.network, 77);
-        p.start_recording();
-        let _ = p.probe(dst, 64, 0xffff);
-        let _ = p.probe(dst, 64, 0);
-        let log = p.take_log().unwrap();
-        assert_eq!(log.calls_for(dst, 64, 0xfffe), 1, "0xffff lands on 0xfffe");
-        assert_eq!(log.calls_for(dst, 64, 0), 1, "label 0 keeps its own key");
-        assert_eq!(
-            log.calls_for(dst, 64, 0xffff),
-            0,
-            "0xffff is never on the wire"
-        );
-    }
-
-    #[test]
-    fn flow_label_remap_is_consistent_between_live_and_replay() {
-        // Regression companion to the wire-key test above: both the live
-        // and the replay backend apply the 0xffff → 0xfffe remap, so a run
-        // recorded under the overflow label replays under it too, and the
-        // overflow label is just an alias for the 0xfffe flow.
-        let s = scenario();
-        let blk = dense_block(&s);
-        let dst = blk.addr(10);
-        let mut p = Prober::new(&s.network, 77);
-        p.start_recording();
-        let live = p.probe(dst, 64, 0xffff);
-        let log = p.take_log().unwrap();
-
-        let mut r = Prober::replayer(log, 77, p.source());
-        let replayed = r.probe(dst, 64, 0xffff);
-        assert_eq!(replayed.reply, live.reply);
-        assert_eq!(replayed.rtt_us, live.rtt_us);
-        assert_eq!(r.replay_misses(), 0, "remapped label must hit the log");
+        let mut on_wire = |label: u16| {
+            let bytes = p.next_probe(dst, 64, wire_label(label));
+            let (_, echo) = IcmpEcho::parse(&bytes[IPV4_HEADER_LEN..]).unwrap();
+            echo.wire_checksum(netsim::wire::ICMP_ECHO_REQUEST)
+        };
+        assert_eq!(on_wire(0xffff), 0xfffe, "0xffff lands on 0xfffe");
+        assert_eq!(on_wire(0), 0, "label 0 keeps its own flow");
+        assert_eq!(on_wire(0xfffe), 0xfffe);
+        // `probe` sends the remapped label: the overflow label is just an
+        // alias for the 0xfffe flow, reply and RTT alike.
+        let send = |label: u16| {
+            let net = s.network.clone();
+            let r = Prober::new(&net, 77).probe(dst, 64, label);
+            (r.reply, r.rtt_us)
+        };
+        assert_eq!(send(0xffff), send(0xfffe));
     }
 
     #[test]
@@ -768,8 +627,7 @@ mod tests {
         let reg = obs::Registry::new();
         let mut p = Prober::new(&s.network, 77);
         p.retries = 1;
-        p.observe(&reg);
-        p.start_recording();
+        p.set_obs(ProbeObs::bind(&reg));
         for label in 0..40 {
             let _ = p.probe(blk.addr(10), 2, label);
         }
@@ -790,19 +648,6 @@ mod tests {
             p.retries_recovered()
         );
         assert_eq!(reg.counter("probe.retry_wasted").get(), p.retries_wasted());
-
-        // Replaying the log counts the same retries the same way.
-        let (recovered, wasted) = (p.retries_recovered(), p.retries_wasted());
-        let log = p.take_log().unwrap();
-        let mut r = Prober::replayer(log, 77, Addr::new(0, 0, 0, 0));
-        for label in 0..40 {
-            let _ = r.probe(blk.addr(10), 2, label);
-        }
-        let _ = r.probe(blk.addr(0), 64, 0);
-        assert_eq!(
-            (r.retries_recovered(), r.retries_wasted()),
-            (recovered, wasted)
-        );
     }
 
     #[test]

@@ -44,14 +44,6 @@ pub fn route_sets_identical(a: &[Path], b: &[Path]) -> bool {
     a.iter().any(|pa| b.iter().any(|pb| pa.matches(pb)))
 }
 
-/// Strict set equality of route sets, ignoring order, without wildcards.
-pub fn route_sets_equal(a: &[Path], b: &[Path]) -> bool {
-    if a.len() != b.len() {
-        return false;
-    }
-    a.iter().all(|p| b.contains(p)) && b.iter().all(|p| a.contains(p))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -98,18 +90,6 @@ mod tests {
             &[r2.clone(), r3.clone()]
         ));
         assert!(!route_sets_identical(&[r1], &[r3]));
-    }
-
-    #[test]
-    fn route_sets_equal_is_order_insensitive() {
-        let r1 = path(vec![a(1)]);
-        let r2 = path(vec![a(2)]);
-        assert!(route_sets_equal(
-            &[r1.clone(), r2.clone()],
-            &[r2.clone(), r1.clone()]
-        ));
-        let one = [r1.clone()];
-        assert!(!route_sets_equal(&one, &[r1, r2]));
     }
 
     #[test]

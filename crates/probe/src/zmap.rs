@@ -190,6 +190,7 @@ pub fn scan_all(net: &mut Network, threads: usize) -> ZmapSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::prober::ProbeObs;
     use netsim::build::{build, ScenarioConfig};
     use netsim::{DynamicsConfig, NetemSpec, NetworkStats, SilenceStats};
     use obs::Recorder;
@@ -225,18 +226,19 @@ mod tests {
         assert_eq!(snap.total_active(), sum);
     }
 
-    /// What one serial scan leaves behind on its prober: the snapshot, the
-    /// prober's accounting (sent, RTT sum, drops), its recording and its
-    /// `probe.sent`, `probe.drops` and `probe.rtt_us` metrics.
+    /// What one serial scan leaves behind: the snapshot, every address's
+    /// `(dst, reply, rtt_us)` in send order, the prober's accounting (sent,
+    /// RTT sum, drops) and its `probe.sent`, `probe.drops` and
+    /// `probe.rtt_us` metrics.
     #[derive(Debug, PartialEq)]
     struct SerialScan {
         snapshot: ZmapSnapshot,
+        replies: Vec<(Addr, ProbeReply, u64)>,
         accounting: (u64, u64, u64),
-        log: String,
         metrics: (u64, u64, u64, u64, Vec<(usize, u64)>),
     }
 
-    /// A one-thread scan at epoch 0 through an observed, recording prober:
+    /// A one-thread scan at epoch 0 through an observed prober:
     /// one [`Prober::probe`] per address (with retries off) when
     /// `per_probe`, the per-/24 batch the scan workers make otherwise. The
     /// per-probe scan is the reference the batched scan must match.
@@ -246,36 +248,40 @@ mod tests {
         let reg = obs::Registry::new();
         let mut prober = Prober::new(net, SCAN_IDENT);
         prober.retries = 0;
-        prober.observe(&reg);
-        prober.start_recording();
+        prober.set_obs(ProbeObs::bind(&reg));
         let mut snapshot = ZmapSnapshot::default();
+        let mut replies = Vec::new();
         let mut results = Vec::new();
         for &block in blocks {
+            let hosts = (1u8..=254).map(|host| block.addr(host));
             let hits: Vec<Addr> = if per_probe {
-                (1u8..=254)
-                    .map(|host| block.addr(host))
-                    .filter(|&dst| {
-                        matches!(prober.probe(dst, 64, 0).reply,
-                            ProbeReply::Echo { from, .. } if from == dst)
-                    })
+                results.clear();
+                results.extend(hosts.clone().map(|dst| prober.probe(dst, 64, 0)));
+                hosts
+                    .clone()
+                    .zip(&results)
+                    .filter(
+                        |&(dst, r)| matches!(r.reply, ProbeReply::Echo { from, .. } if from == dst),
+                    )
+                    .map(|(dst, _)| dst)
                     .collect()
             } else {
                 scan_block(&mut prober, block, &mut results)
             };
+            replies.extend(hosts.zip(&results).map(|(dst, r)| (dst, r.reply, r.rtt_us)));
             if !hits.is_empty() {
                 snapshot.active.insert(block, hits);
             }
         }
         snapshot.probes = prober.probes_sent();
         let accounting = (prober.probes_sent(), prober.rtt_total_us(), prober.drops());
-        let log = serde_json::to_string(&prober.take_log().unwrap()).unwrap();
         drop(prober);
         net.set_epoch(saved_epoch);
         let rtt = reg.histogram("probe.rtt_us");
         SerialScan {
             snapshot,
+            replies,
             accounting,
-            log,
             metrics: (
                 reg.counter("probe.sent").get(),
                 reg.counter("probe.drops").get(),
@@ -325,8 +331,8 @@ mod tests {
         );
         assert!(per_probe_net.net_stats().netem_reorders > 0);
         assert!(per_probe_net.silence_stats().no_host > 0);
-        // The batched per-/24 call matches the per-probe calls on the
-        // prober too: accounting, recording and metrics.
+        // The batched per-/24 call matches the per-probe calls address by
+        // address and on the prober too: replies, accounting and metrics.
         let mut net = world.network.clone();
         net.set_epoch(0);
         assert_eq!(serial_scan(&mut net, &blocks, false), per_probe);
@@ -358,27 +364,6 @@ mod tests {
         net.set_epoch(5);
         assert_eq!(scan(&mut net, &blocks, 3), per_probe.snapshot);
         same_network(&net, &later_net, "from epoch 5");
-    }
-
-    #[test]
-    fn replayed_scan_consumes_one_call_per_address() {
-        let s = build(ScenarioConfig::tiny(42));
-        let blocks: Vec<Block24> = s.network.allocated_blocks().into_iter().take(3).collect();
-        let mut live = Prober::new(&s.network, SCAN_IDENT);
-        live.start_recording();
-        let mut results = Vec::new();
-        let hits: Vec<Vec<Addr>> = blocks
-            .iter()
-            .map(|&b| scan_block(&mut live, b, &mut results))
-            .collect();
-        let mut replay = Prober::replayer(live.take_log().unwrap(), SCAN_IDENT, live.source());
-        for (&b, hits) in blocks.iter().zip(&hits) {
-            assert_eq!(&scan_block(&mut replay, b, &mut results), hits);
-        }
-        assert_eq!(replay.replay_misses(), 0);
-        assert_eq!(replay.probes_sent(), live.probes_sent());
-        assert_eq!(replay.drops(), live.drops());
-        assert_eq!(replay.rtt_total_us(), live.rtt_total_us());
     }
 
     #[test]

@@ -8,8 +8,9 @@
 use experiments::coordinator::{
     run_sharded, CoordCrash, CoordError, CoordinatorConfig, LOCK_FILE, REPORT_FILE,
 };
+use experiments::journal::CrashPoint;
 use experiments::lease::{shard_dir, LeaseSabotage};
-use experiments::{ExpArgs, Pipeline};
+use experiments::{ExpArgs, Pipeline, RunError};
 use obs::{NullRecorder, Registry};
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -418,4 +419,45 @@ fn shard_cli_conflicts_fail_clearly_and_touch_nothing() {
         "a refused worker must not have started journaling"
     );
     std::fs::remove_dir_all(&empty).unwrap();
+}
+
+/// Builder settings no run can honour are a typed configuration error
+/// (exit 2), not a panic, and the run writes nothing: no run dir appears.
+#[test]
+fn builder_misuse_is_a_typed_config_error_and_writes_nothing() {
+    let dir = run_dir("misuse");
+    let crash = CrashPoint {
+        after_block_appends: 1,
+        torn: false,
+    };
+    let base = || Pipeline::builder().seed(SEED).scale(SCALE);
+    let cases = [
+        (
+            "0 shards",
+            base().run_dir(&dir).shard(0, 0),
+            "at least one shard",
+        ),
+        (
+            "shard >= shards",
+            base().run_dir(&dir).shard(2, 2),
+            "out of range",
+        ),
+        ("shard without run dir", base().shard(0, 2), "run dir"),
+        (
+            "crash point without run dir",
+            base().crash_point(crash),
+            "run dir",
+        ),
+    ];
+    for (what, builder, needle) in cases {
+        match builder.try_run() {
+            Err(e @ RunError::Config(_)) => {
+                assert_eq!(e.exit_code(), 2, "{what}");
+                assert!(e.to_string().contains(needle), "{what}: {e}");
+            }
+            Err(e) => panic!("{what}: expected a config error, got {e}"),
+            Ok(_) => panic!("{what}: the run went ahead"),
+        }
+        assert!(!dir.exists(), "{what}: the refused run created its run dir");
+    }
 }

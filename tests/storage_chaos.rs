@@ -138,6 +138,7 @@ fn chaos_sweep_reports_identical_bytes_or_fails_typed() {
                     assert_identical(&p.canonical_report(), &tag);
                 }
                 Err(RunError::Refused(m)) => panic!("{tag}: a fresh run was refused: {m}"),
+                Err(RunError::Config(m)) => panic!("{tag}: a valid builder was refused: {m}"),
                 Err(RunError::Storage(e)) => {
                     failed += 1;
                     // Typed and actionable: a classified kind, the failing
