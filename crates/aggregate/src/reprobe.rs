@@ -30,9 +30,7 @@ use hobbit::select::SelectedBlock;
 use hobbit::HobbitConfig;
 use netsim::{Addr, Block24, Network};
 use obs::Recorder;
-use probe::{
-    probe_lasthop_in_mode, LasthopOutcome, MdaLiteState, MdaMode, ProbeObs, Prober, StoppingRule,
-};
+use probe::{LasthopOutcome, LasthopWalker, MdaMode, ProbeObs, Prober, StoppingRule};
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -95,10 +93,9 @@ impl ClusterValidation {
 /// address, full interface enumeration, no early stop. Returns the block's
 /// last-hop set, sorted and deduplicated.
 ///
-/// The loop has classification's shape: once a destination reveals its hop
-/// distance, later destinations start from it, and in
-/// [`MdaMode::Lite`] one [`MdaLiteState`] spans the block, its accounting
-/// reported through [`Prober::note_mda_lite`].
+/// It walks the block with classification's [`LasthopWalker`]: once a
+/// destination reveals its hop distance, later destinations start from it,
+/// and in [`MdaMode::Lite`] one diamond spans the block.
 pub fn reprobe_block(
     prober: &mut Prober<'_>,
     sel: &SelectedBlock,
@@ -106,33 +103,13 @@ pub fn reprobe_block(
     mode: MdaMode,
 ) -> Vec<Addr> {
     let mut set: Vec<Addr> = Vec::new();
-    let mut dist_hint: Option<u8> = None;
-    let mut lite_state = match mode {
-        MdaMode::Lite => Some(MdaLiteState::new()),
-        MdaMode::Classic => None,
-    };
+    let mut walker = LasthopWalker::new(rule, mode);
     for dst in sel.actives() {
-        match probe_lasthop_in_mode(prober, dst, rule, dist_hint, lite_state.as_mut()).outcome {
-            LasthopOutcome::Found {
-                lasthops,
-                dst_distance,
-            } => {
-                dist_hint = Some(dst_distance.saturating_sub(1).max(1));
-                set.extend(lasthops);
-            }
-            LasthopOutcome::AnonymousLasthop { dst_distance } => {
-                dist_hint = Some(dst_distance.saturating_sub(1).max(1));
-            }
-            LasthopOutcome::Unresponsive => {}
+        if let LasthopOutcome::Found { lasthops, .. } = walker.probe(prober, dst).outcome {
+            set.extend(lasthops);
         }
     }
-    if let Some(state) = &lite_state {
-        prober.note_mda_lite(
-            state.probes_saved,
-            state.diamonds_detected,
-            state.escalations,
-        );
-    }
+    walker.finish(prober);
     set.sort_unstable();
     set.dedup();
     set

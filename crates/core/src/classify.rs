@@ -18,7 +18,7 @@ use crate::schedule::{probing_order, reprobe_order};
 use crate::select::SelectedBlock;
 use netsim::{Addr, Block24};
 use obs::{Counter, Histogram, Recorder};
-use probe::{probe_lasthop_in_mode, LasthopOutcome, MdaLiteState, MdaMode, Prober, StoppingRule};
+use probe::{LasthopOutcome, LasthopWalker, MdaMode, Prober, StoppingRule};
 use serde::{Deserialize, Serialize};
 
 /// Classification outcomes (the rows of Table 1).
@@ -284,6 +284,17 @@ pub fn block_ident(block: Block24) -> u16 {
     0x4000 | (netsim::hash::mix2(block.0 as u64, 0x1DE7) as u16 & 0x3FFF)
 }
 
+/// What probing one destination did to a block's classification.
+enum Resolved {
+    /// The grouping now decides the block.
+    Verdict(Classification),
+    /// The destination resolved (or its last hop stayed anonymous) without
+    /// deciding the block.
+    Open,
+    /// The destination did not answer.
+    Silent,
+}
+
 /// Classify one selected /24 by probing.
 pub fn classify_block(
     prober: &mut Prober<'_>,
@@ -314,15 +325,35 @@ pub fn classify_block(
     let mut probed = 0usize;
     let mut unresolved: Vec<Addr> = Vec::new();
     let mut verdict: Option<Classification> = None;
-    // Destinations of one /24 sit at the same hop distance; resolve it once
-    // and seed the remaining destinations (saves the per-destination echo
-    // inference round, cf. paper §3.4's efficiency goal).
-    let mut dist_hint: Option<u8> = None;
-    // One MDA-Lite diamond per block, shared across the first pass and the
-    // reprobe rounds: every destination of a /24 sits behind the same fan.
-    let mut lite_state = match cfg.mda_mode {
-        MdaMode::Lite => Some(MdaLiteState::new()),
-        MdaMode::Classic => None,
+    // One walk for the block's first pass and reprobe rounds: destinations
+    // of one /24 sit at the same hop distance (the first resolved one seeds
+    // the rest, saving the per-destination echo round, cf. paper §3.4) and
+    // behind the same MDA-Lite diamond.
+    let mut walker = LasthopWalker::new(cfg.rule, cfg.mda_mode);
+    // Probe one destination and fold its outcome into the grouping; a
+    // resolution re-tests the grouping for an early verdict.
+    let mut resolve = |prober: &mut Prober<'_>, dst: Addr| {
+        match walker.probe(prober, dst).outcome {
+            LasthopOutcome::Found { lasthops, .. } => {
+                table.add(dst, &lasthops);
+                if cfg.dynamics_period > 0 {
+                    dest_epochs.push(epoch_now(prober));
+                }
+                per_dest.push((dst, lasthops));
+                match early_verdict(&table, per_dest.len(), conf, cfg) {
+                    Some(v) => Resolved::Verdict(v),
+                    None => Resolved::Open,
+                }
+            }
+            LasthopOutcome::AnonymousLasthop { .. } => {
+                anonymous += 1;
+                Resolved::Open
+            }
+            // A silent destination is not evidence about the block's routing:
+            // it stays unresolved for the targeted reprobe pass instead of
+            // shrinking a last-hop group.
+            LasthopOutcome::Unresponsive => Resolved::Silent,
+        }
     };
 
     for dst in order {
@@ -333,35 +364,13 @@ pub fn classify_block(
             break;
         }
         probed += 1;
-        let r = probe_lasthop_in_mode(prober, dst, cfg.rule, dist_hint, lite_state.as_mut());
-        match r.outcome {
-            LasthopOutcome::Found {
-                lasthops,
-                dst_distance,
-            } => {
-                dist_hint = Some(dst_distance.saturating_sub(1).max(1));
-                table.add(dst, &lasthops);
-                if cfg.dynamics_period > 0 {
-                    dest_epochs.push(epoch_now(prober));
-                }
-                per_dest.push((dst, lasthops));
+        match resolve(prober, dst) {
+            Resolved::Verdict(v) => {
+                verdict = Some(v);
+                break;
             }
-            LasthopOutcome::AnonymousLasthop { dst_distance } => {
-                dist_hint = Some(dst_distance.saturating_sub(1).max(1));
-                anonymous += 1;
-                continue;
-            }
-            // A silent destination is not evidence about the block's
-            // routing: mark it unresolved for the targeted reprobe pass
-            // instead of letting it shrink a last-hop group.
-            LasthopOutcome::Unresponsive => {
-                unresolved.push(dst);
-                continue;
-            }
-        }
-        if let Some(v) = early_verdict(&table, per_dest.len(), conf, cfg) {
-            verdict = Some(v);
-            break;
+            Resolved::Open => {}
+            Resolved::Silent => unresolved.push(dst),
         }
     }
 
@@ -379,32 +388,18 @@ pub fn classify_block(
                 break;
             }
             reprobes += 1;
-            let r = probe_lasthop_in_mode(prober, dst, cfg.rule, dist_hint, lite_state.as_mut());
-            match r.outcome {
-                LasthopOutcome::Found {
-                    lasthops,
-                    dst_distance,
-                } => {
-                    dist_hint = Some(dst_distance.saturating_sub(1).max(1));
-                    table.add(dst, &lasthops);
-                    if cfg.dynamics_period > 0 {
-                        dest_epochs.push(epoch_now(prober));
-                    }
-                    per_dest.push((dst, lasthops));
-                    if let Some(v) = early_verdict(&table, per_dest.len(), conf, cfg) {
-                        verdict = Some(v);
-                        break;
-                    }
+            match resolve(prober, dst) {
+                Resolved::Verdict(v) => {
+                    verdict = Some(v);
+                    break;
                 }
-                LasthopOutcome::AnonymousLasthop { dst_distance } => {
-                    dist_hint = Some(dst_distance.saturating_sub(1).max(1));
-                    anonymous += 1;
-                }
-                LasthopOutcome::Unresponsive => still.push(dst),
+                Resolved::Open => {}
+                Resolved::Silent => still.push(dst),
             }
         }
         unresolved = still;
     }
+    walker.finish(prober);
 
     let classification = verdict.unwrap_or_else(|| {
         // Probing exhausted the active list without an early verdict.
@@ -436,14 +431,6 @@ pub fn classify_block(
         }
     });
 
-    if let Some(state) = &lite_state {
-        prober.note_mda_lite(
-            state.probes_saved,
-            state.diamonds_detected,
-            state.escalations,
-        );
-    }
-
     let lasthop_set = table.lasthop_set();
 
     BlockMeasurement {
@@ -459,20 +446,6 @@ pub fn classify_block(
         probes_used: prober.probes_sent() - probes_before,
         dest_epochs,
     }
-}
-
-/// [`classify_block`], reporting the finished measurement through `obs`
-/// (bind once per worker with [`ClassifyObs::bind`]).
-pub fn classify_block_observed(
-    prober: &mut Prober<'_>,
-    sel: &SelectedBlock,
-    conf: &ConfidenceTable,
-    cfg: &HobbitConfig,
-    obs: &ClassifyObs,
-) -> BlockMeasurement {
-    let m = classify_block(prober, sel, conf, cfg);
-    obs.record(&m);
-    m
 }
 
 #[cfg(test)]

@@ -35,8 +35,8 @@ pub mod select;
 pub mod survey;
 
 pub use classify::{
-    block_ident, classify_block, classify_block_observed, early_verdict, BlockMeasurement,
-    Classification, ClassifyObs, HobbitConfig,
+    block_ident, classify_block, early_verdict, BlockMeasurement, Classification, ClassifyObs,
+    HobbitConfig,
 };
 pub use confidence::{detects_homogeneous, BlockLasthopData, ConfidenceTable};
 pub use hetero::{very_likely_heterogeneous, SubBlockComposition};

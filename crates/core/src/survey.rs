@@ -9,7 +9,7 @@
 use crate::confidence::BlockLasthopData;
 use crate::select::SelectedBlock;
 use netsim::{Addr, Block24};
-use probe::{enumerate_paths, probe_lasthop, LasthopOutcome, Path, Prober, StoppingRule};
+use probe::{enumerate_paths, LasthopOutcome, LasthopWalker, MdaMode, Path, Prober, StoppingRule};
 use serde::{Deserialize, Serialize};
 
 /// Complete measurement data for one block.
@@ -129,7 +129,9 @@ pub fn survey_block(
     let mut per_addr_lasthops = Vec::new();
     let mut per_addr_paths = Vec::new();
     for dst in sel.actives() {
-        let lh = probe_lasthop(prober, dst, rule);
+        // A fresh walker per address: each is measured cold, with its own
+        // echo inference and no hint from the block's other addresses.
+        let lh = LasthopWalker::new(rule, MdaMode::Classic).probe(prober, dst);
         if let LasthopOutcome::Found { lasthops, .. } = lh.outcome {
             per_addr_lasthops.push((dst, lasthops));
         } else if matches!(lh.outcome, LasthopOutcome::Unresponsive) {

@@ -3,12 +3,12 @@
 //! aggregates are under availability churn.
 
 use crate::args::ExpArgs;
-use crate::pipeline::{effective_threads, scenario_config};
+use crate::pipeline::{effective_threads, scenario_config, RunError};
 use crate::report::Report;
 use aggregate::{aggregate_identical, HomogBlock};
 use analysis::longitudinal::{snapshot_epoch, stability, EpochSnapshot};
 use hobbit::{select_all, ConfidenceTable, HobbitConfig};
-use netsim::build::build;
+use netsim::build::try_build;
 use probe::zmap;
 use serde_json::json;
 
@@ -21,7 +21,7 @@ const SAMPLE_BLOCKS: usize = 400;
 /// Run the experiment.
 pub fn run(args: &ExpArgs) -> Report {
     let cfg = scenario_config(args);
-    let mut scenario = build(cfg);
+    let mut scenario = try_build(cfg).unwrap_or_else(|e| RunError::from(e).exit());
     let snapshot = zmap::scan_all(
         &mut scenario.network,
         effective_threads(args.threads, usize::MAX),

@@ -8,13 +8,13 @@
 //! last-hop-set completeness and identical-set aggregation?
 
 use crate::args::ExpArgs;
-use crate::pipeline::{effective_threads, scenario_config};
+use crate::pipeline::{effective_threads, scenario_config, RunError};
 use crate::report::Report;
 use aggregate::{aggregate_identical, HomogBlock};
 use hobbit::select_all;
-use netsim::build::build;
+use netsim::build::try_build;
 use netsim::Addr;
-use probe::{probe_lasthop, zmap, LasthopOutcome, Prober, StoppingRule};
+use probe::{zmap, LasthopOutcome, LasthopWalker, MdaMode, Prober, StoppingRule};
 
 /// Blocks measured per vantage.
 const SAMPLE_BLOCKS: usize = 250;
@@ -27,7 +27,8 @@ fn block_set(
 ) -> Vec<Addr> {
     let mut set = Vec::new();
     for dst in sel.actives().into_iter().take(12) {
-        if let LasthopOutcome::Found { lasthops, .. } = probe_lasthop(prober, dst, rule).outcome {
+        let cold = LasthopWalker::new(rule, MdaMode::Classic).probe(prober, dst);
+        if let LasthopOutcome::Found { lasthops, .. } = cold.outcome {
             set.extend(lasthops);
         }
     }
@@ -40,7 +41,7 @@ fn block_set(
 pub fn run(args: &ExpArgs) -> Report {
     let mut cfg = scenario_config(args);
     cfg.extra_vantages = 1;
-    let mut scenario = build(cfg);
+    let mut scenario = try_build(cfg).unwrap_or_else(|e| RunError::from(e).exit());
     let snapshot = zmap::scan_all(
         &mut scenario.network,
         effective_threads(args.threads, usize::MAX),

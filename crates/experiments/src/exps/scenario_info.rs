@@ -2,15 +2,15 @@
 //! against, with no probing at all.
 
 use crate::args::ExpArgs;
-use crate::pipeline::scenario_config;
+use crate::pipeline::{scenario_config, RunError};
 use crate::report::Report;
-use netsim::build::build;
+use netsim::build::try_build;
 use netsim::stats::{fabric_stats, truth_stats};
 use serde_json::json;
 
 /// Run the inspection.
 pub fn run(args: &ExpArgs) -> Report {
-    let scenario = build(scenario_config(args));
+    let scenario = try_build(scenario_config(args)).unwrap_or_else(|e| RunError::from(e).exit());
     let truth = truth_stats(&scenario.truth);
     let fabric = fabric_stats(&scenario);
     let mut r = Report::new("scenario_info", "Scenario ground truth and fabric");

@@ -7,10 +7,10 @@
 //! it load balancing, none of it heterogeneity.
 
 use crate::args::ExpArgs;
-use crate::pipeline::{effective_threads, scenario_config};
+use crate::pipeline::{effective_threads, scenario_config, RunError};
 use crate::report::Report;
 use hobbit::select_all;
-use netsim::build::build;
+use netsim::build::try_build;
 use probe::{enumerate_paths, zmap, Path, Prober, StoppingRule};
 
 /// Blocks sampled for the straw-man comparison.
@@ -24,7 +24,7 @@ fn share_exact(a: &[Path], b: &[Path]) -> bool {
 /// Run the experiment.
 pub fn run(args: &ExpArgs) -> Report {
     let cfg = scenario_config(args);
-    let mut scenario = build(cfg);
+    let mut scenario = try_build(cfg).unwrap_or_else(|e| RunError::from(e).exit());
     let snapshot = zmap::scan_all(
         &mut scenario.network,
         effective_threads(args.threads, usize::MAX),

@@ -51,7 +51,7 @@ use hobbit::{
     detects_homogeneous, select_block, survey_block, BlockLasthopData, BlockMeasurement,
     ConfidenceTable, HobbitConfig, SelectReject, SelectedBlock,
 };
-use netsim::build::{build, derive_dynamics, Scenario, ScenarioConfig};
+use netsim::build::{derive_dynamics, try_build, BuildError, Scenario, ScenarioConfig};
 use netsim::{Block24, FaultConfig, Network, NetworkStats};
 use obs::{NullRecorder, Recorder, Registry, SpanTimer};
 use parking_lot::Mutex;
@@ -360,8 +360,7 @@ impl PipelineBuilder {
         let cli = self.cli;
         self.try_run().unwrap_or_else(|e| {
             if cli {
-                eprintln!("error: {e}");
-                std::process::exit(e.exit_code());
+                e.exit();
             }
             panic!("pipeline run failed: {e}")
         })
@@ -375,7 +374,7 @@ impl PipelineBuilder {
         let prebuilt = self.scenario.take();
         let (run, replayed) = Run::open(self)?;
         let run_span = run.span("run");
-        let mut scenario = run.build_world(prebuilt);
+        let mut scenario = run.build_world(prebuilt)?;
         let blocks = scenario.network.allocated_blocks();
         let world = prefix::world_fingerprint(&blocks);
         let (snapshot, loaded) = run.snapshot(&mut scenario.network, &blocks, world);
@@ -444,7 +443,9 @@ pub enum RunError {
     /// set of shard totals than this run; the journal gets no new record.
     Refused(Mismatch),
     /// The builder's settings cannot make a run: a shard out of range, or
-    /// a shard or crash point without a run dir. Nothing is written.
+    /// a shard or crash point without a run dir (nothing is written), or a
+    /// world too large for the address space (refused by the world build,
+    /// after the journal's first record).
     Config(String),
 }
 
@@ -458,6 +459,20 @@ impl RunError {
             RunError::Refused(_) => EXIT_REFUSED,
             RunError::Config(_) => 2,
         }
+    }
+
+    /// End a CLI run: print the error on one line and exit with its code.
+    pub fn exit(&self) -> ! {
+        eprintln!("error: {self}");
+        std::process::exit(self.exit_code())
+    }
+}
+
+impl From<BuildError> for RunError {
+    fn from(e: BuildError) -> Self {
+        RunError::Config(format!(
+            "cannot build the world (try a smaller --scale): {e}"
+        ))
     }
 }
 
@@ -585,15 +600,19 @@ impl Run {
 
     /// Build the world (or take the prebuilt one), and attach the recorder
     /// before the first probe so the network counters carry the whole run.
-    fn build_world(&self, prebuilt: Option<Scenario>) -> Scenario {
+    /// A world the address space cannot hold is a [`RunError::Config`].
+    fn build_world(&self, prebuilt: Option<Scenario>) -> Result<Scenario, RunError> {
         let mut scenario = {
             let _s = self.span("run/build");
-            prebuilt.unwrap_or_else(|| build(scenario_config(&self.cfg.args)))
+            match prebuilt {
+                Some(scenario) => scenario,
+                None => try_build(scenario_config(&self.cfg.args))?,
+            }
         };
         if let Some(reg) = self.obs.as_deref() {
             scenario.network.set_recorder(reg);
         }
-        scenario
+        Ok(scenario)
     }
 
     /// Take the ZMap snapshot, or on resume load the persisted prefix
@@ -1231,6 +1250,7 @@ impl Pipeline {
 mod tests {
     use super::*;
     use crate::journal::JOURNAL_FILE;
+    use netsim::build::build;
     use netsim::Addr;
     use std::path::Path;
 

@@ -37,8 +37,7 @@ use crate::journal::{Entry, JournalWriter};
 use crate::pipeline::{block_ident, StealQueues, WorkerStats};
 use crate::vfs::StorageError;
 use hobbit::{
-    classify_block_observed, BlockMeasurement, ClassifyObs, ConfidenceTable, HobbitConfig,
-    SelectedBlock,
+    classify_block, BlockMeasurement, ClassifyObs, ConfidenceTable, HobbitConfig, SelectedBlock,
 };
 use netsim::{Block24, Network};
 use obs::{Counter, Recorder, SpanTimer};
@@ -384,13 +383,8 @@ pub fn classify_blocks_supervised(
                                     let mut prober = Prober::new(net, block_ident(sel.block));
                                     prober.set_obs(probe_obs.clone());
                                     prober.set_cancel_token(cancel.clone());
-                                    let m = classify_block_observed(
-                                        &mut prober,
-                                        sel,
-                                        confidence,
-                                        cfg,
-                                        &classify_obs,
-                                    );
+                                    let m = classify_block(&mut prober, sel, confidence, cfg);
+                                    classify_obs.record(&m);
                                     let d = WorkerStats {
                                         probes: prober.probes_sent(),
                                         rtt_us: prober.rtt_total_us(),

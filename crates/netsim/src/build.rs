@@ -331,13 +331,38 @@ impl SlabAllocator {
         SlabAllocator { slabs, next: 0 }
     }
 
-    fn take(&mut self) -> u32 {
-        let s = self.slabs[self.next];
+    /// The next free slab, or `None` once every slab is taken.
+    fn take(&mut self) -> Option<u32> {
+        let s = self.slabs.get(self.next).copied()?;
         self.next += 1;
-        assert!(self.next <= self.slabs.len(), "address space exhausted");
-        s
+        Some(s)
     }
 }
+
+/// Why a world could not be built.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum BuildError {
+    /// Every /14 slab of the usable address space is taken, and the AS
+    /// that needs room for another run of /24s holds no slab with room.
+    AddressSpaceExhausted {
+        /// /14 slabs in the usable unicast space.
+        slabs: usize,
+    },
+}
+
+impl std::fmt::Display for BuildError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            BuildError::AddressSpaceExhausted { slabs } => write!(
+                f,
+                "all {slabs} /14 slabs of the IPv4 unicast space are taken and an AS \
+                 has none with room for its next run of /24s"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for BuildError {}
 
 /// Per-AS allocation cursor over its slabs.
 struct AsAlloc {
@@ -356,31 +381,39 @@ impl AsAlloc {
     }
 
     /// Allocate `len` consecutive /24s, optionally in a fresh slab, skipping
-    /// `gap` blocks first (creates the discontiguity of Figure 7/8).
+    /// `gap` blocks first (creates the discontiguity of Figure 7/8). Once
+    /// every slab is taken, a run that wanted a fresh one goes to the first
+    /// slab this AS holds with room; with none, the world cannot be built.
     fn alloc_run(
         &mut self,
         len: u32,
         gap: u32,
         force_new_slab: bool,
         slabs: &mut SlabAllocator,
-    ) -> (Block24, Vec<Prefix>) {
+    ) -> Result<(Block24, Vec<Prefix>), BuildError> {
         const SLAB_BLOCKS: u32 = 1024;
         let need = len + gap;
-        let idx = if !force_new_slab {
-            self.slabs
-                .iter()
+        let with_room = |held: &[(u32, u32)]| {
+            held.iter()
                 .position(|&(_, cursor)| cursor + need <= SLAB_BLOCKS)
+        };
+        let idx = if !force_new_slab {
+            with_room(&self.slabs)
         } else {
             None
         };
         let idx = match idx {
             Some(i) => i,
-            None => {
-                let base = slabs.take();
-                self.slabs.push((base, 0));
-                self.announced.push(Prefix::new(Addr(base << 8), 14));
-                self.slabs.len() - 1
-            }
+            None => match slabs.take() {
+                Some(base) => {
+                    self.slabs.push((base, 0));
+                    self.announced.push(Prefix::new(Addr(base << 8), 14));
+                    self.slabs.len() - 1
+                }
+                None => with_room(&self.slabs).ok_or(BuildError::AddressSpaceExhausted {
+                    slabs: slabs.slabs.len(),
+                })?,
+            },
         };
         let (base, cursor) = self.slabs[idx];
         // If even a fresh slab cannot hold the run (len > 1024), chain slabs:
@@ -389,7 +422,7 @@ impl AsAlloc {
         let start = Block24(base + cursor + gap);
         self.slabs[idx].1 = cursor + need;
         let prefixes = run_to_prefixes(start, len);
-        (start, prefixes)
+        Ok((start, prefixes))
     }
 }
 
@@ -630,7 +663,18 @@ impl Builder {
 }
 
 /// Build a scenario from a configuration.
+///
+/// # Panics
+///
+/// If the world does not fit the address space; [`try_build`] returns the
+/// [`BuildError`] instead.
 pub fn build(cfg: ScenarioConfig) -> Scenario {
+    try_build(cfg).unwrap_or_else(|e| panic!("{e}"))
+}
+
+/// Build a scenario from a configuration, or say why the world cannot be
+/// built.
+pub fn try_build(cfg: ScenarioConfig) -> Result<Scenario, BuildError> {
     let mut b = Builder::new(cfg);
     b.build_core();
 
@@ -641,17 +685,17 @@ pub fn build(cfg: ScenarioConfig) -> Scenario {
     .round() as usize;
 
     for (as_idx, spec) in roster.iter().enumerate() {
-        b.build_as(as_idx as u16, spec, total_hetero);
+        b.build_as(as_idx as u16, spec, total_hetero)?;
     }
 
     b.net.set_faults(b.cfg.faults);
     let pop_routers = b.pop_lhs.into_iter().collect();
-    Scenario {
+    Ok(Scenario {
         network: b.net,
         truth: b.truth,
         config: b.cfg,
         pop_routers,
-    }
+    })
 }
 
 /// Derive a deterministic dynamics schedule for a built scenario: each
@@ -721,7 +765,12 @@ pub fn derive_dynamics(scenario: &Scenario, rate: f64, period: u64) -> DynamicsC
 
 impl Builder {
     /// Build one AS subtree: border, intra routers, PoPs, allocations.
-    fn build_as(&mut self, as_idx: u16, spec: &AsSpec, total_hetero_budget: usize) {
+    fn build_as(
+        &mut self,
+        as_idx: u16,
+        spec: &AsSpec,
+        total_hetero_budget: usize,
+    ) -> Result<(), BuildError> {
         let border = self.add_infra_router();
         if unit_f64(mix2(self.cfg.seed ^ 0xB0D, border.0 as u64)) < self.cfg.alt_interface_frac {
             let alt = self.infra_addr();
@@ -778,7 +827,7 @@ impl Builder {
                 spec,
                 site.cellular,
                 true,
-            );
+            )?;
         }
 
         // --- Ordinary PoPs. ---
@@ -809,7 +858,7 @@ impl Builder {
                 spec,
                 spec.cellular,
                 false,
-            );
+            )?;
             remaining = remaining.saturating_sub(pop_size as usize);
 
             // Split some of this PoP's blocks into heterogeneous customers.
@@ -826,6 +875,7 @@ impl Builder {
                 }
             }
         }
+        Ok(())
     }
 
     /// Draw an ordinary PoP's size in /24s (zipf-ish, mostly small).
@@ -858,7 +908,7 @@ impl Builder {
         spec: &AsSpec,
         cellular: bool,
         big_site: bool,
-    ) -> Vec<Block24> {
+    ) -> Result<Vec<Block24>, BuildError> {
         let as_idx = self.truth.pops[pop as usize].as_idx;
         // Choose run layout: big sites split into many runs (and may span
         // slabs); ordinary pops use 1-2 runs.
@@ -889,7 +939,7 @@ impl Builder {
             // contiguous segments of Figures 7b/8 (~40% of aggregates span
             // nearly unrelated prefixes).
             let force_new = i > 0 && self.rng.gen_bool(if big_site { 0.6 } else { 0.5 });
-            let (start, prefixes) = as_alloc.alloc_run(rs, gap, force_new, &mut self.slabs);
+            let (start, prefixes) = as_alloc.alloc_run(rs, gap, force_new, &mut self.slabs)?;
             for off in 0..rs {
                 blocks.push(Block24(start.0 + off));
             }
@@ -943,7 +993,7 @@ impl Builder {
                 },
             );
         }
-        blocks
+        Ok(blocks)
     }
 
     /// Draw a /24 host profile.
@@ -1184,6 +1234,31 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn drained_slabs_fall_back_to_held_room_or_refuse() {
+        let mut slabs = SlabAllocator {
+            slabs: vec![0x10_0000, 0x20_0000],
+            next: 0,
+        };
+        let (mut a, mut b) = (AsAlloc::new(), AsAlloc::new());
+        let (first, _) = a.alloc_run(10, 1, false, &mut slabs).unwrap();
+        assert_eq!(first, Block24(0x10_0001));
+        b.alloc_run(10, 1, false, &mut slabs).unwrap();
+        // No fresh slab is left: a run that wanted one goes to the first
+        // slab the AS holds with room, right after its last run, and
+        // announces nothing new.
+        let (start, _) = a.alloc_run(20, 2, true, &mut slabs).unwrap();
+        assert_eq!(start, Block24(0x10_0000 + 11 + 2));
+        assert_eq!(a.slabs, vec![(0x10_0000, 33)]);
+        assert_eq!(a.announced.len(), 1);
+        // An AS holding no slab with room is refused, never indexed past
+        // the slab list.
+        let refused = Err(BuildError::AddressSpaceExhausted { slabs: 2 });
+        assert_eq!(AsAlloc::new().alloc_run(1, 1, false, &mut slabs), refused);
+        assert_eq!(a.alloc_run(1000, 1, true, &mut slabs), refused);
+        assert_eq!(a.alloc_run(1000, 1, false, &mut slabs), refused);
     }
 
     #[test]

@@ -52,7 +52,7 @@ pub mod topology;
 pub mod wire;
 
 pub use addr::{Addr, Block24, Prefix};
-pub use build::{build, GroundTruth, Scenario, ScenarioConfig};
+pub use build::{build, try_build, BuildError, GroundTruth, Scenario, ScenarioConfig};
 pub use concurrent::WarmedSet;
 pub use dynamics::{DynamicsConfig, DynamicsEvent, NetemSpec};
 pub use fault::{FaultConfig, NetworkStats, SilenceStats};

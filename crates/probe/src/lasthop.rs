@@ -10,12 +10,15 @@
 //!    echoes, the estimate was too high — halve it and retry (custom
 //!    default TTLs and asymmetric reverse paths cause this). If a router
 //!    answers, walk forward until the destination echoes;
-//! 4. run node-level MDA at the confirmed last-hop TTL to enumerate the
-//!    interfaces with 95% confidence.
+//! 4. run node-level MDA ([`enumerate_hop`]) at the confirmed last-hop TTL
+//!    to enumerate the interfaces with 95% confidence.
+//!
+//! A [`LasthopWalker`] runs these steps for the destinations of one /24,
+//! in turn. Destinations of a /24 sit at one hop distance, so the first
+//! resolved distance replaces steps 1–2 for the rest of the block; under
+//! [`MdaMode::Lite`] the walker also carries the block's MDA-Lite diamond.
 
-use crate::mda::{
-    enumerate_hop, enumerate_hop_lite, enumerate_hop_lite_core, MdaLiteState, StoppingRule,
-};
+use crate::mda::{enumerate_hop, HopInterfaces, MdaLiteState, MdaMode, StoppingRule};
 use crate::prober::{ProbeReply, Prober};
 use netsim::Addr;
 use serde::{Deserialize, Serialize};
@@ -66,162 +69,182 @@ pub struct LasthopProbe {
 /// Upper bound on adjustment iterations (halvings + forward steps).
 const MAX_STEPS: usize = 48;
 
-/// Measure the last-hop router set of `dst`.
-pub fn probe_lasthop(prober: &mut Prober<'_>, dst: Addr, rule: StoppingRule) -> LasthopProbe {
-    probe_lasthop_in_mode(prober, dst, rule, None, None)
-}
-
-/// Like [`probe_lasthop`], with an optional last-hop-TTL `hint` and an
-/// optional per-block MDA-Lite state.
+/// The last-hop walk over the destinations of one /24: the stopping rule,
+/// the hop-distance hint the block's resolved destinations leave, and
+/// under [`MdaMode::Lite`] the block's [`MdaLiteState`].
 ///
-/// A `hint` replaces the per-destination echo inference: addresses of one
-/// /24 sit at the same hop distance, so after the first destination
-/// resolves, its distance seeds the rest of the block — the adjustment loop
-/// corrects a stale hint, so correctness is unaffected and the
-/// per-destination echo round-trip is saved.
-///
-/// When `lite` is `Some`, the node-level enumeration at the confirmed
-/// last-hop TTL runs under the MDA-Lite stopping discipline
-/// ([`enumerate_hop_lite`]) against the block's diamond; `None` is the
-/// classic ladder. The TTL adjustment walk is identical in both modes —
-/// only the interface enumeration changes.
-pub fn probe_lasthop_in_mode(
-    prober: &mut Prober<'_>,
-    dst: Addr,
+/// A fresh walker sends the per-destination echo (steps 1–2); once a
+/// destination resolves, its distance seeds the next one instead. The TTL
+/// adjustment loop corrects a stale hint, so the hint only saves the echo
+/// round-trip. Under MDA-Lite the enumeration at the confirmed last-hop
+/// TTL stops on the block's diamond, and once the block's distance is
+/// stable the walk skips its confirm probe. Call [`LasthopWalker::finish`]
+/// after the block's last destination to report the MDA-Lite accounting.
+#[derive(Debug)]
+pub struct LasthopWalker {
     rule: StoppingRule,
     hint: Option<u8>,
-    lite: Option<&mut MdaLiteState>,
-) -> LasthopProbe {
-    let before = prober.probes_sent();
-    let outcome = probe_lasthop_inner(prober, dst, rule, hint, lite);
-    LasthopProbe {
-        dst,
-        outcome,
-        probes_used: prober.probes_sent() - before,
+    lite: Option<MdaLiteState>,
+}
+
+impl LasthopWalker {
+    /// A walker for one /24, before any of its destinations is probed.
+    pub fn new(rule: StoppingRule, mode: MdaMode) -> Self {
+        let lite = match mode {
+            MdaMode::Lite => Some(MdaLiteState::new()),
+            MdaMode::Classic => None,
+        };
+        LasthopWalker {
+            rule,
+            hint: None,
+            lite,
+        }
+    }
+
+    /// Measure the last-hop router set of `dst`. A destination whose
+    /// distance resolves seeds the hint for the next one.
+    pub fn probe(&mut self, prober: &mut Prober<'_>, dst: Addr) -> LasthopProbe {
+        let before = prober.probes_sent();
+        let outcome = self.walk(prober, dst);
+        if let LasthopOutcome::Found { dst_distance, .. }
+        | LasthopOutcome::AnonymousLasthop { dst_distance } = &outcome
+        {
+            self.hint = Some(dst_distance.saturating_sub(1).max(1));
+        }
+        LasthopProbe {
+            dst,
+            outcome,
+            probes_used: prober.probes_sent() - before,
+        }
+    }
+
+    /// Report the block's MDA-Lite accounting through `prober`'s metrics
+    /// (nothing under the classic ladder).
+    pub fn finish(self, prober: &Prober<'_>) {
+        if let Some(state) = &self.lite {
+            prober.note_mda_lite(
+                state.probes_saved,
+                state.diamonds_detected,
+                state.escalations,
+            );
+        }
+    }
+
+    fn walk(&mut self, prober: &mut Prober<'_>, dst: Addr) -> LasthopOutcome {
+        let mut est = match self.hint {
+            Some(d) => d.clamp(1, 38),
+            None => {
+                // Step 1-2: hop-count inference from one echo.
+                let first = prober.probe(dst, 64, 0);
+                let ProbeReply::Echo { ttl: ttl_res, .. } = first.reply else {
+                    return LasthopOutcome::Unresponsive;
+                };
+                let default = infer_default_ttl(ttl_res);
+                default.saturating_sub(ttl_res).clamp(1, 38)
+            }
+        };
+
+        // Step 3: adjust the estimate. Invariant sought: TimeExceeded (or
+        // silence from an anonymous router) at `est`, echo at `est + 1`.
+        let mut steps = 0usize;
+        let mut echo_checked = self.hint.is_none();
+        loop {
+            steps += 1;
+            if steps > MAX_STEPS {
+                return LasthopOutcome::Unresponsive;
+            }
+            let above = prober.probe(dst, est + 1, 1);
+            match above.reply {
+                ProbeReply::Echo { from, .. } if from == dst => {
+                    // MDA-Lite confirm skip: once the block's diamond (or
+                    // its anonymity) is confirmed at a stable distance with
+                    // no path-length jitter, the enumeration's own probes
+                    // double as the overestimate check — the dedicated
+                    // at-TTL confirm probe below is redundant and is
+                    // skipped. An inconclusive result (the destination
+                    // echoed before any interface answered) falls back to
+                    // the classic confirm walk and latches the block
+                    // unstable, so the skip never re-arms on evidence it
+                    // cannot explain.
+                    if self
+                        .lite
+                        .as_ref()
+                        .is_some_and(|s| s.can_skip_confirm(est + 1))
+                    {
+                        let hop = self.enumerate(prober, dst, est);
+                        if !(hop.echoed && hop.interfaces.is_empty()) {
+                            if let Some(state) = &mut self.lite {
+                                state.note_skip_saved();
+                            }
+                            return settled(hop, est + 1);
+                        }
+                    }
+                    // Destination answers at est+1; check it does NOT
+                    // answer at est, otherwise the estimate is too high.
+                    let at = prober.probe(dst, est, 2);
+                    match at.reply {
+                        ProbeReply::Echo { from, .. } if from == dst => {
+                            // Overestimate: halve, per the paper.
+                            if est <= 1 {
+                                // The destination appears adjacent to the
+                                // vantage; there is no observable last hop.
+                                return LasthopOutcome::AnonymousLasthop { dst_distance: 1 };
+                            }
+                            est /= 2;
+                            est = est.max(1);
+                        }
+                        // Confirmed: dst at est+1; enumerate hop `est`.
+                        _ => return settled(self.enumerate(prober, dst, est), est + 1),
+                    }
+                }
+                ProbeReply::TimeExceeded { .. } | ProbeReply::Unreachable { .. } => {
+                    // Underestimate: the router path continues past est+1.
+                    if est >= 38 {
+                        return LasthopOutcome::Unresponsive;
+                    }
+                    est += 1;
+                }
+                _ => {
+                    // Silence at est+1: could be an anonymous hop below the
+                    // destination, churn — or, when running from a stale
+                    // hint, an unresponsive destination we never
+                    // echo-tested. Check responsiveness once before walking
+                    // the whole TTL range.
+                    if !echo_checked {
+                        echo_checked = true;
+                        let echo = prober.probe(dst, 64, 3);
+                        if !matches!(echo.reply, ProbeReply::Echo { from, .. } if from == dst) {
+                            return LasthopOutcome::Unresponsive;
+                        }
+                    }
+                    if est >= 38 {
+                        return LasthopOutcome::Unresponsive;
+                    }
+                    est += 1;
+                }
+            }
+        }
+    }
+
+    /// Node-level MDA at the last-hop TTL `ttl`; under MDA-Lite the block's
+    /// diamond also learns the destination's distance.
+    fn enumerate(&mut self, prober: &mut Prober<'_>, dst: Addr, ttl: u8) -> HopInterfaces {
+        let hop = enumerate_hop(prober, dst, ttl, self.rule, 64, self.lite.as_mut());
+        if let Some(state) = &mut self.lite {
+            state.observe_lasthop(ttl + 1, hop.echoed);
+        }
+        hop
     }
 }
 
-fn probe_lasthop_inner(
-    prober: &mut Prober<'_>,
-    dst: Addr,
-    rule: StoppingRule,
-    hint: Option<u8>,
-    mut lite: Option<&mut MdaLiteState>,
-) -> LasthopOutcome {
-    let mut est = match hint {
-        Some(d) => d.clamp(1, 38),
-        None => {
-            // Step 1-2: hop-count inference from one echo.
-            let first = prober.probe(dst, 64, 0);
-            let ProbeReply::Echo { ttl: ttl_res, .. } = first.reply else {
-                return LasthopOutcome::Unresponsive;
-            };
-            let default = infer_default_ttl(ttl_res);
-            default.saturating_sub(ttl_res).clamp(1, 38)
-        }
-    };
-
-    // Step 3: adjust the estimate. Invariant sought: TimeExceeded (or
-    // silence from an anonymous router) at `est`, echo at `est + 1`.
-    let mut steps = 0usize;
-    let mut echo_checked = hint.is_none();
-    loop {
-        steps += 1;
-        if steps > MAX_STEPS {
-            return LasthopOutcome::Unresponsive;
-        }
-        let above = prober.probe(dst, est + 1, 1);
-        match above.reply {
-            ProbeReply::Echo { from, .. } if from == dst => {
-                // MDA-Lite confirm skip: once the block's diamond (or its
-                // anonymity) is confirmed at a stable distance with no
-                // path-length jitter, the enumeration's own probes double
-                // as the overestimate check — the dedicated at-TTL confirm
-                // probe below is redundant and is skipped. An inconclusive
-                // result (the destination echoed before any interface
-                // answered) falls back to the classic confirm walk and
-                // latches the block unstable, so the skip never re-arms on
-                // evidence it cannot explain.
-                if let Some(state) = lite.as_deref_mut() {
-                    if state.can_skip_confirm(est + 1) {
-                        let hop = enumerate_hop_lite_core(prober, dst, est, rule, 64, state, true);
-                        state.observe_lasthop(est + 1, hop.echoed);
-                        if !(hop.echoed && hop.interfaces.is_empty()) {
-                            state.note_skip_saved();
-                            return if hop.interfaces.is_empty() {
-                                LasthopOutcome::AnonymousLasthop {
-                                    dst_distance: est + 1,
-                                }
-                            } else {
-                                LasthopOutcome::Found {
-                                    lasthops: hop.interfaces,
-                                    dst_distance: est + 1,
-                                }
-                            };
-                        }
-                    }
-                }
-                // Destination answers at est+1; check it does NOT answer at
-                // est, otherwise the estimate is too high.
-                let at = prober.probe(dst, est, 2);
-                match at.reply {
-                    ProbeReply::Echo { from, .. } if from == dst => {
-                        // Overestimate: halve, per the paper.
-                        if est <= 1 {
-                            // The destination appears adjacent to the
-                            // vantage; there is no observable last hop.
-                            return LasthopOutcome::AnonymousLasthop { dst_distance: 1 };
-                        }
-                        est /= 2;
-                        est = est.max(1);
-                    }
-                    _ => {
-                        // Confirmed: dst at est+1; enumerate hop `est`.
-                        let hop = match lite.as_deref_mut() {
-                            Some(state) => {
-                                let h = enumerate_hop_lite(prober, dst, est, rule, 64, state);
-                                state.observe_lasthop(est + 1, h.echoed);
-                                h
-                            }
-                            None => enumerate_hop(prober, dst, est, rule, 64),
-                        };
-                        return if hop.interfaces.is_empty() {
-                            LasthopOutcome::AnonymousLasthop {
-                                dst_distance: est + 1,
-                            }
-                        } else {
-                            LasthopOutcome::Found {
-                                lasthops: hop.interfaces,
-                                dst_distance: est + 1,
-                            }
-                        };
-                    }
-                }
-            }
-            ProbeReply::TimeExceeded { .. } | ProbeReply::Unreachable { .. } => {
-                // Underestimate: the router path continues past est+1.
-                if est >= 38 {
-                    return LasthopOutcome::Unresponsive;
-                }
-                est += 1;
-            }
-            _ => {
-                // Silence at est+1: could be an anonymous hop below the
-                // destination, churn — or, when running from a stale hint,
-                // an unresponsive destination we never echo-tested. Check
-                // responsiveness once before walking the whole TTL range.
-                if !echo_checked {
-                    echo_checked = true;
-                    let echo = prober.probe(dst, 64, 3);
-                    if !matches!(echo.reply, ProbeReply::Echo { from, .. } if from == dst) {
-                        return LasthopOutcome::Unresponsive;
-                    }
-                }
-                if est >= 38 {
-                    return LasthopOutcome::Unresponsive;
-                }
-                est += 1;
-            }
+/// The outcome of an enumeration at the hop before a destination `dst_distance` away.
+fn settled(hop: HopInterfaces, dst_distance: u8) -> LasthopOutcome {
+    if hop.interfaces.is_empty() {
+        LasthopOutcome::AnonymousLasthop { dst_distance }
+    } else {
+        LasthopOutcome::Found {
+            lasthops: hop.interfaces,
+            dst_distance,
         }
     }
 }
@@ -324,7 +347,8 @@ mod tests {
         let pop = &truth.pops[truth.blocks[&blk].pop as usize];
         let expected = pop.lasthop_addrs.clone();
         let mut p = Prober::new(&f.scenario.network, 11);
-        let r = probe_lasthop(&mut p, dst, StoppingRule::confidence95());
+        let r =
+            LasthopWalker::new(StoppingRule::confidence95(), MdaMode::Classic).probe(&mut p, dst);
         match r.outcome {
             LasthopOutcome::Found {
                 lasthops,
@@ -352,12 +376,14 @@ mod tests {
         // Resolve the first destination cold, then its neighbor with and
         // without the distance hint.
         let mut p = Prober::new(&f.scenario.network, 0x21);
-        let first = probe_lasthop(&mut p, actives[0], rule);
+        let mut block = LasthopWalker::new(rule, MdaMode::Classic);
+        let first = block.probe(&mut p, actives[0]);
         let LasthopOutcome::Found { dst_distance, .. } = first.outcome else {
             panic!("first destination should resolve");
         };
-        let cold = probe_lasthop(&mut p, actives[1], rule);
-        let hinted = probe_lasthop_in_mode(&mut p, actives[1], rule, Some(dst_distance - 1), None);
+        let cold = LasthopWalker::new(rule, MdaMode::Classic).probe(&mut p, actives[1]);
+        assert_eq!(block.hint, Some(dst_distance - 1));
+        let hinted = block.probe(&mut p, actives[1]);
         assert_eq!(cold.outcome, hinted.outcome, "hint must not change results");
         assert!(
             hinted.probes_used < cold.probes_used,
@@ -378,30 +404,20 @@ mod tests {
         let actives = f.actives(blk);
         assert!(actives.len() >= 2);
         let rule = StoppingRule::confidence95();
-        let sweep = |net: &mut netsim::Network, lite: bool| {
+        let sweep = |net: &mut netsim::Network, mode: MdaMode| {
             let mut p = Prober::new(net, 0x23);
-            let mut state = MdaLiteState::new();
-            let mut hint = None;
+            let mut walker = LasthopWalker::new(rule, mode);
             let mut outcomes = Vec::new();
             let mut probes = 0u64;
             for &dst in actives.iter().take(4) {
-                let r = probe_lasthop_in_mode(
-                    &mut p,
-                    dst,
-                    rule,
-                    hint,
-                    if lite { Some(&mut state) } else { None },
-                );
-                if let LasthopOutcome::Found { dst_distance, .. } = &r.outcome {
-                    hint = Some(dst_distance - 1);
-                }
+                let r = walker.probe(&mut p, dst);
                 probes += r.probes_used;
                 outcomes.push(r.outcome);
             }
-            (outcomes, probes, state.probes_saved)
+            (outcomes, probes, walker.lite.map_or(0, |s| s.probes_saved))
         };
-        let (classic, classic_probes, _) = sweep(&mut f.scenario.network, false);
-        let (lite, lite_probes, saved) = sweep(&mut f.scenario.network, true);
+        let (classic, classic_probes, _) = sweep(&mut f.scenario.network, MdaMode::Classic);
+        let (lite, lite_probes, saved) = sweep(&mut f.scenario.network, MdaMode::Lite);
         assert_eq!(lite, classic, "lite must not change lasthop outcomes");
         assert!(
             lite_probes < classic_probes,
@@ -416,13 +432,12 @@ mod tests {
         let blk = f.responsive_block();
         let mut p = Prober::new(&f.scenario.network, 0x22);
         // .0 hosts nobody; a stale hint must not trigger a full TTL walk.
-        let r = probe_lasthop_in_mode(
-            &mut p,
-            blk.addr(0),
-            StoppingRule::confidence95(),
-            Some(8),
-            None,
-        );
+        let mut walker = LasthopWalker {
+            rule: StoppingRule::confidence95(),
+            hint: Some(8),
+            lite: None,
+        };
+        let r = walker.probe(&mut p, blk.addr(0));
         assert_eq!(r.outcome, LasthopOutcome::Unresponsive);
         assert!(r.probes_used <= 8, "used {} probes", r.probes_used);
     }
@@ -433,7 +448,8 @@ mod tests {
         let blk = f.responsive_block();
         let dst = f.actives(blk)[0];
         let mut p = Prober::new(&f.scenario.network, 11);
-        let r = probe_lasthop(&mut p, dst, StoppingRule::confidence95());
+        let r =
+            LasthopWalker::new(StoppingRule::confidence95(), MdaMode::Classic).probe(&mut p, dst);
         assert!(matches!(r.outcome, LasthopOutcome::Found { .. }));
         // Full path is 9 hops; node MDA over every hop would need ≥ 9×6
         // probes. The shortcut should use far fewer.
@@ -453,7 +469,8 @@ mod tests {
         };
         let dst = f.actives(blk)[0];
         let mut p = Prober::new(&f.scenario.network, 11);
-        let r = probe_lasthop(&mut p, dst, StoppingRule::confidence95());
+        let r =
+            LasthopWalker::new(StoppingRule::confidence95(), MdaMode::Classic).probe(&mut p, dst);
         assert!(
             matches!(r.outcome, LasthopOutcome::AnonymousLasthop { .. }),
             "got {:?}",
@@ -466,7 +483,8 @@ mod tests {
         let f = Fixture::new();
         let blk = f.responsive_block();
         let mut p = Prober::new(&f.scenario.network, 11);
-        let r = probe_lasthop(&mut p, blk.addr(0), StoppingRule::confidence95());
+        let r = LasthopWalker::new(StoppingRule::confidence95(), MdaMode::Classic)
+            .probe(&mut p, blk.addr(0));
         assert_eq!(r.outcome, LasthopOutcome::Unresponsive);
     }
 
@@ -499,7 +517,8 @@ mod tests {
         }
         let mut p = Prober::new(&s.network, 11);
         for dst in targets {
-            let r = probe_lasthop(&mut p, dst, StoppingRule::confidence95());
+            let r = LasthopWalker::new(StoppingRule::confidence95(), MdaMode::Classic)
+                .probe(&mut p, dst);
             assert!(
                 matches!(
                     r.outcome,

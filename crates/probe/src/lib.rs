@@ -10,8 +10,11 @@
 //!   per-flow load balancing;
 //! * [`mda`] — the Multipath Detection Algorithm with its hypothesis-test
 //!   stopping rule (`n(1) = 6` probes for 95% single-interface confidence);
-//! * [`lasthop`] — the Section 3.4 efficient last-hop prober using reply-TTL
-//!   hop-count inference with the halving fallback.
+//!   [`enumerate_hop`] is the one node-level loop, classic or MDA-Lite;
+//! * [`lasthop`] — the Section 3.4 efficient last-hop prober: a
+//!   [`LasthopWalker`] walks one /24's destinations, inferring the first
+//!   hop count from the reply TTL (with the halving fallback) and seeding
+//!   the rest of the block with it.
 
 #![warn(missing_docs)]
 
@@ -27,10 +30,10 @@ pub mod zmap;
 
 pub use cancel::CancelToken;
 pub use error::ProbeError;
-pub use lasthop::{probe_lasthop, probe_lasthop_in_mode, LasthopOutcome, LasthopProbe};
+pub use lasthop::{LasthopOutcome, LasthopProbe, LasthopWalker};
 pub use mda::{
-    detect_diamonds, enumerate_hop, enumerate_hop_lite, enumerate_paths, Diamond, MdaLiteState,
-    MdaMode, MdaPaths, StoppingRule,
+    detect_diamonds, enumerate_hop, enumerate_paths, Diamond, MdaLiteState, MdaMode, MdaPaths,
+    StoppingRule,
 };
 pub use ping::{ping_series, PingSeries};
 pub use prober::{

@@ -300,111 +300,48 @@ pub struct HopInterfaces {
     pub probes: usize,
 }
 
-/// Probe one TTL with varying flow labels under the stopping rule.
+/// Probe one TTL with varying flow labels under the stopping rule: the one
+/// node-level MDA loop, classic and MDA-Lite alike.
+///
+/// With `lite` `None`, or a block state whose diamond (or anonymous last
+/// hop) no full ladder has confirmed yet, this is the classic ladder. A
+/// state still learns from that ladder: the interfaces it found become the
+/// block's diamond, and pure silence — no interface, no destination echo —
+/// confirms an *anonymous* last hop instead.
+///
+/// Once the state is confirmed, MDA-Lite (Vermeulen et al.) only changes
+/// when the loop stops. Replies re-identify the diamond; timeouts and
+/// destination echoes never confirm membership:
+///
+/// * singleton diamond — one reply on the member suffices;
+/// * per-flow diamond (`multi`) — two distinct members re-identify the
+///   whole fan, which is then reported in full;
+/// * per-destination fan — two consecutive replies agreeing on one member
+///   pin that destination's router;
+/// * anonymous last hop — two consecutive timeouts re-identify the silence.
+///
+/// Any reply outside the diamond, or a second distinct member on a fan
+/// believed per-destination, *escalates*: the shortcut is abandoned, the
+/// loop continues to the classic stopping rule, and the completed ladder
+/// extends the diamond. Escalation only ever removes the early exit, so a
+/// lite call never sends more probes than the classic one would.
+///
+/// While the state's confirm skip is armed at this hop's destination
+/// distance `ttl + 1` ([`MdaLiteState::can_skip_confirm`]), the last-hop
+/// walk sent no probe to check that `ttl` does not overshoot. A
+/// destination echo before any interface answers then ends the call after
+/// that probe (empty, `echoed`), so the walk can fall back to that check
+/// instead of burning a ladder on overshoot.
 pub fn enumerate_hop(
     prober: &mut Prober<'_>,
     dst: Addr,
     ttl: u8,
     rule: StoppingRule,
     max_probes: usize,
+    mut lite: Option<&mut MdaLiteState>,
 ) -> HopInterfaces {
-    let mut seen: HashMap<Addr, usize> = HashMap::new();
-    let mut timeouts = 0usize;
-    let mut echoed = false;
-    let mut probes = 0usize;
-    let mut since_new = 0usize;
-    let mut i = 0usize;
-    while probes < max_probes {
-        let label = flow_label(i);
-        i += 1;
-        probes += 1;
-        match prober.probe(dst, ttl, label).reply {
-            ProbeReply::TimeExceeded { from } | ProbeReply::Unreachable { from } => {
-                if seen.insert(from, probes).is_none() {
-                    since_new = 0;
-                } else {
-                    since_new += 1;
-                }
-            }
-            ProbeReply::Echo { from, .. } if from == dst => {
-                echoed = true;
-                since_new += 1;
-            }
-            _ => {
-                timeouts += 1;
-                since_new += 1;
-            }
-        }
-        let k = seen.len().max(1);
-        if since_new + 1 >= rule.probes_needed(k) {
-            break;
-        }
-    }
-    let mut interfaces: Vec<Addr> = seen.into_keys().collect();
-    interfaces.sort();
-    HopInterfaces {
-        interfaces,
-        timeouts,
-        echoed,
-        probes,
-    }
-}
-
-/// [`enumerate_hop`] under the MDA-Lite discipline: inside a block whose
-/// last-hop diamond `state` has already confirmed, stop as soon as replies
-/// re-identify the diamond instead of running the full ladder.
-///
-/// Stopping shortcuts (replies only — timeouts and destination echoes
-/// never confirm membership):
-///
-/// * singleton diamond — one reply on the member suffices;
-/// * per-flow diamond (`multi`) — two distinct members re-identify the
-///   whole fan, which is then reported in full;
-/// * per-destination fan — two consecutive replies agreeing on one member
-///   pin that destination's router.
-///
-/// Any reply outside the diamond, or a second distinct member on a fan
-/// believed per-destination, *escalates*: the shortcut is abandoned, the
-/// loop continues to the classic stopping rule, and the completed ladder
-/// extends the diamond. Escalation only ever removes the early exit, so a
-/// lite hop call never sends more probes than the classic one would.
-pub fn enumerate_hop_lite(
-    prober: &mut Prober<'_>,
-    dst: Addr,
-    ttl: u8,
-    rule: StoppingRule,
-    max_probes: usize,
-    state: &mut MdaLiteState,
-) -> HopInterfaces {
-    enumerate_hop_lite_core(prober, dst, ttl, rule, max_probes, state, false)
-}
-
-/// [`enumerate_hop_lite`] with an extra knob for the confirm-skipping
-/// last-hop walk: when `abort_on_early_echo` is set and the destination
-/// itself answers before any interface does, the enumeration aborts after
-/// that single probe (empty, `echoed`) so the caller can fall back to the
-/// classic TTL-confirm walk instead of burning a ladder on overshoot.
-pub(crate) fn enumerate_hop_lite_core(
-    prober: &mut Prober<'_>,
-    dst: Addr,
-    ttl: u8,
-    rule: StoppingRule,
-    max_probes: usize,
-    state: &mut MdaLiteState,
-    abort_on_early_echo: bool,
-) -> HopInterfaces {
-    if !state.confirmed && !state.anonymous {
-        // First destination of the block: a full classic ladder must
-        // confirm the diamond before any shortcut is trusted. Pure
-        // silence — no interface, no destination echo — confirms an
-        // *anonymous* last hop instead of a diamond.
-        let hop = enumerate_hop(prober, dst, ttl, rule, max_probes);
-        if hop.interfaces.is_empty() && !hop.echoed && hop.timeouts == hop.probes {
-            state.anonymous = true;
-        }
-        state.absorb(&hop.interfaces, true);
-        return hop;
-    }
+    let shortcuts = lite.as_deref().is_some_and(|s| s.confirmed || s.anonymous);
+    let abort_on_early_echo = lite.as_deref().is_some_and(|s| s.can_skip_confirm(ttl + 1));
     let mut seen: HashMap<Addr, usize> = HashMap::new();
     let mut timeouts = 0usize;
     let mut echoed = false;
@@ -430,23 +367,21 @@ pub(crate) fn enumerate_hop_lite_core(
                 } else {
                     since_new += 1;
                 }
-                if state.diamond.binary_search(&from).is_err() {
-                    // Evidence outside the diamond: the topology changed
-                    // under us (or the diamond was incomplete) — classic.
-                    if !escalated {
-                        escalated = true;
-                        state.escalations += 1;
+                if let Some(state) = lite.as_deref_mut().filter(|_| shortcuts) {
+                    let member = state.diamond.binary_search(&from).is_ok();
+                    if member {
+                        if last_member == Some(from) {
+                            agree_run += 1;
+                        } else {
+                            last_member = Some(from);
+                            agree_run = 1;
+                        }
                     }
-                } else if last_member == Some(from) {
-                    agree_run += 1;
-                } else {
-                    last_member = Some(from);
-                    agree_run = 1;
-                }
-                if !state.multi && seen.len() > 1 {
-                    // One destination answering from two members means the
-                    // fan balances per flow after all: relearn classically.
-                    if !escalated {
+                    // Evidence outside the diamond (the topology changed
+                    // under us, or the diamond was incomplete), or one
+                    // destination answering from two members of a fan
+                    // believed per-destination: relearn classically.
+                    if (!member || (!state.multi && seen.len() > 1)) && !escalated {
                         escalated = true;
                         state.escalations += 1;
                     }
@@ -457,9 +392,6 @@ pub(crate) fn enumerate_hop_lite_core(
                 echoed = true;
                 since_new += 1;
                 if abort_on_early_echo && seen.is_empty() && !escalated {
-                    // The destination answered before any interface did:
-                    // the candidate TTL likely overshoots. Hand the
-                    // decision back to the classic confirm walk.
                     break;
                 }
             }
@@ -470,19 +402,12 @@ pub(crate) fn enumerate_hop_lite_core(
             }
         }
         let k = seen.len().max(1);
-        if !escalated {
-            let stop = if !state.diamond.is_empty() {
-                if state.diamond.len() == 1 {
-                    agree_run >= 1
-                } else if state.multi {
-                    seen.len() >= 2
-                } else {
-                    agree_run >= 2
-                }
-            } else {
-                // Anonymous last hop: two consecutive timeouts with no
-                // reply of any kind re-identify the silence.
-                state.anonymous && !echoed && seen.is_empty() && timeout_run >= 2
+        if let Some(state) = lite.as_deref_mut().filter(|_| shortcuts && !escalated) {
+            let stop = match state.diamond.len() {
+                0 => state.anonymous && !echoed && seen.is_empty() && timeout_run >= 2,
+                1 => agree_run >= 1,
+                _ if state.multi => seen.len() >= 2,
+                _ => agree_run >= 2,
             };
             if stop {
                 state.probes_saved += rule.probes_needed(k).saturating_sub(since_new + 1) as u64;
@@ -496,12 +421,17 @@ pub(crate) fn enumerate_hop_lite_core(
     }
     let mut interfaces: Vec<Addr> = seen.into_keys().collect();
     interfaces.sort();
-    if stopped_early && state.multi && interfaces.len() > 1 {
-        // Two members re-identified the known per-flow fan: report the
-        // whole membership, as the classic enumeration would have.
-        interfaces = state.diamond.clone();
+    if let Some(state) = lite {
+        if !shortcuts && interfaces.is_empty() && !echoed && timeouts == probes {
+            state.anonymous = true;
+        }
+        if stopped_early && state.multi && interfaces.len() > 1 {
+            // Two members re-identified the known per-flow fan: report the
+            // whole membership, as the classic enumeration would have.
+            interfaces = state.diamond.clone();
+        }
+        state.absorb(&interfaces, !stopped_early);
     }
-    state.absorb(&interfaces, !stopped_early);
     HopInterfaces {
         interfaces,
         timeouts,
@@ -677,13 +607,13 @@ mod tests {
         let s = build(ScenarioConfig::tiny(42));
         let dst = active_dst(&s);
         let mut p = Prober::new(&s.network, 3);
-        let plane = enumerate_hop(&mut p, dst, 3, StoppingRule::confidence95(), 64);
+        let plane = enumerate_hop(&mut p, dst, 3, StoppingRule::confidence95(), 64, None);
         assert_eq!(
             plane.interfaces.len(),
             1,
             "per-dest plane is flow-stable: {plane:?}"
         );
-        let transit = enumerate_hop(&mut p, dst, 4, StoppingRule::confidence95(), 64);
+        let transit = enumerate_hop(&mut p, dst, 4, StoppingRule::confidence95(), 64, None);
         assert_eq!(transit.interfaces.len(), 3, "transit fan is 3: {transit:?}");
         assert!(!transit.echoed);
     }
@@ -693,7 +623,7 @@ mod tests {
         let s = build(ScenarioConfig::tiny(42));
         let dst = active_dst(&s);
         let mut p = Prober::new(&s.network, 3);
-        let hop = enumerate_hop(&mut p, dst, 30, StoppingRule::confidence95(), 32);
+        let hop = enumerate_hop(&mut p, dst, 30, StoppingRule::confidence95(), 32, None);
         assert!(hop.echoed, "TTL 30 overshoots an 9-hop destination");
         assert!(hop.interfaces.is_empty());
     }
@@ -705,7 +635,7 @@ mod tests {
         let s = build(ScenarioConfig::tiny(42));
         let dst = active_dst(&s);
         let mut p = Prober::new(&s.network, 3);
-        let hop = enumerate_hop(&mut p, dst, 1, StoppingRule::confidence95(), 64);
+        let hop = enumerate_hop(&mut p, dst, 1, StoppingRule::confidence95(), 64, None);
         assert_eq!(hop.interfaces.len(), 1);
         assert_eq!(hop.probes, 6);
     }
@@ -732,11 +662,11 @@ mod tests {
         let rule = StoppingRule::confidence95();
         let mut p = Prober::new(&s.network, 3);
         let mut state = MdaLiteState::new();
-        let first = enumerate_hop_lite(&mut p, dst, 1, rule, 64, &mut state);
+        let first = enumerate_hop(&mut p, dst, 1, rule, 64, Some(&mut state));
         assert_eq!(first.probes, 6, "first destination pays the full ladder");
         assert!(state.is_confirmed());
         assert_eq!(state.diamonds_detected, 1);
-        let second = enumerate_hop_lite(&mut p, dst, 1, rule, 64, &mut state);
+        let second = enumerate_hop(&mut p, dst, 1, rule, 64, Some(&mut state));
         assert_eq!(second.interfaces, first.interfaces);
         assert_eq!(second.probes, 1, "singleton diamond needs one reply");
         assert_eq!(state.probes_saved, 5);
@@ -753,9 +683,9 @@ mod tests {
         let rule = StoppingRule::confidence95();
         let mut p = Prober::new(&s.network, 3);
         let mut state = MdaLiteState::new();
-        let first = enumerate_hop_lite(&mut p, dst, 4, rule, 64, &mut state);
+        let first = enumerate_hop(&mut p, dst, 4, rule, 64, Some(&mut state));
         assert_eq!(first.interfaces.len(), 3);
-        let second = enumerate_hop_lite(&mut p, dst, 4, rule, 64, &mut state);
+        let second = enumerate_hop(&mut p, dst, 4, rule, 64, Some(&mut state));
         assert_eq!(second.interfaces, first.interfaces, "full fan reported");
         assert!(
             second.probes < first.probes,
@@ -777,12 +707,12 @@ mod tests {
         let rule = StoppingRule::confidence95();
         let mut p = Prober::new(&s.network, 3);
         let mut state = MdaLiteState::new();
-        let campus = enumerate_hop_lite(&mut p, dst, 1, rule, 64, &mut state);
+        let campus = enumerate_hop(&mut p, dst, 1, rule, 64, Some(&mut state));
         assert_eq!(campus.interfaces.len(), 1);
-        let lite = enumerate_hop_lite(&mut p, dst, 4, rule, 64, &mut state);
+        let lite = enumerate_hop(&mut p, dst, 4, rule, 64, Some(&mut state));
         drop(p);
         let mut q = Prober::new(&s.network, 4);
-        let classic = enumerate_hop(&mut q, dst, 4, rule, 64);
+        let classic = enumerate_hop(&mut q, dst, 4, rule, 64, None);
         assert_eq!(lite.interfaces, classic.interfaces, "escalation = classic");
         assert_eq!(state.escalations, 1);
         for a in &classic.interfaces {
@@ -800,18 +730,55 @@ mod tests {
         for ttl in 1..=8u8 {
             let mut state = MdaLiteState::new();
             let mut p = Prober::new(&s.network, 3);
-            let _confirm = enumerate_hop_lite(&mut p, dst, ttl, rule, 64, &mut state);
-            let lite = enumerate_hop_lite(&mut p, dst, ttl, rule, 64, &mut state);
+            let _confirm = enumerate_hop(&mut p, dst, ttl, rule, 64, Some(&mut state));
+            let lite = enumerate_hop(&mut p, dst, ttl, rule, 64, Some(&mut state));
             drop(p);
             let mut q = Prober::new(&s.network, 3);
-            let _warm = enumerate_hop(&mut q, dst, ttl, rule, 64);
-            let classic = enumerate_hop(&mut q, dst, ttl, rule, 64);
+            let _warm = enumerate_hop(&mut q, dst, ttl, rule, 64, None);
+            let classic = enumerate_hop(&mut q, dst, ttl, rule, 64, None);
             assert!(
                 lite.probes <= classic.probes,
                 "ttl {ttl}: lite {} > classic {}",
                 lite.probes,
                 classic.probes
             );
+        }
+    }
+
+    #[test]
+    fn unconfirmed_lite_state_runs_the_classic_ladder() {
+        // Until a full ladder confirms a diamond, a lite call is the
+        // classic one: same probes on the wire, same result. Two copies of
+        // the world (pristine and lossy) keep the two probe streams apart.
+        let rule = StoppingRule::confidence95();
+        for faults in [None, Some(netsim::FaultConfig::lossy(0.05, 0.5))] {
+            let world = || {
+                let mut s = build(ScenarioConfig::tiny(42));
+                if let Some(f) = faults {
+                    s.network.set_faults(f);
+                }
+                s
+            };
+            let (a, b) = (world(), world());
+            let dst = active_dst(&a);
+            let mut classic = Prober::new(&a.network, 3);
+            let mut lite = Prober::new(&b.network, 3);
+            for ttl in (1..=10u8).chain([30]) {
+                let mut state = MdaLiteState::new();
+                let c = enumerate_hop(&mut classic, dst, ttl, rule, 64, None);
+                let l = enumerate_hop(&mut lite, dst, ttl, rule, 64, Some(&mut state));
+                assert_eq!(l.probes, c.probes, "ttl {ttl}");
+                assert_eq!(l.interfaces, c.interfaces, "ttl {ttl}");
+                assert_eq!(l.timeouts, c.timeouts, "ttl {ttl}");
+                assert_eq!(l.echoed, c.echoed, "ttl {ttl}");
+                assert_eq!(state.escalations, 0, "ttl {ttl}");
+                assert_eq!(state.probes_saved, 0, "ttl {ttl}");
+                // Sequence numbers and IP idents advance once per attempt,
+                // so equal attempt counts mean equal wire sequences.
+                assert_eq!(lite.probes_sent(), classic.probes_sent(), "ttl {ttl}");
+                assert_eq!(lite.rtt_total_us(), classic.rtt_total_us(), "ttl {ttl}");
+                assert_eq!(b.network.net_stats(), a.network.net_stats(), "ttl {ttl}");
+            }
         }
     }
 
