@@ -3,7 +3,7 @@
 
 use crate::identical::Aggregate;
 use crate::similarity::similarity_edges;
-use mcl::{mcl_by_components, Clustering, MclParams};
+use mcl::{mcl_by_components, Clustering};
 use obs::Recorder;
 use serde::{Deserialize, Serialize};
 
@@ -71,11 +71,7 @@ pub fn weak_edge_fraction(edges: &[(u32, u32, f64)], clustering: &Clustering, n:
 /// Cluster aggregates at one inflation value.
 pub fn cluster_aggregates(aggs: &[Aggregate], inflation: f64) -> AggregateClustering {
     let edges = similarity_edges(aggs);
-    let params = MclParams {
-        inflation,
-        ..Default::default()
-    };
-    let clustering = mcl_by_components(aggs.len(), &edges, &params);
+    let clustering = mcl_by_components(aggs.len(), &edges, inflation);
     let weak = weak_edge_fraction(&edges, &clustering, aggs.len());
     AggregateClustering {
         clusters: clustering.clusters,

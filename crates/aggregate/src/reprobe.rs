@@ -27,10 +27,9 @@
 
 use crate::identical::Aggregate;
 use hobbit::select::SelectedBlock;
-use hobbit::HobbitConfig;
 use netsim::{Addr, Block24, Network};
 use obs::Recorder;
-use probe::{LasthopOutcome, LasthopWalker, MdaMode, ProbeObs, Prober, StoppingRule};
+use probe::{LasthopOutcome, LasthopWalker, MdaMode, ProbeObs, Prober};
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -46,9 +45,6 @@ pub const REPROBE_IDENT: u16 = 0xF9;
 pub struct ReprobeConfig {
     /// Pairs sampled per cluster (paper: 20,000; scale down for scenarios).
     pub max_pairs_per_cluster: usize,
-    /// Stopping rule for interface enumeration (tighter than the original:
-    /// aimed at enumerating all interfaces, not testing hierarchy).
-    pub rule: StoppingRule,
     /// Seed for pair sampling.
     pub seed: u64,
 }
@@ -57,7 +53,6 @@ impl Default for ReprobeConfig {
     fn default() -> Self {
         ReprobeConfig {
             max_pairs_per_cluster: 200,
-            rule: StoppingRule::confidence95(),
             seed: 0x5EED,
         }
     }
@@ -96,14 +91,9 @@ impl ClusterValidation {
 /// It walks the block with classification's [`LasthopWalker`]: once a
 /// destination reveals its hop distance, later destinations start from it,
 /// and in [`MdaMode::Lite`] one diamond spans the block.
-pub fn reprobe_block(
-    prober: &mut Prober<'_>,
-    sel: &SelectedBlock,
-    rule: StoppingRule,
-    mode: MdaMode,
-) -> Vec<Addr> {
+pub fn reprobe_block(prober: &mut Prober<'_>, sel: &SelectedBlock, mode: MdaMode) -> Vec<Addr> {
     let mut set: Vec<Addr> = Vec::new();
-    let mut walker = LasthopWalker::new(rule, mode);
+    let mut walker = LasthopWalker::new(mode);
     for dst in sel.actives() {
         if let LasthopOutcome::Found { lasthops, .. } = walker.probe(prober, dst).outcome {
             set.extend(lasthops);
@@ -122,8 +112,8 @@ pub fn reprobe_block(
 /// in order.
 ///
 /// `selector` maps a block to its selected (probe-able) form; blocks the
-/// selector rejects are not probed, and their pairs are skipped. `probing`
-/// supplies the run's MDA mode and per-block retry budget. Each cluster
+/// selector rejects are not probed, and their pairs are skipped. `mode` is
+/// the run's MDA mode. Each cluster
 /// reports through `rec`: `aggregate.validated_clusters`,
 /// `aggregate.reprobe_pairs`, `aggregate.reprobe_identical_pairs`,
 /// `aggregate.reprobe_probes` counters and an `aggregate.pairs_per_cluster`
@@ -134,7 +124,7 @@ pub fn validate_clusters<F>(
     aggs: &[Aggregate],
     clusters: &[&[u32]],
     cfg: &ReprobeConfig,
-    probing: &HobbitConfig,
+    mode: MdaMode,
     mut selector: F,
     threads: usize,
     rec: &dyn Recorder,
@@ -163,9 +153,8 @@ where
             let i = next.fetch_add(1, Ordering::Relaxed);
             let Some(sel) = tasks.get(i) else { break };
             let mut prober = Prober::new(net, REPROBE_IDENT);
-            prober.retry_budget = probing.retry_budget;
             prober.set_obs(probe_obs.clone());
-            let set = reprobe_block(&mut prober, sel, cfg.rule, probing.mda_mode);
+            let set = reprobe_block(&mut prober, sel, mode);
             done.push((i, set, prober.probes_sent()));
         }
         done
@@ -303,12 +292,7 @@ mod tests {
             v
         };
         let mut prober = Prober::new(&s.network, 0xAA);
-        let set = reprobe_block(
-            &mut prober,
-            &sel,
-            StoppingRule::confidence95(),
-            MdaMode::Classic,
-        );
+        let set = reprobe_block(&mut prober, &sel, MdaMode::Classic);
         assert!(!set.is_empty());
         for lh in &set {
             assert!(pop_lhs.contains(lh));
@@ -329,7 +313,7 @@ mod tests {
             aggs,
             clusters,
             cfg,
-            &HobbitConfig::default(),
+            MdaMode::Classic,
             |b| select_block(snapshot, b).ok(),
             1,
             &NullRecorder,
@@ -455,14 +439,11 @@ mod tests {
         (s, snapshot, aggs, clusters)
     }
 
-    fn probing(lossy: bool) -> HobbitConfig {
-        HobbitConfig {
-            mda_mode: if lossy {
-                MdaMode::Lite
-            } else {
-                MdaMode::Classic
-            },
-            ..Default::default()
+    fn mode(lossy: bool) -> MdaMode {
+        if lossy {
+            MdaMode::Lite
+        } else {
+            MdaMode::Classic
         }
     }
 
@@ -476,7 +457,7 @@ mod tests {
             &aggs,
             &clusters,
             &ReprobeConfig::default(),
-            &probing(lossy),
+            mode(lossy),
             |b| select_block(&snapshot, b).ok(),
             threads,
             &NullRecorder,
@@ -511,14 +492,9 @@ mod tests {
     fn a_cluster_validates_alike_alone_and_late_in_a_batch() {
         // Regression: one prober used to serve every cluster, and its
         // lifetime retry budget ran dry partway through a lossy batch, so
-        // later clusters got single attempts. A budget far below what the
-        // batch retries makes any sharing across /24s show.
-        let budget = 16;
-        let probing = HobbitConfig {
-            retry_budget: budget,
-            prober_retries: 3,
-            ..probing(true)
-        };
+        // later clusters got single attempts. Each /24 now gets a fresh
+        // prober — its own sequence numbers and retry budget — so the
+        // earlier clusters' probes and retries leave a late cluster alone.
         // Validate every cluster of a fresh lossy world, or only cluster
         // `only`.
         let run = |only: Option<usize>| {
@@ -533,7 +509,7 @@ mod tests {
                 &aggs,
                 &clusters,
                 &ReprobeConfig::default(),
-                &probing,
+                mode(true),
                 |b| select_block(&snapshot, b).ok(),
                 2,
                 &reg,
@@ -541,17 +517,17 @@ mod tests {
             (v, reg.counter_value("probe.retries").unwrap_or(0))
         };
         let (batch, batch_retries) = run(None);
-        assert!(
-            batch_retries > budget,
-            "the batch retries {batch_retries} times, more than one budget"
-        );
         // The latest cluster with pairs to judge.
         let late = (0..batch.len())
             .rev()
             .find(|&i| batch[i].total_pairs > 0)
             .expect("some cluster has pairs");
         assert!(late > 0, "{batch:?}");
-        let (alone, _) = run(Some(late));
+        let (alone, alone_retries) = run(Some(late));
+        assert!(
+            batch_retries > alone_retries,
+            "the batch retries {batch_retries} times, the late cluster alone {alone_retries}"
+        );
         assert_eq!(alone, [batch[late].clone()]);
     }
 }

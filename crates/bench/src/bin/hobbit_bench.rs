@@ -27,7 +27,7 @@ use hobbit::{
     classify_block, early_verdict, select_all, BlockTable, Classification, ConfidenceTable,
     HobbitConfig,
 };
-use mcl::{mcl_by_components, MclParams};
+use mcl::mcl_by_components;
 use netsim::build::{build, derive_dynamics, ScenarioConfig};
 use netsim::{Addr, Block24};
 use obs::{Recorder, Registry};
@@ -143,7 +143,6 @@ fn classify_flat(
     streams: &[Vec<(Addr, Vec<Addr>)>],
     n_blocks: usize,
     conf: &ConfidenceTable,
-    cfg: &HobbitConfig,
 ) -> (u64, u64) {
     let (mut verdicts, mut resolutions) = (0u64, 0u64);
     for b in 0..n_blocks {
@@ -153,7 +152,7 @@ fn classify_flat(
         for (i, (dst, lasthops)) in stream.iter().enumerate() {
             table.add(*dst, lasthops);
             resolutions += 1;
-            verdict = early_verdict(&table, i + 1, conf, cfg);
+            verdict = early_verdict(&table, i + 1, conf);
             if verdict.is_some() {
                 break;
             }
@@ -169,7 +168,6 @@ fn classify_baseline(
     streams: &[Vec<(Addr, Vec<Addr>)>],
     n_blocks: usize,
     conf: &ConfidenceTable,
-    cfg: &HobbitConfig,
 ) -> (u64, u64) {
     let (mut verdicts, mut resolutions) = (0u64, 0u64);
     for b in 0..n_blocks {
@@ -179,7 +177,7 @@ fn classify_baseline(
         for (dst, lasthops) in stream {
             per_dest.push((*dst, lasthops.clone()));
             resolutions += 1;
-            verdict = baseline_early_verdict(&per_dest, conf, cfg);
+            verdict = baseline_early_verdict(&per_dest, conf);
             if verdict.is_some() {
                 break;
             }
@@ -233,7 +231,6 @@ fn main() -> ExitCode {
     let mut snap = BenchSnapshot::new(&args.label, args.seed);
     let streams = classify_streams(args.seed);
     let conf = ConfidenceTable::empty();
-    let cfg = HobbitConfig::default();
 
     // Untimed layout statistics over the distinct stream templates: how
     // many dense tables the flat path builds and how many last-hop router
@@ -257,9 +254,9 @@ fn main() -> ExitCode {
         let mut resolutions = 0u64;
         let secs = time_secs(reps, || {
             let (v, r) = if flat {
-                classify_flat(&streams, n, &conf, &cfg)
+                classify_flat(&streams, n, &conf)
             } else {
-                classify_baseline(&streams, n, &conf, &cfg)
+                classify_baseline(&streams, n, &conf)
             };
             black_box(v);
             resolutions = r;
@@ -411,13 +408,8 @@ fn main() -> ExitCode {
         // layout feeds it, so the entry tracks end-of-pipeline latency).
         eprintln!("[{}] mcl @{n}", args.label);
         let edges = similarity_edges(&aggs);
-        let params = MclParams::default();
         let secs = time_secs(reps, || {
-            black_box(
-                mcl_by_components(aggs.len(), &edges, &params)
-                    .clusters
-                    .len(),
-            );
+            black_box(mcl_by_components(aggs.len(), &edges, 2.0).clusters.len());
         });
         snap.push(format!("mcl.wall_ms@{n}"), secs * 1e3, "ms", false);
         entries_counter.inc();

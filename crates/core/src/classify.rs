@@ -18,7 +18,7 @@ use crate::schedule::{probing_order, reprobe_order};
 use crate::select::SelectedBlock;
 use netsim::{Addr, Block24};
 use obs::{Counter, Histogram, Recorder};
-use probe::{LasthopOutcome, LasthopWalker, MdaMode, Prober, StoppingRule};
+use probe::{LasthopOutcome, LasthopWalker, MdaMode, Prober};
 use serde::{Deserialize, Serialize};
 
 /// Classification outcomes (the rows of Table 1).
@@ -87,33 +87,41 @@ impl Classification {
     ];
 }
 
-/// Tunable parameters of the classifier.
+/// Minimum resolved destinations to call a single-group block "same
+/// last-hop" (paper: 6, from the MDA `n(1)` rule).
+pub const SAME_LASTHOP_MIN: usize = 6;
+
+/// Minimum responsive destinations for any verdict, and minimum
+/// snapshot-active addresses for selection (paper §3.3: 4).
+pub const MIN_ACTIVE: usize = 4;
+
+/// Per-probe retries when fault injection is on. Three retries bound the
+/// residual per-call loss well below a percent at the sweep's loss rates,
+/// and a token bucket refilling at rate `r` denies a stream at most
+/// `ceil(1/r) - 1` times in a row — so rate ≥ 0.25 is always recovered.
+pub const FAULTED_RETRIES: u32 = 3;
+
+/// The per-probe retries a run classifies (and calibrates) with:
+/// [`FAULTED_RETRIES`] on a faulted network, else the prober's default 1.
+pub fn prober_retries(faulted: bool) -> u32 {
+    if faulted {
+        FAULTED_RETRIES
+    } else {
+        1
+    }
+}
+
+/// What varies between classification runs.
 #[derive(Clone, Copy, Debug)]
 pub struct HobbitConfig {
-    /// MDA stopping rule used by the last-hop prober.
-    pub rule: StoppingRule,
-    /// Minimum resolved destinations to call a single-group block
-    /// "same last-hop" (paper: 6, from the MDA n(1) rule).
-    pub same_lasthop_min: usize,
-    /// Minimum responsive destinations for any verdict (paper: 4).
-    pub min_active: usize,
     /// Seed for the probing order shuffle.
     pub seed: u64,
-    /// Per-probe retries the worker's prober uses (raised when the network
-    /// is lossy; 1 matches the historical prober default).
+    /// Per-probe retries the block's prober uses ([`prober_retries`]).
     pub prober_retries: u32,
-    /// Lifetime retry budget handed to the worker's prober.
-    pub retry_budget: u64,
-    /// Targeted reprobe rounds over destinations that timed out, attempted
-    /// when the first pass ends without a verdict. Each round revisits only
-    /// the still-unresolved destinations, so a transiently lost answer
-    /// degrades the measurement gracefully instead of silently shrinking a
-    /// last-hop group. 0 disables reprobing.
-    pub reprobe_rounds: usize,
     /// MDA stopping discipline: `Classic` runs the full ladder at every
     /// destination; `Lite` confirms a block's last-hop diamond once and
     /// lets later destinations stop early (escalating on inconsistent
-    /// evidence). The per-block diamond state spans the reprobe rounds.
+    /// evidence). The per-block diamond state spans the reprobe pass.
     pub mda_mode: MdaMode,
     /// Probes per virtual epoch when the world under measurement evolves
     /// (netsim dynamics). 0 — the default — means a static world: no epoch
@@ -125,13 +133,8 @@ pub struct HobbitConfig {
 impl Default for HobbitConfig {
     fn default() -> Self {
         HobbitConfig {
-            rule: StoppingRule::confidence95(),
-            same_lasthop_min: 6,
-            min_active: 4,
             seed: 0x40BB17,
-            prober_retries: 1,
-            retry_budget: probe::prober::DEFAULT_RETRY_BUDGET,
-            reprobe_rounds: 1,
+            prober_retries: prober_retries(false),
             mda_mode: MdaMode::Classic,
             dynamics_period: 0,
         }
@@ -156,8 +159,8 @@ pub struct BlockMeasurement {
     pub dests_resolved: usize,
     /// Destinations that echoed but whose last-hop stayed anonymous.
     pub dests_anonymous: usize,
-    /// Destinations probed that never answered (timed out even after any
-    /// reprobe rounds) — the gracefully-degraded remainder.
+    /// Destinations probed that never answered (timed out even after the
+    /// reprobe pass) — the gracefully-degraded remainder.
     pub dests_unresolved: usize,
     /// Targeted reprobe attempts spent on initially unresolved destinations.
     pub reprobes: usize,
@@ -261,12 +264,11 @@ pub fn early_verdict(
     table: &BlockTable,
     resolved: usize,
     conf: &ConfidenceTable,
-    cfg: &HobbitConfig,
 ) -> Option<Classification> {
     match table.relationship() {
         Relationship::NonHierarchical => Some(Classification::NonHierarchical),
         Relationship::SingleGroup => {
-            (resolved >= cfg.same_lasthop_min).then_some(Classification::SameLasthop)
+            (resolved >= SAME_LASTHOP_MIN).then_some(Classification::SameLasthop)
         }
         // Without a table entry: probe all active addresses (paper §3.5).
         Relationship::Hierarchical => match conf.required_probes(table.cardinality()) {
@@ -303,7 +305,6 @@ pub fn classify_block(
     cfg: &HobbitConfig,
 ) -> BlockMeasurement {
     prober.retries = cfg.prober_retries;
-    prober.retry_budget = cfg.retry_budget;
     let probes_before = prober.probes_sent();
     let order = probing_order(sel, cfg.seed);
     let mut per_dest: Vec<(Addr, Vec<Addr>)> = Vec::new();
@@ -325,11 +326,11 @@ pub fn classify_block(
     let mut probed = 0usize;
     let mut unresolved: Vec<Addr> = Vec::new();
     let mut verdict: Option<Classification> = None;
-    // One walk for the block's first pass and reprobe rounds: destinations
+    // One walk for the block's first pass and reprobe pass: destinations
     // of one /24 sit at the same hop distance (the first resolved one seeds
     // the rest, saving the per-destination echo round, cf. paper §3.4) and
     // behind the same MDA-Lite diamond.
-    let mut walker = LasthopWalker::new(cfg.rule, cfg.mda_mode);
+    let mut walker = LasthopWalker::new(cfg.mda_mode);
     // Probe one destination and fold its outcome into the grouping; a
     // resolution re-tests the grouping for an early verdict.
     let mut resolve = |prober: &mut Prober<'_>, dst: Addr| {
@@ -340,7 +341,7 @@ pub fn classify_block(
                     dest_epochs.push(epoch_now(prober));
                 }
                 per_dest.push((dst, lasthops));
-                match early_verdict(&table, per_dest.len(), conf, cfg) {
+                match early_verdict(&table, per_dest.len(), conf) {
                     Some(v) => Resolved::Verdict(v),
                     None => Resolved::Open,
                 }
@@ -375,36 +376,27 @@ pub fn classify_block(
     }
 
     // Graceful degradation: probing ended without a verdict while some
-    // destinations never answered — give exactly those another chance
+    // destinations never answered — give exactly those one more chance
     // (a lost answer may be churn or transient loss, not absence).
     let mut reprobes = 0usize;
-    for _round in 0..cfg.reprobe_rounds {
-        if verdict.is_some() || unresolved.is_empty() || prober.is_cancelled() {
-            break;
-        }
-        let mut still: Vec<Addr> = Vec::new();
+    if verdict.is_none() {
         for dst in reprobe_order(sel.block, &unresolved, cfg.seed) {
             if prober.is_cancelled() {
                 break;
             }
             reprobes += 1;
-            match resolve(prober, dst) {
-                Resolved::Verdict(v) => {
-                    verdict = Some(v);
-                    break;
-                }
-                Resolved::Open => {}
-                Resolved::Silent => still.push(dst),
+            if let Resolved::Verdict(v) = resolve(prober, dst) {
+                verdict = Some(v);
+                break;
             }
         }
-        unresolved = still;
     }
     walker.finish(prober);
 
     let classification = verdict.unwrap_or_else(|| {
         // Probing exhausted the active list without an early verdict.
-        if per_dest.len() < cfg.min_active {
-            if anonymous >= cfg.min_active {
+        if per_dest.len() < MIN_ACTIVE {
+            if anonymous >= MIN_ACTIVE {
                 Classification::UnresponsiveLasthop
             } else {
                 Classification::TooFewActive
@@ -413,7 +405,7 @@ pub fn classify_block(
             match table.relationship() {
                 Relationship::NonHierarchical => Classification::NonHierarchical,
                 Relationship::SingleGroup => {
-                    if per_dest.len() >= cfg.same_lasthop_min {
+                    if per_dest.len() >= SAME_LASTHOP_MIN {
                         Classification::SameLasthop
                     } else {
                         Classification::TooFewActive
@@ -725,7 +717,6 @@ mod tests {
         // back (each reprobe is a fresh draw against the loss process).
         let cfg = HobbitConfig {
             prober_retries: 0,
-            reprobe_rounds: 2,
             ..HobbitConfig::default()
         };
         let ms = classify_all_with(42, netsim::FaultConfig::lossy(0.10, 0.5), &cfg);
@@ -740,39 +731,22 @@ mod tests {
     }
 
     #[test]
-    fn zero_reprobe_rounds_disable_the_second_pass() {
+    fn reprobing_recovers_unresolved_destinations() {
         let cfg = HobbitConfig {
             prober_retries: 0,
-            reprobe_rounds: 0,
             ..HobbitConfig::default()
         };
         let ms = classify_all_with(42, netsim::FaultConfig::lossy(0.10, 0.5), &cfg);
-        assert!(ms.iter().all(|m| m.reprobes == 0));
-    }
-
-    #[test]
-    fn reprobing_recovers_unresolved_destinations() {
-        let base = HobbitConfig {
-            prober_retries: 0,
-            reprobe_rounds: 0,
-            ..HobbitConfig::default()
-        };
-        let with_reprobe = HobbitConfig {
-            reprobe_rounds: 2,
-            ..base
-        };
-        let faults = netsim::FaultConfig::lossy(0.10, 0.5);
-        let without: usize = classify_all_with(42, faults, &base)
-            .iter()
-            .map(|m| m.dests_unresolved)
-            .sum();
-        let with: usize = classify_all_with(42, faults, &with_reprobe)
-            .iter()
-            .map(|m| m.dests_unresolved)
-            .sum();
+        // A pass that ends without a verdict revisits every first-pass
+        // silence once, and one that ends on a verdict won an answer back;
+        // so without a recovery, each reprobed block would end with as many
+        // unresolved destinations as it reprobed.
+        let reprobed: Vec<&BlockMeasurement> = ms.iter().filter(|m| m.reprobes > 0).collect();
+        let reprobes: usize = reprobed.iter().map(|m| m.reprobes).sum();
+        let still: usize = reprobed.iter().map(|m| m.dests_unresolved).sum();
         assert!(
-            with < without,
-            "reprobing should resolve some lost destinations ({with} vs {without})"
+            still < reprobes,
+            "reprobing should resolve some lost destinations ({still} of {reprobes} stay silent)"
         );
     }
 }

@@ -35,8 +35,8 @@ pub mod select;
 pub mod survey;
 
 pub use classify::{
-    block_ident, classify_block, early_verdict, BlockMeasurement, Classification, ClassifyObs,
-    HobbitConfig,
+    block_ident, classify_block, early_verdict, prober_retries, BlockMeasurement, Classification,
+    ClassifyObs, HobbitConfig, FAULTED_RETRIES, MIN_ACTIVE, SAME_LASTHOP_MIN,
 };
 pub use confidence::{detects_homogeneous, BlockLasthopData, ConfidenceTable};
 pub use hetero::{very_likely_heterogeneous, SubBlockComposition};

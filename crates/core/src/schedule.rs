@@ -38,7 +38,8 @@ pub fn probing_order(sel: &SelectedBlock, seed: u64) -> Vec<Addr> {
     order
 }
 
-/// Order a targeted reprobe round over destinations that stayed unresolved.
+/// Order the targeted reprobe pass over destinations that stayed
+/// unresolved.
 ///
 /// Input order is irrelevant (the list is sorted before shuffling), so the
 /// schedule depends only on the block, the seed, and the *set* of

@@ -6,6 +6,7 @@
 //! /24 rather than a /25 or /26. Both criteria are evaluated against the
 //! ZMap snapshot; actual availability at probe time may differ.
 
+use crate::classify::MIN_ACTIVE;
 use netsim::{Addr, Block24};
 use probe::ZmapSnapshot;
 use serde::{Deserialize, Serialize};
@@ -37,7 +38,7 @@ impl SelectedBlock {
 /// Why a block was rejected by selection.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub enum SelectReject {
-    /// Fewer than 4 snapshot-active addresses.
+    /// Fewer than [`MIN_ACTIVE`] snapshot-active addresses.
     TooFewActive,
     /// Some /26 quarter has no snapshot-active address.
     UncoveredQuarter,
@@ -49,7 +50,7 @@ pub fn select_block(
     block: Block24,
 ) -> Result<SelectedBlock, SelectReject> {
     let actives = snapshot.active_in(block);
-    if actives.len() < 4 {
+    if actives.len() < MIN_ACTIVE {
         return Err(SelectReject::TooFewActive);
     }
     let mut quarters: [Vec<Addr>; 4] = Default::default();

@@ -9,7 +9,7 @@
 use crate::confidence::BlockLasthopData;
 use crate::select::SelectedBlock;
 use netsim::{Addr, Block24};
-use probe::{enumerate_paths, LasthopOutcome, LasthopWalker, MdaMode, Path, Prober, StoppingRule};
+use probe::{enumerate_paths, LasthopOutcome, LasthopWalker, MdaMode, Path, Prober};
 use serde::{Deserialize, Serialize};
 
 /// Complete measurement data for one block.
@@ -119,26 +119,21 @@ fn deepest_common_hop(paths: &[&Path]) -> Option<usize> {
 }
 
 /// Survey every active address of a selected block.
-pub fn survey_block(
-    prober: &mut Prober<'_>,
-    sel: &SelectedBlock,
-    rule: StoppingRule,
-    with_paths: bool,
-) -> BlockSurvey {
+pub fn survey_block(prober: &mut Prober<'_>, sel: &SelectedBlock, with_paths: bool) -> BlockSurvey {
     let before = prober.probes_sent();
     let mut per_addr_lasthops = Vec::new();
     let mut per_addr_paths = Vec::new();
     for dst in sel.actives() {
         // A fresh walker per address: each is measured cold, with its own
         // echo inference and no hint from the block's other addresses.
-        let lh = LasthopWalker::new(rule, MdaMode::Classic).probe(prober, dst);
+        let lh = LasthopWalker::new(MdaMode::Classic).probe(prober, dst);
         if let LasthopOutcome::Found { lasthops, .. } = lh.outcome {
             per_addr_lasthops.push((dst, lasthops));
         } else if matches!(lh.outcome, LasthopOutcome::Unresponsive) {
             continue;
         }
         if with_paths {
-            let mda = enumerate_paths(prober, dst, rule, 48);
+            let mda = enumerate_paths(prober, dst, 48);
             if !mda.paths.is_empty() {
                 per_addr_paths.push((dst, mda.paths));
             }
@@ -184,7 +179,7 @@ mod tests {
         })?;
         let sel = select_block(&snapshot, block).ok()?;
         let mut prober = Prober::new(&scenario.network, 0x50);
-        let survey = survey_block(&mut prober, &sel, StoppingRule::confidence95(), true);
+        let survey = survey_block(&mut prober, &sel, true);
         drop(prober);
         Some((scenario, survey))
     }

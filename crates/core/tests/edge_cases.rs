@@ -115,7 +115,7 @@ fn classify_empty_selection_is_too_few_active() {
 #[test]
 fn classify_single_address_selection_is_too_few_active() {
     // One live destination can resolve a last hop but never support a
-    // verdict (min_active is 4).
+    // verdict (MIN_ACTIVE is 4).
     let mut scenario = build(ScenarioConfig::tiny(42));
     let snapshot = zmap::scan_all(&mut scenario.network, 1);
     let (block, actives) = snapshot
@@ -141,11 +141,11 @@ fn classify_single_address_selection_is_too_few_active() {
 }
 
 #[test]
-fn total_loss_exhausts_reprobe_rounds() {
+fn total_loss_exhausts_the_reprobe_pass() {
     // Under link loss 1.0 nothing ever answers: every destination stays
-    // unresolved, every configured reprobe round runs over the full set
-    // (reprobe_order re-visits exactly the unresolved destinations), and
-    // the block degrades to TooFewActive with consistent counters.
+    // unresolved, the reprobe pass runs over the full set (reprobe_order
+    // re-visits exactly the unresolved destinations), and the block
+    // degrades to TooFewActive with consistent counters.
     let mut scenario = build(ScenarioConfig::tiny(42));
     let snapshot = zmap::scan_all(&mut scenario.network, 1);
     scenario.network.set_faults(FaultConfig {
@@ -159,7 +159,6 @@ fn total_loss_exhausts_reprobe_rounds() {
     let sel = select_block(&snapshot, block).unwrap();
     let cfg = HobbitConfig {
         prober_retries: 0,
-        reprobe_rounds: 3,
         ..HobbitConfig::default()
     };
     let mut prober = Prober::new(&scenario.network, 0x0B17);
@@ -172,9 +171,8 @@ fn total_loss_exhausts_reprobe_rounds() {
     assert_eq!(m.dests_anonymous, 0);
     assert!(m.lasthop_set.is_empty());
     assert_eq!(
-        m.reprobes,
-        cfg.reprobe_rounds * n,
-        "every round re-visits every unresolved destination"
+        m.reprobes, n,
+        "the pass re-visits every unresolved destination"
     );
 }
 

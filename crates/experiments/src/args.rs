@@ -175,9 +175,6 @@ impl ExpArgs {
         if args.resume && args.run_dir.is_none() {
             return Err(ParseOutcome::Error("--resume requires --run-dir".into()));
         }
-        // A deadline becomes a `Duration`: NaN, infinity and values past its
-        // range cannot.
-        let bad_deadline = |d: f64| d <= 0.0 || Duration::try_from_secs_f64(d).is_err();
         if args.deadline.is_some_and(bad_deadline) {
             return Err(ParseOutcome::Error(
                 "--deadline must be a positive, representable number of seconds".into(),
@@ -192,6 +189,13 @@ impl ExpArgs {
         }
         Ok(args)
     }
+}
+
+/// Whether `secs` cannot be a watchdog deadline: a deadline becomes a
+/// positive `Duration`, and NaN, infinity and values past its range
+/// cannot.
+pub(crate) fn bad_deadline(secs: f64) -> bool {
+    secs <= 0.0 || Duration::try_from_secs_f64(secs).is_err()
 }
 
 /// A parse result's value, or the exit code it calls for: `--help`

@@ -10,7 +10,7 @@ use crate::report::Report;
 use analysis::{coverage_curve, TraceDataset};
 use hobbit::{select_block, survey_block};
 use netsim::Block24;
-use probe::{Prober, StoppingRule};
+use probe::Prober;
 use serde_json::json;
 use std::collections::BTreeMap;
 
@@ -59,7 +59,7 @@ pub fn run(args: &ExpArgs) -> Report {
             let Ok(sel) = select_block(&snapshot, block) else {
                 continue;
             };
-            let survey = survey_block(&mut prober, &sel, StoppingRule::confidence95(), true);
+            let survey = survey_block(&mut prober, &sel, true);
             if survey.per_addr_paths.is_empty() {
                 continue;
             }

@@ -10,7 +10,7 @@ use crate::pipeline;
 use crate::report::Report;
 use analysis::{ascii_cdf, Ecdf};
 use hobbit::{select_block, survey_block};
-use probe::{Prober, StoppingRule};
+use probe::Prober;
 use serde_json::json;
 
 /// Blocks surveyed with full traceroutes.
@@ -60,7 +60,6 @@ pub fn run(args: &ExpArgs) -> Report {
     );
 
     // --- (a) + (b): survey a sample with full paths.
-    let rule = StoppingRule::confidence95();
     let mut card_detected = Vec::new();
     let mut card_undetected = Vec::new();
     let (mut lasthop_c, mut subpath_c, mut path_c) = (Vec::new(), Vec::new(), Vec::new());
@@ -77,7 +76,7 @@ pub fn run(args: &ExpArgs) -> Report {
             let Ok(sel) = select_block(&p.snapshot, block) else {
                 continue;
             };
-            let s = survey_block(&mut prober, &sel, rule, true);
+            let s = survey_block(&mut prober, &sel, true);
             if s.per_addr_paths.len() < 4 {
                 continue;
             }

@@ -94,7 +94,6 @@ pub fn cluster_and_validate(
     let cfg = ReprobeConfig {
         max_pairs_per_cluster: max_pairs,
         seed,
-        ..Default::default()
     };
     // Reprobing is a later campaign: availability has drifted since the
     // original measurement, which is precisely why some clusters fail to
@@ -118,7 +117,7 @@ pub fn cluster_and_validate(
             &aggs,
             &to_validate,
             &cfg,
-            &p.hobbit_cfg,
+            p.hobbit_cfg.mda_mode,
             |b| select_block(snapshot, b).ok(),
             p.threads,
             rec,

@@ -14,20 +14,16 @@ use aggregate::{aggregate_identical, HomogBlock};
 use hobbit::select_all;
 use netsim::build::try_build;
 use netsim::Addr;
-use probe::{zmap, LasthopOutcome, LasthopWalker, MdaMode, Prober, StoppingRule};
+use probe::{zmap, LasthopOutcome, LasthopWalker, MdaMode, Prober};
 
 /// Blocks measured per vantage.
 const SAMPLE_BLOCKS: usize = 250;
 
 /// Observe a block's last-hop set from one vantage.
-fn block_set(
-    prober: &mut Prober<'_>,
-    sel: &hobbit::SelectedBlock,
-    rule: StoppingRule,
-) -> Vec<Addr> {
+fn block_set(prober: &mut Prober<'_>, sel: &hobbit::SelectedBlock) -> Vec<Addr> {
     let mut set = Vec::new();
     for dst in sel.actives().into_iter().take(12) {
-        let cold = LasthopWalker::new(rule, MdaMode::Classic).probe(prober, dst);
+        let cold = LasthopWalker::new(MdaMode::Classic).probe(prober, dst);
         if let LasthopOutcome::Found { lasthops, .. } = cold.outcome {
             set.extend(lasthops);
         }
@@ -47,7 +43,6 @@ pub fn run(args: &ExpArgs) -> Report {
         effective_threads(args.threads, usize::MAX),
     );
     let selected = select_all(&snapshot);
-    let rule = StoppingRule::confidence95();
     let mut r = Report::new(
         "multivantage",
         "Does a second vantage complete source-hashed last-hop sets?",
@@ -73,7 +68,7 @@ pub fn run(args: &ExpArgs) -> Report {
         let set_a = {
             let mut p = Prober::new(&scenario.network, 0xA0);
             let before = p.probes_sent();
-            let s = block_set(&mut p, sel, rule);
+            let s = block_set(&mut p, sel);
             probes.0 += p.probes_sent() - before;
             s
         };
@@ -83,7 +78,7 @@ pub fn run(args: &ExpArgs) -> Report {
         let set_b = {
             let mut p = Prober::from_vantage(&scenario.network, 0xA1, vantages[1]);
             let before = p.probes_sent();
-            let s = block_set(&mut p, sel, rule);
+            let s = block_set(&mut p, sel);
             probes.1 += p.probes_sent() - before;
             s
         };

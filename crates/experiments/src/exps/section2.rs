@@ -11,7 +11,7 @@ use crate::pipeline::{effective_threads, scenario_config, RunError};
 use crate::report::Report;
 use hobbit::select_all;
 use netsim::build::try_build;
-use probe::{enumerate_paths, zmap, Path, Prober, StoppingRule};
+use probe::{enumerate_paths, zmap, Path, Prober};
 
 /// Blocks sampled for the straw-man comparison.
 const SAMPLE_BLOCKS: usize = 250;
@@ -35,7 +35,6 @@ pub fn run(args: &ExpArgs) -> Report {
         "Straw-man route comparison and per-destination load balancing",
     );
 
-    let rule = StoppingRule::confidence95();
     let stride = (selected.len() / SAMPLE_BLOCKS).max(1);
     let mut prober = Prober::new(&scenario.network, 0x5EC2);
 
@@ -49,7 +48,7 @@ pub fn run(args: &ExpArgs) -> Report {
         let dests: Vec<_> = sel.quarters.iter().map(|q| q[0]).collect();
         let mdas: Vec<_> = dests
             .iter()
-            .map(|&d| enumerate_paths(&mut prober, d, rule, 32))
+            .map(|&d| enumerate_paths(&mut prober, d, 32))
             .collect();
         if mdas.iter().any(|m| m.paths.is_empty()) {
             continue;
@@ -81,8 +80,8 @@ pub fn run(args: &ExpArgs) -> Report {
             .find(|a| actives.contains(&a.sibling31()) && a.0 % 2 == 0);
         if let Some(&a) = pair {
             let b = a.sibling31();
-            let ma = enumerate_paths(&mut prober, a, rule, 32);
-            let mb = enumerate_paths(&mut prober, b, rule, 32);
+            let ma = enumerate_paths(&mut prober, a, 32);
+            let mb = enumerate_paths(&mut prober, b, 32);
             if !ma.paths.is_empty() && !mb.paths.is_empty() {
                 pairs += 1;
                 if !probe::route_sets_identical(&ma.paths, &mb.paths) {

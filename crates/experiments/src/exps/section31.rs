@@ -12,7 +12,7 @@ use crate::pipeline;
 use crate::report::Report;
 use hobbit::{select_block, survey_block, BlockTable, Relationship};
 use netsim::Addr;
-use probe::{Path, Prober, StoppingRule};
+use probe::{Path, Prober};
 use std::collections::BTreeMap;
 
 /// Surveyed blocks (full traceroutes are expensive).
@@ -69,7 +69,6 @@ pub fn run(args: &ExpArgs) -> Report {
         .map(|m| m.block)
         .collect();
     let stride = (candidates.len() / SAMPLE_BLOCKS).max(1);
-    let rule = StoppingRule::confidence95();
 
     let (mut by_lasthop, mut by_path, mut surveyed) = (0usize, 0usize, 0usize);
     let mut lasthop_cards = Vec::new();
@@ -79,7 +78,7 @@ pub fn run(args: &ExpArgs) -> Report {
         let Ok(sel) = select_block(&p.snapshot, block) else {
             continue;
         };
-        let survey = survey_block(&mut prober, &sel, rule, true);
+        let survey = survey_block(&mut prober, &sel, true);
         if survey.per_addr_lasthops.len() < 4 || survey.per_addr_paths.len() < 4 {
             continue;
         }

@@ -53,7 +53,7 @@
 #![deny(clippy::unwrap_used)]
 
 use crate::args::ExpArgs;
-use crate::vfs::{Storage, StorageError, StorageErrorKind, VfsFile};
+use crate::vfs::{Storage, StorageError, StorageErrorKind, VfsFile, STORAGE_ATTEMPTS};
 use hobbit::BlockMeasurement;
 use netsim::Block24;
 use serde::{Deserialize, Serialize};
@@ -582,9 +582,7 @@ impl JournalWriter {
             };
             let se = StorageError::classify("journal.append", &self.path, &e, attempt);
             self.storage.obs().faults_seen.inc();
-            if se.kind == StorageErrorKind::Transient
-                && attempt + 1 < self.storage.retry.attempts.max(1)
-            {
+            if se.kind == StorageErrorKind::Transient && attempt + 1 < STORAGE_ATTEMPTS {
                 self.storage.obs().retried.inc();
                 self.storage.backoff(attempt);
                 attempt += 1;
@@ -677,9 +675,7 @@ impl JournalWriter {
             };
             let se = StorageError::classify("journal.sync", &self.path, &e, attempt);
             self.storage.obs().faults_seen.inc();
-            if se.kind == StorageErrorKind::Transient
-                && attempt + 1 < self.storage.retry.attempts.max(1)
-            {
+            if se.kind == StorageErrorKind::Transient && attempt + 1 < STORAGE_ATTEMPTS {
                 self.storage.obs().retried.inc();
                 self.storage.backoff(attempt);
                 attempt += 1;

@@ -38,9 +38,9 @@ pub use pipeline::{classify_blocks, Pipeline, PipelineBuilder, RunError, WorkerS
 pub use report::Report;
 pub use supervise::{
     FaultInjector, InjectedFault, QuarantineReason, QuarantinedBlock, ShutdownSignal,
-    SuperviseConfig, SuperviseReport,
+    SuperviseReport,
 };
 pub use vfs::{
-    ChaosVfs, FaultKind, OpKind, RealVfs, RetryPolicy, Storage, StorageError, StorageErrorKind,
-    StorageObs, Vfs, VfsFile,
+    ChaosVfs, FaultKind, OpKind, RealVfs, Storage, StorageError, StorageErrorKind, StorageObs, Vfs,
+    VfsFile,
 };

@@ -34,7 +34,7 @@
 
 #![deny(clippy::unwrap_used)]
 
-use crate::args::ExpArgs;
+use crate::args::{bad_deadline, ExpArgs};
 use crate::coordinator::{EXIT_REFUSED, EXIT_STORAGE};
 use crate::journal::{
     CrashPoint, Entry, JournalReplay, JournalWriter, Mismatch, RunMeta, ShardInfo,
@@ -42,20 +42,20 @@ use crate::journal::{
 use crate::lease::shard_of;
 use crate::prefix::{self, RunPrefix};
 use crate::supervise::{
-    classify_blocks_supervised, FaultInjector, ShutdownSignal, SuperviseConfig, SuperviseHooks,
-    SuperviseObs, SuperviseReport, SupervisedOutcome,
+    classify_blocks_supervised, FaultInjector, ShutdownSignal, SuperviseHooks, SuperviseObs,
+    SuperviseReport, SupervisedOutcome, DEFAULT_DEADLINE,
 };
 use crate::vfs::{Storage, StorageError};
 use aggregate::{aggregate_identical, Aggregate, HomogBlock};
 use hobbit::{
-    detects_homogeneous, select_block, survey_block, BlockLasthopData, BlockMeasurement,
-    ConfidenceTable, HobbitConfig, SelectReject, SelectedBlock,
+    detects_homogeneous, prober_retries, select_block, survey_block, BlockLasthopData,
+    BlockMeasurement, ConfidenceTable, HobbitConfig, SelectReject, SelectedBlock,
 };
 use netsim::build::{derive_dynamics, try_build, BuildError, Scenario, ScenarioConfig};
 use netsim::{Block24, FaultConfig, Network, NetworkStats};
 use obs::{NullRecorder, Recorder, Registry, SpanTimer};
 use parking_lot::Mutex;
-use probe::{zmap, MdaMode, ProbeObs, Prober, StoppingRule, ZmapSnapshot};
+use probe::{zmap, MdaMode, ProbeObs, Prober, ZmapSnapshot};
 use serde::Serialize;
 use std::collections::{HashMap, VecDeque};
 use std::path::PathBuf;
@@ -154,7 +154,6 @@ pub struct PipelineBuilder {
     args: ExpArgs,
     scenario: Option<Scenario>,
     observe: bool,
-    supervise: SuperviseConfig,
     injector: Option<FaultInjector>,
     crash: Option<CrashPoint>,
     shutdown: Option<ShutdownSignal>,
@@ -172,7 +171,6 @@ impl std::fmt::Debug for PipelineBuilder {
             .field("args", &self.args)
             .field("scenario", &self.scenario.is_some())
             .field("observe", &self.observe)
-            .field("supervise", &self.supervise)
             .field("injector", &self.injector.is_some())
             .field("crash", &self.crash)
             .field("shutdown", &self.shutdown)
@@ -239,15 +237,11 @@ impl PipelineBuilder {
     }
 
     /// Take every run setting from parsed CLI arguments, replacing any set
-    /// before; `--deadline` and `--storage-chaos` set the supervision
-    /// deadline and the storage handle here, once. Also marks the run as
-    /// CLI-owned: a failure in [`PipelineBuilder::run`] prints the typed
-    /// error on one line and exits with [`RunError::exit_code`] instead of
-    /// panicking.
+    /// before; `--storage-chaos` sets the storage handle here, once. Also
+    /// marks the run as CLI-owned: a failure in [`PipelineBuilder::run`]
+    /// prints the typed error on one line and exits with
+    /// [`RunError::exit_code`] instead of panicking.
     pub fn args(mut self, args: &ExpArgs) -> Self {
-        if let Some(secs) = args.deadline {
-            self.supervise.deadline = Duration::from_secs_f64(secs);
-        }
         if let Some((seed, rate)) = args.storage_chaos {
             self.storage = Storage::chaos(seed, rate);
         }
@@ -294,10 +288,12 @@ impl PipelineBuilder {
         self
     }
 
-    /// Override the supervision knobs (per-block deadline, attempt budget,
-    /// watchdog poll interval). Supervision itself is always on.
-    pub fn supervise(mut self, cfg: SuperviseConfig) -> Self {
-        self.supervise = cfg;
+    /// Per-block watchdog deadline in seconds (`--deadline`, default
+    /// [`DEFAULT_DEADLINE`]): past it a block is cancelled cooperatively,
+    /// requeued, and eventually quarantined. A deadline that is not a
+    /// positive, representable number of seconds is a [`RunError::Config`].
+    pub fn deadline(mut self, secs: f64) -> Self {
+        self.args.deadline = Some(secs);
         self
     }
 
@@ -372,9 +368,13 @@ impl PipelineBuilder {
     /// journal on disk stays a valid prefix.
     pub fn try_run(mut self) -> Result<Pipeline, RunError> {
         let prebuilt = self.scenario.take();
-        let (run, replayed) = Run::open(self)?;
-        let run_span = run.span("run");
+        let (mut run, replayed) = Run::open(self)?;
+        let registry = run.obs.clone();
+        let run_span = registry.as_ref().map(|r| r.span("run"));
         let mut scenario = run.build_world(prebuilt)?;
+        if !run.cfg.args.resume {
+            run.open_journal()?;
+        }
         let blocks = scenario.network.allocated_blocks();
         let world = prefix::world_fingerprint(&blocks);
         let (snapshot, loaded) = run.snapshot(&mut scenario.network, &blocks, world);
@@ -407,7 +407,7 @@ impl PipelineBuilder {
         let classify_probes = outcome.measurements.iter().map(|m| m.probes_used).sum();
         let net_stats = scenario.network.net_stats();
         drop(run_span);
-        let (args, obs) = (run.cfg.args, run.obs);
+        let (args, obs) = (run.cfg.args, registry);
         let pipeline = Pipeline {
             scenario,
             snapshot: prefix.snapshot,
@@ -442,10 +442,9 @@ pub enum RunError {
     /// The run dir records another probe mode, dynamics schedule, shard or
     /// set of shard totals than this run; the journal gets no new record.
     Refused(Mismatch),
-    /// The builder's settings cannot make a run: a shard out of range, or
-    /// a shard or crash point without a run dir (nothing is written), or a
-    /// world too large for the address space (refused by the world build,
-    /// after the journal's first record).
+    /// The builder's settings cannot make a run: a shard out of range, a
+    /// shard or crash point without a run dir, a bad deadline, or a world
+    /// too large for the address space. A fresh run writes nothing then.
     Config(String),
 }
 
@@ -531,11 +530,11 @@ struct Selection {
 
 impl Run {
     /// Bind the registry and the storage handle (before the journal's
-    /// first byte), then create or resume the journal: a resume goes by
-    /// [`RunMeta::adopt`], and a shard worker also refuses another shard's
-    /// journal. Returns the block measurements a resumed journal holds.
-    /// Settings no run can honour are refused first, before anything is
-    /// written.
+    /// first byte), then resume the journal if asked, since its settings
+    /// build the world; a fresh run opens its journal once the world has
+    /// built, so a world the build refuses leaves the run dir untouched.
+    /// Returns the block measurements a resumed journal holds. Settings no
+    /// run can honour are refused first, before anything is written.
     fn open(mut cfg: PipelineBuilder) -> Result<(Run, Vec<BlockMeasurement>), RunError> {
         let no_dir = cfg.args.run_dir.is_none();
         let misuse = match cfg.shard {
@@ -551,6 +550,9 @@ impl Run {
             _ if cfg.crash.is_some() && no_dir => {
                 Some("a crash point needs a run dir to crash".into())
             }
+            _ if cfg.args.deadline.is_some_and(bad_deadline) => {
+                Some("a deadline must be a positive, representable number of seconds".into())
+            }
             _ => None,
         };
         if let Some(msg) = misuse {
@@ -559,9 +561,27 @@ impl Run {
         let observing = cfg.observe || cfg.args.metrics.is_some() || cfg.args.trace_spans;
         let obs = observing.then(|| Arc::new(Registry::new()));
         cfg.storage.observe(recorder(obs.as_deref()));
-        let journal = None;
+        let mut run = Run {
+            cfg,
+            obs,
+            journal: None,
+        };
+        let replayed = if run.cfg.args.resume {
+            run.open_journal()?
+        } else {
+            Vec::new()
+        };
+        Ok((run, replayed))
+    }
+
+    /// Create or resume the journal under the run dir, if there is one: a
+    /// resume goes by [`RunMeta::adopt`], and a shard worker also refuses
+    /// another shard's journal. Returns the block measurements a resumed
+    /// journal holds.
+    fn open_journal(&mut self) -> Result<Vec<BlockMeasurement>, RunError> {
+        let cfg = &mut self.cfg;
         let Some(dir) = cfg.args.run_dir.clone() else {
-            return Ok((Run { cfg, obs, journal }, Vec::new()));
+            return Ok(Vec::new());
         };
         let (mut writer, meta, mut replay) = if cfg.args.resume {
             let (writer, meta, replay) = JournalWriter::resume_via(cfg.storage.clone(), &dir)?;
@@ -581,13 +601,13 @@ impl Run {
             writer.set_crash_point(cp);
         }
         let replayed = std::mem::take(&mut replay.blocks);
-        let journal = Some(Journal {
+        self.journal = Some(Journal {
             dir,
             meta,
             writer: Mutex::new(writer),
             replay,
         });
-        Ok((Run { cfg, obs, journal }, replayed))
+        Ok(replayed)
     }
 
     fn rec(&self) -> &dyn Recorder {
@@ -675,11 +695,7 @@ impl Run {
         let args = &self.cfg.args;
         HobbitConfig {
             seed: args.seed ^ 0x0B17,
-            prober_retries: if args.faults.is_some() {
-                FAULTED_RETRIES
-            } else {
-                HobbitConfig::default().prober_retries
-            },
+            prober_retries: prober_retries(args.faults.is_some()),
             mda_mode: if args.mda_lite {
                 MdaMode::Lite
             } else {
@@ -692,7 +708,6 @@ impl Run {
                 Some((_, period)) if dynamics_events > 0 => period,
                 _ => 0,
             },
-            ..Default::default()
         }
     }
 
@@ -720,7 +735,7 @@ impl Run {
         prober.set_obs(ProbeObs::bind(rec));
         prober.retries = cfg.prober_retries;
         for s in sel.selected.iter().step_by(stride).take(CALIBRATION_BLOCKS) {
-            let survey = survey_block(&mut prober, s, StoppingRule::confidence95(), false);
+            let survey = survey_block(&mut prober, s, false);
             let lasthops = &survey.per_addr_lasthops;
             if lasthops.len() >= 8 && detects_homogeneous(lasthops) {
                 dataset.push(survey.lasthop_data());
@@ -827,7 +842,10 @@ impl Run {
             cfg,
             self.cfg.args.threads,
             self.rec(),
-            &self.cfg.supervise,
+            self.cfg
+                .args
+                .deadline
+                .map_or(DEFAULT_DEADLINE, Duration::from_secs_f64),
             &hooks,
         );
         outcome.measurements.extend(prefilled);
@@ -867,12 +885,6 @@ type Snapshot = (ZmapSnapshot, Calibration);
 
 /// A loaded confidence table and its run's calibration probes.
 type Calibration = Option<(ConfidenceTable, u64)>;
-
-/// Per-probe retries used when fault injection is on. Three retries bound
-/// the residual per-call loss well below a percent at the sweep's loss
-/// rates, and a token bucket refilling at rate `r` denies a stream at most
-/// `ceil(1/r) - 1` times in a row — so rate ≥ 0.25 is always recovered.
-pub const FAULTED_RETRIES: u32 = 3;
 
 /// Resolve a thread-count argument (0 = all cores) against the work size.
 pub(crate) fn effective_threads(requested: usize, tasks: usize) -> usize {
@@ -970,7 +982,7 @@ pub fn classify_blocks(
         cfg,
         threads,
         &NULL_RECORDER,
-        &SuperviseConfig::default(),
+        DEFAULT_DEADLINE,
         &SuperviseHooks::default(),
     ))
 }
@@ -1180,7 +1192,7 @@ impl Pipeline {
         let mut out = Vec::new();
         for m in &self.measurements {
             checked.inc();
-            let oracle = testkit::replay_verdict(m, &self.confidence, &self.hobbit_cfg);
+            let oracle = testkit::replay_verdict(m, &self.confidence);
             if let Some((at, v)) = oracle.premature {
                 mismatched.inc();
                 out.push(format!(
@@ -1607,7 +1619,8 @@ mod tests {
         // One run configured two ways: through the CLI arguments, and
         // through the builder methods that set the same settings. A
         // killed leg and its resumed leg must leave byte-identical reports
-        // and run dirs either way.
+        // and run dirs either way; `--deadline` and `.deadline(..)` reach
+        // the run as one setting.
         let base =
             std::env::temp_dir().join(format!("hobbit-pipeline-two-ways-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&base);
@@ -1633,10 +1646,7 @@ mod tests {
             }
         };
         let via_methods = |dir: PathBuf, resume: bool| {
-            let b = tiny().threads(1).supervise(SuperviseConfig {
-                deadline: Duration::from_secs_f64(deadline),
-                ..Default::default()
-            });
+            let b = tiny().threads(1).deadline(deadline);
             if resume {
                 b.resume_from(dir)
             } else {
@@ -1661,7 +1671,8 @@ mod tests {
                 via_args(args_dir.clone(), resume),
                 via_methods(methods_dir.clone(), resume),
             );
-            assert_eq!(a.supervise.deadline, m.supervise.deadline);
+            assert_eq!(a.args.deadline, Some(deadline));
+            assert_eq!(a.args.deadline, m.args.deadline);
             let (a, m) = (a.run(), m.run());
             assert_eq!(a.supervision.interrupted, !resume, "the kill fired");
             assert_eq!(m.supervision.interrupted, !resume);
@@ -1678,6 +1689,40 @@ mod tests {
             assert_eq!(files, run_dir_bytes(&methods_dir), "resume={resume}");
         }
         let _ = std::fs::remove_dir_all(&base);
+    }
+
+    #[test]
+    fn a_refused_world_leaves_a_fresh_run_dir_untouched() {
+        // Scale 5 is more /24s than the address space's /14 slabs can
+        // place: the world build refuses it before any probe.
+        let dir =
+            std::env::temp_dir().join(format!("hobbit-pipeline-refused-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        match Pipeline::builder().scale(5.0).run_dir(&dir).try_run() {
+            Err(RunError::Config(msg)) => assert!(msg.contains("cannot build the world"), "{msg}"),
+            Err(e) => panic!("expected a configuration error, got {e}"),
+            Ok(_) => panic!("expected a configuration error, got a report"),
+        }
+        assert!(
+            !dir.exists(),
+            "the refused run wrote under {}",
+            dir.display()
+        );
+    }
+
+    #[test]
+    fn a_bad_deadline_is_refused_before_anything_is_written() {
+        let dir =
+            std::env::temp_dir().join(format!("hobbit-pipeline-deadline-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        for secs in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+            match tiny().deadline(secs).run_dir(&dir).try_run() {
+                Err(RunError::Config(msg)) => assert!(msg.contains("deadline"), "{msg}"),
+                Err(e) => panic!("deadline {secs}: expected a configuration error, got {e}"),
+                Ok(_) => panic!("deadline {secs}: expected a configuration error, got a report"),
+            }
+            assert!(!dir.exists());
+        }
     }
 
     #[test]

@@ -10,9 +10,9 @@
 //! ```text
 //! queued ──pull──▶ in-flight ──ok──▶ journaled + done
 //!    ▲                 │
-//!    │   panic/stall   │ attempts < requeue budget
+//!    │   panic/stall   │ attempts < ATTEMPT_BUDGET
 //!    └─────────────────┤
-//!                      │ attempts = requeue budget
+//!                      │ attempts = ATTEMPT_BUDGET
 //!                      ▼
 //!                 quarantined (journaled, surfaced in the report)
 //! ```
@@ -49,35 +49,16 @@ use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Default per-block wall-clock budget. Generous: a simulated block
-/// classifies in milliseconds, so only a genuinely wedged block (or an
-/// injected stall) ever reaches the deadline.
+/// Default per-block wall-clock budget (`--deadline`). Generous: a
+/// simulated block classifies in milliseconds, so only a genuinely wedged
+/// block (or an injected stall) ever reaches the deadline.
 pub const DEFAULT_DEADLINE: Duration = Duration::from_secs(30);
 
-/// Default attempts per block (first try + requeues) before quarantine.
-pub const DEFAULT_ATTEMPT_BUDGET: u32 = 3;
+/// Attempts per block (first try + requeues) before quarantine.
+pub const ATTEMPT_BUDGET: u32 = 3;
 
-/// Supervision knobs.
-#[derive(Clone, Copy, Debug)]
-pub struct SuperviseConfig {
-    /// Per-block wall-clock deadline; past it the watchdog cancels the
-    /// block cooperatively.
-    pub deadline: Duration,
-    /// Total attempts a block gets (1 = no requeue) before quarantine.
-    pub attempt_budget: u32,
-    /// Watchdog scan interval.
-    pub watchdog_poll: Duration,
-}
-
-impl Default for SuperviseConfig {
-    fn default() -> Self {
-        SuperviseConfig {
-            deadline: DEFAULT_DEADLINE,
-            attempt_budget: DEFAULT_ATTEMPT_BUDGET,
-            watchdog_poll: Duration::from_millis(2),
-        }
-    }
-}
+/// Watchdog scan interval.
+const WATCHDOG_POLL: Duration = Duration::from_millis(2);
 
 /// A fault the testkit injects into a worker, applied before the block's
 /// prober touches the network.
@@ -120,7 +101,7 @@ pub struct QuarantinedBlock {
     pub index: usize,
     /// The block.
     pub block: Block24,
-    /// Attempts spent (equals the attempt budget).
+    /// Attempts spent (equals [`ATTEMPT_BUDGET`]).
     pub attempts: u32,
     /// Failure mode of the final attempt.
     pub reason: QuarantineReason,
@@ -266,7 +247,7 @@ enum AttemptOutcome {
 /// each block is timed as a `run/classify/block` span, and the
 /// scheduling-dependent shape of the run — thread count, steals,
 /// per-worker shares — goes under the metrics document's `timing` key.
-#[allow(clippy::too_many_arguments)] // the classify inputs + recorder + the supervision pair
+#[allow(clippy::too_many_arguments)] // the classify inputs + recorder + deadline + hooks
 pub fn classify_blocks_supervised(
     net: &Network,
     selected: &[SelectedBlock],
@@ -274,7 +255,7 @@ pub fn classify_blocks_supervised(
     cfg: &HobbitConfig,
     threads: usize,
     rec: &dyn Recorder,
-    sup: &SuperviseConfig,
+    deadline: Duration,
     hooks: &SuperviseHooks<'_>,
 ) -> SupervisedOutcome {
     let tasks: Vec<usize> = (0..selected.len())
@@ -315,11 +296,11 @@ pub fn classify_blocks_supervised(
     std::thread::scope(|scope| {
         let watchdog = scope.spawn(|| {
             while engine_live.load(Ordering::Acquire) {
-                std::thread::sleep(sup.watchdog_poll);
+                std::thread::sleep(WATCHDOG_POLL);
                 for slot in &inflight {
                     let guard = slot.lock();
                     if let Some(inf) = &*guard {
-                        if inf.started.elapsed() >= sup.deadline && !inf.cancel.is_cancelled() {
+                        if inf.started.elapsed() >= deadline && !inf.cancel.is_cancelled() {
                             inf.cancel.cancel();
                             stalls.fetch_add(1, Ordering::Relaxed);
                             obs.stalls.inc();
@@ -373,7 +354,7 @@ pub fn classify_blocks_supervised(
                                     // disabled watchdog).
                                     let t0 = Instant::now();
                                     while !cancel.is_cancelled()
-                                        && t0.elapsed() < sup.deadline.saturating_mul(20)
+                                        && t0.elapsed() < deadline.saturating_mul(20)
                                     {
                                         std::thread::sleep(Duration::from_millis(1));
                                     }
@@ -440,7 +421,7 @@ pub fn classify_blocks_supervised(
                             }
                         };
                         if let Some((reason, detail)) = failure {
-                            if attempt + 1 < sup.attempt_budget {
+                            if attempt + 1 < ATTEMPT_BUDGET {
                                 queues.requeue(w, idx);
                                 requeues.fetch_add(1, Ordering::Relaxed);
                                 obs.requeues.inc();

@@ -663,33 +663,10 @@ impl std::error::Error for StorageError {}
 // ---------------------------------------------------------------------------
 // Retry policy and the Storage handle.
 
-/// Bounded capped-exponential retry for transient faults. The shape is
-/// deliberately the prober's ([`probe::backoff_delay`]): first retry after
-/// `base_us`, doubling to `cap_us`.
-#[derive(Clone, Copy, Debug)]
-pub struct RetryPolicy {
-    /// Total attempts per operation, including the first (≥ 1).
-    pub attempts: u32,
-    /// First-retry backoff, microseconds.
-    pub base_us: u64,
-    /// Backoff ceiling, microseconds.
-    pub cap_us: u64,
-    /// Actually sleep between attempts. On by default (real disks need
-    /// the time); chaos tests turn it off and read the accumulated
-    /// simulated wait from [`Storage::backoff_total_us`] instead.
-    pub sleep: bool,
-}
-
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy {
-            attempts: 4,
-            base_us: probe::DEFAULT_BACKOFF_BASE_US,
-            cap_us: probe::DEFAULT_BACKOFF_CAP_US,
-            sleep: true,
-        }
-    }
-}
+/// Attempts per storage operation, including the first. Transient faults
+/// are retried with the prober's capped-exponential backoff
+/// ([`probe::backoff_delay`]): first retry after 100 ms, doubling to 1.6 s.
+pub const STORAGE_ATTEMPTS: u32 = 4;
 
 /// Pre-interned `storage.*` counters, bound once per run so the metrics
 /// schema is fault-independent.
@@ -722,13 +699,16 @@ impl Default for StorageObs {
 }
 
 /// The handle the journal, leases, and coordinator do storage through: a
-/// [`Vfs`] plus the [`RetryPolicy`] and `storage.*` counters. Cloning
-/// shares the underlying VFS (and its chaos schedule) and counters.
+/// [`Vfs`] with bounded retries ([`STORAGE_ATTEMPTS`]) and `storage.*`
+/// counters. Cloning shares the underlying VFS (and its chaos schedule)
+/// and counters.
 #[derive(Clone)]
 pub struct Storage {
     vfs: Arc<dyn Vfs>,
-    /// Retry policy for transient faults.
-    pub retry: RetryPolicy,
+    /// Actually sleep between attempts: real disks need the time. Chaos
+    /// storage only accumulates the simulated wait, readable from
+    /// [`Storage::backoff_total_us`].
+    sleep: bool,
     obs: StorageObs,
     backoff_us: Arc<AtomicU64>,
 }
@@ -737,7 +717,7 @@ impl fmt::Debug for Storage {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Storage")
             .field("vfs", &self.vfs)
-            .field("retry", &self.retry)
+            .field("sleep", &self.sleep)
             .finish()
     }
 }
@@ -749,7 +729,7 @@ impl Default for Storage {
 }
 
 impl Storage {
-    /// Production storage: [`RealVfs`] with the default retry policy.
+    /// Production storage: [`RealVfs`], sleeping between retries.
     pub fn real() -> Self {
         Storage::with_vfs(Arc::new(RealVfs))
     }
@@ -763,16 +743,17 @@ impl Storage {
 
     /// Storage over an explicit chaos schedule (scripted or seeded).
     pub fn with_chaos(vfs: ChaosVfs) -> Self {
-        let mut s = Storage::with_vfs(Arc::new(vfs));
-        s.retry.sleep = false;
-        s
+        Storage {
+            sleep: false,
+            ..Storage::with_vfs(Arc::new(vfs))
+        }
     }
 
     /// Storage over any [`Vfs`].
     pub fn with_vfs(vfs: Arc<dyn Vfs>) -> Self {
         Storage {
             vfs,
-            retry: RetryPolicy::default(),
+            sleep: true,
             obs: StorageObs::default(),
             backoff_us: Arc::new(AtomicU64::new(0)),
         }
@@ -794,22 +775,22 @@ impl Storage {
     }
 
     /// Backoff accumulated across every retry, microseconds (simulated
-    /// when the policy does not sleep).
+    /// on chaos storage, which does not sleep).
     pub fn backoff_total_us(&self) -> u64 {
         self.backoff_us.load(Ordering::Relaxed)
     }
 
-    /// Record (and, per policy, sleep) the backoff before retry
+    /// Record (and, unless chaos storage, sleep) the backoff before retry
     /// `attempt + 1` — the prober's capped-exponential shape.
     pub fn backoff(&self, attempt: u32) {
-        let wait = probe::backoff_delay(self.retry.base_us, self.retry.cap_us, attempt + 1);
+        let wait = probe::backoff_delay(attempt + 1);
         self.backoff_us.fetch_add(wait, Ordering::Relaxed);
-        if self.retry.sleep {
+        if self.sleep {
             std::thread::sleep(Duration::from_micros(wait));
         }
     }
 
-    /// Run `f` under the bounded-retry policy: transient failures are
+    /// Run `f` with bounded retries: transient failures are
     /// retried with capped-exponential backoff, anything else (or an
     /// exhausted budget) returns the classified [`StorageError`].
     pub fn retried<T>(
@@ -825,9 +806,7 @@ impl Storage {
                 Err(e) => {
                     let se = StorageError::classify(op, path, &e, attempt);
                     self.obs.faults_seen.inc();
-                    if se.kind != StorageErrorKind::Transient
-                        || attempt + 1 >= self.retry.attempts.max(1)
-                    {
+                    if se.kind != StorageErrorKind::Transient || attempt + 1 >= STORAGE_ATTEMPTS {
                         return Err(se);
                     }
                     self.obs.retried.inc();
@@ -1088,7 +1067,7 @@ mod tests {
         let s = Storage::with_chaos(ChaosVfs::scripted(faults));
         let err = s.write(&p, b"never").unwrap_err();
         assert_eq!(err.kind, StorageErrorKind::Transient);
-        assert_eq!(err.retries as u64 + 1, s.retry.attempts as u64);
+        assert_eq!(err.retries + 1, STORAGE_ATTEMPTS);
         assert!(err.to_string().contains("retries exhausted"), "{err}");
         std::fs::remove_dir_all(&dir).unwrap();
     }

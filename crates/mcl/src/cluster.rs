@@ -1,36 +1,13 @@
 //! The MCL iteration and cluster interpretation (van Dongen 2000).
 
-use crate::matrix::{LoopScheme, SparseMatrix};
+use crate::matrix::SparseMatrix;
 use serde::{Deserialize, Serialize};
 
-/// MCL parameters.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
-pub struct MclParams {
-    /// Inflation exponent; larger values yield finer clusters. The paper
-    /// sweeps this parameter (Section 6.4). Typical range 1.2–5.0.
-    pub inflation: f64,
-    /// Self-loop scheme (canonical MCL: per-column maximum).
-    pub loops: LoopScheme,
-    /// Entries below this are pruned after inflation (keeps the matrices
-    /// sparse; MCL is robust to mild pruning).
-    pub prune_below: f64,
-    /// Convergence threshold on the max entry change between rounds.
-    pub epsilon: f64,
-    /// Iteration cap.
-    pub max_iters: usize,
-}
+/// Convergence threshold on the max entry change between rounds.
+const EPSILON: f64 = 1e-6;
 
-impl Default for MclParams {
-    fn default() -> Self {
-        MclParams {
-            inflation: 2.0,
-            loops: LoopScheme::MaxColumn,
-            prune_below: 1e-5,
-            epsilon: 1e-6,
-            max_iters: 100,
-        }
-    }
-}
+/// Iteration cap.
+const MAX_ITERS: usize = 100;
 
 /// The clustering result.
 #[derive(Clone, Debug, Serialize, Deserialize)]
@@ -62,23 +39,26 @@ impl Clustering {
 /// Run MCL on an undirected weighted graph given as an edge list.
 ///
 /// Vertices are `0..n`. Isolated vertices become singleton clusters.
-pub fn mcl(n: usize, edges: &[(u32, u32, f64)], params: &MclParams) -> Clustering {
+/// `inflation` is the exponent that sets the granularity: larger values
+/// yield finer clusters. The paper sweeps it (Section 6.4); the typical
+/// range is 1.2–5.0.
+pub fn mcl(n: usize, edges: &[(u32, u32, f64)], inflation: f64) -> Clustering {
     if n == 0 {
         return Clustering {
             clusters: Vec::new(),
             iterations: 0,
         };
     }
-    let mut m = SparseMatrix::from_edges(n, edges, params.loops);
+    let mut m = SparseMatrix::from_edges(n, edges);
     m.normalize_columns();
     let mut iterations = 0;
-    for _ in 0..params.max_iters {
+    for _ in 0..MAX_ITERS {
         iterations += 1;
         let mut next = m.squared();
-        next.inflate(params.inflation, params.prune_below);
+        next.inflate(inflation);
         let delta = next.max_abs_diff(&m);
         m = next;
-        if delta < params.epsilon {
+        if delta < EPSILON {
             break;
         }
     }
@@ -158,7 +138,7 @@ pub fn connected_components(n: usize, edges: &[(u32, u32, f64)]) -> Vec<Vec<u32>
 /// local indices, and one pass buckets the edge list by component — the
 /// whole pre-split is O(n + edges) instead of re-filtering the full edge
 /// list per component through a hash map.
-pub fn mcl_by_components(n: usize, edges: &[(u32, u32, f64)], params: &MclParams) -> Clustering {
+pub fn mcl_by_components(n: usize, edges: &[(u32, u32, f64)], inflation: f64) -> Clustering {
     let comps = connected_components(n, edges);
     // Dense vertex → (component, local index) tables.
     let mut comp_of: Vec<u32> = vec![0; n];
@@ -186,7 +166,7 @@ pub fn mcl_by_components(n: usize, edges: &[(u32, u32, f64)], params: &MclParams
             clusters.push(comp);
             continue;
         }
-        let sub = mcl(comp.len(), &sub_edges, params);
+        let sub = mcl(comp.len(), &sub_edges, inflation);
         max_iters = max_iters.max(sub.iterations);
         for cluster in sub.clusters {
             clusters.push(cluster.into_iter().map(|v| comp[v as usize]).collect());
@@ -224,7 +204,7 @@ mod tests {
     #[test]
     fn splits_two_communities() {
         let (n, edges) = two_triangles();
-        let c = mcl(n, &edges, &MclParams::default());
+        let c = mcl(n, &edges, 2.0);
         let a = c.assignment(n);
         assert_eq!(a[0], a[1]);
         assert_eq!(a[1], a[2]);
@@ -236,7 +216,7 @@ mod tests {
     #[test]
     fn clusters_partition_vertices() {
         let (n, edges) = two_triangles();
-        let c = mcl(n, &edges, &MclParams::default());
+        let c = mcl(n, &edges, 2.0);
         let mut seen = vec![false; n];
         for cluster in &c.clusters {
             for &v in cluster {
@@ -249,7 +229,7 @@ mod tests {
 
     #[test]
     fn isolated_vertices_are_singletons() {
-        let c = mcl(4, &[(0, 1, 1.0)], &MclParams::default());
+        let c = mcl(4, &[(0, 1, 1.0)], 2.0);
         let a = c.assignment(4);
         assert_eq!(a[0], a[1]);
         assert_ne!(a[2], a[3]);
@@ -260,22 +240,8 @@ mod tests {
     fn higher_inflation_gives_finer_clusters() {
         // A 6-cycle: low inflation keeps it together, high splits it.
         let edges: Vec<(u32, u32, f64)> = (0..6).map(|i| (i, (i + 1) % 6, 1.0)).collect();
-        let coarse = mcl(
-            6,
-            &edges,
-            &MclParams {
-                inflation: 1.3,
-                ..Default::default()
-            },
-        );
-        let fine = mcl(
-            6,
-            &edges,
-            &MclParams {
-                inflation: 4.0,
-                ..Default::default()
-            },
-        );
+        let coarse = mcl(6, &edges, 1.3);
+        let fine = mcl(6, &edges, 4.0);
         assert!(
             fine.clusters.len() >= coarse.clusters.len(),
             "inflation {} clusters vs {}",
@@ -286,7 +252,7 @@ mod tests {
 
     #[test]
     fn empty_graph() {
-        let c = mcl(0, &[], &MclParams::default());
+        let c = mcl(0, &[], 2.0);
         assert!(c.clusters.is_empty());
     }
 
@@ -307,8 +273,8 @@ mod tests {
             (4, 5, 1.0),
             (3, 5, 1.0),
         ];
-        let whole = mcl(6, &edges, &MclParams::default());
-        let split = mcl_by_components(6, &edges, &MclParams::default());
+        let whole = mcl(6, &edges, 2.0);
+        let split = mcl_by_components(6, &edges, 2.0);
         let mut wc = whole.clusters.clone();
         wc.sort();
         assert_eq!(wc, split.clusters);
@@ -317,7 +283,7 @@ mod tests {
     #[test]
     fn converges_within_iteration_cap() {
         let (n, edges) = two_triangles();
-        let c = mcl(n, &edges, &MclParams::default());
+        let c = mcl(n, &edges, 2.0);
         assert!(c.iterations < 100, "took {} iterations", c.iterations);
     }
 
@@ -326,7 +292,7 @@ mod tests {
         // Two strongly-tied pairs joined by a weak bridge: MCL must keep
         // the pairs and cut the bridge.
         let edges = vec![(0, 1, 10.0), (2, 3, 10.0), (1, 2, 0.01)];
-        let c = mcl(4, &edges, &MclParams::default());
+        let c = mcl(4, &edges, 2.0);
         let a = c.assignment(4);
         assert_eq!(a[0], a[1]);
         assert_eq!(a[2], a[3]);
@@ -337,7 +303,7 @@ mod tests {
     fn doubleton_with_fractional_similarity_clusters() {
         // Aggregation builds edges with similarity scores < 1; a pair of
         // blocks sharing half their last-hops must still cluster.
-        let c = mcl(2, &[(0, 1, 0.5)], &MclParams::default());
+        let c = mcl(2, &[(0, 1, 0.5)], 2.0);
         assert_eq!(c.clusters, vec![vec![0, 1]]);
     }
 }

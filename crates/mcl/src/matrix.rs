@@ -10,22 +10,9 @@ use serde::{Deserialize, Serialize};
 /// One sparse column: sorted `(row, value)` pairs.
 pub type Column = Vec<(u32, f64)>;
 
-/// How self-loops are added when building the matrix.
-///
-/// MCL needs loops so flow can stay put (otherwise bipartite-ish structures
-/// oscillate). The canonical implementation weights each loop by the
-/// column's maximum edge weight, which keeps strongly-tied doubletons
-/// together; a fixed loop of 1 over-fragments weighted graphs.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
-pub enum LoopScheme {
-    /// No loops added.
-    None,
-    /// Every vertex gets a loop of this weight.
-    Fixed(f64),
-    /// Each vertex's loop equals its maximum incident edge weight
-    /// (minimum `1e-9` so isolated vertices stay stochastic).
-    MaxColumn,
-}
+/// Entries below this are pruned after inflation (keeps the matrices
+/// sparse; MCL is robust to mild pruning).
+pub const PRUNE_BELOW: f64 = 1e-5;
 
 /// A square sparse matrix stored by columns.
 #[derive(Clone, Debug, Serialize, Deserialize)]
@@ -46,9 +33,16 @@ impl SparseMatrix {
         self.cols.len()
     }
 
-    /// Build from an undirected weighted edge list, adding self-loops per
-    /// the chosen scheme. Duplicate edges accumulate.
-    pub fn from_edges(n: usize, edges: &[(u32, u32, f64)], loops: LoopScheme) -> Self {
+    /// Build from an undirected weighted edge list. Duplicate edges
+    /// accumulate.
+    ///
+    /// MCL needs self-loops so flow can stay put (otherwise bipartite-ish
+    /// structures oscillate). As in the canonical implementation, each
+    /// vertex's loop equals its maximum incident edge weight (at least
+    /// `1e-9`, so isolated vertices stay stochastic), which keeps
+    /// strongly-tied doubletons together; a fixed loop of 1 over-fragments
+    /// weighted graphs.
+    pub fn from_edges(n: usize, edges: &[(u32, u32, f64)]) -> Self {
         let mut m = SparseMatrix::zero(n);
         for &(a, b, w) in edges {
             assert!(w >= 0.0, "edge weights must be non-negative");
@@ -57,22 +51,12 @@ impl SparseMatrix {
                 m.add(b, a, w);
             }
         }
-        match loops {
-            LoopScheme::None => {}
-            LoopScheme::Fixed(w) => {
-                for v in 0..n as u32 {
-                    m.add(v, v, w);
-                }
-            }
-            LoopScheme::MaxColumn => {
-                for v in 0..n as u32 {
-                    let max = m.cols[v as usize]
-                        .iter()
-                        .map(|&(_, w)| w)
-                        .fold(1e-9f64, f64::max);
-                    m.add(v, v, max);
-                }
-            }
+        for v in 0..n as u32 {
+            let max = m.cols[v as usize]
+                .iter()
+                .map(|&(_, w)| w)
+                .fold(1e-9f64, f64::max);
+            m.add(v, v, max);
         }
         for col in &mut m.cols {
             col.sort_by_key(|&(r, _)| r);
@@ -168,27 +152,25 @@ impl SparseMatrix {
     }
 
     /// Inflation: raise entries to `power`, then renormalize columns and
-    /// prune entries below `prune_below` (renormalizing again).
-    pub fn inflate(&mut self, power: f64, prune_below: f64) {
+    /// prune entries below [`PRUNE_BELOW`] (renormalizing again).
+    pub fn inflate(&mut self, power: f64) {
         for col in &mut self.cols {
             for (_, w) in col.iter_mut() {
                 *w = w.powf(power);
             }
         }
         self.normalize_columns();
-        if prune_below > 0.0 {
-            for col in &mut self.cols {
-                // Keep at least the largest entry per column.
-                if let Some(&(_, max)) = col
-                    .iter()
-                    .max_by(|a, b| a.1.partial_cmp(&b.1).expect("no NaN weights"))
-                {
-                    let threshold = prune_below.min(max);
-                    col.retain(|&(_, w)| w >= threshold);
-                }
+        for col in &mut self.cols {
+            // Keep at least the largest entry per column.
+            if let Some(&(_, max)) = col
+                .iter()
+                .max_by(|a, b| a.1.partial_cmp(&b.1).expect("no NaN weights"))
+            {
+                let threshold = PRUNE_BELOW.min(max);
+                col.retain(|&(_, w)| w >= threshold);
             }
-            self.normalize_columns();
         }
+        self.normalize_columns();
     }
 
     /// Largest absolute difference against another matrix (convergence
@@ -236,11 +218,7 @@ mod tests {
 
     fn triangle() -> SparseMatrix {
         // 0-1, 1-2, 0-2 triangle with unit weights + self loops.
-        SparseMatrix::from_edges(
-            3,
-            &[(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0)],
-            LoopScheme::Fixed(1.0),
-        )
+        SparseMatrix::from_edges(3, &[(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0)])
     }
 
     #[test]
@@ -257,7 +235,7 @@ mod tests {
 
     #[test]
     fn duplicate_edges_accumulate() {
-        let m = SparseMatrix::from_edges(2, &[(0, 1, 0.25), (0, 1, 0.25)], LoopScheme::None);
+        let m = SparseMatrix::from_edges(2, &[(0, 1, 0.25), (0, 1, 0.25)]);
         assert_eq!(m.get(0, 1), 0.5);
         assert_eq!(m.get(1, 0), 0.5);
     }
@@ -302,43 +280,46 @@ mod tests {
     fn inflation_sharpens_columns() {
         let mut m = triangle();
         m.normalize_columns();
-        // Make one entry dominant.
-        let mut m2 = SparseMatrix::from_edges(2, &[(0, 1, 3.0), (1, 1, 1.0)], LoopScheme::None);
+        // Make one entry dominant: column 2 is (3, 1, 3) with its loop.
+        let mut m2 = SparseMatrix::from_edges(3, &[(0, 2, 3.0), (1, 2, 1.0)]);
         m2.normalize_columns();
-        let before = m2.get(0, 1);
-        m2.inflate(2.0, 0.0);
-        let after = m2.get(0, 1);
+        let before = m2.get(0, 2);
+        m2.inflate(2.0);
+        let after = m2.get(0, 2);
         assert!(after > before, "dominant entry grows: {before} -> {after}");
         assert!(m2.is_column_stochastic(1e-12));
     }
 
     #[test]
     fn inflation_prunes_but_keeps_max() {
-        let mut m = SparseMatrix::from_edges(3, &[(0, 2, 0.98), (1, 2, 0.02)], LoopScheme::None);
+        // Column 2 is (1, 0.001, 1) with its loop; squared and normalized
+        // the middle entry falls to ~5e-7, below PRUNE_BELOW.
+        let mut m = SparseMatrix::from_edges(3, &[(0, 2, 1.0), (1, 2, 0.001)]);
         m.normalize_columns();
-        m.inflate(2.0, 0.01);
-        // The tiny entry is pruned; the column renormalizes to the max.
-        assert_eq!(m.column(2).len(), 1);
-        assert!((m.get(0, 2) - 1.0).abs() < 1e-12);
+        m.inflate(2.0);
+        // The tiny entry is pruned; the column renormalizes over the maxima.
+        assert_eq!(m.column(2).len(), 2);
+        assert_eq!(m.get(1, 2), 0.0);
+        assert!((m.get(0, 2) - 0.5).abs() < 1e-12);
         assert!(m.is_column_stochastic(1e-12));
     }
 
     #[test]
     fn max_abs_diff_detects_changes() {
-        let mut a = SparseMatrix::from_edges(2, &[(0, 1, 3.0), (1, 1, 1.0)], LoopScheme::None);
+        let mut a = SparseMatrix::from_edges(2, &[(0, 1, 3.0), (1, 1, 1.0)]);
         a.normalize_columns();
         let b = a.clone();
         assert_eq!(a.max_abs_diff(&b), 0.0);
-        a.inflate(2.0, 0.0); // non-uniform column sharpens, so it changes
+        a.inflate(2.0); // non-uniform column sharpens, so it changes
         assert!(a.max_abs_diff(&b) > 0.0);
         // Also across different sparsity patterns.
-        let z = SparseMatrix::from_edges(2, &[], LoopScheme::Fixed(1.0));
+        let z = SparseMatrix::from_edges(2, &[]);
         assert!(a.max_abs_diff(&z) > 0.0);
     }
 
     #[test]
     fn max_column_loops_use_strongest_edge() {
-        let m = SparseMatrix::from_edges(3, &[(0, 1, 10.0), (1, 2, 0.5)], LoopScheme::MaxColumn);
+        let m = SparseMatrix::from_edges(3, &[(0, 1, 10.0), (1, 2, 0.5)]);
         assert_eq!(m.get(0, 0), 10.0);
         assert_eq!(m.get(1, 1), 10.0);
         assert_eq!(m.get(2, 2), 0.5);

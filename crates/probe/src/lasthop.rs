@@ -18,7 +18,7 @@
 //! resolved distance replaces steps 1–2 for the rest of the block; under
 //! [`MdaMode::Lite`] the walker also carries the block's MDA-Lite diamond.
 
-use crate::mda::{enumerate_hop, HopInterfaces, MdaLiteState, MdaMode, StoppingRule};
+use crate::mda::{enumerate_hop, HopInterfaces, MdaLiteState, MdaMode};
 use crate::prober::{ProbeReply, Prober};
 use netsim::Addr;
 use serde::{Deserialize, Serialize};
@@ -69,9 +69,9 @@ pub struct LasthopProbe {
 /// Upper bound on adjustment iterations (halvings + forward steps).
 const MAX_STEPS: usize = 48;
 
-/// The last-hop walk over the destinations of one /24: the stopping rule,
-/// the hop-distance hint the block's resolved destinations leave, and
-/// under [`MdaMode::Lite`] the block's [`MdaLiteState`].
+/// The last-hop walk over the destinations of one /24: the hop-distance
+/// hint the block's resolved destinations leave, and under
+/// [`MdaMode::Lite`] the block's [`MdaLiteState`].
 ///
 /// A fresh walker sends the per-destination echo (steps 1–2); once a
 /// destination resolves, its distance seeds the next one instead. The TTL
@@ -82,23 +82,18 @@ const MAX_STEPS: usize = 48;
 /// after the block's last destination to report the MDA-Lite accounting.
 #[derive(Debug)]
 pub struct LasthopWalker {
-    rule: StoppingRule,
     hint: Option<u8>,
     lite: Option<MdaLiteState>,
 }
 
 impl LasthopWalker {
     /// A walker for one /24, before any of its destinations is probed.
-    pub fn new(rule: StoppingRule, mode: MdaMode) -> Self {
+    pub fn new(mode: MdaMode) -> Self {
         let lite = match mode {
             MdaMode::Lite => Some(MdaLiteState::new()),
             MdaMode::Classic => None,
         };
-        LasthopWalker {
-            rule,
-            hint: None,
-            lite,
-        }
+        LasthopWalker { hint: None, lite }
     }
 
     /// Measure the last-hop router set of `dst`. A destination whose
@@ -229,7 +224,7 @@ impl LasthopWalker {
     /// Node-level MDA at the last-hop TTL `ttl`; under MDA-Lite the block's
     /// diamond also learns the destination's distance.
     fn enumerate(&mut self, prober: &mut Prober<'_>, dst: Addr, ttl: u8) -> HopInterfaces {
-        let hop = enumerate_hop(prober, dst, ttl, self.rule, 64, self.lite.as_mut());
+        let hop = enumerate_hop(prober, dst, ttl, 64, self.lite.as_mut());
         if let Some(state) = &mut self.lite {
             state.observe_lasthop(ttl + 1, hop.echoed);
         }
@@ -347,8 +342,7 @@ mod tests {
         let pop = &truth.pops[truth.blocks[&blk].pop as usize];
         let expected = pop.lasthop_addrs.clone();
         let mut p = Prober::new(&f.scenario.network, 11);
-        let r =
-            LasthopWalker::new(StoppingRule::confidence95(), MdaMode::Classic).probe(&mut p, dst);
+        let r = LasthopWalker::new(MdaMode::Classic).probe(&mut p, dst);
         match r.outcome {
             LasthopOutcome::Found {
                 lasthops,
@@ -372,16 +366,15 @@ mod tests {
         let blk = f.responsive_block();
         let actives = f.actives(blk);
         assert!(actives.len() >= 2);
-        let rule = StoppingRule::confidence95();
         // Resolve the first destination cold, then its neighbor with and
         // without the distance hint.
         let mut p = Prober::new(&f.scenario.network, 0x21);
-        let mut block = LasthopWalker::new(rule, MdaMode::Classic);
+        let mut block = LasthopWalker::new(MdaMode::Classic);
         let first = block.probe(&mut p, actives[0]);
         let LasthopOutcome::Found { dst_distance, .. } = first.outcome else {
             panic!("first destination should resolve");
         };
-        let cold = LasthopWalker::new(rule, MdaMode::Classic).probe(&mut p, actives[1]);
+        let cold = LasthopWalker::new(MdaMode::Classic).probe(&mut p, actives[1]);
         assert_eq!(block.hint, Some(dst_distance - 1));
         let hinted = block.probe(&mut p, actives[1]);
         assert_eq!(cold.outcome, hinted.outcome, "hint must not change results");
@@ -403,10 +396,9 @@ mod tests {
         let blk = f.responsive_block();
         let actives = f.actives(blk);
         assert!(actives.len() >= 2);
-        let rule = StoppingRule::confidence95();
         let sweep = |net: &mut netsim::Network, mode: MdaMode| {
             let mut p = Prober::new(net, 0x23);
-            let mut walker = LasthopWalker::new(rule, mode);
+            let mut walker = LasthopWalker::new(mode);
             let mut outcomes = Vec::new();
             let mut probes = 0u64;
             for &dst in actives.iter().take(4) {
@@ -433,7 +425,6 @@ mod tests {
         let mut p = Prober::new(&f.scenario.network, 0x22);
         // .0 hosts nobody; a stale hint must not trigger a full TTL walk.
         let mut walker = LasthopWalker {
-            rule: StoppingRule::confidence95(),
             hint: Some(8),
             lite: None,
         };
@@ -448,8 +439,7 @@ mod tests {
         let blk = f.responsive_block();
         let dst = f.actives(blk)[0];
         let mut p = Prober::new(&f.scenario.network, 11);
-        let r =
-            LasthopWalker::new(StoppingRule::confidence95(), MdaMode::Classic).probe(&mut p, dst);
+        let r = LasthopWalker::new(MdaMode::Classic).probe(&mut p, dst);
         assert!(matches!(r.outcome, LasthopOutcome::Found { .. }));
         // Full path is 9 hops; node MDA over every hop would need ≥ 9×6
         // probes. The shortcut should use far fewer.
@@ -469,8 +459,7 @@ mod tests {
         };
         let dst = f.actives(blk)[0];
         let mut p = Prober::new(&f.scenario.network, 11);
-        let r =
-            LasthopWalker::new(StoppingRule::confidence95(), MdaMode::Classic).probe(&mut p, dst);
+        let r = LasthopWalker::new(MdaMode::Classic).probe(&mut p, dst);
         assert!(
             matches!(r.outcome, LasthopOutcome::AnonymousLasthop { .. }),
             "got {:?}",
@@ -483,8 +472,7 @@ mod tests {
         let f = Fixture::new();
         let blk = f.responsive_block();
         let mut p = Prober::new(&f.scenario.network, 11);
-        let r = LasthopWalker::new(StoppingRule::confidence95(), MdaMode::Classic)
-            .probe(&mut p, blk.addr(0));
+        let r = LasthopWalker::new(MdaMode::Classic).probe(&mut p, blk.addr(0));
         assert_eq!(r.outcome, LasthopOutcome::Unresponsive);
     }
 
@@ -517,8 +505,7 @@ mod tests {
         }
         let mut p = Prober::new(&s.network, 11);
         for dst in targets {
-            let r = LasthopWalker::new(StoppingRule::confidence95(), MdaMode::Classic)
-                .probe(&mut p, dst);
+            let r = LasthopWalker::new(MdaMode::Classic).probe(&mut p, dst);
             assert!(
                 matches!(
                     r.outcome,

@@ -36,10 +36,7 @@ pub use mda::{
     StoppingRule,
 };
 pub use ping::{ping_series, PingSeries};
-pub use prober::{
-    backoff_delay, ProbeObs, ProbeReply, ProbeResult, Prober, DEFAULT_BACKOFF_BASE_US,
-    DEFAULT_BACKOFF_CAP_US,
-};
+pub use prober::{backoff_delay, ProbeObs, ProbeReply, ProbeResult, Prober};
 pub use traceroute::{paris_traceroute, Traceroute};
 pub use types::{route_sets_identical, Hop, Path};
 pub use zmap::{scan, scan_all, ZmapSnapshot};

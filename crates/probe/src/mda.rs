@@ -5,7 +5,7 @@
 //! one destination by varying the flow identifier, with a hypothesis-test
 //! stopping rule: after observing `k` distinct outcomes, keep probing until
 //! enough additional probes have been sent to reject "there is a (k+1)-th
-//! outcome" at the configured confidence.
+//! outcome" at 95% confidence ([`StoppingRule::CONFIDENCE95`]).
 //!
 //! The paper leans on the rule's best-known instance: *"a router has a
 //! single nexthop interface at the probability of 95% if 6 probes are
@@ -30,7 +30,7 @@ use std::collections::HashMap;
 /// use probe::StoppingRule;
 /// // The figure the paper quotes: 6 probes answered by a single next-hop
 /// // interface rule out a second one at 95% confidence.
-/// assert_eq!(StoppingRule::confidence95().probes_needed(1), 6);
+/// assert_eq!(StoppingRule::CONFIDENCE95.probes_needed(1), 6);
 /// ```
 #[derive(Clone, Copy, Debug, Serialize, Deserialize)]
 pub struct StoppingRule {
@@ -39,10 +39,9 @@ pub struct StoppingRule {
 }
 
 impl StoppingRule {
-    /// The paper's 95%-confidence rule.
-    pub fn confidence95() -> Self {
-        StoppingRule { alpha: 0.05 }
-    }
+    /// The paper's 95%-confidence rule, the one every MDA loop here stops
+    /// by.
+    pub const CONFIDENCE95: StoppingRule = StoppingRule { alpha: 0.05 };
 
     /// Number of probes that must all land on the observed `k` outcomes to
     /// reject the existence of a (k+1)-th equally likely outcome.
@@ -233,16 +232,11 @@ pub fn flow_label(i: usize) -> u16 {
 }
 
 /// Enumerate the distinct per-flow routes to `dst` by tracing one flow at a
-/// time until the stopping rule is satisfied for the number of distinct
-/// *paths* observed.
+/// time until [`StoppingRule::CONFIDENCE95`] is satisfied for the number of
+/// distinct *paths* observed.
 ///
 /// `max_flows` bounds the work for pathological cardinalities.
-pub fn enumerate_paths(
-    prober: &mut Prober<'_>,
-    dst: Addr,
-    rule: StoppingRule,
-    max_flows: usize,
-) -> MdaPaths {
+pub fn enumerate_paths(prober: &mut Prober<'_>, dst: Addr, max_flows: usize) -> MdaPaths {
     let mut distinct: Vec<Path> = Vec::new();
     let mut traces = Vec::new();
     let mut reached = false;
@@ -271,7 +265,7 @@ pub fn enumerate_paths(
         let k = distinct.len().max(1);
         // After the last discovery we need `probes_needed(k)` *total* flows
         // landing in the known set; count flows since the last new path.
-        if flows_since_discovery + 1 >= rule.probes_needed(k) {
+        if flows_since_discovery + 1 >= StoppingRule::CONFIDENCE95.probes_needed(k) {
             break;
         }
     }
@@ -300,8 +294,9 @@ pub struct HopInterfaces {
     pub probes: usize,
 }
 
-/// Probe one TTL with varying flow labels under the stopping rule: the one
-/// node-level MDA loop, classic and MDA-Lite alike.
+/// Probe one TTL with varying flow labels under
+/// [`StoppingRule::CONFIDENCE95`]: the one node-level MDA loop, classic and
+/// MDA-Lite alike.
 ///
 /// With `lite` `None`, or a block state whose diamond (or anonymous last
 /// hop) no full ladder has confirmed yet, this is the classic ladder. A
@@ -336,10 +331,10 @@ pub fn enumerate_hop(
     prober: &mut Prober<'_>,
     dst: Addr,
     ttl: u8,
-    rule: StoppingRule,
     max_probes: usize,
     mut lite: Option<&mut MdaLiteState>,
 ) -> HopInterfaces {
+    let rule = StoppingRule::CONFIDENCE95;
     let shortcuts = lite.as_deref().is_some_and(|s| s.confirmed || s.anonymous);
     let abort_on_early_echo = lite.as_deref().is_some_and(|s| s.can_skip_confirm(ttl + 1));
     let mut seen: HashMap<Addr, usize> = HashMap::new();
@@ -508,7 +503,7 @@ mod tests {
 
     #[test]
     fn stopping_rule_reproduces_the_classic_table() {
-        let rule = StoppingRule::confidence95();
+        let rule = StoppingRule::CONFIDENCE95;
         // n(1) = 6 is the number the paper quotes from Augustin et al.
         assert_eq!(rule.probes_needed(1), 6);
         // The table must be monotone and grow roughly linearly.
@@ -571,7 +566,7 @@ mod tests {
         let s = build(ScenarioConfig::tiny(42));
         let dst = active_dst(&s);
         let mut p = Prober::new(&s.network, 3);
-        let mda = enumerate_paths(&mut p, dst, StoppingRule::confidence95(), 64);
+        let mda = enumerate_paths(&mut p, dst, 64);
         assert!(mda.reached);
         // Topology has 3-way per-flow ECMP at the gateway and 2-way in the
         // AS, so several distinct per-flow paths must exist.
@@ -592,7 +587,7 @@ mod tests {
         let dst = active_dst(&s);
         let mut p = Prober::new(&s.network, 3);
         let single = paris_traceroute(&mut p, dst, flow_label(0));
-        let mda = enumerate_paths(&mut p, dst, StoppingRule::confidence95(), 64);
+        let mda = enumerate_paths(&mut p, dst, 64);
         assert!(
             mda.paths.iter().any(|q| q.matches(&single.path)),
             "MDA must rediscover the single-flow path"
@@ -607,13 +602,13 @@ mod tests {
         let s = build(ScenarioConfig::tiny(42));
         let dst = active_dst(&s);
         let mut p = Prober::new(&s.network, 3);
-        let plane = enumerate_hop(&mut p, dst, 3, StoppingRule::confidence95(), 64, None);
+        let plane = enumerate_hop(&mut p, dst, 3, 64, None);
         assert_eq!(
             plane.interfaces.len(),
             1,
             "per-dest plane is flow-stable: {plane:?}"
         );
-        let transit = enumerate_hop(&mut p, dst, 4, StoppingRule::confidence95(), 64, None);
+        let transit = enumerate_hop(&mut p, dst, 4, 64, None);
         assert_eq!(transit.interfaces.len(), 3, "transit fan is 3: {transit:?}");
         assert!(!transit.echoed);
     }
@@ -623,7 +618,7 @@ mod tests {
         let s = build(ScenarioConfig::tiny(42));
         let dst = active_dst(&s);
         let mut p = Prober::new(&s.network, 3);
-        let hop = enumerate_hop(&mut p, dst, 30, StoppingRule::confidence95(), 32, None);
+        let hop = enumerate_hop(&mut p, dst, 30, 32, None);
         assert!(hop.echoed, "TTL 30 overshoots an 9-hop destination");
         assert!(hop.interfaces.is_empty());
     }
@@ -635,7 +630,7 @@ mod tests {
         let s = build(ScenarioConfig::tiny(42));
         let dst = active_dst(&s);
         let mut p = Prober::new(&s.network, 3);
-        let hop = enumerate_hop(&mut p, dst, 1, StoppingRule::confidence95(), 64, None);
+        let hop = enumerate_hop(&mut p, dst, 1, 64, None);
         assert_eq!(hop.interfaces.len(), 1);
         assert_eq!(hop.probes, 6);
     }
@@ -645,7 +640,7 @@ mod tests {
         // Regression: k = 0 used to panic on the assert. Before anything is
         // observed there is no (k+1)-th-outcome hypothesis to reject, so a
         // single probe settles it — and the table stays monotone from 0.
-        let rule = StoppingRule::confidence95();
+        let rule = StoppingRule::CONFIDENCE95;
         assert_eq!(rule.probes_needed(0), 1);
         assert!(rule.probes_needed(0) < rule.probes_needed(1));
         let strict = StoppingRule { alpha: 0.001 };
@@ -659,14 +654,13 @@ mod tests {
         // sibling destination stops after one confirming reply.
         let s = build(ScenarioConfig::tiny(42));
         let dst = active_dst(&s);
-        let rule = StoppingRule::confidence95();
         let mut p = Prober::new(&s.network, 3);
         let mut state = MdaLiteState::new();
-        let first = enumerate_hop(&mut p, dst, 1, rule, 64, Some(&mut state));
+        let first = enumerate_hop(&mut p, dst, 1, 64, Some(&mut state));
         assert_eq!(first.probes, 6, "first destination pays the full ladder");
         assert!(state.is_confirmed());
         assert_eq!(state.diamonds_detected, 1);
-        let second = enumerate_hop(&mut p, dst, 1, rule, 64, Some(&mut state));
+        let second = enumerate_hop(&mut p, dst, 1, 64, Some(&mut state));
         assert_eq!(second.interfaces, first.interfaces);
         assert_eq!(second.probes, 1, "singleton diamond needs one reply");
         assert_eq!(state.probes_saved, 5);
@@ -680,12 +674,11 @@ mod tests {
         // the diamond from two distinct members and reports the whole fan.
         let s = build(ScenarioConfig::tiny(42));
         let dst = active_dst(&s);
-        let rule = StoppingRule::confidence95();
         let mut p = Prober::new(&s.network, 3);
         let mut state = MdaLiteState::new();
-        let first = enumerate_hop(&mut p, dst, 4, rule, 64, Some(&mut state));
+        let first = enumerate_hop(&mut p, dst, 4, 64, Some(&mut state));
         assert_eq!(first.interfaces.len(), 3);
-        let second = enumerate_hop(&mut p, dst, 4, rule, 64, Some(&mut state));
+        let second = enumerate_hop(&mut p, dst, 4, 64, Some(&mut state));
         assert_eq!(second.interfaces, first.interfaces, "full fan reported");
         assert!(
             second.probes < first.probes,
@@ -704,15 +697,14 @@ mod tests {
         // diamond — never report a stale membership.
         let s = build(ScenarioConfig::tiny(42));
         let dst = active_dst(&s);
-        let rule = StoppingRule::confidence95();
         let mut p = Prober::new(&s.network, 3);
         let mut state = MdaLiteState::new();
-        let campus = enumerate_hop(&mut p, dst, 1, rule, 64, Some(&mut state));
+        let campus = enumerate_hop(&mut p, dst, 1, 64, Some(&mut state));
         assert_eq!(campus.interfaces.len(), 1);
-        let lite = enumerate_hop(&mut p, dst, 4, rule, 64, Some(&mut state));
+        let lite = enumerate_hop(&mut p, dst, 4, 64, Some(&mut state));
         drop(p);
         let mut q = Prober::new(&s.network, 4);
-        let classic = enumerate_hop(&mut q, dst, 4, rule, 64, None);
+        let classic = enumerate_hop(&mut q, dst, 4, 64, None);
         assert_eq!(lite.interfaces, classic.interfaces, "escalation = classic");
         assert_eq!(state.escalations, 1);
         for a in &classic.interfaces {
@@ -726,16 +718,15 @@ mod tests {
         // structurally ≤ classic. Check it empirically across TTLs.
         let s = build(ScenarioConfig::tiny(42));
         let dst = active_dst(&s);
-        let rule = StoppingRule::confidence95();
         for ttl in 1..=8u8 {
             let mut state = MdaLiteState::new();
             let mut p = Prober::new(&s.network, 3);
-            let _confirm = enumerate_hop(&mut p, dst, ttl, rule, 64, Some(&mut state));
-            let lite = enumerate_hop(&mut p, dst, ttl, rule, 64, Some(&mut state));
+            let _confirm = enumerate_hop(&mut p, dst, ttl, 64, Some(&mut state));
+            let lite = enumerate_hop(&mut p, dst, ttl, 64, Some(&mut state));
             drop(p);
             let mut q = Prober::new(&s.network, 3);
-            let _warm = enumerate_hop(&mut q, dst, ttl, rule, 64, None);
-            let classic = enumerate_hop(&mut q, dst, ttl, rule, 64, None);
+            let _warm = enumerate_hop(&mut q, dst, ttl, 64, None);
+            let classic = enumerate_hop(&mut q, dst, ttl, 64, None);
             assert!(
                 lite.probes <= classic.probes,
                 "ttl {ttl}: lite {} > classic {}",
@@ -750,7 +741,6 @@ mod tests {
         // Until a full ladder confirms a diamond, a lite call is the
         // classic one: same probes on the wire, same result. Two copies of
         // the world (pristine and lossy) keep the two probe streams apart.
-        let rule = StoppingRule::confidence95();
         for faults in [None, Some(netsim::FaultConfig::lossy(0.05, 0.5))] {
             let world = || {
                 let mut s = build(ScenarioConfig::tiny(42));
@@ -765,8 +755,8 @@ mod tests {
             let mut lite = Prober::new(&b.network, 3);
             for ttl in (1..=10u8).chain([30]) {
                 let mut state = MdaLiteState::new();
-                let c = enumerate_hop(&mut classic, dst, ttl, rule, 64, None);
-                let l = enumerate_hop(&mut lite, dst, ttl, rule, 64, Some(&mut state));
+                let c = enumerate_hop(&mut classic, dst, ttl, 64, None);
+                let l = enumerate_hop(&mut lite, dst, ttl, 64, Some(&mut state));
                 assert_eq!(l.probes, c.probes, "ttl {ttl}");
                 assert_eq!(l.interfaces, c.interfaces, "ttl {ttl}");
                 assert_eq!(l.timeouts, c.timeouts, "ttl {ttl}");
@@ -787,7 +777,7 @@ mod tests {
         let s = build(ScenarioConfig::tiny(42));
         let dst = active_dst(&s);
         let mut p = Prober::new(&s.network, 3);
-        let mda = enumerate_paths(&mut p, dst, StoppingRule::confidence95(), 64);
+        let mda = enumerate_paths(&mut p, dst, 64);
         let diamonds = detect_diamonds(&mda);
         assert!(!diamonds.is_empty(), "per-flow ECMP must form a diamond");
         for d in &diamonds {
@@ -808,7 +798,7 @@ mod tests {
         let s = build(ScenarioConfig::tiny(42));
         let dst = active_dst(&s);
         let mut p = Prober::new(&s.network, 3);
-        let mut mda = enumerate_paths(&mut p, dst, StoppingRule::confidence95(), 64);
+        let mut mda = enumerate_paths(&mut p, dst, 64);
         let base = detect_diamonds(&mda);
         mda.paths.reverse();
         assert_eq!(detect_diamonds(&mda), base);

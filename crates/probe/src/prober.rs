@@ -122,14 +122,10 @@ pub struct Prober<'n> {
     source: Addr,
     /// Retries after a timeout before giving up on a probe.
     pub retries: u32,
-    /// Total retries this prober may spend across its lifetime. Each retry
-    /// consumes one unit; at zero, probes get a single attempt regardless
-    /// of [`Prober::retries`]. Bounds worst-case load on lossy paths.
-    pub retry_budget: u64,
-    /// First-retry backoff delay, microseconds. Doubles per retry.
-    pub backoff_base_us: u64,
-    /// Ceiling on a single backoff delay, microseconds.
-    pub backoff_cap_us: u64,
+    /// Retries this prober may still spend: starts at
+    /// [`DEFAULT_RETRY_BUDGET`], and at zero probes get a single attempt
+    /// regardless of [`Prober::retries`].
+    retry_budget: u64,
     /// Attempts that got no answer (each timed-out attempt, incl. retries).
     drops: u64,
     /// Retries actually spent.
@@ -146,20 +142,24 @@ pub struct Prober<'n> {
     cancel: CancelToken,
 }
 
-/// Default lifetime retry budget: generous for ordinary runs, finite so a
-/// pathological loss regime cannot balloon probe counts unboundedly.
+/// Lifetime retry budget of every prober: generous for ordinary runs,
+/// finite so a pathological loss regime cannot balloon probe counts
+/// unboundedly.
 pub const DEFAULT_RETRY_BUDGET: u64 = 1 << 16;
-/// Default first-retry backoff (100 ms, the classic ping interval).
+/// First-retry backoff (100 ms, the classic ping interval).
 pub const DEFAULT_BACKOFF_BASE_US: u64 = 100_000;
-/// Default backoff ceiling (1.6 s = base doubled four times).
+/// Backoff ceiling (1.6 s = base doubled four times).
 pub const DEFAULT_BACKOFF_CAP_US: u64 = 1_600_000;
 
-/// Wait before retry number `retry_index` (1-based): exponential in the
-/// retry index, capped. Public because the storage retry machinery in the
-/// experiments crate deliberately reuses the prober's backoff shape.
-pub fn backoff_delay(base_us: u64, cap_us: u64, retry_index: u32) -> u64 {
+/// Wait before retry number `retry_index` (1-based):
+/// [`DEFAULT_BACKOFF_BASE_US`] doubled per retry, capped at
+/// [`DEFAULT_BACKOFF_CAP_US`]. Public because the storage retry machinery
+/// in the experiments crate deliberately reuses the prober's backoff.
+pub fn backoff_delay(retry_index: u32) -> u64 {
     let shift = retry_index.saturating_sub(1).min(16);
-    base_us.saturating_mul(1u64 << shift).min(cap_us)
+    DEFAULT_BACKOFF_BASE_US
+        .saturating_mul(1u64 << shift)
+        .min(DEFAULT_BACKOFF_CAP_US)
 }
 
 impl<'n> Prober<'n> {
@@ -185,8 +185,6 @@ impl<'n> Prober<'n> {
             source,
             retries: 1,
             retry_budget: DEFAULT_RETRY_BUDGET,
-            backoff_base_us: DEFAULT_BACKOFF_BASE_US,
-            backoff_cap_us: DEFAULT_BACKOFF_CAP_US,
             drops: 0,
             retries_used: 0,
             retries_recovered: 0,
@@ -297,7 +295,7 @@ impl<'n> Prober<'n> {
     /// On timeout the prober retries up to [`Prober::retries`] times,
     /// waiting a capped exponentially growing backoff before each retry
     /// (accumulated in [`Prober::backoff_total_us`]); retries also draw on
-    /// the lifetime [`Prober::retry_budget`]. A cancelled prober answers
+    /// the lifetime [`DEFAULT_RETRY_BUDGET`]. A cancelled prober answers
     /// at once with a timeout, without touching the wire or the accounting.
     pub fn probe(&mut self, dst: Addr, ttl: u8, flow_label: u16) -> ProbeResult {
         if self.cancel.is_cancelled() {
@@ -327,7 +325,7 @@ impl<'n> Prober<'n> {
             attempt += 1;
             self.retry_budget -= 1;
             self.retries_used += 1;
-            let wait = backoff_delay(self.backoff_base_us, self.backoff_cap_us, attempt);
+            let wait = backoff_delay(attempt);
             self.backoff_us += wait;
             if let Some(o) = &self.obs {
                 o.retries.inc();
@@ -602,18 +600,20 @@ mod tests {
         let blk = dense_block(&s);
         let mut p = Prober::new(&s.network, 77);
         p.retries = 3;
-        p.backoff_base_us = 100;
-        p.backoff_cap_us = 1_000;
         let _ = p.probe(blk.addr(0), 64, 0); // .0 never answers
         assert_eq!(p.drops(), 4, "every timed-out attempt is a drop");
         assert_eq!(p.retries_used(), 3);
-        assert_eq!(p.backoff_total_us(), 100 + 200 + 400);
+        // 100 ms, doubling per retry.
+        assert_eq!(p.backoff_total_us(), 100_000 + 200_000 + 400_000);
 
-        // With a low cap, later delays clamp.
-        p.backoff_cap_us = 150;
+        // Past the fourth doubling, delays clamp at 1.6 s.
+        p.retries = 6;
         let before = p.backoff_total_us();
         let _ = p.probe(blk.addr(0), 64, 1);
-        assert_eq!(p.backoff_total_us() - before, 100 + 150 + 150);
+        assert_eq!(
+            p.backoff_total_us() - before,
+            100_000 + 200_000 + 400_000 + 800_000 + 1_600_000 + 1_600_000
+        );
     }
 
     #[test]

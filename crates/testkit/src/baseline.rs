@@ -14,7 +14,7 @@
 //!   committed `BENCH_baseline.json` vs `BENCH_flat.json` comparison
 //!   measures real before/after throughput, not a strawman.
 
-use hobbit::{Classification, ConfidenceTable, HobbitConfig, Relationship};
+use hobbit::{Classification, ConfidenceTable, Relationship, SAME_LASTHOP_MIN};
 use netsim::{Addr, Block24, Prefix};
 use std::collections::{BTreeMap, HashMap};
 
@@ -178,13 +178,12 @@ fn shares_member(a: &[Addr], b: &[Addr]) -> bool {
 pub fn baseline_early_verdict(
     per_dest: &[(Addr, Vec<Addr>)],
     table: &ConfidenceTable,
-    cfg: &HobbitConfig,
 ) -> Option<Classification> {
     let groups = BaselineGroups::build(per_dest.iter().map(|(a, l)| (*a, l.as_slice())));
     match groups.relationship() {
         Relationship::NonHierarchical => Some(Classification::NonHierarchical),
         Relationship::SingleGroup => {
-            (per_dest.len() >= cfg.same_lasthop_min).then_some(Classification::SameLasthop)
+            (per_dest.len() >= SAME_LASTHOP_MIN).then_some(Classification::SameLasthop)
         }
         Relationship::Hierarchical => match table.required_probes(groups.cardinality()) {
             Some(required) if per_dest.len() >= required => Some(Classification::Hierarchical),

@@ -13,7 +13,8 @@
 use crate::oracle::{naive_aggregate, naive_disjoint_aligned, naive_lasthop_set, replay_verdict};
 use crate::scenario::{build_world, ScenarioSpec, TruthLabel};
 use hobbit::{
-    select_all, BlockMeasurement, Classification, ConfidenceTable, HobbitConfig, SelectedBlock,
+    prober_retries, select_all, BlockMeasurement, Classification, ConfidenceTable, HobbitConfig,
+    SelectedBlock,
 };
 use netsim::{Addr, Block24, Network};
 use obs::{Counter, Recorder};
@@ -29,10 +30,6 @@ pub type ClassifyRef<'a> = &'a dyn Fn(
     &HobbitConfig,
     usize,
 ) -> Vec<BlockMeasurement>;
-
-/// Per-probe retries when a spec injects faults — mirrors the production
-/// pipeline's faulted-retry policy so verdicts are comparable.
-const FAULTED_RETRIES: u32 = 3;
 
 /// One production/oracle divergence. Every variant is a bug in either the
 /// production pipeline or the oracle; none is expected to survive review.
@@ -161,24 +158,18 @@ impl ConformObs {
     }
 }
 
-/// The classifier configuration conformance runs use: default knobs, a
-/// seed derived from the spec, and the production pipeline's faulted-retry
-/// policy when the spec injects faults.
+/// The classifier configuration conformance runs use: a seed derived from
+/// the spec, and the production pipeline's retries ([`prober_retries`]).
 pub fn conform_config(spec: &ScenarioSpec) -> HobbitConfig {
     HobbitConfig {
         seed: spec.seed ^ 0xC0F0,
-        prober_retries: if spec.faults().is_active() {
-            FAULTED_RETRIES
-        } else {
-            HobbitConfig::default().prober_retries
-        },
+        prober_retries: prober_retries(spec.faults().is_active()),
         mda_mode: spec.mda_mode,
         dynamics_period: if spec.dynamics.events.is_empty() {
             0
         } else {
             spec.dynamics.period
         },
-        ..HobbitConfig::default()
     }
 }
 
@@ -229,7 +220,6 @@ pub fn run_spec(
 
     let truth = build_world(spec).truth;
     let table = ConfidenceTable::empty();
-    let cfg = conform_config(spec);
     for m in &measurements {
         // Counter identities every measurement must satisfy.
         if m.dests_resolved != m.per_dest.len() {
@@ -252,7 +242,7 @@ pub fn run_spec(
             });
         }
         // Verdict replay over the recorded evidence.
-        let oracle = replay_verdict(m, &table, &cfg);
+        let oracle = replay_verdict(m, &table);
         if let Some((at, verdict)) = oracle.premature {
             mismatches.push(Mismatch::PrematureStop {
                 block: m.block,

@@ -6,10 +6,13 @@
 //! insertion sort instead of the standard library's — so that no production
 //! shortcut is accidentally shared. The only inputs are `core` data types:
 //! a [`BlockMeasurement`]'s recorded evidence, the [`ConfidenceTable`], and
-//! the [`HobbitConfig`]. If production and oracle ever disagree on the same
-//! evidence, one of them is wrong.
+//! the classifier's thresholds ([`SAME_LASTHOP_MIN`], [`MIN_ACTIVE`]). If
+//! production and oracle ever disagree on the same evidence, one of them is
+//! wrong.
 
-use hobbit::{BlockMeasurement, Classification, ConfidenceTable, HobbitConfig, Relationship};
+use hobbit::{
+    BlockMeasurement, Classification, ConfidenceTable, Relationship, MIN_ACTIVE, SAME_LASTHOP_MIN,
+};
 use netsim::{Addr, Block24, Prefix};
 
 /// One per-destination observation: `(destination, its last-hop routers)`.
@@ -182,15 +185,11 @@ pub fn naive_disjoint_aligned(per_dest: &[Obs]) -> Option<Vec<Prefix>> {
 
 /// The early-termination test the classifier applies after each resolved
 /// destination, recomputed naively over an evidence prefix.
-fn naive_early_verdict(
-    per_dest: &[Obs],
-    table: &ConfidenceTable,
-    cfg: &HobbitConfig,
-) -> Option<Classification> {
+fn naive_early_verdict(per_dest: &[Obs], table: &ConfidenceTable) -> Option<Classification> {
     match naive_relationship(per_dest) {
         Relationship::NonHierarchical => Some(Classification::NonHierarchical),
         Relationship::SingleGroup => {
-            (per_dest.len() >= cfg.same_lasthop_min).then_some(Classification::SameLasthop)
+            (per_dest.len() >= SAME_LASTHOP_MIN).then_some(Classification::SameLasthop)
         }
         Relationship::Hierarchical => match table.required_probes(naive_cardinality(per_dest)) {
             Some(required) if per_dest.len() >= required => Some(Classification::Hierarchical),
@@ -219,26 +218,22 @@ pub struct OracleVerdict {
 /// reprobes), and production re-tests the grouping after every resolution —
 /// so replaying each prefix of `per_dest` reproduces exactly the decision
 /// points the production classifier saw. The anonymous count and the
-/// `min_active` fallback come from the measurement's own counters.
-pub fn replay_verdict(
-    m: &BlockMeasurement,
-    table: &ConfidenceTable,
-    cfg: &HobbitConfig,
-) -> OracleVerdict {
+/// [`MIN_ACTIVE`] fallback come from the measurement's own counters.
+pub fn replay_verdict(m: &BlockMeasurement, table: &ConfidenceTable) -> OracleVerdict {
     let per_dest = &m.per_dest;
     let mut premature = None;
     for k in 1..per_dest.len() {
-        if let Some(v) = naive_early_verdict(&per_dest[..k], table, cfg) {
+        if let Some(v) = naive_early_verdict(&per_dest[..k], table) {
             premature = Some((k, v));
             break;
         }
     }
-    let classification = match naive_early_verdict(per_dest, table, cfg) {
+    let classification = match naive_early_verdict(per_dest, table) {
         Some(v) => v,
         // Probing exhausted every destination without an early verdict.
         None => {
-            if per_dest.len() < cfg.min_active {
-                if m.dests_anonymous >= cfg.min_active {
+            if per_dest.len() < MIN_ACTIVE {
+                if m.dests_anonymous >= MIN_ACTIVE {
                     Classification::UnresponsiveLasthop
                 } else {
                     Classification::TooFewActive
@@ -247,7 +242,7 @@ pub fn replay_verdict(
                 match naive_relationship(per_dest) {
                     Relationship::NonHierarchical => Classification::NonHierarchical,
                     Relationship::SingleGroup => {
-                        if per_dest.len() >= cfg.same_lasthop_min {
+                        if per_dest.len() >= SAME_LASTHOP_MIN {
                             Classification::SameLasthop
                         } else {
                             Classification::TooFewActive
@@ -413,20 +408,18 @@ mod tests {
             dest_epochs: vec![],
         };
         let table = ConfidenceTable::empty();
-        let cfg = HobbitConfig::default();
-        let v = replay_verdict(&m, &table, &cfg);
+        let v = replay_verdict(&m, &table);
         assert_eq!(v.classification, Classification::SameLasthop);
         assert_eq!(v.premature, None, "verdict fires exactly at the 6th");
         // With one extra recorded destination the stop was premature.
         m.per_dest.push((d(90), vec![lh(1)]));
-        let v = replay_verdict(&m, &table, &cfg);
+        let v = replay_verdict(&m, &table);
         assert_eq!(v.premature, Some((6, Classification::SameLasthop)));
     }
 
     #[test]
     fn replay_fallbacks() {
         let table = ConfidenceTable::empty();
-        let cfg = HobbitConfig::default();
         let base = BlockMeasurement {
             block: Block24(0x0C_0000),
             classification: Classification::TooFewActive,
@@ -442,7 +435,7 @@ mod tests {
         };
         // Nothing resolved, nothing anonymous: too few active.
         assert_eq!(
-            replay_verdict(&base, &table, &cfg).classification,
+            replay_verdict(&base, &table).classification,
             Classification::TooFewActive
         );
         // Nothing resolved but plenty of anonymous echoes: unresponsive LH.
@@ -452,7 +445,7 @@ mod tests {
             ..base.clone()
         };
         assert_eq!(
-            replay_verdict(&m, &table, &cfg).classification,
+            replay_verdict(&m, &table).classification,
             Classification::UnresponsiveLasthop
         );
         // Hierarchical split with an empty table: verdict at exhaustion.
@@ -463,7 +456,7 @@ mod tests {
             ..base
         };
         assert_eq!(
-            replay_verdict(&m, &table, &cfg).classification,
+            replay_verdict(&m, &table).classification,
             Classification::Hierarchical
         );
     }

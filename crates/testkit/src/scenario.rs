@@ -1201,13 +1201,13 @@ mod tests {
 
     #[test]
     fn diamond_worlds_add_midpath_ecmp_diversity() {
-        use probe::{enumerate_paths, Prober, StoppingRule};
+        use probe::{enumerate_paths, Prober};
         let mut spec = single_pop_spec();
         spec.pops[0].diamond = DiamondSpec::Wide { width: 3 };
         let world = build_world(&spec);
         let dst = ScenarioSpec::block24(0).addr(77);
         let mut prober = Prober::new(&world.network, 0xD1A);
-        let paths = enumerate_paths(&mut prober, dst, StoppingRule::confidence95(), 64);
+        let paths = enumerate_paths(&mut prober, dst, 64);
         // The per-flow fan shows up as >1 distinct interface at the
         // diamond's TTL on some hop.
         let max_width = (0..40u8)

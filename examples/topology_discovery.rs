@@ -14,7 +14,7 @@ use analysis::{coverage_curve, TraceDataset};
 use hobbit::{classify_block, select_block, survey_block, ConfidenceTable, HobbitConfig};
 use netsim::build::{build, ScenarioConfig};
 use netsim::Block24;
-use probe::{zmap, Prober, StoppingRule};
+use probe::{zmap, Prober};
 
 fn main() {
     let mut scenario = build(ScenarioConfig::small(7));
@@ -60,7 +60,7 @@ fn main() {
                 let Ok(sel) = select_block(&snapshot, block) else {
                     continue;
                 };
-                let s = survey_block(&mut prober, &sel, StoppingRule::confidence95(), true);
+                let s = survey_block(&mut prober, &sel, true);
                 if !s.per_addr_paths.is_empty() {
                     dataset.per_block.insert(block, s.per_addr_paths);
                     group.push(block);

@@ -125,7 +125,6 @@ fn mcl_clusters_respect_pops_and_reprobing_confirms() {
     let cfg = ReprobeConfig {
         max_pairs_per_cluster: 20,
         seed: 5,
-        ..Default::default()
     };
     let clusters: Vec<&[u32]> = clustering
         .non_trivial()
@@ -137,7 +136,7 @@ fn mcl_clusters_respect_pops_and_reprobing_confirms() {
         &aggs,
         &clusters,
         &cfg,
-        &p.hobbit_cfg,
+        p.hobbit_cfg.mda_mode,
         |b: Block24| select_block(&p.snapshot, b).ok(),
         p.threads,
         &NullRecorder,

@@ -9,7 +9,7 @@
 //! rewrite from two directions.
 
 use aggregate::{aggregate_identical, similarity_edges, Aggregate, HomogBlock};
-use hobbit::{early_verdict, BlockLasthopData, BlockTable, ConfidenceTable, HobbitConfig, HostSet};
+use hobbit::{early_verdict, BlockLasthopData, BlockTable, ConfidenceTable, HostSet};
 use netsim::{Addr, Block24};
 use proptest::prelude::*;
 use std::collections::BTreeSet;
@@ -88,7 +88,6 @@ proptest! {
             (0u8..=255, proptest::collection::vec(0usize..6, 1..3)), 1..25),
     ) {
         let obs = obs_of(&assignments);
-        let cfg = HobbitConfig::default();
         for conf in [ConfidenceTable::empty(), calibrated()] {
             let mut table = BlockTable::new(Block24(0x0B_0000));
             let mut per_dest: Vec<(Addr, Vec<Addr>)> = Vec::new();
@@ -96,8 +95,8 @@ proptest! {
                 table.add(*dst, lasthops);
                 per_dest.push((*dst, lasthops.clone()));
                 prop_assert_eq!(
-                    early_verdict(&table, per_dest.len(), &conf, &cfg),
-                    baseline_early_verdict(&per_dest, &conf, &cfg)
+                    early_verdict(&table, per_dest.len(), &conf),
+                    baseline_early_verdict(&per_dest, &conf)
                 );
             }
         }

@@ -1,7 +1,7 @@
 //! Property tests for the MCL implementation and the aggregation algebra.
 
 use aggregate::{aggregate_identical, similarity, similarity_edges, Aggregate, HomogBlock};
-use mcl::{connected_components, mcl, mcl_by_components, LoopScheme, MclParams, SparseMatrix};
+use mcl::{connected_components, mcl, mcl_by_components, SparseMatrix};
 use netsim::{Addr, Block24};
 use proptest::prelude::*;
 
@@ -17,7 +17,7 @@ proptest! {
             .into_iter()
             .filter(|&(a, b, _)| (a as usize) < n && (b as usize) < n)
             .collect();
-        let c = mcl(n, &edges, &MclParams::default());
+        let c = mcl(n, &edges, 2.0);
         let mut seen = vec![false; n];
         for cluster in &c.clusters {
             for &v in cluster {
@@ -46,14 +46,14 @@ proptest! {
             }
             v
         };
-        let whole = mcl(n, &edges, &MclParams::default());
+        let whole = mcl(n, &edges, 2.0);
         for cluster in &whole.clusters {
             let c0 = comp_of[cluster[0] as usize];
             for &v in cluster {
                 prop_assert_eq!(comp_of[v as usize], c0, "cluster spans components");
             }
         }
-        let split = mcl_by_components(n, &edges, &MclParams::default());
+        let split = mcl_by_components(n, &edges, 2.0);
         let mut wc = whole.clusters.clone();
         wc.sort();
         prop_assert_eq!(wc, split.clusters);
@@ -66,13 +66,13 @@ proptest! {
             .into_iter()
             .filter(|&(a, b, _)| (a as usize) < n && (b as usize) < n)
             .collect();
-        let mut m = SparseMatrix::from_edges(n, &edges, LoopScheme::MaxColumn);
+        let mut m = SparseMatrix::from_edges(n, &edges);
         m.normalize_columns();
         prop_assert!(m.is_column_stochastic(1e-9));
         let sq = m.squared();
         prop_assert!(sq.is_column_stochastic(1e-6), "squaring broke stochasticity");
         let mut infl = sq;
-        infl.inflate(2.0, 1e-6);
+        infl.inflate(2.0);
         prop_assert!(infl.is_column_stochastic(1e-9), "inflation broke stochasticity");
     }
 

@@ -57,7 +57,7 @@ fn classify_in_mode(seed: u64, mode: MdaMode) -> Vec<BlockMeasurement> {
 /// to reject a second next-hop after seeing one.
 #[test]
 fn confidence95_anchor_is_six_probes_for_one_hypothesis() {
-    assert_eq!(StoppingRule::confidence95().probes_needed(1), 6);
+    assert_eq!(StoppingRule::CONFIDENCE95.probes_needed(1), 6);
 }
 
 proptest! {

@@ -10,7 +10,7 @@ use experiments::journal::{
 };
 use experiments::pipeline::scenario_config;
 use experiments::prefix::{self, PREFIX_FILE};
-use experiments::supervise::{InjectedFault, SuperviseConfig, DEFAULT_ATTEMPT_BUDGET};
+use experiments::supervise::{InjectedFault, ATTEMPT_BUDGET};
 use experiments::{
     ExpArgs, Pipeline, PipelineBuilder, RunError, ShutdownSignal, Storage, StorageErrorKind,
 };
@@ -19,7 +19,6 @@ use netsim::build::build;
 use netsim::{Addr, Block24};
 use std::path::PathBuf;
 use std::sync::{Arc, OnceLock};
-use std::time::Duration;
 use testkit::{first_divergence, kill_points};
 
 /// Thread counts every kill/resume cycle must agree across.
@@ -440,9 +439,9 @@ fn injected_panic_quarantines_only_that_block() {
     assert_eq!(p.supervision.quarantined.len(), 1);
     let q = &p.supervision.quarantined[0];
     assert_eq!(q.block, victim_block);
-    assert_eq!(q.attempts, DEFAULT_ATTEMPT_BUDGET);
+    assert_eq!(q.attempts, ATTEMPT_BUDGET);
     assert!(q.detail.contains("injected fault"), "{:?}", q.detail);
-    assert_eq!(p.supervision.panics_caught, DEFAULT_ATTEMPT_BUDGET as u64);
+    assert_eq!(p.supervision.panics_caught, ATTEMPT_BUDGET as u64);
     assert!(p.supervision.requeues >= 1);
     // The surviving measurements are untouched by the sabotage.
     let surviving: Vec<_> = bl
@@ -488,10 +487,7 @@ fn stalled_block_is_cancelled_by_the_watchdog_and_recovered() {
     let victim = 1.min(bl.selected.len() - 1);
     let p = base(0.0)
         .threads(2)
-        .supervise(SuperviseConfig {
-            deadline: Duration::from_millis(400),
-            ..Default::default()
-        })
+        .deadline(0.4)
         .inject(Arc::new(move |_w, task, attempt| {
             (task == victim && attempt == 0).then_some(InjectedFault::Stall)
         }))
