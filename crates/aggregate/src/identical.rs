@@ -49,7 +49,7 @@ impl Aggregate {
 /// dropped (nothing to aggregate on).
 ///
 /// Flat path: one scan groups blocks through an open-addressing table
-/// keyed by a 64-bit mix of the set's fixed-width [`KEY_SLOTS`]-router
+/// keyed by a 64-bit mix of the set's fixed-width `KEY_SLOTS`-router
 /// prefix key, with a full slice comparison against each group's
 /// representative confirming (or probing past) every hash hit. Only the
 /// few thousand live slots are ever touched, so probes stay in cache; no

@@ -5,7 +5,7 @@
 //! * [`identical`] — merge /24s whose last-hop router sets are identical
 //!   (the all-or-nothing step; Figure 5's size distribution, Table 5's
 //!   giant blocks);
-//! * [`similarity`] — the `|SA∩SB| / max(|SA|,|SB|)` score and the weighted
+//! * [`similarity`](mod@similarity) — the `|SA∩SB| / max(|SA|,|SB|)` score and the weighted
 //!   similarity graph (built through an inverted last-hop index);
 //! * [`cluster`] — MCL over the graph with the paper's pre-processing
 //!   (identical-set merge + connected-component split) and inflation

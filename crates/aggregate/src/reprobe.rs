@@ -144,7 +144,7 @@ where
     // Reprobe: each selectable /24 is one task (in block order).
     let tasks: Vec<SelectedBlock> = blocks.into_iter().filter_map(&mut selector).collect();
     let next = AtomicUsize::new(0);
-    let probe_obs = ProbeObs::bind(rec);
+    let probe_obs = ProbeObs::bind(rec, "reprobe");
     let work = || {
         let mut done = Vec::new();
         loop {

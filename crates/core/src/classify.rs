@@ -503,6 +503,43 @@ mod tests {
         }
     }
 
+    /// The retry evidence lives in the prober, and every attempt at a
+    /// block gets a fresh one: a block classified right after a cancelled
+    /// attempt at it on the same worker measures what a fresh
+    /// classification does.
+    #[test]
+    fn a_block_after_a_cancelled_attempt_measures_as_fresh() {
+        let w = World::new(42);
+        let net = &w.scenario.network;
+        let (table, cfg) = (ConfidenceTable::empty(), HobbitConfig::default());
+        // Cellular radios stay warm after the cancelled attempt; any other
+        // block's replies depend only on its own probe stream.
+        let sel = w
+            .snapshot
+            .blocks()
+            .filter(|&b| net.block_profile(b).unwrap().kind != netsim::HostKind::Cellular)
+            .find_map(|b| select_block(&w.snapshot, b).ok())
+            .expect("tiny scenario has a selectable non-cellular block");
+        let classify = |net: &netsim::Network| {
+            let mut prober = Prober::new(net, block_ident(sel.block));
+            classify_block(&mut prober, &sel, &table, &cfg)
+        };
+        let fresh = classify(&net.clone());
+        // The cancelled attempt walks half the block, then its token rises.
+        let mut cancelled = Prober::new(net, block_ident(sel.block));
+        cancelled.retries = cfg.prober_retries;
+        let mut walker = LasthopWalker::new(cfg.mda_mode);
+        for &dst in sel.quarters.iter().flatten().take(sel.active_count() / 2) {
+            walker.probe(&mut cancelled, dst);
+        }
+        assert!(cancelled.probes_sent() > 0);
+        let token = probe::CancelToken::new();
+        cancelled.set_cancel_token(token.clone());
+        token.cancel();
+        let _discarded = classify_block(&mut cancelled, &sel, &table, &cfg);
+        assert_eq!(classify(net), fresh);
+    }
+
     #[test]
     fn homogeneous_blocks_mostly_classified_homogeneous() {
         let mut w = World::new(42);

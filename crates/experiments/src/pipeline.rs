@@ -55,7 +55,7 @@ use netsim::build::{derive_dynamics, try_build, BuildError, Scenario, ScenarioCo
 use netsim::{Block24, FaultConfig, Network, NetworkStats};
 use obs::{NullRecorder, Recorder, Registry, SpanTimer};
 use parking_lot::Mutex;
-use probe::{zmap, MdaMode, ProbeObs, Prober, ZmapSnapshot};
+use probe::{zmap, MdaMode, ProbeLedger, ProbeObs, Prober, ZmapSnapshot};
 use serde::Serialize;
 use std::collections::{HashMap, VecDeque};
 use std::path::PathBuf;
@@ -640,6 +640,7 @@ impl Run {
     /// included.
     fn snapshot(&self, net: &mut Network, blocks: &[Block24], world: u64) -> Snapshot {
         let _s = self.span("run/snapshot");
+        let ledger = ProbeLedger::bind(self.rec(), "scan");
         let loaded = match &self.journal {
             Some(j) if self.cfg.args.resume => {
                 prefix::load(&self.cfg.storage, &j.dir, &j.meta, world)
@@ -651,7 +652,7 @@ impl Run {
             return (p.snapshot, Some((p.confidence, p.calibration_probes)));
         }
         let threads = effective_threads(self.cfg.args.threads, blocks.len());
-        (zmap::scan(net, blocks, threads), None)
+        (zmap::scan(net, blocks, threads, &ledger), None)
     }
 
     /// Switch on faults and dynamics after the snapshot, so selection sees
@@ -726,13 +727,14 @@ impl Run {
         let rec = self.rec();
         let dataset_blocks = rec.counter("calibrate.dataset_blocks");
         let probes = rec.counter("calibrate.probes");
+        let probe_obs = ProbeObs::bind(rec, "calibrate");
         if let Some(loaded) = loaded {
             return loaded;
         }
         let stride = (sel.selected.len() / CALIBRATION_BLOCKS).max(1);
         let mut dataset: Vec<BlockLasthopData> = Vec::new();
         let mut prober = Prober::new(net, 0xCA11);
-        prober.set_obs(ProbeObs::bind(rec));
+        prober.set_obs(probe_obs);
         prober.retries = cfg.prober_retries;
         for s in sel.selected.iter().step_by(stride).take(CALIBRATION_BLOCKS) {
             let survey = survey_block(&mut prober, s, false);

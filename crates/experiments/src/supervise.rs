@@ -270,7 +270,7 @@ pub fn classify_blocks_supervised(
             report: SuperviseReport::default(),
         };
     }
-    let probe_obs = ProbeObs::bind(rec);
+    let probe_obs = ProbeObs::bind(rec, "classify");
     let classify_obs = ClassifyObs::bind(rec);
     let queues = StealQueues::from_tasks(&tasks, threads);
     let attempts: Vec<AtomicU32> = selected.iter().map(|_| AtomicU32::new(0)).collect();

@@ -38,7 +38,7 @@ use parking_lot::RwLock;
 const SHARDS: usize = 64;
 
 /// A concurrent set of addresses whose cellular radios have been woken by a
-/// probe, sharded across [`SHARDS`] `parking_lot` locks keyed by address
+/// probe, sharded across `SHARDS` `parking_lot` locks keyed by address
 /// hash so parallel workers probing different /24s never contend.
 pub struct WarmedSet {
     shards: Vec<RwLock<MixSet<Addr>>>,

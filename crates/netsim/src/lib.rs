@@ -19,7 +19,7 @@
 //! (or its `Bytes` wrapper [`topology::Network::send`]): ICMP bytes in,
 //! optional ICMP bytes out, plus an RTT — the same information a raw socket
 //! would give a real prober. Scenario builders in
-//! [`build`] additionally return ground truth so tests can score inferences.
+//! [`build`](mod@build) additionally return ground truth so tests can score inferences.
 //!
 //! ```
 //! use netsim::build::{build, ScenarioConfig};

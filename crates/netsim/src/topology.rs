@@ -3,7 +3,7 @@
 //! A `Network` is a set of routers (each with a route table and an ECMP
 //! salt fixed when the router is added), a vantage point, and the per-/24
 //! host profiles. The forwarding logic lives in [`crate::forward`];
-//! scenario construction in [`crate::build`].
+//! scenario construction in [`crate::build`](mod@crate::build).
 //!
 //! The route tables are the source of truth for forwarding. Probes walk a
 //! cache of them, the compiled forwarding plane (the `plane` module): one

@@ -36,7 +36,7 @@ pub use mda::{
     StoppingRule,
 };
 pub use ping::{ping_series, PingSeries};
-pub use prober::{backoff_delay, ProbeObs, ProbeReply, ProbeResult, Prober};
+pub use prober::{backoff_delay, ProbeLedger, ProbeObs, ProbeReply, ProbeResult, Prober};
 pub use traceroute::{paris_traceroute, Traceroute};
 pub use types::{route_sets_identical, Hop, Path};
 pub use zmap::{scan, scan_all, ZmapSnapshot};

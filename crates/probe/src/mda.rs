@@ -322,7 +322,7 @@ pub struct HopInterfaces {
 /// lite call never sends more probes than the classic one would.
 ///
 /// While the state's confirm skip is armed at this hop's destination
-/// distance `ttl + 1` ([`MdaLiteState::can_skip_confirm`]), the last-hop
+/// distance `ttl + 1` (`MdaLiteState::can_skip_confirm`), the last-hop
 /// walk sent no probe to check that `ttl` does not overshoot. A
 /// destination echo before any interface answers then ends the call after
 /// that probe (empty, `echoed`), so the walk can fall back to that check

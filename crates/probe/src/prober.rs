@@ -86,11 +86,14 @@ pub struct ProbeObs {
     /// `probe.mda_lite.escalations` — escalations back to classic MDA on
     /// inconsistent flow-label evidence.
     pub mda_lite_escalations: Counter,
+    /// The ledger of the phase these probers work for.
+    pub ledger: ProbeLedger,
 }
 
 impl ProbeObs {
-    /// Intern the standard probe metrics in `rec`.
-    pub fn bind(rec: &dyn Recorder) -> Self {
+    /// Intern the standard probe metrics in `rec`, with the ledger of
+    /// `phase` (see [`ProbeLedger::bind`]).
+    pub fn bind(rec: &dyn Recorder, phase: &str) -> Self {
         ProbeObs {
             probes_sent: rec.counter("probe.sent"),
             drops: rec.counter("probe.drops"),
@@ -102,6 +105,44 @@ impl ProbeObs {
             mda_lite_saved: rec.counter("probe.mda_lite.probes_saved"),
             mda_lite_diamonds: rec.counter("probe.mda_lite.diamonds"),
             mda_lite_escalations: rec.counter("probe.mda_lite.escalations"),
+            ledger: ProbeLedger::bind(rec, phase),
+        }
+    }
+}
+
+/// One phase's probe spend, `probe.<phase>.*`: what it sent, what came
+/// back, and what its retries bought. Every probe belongs to exactly one
+/// phase, so over a run the phases' `sent` sum to the probes the network
+/// carried, and in each phase `sent = answered + silent`.
+#[derive(Clone, Debug)]
+pub struct ProbeLedger {
+    /// `probe.<phase>.sent` — probe packets sent (including retries).
+    pub sent: Counter,
+    /// `probe.<phase>.answered` — attempts that got any answer.
+    pub answered: Counter,
+    /// `probe.<phase>.silent` — attempts that got none.
+    pub silent: Counter,
+    /// `probe.<phase>.retry_recovered` — retries that got an answer.
+    pub retry_recovered: Counter,
+    /// `probe.<phase>.retry_wasted` — retries that timed out too.
+    pub retry_wasted: Counter,
+    /// `probe.<phase>.retry_withheld` — silences that would have been
+    /// retried but for the stream's lack of evidence of loss.
+    pub retry_withheld: Counter,
+}
+
+impl ProbeLedger {
+    /// Intern the ledger of `phase` — `scan`, `calibrate`, `classify` or
+    /// `reprobe` in a pipeline run — in `rec`.
+    pub fn bind(rec: &dyn Recorder, phase: &str) -> Self {
+        let counter = |name: &str| rec.counter(&format!("probe.{phase}.{name}"));
+        ProbeLedger {
+            sent: counter("sent"),
+            answered: counter("answered"),
+            silent: counter("silent"),
+            retry_recovered: counter("retry_recovered"),
+            retry_wasted: counter("retry_wasted"),
+            retry_withheld: counter("retry_withheld"),
         }
     }
 }
@@ -134,6 +175,9 @@ pub struct Prober<'n> {
     retries_recovered: u64,
     /// Total simulated backoff wait, microseconds.
     backoff_us: u64,
+    /// What the current stream has shown of itself; decides which
+    /// silences are retried.
+    evidence: Evidence,
     /// Shared metric handles mirroring the per-prober accounting.
     obs: Option<ProbeObs>,
     /// Cooperative cancellation: once raised, retries stop immediately and
@@ -141,6 +185,10 @@ pub struct Prober<'n> {
     /// wire, so a supervised measurement unwinds in bounded time.
     cancel: CancelToken,
 }
+
+/// The TTL of a plain echo. The method sends one only to destinations the
+/// snapshot saw answer, so a silent one is evidence of loss by itself.
+const ECHO_TTL: u8 = 64;
 
 /// Lifetime retry budget of every prober: generous for ordinary runs,
 /// finite so a pathological loss regime cannot balloon probe counts
@@ -189,6 +237,7 @@ impl<'n> Prober<'n> {
             retries_used: 0,
             retries_recovered: 0,
             backoff_us: 0,
+            evidence: Evidence::default(),
             obs: None,
             cancel: CancelToken::default(),
         }
@@ -292,11 +341,23 @@ impl<'n> Prober<'n> {
     /// overflow slot rather than `0`, which would collide with the real
     /// label 0 and silently merge two distinct flows.
     ///
-    /// On timeout the prober retries up to [`Prober::retries`] times,
-    /// waiting a capped exponentially growing backoff before each retry
-    /// (accumulated in [`Prober::backoff_total_us`]); retries also draw on
-    /// the lifetime [`DEFAULT_RETRY_BUDGET`]. A cancelled prober answers
-    /// at once with a timeout, without touching the wire or the accounting.
+    /// A silence is retried only on evidence of loss in the probe's
+    /// *stream* — this prober's ICMP ident and the destination's /24, the
+    /// key the network's token buckets and virtual clocks use. Evidence is
+    /// any of: a router answered an earlier probe of the stream at this
+    /// TTL (a token bucket starts full, so a rate-limited router has
+    /// always answered first); the /24 echoed at this TTL or lower; or the
+    /// probe is a TTL-64 echo. Any other silence — an anonymous hop, a
+    /// TTL no flow of the stream has ever got an answer at — returns at
+    /// once. The evidence depends only on the stream's own earlier
+    /// replies and starts empty whenever the destination /24 changes, so
+    /// a prober that walks several /24s in turn judges each one afresh.
+    ///
+    /// A retried silence gets up to [`Prober::retries`] retries, waiting a
+    /// capped exponentially growing backoff before each one (accumulated
+    /// in [`Prober::backoff_total_us`]); retries also draw on the lifetime
+    /// [`DEFAULT_RETRY_BUDGET`]. A cancelled prober answers at once with a
+    /// timeout, without touching the wire or the accounting.
     pub fn probe(&mut self, dst: Addr, ttl: u8, flow_label: u16) -> ProbeResult {
         if self.cancel.is_cancelled() {
             // Cooperative cancellation: the enclosing measurement drains in
@@ -304,6 +365,7 @@ impl<'n> Prober<'n> {
             return CANCELLED;
         }
         let flow_label = wire_label(flow_label);
+        self.evidence.enter(dst.block24());
         let mut attempt: u32 = 0;
         loop {
             let wire = self.next_probe(dst, ttl, flow_label);
@@ -315,11 +377,17 @@ impl<'n> Prober<'n> {
             if attempt > 0 {
                 self.note_retry_outcome(result.reply.responded());
             }
-            if result.reply.responded()
-                || attempt >= self.retries
-                || self.retry_budget == 0
-                || self.cancel.is_cancelled()
-            {
+            if result.reply.responded() {
+                self.evidence.note(ttl, result.reply);
+                return result;
+            }
+            if attempt >= self.retries || self.retry_budget == 0 || self.cancel.is_cancelled() {
+                return result;
+            }
+            if !self.evidence.of_loss(ttl) {
+                if let Some(o) = &self.obs {
+                    o.ledger.retry_withheld.inc();
+                }
                 return result;
             }
             attempt += 1;
@@ -342,7 +410,8 @@ impl<'n> Prober<'n> {
     ///
     /// The 254 probes go to the network as one batch (see
     /// [`Network::exchange_block`]). A cancelled prober answers every
-    /// address with an instant timeout, as [`Prober::probe`] does.
+    /// address with an instant timeout, as [`Prober::probe`] does. A batch
+    /// never retries, so it leaves the stream evidence alone.
     pub fn probe_block_once(
         &mut self,
         block: Block24,
@@ -393,9 +462,13 @@ impl<'n> Prober<'n> {
         self.drops += dropped as u64;
         if let Some(o) = &self.obs {
             o.probes_sent.inc();
+            o.ledger.sent.inc();
             o.rtt_us.record(result.rtt_us);
             if dropped {
                 o.drops.inc();
+                o.ledger.silent.inc();
+            } else {
+                o.ledger.answered.inc();
             }
         }
         result
@@ -410,8 +483,10 @@ impl<'n> Prober<'n> {
         if let Some(o) = &self.obs {
             if answered {
                 o.retry_recovered.inc();
+                o.ledger.retry_recovered.inc();
             } else {
                 o.retry_wasted.inc();
+                o.ledger.retry_wasted.inc();
             }
         }
     }
@@ -424,6 +499,50 @@ impl<'n> Prober<'n> {
         let r = self.probe(dst, ttl, flow_label);
         self.retries = saved;
         r
+    }
+}
+
+/// What one probe stream — the prober's ident and one destination /24 —
+/// has shown of itself, for the retry rule of [`Prober::probe`].
+#[derive(Clone, Copy, Debug, Default)]
+struct Evidence {
+    /// The /24 the evidence is about.
+    block: Option<Block24>,
+    /// Bit `t`: a router answered a probe at TTL `t` (`t < ECHO_TTL`).
+    router_ttls: u64,
+    /// The lowest TTL the /24 echoed at.
+    echo_ttl: Option<u8>,
+}
+
+impl Evidence {
+    /// Move to `block`'s stream, forgetting what another /24 showed.
+    fn enter(&mut self, block: Block24) {
+        if self.block != Some(block) {
+            *self = Evidence {
+                block: Some(block),
+                ..Evidence::default()
+            };
+        }
+    }
+
+    /// Learn from an answer to a probe at `ttl`.
+    fn note(&mut self, ttl: u8, reply: ProbeReply) {
+        match reply {
+            ProbeReply::Echo { .. } => {
+                self.echo_ttl = Some(self.echo_ttl.map_or(ttl, |e| e.min(ttl)));
+            }
+            ProbeReply::TimeExceeded { .. } | ProbeReply::Unreachable { .. } if ttl < ECHO_TTL => {
+                self.router_ttls |= 1 << ttl;
+            }
+            _ => {}
+        }
+    }
+
+    /// Whether a silence at `ttl` is evidence of loss, and so worth a retry.
+    fn of_loss(&self, ttl: u8) -> bool {
+        ttl >= ECHO_TTL
+            || (self.router_ttls >> ttl) & 1 == 1
+            || self.echo_ttl.is_some_and(|e| ttl >= e)
     }
 }
 
@@ -557,16 +676,141 @@ mod tests {
         assert!(matches!(r.reply, ProbeReply::Unreachable { .. }));
     }
 
+    /// A prober whose metrics go to a fresh registry, with `retries`.
+    fn observed<'n>(net: &'n Network, ident: u16, retries: u32) -> (Prober<'n>, obs::Registry) {
+        let reg = obs::Registry::new();
+        let mut p = Prober::new(net, ident);
+        p.retries = retries;
+        p.set_obs(ProbeObs::bind(&reg, "classify"));
+        (p, reg)
+    }
+
+    /// The `probe.classify.*` ledger of `reg`: sent, answered, silent,
+    /// retries recovered, wasted and withheld.
+    fn ledger(reg: &obs::Registry) -> [u64; 6] {
+        let l = ProbeLedger::bind(reg, "classify");
+        [
+            l.sent.get(),
+            l.answered.get(),
+            l.silent.get(),
+            l.retry_recovered.get(),
+            l.retry_wasted.get(),
+            l.retry_withheld.get(),
+        ]
+    }
+
     #[test]
-    fn retries_count_in_probes_sent() {
+    fn a_silent_echo_is_retried_without_other_evidence() {
         let s = scenario();
-        // Never-responsive address: host probability is per-address, so use
-        // an address in a routed block and check bookkeeping only.
         let blk = dense_block(&s);
-        let mut p = Prober::new(&s.network, 77);
-        p.retries = 3;
+        let (mut p, reg) = observed(&s.network, 77, 3);
         let _ = p.probe(blk.addr(0), 64, 0); // .0 never hosts anyone
         assert_eq!(p.probes_sent(), 4, "1 try + 3 retries");
+        assert_eq!(ledger(&reg), [4, 0, 4, 0, 3, 0]);
+    }
+
+    #[test]
+    fn a_silence_at_a_ttl_the_stream_never_got_an_answer_at_is_not_retried() {
+        // Walk a destination behind an unresponsive PoP one TTL at a time,
+        // up to its echo: every TTL is probed once, so no silence on the
+        // way (the anonymous last hop among them) has evidence of loss.
+        let s = scenario();
+        let dst = s
+            .network
+            .allocated_blocks()
+            .into_iter()
+            .filter(|b| !s.truth.pops[s.truth.blocks[b].pop as usize].responsive)
+            .find_map(|b| {
+                let profile = *s.network.block_profile(b).unwrap();
+                let active = s
+                    .network
+                    .oracle()
+                    .active_in_block(b, &profile, s.network.epoch());
+                active.first().copied()
+            })
+            .expect("tiny scenario has an active host behind an unresponsive PoP");
+        let (mut p, reg) = observed(&s.network, 77, 3);
+        let mut silences = 0;
+        for ttl in 1..ECHO_TTL {
+            let before = p.probes_sent();
+            match p.probe(dst, ttl, 0x1000).reply {
+                ProbeReply::Echo { .. } => break,
+                ProbeReply::Timeout => {
+                    silences += 1;
+                    assert_eq!(
+                        p.probes_sent() - before,
+                        1,
+                        "silence at TTL {ttl} was retried"
+                    );
+                }
+                _ => assert_eq!(p.probes_sent() - before, 1),
+            }
+        }
+        assert!(silences > 0, "the walk met an anonymous hop");
+        let [sent, answered, silent, recovered, wasted, withheld] = ledger(&reg);
+        assert_eq!((sent, answered + silent), (p.probes_sent(), sent));
+        assert_eq!(
+            (silent, recovered, wasted, withheld),
+            (silences, 0, 0, silences)
+        );
+        assert_eq!(p.retries_used(), 0);
+    }
+
+    /// `calls` probes at TTL 1 towards `dst` with one flow label, on a
+    /// network whose routers rate-limit at 0.25 tokens per arrival: the
+    /// first-hop router's bucket for the stream answers 5 probes, then
+    /// denies 3 in every 4.
+    fn rate_limited_calls(p: &mut Prober, dst: Addr, calls: usize) {
+        for _ in 0..calls {
+            let _ = p.probe(dst, 1, 0);
+        }
+    }
+
+    #[test]
+    fn a_silence_at_an_answered_ttl_gets_its_retries() {
+        let mut s = scenario();
+        let blk = dense_block(&s);
+        s.network.set_faults(netsim::FaultConfig::lossy(0.0, 0.25));
+        let (mut p, reg) = observed(&s.network, 77, 3);
+        // Calls 1–5 are answered at once; calls 6–8 each meet three
+        // denials, so each spends its 3 retries: 2 wasted, 1 recovered.
+        rate_limited_calls(&mut p, blk.addr(10), 8);
+        assert_eq!(p.probes_sent(), 5 + 3 * 4);
+        assert_eq!(p.retries_used(), 9);
+        assert_eq!(p.retries_recovered(), 3);
+        assert_eq!(p.retries_wasted(), 6);
+        assert_eq!(ledger(&reg), [17, 8, 9, 3, 6, 0]);
+    }
+
+    #[test]
+    fn a_new_block_starts_with_no_evidence() {
+        // Calibration walks its /24s on one prober, in turn: a /24 it
+        // comes back to is judged on what it shows from then on.
+        let mut s = scenario();
+        let a = dense_block(&s);
+        let b = *s
+            .network
+            .allocated_blocks()
+            .iter()
+            .find(|&&b| b != a)
+            .unwrap();
+        s.network.set_faults(netsim::FaultConfig::lossy(0.0, 0.25));
+        let net = &s.network;
+        // Alone, the sixth call at TTL 1 is denied and retried (on a copy
+        // of the network, so the buckets start alike).
+        let alone = net.clone();
+        let (mut p, _) = observed(&alone, 77, 3);
+        rate_limited_calls(&mut p, a.addr(10), 6);
+        assert_eq!(p.probes_sent(), 5 + 4);
+        // With a probe to another /24 in between, the sixth call is the
+        // first of a new stream's evidence: its silence is withheld.
+        let (mut p, reg) = observed(net, 77, 3);
+        rate_limited_calls(&mut p, a.addr(10), 5);
+        let _ = p.probe(b.addr(10), 1, 0);
+        rate_limited_calls(&mut p, a.addr(10), 1);
+        assert_eq!(p.probes_sent(), 5 + 1 + 1);
+        let [sent, _, silent, _, _, withheld] = ledger(&reg);
+        assert_eq!((sent, silent, withheld), (7, 1, 1));
     }
 
     #[test]
@@ -627,7 +871,7 @@ mod tests {
         let reg = obs::Registry::new();
         let mut p = Prober::new(&s.network, 77);
         p.retries = 1;
-        p.set_obs(ProbeObs::bind(&reg));
+        p.set_obs(ProbeObs::bind(&reg, "classify"));
         for label in 0..40 {
             let _ = p.probe(blk.addr(10), 2, label);
         }

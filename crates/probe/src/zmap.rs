@@ -41,8 +41,9 @@
 //! carried-probe counter and every unanswered one to `net.silent.no_host`,
 //! and `restore` adds to no counter at all.
 
-use crate::prober::{ProbeReply, ProbeResult, Prober};
+use crate::prober::{ProbeLedger, ProbeReply, ProbeResult, Prober};
 use netsim::{Addr, Block24, HostKind, Network};
+use obs::NullRecorder;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -90,8 +91,14 @@ impl ZmapSnapshot {
 /// afterwards.
 ///
 /// Uses a single probe per address (ZMap is one-shot), TTL 64. The result
-/// is the same at any thread count (see the module docs).
-pub fn scan(net: &mut Network, blocks: &[Block24], threads: usize) -> ZmapSnapshot {
+/// is the same at any thread count (see the module docs). The probes and
+/// their answers are counted into `ledger` once the workers are done.
+pub fn scan(
+    net: &mut Network,
+    blocks: &[Block24],
+    threads: usize,
+    ledger: &ProbeLedger,
+) -> ZmapSnapshot {
     let saved_epoch = net.epoch();
     net.set_epoch(0);
     let shared: &Network = net;
@@ -111,10 +118,15 @@ pub fn scan(net: &mut Network, blocks: &[Block24], threads: usize) -> ZmapSnapsh
     });
     net.set_epoch(saved_epoch);
     let mut snapshot = ZmapSnapshot::default();
-    for (active, probes) in parts {
+    let mut answered = 0;
+    for (active, probes, answers) in parts {
         snapshot.active.extend(active);
         snapshot.probes += probes;
+        answered += answers;
     }
+    ledger.sent.add(snapshot.probes);
+    ledger.answered.add(answered);
+    ledger.silent.add(snapshot.probes - answered);
     snapshot
 }
 
@@ -140,15 +152,16 @@ pub fn restore(net: &mut Network, snapshot: &ZmapSnapshot) {
 }
 
 /// One worker: claim chunks until none are left. Returns the responsive
-/// blocks it found and the probes it sent.
+/// blocks it found, the probes it sent and how many got any answer.
 fn scan_chunks(
     net: &Network,
     blocks: &[Block24],
     next_chunk: &AtomicUsize,
-) -> (Vec<(Block24, Vec<Addr>)>, u64) {
+) -> (Vec<(Block24, Vec<Addr>)>, u64, u64) {
     let mut prober = Prober::new(net, SCAN_IDENT);
     let mut results = Vec::new();
     let mut active = Vec::new();
+    let mut answered = 0;
     loop {
         // Relaxed: the counter only hands out chunk indices; the results
         // travel back through the thread join.
@@ -160,12 +173,13 @@ fn scan_chunks(
         prober.set_sequence(start as u64 * PROBES_PER_BLOCK);
         for &block in chunk {
             let hits = scan_block(&mut prober, block, &mut results);
+            answered += results.iter().filter(|r| r.reply.responded()).count() as u64;
             if !hits.is_empty() {
                 active.push((block, hits));
             }
         }
     }
-    (active, prober.probes_sent())
+    (active, prober.probes_sent(), answered)
 }
 
 /// Probe every host address of `block` once (TTL 64) and return those
@@ -184,7 +198,12 @@ fn scan_block(prober: &mut Prober, block: Block24, results: &mut Vec<ProbeResult
 /// Scan all allocated blocks of the network on `threads` workers.
 pub fn scan_all(net: &mut Network, threads: usize) -> ZmapSnapshot {
     let blocks = net.allocated_blocks();
-    scan(net, &blocks, threads)
+    scan(
+        net,
+        &blocks,
+        threads,
+        &ProbeLedger::bind(&NullRecorder, "scan"),
+    )
 }
 
 #[cfg(test)]
@@ -195,11 +214,30 @@ mod tests {
     use netsim::{DynamicsConfig, NetemSpec, NetworkStats, SilenceStats};
     use obs::Recorder;
 
+    fn scan_unobserved(net: &mut Network, blocks: &[Block24], threads: usize) -> ZmapSnapshot {
+        scan(
+            net,
+            blocks,
+            threads,
+            &ProbeLedger::bind(&NullRecorder, "scan"),
+        )
+    }
+
+    /// The `probe.scan.{sent, answered, silent}` counters in `reg`.
+    fn scan_ledger(reg: &obs::Registry) -> (u64, u64, u64) {
+        let ledger = ProbeLedger::bind(reg, "scan");
+        (
+            ledger.sent.get(),
+            ledger.answered.get(),
+            ledger.silent.get(),
+        )
+    }
+
     #[test]
     fn scan_matches_oracle_at_snapshot_epoch() {
         let mut s = build(ScenarioConfig::tiny(42));
         let blocks: Vec<Block24> = s.network.allocated_blocks().into_iter().take(10).collect();
-        let snap = scan(&mut s.network, &blocks, 1);
+        let snap = scan_unobserved(&mut s.network, &blocks, 1);
         for &b in &blocks {
             let profile = *s.network.block_profile(b).unwrap();
             let expect = s.network.oracle().active_in_block(b, &profile, 0);
@@ -213,7 +251,7 @@ mod tests {
         let mut s = build(ScenarioConfig::tiny(42));
         s.network.set_epoch(3);
         let blocks = vec![s.network.allocated_blocks()[0]];
-        let _ = scan(&mut s.network, &blocks, 2);
+        let _ = scan_unobserved(&mut s.network, &blocks, 2);
         assert_eq!(s.network.epoch(), 3);
     }
 
@@ -221,7 +259,7 @@ mod tests {
     fn total_active_sums_blocks() {
         let mut s = build(ScenarioConfig::tiny(42));
         let blocks: Vec<Block24> = s.network.allocated_blocks().into_iter().take(5).collect();
-        let snap = scan(&mut s.network, &blocks, 1);
+        let snap = scan_unobserved(&mut s.network, &blocks, 1);
         let sum: usize = blocks.iter().map(|b| snap.active_in(*b).len()).sum();
         assert_eq!(snap.total_active(), sum);
     }
@@ -229,13 +267,14 @@ mod tests {
     /// What one serial scan leaves behind: the snapshot, every address's
     /// `(dst, reply, rtt_us)` in send order, the prober's accounting (sent,
     /// RTT sum, drops) and its `probe.sent`, `probe.drops` and
-    /// `probe.rtt_us` metrics.
+    /// `probe.rtt_us` metrics, and its scan ledger.
     #[derive(Debug, PartialEq)]
     struct SerialScan {
         snapshot: ZmapSnapshot,
         replies: Vec<(Addr, ProbeReply, u64)>,
         accounting: (u64, u64, u64),
         metrics: (u64, u64, u64, u64, Vec<(usize, u64)>),
+        ledger: (u64, u64, u64),
     }
 
     /// A one-thread scan at epoch 0 through an observed prober:
@@ -248,7 +287,7 @@ mod tests {
         let reg = obs::Registry::new();
         let mut prober = Prober::new(net, SCAN_IDENT);
         prober.retries = 0;
-        prober.set_obs(ProbeObs::bind(&reg));
+        prober.set_obs(ProbeObs::bind(&reg, "scan"));
         let mut snapshot = ZmapSnapshot::default();
         let mut replies = Vec::new();
         let mut results = Vec::new();
@@ -289,6 +328,7 @@ mod tests {
                 rtt.sum(),
                 rtt.bucket_counts(),
             ),
+            ledger: scan_ledger(&reg),
         }
     }
 
@@ -353,8 +393,14 @@ mod tests {
         for threads in [1, 2, 3, 8] {
             let mut net = world.network.clone();
             net.set_epoch(0);
-            let snap = scan(&mut net, &blocks, threads);
+            let reg = obs::Registry::new();
+            let snap = scan(&mut net, &blocks, threads, &ProbeLedger::bind(&reg, "scan"));
             assert_eq!(snap, per_probe.snapshot, "snapshot at {threads} threads");
+            assert_eq!(
+                scan_ledger(&reg),
+                per_probe.ledger,
+                "ledger at {threads} threads"
+            );
             same_network(&net, &per_probe_net, &format!("{threads} threads"));
         }
         // From a later epoch the scan restores it, at any thread count.
@@ -362,7 +408,7 @@ mod tests {
         assert_eq!(later.snapshot, per_probe.snapshot);
         let mut net = world.network.clone();
         net.set_epoch(5);
-        assert_eq!(scan(&mut net, &blocks, 3), per_probe.snapshot);
+        assert_eq!(scan_unobserved(&mut net, &blocks, 3), per_probe.snapshot);
         same_network(&net, &later_net, "from epoch 5");
     }
 

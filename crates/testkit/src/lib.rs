@@ -22,7 +22,7 @@
 //! * [`diff`] — the differential runner: production classification (injected
 //!   by the caller, so this crate stays independent of `experiments`)
 //!   versus the oracle, block by block, across thread counts.
-//! * [`shrink`] — a greedy delta-debugging shrinker that reduces a failing
+//! * [`shrink`](mod@shrink) — a greedy delta-debugging shrinker that reduces a failing
 //!   scenario to a minimal reproducer.
 //! * [`corpus`] — seed-file I/O and the golden corpus definitions checked
 //!   into `tests/corpus/`.

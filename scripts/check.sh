@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Local CI gauntlet: format, lint, build, test.
+# Local CI gauntlet: format, lint, docs, build, test.
 #
 #   scripts/check.sh          # everything
 #   scripts/check.sh --fast   # skip the release build (lint + debug tests)
@@ -14,6 +14,10 @@ cargo fmt --all -- --check
 
 echo "==> cargo clippy -D warnings"
 cargo clippy --offline --workspace --all-targets -- -D warnings
+
+# `--lib`: the `hobbit` lib and bin would write the same doc file.
+echo "==> cargo doc -D warnings"
+RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps --workspace --lib
 
 if [[ "$FAST" == 0 ]]; then
     echo "==> cargo build --release"

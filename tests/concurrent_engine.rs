@@ -16,7 +16,7 @@
 use netsim::build::{build, ScenarioConfig};
 use netsim::Block24;
 use obs::{Recorder, Registry};
-use probe::{ProbeObs, ProbeReply, Prober};
+use probe::{ProbeLedger, ProbeObs, ProbeReply, Prober};
 
 /// `threads(1)` and `threads(8)` runs of the same seed must agree on every
 /// byte of output: selection, measurements, probe totals, aggregates.
@@ -138,7 +138,7 @@ fn shared_engine_is_consistent_under_contention() {
     // one shared set of metric handles, and the network into the same
     // registry, so every worker bumps the same counters.
     let reg = Registry::new();
-    let obs = ProbeObs::bind(&reg);
+    let obs = ProbeObs::bind(&reg, "classify");
     let mut network = scenario.network;
     network.set_recorder(&reg);
     let net = &network;
@@ -193,7 +193,11 @@ fn shared_engine_is_consistent_under_contention() {
 /// counter (the scan's prober is not observed) is the latter two.
 /// `exchange` counts each parsed probe before any drop, and a cancelled
 /// probe touches neither counter, so the identity holds pristine, lossy
-/// and evolving, at any thread count.
+/// and evolving, at any thread count. The per-phase probe ledger
+/// (`probe.<phase>.*`) splits the same count: its `sent` over the phases
+/// run so far is the carried count — after the pipeline, and again after
+/// the reprobe validation that follows it — and in every phase each probe
+/// sent was either answered or silent.
 #[test]
 fn whole_run_probe_conservation() {
     type Mode = fn(experiments::PipelineBuilder) -> experiments::PipelineBuilder;
@@ -209,7 +213,7 @@ fn whole_run_probe_conservation() {
                 .scale(0.01)
                 .threads(threads)
                 .observe();
-            let p = mode(builder).run();
+            let mut p = mode(builder).run();
             let sent = p.calibration_probes + p.classify_probes;
             assert_eq!(
                 p.net_stats.probes_carried,
@@ -217,12 +221,41 @@ fn whole_run_probe_conservation() {
                 "{name} at {threads} threads: carried probes are not \
                  scan + calibration + classification"
             );
-            let obs = p.obs.as_ref().expect("observed run keeps its registry");
+            let obs = p.obs.clone().expect("observed run keeps its registry");
             assert_eq!(
                 obs.counter_value("probe.sent"),
                 Some(sent),
                 "{name} at {threads} threads: probe.sent is not \
                  calibration + classification"
+            );
+            let ledger = |phase: &str| {
+                let l = ProbeLedger::bind(&*obs, phase);
+                let sent = l.sent.get();
+                assert_eq!(
+                    sent,
+                    l.answered.get() + l.silent.get(),
+                    "{name} at {threads} threads: {phase} sent is not answered + silent"
+                );
+                let retries = l.retry_recovered.get() + l.retry_wasted.get();
+                assert!(retries <= l.silent.get(), "{name}: {phase} retries");
+                sent
+            };
+            assert_eq!(ledger("scan"), p.snapshot.probes, "{name}: scan ledger");
+            assert_eq!(ledger("calibrate"), p.calibration_probes);
+            assert_eq!(ledger("classify"), p.classify_probes);
+            let pipeline_sent = ledger("scan") + ledger("calibrate") + ledger("classify");
+            assert_eq!(
+                pipeline_sent, p.net_stats.probes_carried,
+                "{name} at {threads} threads: the ledger does not sum to the carried probes"
+            );
+            experiments::exps::figure9::cluster_and_validate(&mut p, 7, 120, 40);
+            let reprobe_sent = ledger("reprobe");
+            assert!(reprobe_sent > 0, "{name}: clusters were reprobed");
+            assert_eq!(
+                pipeline_sent + reprobe_sent,
+                p.scenario.network.probes_carried(),
+                "{name} at {threads} threads: the ledger does not sum to the \
+                 carried probes after reprobing"
             );
         }
     }
