@@ -1075,9 +1075,9 @@ mod tests {
         assert_eq!(
             digests,
             vec![
-                6_708_048_112_384_551_008,
-                12_913_659_742_138_281_199,
-                3_807_989_354_213_183_045
+                8_964_882_587_361_791_892,
+                11_226_600_739_912_325_310,
+                7_811_596_943_180_866_946
             ]
         );
     }
