@@ -18,6 +18,10 @@ use obs::{NullRecorder, Recorder};
 use serde_json::json;
 
 /// Per-cluster outcome shared by Figures 9 and 10.
+///
+/// Only clusters whose reprobes left a comparable pair have an outcome,
+/// so summing `validation.probes_used` over outcomes under-counts the
+/// reprobe spend; the run's `probe.reprobe.sent` counter is the spend.
 pub struct ClusterOutcome {
     /// Index into the clustering's cluster list.
     pub cluster_idx: usize,
@@ -74,6 +78,11 @@ pub const INFLATIONS: [f64; 4] = [1.4, 2.0, 2.8, 4.0];
 
 /// Cluster the pipeline's aggregates (with the sweep) and validate each
 /// non-trivial cluster by reprobing (bounded work).
+///
+/// A cluster whose reprobes left no comparable pair (`total_pairs == 0`)
+/// gets no outcome, though its /24s were reprobed; Figure 9's counts of
+/// validated clusters leave it out. The probes it cost are in
+/// `probe.reprobe.sent`, not in any outcome's `validation.probes_used`.
 pub fn cluster_and_validate(
     p: &mut Pipeline,
     seed: u64,

@@ -80,17 +80,6 @@ pub enum MdaMode {
     Lite,
 }
 
-impl MdaMode {
-    /// Short lowercase name (`classic` / `mda_lite`), used in bench entry
-    /// names and CLI output.
-    pub fn slug(self) -> &'static str {
-        match self {
-            MdaMode::Classic => "classic",
-            MdaMode::Lite => "mda_lite",
-        }
-    }
-}
-
 /// Per-block MDA-Lite memory: the diamond of last-hop interfaces confirmed
 /// so far, plus the probe-budget accounting the `probe.mda_lite.*` counters
 /// report.

@@ -2,17 +2,11 @@
 //!
 //! The production hot path now runs over dense per-/24 tables, interned
 //! router ids, and 256-bit member bitsets (`hobbit::layout`). This module
-//! keeps the `BTreeMap`/`HashMap` implementations they replaced, for two
-//! consumers:
-//!
-//! * **differential property tests** — the flat kernels must be
-//!   extensionally equal to these on arbitrary scenarios (`tests/
-//!   prop_flat.rs`), independently of the deliberately-naive
-//!   [`oracle`](crate::oracle) implementations;
-//! * **the benchmark trajectory** — `hobbit-bench --label baseline` runs
-//!   these kernels on the same workloads as the flat path, so the
-//!   committed `BENCH_baseline.json` vs `BENCH_flat.json` comparison
-//!   measures real before/after throughput, not a strawman.
+//! keeps the `BTreeMap`/`HashMap` implementations they replaced for one
+//! consumer, the differential property tests of `tests/prop_flat.rs`: the
+//! flat kernels must be extensionally equal to these on arbitrary
+//! scenarios, independently of the deliberately-naive
+//! [`oracle`](crate::oracle) implementations.
 
 use hobbit::{Classification, ConfidenceTable, Relationship, SAME_LASTHOP_MIN};
 use netsim::{Addr, Block24, Prefix};

@@ -31,9 +31,8 @@
 //!   plus verdict-flip and stale-aggregate rates of a dynamic run against
 //!   its own frozen baseline.
 //! * [`baseline`] — the pre-flat-layout `BTreeMap`/`HashMap` kernels kept
-//!   verbatim, for extensional-equality property tests against the dense
-//!   `hobbit::layout` path and for the `hobbit-bench --label baseline`
-//!   before/after measurement.
+//!   verbatim; `tests/prop_flat.rs`, their one consumer, checks the dense
+//!   `hobbit::layout` path is extensionally equal to them.
 //! * [`crash`] — the kill/resume harness vocabulary: [`CrashPlan`]s (kill
 //!   after N journal appends, torn tail, worker panic/stall injection),
 //!   the standard kill-point sweep, and the byte-divergence locator used

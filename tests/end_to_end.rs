@@ -5,9 +5,14 @@
 //! quantitative accuracy bounds.
 
 use aggregate::{sweep_inflation, validate_clusters, ReprobeConfig};
-use hobbit::{select_block, Classification};
+use hobbit::{
+    block_ident, classify_block, select_all, select_block, Classification, ConfidenceTable,
+    HobbitConfig,
+};
+use netsim::build::{build, derive_dynamics, ScenarioConfig};
 use netsim::Block24;
 use obs::NullRecorder;
+use probe::{zmap, MdaMode, Prober};
 use std::collections::BTreeMap;
 
 fn pipeline() -> experiments::Pipeline {
@@ -209,4 +214,48 @@ fn probing_cost_is_modest() {
         per_dest < 25.0,
         "classification used {per_dest:.1} probes per destination"
     );
+}
+
+/// Classify every selected /24 of a fresh tiny world once, each with its
+/// own prober and no confidence table, and return (blocks, probes).
+/// Churn and quiet periods are off: a /24 gone dark since the snapshot
+/// costs the same liveness checks in either MDA mode and would dilute the
+/// budget. `dynamics` arms `derive_dynamics(.., 0.5, 64)` after the scan.
+fn probe_budget(mode: MdaMode, dynamics: bool) -> (usize, u64) {
+    let mut cfg = ScenarioConfig::tiny(0xB17);
+    cfg.churn = 0.0;
+    cfg.quiet_prob = 0.0;
+    let mut scenario = build(cfg);
+    let selected = select_all(&zmap::scan_all(&mut scenario.network, 1));
+    let mut probing = HobbitConfig {
+        mda_mode: mode,
+        ..HobbitConfig::default()
+    };
+    if dynamics {
+        let schedule = derive_dynamics(&scenario, 0.5, 64);
+        assert!(!schedule.events.is_empty(), "no dynamics events scheduled");
+        scenario.network.set_dynamics(schedule);
+        probing.dynamics_period = 64;
+    }
+    let conf = ConfidenceTable::empty();
+    let probes = selected
+        .iter()
+        .map(|sel| {
+            let mut prober = Prober::new(&scenario.network, block_ident(sel.block));
+            classify_block(&mut prober, sel, &conf, &probing).probes_used
+        })
+        .sum();
+    (selected.len(), probes)
+}
+
+/// The method's probe budget, pinned exactly: one probe more or fewer in
+/// classic MDA, MDA-Lite or a time-evolving world fails here. A change
+/// that is meant to move the budget re-pins these totals and says why.
+/// MDA-Lite's saving over classic is checked with a floor in
+/// `tests/mda_lite.rs` (`SAVINGS_FLOOR`).
+#[test]
+fn probe_budget_is_pinned() {
+    assert_eq!(probe_budget(MdaMode::Classic, false), (203, 30_600));
+    assert_eq!(probe_budget(MdaMode::Lite, false), (203, 13_397));
+    assert_eq!(probe_budget(MdaMode::Classic, true), (203, 30_437));
 }
