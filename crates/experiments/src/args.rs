@@ -9,8 +9,9 @@ use std::time::Duration;
 pub struct ExpArgs {
     /// Scenario seed.
     pub seed: u64,
-    /// Scale factor on the paper-size scenario (1.0 = 32k ordinary /24s and
-    /// literal Table-5 site sizes; the default keeps binaries fast).
+    /// Scenario scale factor. 1.0 builds about 32k ordinary /24s plus the
+    /// Table-5 sites at their literal sizes and probes about 38k /24s, some
+    /// 1% of the paper's 3.37M; the default keeps binaries fast.
     pub scale: f64,
     /// Emit machine-readable JSON instead of text tables.
     pub json: bool,
@@ -95,7 +96,9 @@ pub const USAGE: &str =
 \u{20}                   [--deadline SECS] [--mda-lite] [--dynamics R[,P]]\n\
 \u{20}                   [--storage-chaos SEED[,RATE]]\n\
 --seed N      scenario seed (default 42)\n\
---scale F     scenario scale, 1.0 = paper-size (default 0.12)\n\
+--scale F     scenario scale (default 0.12); 1.0 builds ~32k ordinary\n\
+\u{20}             /24s plus the Table-5 sites and probes ~38k of them,\n\
+\u{20}             some 1% of the paper's 3.37M\n\
 --threads N   probing worker threads: snapshot scan and classification\n\
 \u{20}             (default: all cores)\n\
 --faults L,R  inject faults into classification probing: per-link loss\n\

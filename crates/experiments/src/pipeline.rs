@@ -187,7 +187,9 @@ impl PipelineBuilder {
         self
     }
 
-    /// Scenario scale, 1.0 = paper-size (default 0.12).
+    /// Scenario scale (default 0.12). 1.0 builds about 32k ordinary /24s
+    /// plus the Table-5 sites and probes about 38k /24s, some 1% of the
+    /// paper's 3.37M.
     pub fn scale(mut self, scale: f64) -> Self {
         self.args.scale = scale;
         self

@@ -13,9 +13,12 @@
 //!
 //! * [`oracle`] — single-threaded, O(n²) reimplementations of last-hop
 //!   grouping, the hierarchy test, strict-disjoint subnet detection,
-//!   identical-set aggregation, and a replay of the classifier's
-//!   early-termination state machine. Shares no code with `hobbit`'s
-//!   production paths beyond the `core` data types.
+//!   identical-set aggregation, similarity edges, and a replay of the
+//!   classifier's early-termination state machine. Shares no code with
+//!   `hobbit`'s production paths beyond the `core` data types. It is the
+//!   one reference: the conformance runner and `tests/prop_flat.rs`, which
+//!   checks the flat `hobbit::layout` and aggregation kernels on arbitrary
+//!   inputs, both compare against it.
 //! * [`scenario`] — a serializable scenario grammar ([`ScenarioSpec`])
 //!   with a seeded generator and a miniature topology builder producing
 //!   netsim networks with *known ground-truth labels*.
@@ -30,9 +33,6 @@
 //!   worlds: epoch-aware truth labels derived from the event schedule,
 //!   plus verdict-flip and stale-aggregate rates of a dynamic run against
 //!   its own frozen baseline.
-//! * [`baseline`] — the pre-flat-layout `BTreeMap`/`HashMap` kernels kept
-//!   verbatim; `tests/prop_flat.rs`, their one consumer, checks the dense
-//!   `hobbit::layout` path is extensionally equal to them.
 //! * [`crash`] — the kill/resume harness vocabulary: [`CrashPlan`]s (kill
 //!   after N journal appends, torn tail, worker panic/stall injection),
 //!   the standard kill-point sweep, and the byte-divergence locator used
@@ -43,7 +43,6 @@
 #![warn(missing_docs)]
 
 pub mod accuracy;
-pub mod baseline;
 pub mod corpus;
 pub mod crash;
 pub mod diff;
@@ -53,15 +52,12 @@ pub mod shrink;
 pub mod storage;
 
 pub use accuracy::{dynamics_accuracy, epoch_truth, AccuracyObs, AccuracyReport};
-pub use baseline::{
-    baseline_aggregate_identical, baseline_early_verdict, baseline_similarity_edges, BaselineGroups,
-};
 pub use corpus::{golden_specs, CorpusEntry, CorpusStore, ExpectedBlock, StdCorpusStore};
 pub use crash::{first_divergence, kill_points, CrashPlan};
 pub use diff::{run_spec, ClassifyRef, ConformObs, DiffReport, Mismatch};
 pub use oracle::{
-    naive_aggregate, naive_disjoint_aligned, naive_lasthop_set, naive_merged_groups,
-    naive_relationship, replay_verdict, OracleVerdict,
+    naive_aggregate, naive_disjoint_aligned, naive_early_verdict, naive_lasthop_set,
+    naive_merged_groups, naive_relationship, naive_similarity_edges, replay_verdict, OracleVerdict,
 };
 pub use scenario::{
     build_world, gen_spec, BlockKind, BlockSpec, DynamicsSpec, EventSpec, NetemKnobs, PopSpec,

@@ -1,5 +1,5 @@
 //! The reference oracle: naive, single-threaded reimplementations of every
-//! decision the production classifier makes.
+//! decision the production classifier and aggregation make.
 //!
 //! Everything here is deliberately O(n²) or worse — repeated fixpoint merge
 //! passes instead of union-find, all-pairs scans instead of sorted sweeps,
@@ -110,12 +110,6 @@ pub fn naive_merged_groups(per_dest: &[Obs]) -> Vec<Vec<Addr>> {
     merged
 }
 
-/// Number of distinct last-hop interfaces (the *unmerged* cardinality the
-/// confidence table is indexed by).
-fn naive_cardinality(per_dest: &[Obs]) -> usize {
-    naive_lasthop_set(per_dest).len()
-}
-
 /// The range-relationship test over the merged groups, all pairs.
 pub fn naive_relationship(per_dest: &[Obs]) -> Relationship {
     let merged = naive_merged_groups(per_dest);
@@ -184,17 +178,21 @@ pub fn naive_disjoint_aligned(per_dest: &[Obs]) -> Option<Vec<Prefix>> {
 }
 
 /// The early-termination test the classifier applies after each resolved
-/// destination, recomputed naively over an evidence prefix.
-fn naive_early_verdict(per_dest: &[Obs], table: &ConfidenceTable) -> Option<Classification> {
+/// destination, recomputed naively over an evidence prefix. The confidence
+/// table is indexed by the *unmerged* cardinality, the number of distinct
+/// last-hop interfaces.
+pub fn naive_early_verdict(per_dest: &[Obs], table: &ConfidenceTable) -> Option<Classification> {
     match naive_relationship(per_dest) {
         Relationship::NonHierarchical => Some(Classification::NonHierarchical),
         Relationship::SingleGroup => {
             (per_dest.len() >= SAME_LASTHOP_MIN).then_some(Classification::SameLasthop)
         }
-        Relationship::Hierarchical => match table.required_probes(naive_cardinality(per_dest)) {
-            Some(required) if per_dest.len() >= required => Some(Classification::Hierarchical),
-            _ => None,
-        },
+        Relationship::Hierarchical => {
+            match table.required_probes(naive_lasthop_set(per_dest).len()) {
+                Some(required) if per_dest.len() >= required => Some(Classification::Hierarchical),
+                _ => None,
+            }
+        }
     }
 }
 
@@ -249,7 +247,7 @@ pub fn replay_verdict(m: &BlockMeasurement, table: &ConfidenceTable) -> OracleVe
                         }
                     }
                     Relationship::Hierarchical => {
-                        match table.required_probes(naive_cardinality(per_dest)) {
+                        match table.required_probes(naive_lasthop_set(per_dest).len()) {
                             Some(required) if per_dest.len() < required => {
                                 Classification::TooFewActive
                             }
@@ -269,8 +267,8 @@ pub fn replay_verdict(m: &BlockMeasurement, table: &ConfidenceTable) -> OracleVe
 /// Naive identical-set aggregation: for each homogeneous block, linearly
 /// search the aggregates built so far for one whose last-hop set is
 /// set-equal, else open a new one. Output is normalized to the production
-/// presentation order (largest first, ties by member blocks) so the two
-/// can be compared directly.
+/// presentation order (largest first, ties by member blocks, then by
+/// last-hop set) so the two can be compared directly.
 pub fn naive_aggregate(blocks: &[(Block24, Vec<Addr>)]) -> Vec<(Vec<Addr>, Vec<Block24>)> {
     let mut aggs: Vec<(Vec<Addr>, Vec<Block24>)> = Vec::new();
     for (block, lasthops) in blocks {
@@ -292,8 +290,30 @@ pub fn naive_aggregate(blocks: &[(Block24, Vec<Addr>)]) -> Vec<(Vec<Addr>, Vec<B
     for (_, members) in aggs.iter_mut() {
         insertion_sort(members);
     }
-    aggs.sort_by(|a, b| b.1.len().cmp(&a.1.len()).then_with(|| a.1.cmp(&b.1)));
+    aggs.sort_by(|a, b| {
+        b.1.len()
+            .cmp(&a.1.len())
+            .then_with(|| a.1.cmp(&b.1))
+            .then_with(|| a.0.cmp(&b.0))
+    });
     aggs
+}
+
+/// Naive similarity edges over last-hop sets: every pair `i < j` that
+/// shares an interface, weighted by the shared count over the larger set
+/// (paper §6.3), found by linear `contains` scans over all pairs.
+pub fn naive_similarity_edges(sets: &[Vec<Addr>]) -> Vec<(u32, u32, f64)> {
+    let mut edges = Vec::new();
+    for i in 0..sets.len() {
+        for j in (i + 1)..sets.len() {
+            let shared = sets[i].iter().filter(|a| sets[j].contains(a)).count();
+            if shared > 0 {
+                let larger = sets[i].len().max(sets[j].len());
+                edges.push((i as u32, j as u32, shared as f64 / larger as f64));
+            }
+        }
+    }
+    edges
 }
 
 #[cfg(test)]
@@ -320,14 +340,23 @@ mod tests {
     /// spread of shapes, including transitive merges.
     #[test]
     fn grouping_matches_production() {
+        // Figures 2(a)–2(c) first, then merges.
         let cases: Vec<Vec<Obs>> = vec![
             obs(&[(2, &[1]), (126, &[1]), (130, &[2]), (237, &[2])]),
+            obs(&[(2, &[1]), (237, &[1]), (126, &[2]), (130, &[2])]),
             obs(&[(2, &[1]), (130, &[1]), (126, &[2]), (237, &[2])]),
             obs(&[(2, &[1, 2]), (200, &[2, 3])]),
             obs(&[(2, &[1]), (100, &[1, 2]), (200, &[2])]),
             obs(&[(10, &[5]), (20, &[5]), (30, &[5])]),
             obs(&[]),
         ];
+        use Relationship::{Hierarchical, NonHierarchical};
+        for (per_dest, figure) in cases
+            .iter()
+            .zip([Hierarchical, Hierarchical, NonHierarchical])
+        {
+            assert_eq!(naive_relationship(per_dest), figure);
+        }
         for per_dest in cases {
             let prod =
                 BlockTable::from_observations(per_dest.iter().map(|(a, l)| (*a, l.as_slice())));
@@ -372,6 +401,10 @@ mod tests {
             (Block24(3), vec![lh(1)]),
             (Block24(4), vec![lh(1), lh(2), lh(3)]),
             (Block24(5), vec![]),
+            // One /24 twice with different sets: two size-1 aggregates
+            // with equal members, ordered by last-hop set.
+            (Block24(6), vec![lh(3)]),
+            (Block24(6), vec![lh(2)]),
         ];
         let prod: Vec<(Vec<Addr>, Vec<Block24>)> = aggregate_identical(
             &blocks

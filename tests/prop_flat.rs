@@ -1,12 +1,8 @@
 //! Differential property tests: the flat dense-layout kernels
 //! (`hobbit::layout`, the sorted-`Vec` aggregation paths) must be
-//! extensionally equal to the pre-flat `BTreeMap`/`HashMap` kernels
-//! preserved verbatim in `testkit::baseline`, on arbitrary scenarios.
-//!
-//! This is independent of the conformance oracle: the oracle is a
-//! deliberately naive reimplementation of the *paper*, while `baseline`
-//! is the literal previous production code — together they pin the flat
-//! rewrite from two directions.
+//! extensionally equal to the naive reimplementations in
+//! `testkit::oracle`, the one reference the conformance runner also
+//! checks against, on arbitrary scenarios.
 
 use aggregate::{aggregate_identical, similarity_edges, Aggregate, HomogBlock};
 use hobbit::{early_verdict, BlockLasthopData, BlockTable, ConfidenceTable, HostSet};
@@ -14,7 +10,8 @@ use netsim::{Addr, Block24};
 use proptest::prelude::*;
 use std::collections::BTreeSet;
 use testkit::{
-    baseline_aggregate_identical, baseline_early_verdict, baseline_similarity_edges, BaselineGroups,
+    naive_aggregate, naive_disjoint_aligned, naive_early_verdict, naive_lasthop_set,
+    naive_merged_groups, naive_relationship, naive_similarity_edges,
 };
 
 fn lh(i: usize) -> Addr {
@@ -35,7 +32,7 @@ fn obs_of(assignments: &[(u8, Vec<usize>)]) -> Vec<(Addr, Vec<Addr>)> {
 }
 
 /// Sort merged groups into a canonical set-of-sets for comparison (the
-/// two implementations enumerate union-find roots in different orders).
+/// two implementations enumerate merged groups in different orders).
 fn canonical(mut groups: Vec<Vec<Addr>>) -> Vec<Vec<Addr>> {
     groups.sort();
     groups
@@ -59,53 +56,51 @@ fn calibrated() -> ConfidenceTable {
 
 proptest! {
     /// Grouping, merging, cardinality, relationship and the §4.2
-    /// disjoint-aligned test agree between the flat table and the old
-    /// `BTreeMap` groups on arbitrary (multihomed) observations.
+    /// disjoint-aligned test agree between the flat table and the oracle
+    /// on arbitrary (multihomed) observations.
     #[test]
-    fn flat_grouping_matches_baseline(
+    fn flat_grouping_matches_oracle(
         assignments in proptest::collection::vec(
             (0u8..=255, proptest::collection::vec(0usize..8, 1..4)), 0..40),
     ) {
         let obs = obs_of(&assignments);
         let table = BlockTable::from_observations(obs.iter().map(|(a, l)| (*a, l.as_slice())));
-        let base = BaselineGroups::build(obs.iter().map(|(a, l)| (*a, l.as_slice())));
-        prop_assert_eq!(table.cardinality(), base.cardinality());
-        prop_assert_eq!(table.lasthop_set(), base.lasthops().collect::<Vec<_>>());
+        let lasthops = naive_lasthop_set(&obs);
+        prop_assert_eq!(table.cardinality(), lasthops.len());
+        prop_assert_eq!(table.lasthop_set(), lasthops);
         prop_assert_eq!(
             canonical(table.merged_members()),
-            canonical(base.merged_members())
+            canonical(naive_merged_groups(&obs))
         );
-        prop_assert_eq!(table.relationship(), base.relationship());
-        prop_assert_eq!(table.disjoint_and_aligned(), base.disjoint_and_aligned());
+        prop_assert_eq!(table.relationship(), naive_relationship(&obs));
+        prop_assert_eq!(table.disjoint_and_aligned(), naive_disjoint_aligned(&obs));
     }
 
-    /// The incremental early-termination verdict equals the old
-    /// rebuild-from-scratch one at every prefix of a measurement stream,
-    /// under both the empty and a calibrated confidence table.
+    /// The incremental early-termination verdict equals the oracle's
+    /// from-scratch one at every prefix of a measurement stream, under
+    /// both the empty and a calibrated confidence table.
     #[test]
-    fn flat_early_verdict_matches_baseline(
+    fn flat_early_verdict_matches_oracle(
         assignments in proptest::collection::vec(
             (0u8..=255, proptest::collection::vec(0usize..6, 1..3)), 1..25),
     ) {
         let obs = obs_of(&assignments);
         for conf in [ConfidenceTable::empty(), calibrated()] {
             let mut table = BlockTable::new(Block24(0x0B_0000));
-            let mut per_dest: Vec<(Addr, Vec<Addr>)> = Vec::new();
-            for (dst, lasthops) in &obs {
+            for (k, (dst, lasthops)) in obs.iter().enumerate() {
                 table.add(*dst, lasthops);
-                per_dest.push((*dst, lasthops.clone()));
                 prop_assert_eq!(
-                    early_verdict(&table, per_dest.len(), &conf),
-                    baseline_early_verdict(&per_dest, &conf)
+                    early_verdict(&table, k + 1, &conf),
+                    naive_early_verdict(&obs[..=k], &conf)
                 );
             }
         }
     }
 
-    /// Interned-id similarity edges equal the old hash-indexed ones —
+    /// Interned-id similarity edges equal the oracle's all-pairs ones —
     /// same pairs, same order, same weights.
     #[test]
-    fn flat_similarity_matches_baseline(
+    fn flat_similarity_matches_oracle(
         sets in proptest::collection::vec(
             proptest::collection::btree_set(0usize..12, 0..6), 0..30),
     ) {
@@ -118,13 +113,13 @@ proptest! {
             })
             .collect();
         let plain: Vec<Vec<Addr>> = aggs.iter().map(|a| a.lasthops.clone()).collect();
-        prop_assert_eq!(similarity_edges(&aggs), baseline_similarity_edges(&plain));
+        prop_assert_eq!(similarity_edges(&aggs), naive_similarity_edges(&plain));
     }
 
-    /// Sort-based identical-set aggregation reproduces the `BTreeMap`
+    /// Sort-based identical-set aggregation reproduces the oracle's
     /// output exactly, including presentation order.
     #[test]
-    fn flat_identical_matches_baseline(
+    fn flat_identical_matches_oracle(
         blocks in proptest::collection::vec(
             (0u32..50, proptest::collection::vec(0usize..6, 0..4)), 0..40),
     ) {
@@ -142,7 +137,7 @@ proptest! {
             .into_iter()
             .map(|a| (a.lasthops, a.blocks))
             .collect();
-        prop_assert_eq!(flat, baseline_aggregate_identical(&pairs));
+        prop_assert_eq!(flat, naive_aggregate(&pairs));
     }
 
     /// The 256-bit member bitset agrees with a `BTreeSet` model on every
