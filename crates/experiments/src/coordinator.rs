@@ -141,7 +141,8 @@ pub struct CoordinatorConfig {
     /// schedule (seed decorrelated per shard) in every first-incarnation
     /// lease that `sabotage` doesn't already claim.
     pub args: ExpArgs,
-    /// Worker executable; `None` re-enters the current executable.
+    /// Worker executable, a `hobbit` binary; `None` re-enters the current
+    /// executable.
     pub worker_exe: Option<PathBuf>,
     /// Heartbeat age past which a live-looking worker is declared dead.
     pub heartbeat_timeout: Duration,
@@ -379,6 +380,7 @@ fn spawn_worker(
 ) -> Result<WorkerSlot, CoordError> {
     obs.spawns.inc();
     let child = Command::new(exe)
+        .arg("shard")
         .arg("--run-dir")
         .arg(run_dir)
         .arg("--shard")
@@ -680,8 +682,8 @@ pub fn merge_run_via(
 /// pipeline over the owned blocks (resuming the shard journal if one
 /// exists), seal with a done marker. Returns the process exit code.
 ///
-/// Spawned via `--run-dir <dir> --shard <i>`; everything else comes from
-/// the lease.
+/// Spawned via `hobbit shard --run-dir <dir> --shard <i>`; everything
+/// else comes from the lease.
 pub fn worker_main(run_dir: &Path, shard: usize) -> i32 {
     let lease = match Lease::load_via(&Storage::real(), run_dir, shard) {
         Ok(lease) => lease,

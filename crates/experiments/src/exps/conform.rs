@@ -13,11 +13,7 @@ use testkit::diff::{run_spec, ConformObs};
 use testkit::scenario::{gen_spec, ScenarioSpec};
 use testkit::shrink::shrink;
 
-/// Environment variable overriding the default number of fresh fuzzed
-/// scenarios (CI sets it; `--cases` wins over both).
-pub const CASES_ENV: &str = "HOBBIT_CONFORM_CASES";
-
-/// Fresh-scenario count when neither `--cases` nor [`CASES_ENV`] is set.
+/// Fresh-scenario count when `--cases` is not given.
 pub const DEFAULT_CASES: usize = 200;
 
 /// Options of `hobbit conform` (its axes differ from the experiments',
@@ -44,10 +40,7 @@ pub struct ConformArgs {
 impl Default for ConformArgs {
     fn default() -> Self {
         ConformArgs {
-            cases: std::env::var(CASES_ENV)
-                .ok()
-                .and_then(|v| v.parse().ok())
-                .unwrap_or(DEFAULT_CASES),
+            cases: DEFAULT_CASES,
             seed: 1000,
             threads: vec![1, 8],
             corpus: PathBuf::from("tests/corpus"),
@@ -61,7 +54,7 @@ impl Default for ConformArgs {
 /// Usage text of `hobbit conform`.
 pub const USAGE: &str = "usage: hobbit conform [--cases N] [--seed N] [--threads A,B,..]\n\
 \u{20}                     [--corpus DIR] [--out-dir DIR] [--regen] [--json]\n\
---cases N       fresh generated scenarios to sweep (default: $HOBBIT_CONFORM_CASES or 200)\n\
+--cases N       fresh generated scenarios to sweep (default 200)\n\
 --seed N        base seed of the fresh sweep (default 1000)\n\
 --threads A,B   thread counts every scenario must agree across (default 1,8)\n\
 --corpus DIR    golden corpus directory (default tests/corpus)\n\

@@ -19,6 +19,7 @@ pub mod multivantage;
 pub mod scenario_info;
 pub mod section2;
 pub mod section31;
+pub mod shard;
 pub mod summary;
 pub mod table1;
 pub mod table2;
@@ -67,6 +68,20 @@ const OWN_WORLD: &[&str] = &["--threads"];
 /// unlabelled span trees.
 const LOSS_SWEEP: &[&str] = &["--threads", "--deadline", "--mda-lite", "--dynamics"];
 
+/// `shard` copies its settings into leases, which carry no metrics file,
+/// span tree or deadline, and it resumes by being re-run. Only it acts
+/// on the two shard flags.
+const SHARD: &[&str] = &[
+    "--threads",
+    "--faults",
+    "--run-dir",
+    "--mda-lite",
+    "--dynamics",
+    "--storage-chaos",
+    "--shards",
+    "--shard",
+];
+
 const fn exp(
     name: &'static str,
     honours: &'static [&'static str],
@@ -107,6 +122,7 @@ pub const EXPERIMENTS: &[Experiment] = &[
     exp("loss_sweep", LOSS_SWEEP, loss_sweep::run, "verdict stability under packet loss + ICMP rate limiting"),
     exp("summary", PIPELINE, summary::run, "pipeline digest of every headline statistic"),
     exp("scenario_info", &[], scenario_info::run, "scenario ground truth and fabric, no probing"),
+    exp("shard", SHARD, shard::run, "one run split over worker processes, merged into DIR/report.json"),
 ];
 
 /// The differential conformance campaign: not in [`EXPERIMENTS`] because
@@ -114,11 +130,12 @@ pub const EXPERIMENTS: &[Experiment] = &[
 /// divergence.
 const CONFORM: &str = "conform";
 
-/// The first flag among `tokens` that `exp` does not act on. A pipeline
-/// experiment refuses nothing, and every value the others accept is
-/// numeric, so no flag's value reads as a refused flag.
+/// The first flag among `tokens` that `exp` does not act on. Every flag
+/// value but a metrics file or run dir is numeric, so a value reads as a
+/// refused flag only when such a path is named like a flag.
 fn refused_flag<'t>(exp: &Experiment, tokens: &'t [String]) -> Option<&'t str> {
-    let refused = |t: &&str| PIPELINE.contains(t) && !exp.honours.contains(t);
+    let refused =
+        |t: &&str| (PIPELINE.contains(t) || SHARD.contains(t)) && !exp.honours.contains(t);
     tokens.iter().map(String::as_str).find(refused)
 }
 
@@ -176,7 +193,13 @@ pub fn dispatch(tokens: impl IntoIterator<Item = String>, err: &mut dyn Write) -
             .collect::<String>()
     );
     let tokens: Vec<String> = tokens.collect();
-    let args = match usage_outcome(ExpArgs::parse_from(tokens.clone()), &usage, err) {
+    let parsed = ExpArgs::parse_from(tokens.clone()).and_then(|args| {
+        if name == "shard" {
+            shard::check_role(&args)?;
+        }
+        Ok(args)
+    });
+    let args = match usage_outcome(parsed, &usage, err) {
         Ok(args) => args,
         Err(code) => return code,
     };
@@ -288,6 +311,7 @@ mod tests {
             (&["loss_sweep", "--run-dir", "d", "--resume"], "--run-dir"),
             (&["loss_sweep", "--metrics", "m.json"], "--metrics"),
             (&["loss_sweep", "--trace-spans"], "--trace-spans"),
+            (&["table1", "--shards", "2", "--run-dir", "d"], "--shards"),
         ] {
             let (code, err) = hobbit(tokens);
             assert_eq!(code, 2, "{tokens:?}");
@@ -344,6 +368,29 @@ mod tests {
             "0.3",
         ];
         assert_eq!(refused("loss_sweep", &sweep), None);
+        let shard = [
+            "--seed",
+            "7",
+            "--scale",
+            "0.5",
+            "--json",
+            "--threads",
+            "2",
+            "--faults",
+            "0.02,0.5",
+            "--run-dir",
+            "d",
+            "--mda-lite",
+            "--dynamics",
+            "0.3",
+            "--storage-chaos",
+            "7",
+            "--shards",
+            "2",
+            "--shard",
+            "0",
+        ];
+        assert_eq!(refused("shard", &shard), None);
         let plain = ["--seed", "7", "--scale", "0.5", "--json"];
         assert_eq!(refused("scenario_info", &plain), None);
     }

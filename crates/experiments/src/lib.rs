@@ -1,9 +1,10 @@
 //! # experiments — regenerating every table and figure of the paper
 //!
 //! Each table/figure has a module with a `run(&ExpArgs) -> Report`
-//! function, listed in [`exps::EXPERIMENTS`]. The one `hobbit` binary
-//! runs any of them by name (`cargo run -p experiments --release --
-//! table1`). Every experiment accepts `--seed`, `--scale` (1.0 builds
+//! function, listed in [`exps::EXPERIMENTS`]. The one `hobbit` binary,
+//! in the workspace's root package, runs any of them by name (`cargo run
+//! --release -- table1`); its `shard` entry splits one run over worker
+//! processes ([`coordinator`]). Every experiment accepts `--seed`, `--scale` (1.0 builds
 //! about 32k ordinary /24s plus the Table-5 sites, some 1% of the paper's
 //! 3.37M probed /24s) and `--json`; one given a flag it does not act on
 //! exits 2.

@@ -9,7 +9,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-cargo build --release --offline --quiet -p experiments
+cargo build --release --offline --quiet --bin hobbit
 hobbit=target/release/hobbit
 
 for exp in table1 table2 table3 table4 table5 \

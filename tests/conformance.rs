@@ -19,13 +19,8 @@ const THREADS: &[usize] = &[1, 8];
 /// The loss axis of the sweep.
 const FAULT_LOSSES: &[f32] = &[0.0, 0.02];
 
-/// Fresh-scenario count: `HOBBIT_CONFORM_CASES` or 200.
-fn cases() -> usize {
-    std::env::var("HOBBIT_CONFORM_CASES")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(200)
-}
+/// Fresh-scenario count.
+const CASES: usize = 200;
 
 #[test]
 fn golden_corpus_is_conformant_across_threads_and_faults() {
@@ -63,7 +58,7 @@ fn golden_corpus_is_conformant_across_threads_and_faults() {
 fn fresh_scenarios_are_conformant() {
     let reg = obs::Registry::new();
     let conform_obs = ConformObs::bind(&reg);
-    let n = cases();
+    let n = CASES;
     for i in 0..n {
         let mut spec = gen_spec(7000 + i as u64);
         // Alternate the loss axis so both fault levels get half the sweep.

@@ -2,12 +2,15 @@
 //! processes — including runs where workers are killed mid-journal, wedge
 //! past their heartbeat timeout, or the coordinator itself dies — must
 //! merge into a `hobbit-report/v1` byte-identical to a single-process run
-//! with the same seed/scale. The worker binary is the real `hobbit-shard`
-//! executable, re-entered with `--shard` exactly as in production.
+//! with the same seed/scale. Workers are the real `hobbit` executable,
+//! re-entered as `hobbit shard --shard I` exactly as in production, and
+//! the CLI cases drive `hobbit shard` itself.
 
+use experiments::args::{ParseOutcome, DEFAULT_CHAOS_RATE};
 use experiments::coordinator::{
     run_sharded, CoordCrash, CoordError, CoordinatorConfig, LOCK_FILE, REPORT_FILE,
 };
+use experiments::exps::shard::check_role;
 use experiments::journal::CrashPoint;
 use experiments::lease::{shard_dir, LeaseSabotage};
 use experiments::{ExpArgs, Pipeline, RunError};
@@ -22,9 +25,16 @@ use testkit::{first_divergence, kill_points, CrashPlan};
 const SEED: u64 = 4242;
 const SCALE: f64 = 0.01;
 
-/// The worker executable cargo built alongside this test.
+/// The `hobbit` binary cargo built alongside this test.
 fn worker_exe() -> PathBuf {
-    PathBuf::from(env!("CARGO_BIN_EXE_hobbit_shard"))
+    PathBuf::from(env!("CARGO_BIN_EXE_hobbit"))
+}
+
+/// A `hobbit shard` command line, to which the test appends flags.
+fn shard_cli() -> Command {
+    let mut cmd = Command::new(worker_exe());
+    cmd.arg("shard");
+    cmd
 }
 
 /// The single-process truth, computed once: the canonical report every
@@ -54,7 +64,7 @@ fn run_dir(tag: &str) -> PathBuf {
     let base = std::env::var_os("HOBBIT_RESUME_DIR")
         .map(PathBuf::from)
         .unwrap_or_else(std::env::temp_dir);
-    let d = base.join(format!("hobbit-shard-{tag}-{}", std::process::id()));
+    let d = base.join(format!("sharded-run-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&d);
     d
 }
@@ -337,12 +347,76 @@ fn coordinator_kill_before_spawn_then_worker_kill_on_resume() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
-/// CLI contract (bugfix satellite): conflicting or underspecified shard
-/// flags must fail up front with a clear message — before any run dir is
-/// created — and a worker pointed at a dir with no lease must refuse.
+/// Parse `tokens` as `hobbit shard` does: the shared flags, then the role
+/// checks.
+fn shard_role(tokens: &[&str]) -> Result<ExpArgs, ParseOutcome> {
+    let args = ExpArgs::parse_from(tokens.iter().map(|s| s.to_string()))?;
+    check_role(&args).map(|()| args)
+}
+
+#[test]
+fn shard_flags_parse_with_run_dir() {
+    let a = shard_role(&["--shards", "4", "--run-dir", "runs/x"]).unwrap();
+    assert_eq!((a.shards, a.shard), (Some(4), None));
+    assert_eq!(a.run_dir, Some(PathBuf::from("runs/x")));
+    let a = shard_role(&["--shard", "2", "--run-dir", "runs/x"]).unwrap();
+    assert_eq!((a.shards, a.shard), (None, Some(2)));
+    assert_eq!(a.run_dir, Some(PathBuf::from("runs/x")));
+    // The experiment flags a coordinator copies into every lease.
+    let a = shard_role(&[
+        "--mda-lite",
+        "--storage-chaos",
+        "7",
+        "--shards",
+        "2",
+        "--run-dir",
+        "x",
+    ])
+    .unwrap();
+    assert!(a.mda_lite);
+    assert_eq!(a.storage_chaos, Some((7, DEFAULT_CHAOS_RATE)));
+    // Neither role: nothing to do.
+    assert!(matches!(
+        shard_role(&["--run-dir", "x"]),
+        Err(ParseOutcome::Error(_))
+    ));
+}
+
+#[test]
+fn shard_flag_conflicts_fail_before_any_run_dir_is_touched() {
+    let cases: &[(&[&str], &str)] = &[
+        // The coordinator resumes by being re-run.
+        (&["--shards", "2", "--run-dir", "x", "--resume"], "--resume"),
+        // Without a run dir the lease file is unreachable.
+        (&["--shard", "0"], "--run-dir"),
+        // Coordinator and worker roles are exclusive.
+        (
+            &["--shards", "2", "--shard", "0", "--run-dir", "x"],
+            "mutually exclusive",
+        ),
+        // Without a run dir leases would have nowhere to go.
+        (&["--shards", "2"], "--run-dir"),
+        // A worker resumes its own journal; --resume on a worker is a bug.
+        (&["--shard", "0", "--run-dir", "x", "--resume"], "--resume"),
+        // Zero shards is meaningless.
+        (&["--shards", "0", "--run-dir", "x"], "at least 1"),
+    ];
+    for (tokens, needle) in cases {
+        match shard_role(tokens) {
+            Err(ParseOutcome::Error(msg)) => assert!(msg.contains(needle), "{tokens:?}: {msg}"),
+            other => panic!("{tokens:?}: expected a role error, got {other:?}"),
+        }
+    }
+}
+
+/// CLI contract: conflicting or underspecified shard flags, and flags a
+/// sharded run would ignore, fail up front with a clear message (exit 2)
+/// before any run dir is created; a worker pointed at a dir with no lease
+/// refuses.
 #[test]
 fn shard_cli_conflicts_fail_clearly_and_touch_nothing() {
     let ghost = run_dir("cli-ghost");
+    let ignored = "has no effect on shard; try hobbit shard --help";
     let cases: &[(&[&str], &str)] = &[
         (
             &["--shards", "2", "--shard", "1", "--run-dir", "X"],
@@ -359,6 +433,19 @@ fn shard_cli_conflicts_fail_clearly_and_touch_nothing() {
             "resumes its own shard journal",
         ),
         (&["--shards", "0", "--run-dir", "X"], "at least 1"),
+        // Leases carry no metrics file, span tree or deadline.
+        (
+            &["--shards", "2", "--run-dir", "X", "--metrics", "m.json"],
+            ignored,
+        ),
+        (
+            &["--shards", "2", "--run-dir", "X", "--trace-spans"],
+            ignored,
+        ),
+        (
+            &["--shards", "2", "--run-dir", "X", "--deadline", "0.000001"],
+            ignored,
+        ),
     ];
     for (args, needle) in cases {
         let args: Vec<String> = args
@@ -371,7 +458,7 @@ fn shard_cli_conflicts_fail_clearly_and_touch_nothing() {
                 }
             })
             .collect();
-        let out = Command::new(worker_exe()).args(&args).output().unwrap();
+        let out = shard_cli().args(&args).output().unwrap();
         assert_eq!(
             out.status.code(),
             Some(2),
@@ -393,7 +480,7 @@ fn shard_cli_conflicts_fail_clearly_and_touch_nothing() {
     cfg.crash = Some(CoordCrash::BeforeSpawn);
     assert!(run_sharded(&cfg, &NullRecorder).is_err());
     let before = tree_bytes(&leased);
-    let out = Command::new(worker_exe())
+    let out = shard_cli()
         .args(["--shards", "2", "--mda-lite", "--run-dir"])
         .arg(&leased)
         .output()
@@ -409,8 +496,9 @@ fn shard_cli_conflicts_fail_clearly_and_touch_nothing() {
     // does not limp into a fresh single-process run.
     let empty = run_dir("cli-no-lease");
     std::fs::create_dir_all(&empty).unwrap();
-    let out = Command::new(worker_exe())
-        .args(["--shard", "0", "--run-dir", &empty.display().to_string()])
+    let out = shard_cli()
+        .args(["--shard", "0", "--run-dir"])
+        .arg(&empty)
         .output()
         .unwrap();
     assert_eq!(out.status.code(), Some(3), "lease-less worker must refuse");

@@ -324,9 +324,10 @@ fn faults_on_the_prefix_write_end_identical_or_typed_then_resume() {
     }
 }
 
-/// The worker executable cargo built alongside this test.
+/// The `hobbit` binary cargo built alongside this test; workers re-enter
+/// it as `hobbit shard --shard I`.
 fn worker_exe() -> PathBuf {
-    PathBuf::from(env!("CARGO_BIN_EXE_hobbit_shard"))
+    PathBuf::from(env!("CARGO_BIN_EXE_hobbit"))
 }
 
 /// A sharded run under `--storage-chaos`: every shard's first incarnation
