@@ -326,6 +326,9 @@ pub fn classify_block(
     let mut probed = 0usize;
     let mut unresolved: Vec<Addr> = Vec::new();
     let mut verdict: Option<Classification> = None;
+    // Whether any destination answered (resolved or anonymous) in the
+    // first pass.
+    let mut answered = false;
     // One walk for the block's first pass and reprobe pass: destinations
     // of one /24 sit at the same hop distance (the first resolved one seeds
     // the rest, saving the per-destination echo round, cf. paper §3.4) and
@@ -370,16 +373,18 @@ pub fn classify_block(
                 verdict = Some(v);
                 break;
             }
-            Resolved::Open => {}
+            Resolved::Open => answered = true,
             Resolved::Silent => unresolved.push(dst),
         }
     }
 
     // Graceful degradation: probing ended without a verdict while some
     // destinations never answered — give exactly those one more chance
-    // (a lost answer may be churn or transient loss, not absence).
+    // (a lost answer may be churn or transient loss, not absence). A /24
+    // none of whose destinations answered at all has gone dark since the
+    // snapshot: another pass would only meet the same silence.
     let mut reprobes = 0usize;
-    if verdict.is_none() {
+    if verdict.is_none() && answered {
         for dst in reprobe_order(sel.block, &unresolved, cfg.seed) {
             if prober.is_cancelled() {
                 break;
@@ -443,7 +448,7 @@ pub fn classify_block(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::select::select_block;
+    use crate::select::{select_block, SelectedBlock};
     use netsim::build::{build, ScenarioConfig};
     use probe::zmap;
 
@@ -538,6 +543,64 @@ mod tests {
         token.cancel();
         let _discarded = classify_block(&mut cancelled, &sel, &table, &cfg);
         assert_eq!(classify(net), fresh);
+    }
+
+    /// A /24 of `w` behind a responsive PoP, selected with one address per
+    /// /26 quarter: in the first `live` quarters a host that answers at
+    /// probe time, in the rest an address that never answers.
+    fn one_per_quarter(w: &World, live: usize) -> SelectedBlock {
+        let (net, truth) = (&w.scenario.network, &w.scenario.truth);
+        w.snapshot
+            .blocks()
+            .find_map(|b| {
+                let t = &truth.blocks[&b];
+                let profile = *net.block_profile(b).unwrap();
+                if !t.homogeneous
+                    || !truth.pops[t.pop as usize].responsive
+                    || profile.kind == netsim::HostKind::Cellular
+                {
+                    return None;
+                }
+                let active = net.oracle().active_in_block(b, &profile, net.epoch());
+                let mut quarters: [Vec<Addr>; 4] = Default::default();
+                for (q, slot) in quarters.iter_mut().enumerate() {
+                    let mut in_quarter = (1..=254u8)
+                        .map(|h| b.addr(h))
+                        .filter(|a| a.quarter26() as usize == q);
+                    slot.push(in_quarter.find(|a| active.contains(a) == (q < live))?);
+                }
+                Some(SelectedBlock { block: b, quarters })
+            })
+            .expect("tiny scenario has a responsive block with live and dead addresses")
+    }
+
+    fn classify_selected(w: &World, sel: &SelectedBlock) -> BlockMeasurement {
+        let mut prober = Prober::new(&w.scenario.network, block_ident(sel.block));
+        classify_block(
+            &mut prober,
+            sel,
+            &ConfidenceTable::empty(),
+            &HobbitConfig::default(),
+        )
+    }
+
+    #[test]
+    fn a_block_that_never_answered_skips_its_reprobe_pass() {
+        let w = World::new(42);
+        let m = classify_selected(&w, &one_per_quarter(&w, 0));
+        assert_eq!(m.classification, Classification::TooFewActive);
+        assert_eq!((m.dests_probed, m.dests_unresolved), (4, 4));
+        assert_eq!(m.reprobes, 0, "a dark /24 gets no second pass");
+    }
+
+    #[test]
+    fn a_block_with_a_single_answer_keeps_its_reprobe_pass() {
+        let w = World::new(42);
+        let m = classify_selected(&w, &one_per_quarter(&w, 1));
+        assert_eq!(m.classification, Classification::TooFewActive);
+        assert_eq!(m.dests_resolved + m.dests_anonymous, 1);
+        assert_eq!(m.dests_unresolved, 3);
+        assert_eq!(m.reprobes, 3, "every silent destination is reprobed");
     }
 
     #[test]

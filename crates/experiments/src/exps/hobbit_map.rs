@@ -8,6 +8,7 @@
 
 use crate::args::ExpArgs;
 use crate::exps::figure9::{cluster_and_validate, merge_confirmed, run_pipeline_observed};
+use crate::exps::loss_sweep::classify_cost_per_block;
 use crate::report::Report;
 use aggregate::{Aggregate, HobbitDataset};
 use netsim::Block24;
@@ -53,6 +54,12 @@ fn build_dataset_to(args: &ExpArgs, trace: &mut dyn std::io::Write) -> (HobbitDa
     );
     if let Some(reg) = p.obs.as_deref() {
         r.worker_rollup(&p.worker_stats);
+        // What this process spent, like the rollup: a resumed run's
+        // journaled blocks are not in it.
+        r.info(
+            "timing/classify per /24: probes / backoff wait (ms)",
+            classify_cost_per_block(&p),
+        );
         r.phase_rollup(reg);
     }
     // Print the span tree and write the metrics document now that

@@ -37,6 +37,20 @@ fn verdict_agreement(base: &Pipeline, faulted: &Pipeline) -> f64 {
     same as f64 / total.max(1) as f64
 }
 
+/// Classification probes and simulated backoff wait (ms) per /24 this
+/// process classified, as `probes / wait`. A resumed run's journaled
+/// blocks are not among them.
+pub(crate) fn classify_cost_per_block(p: &Pipeline) -> String {
+    let blocks: usize = p.worker_stats.iter().map(|w| w.blocks).sum();
+    let probes: u64 = p.worker_stats.iter().map(|w| w.probes).sum();
+    let blocks = blocks.max(1) as f64;
+    format!(
+        "{:.2} / {:.1}",
+        probes as f64 / blocks,
+        p.total_backoff_us() as f64 / 1000.0 / blocks
+    )
+}
+
 /// Run the experiment.
 pub fn run(args: &ExpArgs) -> Report {
     let mut r = Report::new(
@@ -46,6 +60,10 @@ pub fn run(args: &ExpArgs) -> Report {
     let base = Pipeline::builder().args(args).no_faults().run();
     r.info("probed /24 blocks", base.measurements.len());
     r.info("baseline classify probes", base.classify_probes);
+    r.info(
+        "baseline per /24: probes / backoff wait (ms)",
+        classify_cost_per_block(&base),
+    );
 
     let mut series: Vec<(f64, f64)> = Vec::new();
     for loss in LOSS_RATES {
@@ -71,8 +89,8 @@ pub fn run(args: &ExpArgs) -> Report {
             ),
         );
         r.info(
-            &format!("loss={loss}: backoff wait (ms)"),
-            p.total_backoff_us() / 1000,
+            &format!("loss={loss}: per /24: probes / backoff wait (ms)"),
+            classify_cost_per_block(&p),
         );
     }
     r.series("agreement vs loss", &series);
