@@ -141,11 +141,11 @@ fn classify_single_address_selection_is_too_few_active() {
 }
 
 #[test]
-fn total_loss_exhausts_the_reprobe_pass() {
+fn total_loss_leaves_every_destination_unresolved() {
     // Under link loss 1.0 nothing ever answers: every destination stays
-    // unresolved, the reprobe pass runs over the full set (reprobe_order
-    // re-visits exactly the unresolved destinations), and the block
-    // degrades to TooFewActive with consistent counters.
+    // unresolved, the block gets no reprobe pass (no destination answered
+    // the first one), and it degrades to TooFewActive with consistent
+    // counters.
     let mut scenario = build(ScenarioConfig::tiny(42));
     let snapshot = zmap::scan_all(&mut scenario.network, 1);
     scenario.network.set_faults(FaultConfig {
@@ -170,10 +170,7 @@ fn total_loss_exhausts_the_reprobe_pass() {
     assert_eq!(m.dests_resolved, 0);
     assert_eq!(m.dests_anonymous, 0);
     assert!(m.lasthop_set.is_empty());
-    assert_eq!(
-        m.reprobes, n,
-        "the pass re-visits every unresolved destination"
-    );
+    assert_eq!(m.reprobes, 0, "a /24 that never answered is not reprobed");
 }
 
 #[test]
