@@ -277,3 +277,57 @@ fn probe_budget_with_churn_is_pinned() {
         (203, 25_943)
     );
 }
+
+/// FNV-1a over the `Debug` text of every part of a built world that the
+/// builder decides: each router's address, responsiveness, ICMP loss,
+/// alternate interface and route table, each allocated block's host
+/// profile, the PoP and block truth, and the roster's AS names.
+fn world_digest(cfg: ScenarioConfig) -> u64 {
+    let s = build(cfg);
+    let mut h = 0xCBF2_9CE4_8422_2325u64;
+    let mut feed = |text: String| {
+        for b in text.bytes() {
+            h = (h ^ b as u64).wrapping_mul(0x0100_0000_01B3);
+        }
+    };
+    let net = &s.network;
+    for id in 0..net.router_count() {
+        let r = net.router(netsim::route::RouterId(id as u32));
+        feed(format!(
+            "{:?}{:?}{:?}{:?}",
+            r.addr, r.responsive, r.icmp_loss, r.alt_addr
+        ));
+        for entry in r.table.iter() {
+            feed(format!("{entry:?}"));
+        }
+    }
+    for b in net.allocated_blocks() {
+        feed(format!("{b:?}{:?}", net.block_profile(b)));
+    }
+    feed(format!("{:?}{:?}", s.truth.pops, s.truth.blocks));
+    for spec in &s.truth.as_list {
+        feed(spec.name.to_string());
+    }
+    h
+}
+
+/// The built world, pinned exactly: the probe-budget world and the
+/// pipeline's seed-42, scale-0.02 world. A change to the builder's shape,
+/// its constants or its random draws fails here; one that is meant to
+/// move the world re-pins these digests and says why.
+#[test]
+fn world_is_pinned() {
+    let args = experiments::ExpArgs {
+        seed: 42,
+        scale: 0.02,
+        ..Default::default()
+    };
+    assert_eq!(
+        world_digest(ScenarioConfig::tiny(0xB17)),
+        12_625_285_193_736_789_663
+    );
+    assert_eq!(
+        world_digest(experiments::pipeline::scenario_config(&args)),
+        16_504_590_035_047_447_513
+    );
+}
