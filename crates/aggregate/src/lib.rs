@@ -36,5 +36,5 @@ pub use cluster::{
 pub use dataset::{DatasetBlock, HobbitDataset};
 pub use identical::{aggregate_identical, size_histogram, Aggregate, HomogBlock};
 pub use reprobe::{reprobe_block, validate_clusters, ClusterValidation, ReprobeConfig};
-pub use rule::{rule_matches, RuleParams};
+pub use rule::rule_matches;
 pub use similarity::{pairwise_scores, similarity, similarity_edges};

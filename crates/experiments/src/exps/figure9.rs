@@ -10,7 +10,7 @@ use crate::pipeline::Pipeline;
 use crate::report::Report;
 use aggregate::{
     pairwise_scores, rule_matches, sweep_inflation_observed, validate_clusters, Aggregate,
-    AggregateClustering, ClusterValidation, ReprobeConfig, RuleParams,
+    AggregateClustering, ClusterValidation, ReprobeConfig,
 };
 use analysis::Ecdf;
 use hobbit::select_block;
@@ -132,7 +132,6 @@ pub fn cluster_and_validate(
             rec,
         )
     };
-    let rule_params = RuleParams::default();
     let outcomes = candidates
         .into_iter()
         .zip(validations)
@@ -141,7 +140,7 @@ pub fn cluster_and_validate(
             cluster_idx: idx,
             members: members.to_vec(),
             validation,
-            rule_match: rule_matches(&pairwise_scores(&aggs, members), &rule_params),
+            rule_match: rule_matches(&pairwise_scores(&aggs, members)),
         })
         .collect();
     (aggs, clustering, outcomes)
@@ -222,7 +221,7 @@ fn run_to(args: &ExpArgs, trace: &mut dyn std::io::Write) -> Report {
         "unmatched-ratio quartiles",
         json!({"n": eu.len(), "p25": eu.quantile(0.25), "p50": eu.quantile(0.5), "p75": eu.quantile(0.75)}),
     );
-    r.note("the paper's rule is unspecified; ours is RuleParams::default(), documented in aggregate::rule");
+    r.note("the paper's rule is unspecified; ours is the thresholds documented in aggregate::rule");
     p.emit_observability_to(args, trace);
     r
 }

@@ -15,7 +15,6 @@
 
 use crate::addr::{Addr, Block24, Prefix};
 use crate::dynamics::{DynamicsConfig, DynamicsEvent};
-use crate::fault::FaultConfig;
 use crate::hash::{mix2, mix3, pick, unit_f64};
 use crate::host::{HostKind, HostProfile, TtlMix};
 use crate::roster::{paper_roster, AsSpec, OrgType};
@@ -27,7 +26,37 @@ use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
-/// Tunable parameters of a scenario.
+// The world's shape, calibrated once against the paper's Table 1 and
+// Figure 3 (DESIGN §6b).
+
+/// Fraction of blocks in hetero-capable ASes that get split into sub-/24
+/// customer allocations.
+pub const HETERO_FRAC: f64 = 0.17;
+/// Fraction of ordinary PoPs whose last-hop routers never answer (drives
+/// Table 1's "Unresponsive last-hop" row, paper: 16.8%).
+pub const UNRESPONSIVE_POP_FRAC: f64 = 0.34;
+/// Fraction of core/border routers with ICMP rate limiting.
+pub const RATE_LIMIT_FRAC: f64 = 0.15;
+/// Fraction of transit/intra routers answering from two alternating
+/// interface addresses (inflates traceroute cardinality).
+pub const ALT_INTERFACE_FRAC: f64 = 0.9;
+/// Fraction of ASes whose border balances per *packet* (rare in the wild —
+/// Augustin et al. saw ~2% of pairs — but it breaks even the Paris
+/// invariant, so the tools must tolerate it).
+pub const PER_PACKET_FRAC: f64 = 0.03;
+/// Number of parallel transit routers (per-flow ECMP width).
+pub const TRANSIT_FAN: usize = 3;
+/// Number of parallel backbone routers (per-destination ECMP width).
+pub const BACKBONE_FAN: usize = 2;
+/// Per-AS parallel intra routers (per-flow ECMP width).
+pub const INTRA_FAN: usize = 2;
+/// Weights for PoPs having 1, 2, 3 or 4 last-hop routers.
+pub const LH_FAN_WEIGHTS: [f64; 4] = [0.20, 0.07, 0.38, 0.35];
+
+/// What varies between the scenarios of a run: the seed, the size, extra
+/// vantages and host churn. The world's shape is fixed by the constants
+/// above and the AS roster is [`paper_roster`]; every scenario starts
+/// unfaulted ([`Network::set_faults`] arms faults).
 #[derive(Clone, Debug)]
 pub struct ScenarioConfig {
     /// Master seed; every random draw derives from it.
@@ -37,41 +66,13 @@ pub struct ScenarioConfig {
     /// Scale factor applied to the Table-5 big-site sizes (1.0 = literal
     /// 1251-/24 sites).
     pub big_block_scale: f64,
-    /// Fraction of blocks in hetero-capable ASes that get split into
-    /// sub-/24 customer allocations.
-    pub hetero_frac: f64,
-    /// Fraction of ordinary PoPs whose last-hop routers never answer
-    /// (drives Table 1's "Unresponsive last-hop" row, paper: 16.8%).
-    pub unresponsive_pop_frac: f64,
-    /// Fraction of core/border routers with ICMP rate limiting.
-    pub rate_limit_frac: f64,
-    /// Fraction of transit/intra routers answering from two alternating
-    /// interface addresses (inflates traceroute cardinality).
-    pub alt_interface_frac: f64,
-    /// Fraction of ASes whose border balances per *packet* (rare in the
-    /// wild — Augustin et al. saw ~2% of pairs — but it breaks even the
-    /// Paris invariant, so the tools must tolerate it).
-    pub per_packet_frac: f64,
     /// Host availability churn between the ZMap snapshot and probing.
     pub churn: f32,
     /// Probability of a correlated whole-block quiet period at probe time.
     pub quiet_prob: f32,
-    /// Number of parallel transit routers (per-flow ECMP width).
-    pub transit_fan: usize,
-    /// Number of parallel backbone routers (per-destination ECMP width).
-    pub backbone_fan: usize,
-    /// Per-AS parallel intra routers (per-flow ECMP width).
-    pub intra_fan: usize,
-    /// Weights for PoPs having 1, 2, 3 or 4 last-hop routers.
-    pub lh_fan_weights: [f64; 4],
     /// Extra vantage points besides the primary (paper §6.1: probing from
     /// several sources reveals paths chosen by source-hashing balancers).
     pub extra_vantages: usize,
-    /// Fault injection (seeded link loss, ICMP token buckets); inactive by
-    /// default so every scenario starts on the pristine substrate.
-    pub faults: FaultConfig,
-    /// The AS roster.
-    pub roster: Vec<AsSpec>,
 }
 
 impl ScenarioConfig {
@@ -82,20 +83,9 @@ impl ScenarioConfig {
             seed,
             target_blocks: 32_768,
             big_block_scale: 1.0,
-            hetero_frac: 0.17,
-            unresponsive_pop_frac: 0.34,
-            rate_limit_frac: 0.15,
-            alt_interface_frac: 0.9,
-            per_packet_frac: 0.03,
             churn: 0.07,
             quiet_prob: 0.30,
-            transit_fan: 3,
-            backbone_fan: 2,
-            intra_fan: 2,
-            lh_fan_weights: [0.20, 0.07, 0.38, 0.35],
             extra_vantages: 0,
-            faults: FaultConfig::none(),
-            roster: paper_roster(),
         }
     }
 
@@ -468,18 +458,17 @@ impl Builder {
         let gw = self.add_infra_router();
         debug_assert_eq!(campus, RouterId(0));
 
-        let mut planes = Vec::with_capacity(self.cfg.backbone_fan);
+        let mut planes = Vec::with_capacity(BACKBONE_FAN);
         let mut transits = Vec::new();
-        for p in 0..self.cfg.backbone_fan {
+        for p in 0..BACKBONE_FAN {
             let plane_gw = self.add_infra_router();
-            if unit_f64(mix2(self.cfg.seed ^ 0xB1A, p as u64)) < self.cfg.alt_interface_frac {
+            if unit_f64(mix2(self.cfg.seed ^ 0xB1A, p as u64)) < ALT_INTERFACE_FRAC {
                 let alt = self.infra_addr();
                 self.net.router_mut(plane_gw).alt_addr = Some(alt);
             }
             planes.push(plane_gw);
-            let plane_transits: Vec<RouterId> = (0..self.cfg.transit_fan)
-                .map(|_| self.add_infra_router())
-                .collect();
+            let plane_transits: Vec<RouterId> =
+                (0..TRANSIT_FAN).map(|_| self.add_infra_router()).collect();
             self.net.install_route(
                 plane_gw,
                 Prefix::ALL,
@@ -490,13 +479,13 @@ impl Builder {
             );
             for (i, &t) in plane_transits.iter().enumerate() {
                 let h = mix2(self.cfg.seed ^ 0x77, (p * 16 + i) as u64);
-                let loss = if unit_f64(h) < self.cfg.rate_limit_frac {
+                let loss = if unit_f64(h) < RATE_LIMIT_FRAC {
                     0.2
                 } else {
                     0.0
                 };
                 self.net.router_mut(t).icmp_loss = loss;
-                if unit_f64(mix2(h, 3)) < self.cfg.alt_interface_frac {
+                if unit_f64(mix2(h, 3)) < ALT_INTERFACE_FRAC {
                     let alt = self.infra_addr();
                     self.net.router_mut(t).alt_addr = Some(alt);
                 }
@@ -543,7 +532,7 @@ impl Builder {
 
     /// Draw the number of last-hop routers for an ordinary PoP.
     fn draw_lh_fan(&mut self) -> usize {
-        let w = &self.cfg.lh_fan_weights;
+        let w = &LH_FAN_WEIGHTS;
         let total: f64 = w.iter().sum();
         let mut u = self.rng.gen::<f64>() * total;
         for (i, &wi) in w.iter().enumerate() {
@@ -648,7 +637,7 @@ impl Builder {
         Builder {
             net: Network::new(cfg.seed, vantage),
             truth: GroundTruth {
-                as_list: cfg.roster.clone(),
+                as_list: paper_roster(),
                 ..Default::default()
             },
             cfg,
@@ -680,7 +669,7 @@ pub fn try_build(cfg: ScenarioConfig) -> Result<Scenario, BuildError> {
 
     let roster = b.truth.as_list.clone();
     let total_hetero = (b.cfg.target_blocks as f64
-        * b.cfg.hetero_frac
+        * HETERO_FRAC
         * roster.iter().map(|a| a.hetero_share).sum::<f64>())
     .round() as usize;
 
@@ -688,7 +677,6 @@ pub fn try_build(cfg: ScenarioConfig) -> Result<Scenario, BuildError> {
         b.build_as(as_idx as u16, spec, total_hetero)?;
     }
 
-    b.net.set_faults(b.cfg.faults);
     let pop_routers = b.pop_lhs.into_iter().collect();
     Ok(Scenario {
         network: b.net,
@@ -772,20 +760,18 @@ impl Builder {
         total_hetero_budget: usize,
     ) -> Result<(), BuildError> {
         let border = self.add_infra_router();
-        if unit_f64(mix2(self.cfg.seed ^ 0xB0D, border.0 as u64)) < self.cfg.alt_interface_frac {
+        if unit_f64(mix2(self.cfg.seed ^ 0xB0D, border.0 as u64)) < ALT_INTERFACE_FRAC {
             let alt = self.infra_addr();
             self.net.router_mut(border).alt_addr = Some(alt);
         }
-        let intra: Vec<RouterId> = (0..self.cfg.intra_fan)
-            .map(|_| self.add_infra_router())
-            .collect();
+        let intra: Vec<RouterId> = (0..INTRA_FAN).map(|_| self.add_infra_router()).collect();
         for &r in &intra {
-            if unit_f64(mix2(self.cfg.seed ^ 0xA17, r.0 as u64)) < self.cfg.alt_interface_frac {
+            if unit_f64(mix2(self.cfg.seed ^ 0xA17, r.0 as u64)) < ALT_INTERFACE_FRAC {
                 let alt = self.infra_addr();
                 self.net.router_mut(r).alt_addr = Some(alt);
             }
         }
-        if self.rng.gen::<f64>() < self.cfg.rate_limit_frac {
+        if self.rng.gen::<f64>() < RATE_LIMIT_FRAC {
             self.net.router_mut(border).icmp_loss = 0.15;
         }
 
@@ -837,7 +823,7 @@ impl Builder {
         while remaining > 0 {
             let pop_size = self.draw_pop_size(spec).min(remaining as u32);
             let fan = self.draw_lh_fan();
-            let unresponsive = self.rng.gen::<f64>() < self.cfg.unresponsive_pop_frac;
+            let unresponsive = self.rng.gen::<f64>() < UNRESPONSIVE_POP_FRAC;
             city_counter += 1;
             let region = format!("{}-{}", spec.country.to_lowercase(), city_counter);
             let (pop, agg) = self.create_pop(
@@ -958,7 +944,7 @@ impl Builder {
             // source too (Cisco CEF, paper §6.1); a rare few spray per
             // packet.
             let as_h = mix2(self.cfg.seed ^ 0xBAD, as_idx as u64);
-            let policy = if unit_f64(as_h) < self.cfg.per_packet_frac {
+            let policy = if unit_f64(as_h) < PER_PACKET_FRAC {
                 LbPolicy::PerPacket
             } else if pop.is_multiple_of(2) {
                 LbPolicy::PerDestination

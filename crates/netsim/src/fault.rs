@@ -30,8 +30,9 @@ use obs::{Counter, Recorder};
 use parking_lot::RwLock;
 use serde::{Deserialize, Serialize};
 
-/// Default token-bucket capacity (burst size), in ICMP replies.
-pub const DEFAULT_ICMP_BURST: f32 = 4.0;
+/// Token-bucket capacity (burst size): how many back-to-back ICMP replies
+/// a router sends before throttling to the refill rate.
+pub const ICMP_BURST: f32 = 4.0;
 
 /// Fault-injection knobs for a network. Inactive by default: the pristine
 /// substrate the rest of the pipeline was calibrated on.
@@ -46,9 +47,6 @@ pub struct FaultConfig {
     /// trade their Bernoulli suppression for the bucket. `None` keeps the
     /// legacy behavior: only flagged routers drop, via Bernoulli.
     pub icmp_rate: Option<f32>,
-    /// Token-bucket capacity (how many back-to-back replies a router sends
-    /// before throttling to the refill rate).
-    pub icmp_burst: f32,
 }
 
 impl FaultConfig {
@@ -57,7 +55,6 @@ impl FaultConfig {
         FaultConfig {
             link_loss: 0.0,
             icmp_rate: None,
-            icmp_burst: DEFAULT_ICMP_BURST,
         }
     }
 
@@ -67,7 +64,6 @@ impl FaultConfig {
         FaultConfig {
             link_loss,
             icmp_rate: Some(icmp_rate),
-            icmp_burst: DEFAULT_ICMP_BURST,
         }
     }
 

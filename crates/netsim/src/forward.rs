@@ -51,6 +51,7 @@
 
 use crate::addr::{Addr, Block24};
 use crate::dynamics::{DynamicsEvent, NetemSpec};
+use crate::fault::ICMP_BURST;
 use crate::hash::{mix3, unit_f64};
 use crate::host::{HostKind, HostProfile};
 use crate::plane::{Plane, DELIVER};
@@ -667,7 +668,7 @@ impl Network {
             // so admission never depends on worker-thread interleaving.
             Some(rate) => {
                 let stream = (at.0, probe_echo.ident, probe_ip.dst.block24().0);
-                if !self.buckets.admit(stream, rate, self.faults.icmp_burst) {
+                if !self.buckets.admit(stream, rate, ICMP_BURST) {
                     self.fault_counters.rate_limited_drops.inc();
                     return timeout();
                 }

@@ -1,5 +1,5 @@
-//! Cross-crate observability: a thread-safe metrics registry (counters,
-//! gauges, log2-bucketed histograms), hierarchical span timing, and the
+//! Cross-crate observability: a thread-safe metrics registry (counters and
+//! log2-bucketed histograms), hierarchical span timing, and the
 //! [`Recorder`] interface every measurement crate reports through.
 //!
 //! # Design
@@ -12,8 +12,7 @@
 //!
 //! # Determinism contract
 //!
-//! Metric *values* — counter totals, gauge levels, histogram bucket tallies
-//! — must be byte-identical across thread counts for the same seed. The
+//! Metric *values* — counter totals and histogram bucket tallies — must be byte-identical across thread counts for the same seed. The
 //! pipeline guarantees this by deriving every per-probe quantity from
 //! scenario state rather than scheduling (see DESIGN.md §10). Quantities
 //! that *are* scheduling-dependent — wall-clock durations, work-steal
@@ -27,12 +26,12 @@ use parking_lot::Mutex;
 use serde_json::{Map, Number, Value};
 use std::cell::Cell;
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicI64, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
 /// Version tag of the exported metrics document.
-pub const SCHEMA: &str = "hobbit-metrics/v1";
+pub const SCHEMA: &str = "hobbit-metrics/v2";
 
 /// Number of histogram buckets: bucket `k` holds values whose bit length
 /// is `k`, i.e. `[2^(k-1), 2^k)`, with bucket 0 reserved for zero.
@@ -165,39 +164,6 @@ impl std::fmt::Debug for Counter {
     }
 }
 
-/// A signed gauge (a level, not a total).
-#[derive(Clone, Debug, Default)]
-pub struct Gauge(Arc<AtomicI64>);
-
-impl Gauge {
-    /// A fresh gauge at zero.
-    pub fn new() -> Self {
-        Gauge::default()
-    }
-
-    /// Set the level.
-    pub fn set(&self, v: i64) {
-        self.0.store(v, Ordering::Relaxed);
-    }
-
-    /// Adjust the level by `delta` (may be negative).
-    pub fn add(&self, delta: i64) {
-        self.0.fetch_add(delta, Ordering::Relaxed);
-    }
-
-    /// Current level.
-    pub fn get(&self) -> i64 {
-        self.0.load(Ordering::Relaxed)
-    }
-
-    /// An independent gauge at this gauge's current level.
-    pub fn fork(&self) -> Self {
-        let g = Gauge::new();
-        g.set(self.get());
-        g
-    }
-}
-
 /// One thread's share of a [`Histogram`].
 struct HistStripe {
     buckets: [AtomicU64; HIST_BUCKETS],
@@ -288,7 +254,7 @@ impl std::fmt::Debug for Histogram {
 
 /// The one interface instrumented code reports through.
 ///
-/// `counter`/`gauge`/`histogram` intern a metric by name and return a
+/// `counter`/`histogram` intern a metric by name and return a
 /// shared handle; calling twice with the same name must return handles
 /// over the same state. Handles should be obtained once, outside hot
 /// loops, then bumped lock-free.
@@ -299,8 +265,6 @@ impl std::fmt::Debug for Histogram {
 pub trait Recorder: Send + Sync {
     /// Intern (or look up) a counter by name.
     fn counter(&self, name: &str) -> Counter;
-    /// Intern (or look up) a gauge by name.
-    fn gauge(&self, name: &str) -> Gauge;
     /// Intern (or look up) a histogram by name.
     fn histogram(&self, name: &str) -> Histogram;
     /// Record a completed span: `path` is `/`-separated (`run/classify`),
@@ -321,9 +285,6 @@ pub struct NullRecorder;
 impl Recorder for NullRecorder {
     fn counter(&self, _name: &str) -> Counter {
         Counter::new()
-    }
-    fn gauge(&self, _name: &str) -> Gauge {
-        Gauge::new()
     }
     fn histogram(&self, _name: &str) -> Histogram {
         Histogram::new()
@@ -373,7 +334,6 @@ pub struct SpanStat {
 #[derive(Debug, Default)]
 pub struct Registry {
     counters: Mutex<BTreeMap<String, Counter>>,
-    gauges: Mutex<BTreeMap<String, Gauge>>,
     histograms: Mutex<BTreeMap<String, Histogram>>,
     spans: Mutex<BTreeMap<String, SpanStat>>,
     timing_values: Mutex<BTreeMap<String, u64>>,
@@ -448,12 +408,6 @@ impl Registry {
         }
         root.insert("counters".into(), Value::Object(counters));
 
-        let mut gauges = Map::new();
-        for (name, g) in self.gauges.lock().iter() {
-            gauges.insert(name.clone(), Value::Number(Number::I64(g.get())));
-        }
-        root.insert("gauges".into(), Value::Object(gauges));
-
         let mut hists = Map::new();
         for (name, h) in self.histograms.lock().iter() {
             let mut entry = Map::new();
@@ -504,10 +458,6 @@ impl Registry {
 impl Recorder for Registry {
     fn counter(&self, name: &str) -> Counter {
         self.counters.lock().entry(name.into()).or_default().clone()
-    }
-
-    fn gauge(&self, name: &str) -> Gauge {
-        self.gauges.lock().entry(name.into()).or_default().clone()
     }
 
     fn histogram(&self, name: &str) -> Histogram {
@@ -587,17 +537,6 @@ mod tests {
         a.inc();
         assert_eq!(f.get(), 4, "fork is a snapshot");
         assert_eq!(a.get(), 5);
-    }
-
-    #[test]
-    fn gauge_set_and_add() {
-        let g = Gauge::new();
-        g.set(10);
-        g.add(-3);
-        assert_eq!(g.get(), 7);
-        let f = g.fork();
-        g.add(1);
-        assert_eq!(f.get(), 7);
     }
 
     #[test]
@@ -727,7 +666,6 @@ mod tests {
     fn export_shape_and_strip_timing() {
         let reg = Registry::new();
         reg.counter("probe.sent").add(42);
-        reg.gauge("net.level").set(-2);
         reg.histogram("probe.rtt_us").record(1000);
         reg.record_span("run", 1234);
         reg.timing_value("scheduling/steals", 7);
@@ -735,7 +673,6 @@ mod tests {
         let doc = reg.export();
         assert_eq!(doc["schema"].as_str(), Some(SCHEMA));
         assert_eq!(doc["counters"]["probe.sent"].as_u64(), Some(42));
-        assert_eq!(doc["gauges"]["net.level"].as_i64(), Some(-2));
         assert_eq!(doc["histograms"]["probe.rtt_us"]["count"].as_u64(), Some(1));
         assert_eq!(
             doc["timing"]["spans"]["run"]["total_us"].as_u64(),

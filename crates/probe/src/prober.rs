@@ -71,12 +71,6 @@ pub struct ProbeObs {
     pub drops: Counter,
     /// `probe.retries` — retries spent.
     pub retries: Counter,
-    /// `probe.retry_recovered` — retries that got an answer.
-    pub retry_recovered: Counter,
-    /// `probe.retry_wasted` — retries that timed out too.
-    pub retry_wasted: Counter,
-    /// `probe.backoff_us` — simulated backoff wait, microseconds.
-    pub backoff_us: Counter,
     /// `probe.rtt_us` — per-probe round-trip time, microseconds.
     pub rtt_us: Histogram,
     /// `probe.mda_lite.probes_saved` — probes the MDA-Lite stopping rules
@@ -99,9 +93,6 @@ impl ProbeObs {
             probes_sent: rec.counter("probe.sent"),
             drops: rec.counter("probe.drops"),
             retries: rec.counter("probe.retries"),
-            retry_recovered: rec.counter("probe.retry_recovered"),
-            retry_wasted: rec.counter("probe.retry_wasted"),
-            backoff_us: rec.counter("probe.backoff_us"),
             rtt_us: rec.histogram("probe.rtt_us"),
             mda_lite_saved: rec.counter("probe.mda_lite.probes_saved"),
             mda_lite_diamonds: rec.counter("probe.mda_lite.diamonds"),
@@ -415,38 +406,31 @@ impl<'n> Prober<'n> {
             self.backoff_us += wait;
             if let Some(o) = &self.obs {
                 o.retries.inc();
-                o.backoff_us.add(wait);
                 o.ledger.backoff_us.add(wait);
             }
         }
     }
 
-    /// Probe every host address of `block` (`.1` to `.254`, in order) once,
-    /// without retries, and put the results in `results` (cleared first),
-    /// one per address: exactly what one [`Prober::probe`] per address with
-    /// [`Prober::retries`] at 0 gives, on the wire, in the network's
-    /// counters and in this prober's accounting and metrics.
+    /// Echo every host address of `block` (`.1` to `.254`, in order) once,
+    /// at TTL 64 with flow label 0 and without retries, and put the results
+    /// in `results` (cleared first), one per address: exactly what one
+    /// [`Prober::probe`] per address with [`Prober::retries`] at 0 gives,
+    /// on the wire, in the network's counters and in this prober's
+    /// accounting and metrics.
     ///
     /// The 254 probes go to the network as one batch (see
     /// [`Network::exchange_block`]). A cancelled prober answers every
     /// address with an instant timeout, as [`Prober::probe`] does. A batch
     /// never retries, so it leaves the stream evidence alone.
-    pub fn probe_block_once(
-        &mut self,
-        block: Block24,
-        ttl: u8,
-        flow_label: u16,
-        results: &mut Vec<ProbeResult>,
-    ) {
+    pub fn probe_block_once(&mut self, block: Block24, results: &mut Vec<ProbeResult>) {
         results.clear();
         if self.cancel.is_cancelled() {
             results.resize(254, CANCELLED);
             return;
         }
-        let flow_label = wire_label(flow_label);
         let mut wire = [[0u8; PROBE_LEN]; 254];
         for (probe, host) in wire.iter_mut().zip(1..=254u8) {
-            *probe = self.next_probe(block.addr(host), ttl, flow_label);
+            *probe = self.next_probe(block.addr(host), ECHO_TTL, 0);
         }
         let mut replies = Vec::with_capacity(wire.len());
         self.net
@@ -501,10 +485,8 @@ impl<'n> Prober<'n> {
         }
         if let Some(o) = &self.obs {
             if answered {
-                o.retry_recovered.inc();
                 o.ledger.retry_recovered.inc();
             } else {
-                o.retry_wasted.inc();
                 o.ledger.retry_wasted.inc();
             }
         }
@@ -1006,10 +988,13 @@ mod tests {
         );
         assert_eq!(p.retries_recovered() + p.retries_wasted(), p.retries_used());
         assert_eq!(
-            reg.counter("probe.retry_recovered").get(),
+            reg.counter("probe.classify.retry_recovered").get(),
             p.retries_recovered()
         );
-        assert_eq!(reg.counter("probe.retry_wasted").get(), p.retries_wasted());
+        assert_eq!(
+            reg.counter("probe.classify.retry_wasted").get(),
+            p.retries_wasted()
+        );
     }
 
     #[test]
@@ -1044,7 +1029,7 @@ mod tests {
         assert_eq!(p.retries_used(), 0);
         assert!(p.is_cancelled());
         let mut results = Vec::new();
-        p.probe_block_once(blk, 64, 0, &mut results);
+        p.probe_block_once(blk, &mut results);
         assert_eq!(results.len(), 254);
         assert!(results
             .iter()

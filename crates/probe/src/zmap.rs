@@ -185,7 +185,7 @@ fn scan_chunks(
 /// Probe every host address of `block` once (TTL 64) and return those
 /// that answered with an echo from themselves. `results` is scratch space.
 fn scan_block(prober: &mut Prober, block: Block24, results: &mut Vec<ProbeResult>) -> Vec<Addr> {
-    prober.probe_block_once(block, 64, 0, results);
+    prober.probe_block_once(block, results);
     (1u8..=254)
         .zip(results.iter())
         .filter_map(|(host, result)| match result.reply {

@@ -3,7 +3,7 @@
 //! Three contracts from DESIGN.md §10:
 //!
 //! 1. the exported metrics document has the versioned
-//!    `hobbit-metrics/v1` shape with a fixed key set;
+//!    `hobbit-metrics/v2` shape with a fixed key set;
 //! 2. everything outside the `timing` key is byte-identical across
 //!    thread counts, even under fault injection (the determinism
 //!    contract — the acceptance bar is `--threads 1` vs `--threads 8`
@@ -44,7 +44,7 @@ fn metrics_document_schema_is_pinned() {
     let keys: Vec<&str> = obj.keys().map(|k| k.as_str()).collect();
     assert_eq!(
         keys,
-        ["counters", "gauges", "histograms", "schema", "timing"],
+        ["counters", "histograms", "schema", "timing"],
         "top-level key set is part of the schema"
     );
     assert_eq!(doc["schema"].as_str(), Some(SCHEMA));
@@ -54,7 +54,7 @@ fn metrics_document_schema_is_pinned() {
         "probe.sent",
         "probe.drops",
         "probe.retries",
-        "probe.backoff_us",
+        "probe.classify.backoff_us",
         "net.probes_carried",
         "net.link_drops",
         "net.rate_limited_drops",
