@@ -2,7 +2,7 @@
 # Local CI gauntlet: format, lint, docs, build, test.
 #
 #   scripts/check.sh          # everything
-#   scripts/check.sh --fast   # skip the release build (lint + debug tests)
+#   scripts/check.sh --fast   # skip the release build and crate pins (lint + debug tests)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -22,6 +22,10 @@ RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps --workspace --lib
 if [[ "$FAST" == 0 ]]; then
     echo "==> cargo build --release"
     cargo build --offline --release
+    # The root `cargo test` runs no crate unit tests; these hold the wire
+    # digest, calibration table and rule pins.
+    echo "==> crate pins (cargo test --release --lib)"
+    cargo test --release --offline -q -p netsim -p probe -p aggregate -p experiments --lib
 fi
 
 echo "==> cargo test -q"
