@@ -665,7 +665,6 @@ mod tests {
         net.set_faults(FaultConfig {
             link_loss: rng.gen_range(0.0..0.08),
             icmp_rate: rng.gen_bool(0.7).then(|| rng.gen_range(0.2..1.0)),
-            ..FaultConfig::none()
         });
         let mut events = Vec::new();
         for kind in 0..5 + rng.gen_range(0..6) {
