@@ -11,8 +11,6 @@
 //!   random sampling, measured by distinct rDNS patterns (Figure 12);
 //! * [`cellular`] — cellular-block identification from first-ping deltas
 //!   (Figure 6) and rDNS pattern extraction (Section 7.2);
-//! * [`outage`] — Trinocular-style outage monitoring per Hobbit block (the
-//!   introduction's motivating application);
 //! * [`longitudinal`] — homogeneity stability across measurement epochs
 //!   (the paper's stated future work).
 
@@ -21,7 +19,6 @@
 pub mod cellular;
 pub mod coverage;
 pub mod longitudinal;
-pub mod outage;
 pub mod plot;
 pub mod sampling;
 pub mod stats;
@@ -29,7 +26,6 @@ pub mod stats;
 pub use cellular::{block_ping_deltas, dominant_pattern, looks_cellular, pattern_is_exclusive};
 pub use coverage::{coverage_curve, CoveragePoint, TraceDataset};
 pub use longitudinal::{jaccard, snapshot_epoch, stability, EpochSnapshot, StabilityReport};
-pub use outage::{BlockScan, BlockState, OutageEvent, OutageMonitor};
-pub use plot::{ascii_cdf, ascii_histogram};
+pub use plot::ascii_cdf;
 pub use sampling::{distinct_patterns, figure12, random_sample, stratified_sample, SamplingRow};
 pub use stats::{histogram, mean, stderr, Ecdf};

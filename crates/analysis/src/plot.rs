@@ -1,7 +1,7 @@
 //! ASCII chart rendering for terminal-friendly figures.
 //!
 //! Every figure in the paper is a CDF or a histogram; the experiment
-//! binaries print these as text. This module renders them as actual
+//! binaries print these as text. This module renders the CDFs as actual
 //! curves, so a terminal run of `figure3` or `figure6` shows the same
 //! shapes as the paper's plots.
 
@@ -71,25 +71,6 @@ pub fn ascii_cdf(series: &[(&str, &Ecdf)], width: usize, height: usize) -> Strin
     out
 }
 
-/// Render a histogram of labeled counts as horizontal bars.
-pub fn ascii_histogram(rows: &[(String, usize)], width: usize) -> String {
-    let width = width.max(8);
-    let max = rows.iter().map(|&(_, c)| c).max().unwrap_or(0);
-    if max == 0 {
-        return "(no data)\n".to_string();
-    }
-    let label_w = rows.iter().map(|(l, _)| l.len()).max().unwrap_or(0);
-    let mut out = String::new();
-    for (label, count) in rows {
-        let bar = (count * width).div_ceil(max);
-        out.push_str(&format!(
-            "  {label:<label_w$} |{} {count}\n",
-            "#".repeat(bar),
-        ));
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -129,21 +110,5 @@ mod tests {
         let e = Ecdf::new(vec![5.0; 10]);
         let chart = ascii_cdf(&[("const", &e)], 30, 8);
         assert!(chart.contains("const"));
-    }
-
-    #[test]
-    fn histogram_bars_scale() {
-        let rows = vec![("small".to_string(), 1), ("big".to_string(), 10)];
-        let h = ascii_histogram(&rows, 20);
-        let small_bar = h.lines().next().unwrap().matches('#').count();
-        let big_bar = h.lines().nth(1).unwrap().matches('#').count();
-        assert_eq!(big_bar, 20);
-        assert!((1..=2).contains(&small_bar));
-    }
-
-    #[test]
-    fn histogram_empty() {
-        assert_eq!(ascii_histogram(&[], 20), "(no data)\n");
-        assert_eq!(ascii_histogram(&[("x".into(), 0)], 20), "(no data)\n");
     }
 }

@@ -1,6 +1,8 @@
 //! Minimal CLI argument handling for the `hobbit` binary.
 
+use obs::Registry;
 use std::path::PathBuf;
+use std::sync::Arc;
 use std::time::Duration;
 
 /// Common experiment options.
@@ -22,10 +24,18 @@ pub struct ExpArgs {
     /// phase (the snapshot scan stays loss-free so selection is comparable
     /// to a fault-free run). `None` leaves the network ideal.
     pub faults: Option<(f64, f64)>,
-    /// Write the versioned metrics document (JSON) to this path.
+    /// Write the versioned metrics document (JSON) of the whole
+    /// experiment to this path.
     pub metrics: Option<String>,
-    /// Print the hierarchical span tree (wall-clock per phase) on stderr.
+    /// Print the hierarchical span tree (wall-clock per phase) of the
+    /// whole experiment on stderr.
     pub trace_spans: bool,
+    /// The registry the experiment reports into: every probe, counter and
+    /// span of the run, pipeline and later phases alike. Not a flag:
+    /// [`crate::exps::dispatch`] creates it for `--metrics` or
+    /// `--trace-spans` and exports it once the experiment returns. `None`
+    /// runs unobserved.
+    pub obs: Option<Arc<Registry>>,
     /// Checkpoint the run into a journal under this directory; a killed
     /// run can later be picked up with `--resume`.
     pub run_dir: Option<PathBuf>,
@@ -76,6 +86,7 @@ impl Default for ExpArgs {
             faults: None,
             metrics: None,
             trace_spans: false,
+            obs: None,
             run_dir: None,
             resume: false,
             deadline: None,
@@ -113,8 +124,10 @@ pub const USAGE: &str =
 \u{20}             probability L and ICMP token-bucket refill rate R\n\
 \u{20}             (e.g. --faults 0.02,0.5; R may be `tb` for the default\n\
 \u{20}             token-bucket rate 0.5); default: none\n\
---metrics F   write the versioned metrics document (JSON) to F\n\
---trace-spans print per-phase wall-clock spans on stderr\n\
+--metrics F   write the versioned metrics document (JSON) of the whole\n\
+\u{20}             experiment to F, once it has finished\n\
+--trace-spans print per-phase wall-clock spans of the whole experiment\n\
+\u{20}             on stderr, once it has finished\n\
 --run-dir DIR checkpoint finished blocks into DIR/journal.wal as they\n\
 \u{20}             complete, so a killed run can be resumed\n\
 --resume      resume from the --run-dir journal: skip checkpointed\n\

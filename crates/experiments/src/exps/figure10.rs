@@ -7,14 +7,15 @@
 //! Amazon Dublin block).
 
 use crate::args::ExpArgs;
-use crate::exps::figure9::{cluster_and_validate, merge_confirmed, run_pipeline_observed};
+use crate::exps::figure9::{cluster_and_validate, merge_confirmed};
+use crate::pipeline::Pipeline;
 use crate::report::Report;
 use aggregate::{size_histogram, Aggregate};
 use serde_json::json;
 
 /// Run the experiment.
 pub fn run(args: &ExpArgs) -> Report {
-    let mut p = run_pipeline_observed(args);
+    let mut p = Pipeline::builder().args(args).run();
     let mut r = Report::new("figure10", "Cluster-size distribution change from MCL");
     let seed = p.seed;
     let (before, _clustering, outcomes) = cluster_and_validate(&mut p, seed, 80, 40);
@@ -57,7 +58,6 @@ pub fn run(args: &ExpArgs) -> Report {
         "new 1,217-/24 block appeared",
         format!("max {} → {}", max_before, max_after),
     );
-    p.emit_observability_to(args, &mut std::io::stderr());
     r
 }
 

@@ -10,7 +10,8 @@ use crate::report::Report;
 use analysis::{coverage_curve, TraceDataset};
 use hobbit::{select_block, survey_block};
 use netsim::Block24;
-use probe::Prober;
+use obs::SpanTimer;
+use probe::{ProbeObs, Prober};
 use serde_json::json;
 use std::collections::BTreeMap;
 
@@ -53,8 +54,10 @@ pub fn run(args: &ExpArgs) -> Report {
     let mut dataset = TraceDataset::default();
     let mut groups_hobbit: BTreeMap<usize, Vec<Block24>> = BTreeMap::new();
     {
+        let _s = SpanTimer::start(p.recorder(), "survey");
         let snapshot = p.snapshot.clone();
         let mut prober = Prober::new(&p.scenario.network, 0xF11);
+        prober.set_obs(ProbeObs::bind(p.recorder(), "survey"));
         for &(ai, block) in &chosen {
             let Ok(sel) = select_block(&snapshot, block) else {
                 continue;

@@ -10,7 +10,8 @@ use crate::pipeline;
 use crate::report::Report;
 use analysis::{ascii_cdf, Ecdf};
 use hobbit::{select_block, survey_block};
-use probe::Prober;
+use obs::SpanTimer;
+use probe::{ProbeObs, Prober};
 use serde_json::json;
 
 /// Blocks surveyed with full traceroutes.
@@ -64,7 +65,9 @@ pub fn run(args: &ExpArgs) -> Report {
     let mut card_undetected = Vec::new();
     let (mut lasthop_c, mut subpath_c, mut path_c) = (Vec::new(), Vec::new(), Vec::new());
     {
+        let _s = SpanTimer::start(p.recorder(), "survey");
         let mut prober = Prober::new(&p.scenario.network, 0xF16);
+        prober.set_obs(ProbeObs::bind(p.recorder(), "survey"));
         let half = SAMPLE_BLOCKS / 2;
         let sample = detected
             .iter()

@@ -11,7 +11,8 @@ use crate::args::ExpArgs;
 use crate::pipeline;
 use crate::report::Report;
 use analysis::{ascii_cdf, block_ping_deltas, looks_cellular, Ecdf};
-use probe::Prober;
+use obs::SpanTimer;
+use probe::{ProbeObs, Prober};
 use registry::Registry;
 use serde_json::json;
 
@@ -42,6 +43,7 @@ pub fn run(args: &ExpArgs) -> Report {
     let mut curves: Vec<(String, Ecdf)> = Vec::new();
     let mut verdicts_ok = 0usize;
     let mut verdicts = 0usize;
+    let ping_span = SpanTimer::start(p.recorder(), "ping");
     for (org, expect_cellular) in EXPECTED {
         // The org's largest measured aggregate.
         let agg = aggs.iter().find(|a| {
@@ -56,6 +58,7 @@ pub fn run(args: &ExpArgs) -> Report {
             continue;
         };
         let mut prober = Prober::new(&p.scenario.network, 0xF6);
+        prober.set_obs(ProbeObs::bind(p.recorder(), "ping"));
         let deltas = block_ping_deltas(
             &mut prober,
             &agg.blocks,
@@ -85,6 +88,7 @@ pub fn run(args: &ExpArgs) -> Report {
         }));
         curves.push((org.to_string(), e));
     }
+    drop(ping_span);
     // The figure itself: CDFs of firstRTT − max(restRTTs) per block.
     let refs: Vec<(&str, &Ecdf)> = curves.iter().map(|(n, e)| (n.as_str(), e)).collect();
     r.info(

@@ -97,7 +97,7 @@ pub fn cluster_and_validate(
 
     let aggs = p.aggregates();
     let (clustering, _) = {
-        let _s = obs.as_ref().map(|r| r.span("run/cluster"));
+        let _s = obs.as_ref().map(|r| r.span("cluster"));
         sweep_inflation_observed(&aggs, &INFLATIONS, rec)
     };
     let cfg = ReprobeConfig {
@@ -119,7 +119,7 @@ pub fn cluster_and_validate(
         .collect();
     let to_validate: Vec<&[u32]> = candidates.iter().map(|&(_, c)| c).collect();
     let validations = {
-        let _s = obs.as_ref().map(|r| r.span("run/reprobe"));
+        let _s = obs.as_ref().map(|r| r.span("reprobe"));
         let snapshot = &p.snapshot;
         validate_clusters(
             &p.scenario.network,
@@ -146,32 +146,9 @@ pub fn cluster_and_validate(
     (aggs, clustering, outcomes)
 }
 
-/// Run the pipeline for an experiment that aggregates after it. The run
-/// observes but neither prints its `--trace-spans` tree nor writes its
-/// `--metrics` document: the caller emits both once, with
-/// [`Pipeline::emit_observability_to`], after aggregation and reprobing
-/// have reported into the registry too.
-pub(crate) fn run_pipeline_observed(args: &ExpArgs) -> Pipeline {
-    let run_args = ExpArgs {
-        trace_spans: false,
-        metrics: None,
-        ..args.clone()
-    };
-    let mut builder = Pipeline::builder().args(&run_args);
-    if args.trace_spans || args.metrics.is_some() {
-        builder = builder.observe();
-    }
-    builder.run()
-}
-
 /// Run the experiment.
 pub fn run(args: &ExpArgs) -> Report {
-    run_to(args, &mut std::io::stderr())
-}
-
-/// [`run`], writing the `--trace-spans` tree to `trace`.
-fn run_to(args: &ExpArgs, trace: &mut dyn std::io::Write) -> Report {
-    let mut p = run_pipeline_observed(args);
+    let mut p = Pipeline::builder().args(args).run();
     let mut r = Report::new("figure9", "Identical-pair ratios: rule-matched vs rest");
     let seed = p.seed;
     let (_, clustering, outcomes) = cluster_and_validate(&mut p, seed, 60, 60);
@@ -222,7 +199,6 @@ fn run_to(args: &ExpArgs, trace: &mut dyn std::io::Write) -> Report {
         json!({"n": eu.len(), "p25": eu.quantile(0.25), "p50": eu.quantile(0.5), "p75": eu.quantile(0.75)}),
     );
     r.note("the paper's rule is unspecified; ours is the thresholds documented in aggregate::rule");
-    p.emit_observability_to(args, trace);
     r
 }
 
@@ -238,32 +214,5 @@ mod tests {
             ..Default::default()
         };
         run(&args).print(false);
-    }
-
-    #[test]
-    fn span_tree_prints_once_after_aggregation() {
-        let metrics =
-            std::env::temp_dir().join(format!("figure9-metrics-{}.json", std::process::id()));
-        let args = ExpArgs {
-            scale: 0.015,
-            threads: 2,
-            trace_spans: true,
-            metrics: Some(metrics.to_string_lossy().into_owned()),
-            ..Default::default()
-        };
-        let mut trace = Vec::new();
-        run_to(&args, &mut trace);
-        let tree = String::from_utf8(trace).unwrap();
-        let roots = tree.lines().filter(|l| l.starts_with("run  x")).count();
-        assert_eq!(roots, 1, "one span tree expected:\n{tree}");
-        for phase in ["cluster", "reprobe"] {
-            assert!(
-                tree.contains(&format!("  {phase}  x")),
-                "tree lacks {phase}:\n{tree}"
-            );
-        }
-        let doc = std::fs::read_to_string(&metrics).unwrap();
-        std::fs::remove_file(&metrics).unwrap();
-        assert!(doc.contains("run/reprobe"), "metrics lack reprobing");
     }
 }

@@ -7,8 +7,9 @@
 //! in the line format of `aggregate::dataset`, plus a JSON twin.
 
 use crate::args::ExpArgs;
-use crate::exps::figure9::{cluster_and_validate, merge_confirmed, run_pipeline_observed};
+use crate::exps::figure9::{cluster_and_validate, merge_confirmed};
 use crate::exps::loss_sweep::classify_cost_per_block;
+use crate::pipeline::Pipeline;
 use crate::report::Report;
 use aggregate::{Aggregate, HobbitDataset};
 use netsim::Block24;
@@ -16,12 +17,7 @@ use std::collections::HashSet;
 
 /// Build the final dataset (shared with tests).
 pub fn build_dataset(args: &ExpArgs) -> (HobbitDataset, Report) {
-    build_dataset_to(args, &mut std::io::stderr())
-}
-
-/// [`build_dataset`], writing the `--trace-spans` tree to `trace`.
-fn build_dataset_to(args: &ExpArgs, trace: &mut dyn std::io::Write) -> (HobbitDataset, Report) {
-    let mut p = run_pipeline_observed(args);
+    let mut p = Pipeline::builder().args(args).run();
     let mut r = Report::new("hobbit_map", "The Hobbit homogeneous-blocks dataset");
     let seed = p.seed;
     let (aggs, _clustering, outcomes) = cluster_and_validate(&mut p, seed, 120, 40);
@@ -52,19 +48,14 @@ fn build_dataset_to(args: &ExpArgs, trace: &mut dyn std::io::Write) -> (HobbitDa
         "largest block (/24s)",
         dataset.blocks.first().map(|b| b.size()).unwrap_or(0),
     );
-    if let Some(reg) = p.obs.as_deref() {
-        r.worker_rollup(&p.worker_stats);
-        // What this process spent, like the rollup: a resumed run's
-        // journaled blocks are not in it.
+    if p.obs.is_some() {
+        // What this process spent: a resumed run's journaled blocks are
+        // not in it.
         r.info(
             "timing/classify per /24: probes / backoff wait (ms)",
             classify_cost_per_block(&p),
         );
-        r.phase_rollup(reg);
     }
-    // Print the span tree and write the metrics document now that
-    // aggregation and reprobing have reported into the registry too.
-    p.emit_observability_to(args, trace);
     (dataset, r)
 }
 
@@ -128,36 +119,5 @@ mod tests {
             "reprobing validates some merge"
         );
         assert_eq!(at(2), one);
-    }
-
-    #[test]
-    fn span_tree_prints_once_after_aggregation() {
-        let metrics =
-            std::env::temp_dir().join(format!("hobbit-map-metrics-{}.json", std::process::id()));
-        let args = ExpArgs {
-            scale: 0.012,
-            threads: 2,
-            trace_spans: true,
-            metrics: Some(metrics.to_string_lossy().into_owned()),
-            ..Default::default()
-        };
-        let _ = std::fs::remove_file(&metrics);
-        let p = run_pipeline_observed(&args);
-        assert!(p.obs.is_some(), "the pipeline observes for --metrics");
-        assert!(!metrics.exists(), "the pipeline wrote --metrics early");
-        drop(p);
-        let mut trace = Vec::new();
-        let _ = build_dataset_to(&args, &mut trace);
-        let tree = String::from_utf8(trace).unwrap();
-        let roots = tree.lines().filter(|l| l.starts_with("run  x")).count();
-        assert_eq!(roots, 1, "one span tree expected:\n{tree}");
-        assert!(
-            tree.contains("  reprobe  x"),
-            "tree lacks reprobing:\n{tree}"
-        );
-        // The one metrics document holds the post-pipeline phases.
-        let doc = std::fs::read_to_string(&metrics).unwrap();
-        std::fs::remove_file(&metrics).unwrap();
-        assert!(doc.contains("run/reprobe"), "metrics lack reprobing");
     }
 }

@@ -29,7 +29,9 @@ pub mod table5;
 
 use crate::args::{usage_outcome, ExpArgs, USAGE};
 use crate::report::Report;
+use obs::Registry;
 use std::io::Write;
+use std::sync::Arc;
 
 /// One `hobbit` subcommand.
 pub struct Experiment {
@@ -64,8 +66,8 @@ const PIPELINE: &[&str] = &[
 const OWN_WORLD: &[&str] = &["--threads"];
 
 /// `loss_sweep` sets its own faults per run and runs five pipelines, which
-/// would share one journal, overwrite one metrics file and print five
-/// unlabelled span trees.
+/// would share one journal and sum five runs into one metrics document and
+/// one span tree.
 const LOSS_SWEEP: &[&str] = &["--threads", "--deadline", "--mda-lite", "--dynamics"];
 
 /// `shard` copies its settings into leases, which carry no metrics file,
@@ -152,8 +154,24 @@ fn listing() -> String {
     s
 }
 
+/// Print the span tree (`--trace-spans`) to `err` and write the metrics
+/// document (`--metrics`) of a run that reported into `reg`.
+fn export(reg: &Registry, args: &ExpArgs, err: &mut dyn Write) {
+    if args.trace_spans {
+        let _ = err.write_all(reg.render_span_tree().as_bytes());
+    }
+    if let Some(path) = &args.metrics {
+        if let Err(e) = std::fs::write(path, reg.export_pretty()) {
+            let _ = writeln!(err, "warning: could not write metrics to {path}: {e}");
+        }
+    }
+}
+
 /// Run `hobbit <experiment> [flags]`. `tokens` are the arguments after
-/// the program name; the report goes to stdout, help and errors to `err`.
+/// the program name; the report goes to stdout, help, errors and the
+/// `--trace-spans` tree to `err`. `--metrics` and `--trace-spans` give the
+/// experiment a registry ([`ExpArgs::obs`]) that every phase reports into,
+/// and both are exported once, after the experiment's last probe.
 /// Returns the exit code: 0, 1 when `conform` finds a divergence, or 2
 /// for a missing or unknown experiment, a bad flag, or a flag the
 /// experiment does not act on.
@@ -199,7 +217,7 @@ pub fn dispatch(tokens: impl IntoIterator<Item = String>, err: &mut dyn Write) -
         }
         Ok(args)
     });
-    let args = match usage_outcome(parsed, &usage, err) {
+    let mut args = match usage_outcome(parsed, &usage, err) {
         Ok(args) => args,
         Err(code) => return code,
     };
@@ -210,7 +228,14 @@ pub fn dispatch(tokens: impl IntoIterator<Item = String>, err: &mut dyn Write) -
         );
         return 2;
     }
-    (exp.run)(&args).print(args.json);
+    if args.metrics.is_some() || args.trace_spans {
+        args.obs = Some(Arc::default());
+    }
+    let report = (exp.run)(&args);
+    if let Some(reg) = &args.obs {
+        export(reg, &args, err);
+    }
+    report.print(args.json);
     0
 }
 

@@ -12,7 +12,8 @@ use crate::pipeline;
 use crate::report::Report;
 use hobbit::{select_block, survey_block, BlockTable, Relationship};
 use netsim::Addr;
-use probe::{Path, Prober};
+use obs::SpanTimer;
+use probe::{Path, ProbeObs, Prober};
 use std::collections::BTreeMap;
 
 /// Surveyed blocks (full traceroutes are expensive).
@@ -73,7 +74,9 @@ pub fn run(args: &ExpArgs) -> Report {
     let (mut by_lasthop, mut by_path, mut surveyed) = (0usize, 0usize, 0usize);
     let mut lasthop_cards = Vec::new();
     let mut path_cards = Vec::new();
+    let survey_span = SpanTimer::start(p.recorder(), "survey");
     let mut prober = Prober::new(&p.scenario.network, 0x531);
+    prober.set_obs(ProbeObs::bind(p.recorder(), "survey"));
     for &block in candidates.iter().step_by(stride).take(SAMPLE_BLOCKS) {
         let Ok(sel) = select_block(&p.snapshot, block) else {
             continue;
@@ -92,6 +95,7 @@ pub fn run(args: &ExpArgs) -> Report {
             by_path += 1;
         }
     }
+    drop(survey_span);
 
     let pct = |n: usize| (1000.0 * n as f64 / surveyed.max(1) as f64).round() / 10.0;
     r.info("blocks surveyed (full traceroutes)", surveyed);

@@ -81,10 +81,6 @@ pub fn run(args: &ExpArgs) -> Report {
         "heterogeneity-flag precision vs ground truth (%)",
         (1000.0 * hetero_correct as f64 / flagged.max(1) as f64).round() / 10.0,
     );
-    if let Some(reg) = p.obs.as_deref() {
-        r.worker_rollup(&p.worker_stats);
-        r.phase_rollup(reg);
-    }
     r
 }
 

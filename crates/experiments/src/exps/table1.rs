@@ -73,10 +73,6 @@ pub fn run(args: &ExpArgs) -> Report {
         "scale={} → {} probed blocks vs paper's 3.37M; shapes, not magnitudes, are comparable",
         p.scale, total
     ));
-    if let Some(reg) = p.obs.as_deref() {
-        r.worker_rollup(&p.worker_stats);
-        r.phase_rollup(reg);
-    }
     r
 }
 

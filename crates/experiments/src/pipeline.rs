@@ -111,9 +111,10 @@ pub struct Pipeline {
     /// unless fault injection was enabled).
     pub net_stats: NetworkStats,
     /// The metrics registry the run reported into, when observability was
-    /// enabled ([`PipelineBuilder::observe`], `--metrics`, `--trace-spans`).
-    /// Post-pipeline phases (aggregation, reprobing) keep reporting into it
-    /// via [`Pipeline::recorder`].
+    /// enabled ([`PipelineBuilder::observe`], or [`ExpArgs::obs`] given to
+    /// [`PipelineBuilder::args`]). Post-pipeline phases (aggregation,
+    /// reprobing, surveys, pings) keep reporting into it via
+    /// [`Pipeline::recorder`].
     pub obs: Option<Arc<Registry>>,
     /// What supervision observed: quarantined blocks, requeues, caught
     /// panics, watchdog cancellations, resumed-block count, and whether the
@@ -153,7 +154,6 @@ pub struct PipelineBuilder {
     /// Every run setting the command line can give.
     args: ExpArgs,
     scenario: Option<Scenario>,
-    observe: bool,
     injector: Option<FaultInjector>,
     crash: Option<CrashPoint>,
     shutdown: Option<ShutdownSignal>,
@@ -170,7 +170,6 @@ impl std::fmt::Debug for PipelineBuilder {
         f.debug_struct("PipelineBuilder")
             .field("args", &self.args)
             .field("scenario", &self.scenario.is_some())
-            .field("observe", &self.observe)
             .field("injector", &self.injector.is_some())
             .field("crash", &self.crash)
             .field("shutdown", &self.shutdown)
@@ -239,7 +238,8 @@ impl PipelineBuilder {
     }
 
     /// Take every run setting from parsed CLI arguments, replacing any set
-    /// before; `--storage-chaos` sets the storage handle here, once. Also
+    /// before; `--storage-chaos` sets the storage handle here, once, and
+    /// the run reports into [`ExpArgs::obs`] when it is set. Also
     /// marks the run as CLI-owned: a failure in [`PipelineBuilder::run`]
     /// prints the typed error on one line and exits with
     /// [`RunError::exit_code`] instead of panicking.
@@ -253,10 +253,10 @@ impl PipelineBuilder {
     }
 
     /// Collect metrics and span timings into a [`Registry`] kept on
-    /// [`Pipeline::obs`], even without `--metrics`/`--trace-spans` (either
-    /// of those flags enables observation automatically).
+    /// [`Pipeline::obs`]: a fresh one, unless [`ExpArgs::obs`] gave one.
+    /// Nothing is printed or written; the caller reads the registry.
     pub fn observe(mut self) -> Self {
-        self.observe = true;
+        self.args.obs.get_or_insert_with(Arc::default);
         self
     }
 
@@ -371,7 +371,7 @@ impl PipelineBuilder {
     pub fn try_run(mut self) -> Result<Pipeline, RunError> {
         let prebuilt = self.scenario.take();
         let (mut run, replayed) = Run::open(self)?;
-        let registry = run.obs.clone();
+        let registry = run.cfg.args.obs.clone();
         let run_span = registry.as_ref().map(|r| r.span("run"));
         let mut scenario = run.build_world(prebuilt)?;
         if !run.cfg.args.resume {
@@ -409,8 +409,8 @@ impl PipelineBuilder {
         let classify_probes = outcome.measurements.iter().map(|m| m.probes_used).sum();
         let net_stats = scenario.network.net_stats();
         drop(run_span);
-        let (args, obs) = (run.cfg.args, registry);
-        let pipeline = Pipeline {
+        let args = run.cfg.args;
+        Ok(Pipeline {
             scenario,
             snapshot: prefix.snapshot,
             threads: effective_threads(args.threads, sel.selected.len()),
@@ -424,15 +424,13 @@ impl PipelineBuilder {
             calibration_probes,
             worker_stats: outcome.worker_stats,
             net_stats,
-            obs,
+            obs: registry,
             supervision,
             seed: args.seed,
             scale: args.scale,
             dynamics: args.dynamics,
             dynamics_events,
-        };
-        pipeline.emit_observability(&args);
-        Ok(pipeline)
+        })
     }
 }
 
@@ -502,11 +500,10 @@ impl From<Mismatch> for RunError {
 }
 
 /// One run's state, passed from phase to phase of [`PipelineBuilder::try_run`]:
-/// the builder (with the journal's seed, scale and faults on resume), the
-/// registry and the journal.
+/// the builder (with the journal's seed, scale and faults on resume, and
+/// the registry in `cfg.args.obs`) and the journal.
 struct Run {
     cfg: PipelineBuilder,
-    obs: Option<Arc<Registry>>,
     journal: Option<Journal>,
 }
 
@@ -560,14 +557,8 @@ impl Run {
         if let Some(msg) = misuse {
             return Err(RunError::Config(msg));
         }
-        let observing = cfg.observe || cfg.args.metrics.is_some() || cfg.args.trace_spans;
-        let obs = observing.then(|| Arc::new(Registry::new()));
-        cfg.storage.observe(recorder(obs.as_deref()));
-        let mut run = Run {
-            cfg,
-            obs,
-            journal: None,
-        };
+        cfg.storage.observe(recorder(cfg.args.obs.as_deref()));
+        let mut run = Run { cfg, journal: None };
         let replayed = if run.cfg.args.resume {
             run.open_journal()?
         } else {
@@ -613,11 +604,11 @@ impl Run {
     }
 
     fn rec(&self) -> &dyn Recorder {
-        recorder(self.obs.as_deref())
+        recorder(self.cfg.args.obs.as_deref())
     }
 
     fn span(&self, path: &str) -> Option<SpanTimer<'_>> {
-        self.obs.as_ref().map(|r| r.span(path))
+        self.cfg.args.obs.as_ref().map(|r| r.span(path))
     }
 
     /// Build the world (or take the prebuilt one), and attach the recorder
@@ -631,7 +622,7 @@ impl Run {
                 None => try_build(scenario_config(&self.cfg.args))?,
             }
         };
-        if let Some(reg) = self.obs.as_deref() {
+        if let Some(reg) = self.cfg.args.obs.as_deref() {
             scenario.network.set_recorder(reg);
         }
         Ok(scenario)
@@ -1154,33 +1145,6 @@ impl Pipeline {
     /// registry when observability is on, a [`NullRecorder`] otherwise.
     pub fn recorder(&self) -> &dyn Recorder {
         recorder(self.obs.as_deref())
-    }
-
-    /// Write the outputs selected by `args`: the span tree to stderr
-    /// (`--trace-spans`) and the versioned metrics document (`--metrics`).
-    /// `run` calls this once. Experiments with post-pipeline phases
-    /// (aggregation, reprobing) run the pipeline with `trace_spans` and
-    /// `metrics` off and call this after their last phase, so each output
-    /// is written once. No-op when the pipeline ran unobserved.
-    pub fn emit_observability(&self, args: &ExpArgs) {
-        self.emit_observability_to(args, &mut std::io::stderr());
-    }
-
-    /// [`Pipeline::emit_observability`], writing the span tree to `trace`.
-    pub(crate) fn emit_observability_to(&self, args: &ExpArgs, trace: &mut dyn std::io::Write) {
-        let Some(reg) = self.obs.as_deref() else {
-            return;
-        };
-        if args.trace_spans {
-            if let Err(e) = trace.write_all(reg.render_span_tree().as_bytes()) {
-                eprintln!("warning: could not write the span tree: {e}");
-            }
-        }
-        if let Some(path) = &args.metrics {
-            if let Err(e) = std::fs::write(path, reg.export_pretty()) {
-                eprintln!("warning: could not write metrics to {path}: {e}");
-            }
-        }
     }
 
     /// Replay every measurement through the `testkit` reference oracle —

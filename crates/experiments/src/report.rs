@@ -1,8 +1,6 @@
 //! Uniform reporting: every experiment prints `paper=X measured=Y` rows so
 //! EXPERIMENTS.md can be regenerated mechanically, plus optional JSON.
 
-use crate::pipeline::WorkerStats;
-use obs::Registry;
 use serde::Serialize;
 use serde_json::json;
 
@@ -56,49 +54,6 @@ impl Report {
             "metric": name,
             "series": serde_json::to_value(data).expect("serializable series"),
         }));
-    }
-
-    /// Append a per-worker rollup of the classification phase: one series
-    /// row per worker with its blocks/probes/steals/drops/retries share.
-    /// These shares are scheduling-dependent (they vary with the thread
-    /// count), so the series carries the `timing/` prefix and experiments
-    /// only attach it on observed runs — plain report output stays
-    /// byte-identical at any thread count.
-    pub fn worker_rollup(&mut self, stats: &[WorkerStats]) {
-        let rows: Vec<serde_json::Value> = stats
-            .iter()
-            .enumerate()
-            .map(|(i, w)| {
-                json!({
-                    "worker": i,
-                    "blocks": w.blocks,
-                    "probes": w.probes,
-                    "steals": w.steals,
-                    "drops": w.drops,
-                    "retries": w.retries,
-                })
-            })
-            .collect();
-        self.series("timing/worker_rollup", rows);
-    }
-
-    /// Append a per-phase rollup from a metrics registry: one series row
-    /// per span path with its entry count and total wall-clock
-    /// milliseconds. Durations are wall-clock, hence the `timing/` prefix
-    /// (see [`Report::worker_rollup`]).
-    pub fn phase_rollup(&mut self, reg: &Registry) {
-        let rows: Vec<serde_json::Value> = reg
-            .span_rows()
-            .into_iter()
-            .map(|(path, stat)| {
-                json!({
-                    "phase": path,
-                    "count": stat.count,
-                    "total_ms": stat.total_us as f64 / 1000.0,
-                })
-            })
-            .collect();
-        self.series("timing/phase_rollup", rows);
     }
 
     /// Render to stdout in the requested format. Output errors (e.g. a
@@ -195,25 +150,6 @@ mod tests {
         r.series("s", vec![(1, 2), (3, 4)]);
         assert_eq!(r.rows.len(), 3);
         assert_eq!(r.notes.len(), 1);
-        // Must not panic in either mode.
-        r.print(false);
-        r.print(true);
-    }
-
-    #[test]
-    fn rollups_render() {
-        use obs::Recorder;
-        let mut r = Report::new("t", "rollups");
-        r.worker_rollup(&[WorkerStats {
-            blocks: 3,
-            probes: 10,
-            ..Default::default()
-        }]);
-        let reg = Registry::new();
-        reg.record_span("run", 1500);
-        reg.record_span("run/classify", 900);
-        r.phase_rollup(&reg);
-        assert_eq!(r.rows.len(), 2);
         // Must not panic in either mode.
         r.print(false);
         r.print(true);

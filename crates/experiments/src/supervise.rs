@@ -479,6 +479,8 @@ pub fn classify_blocks_supervised(
         rec.timing_value(&format!("scheduling/worker{i:02}/blocks"), s.blocks as u64);
         rec.timing_value(&format!("scheduling/worker{i:02}/probes"), s.probes);
         rec.timing_value(&format!("scheduling/worker{i:02}/steals"), s.steals);
+        rec.timing_value(&format!("scheduling/worker{i:02}/drops"), s.drops);
+        rec.timing_value(&format!("scheduling/worker{i:02}/retries"), s.retries);
     }
     SupervisedOutcome {
         measurements,

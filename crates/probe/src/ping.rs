@@ -24,14 +24,6 @@ impl PingSeries {
         let max_rest = self.rtts_us[1..].iter().flatten().copied().max()?;
         Some((first as f64 - max_rest as f64) / 1e6)
     }
-
-    /// Fraction of pings answered.
-    pub fn loss_free_fraction(&self) -> f64 {
-        if self.rtts_us.is_empty() {
-            return 0.0;
-        }
-        self.rtts_us.iter().filter(|r| r.is_some()).count() as f64 / self.rtts_us.len() as f64
-    }
 }
 
 /// Send `count` pings to `dst` and record per-probe RTTs.
@@ -105,7 +97,7 @@ mod tests {
         let blk = s.network.allocated_blocks()[0];
         let mut p = Prober::new(&s.network, 7);
         let series = ping_series(&mut p, blk.addr(0), 5); // .0 hosts nobody
-        assert_eq!(series.loss_free_fraction(), 0.0);
+        assert!(series.rtts_us.iter().all(Option::is_none));
         assert!(series.first_minus_max_rest_secs().is_none());
     }
 }

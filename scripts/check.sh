@@ -26,6 +26,10 @@ if [[ "$FAST" == 0 ]]; then
     # digest, calibration table and rule pins.
     echo "==> crate pins (cargo test --release --lib)"
     cargo test --release --offline -q -p netsim -p probe -p aggregate -p experiments --lib
+    # The other crates' unit tests: the classifier (`hobbit`), metrics,
+    # MCL, analysis, registry and testkit.
+    echo "==> crate unit tests (cargo test --release --lib)"
+    cargo test --release --offline -q -p obs -p hobbit -p mcl -p analysis -p registry -p testkit --lib
 fi
 
 echo "==> cargo test -q"

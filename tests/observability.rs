@@ -9,9 +9,12 @@
 //!    contract — the acceptance bar is `--threads 1` vs `--threads 8`
 //!    with `--faults 0.02,tb`);
 //! 3. span timings are sane: hierarchical paths, positive entry counts,
-//!    children nested inside `run`.
+//!    children nested inside `run`;
+//! 4. the dispatcher exports one span tree and one document per run, after
+//!    the experiment's last probe, so the phases' probes add up to what
+//!    the network carried.
 
-use experiments::args::ExpArgs;
+use experiments::exps::dispatch;
 use experiments::Pipeline;
 use obs::{strip_timing, Registry, SCHEMA};
 use std::sync::Arc;
@@ -114,36 +117,58 @@ fn metrics_document_schema_is_pinned() {
     assert_eq!(reg.counter("calibrate.probes").get(), p.calibration_probes);
 }
 
+/// Run `hobbit tokens…` in-process; returns what it wrote to stderr
+/// (the `--trace-spans` tree among it). The report goes to stdout.
+fn hobbit(tokens: &[&str]) -> String {
+    let mut err = Vec::new();
+    let code = dispatch(tokens.iter().map(|s| s.to_string()), &mut err);
+    let err = String::from_utf8(err).unwrap();
+    assert_eq!(code, 0, "hobbit {tokens:?} failed: {err}");
+    err
+}
+
+/// A metrics file path of this test process, removed if left over.
+fn metrics_path(tag: &str) -> std::path::PathBuf {
+    let path = std::env::temp_dir().join(format!("hobbit-obs-{tag}-{}.json", std::process::id()));
+    let _ = std::fs::remove_file(&path);
+    path
+}
+
+/// Read and remove the metrics document at `path`.
+fn take_document(path: &std::path::Path) -> serde_json::Value {
+    let text = std::fs::read_to_string(path).expect("metrics file written");
+    std::fs::remove_file(path).unwrap();
+    serde_json::from_str(&text).expect("metrics file parses")
+}
+
+/// The number of span trees in `err`: each prints one `run` root.
+fn trees(err: &str) -> usize {
+    err.lines().filter(|l| l.starts_with("run  x")).count()
+}
+
 #[test]
 fn count_metrics_byte_identical_across_thread_counts_under_faults() {
-    // The acceptance bar, driven through the CLI argument surface the
-    // binaries use: --threads {1,8} --faults 0.02,tb --metrics <file>.
-    let dir = std::env::temp_dir();
-    let m1_path = dir.join("hobbit-obs-test-m1.json");
-    let m8_path = dir.join("hobbit-obs-test-m8.json");
-    let args_for = |threads: usize, path: &std::path::Path| -> ExpArgs {
-        ExpArgs::parse_from(
-            [
-                "--seed",
-                "7",
-                "--scale",
-                "0.01",
-                "--threads",
-                &threads.to_string(),
-                "--faults",
-                "0.02,tb",
-                "--metrics",
-                path.to_str().unwrap(),
-            ]
-            .map(String::from),
-        )
-        .expect("valid CLI tokens")
+    // The acceptance bar, driven through the CLI the binary runs:
+    // table1 --threads {1,8} --faults 0.02,tb --metrics <file>.
+    let m1_path = metrics_path("m1");
+    let m8_path = metrics_path("m8");
+    let run = |threads: usize, path: &std::path::Path| {
+        hobbit(&[
+            "table1",
+            "--seed",
+            "7",
+            "--scale",
+            "0.01",
+            "--threads",
+            &threads.to_string(),
+            "--faults",
+            "0.02,tb",
+            "--metrics",
+            path.to_str().unwrap(),
+        ]);
     };
-
-    let a1 = args_for(1, &m1_path);
-    let a8 = args_for(8, &m8_path);
-    let _p1 = Pipeline::builder().args(&a1).run();
-    let _p8 = Pipeline::builder().args(&a8).run();
+    run(1, &m1_path);
+    run(8, &m8_path);
 
     let read = |path: &std::path::Path| -> (String, serde_json::Value) {
         let text = std::fs::read_to_string(path).expect("metrics file written");
@@ -216,4 +241,75 @@ fn span_tree_is_hierarchical_and_sane() {
     assert!(tree.lines().any(|l| l.starts_with("run ")));
     assert!(tree.lines().any(|l| l.starts_with("  classify ")));
     assert!(tree.lines().any(|l| l.starts_with("    block ")));
+}
+
+/// The `probe.<phase>.sent` counters of a document, summed.
+fn phase_sent_sum(doc: &serde_json::Value) -> u64 {
+    let counters = doc["counters"].as_object().unwrap();
+    counters
+        .iter()
+        .filter(|(name, _)| name.split('.').count() == 3)
+        .filter(|(name, _)| name.starts_with("probe.") && name.ends_with(".sent"))
+        .map(|(_, v)| v.as_u64().unwrap())
+        .sum()
+}
+
+#[test]
+fn span_tree_prints_once_after_aggregation() {
+    // Through the binary, from a scratch directory: hobbit_map writes its
+    // dataset files into the working directory.
+    let dir = std::env::temp_dir().join(format!("hobbit-obs-map-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_hobbit"))
+        .args(["hobbit_map", "--scale", "0.012", "--threads", "2"])
+        .args(["--trace-spans", "--metrics", "m.json"])
+        .current_dir(&dir)
+        .output()
+        .unwrap();
+    let err = String::from_utf8(out.stderr).unwrap();
+    assert!(out.status.success(), "hobbit_map failed: {err}");
+    assert_eq!(trees(&err), 1, "one span tree expected:\n{err}");
+    for phase in ["cluster", "reprobe"] {
+        assert!(
+            err.lines().any(|l| l.starts_with(&format!("{phase}  x"))),
+            "no top-level {phase} span:\n{err}"
+        );
+    }
+    // The one document holds the reprobe phase's ledger.
+    let doc = take_document(&dir.join("m.json"));
+    std::fs::remove_dir_all(&dir).unwrap();
+    assert!(doc["counters"]["probe.reprobe.sent"].as_u64().unwrap() > 0);
+    assert_eq!(
+        phase_sent_sum(&doc),
+        doc["counters"]["net.probes_carried"].as_u64().unwrap()
+    );
+}
+
+#[test]
+fn figure6_document_accounts_for_its_pings() {
+    // The pings go out after the pipeline; the document and the tree are
+    // exported after them, so both hold them.
+    let path = metrics_path("figure6");
+    let err = hobbit(&[
+        "figure6",
+        "--scale",
+        "0.001",
+        "--threads",
+        "2",
+        "--metrics",
+        path.to_str().unwrap(),
+        "--trace-spans",
+    ]);
+    assert_eq!(trees(&err), 1, "one span tree expected:\n{err}");
+    assert!(
+        err.lines().any(|l| l.starts_with("ping  x")),
+        "no top-level ping span:\n{err}"
+    );
+    let doc = take_document(&path);
+    assert!(doc["counters"]["probe.ping.sent"].as_u64().unwrap() > 0);
+    assert_eq!(
+        phase_sent_sum(&doc),
+        doc["counters"]["net.probes_carried"].as_u64().unwrap(),
+        "the phases' probes are what the network carried"
+    );
 }
